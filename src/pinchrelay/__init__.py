@@ -10,7 +10,6 @@ schemes, and a sweep/CLI layer for reproducible experiments.
 
 from .benchmarks import (
     Benchmark1Config,
-    ShadowingSample,
     benchmark1_distance_m,
     benchmark1_link_gain,
     benchmark1_power,
@@ -70,7 +69,6 @@ __all__ = [
     "ChannelGains",
     "OracleReport",
     "PowerSolution",
-    "ShadowingSample",
     "StationaryAnalysis",
     "SweepRecord",
     "SweepSpec",

@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .model import ChannelGains, SystemConfig, UePosition, bs_relay_gain, free_space_gain
-from .optimize import PowerSolution, optimal_power_allocation
+from .model import SystemConfig, UePosition, free_space_gain, require_finite_fields
+from .optimize import PowerSolution, solve_at
 
 
 @dataclass(frozen=True)
@@ -38,6 +36,7 @@ class Benchmark1Config:
     array_gain_exponent: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.num_elements < 1:
             raise ValueError(f"num_elements must be >= 1, got {self.num_elements!r}")
         if self.path_loss_exponent < 2.0:
@@ -50,19 +49,6 @@ class Benchmark1Config:
             raise ValueError("rf_chain_power_w_per_element must be nonnegative")
         if not self.array_gain_exponent > 0.0:
             raise ValueError("array_gain_exponent must be positive")
-
-
-@dataclass(frozen=True)
-class ShadowingSample:
-    """One lognormal shadowing draw in dB, with its seed when drawn standalone."""
-
-    value_db: float
-    seed: int | None = None
-
-    @classmethod
-    def draw(cls, std_db: float, seed: int) -> "ShadowingSample":
-        rng = np.random.default_rng(seed)
-        return cls(value_db=float(rng.normal(0.0, std_db)), seed=seed)
 
 
 def benchmark1_distance_m(config: SystemConfig, ue: UePosition) -> float:
@@ -79,16 +65,19 @@ def benchmark1_link_gain(
     config: SystemConfig,
     b1: Benchmark1Config,
     ue_bs_distance_m: float,
-    shadowing: ShadowingSample,
+    shadow_db: float,
 ) -> float:
-    """NLoS direct-link power gain: array gain x element gain x log-distance loss."""
+    """NLoS direct-link power gain: array gain x element gain x log-distance loss.
+
+    ``shadow_db`` is one lognormal shadowing draw in dB.
+    """
     if not ue_bs_distance_m > 0.0:
         raise ValueError(f"distance must be positive, got {ue_bs_distance_m!r}")
     array_gain = float(b1.num_elements) ** b1.array_gain_exponent
     element_gain = 10.0 ** (b1.element_gain_dbi / 10.0)
     anchor = free_space_gain(b1.reference_distance_m, config.carrier_frequency_hz)
     distance_loss = (ue_bs_distance_m / b1.reference_distance_m) ** (-b1.path_loss_exponent)
-    shadow = 10.0 ** (shadowing.value_db / 10.0)
+    shadow = 10.0 ** (shadow_db / 10.0)
     return array_gain * element_gain * anchor * distance_loss * shadow
 
 
@@ -96,47 +85,34 @@ def benchmark1_tx_power_w(
     config: SystemConfig,
     b1: Benchmark1Config,
     ue_bs_distance_m: float,
-    shadowing: ShadowingSample,
+    shadow_db: float,
 ) -> float:
     """Radiated power needed to hit the SNR target over the direct link."""
-    gain = benchmark1_link_gain(config, b1, ue_bs_distance_m, shadowing)
+    gain = benchmark1_link_gain(config, b1, ue_bs_distance_m, shadow_db)
     return config.snr_target_linear * config.ue_noise_w / gain
+
+
+def benchmark1_total_power_w(config: SystemConfig, b1: Benchmark1Config, tx_w: float) -> float:
+    """Total consumed power of the direct scheme: PA draw plus per-element RF chains."""
+    return tx_w / config.pa_efficiency + b1.num_elements * b1.rf_chain_power_w_per_element
 
 
 def benchmark1_power(
     config: SystemConfig,
     b1: Benchmark1Config,
     ue_bs_distance_m: float,
-    shadowing: ShadowingSample,
+    shadow_db: float,
 ) -> float:
-    """Total consumed power of the direct scheme: PA draw plus per-element RF chains."""
-    tx = benchmark1_tx_power_w(config, b1, ue_bs_distance_m, shadowing)
-    return tx / config.pa_efficiency + b1.num_elements * b1.rf_chain_power_w_per_element
+    """Total consumed power of the direct scheme for one user and shadowing draw."""
+    tx = benchmark1_tx_power_w(config, b1, ue_bs_distance_m, shadow_db)
+    return benchmark1_total_power_w(config, b1, tx)
 
 
 def benchmark2_power(config: SystemConfig, ue: UePosition) -> PowerSolution:
     """Relay scheme with the antenna fixed at the waveguide feed.
 
-    Same closed-form power split as the adjustable scheme, but the second hop
-    is free space from ``(0, 0, d)`` with no waveguide attenuation, which is
-    exactly the adjustable scheme's gain at ``x_pin = 0``.
+    The adjustable scheme's power split with the pinch point held at
+    ``x_pin = 0``, where the waveguide attenuation factor is exactly 1 and the
+    second hop is plain free space from ``(0, 0, d)``.
     """
-    distance = math.sqrt(ue.x_ue_m**2 + ue.y_ue_m**2 + config.waveguide_height_m**2)
-    gains = ChannelGains(
-        g1_sq=bs_relay_gain(config),
-        g2_sq=free_space_gain(distance, config.carrier_frequency_hz),
-        sigma_r_sq_w=config.relay_noise_w,
-        sigma_ue_sq_w=config.ue_noise_w,
-    )
-    p1, beta_sq, j_star = optimal_power_allocation(gains, config)
-    p2 = beta_sq * (p1 * gains.g1_sq + gains.sigma_r_sq_w)
-    total = p1 + p2 / config.pa_efficiency + config.relay_circuit_power_w + config.bs_rf_chain_power_w
-    return PowerSolution(
-        x_pin_m=0.0,
-        p1_w=p1,
-        beta_sq=beta_sq,
-        p2_w=p2,
-        j_star_w=j_star,
-        total_power_w=total,
-        feasible=True,
-    )
+    return solve_at(config, ue, 0.0)

@@ -30,9 +30,6 @@ class UsageError(ValueError):
 
 
 _QUANTITY_RE = re.compile(r"^\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*([a-zA-Z]*)\s*$")
-_FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
-_LENGTH_UNITS = {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "km": 1e3}
-_POWER_UNITS = {"w": 1.0, "mw": 1e-3, "kw": 1e3}
 
 
 def _split_quantity(text: str) -> tuple[float, str]:
@@ -42,25 +39,21 @@ def _split_quantity(text: str) -> tuple[float, str]:
     return float(match.group(1)), match.group(2).lower()
 
 
-def parse_frequency_hz(text: str) -> float:
-    value, unit = _split_quantity(text)
-    if unit and unit not in _FREQ_UNITS:
-        raise ValueError(f"{text!r}: expected a frequency in Hz/kHz/MHz/GHz")
-    return value * _FREQ_UNITS.get(unit, 1.0)
+def _unit_parser(units: dict[str, float], expected: str) -> Callable[[str], float]:
+    """Parser for a number with an optional unit suffix from ``units``, scaled to SI."""
+
+    def parse(text: str) -> float:
+        value, unit = _split_quantity(text)
+        if unit and unit not in units:
+            raise ValueError(f"{text!r}: expected {expected}")
+        return value * units.get(unit, 1.0)
+
+    return parse
 
 
-def parse_length_m(text: str) -> float:
-    value, unit = _split_quantity(text)
-    if unit and unit not in _LENGTH_UNITS:
-        raise ValueError(f"{text!r}: expected a length in m/cm/mm/km")
-    return value * _LENGTH_UNITS.get(unit, 1.0)
-
-
-def parse_power_w(text: str) -> float:
-    value, unit = _split_quantity(text)
-    if unit and unit not in _POWER_UNITS:
-        raise ValueError(f"{text!r}: expected a power in W/mW/kW")
-    return value * _POWER_UNITS.get(unit, 1.0)
+parse_frequency_hz = _unit_parser({"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}, "a frequency in Hz/kHz/MHz/GHz")
+parse_length_m = _unit_parser({"m": 1.0, "cm": 1e-2, "mm": 1e-3, "km": 1e3}, "a length in m/cm/mm/km")
+parse_power_w = _unit_parser({"w": 1.0, "mw": 1e-3, "kw": 1e3}, "a power in W/mW/kW")
 
 
 def parse_db_value(text: str) -> float:
@@ -87,23 +80,25 @@ def parse_plain(text: str) -> float:
     return value
 
 
-_FIELD_PARSERS: dict[str, Callable[[str], float]] = {
-    "carrier_frequency_hz": parse_frequency_hz,
-    "bandwidth_hz": parse_frequency_hz,
-    "noise_figure_db": parse_db_value,
-    "ue_noise_figure_db": parse_db_value,
-    "waveguide_attenuation_per_m": parse_plain,
-    "horn_gain_tx_dbi": parse_db_value,
-    "horn_gain_rx_dbi": parse_db_value,
-    "pa_efficiency": parse_plain,
-    "relay_circuit_power_w": parse_power_w,
-    "bs_rf_chain_power_w": parse_power_w,
-    "waveguide_length_m": parse_length_m,
-    "waveguide_height_m": parse_length_m,
-    "bs_relay_distance_m": parse_length_m,
-    "snr_target_linear": parse_ratio_or_db,
-    "coverage_x_m": parse_length_m,
-    "coverage_y_m": parse_length_m,
+# One entry per SystemConfig field: the config-file key, then its CLI flag,
+# value parser, metavar and help text.
+_SCENARIO_FIELDS: dict[str, tuple[str, Callable[[str], float], str, str]] = {
+    "carrier_frequency_hz": ("--freq", parse_frequency_hz, "F", "carrier frequency (e.g. 28GHz)"),
+    "bandwidth_hz": ("--bandwidth", parse_frequency_hz, "B", "bandwidth (e.g. 400MHz)"),
+    "noise_figure_db": ("--noise-figure", parse_db_value, "NF", "receiver noise figure [dB]"),
+    "ue_noise_figure_db": ("--ue-noise-figure", parse_db_value, "NF", "terminal noise figure override [dB]"),
+    "waveguide_attenuation_per_m": ("--alpha-d", parse_plain, "A", "waveguide attenuation [1/m]"),
+    "horn_gain_tx_dbi": ("--horn-tx-gain", parse_db_value, "G", "BS horn gain [dBi]"),
+    "horn_gain_rx_dbi": ("--horn-rx-gain", parse_db_value, "G", "relay horn gain [dBi]"),
+    "pa_efficiency": ("--eta-pa", parse_plain, "E", "power-amplifier efficiency in (0, 1]"),
+    "relay_circuit_power_w": ("--amp-circ-power", parse_power_w, "P", "relay circuit power (e.g. 0.2 or 200mW)"),
+    "bs_rf_chain_power_w": ("--bs-rf-power", parse_power_w, "P", "BS RF-chain power"),
+    "waveguide_length_m": ("--length", parse_length_m, "L", "waveguide length [m]"),
+    "waveguide_height_m": ("--height", parse_length_m, "D", "waveguide height [m]"),
+    "bs_relay_distance_m": ("--d1", parse_length_m, "D1", "BS-relay distance [m]"),
+    "snr_target_linear": ("--gamma0", parse_ratio_or_db, "G0", "SNR target, linear or '20dB'"),
+    "coverage_x_m": ("--coverage-x", parse_length_m, "X", "coverage rectangle x extent [m]"),
+    "coverage_y_m": ("--coverage-y", parse_length_m, "Y", "coverage rectangle y extent [m]"),
 }
 
 
@@ -122,14 +117,14 @@ def load_config_file(path: str | Path) -> dict[str, float | None]:
         key = key.strip()
         if not sep or not key:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        if key not in _FIELD_PARSERS:
+        if key not in _SCENARIO_FIELDS:
             raise UsageError(f"{path}:{lineno}: unknown configuration key {key!r}")
         value = value.strip()
         if key == "ue_noise_figure_db" and value.lower() == "none":
             values[key] = None
             continue
         try:
-            values[key] = _FIELD_PARSERS[key](value)
+            values[key] = _SCENARIO_FIELDS[key][1](value)
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: {exc}") from exc
     return values
@@ -139,7 +134,7 @@ def _build_config(args: argparse.Namespace) -> SystemConfig:
     values: dict[str, float | None] = {}
     if args.config:
         values.update(load_config_file(args.config))
-    for name in _FIELD_PARSERS:
+    for name in _SCENARIO_FIELDS:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             values[name] = flag_value
@@ -156,7 +151,6 @@ def _argtype(parser_fn: Callable[[str], object]) -> Callable[[str], object]:
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
-    typed.__name__ = parser_fn.__name__
     return typed
 
 
@@ -209,23 +203,8 @@ _XLABELS = {"snr_target_db": "SNR target [dB]", "bs_relay_distance_m": "BS-relay
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("scenario")
     group.add_argument("--config", metavar="FILE", help="flat 'key = value' scenario file; flags override it")
-    arg = group.add_argument
-    arg("--freq", dest="carrier_frequency_hz", type=_argtype(parse_frequency_hz), metavar="F", help="carrier frequency (e.g. 28GHz)")
-    arg("--bandwidth", dest="bandwidth_hz", type=_argtype(parse_frequency_hz), metavar="B", help="bandwidth (e.g. 400MHz)")
-    arg("--noise-figure", dest="noise_figure_db", type=_argtype(parse_db_value), metavar="NF", help="receiver noise figure [dB]")
-    arg("--ue-noise-figure", dest="ue_noise_figure_db", type=_argtype(parse_db_value), metavar="NF", help="terminal noise figure override [dB]")
-    arg("--alpha-d", dest="waveguide_attenuation_per_m", type=_argtype(parse_plain), metavar="A", help="waveguide attenuation [1/m]")
-    arg("--horn-tx-gain", dest="horn_gain_tx_dbi", type=_argtype(parse_db_value), metavar="G", help="BS horn gain [dBi]")
-    arg("--horn-rx-gain", dest="horn_gain_rx_dbi", type=_argtype(parse_db_value), metavar="G", help="relay horn gain [dBi]")
-    arg("--eta-pa", dest="pa_efficiency", type=_argtype(parse_plain), metavar="E", help="power-amplifier efficiency in (0, 1]")
-    arg("--amp-circ-power", dest="relay_circuit_power_w", type=_argtype(parse_power_w), metavar="P", help="relay circuit power (e.g. 0.2 or 200mW)")
-    arg("--bs-rf-power", dest="bs_rf_chain_power_w", type=_argtype(parse_power_w), metavar="P", help="BS RF-chain power")
-    arg("--length", dest="waveguide_length_m", type=_argtype(parse_length_m), metavar="L", help="waveguide length [m]")
-    arg("--height", dest="waveguide_height_m", type=_argtype(parse_length_m), metavar="D", help="waveguide height [m]")
-    arg("--d1", dest="bs_relay_distance_m", type=_argtype(parse_length_m), metavar="D1", help="BS-relay distance [m]")
-    arg("--gamma0", dest="snr_target_linear", type=_argtype(parse_ratio_or_db), metavar="G0", help="SNR target, linear or '20dB'")
-    arg("--coverage-x", dest="coverage_x_m", type=_argtype(parse_length_m), metavar="X", help="coverage rectangle x extent [m]")
-    arg("--coverage-y", dest="coverage_y_m", type=_argtype(parse_length_m), metavar="Y", help="coverage rectangle y extent [m]")
+    for name, (flag, parse, metavar, help_text) in _SCENARIO_FIELDS.items():
+        group.add_argument(flag, dest=name, type=_argtype(parse), metavar=metavar, help=help_text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -282,8 +261,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     rows = [(f.name, getattr(solution, f.name)) for f in fields(solution)]
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
-        rendered = str(value).lower() if isinstance(value, bool) else f"{value:.10g}"
-        print(f"{name:<{width}}  {rendered}")
+        print(f"{name:<{width}}  {value:.10g}")
     return 0
 
 

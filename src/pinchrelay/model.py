@@ -14,7 +14,7 @@ power gains).  dB quantities are converted once, explicitly, at the boundary
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
@@ -32,6 +32,14 @@ def linear_to_db(value: float) -> float:
     if value <= 0.0:
         raise ValueError(f"nonpositive ratio has no dB representation: {value!r}")
     return 10.0 * math.log10(value)
+
+
+def require_finite_fields(instance: object) -> None:
+    """Reject NaN and +-inf in every field of a dataclass instance; ``None`` passes."""
+    for field in fields(instance):
+        value = getattr(instance, field.name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +72,7 @@ class SystemConfig:
     speed_of_light_m_s: ClassVar[float] = SPEED_OF_LIGHT_M_S
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         for name in (
             "carrier_frequency_hz",
             "bandwidth_hz",

@@ -57,7 +57,6 @@ class PowerSolution:
     p2_w: float
     j_star_w: float
     total_power_w: float
-    feasible: bool
 
 
 def pin_objective(config: SystemConfig, ue: UePosition, x_m: float) -> float:
@@ -148,23 +147,28 @@ def optimal_power_allocation(gains: ChannelGains, config: SystemConfig) -> tuple
     return p1, beta_sq, j
 
 
-def solve(config: SystemConfig, ue: UePosition) -> PowerSolution:
-    """Full pipeline: place the pinching antenna, then split the powers.
+def solve_at(config: SystemConfig, ue: UePosition, x_pin_m: float) -> PowerSolution:
+    """Optimal power split with the pinching antenna held at ``x_pin_m``.
 
-    The placement step reads only the geometry and the attenuation
-    coefficient, so it is independent of the power variables; the closed-form
-    split always admits a solution for positive gains, hence ``feasible`` is
-    always true.
+    The closed-form split admits a solution for any positive gains, so every
+    position on the waveguide yields an operating point.
     """
-    x_pin = optimal_pin_position(config, ue)
-    gains = channel_gains(config, ue, x_pin)
+    gains = channel_gains(config, ue, x_pin_m)
     p1, beta_sq, j_star = optimal_power_allocation(gains, config)
     return PowerSolution(
-        x_pin_m=x_pin,
+        x_pin_m=x_pin_m,
         p1_w=p1,
         beta_sq=beta_sq,
         p2_w=relay_tx_power_w(p1, beta_sq, gains),
         j_star_w=j_star,
         total_power_w=total_power_w(p1, beta_sq, gains, config),
-        feasible=True,
     )
+
+
+def solve(config: SystemConfig, ue: UePosition) -> PowerSolution:
+    """Full pipeline: place the pinching antenna, then split the powers.
+
+    The placement step reads only the geometry and the attenuation
+    coefficient, so it is independent of the power variables.
+    """
+    return solve_at(config, ue, optimal_pin_position(config, ue))

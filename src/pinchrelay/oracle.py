@@ -134,7 +134,6 @@ def verify_scenario(
     grid_step_m: float = 1e-3,
     position_rel_tol: float = 1e-10,
     power_rel_tol: float = 1e-3,
-    pin_offset_m: float = 0.0,
 ) -> tuple[OracleReport, OracleReport]:
     """Run both oracles against the closed forms for one scenario.
 
@@ -142,10 +141,9 @@ def verify_scenario(
     on the true maximum, so the closed form fails only if the grid beats it by
     more than ``position_rel_tol`` (relative).  The power report compares the
     closed-form minimum cost against the constraint-curve grid minimum,
-    two-sided.  ``pin_offset_m`` shifts the closed-form position before the
-    comparison; it exists so negative-control tests can force a failure.
+    two-sided.
     """
-    x_closed = optimal_pin_position(config, ue) + pin_offset_m
+    x_closed = optimal_pin_position(config, ue)
     f_closed = pin_objective(config, ue, x_closed)
     x_grid, f_grid = grid_search_pin(config, ue, grid_step_m)
     shortfall = max(0.0, f_grid - f_closed) / f_grid
@@ -160,7 +158,7 @@ def verify_scenario(
 
     gains = ChannelGains(
         g1_sq=_bs_gain(config),
-        g2_sq=_pin_gain(config, ue, min(max(x_closed, 0.0), config.waveguide_length_m)),
+        g2_sq=_pin_gain(config, ue, x_closed),
         sigma_r_sq_w=config.relay_noise_w,
         sigma_ue_sq_w=config.ue_noise_w,
     )

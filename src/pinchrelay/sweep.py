@@ -20,9 +20,8 @@ import numpy as np
 
 from .benchmarks import (
     Benchmark1Config,
-    ShadowingSample,
     benchmark1_distance_m,
-    benchmark1_power,
+    benchmark1_total_power_w,
     benchmark1_tx_power_w,
     benchmark2_power,
 )
@@ -94,10 +93,8 @@ def _evaluate(
     if scheme == "benchmark2":
         sol = benchmark2_power(cfg, ue)
         return sol.total_power_w, sol.p1_w
-    sample = ShadowingSample(value_db=shadow_db)
-    distance = benchmark1_distance_m(cfg, ue)
-    total = benchmark1_power(cfg, spec.benchmark1, distance, sample)
-    return total, benchmark1_tx_power_w(cfg, spec.benchmark1, distance, sample)
+    tx = benchmark1_tx_power_w(cfg, spec.benchmark1, benchmark1_distance_m(cfg, ue), shadow_db)
+    return benchmark1_total_power_w(cfg, spec.benchmark1, tx), tx
 
 
 def run_sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRecord]:
@@ -164,7 +161,10 @@ def export_csv(records: Iterable[SweepRecord], path: str | Path) -> None:
 
 
 def read_csv(path: str | Path) -> list[SweepRecord]:
-    """Parse a file written by :func:`export_csv` back into records."""
+    """Parse a file written by :func:`export_csv` back into records.
+
+    A malformed row raises ``ValueError`` naming the file and its line.
+    """
     path = Path(path)
     try:
         with path.open("r", encoding="utf-8", newline="") as fh:
@@ -172,17 +172,22 @@ def read_csv(path: str | Path) -> list[SweepRecord]:
             header = next(reader, None)
             if header != list(CSV_HEADER):
                 raise ValueError(f"unexpected CSV header in {path}: {header!r}")
-            rows = [row for row in reader if row]
+            rows = [(reader.line_num, row) for row in reader if row]
     except OSError as exc:
         raise OSError(f"cannot read sweep CSV from {path}: {exc}") from exc
     records: list[SweepRecord] = []
-    for row in rows:
-        value, scheme, mean_total, mean_bs, n_samples = row
-        value_f = float(value)
+    for line, row in rows:
+        try:
+            value, scheme, mean_total, mean_bs, n_samples = row
+            if scheme not in SCHEMES:
+                raise ValueError(f"unknown scheme {scheme!r}")
+            value_f, total_f, bs_f, n = float(value), float(mean_total), float(mean_bs), int(n_samples)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line}: malformed sweep CSV row {row!r}: {exc}") from None
         if not records or records[-1].variable_value != value_f:
-            records.append(SweepRecord(value_f, {}, {}, int(n_samples)))
-        records[-1].mean_total_power_w[scheme] = float(mean_total)
-        records[-1].mean_bs_power_w[scheme] = float(mean_bs)
+            records.append(SweepRecord(value_f, {}, {}, n))
+        records[-1].mean_total_power_w[scheme] = total_f
+        records[-1].mean_bs_power_w[scheme] = bs_f
     return records
 
 

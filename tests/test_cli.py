@@ -1,10 +1,14 @@
 """CLI: units parsing, config files, subcommands, exit codes."""
 
+import argparse
 import json
+from dataclasses import fields
 
 import pytest
 
+from pinchrelay import SystemConfig
 from pinchrelay.cli import (
+    _add_scenario_flags,
     cli_main,
     load_config_file,
     parse_frequency_hz,
@@ -60,7 +64,6 @@ class TestSolveCommand:
         assert cli_main(["solve", "--ue", "15,5", "--json"]) == 0
         solution = json.loads(capsys.readouterr().out)
         assert abs(solution["x_pin_m"] - 14.83) <= 0.01
-        assert solution["feasible"] is True
         assert solution["total_power_w"] > 0.3
 
     def test_defaults_to_coverage_center(self, capsys):
@@ -108,6 +111,29 @@ class TestConfigHandling:
         assert values["carrier_frequency_hz"] == 26e9
         assert values["pa_efficiency"] == 0.8
         assert values["ue_noise_figure_db"] is None
+
+    def test_every_field_has_one_flag_and_one_key(self, tmp_path, capsys):
+        names = [f.name for f in fields(SystemConfig)]
+        parser = argparse.ArgumentParser()
+        _add_scenario_flags(parser)
+        actions = [a for a in parser._actions if a.dest not in ("help", "config")]
+        assert sorted(a.dest for a in actions) == sorted(names)
+        assert all(len(a.option_strings) == 1 for a in actions)
+        flags = {a.dest: a.option_strings[0] for a in actions}
+
+        # every field off its default; ue_noise_figure_db defaults to None
+        halved = {name: 0.5 * (getattr(SystemConfig(), name) or 14.0) for name in names}
+        argv = ["config-dump"]
+        for name, value in halved.items():
+            argv += [flags[name], repr(value)]
+        assert cli_main(argv) == 0
+        text = capsys.readouterr().out
+        assert text.splitlines() == [f"{name} = {value!r}" for name, value in halved.items()]
+        dumped = tmp_path / "dump.cfg"
+        dumped.write_text(text, encoding="utf-8")
+        assert load_config_file(dumped) == halved
+        assert cli_main(["config-dump", "--config", str(dumped)]) == 0
+        assert capsys.readouterr().out == text
 
     def test_unknown_key_is_a_usage_error(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

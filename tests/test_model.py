@@ -1,6 +1,7 @@
 """Link-budget model: noise, free-space gain, hop gains, AF SNR, power accounting."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from pinchrelay import (
     BOLTZMANN_J_PER_K,
     SPEED_OF_LIGHT_M_S,
+    Benchmark1Config,
     ChannelGains,
     SystemConfig,
     UePosition,
@@ -232,6 +234,15 @@ class TestConfigAndTypes:
     def test_config_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SystemConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "config_cls, name",
+        [(cls, f.name) for cls in (SystemConfig, Benchmark1Config) for f in fields(cls)],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_config_rejects_non_finite_fields(self, config_cls, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            config_cls(**{name: value})
 
     def test_ue_coverage_validation(self, cfg):
         ue = UePosition.in_coverage(cfg, 15.0, 5.0)

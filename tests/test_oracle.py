@@ -148,8 +148,10 @@ class TestVerifyScenario:
         assert position.rel_gap <= 1e-10
         assert power.rel_gap <= 1e-3
 
-    def test_perturbed_position_fails(self, cfg, ue_mid):
-        position, _ = verify_scenario(cfg, ue_mid, pin_offset_m=1.0)
+    def test_perturbed_position_fails(self, cfg, ue_mid, monkeypatch):
+        shifted = lambda config, ue: optimal_pin_position(config, ue) + 1.0  # noqa: E731
+        monkeypatch.setattr("pinchrelay.oracle.optimal_pin_position", shifted)
+        position, _ = verify_scenario(cfg, ue_mid)
         assert not position.passed
         assert position.rel_gap > 1e-6
 

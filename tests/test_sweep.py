@@ -1,6 +1,7 @@
 """Sweep engine: Monte Carlo averaging, CSV export/round-trip, determinism."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -133,6 +134,23 @@ class TestCsv:
             assert back.n_samples == original.n_samples
             assert back.mean_total_power_w == original.mean_total_power_w
             assert back.mean_bs_power_w == original.mean_bs_power_w
+
+    @pytest.mark.parametrize(
+        "row, detail",
+        [
+            ("20,proposed,0.5,0.01", "expected 5, got 4"),
+            ("20,proposed,0.5,0.01,7,9", "too many values"),
+            ("20,proposed,half,0.01,7", "could not convert"),
+            ("20,proposed,0.5,0.01,7.5", "invalid literal for int"),
+            ("20,warp,0.5,0.01,7", "unknown scheme 'warp'"),
+        ],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, detail):
+        path = tmp_path / "bad.csv"
+        header = "variable,scheme,mean_total_power_w,mean_bs_power_w,n_samples"
+        path.write_text(f"{header}\n20,benchmark2,1.25,0.02,7\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: ") + f".*{re.escape(detail)}"):
+            read_csv(path)
 
     @given(
         values=st.lists(st.floats(min_value=1.0, max_value=1e3), min_size=1, max_size=4, unique=True),
