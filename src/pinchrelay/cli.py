@@ -22,7 +22,7 @@ import numpy as np
 from .model import SystemConfig, UePosition, db_to_linear
 from .optimize import solve
 from .oracle import verify_scenario
-from .sweep import SCHEMES, SweepSpec, export_csv, run_sweep, write_gnuplot_script
+from .sweep import SCHEMES, VARIABLES, SweepSpec, export_csv, run_sweep, write_gnuplot_script
 
 
 class UsageError(ValueError):
@@ -161,14 +161,6 @@ def _parse_ue(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-def _parse_schemes(text: str) -> tuple[str, ...]:
-    schemes = tuple(s.strip() for s in text.split(",") if s.strip())
-    unknown = [s for s in schemes if s not in SCHEMES]
-    if unknown or not schemes:
-        raise ValueError(f"schemes must come from {SCHEMES}, got {text!r}")
-    return schemes
-
-
 def parse_values_spec(text: str) -> tuple[tuple[float, ...], str]:
     """Sweep values: ``start:step:stop[unit]`` or ``v1,v2,...[unit]``."""
     match = re.match(r"^\s*(.*?)\s*([a-zA-Z]*)\s*$", text)
@@ -190,14 +182,7 @@ def parse_values_spec(text: str) -> tuple[tuple[float, ...], str]:
     return values, unit
 
 
-_SWEEP_VARIABLES = {
-    "gamma0": "snr_target_db",
-    "snr_target_db": "snr_target_db",
-    "d1": "bs_relay_distance_m",
-    "bs_relay_distance_m": "bs_relay_distance_m",
-}
-_VALUE_UNITS = {"snr_target_db": ("", "db"), "bs_relay_distance_m": ("", "m")}
-_XLABELS = {"snr_target_db": "SNR target [dB]", "bs_relay_distance_m": "BS-relay distance [m]"}
+_SWEEP_VARIABLES = {"gamma0": "snr_target_db", "d1": "bs_relay_distance_m"}
 
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
@@ -222,11 +207,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep gamma0 or d1, averaging over random user positions")
     _add_scenario_flags(p_sweep)
-    p_sweep.add_argument("--var", required=True, choices=sorted(_SWEEP_VARIABLES), help="sweep variable")
+    p_sweep.add_argument("--var", required=True, choices=sorted([*_SWEEP_VARIABLES, *VARIABLES]), help="sweep variable")
     p_sweep.add_argument("--values", required=True, metavar="SPEC", help="'start:step:stop[unit]' or 'v1,v2,...'")
     p_sweep.add_argument("--samples", type=int, default=1000, metavar="N", help="user positions per sweep value")
     p_sweep.add_argument("--seed", type=int, default=0, help="random seed for user placement and shadowing")
-    p_sweep.add_argument("--schemes", type=_argtype(_parse_schemes), default=SCHEMES, metavar="LIST", help=f"comma list from {SCHEMES}")
+    p_sweep.add_argument("--schemes", default=",".join(SCHEMES), metavar="LIST", help=f"comma list from {SCHEMES}")
     p_sweep.add_argument("--out", default="sweep.csv", metavar="FILE", help="output CSV path")
     p_sweep.add_argument("--gnuplot", action="store_true", help="also write a companion gnuplot script next to the CSV")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -267,27 +252,30 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    variable = _SWEEP_VARIABLES[args.var]
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
+    variable = _SWEEP_VARIABLES.get(args.var, args.var)
+    _, _, units, label = VARIABLES[variable]
     try:
         values, unit = parse_values_spec(args.values)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if unit not in _VALUE_UNITS[variable]:
-        raise UsageError(f"unit {unit!r} does not fit sweep variable {variable} (use {_VALUE_UNITS[variable][1] or 'no unit'})")
+    if unit not in units:
+        raise UsageError(f"unit {unit!r} does not fit sweep variable {variable} (use {units[1] or 'no unit'})")
     try:
         spec = SweepSpec(
             variable=variable,
             values=values,
             ue_samples=args.samples,
             seed=args.seed,
-            schemes=tuple(args.schemes),
+            schemes=tuple(s.strip() for s in args.schemes.split(",") if s.strip()),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     records = run_sweep(config, spec)
     export_csv(records, args.out)
     if args.gnuplot:
-        write_gnuplot_script(args.out, Path(args.out).with_suffix(".gp"), _XLABELS[variable], spec.schemes)
+        write_gnuplot_script(args.out, Path(args.out).with_suffix(".gp"), label, spec.schemes)
     print(f"wrote {len(records)} sweep values x {len(spec.schemes)} schemes to {args.out}")
     return 0
 
@@ -296,6 +284,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     config = _build_config(args)
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
+    if not 0.0 < args.grid_step <= config.waveguide_length_m:
+        raise UsageError(f"--grid-step must lie in (0, {config.waveguide_length_m:g}] m, got {args.grid_step!r}")
     rng = np.random.default_rng(args.seed)
     failures = 0
     for k in range(args.trials):

@@ -23,8 +23,11 @@ NOISE_REFERENCE_TEMP_K = 290.0
 
 
 def db_to_linear(value_db: float) -> float:
-    """Linear power ratio for a dB value."""
-    return 10.0 ** (value_db / 10.0)
+    """Linear power ratio for a dB value; a ratio too large for a float raises ``ValueError``."""
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{value_db!r} dB is too large to convert to a linear ratio") from None
 
 
 def linear_to_db(value: float) -> float:

@@ -21,6 +21,8 @@ from .optimize import optimal_pin_position, optimal_power_allocation, pin_object
 log = logging.getLogger(__name__)
 
 DEFAULT_P1_POINTS = 10_000
+POSITION_REL_TOL = 1e-10
+POWER_REL_TOL = 1e-3
 P1_FLOOR_MARGIN = 1e-6
 
 
@@ -132,16 +134,14 @@ def verify_scenario(
     ue: UePosition,
     *,
     grid_step_m: float = 1e-3,
-    position_rel_tol: float = 1e-10,
-    power_rel_tol: float = 1e-3,
 ) -> tuple[OracleReport, OracleReport]:
     """Run both oracles against the closed forms for one scenario.
 
     The position report compares objective values: the grid is a lower bound
     on the true maximum, so the closed form fails only if the grid beats it by
-    more than ``position_rel_tol`` (relative).  The power report compares the
+    more than ``POSITION_REL_TOL`` (relative).  The power report compares the
     closed-form minimum cost against the constraint-curve grid minimum,
-    two-sided.
+    two-sided, within ``POWER_REL_TOL``.
     """
     x_closed = optimal_pin_position(config, ue)
     f_closed = pin_objective(config, ue, x_closed)
@@ -153,7 +153,7 @@ def verify_scenario(
         abs_gap=abs(f_closed - f_grid),
         rel_gap=shortfall,
         grid_resolution=grid_step_m,
-        passed=shortfall <= position_rel_tol,
+        passed=shortfall <= POSITION_REL_TOL,
     )
 
     gains = ChannelGains(
@@ -171,7 +171,7 @@ def verify_scenario(
         abs_gap=abs(j_closed - j_grid),
         rel_gap=rel_gap,
         grid_resolution=10.0 ** (1.0 / DEFAULT_P1_POINTS) - 1.0,
-        passed=rel_gap <= power_rel_tol,
+        passed=rel_gap <= POWER_REL_TOL,
     )
     return position, power
 

@@ -2,7 +2,7 @@
 
 One sweep varies either the SNR target (in dB) or the BS-relay distance and
 averages each scheme's total power, in linear watts, over users drawn
-uniformly from the coverage rectangle.  The same seed is replayed at every
+uniformly from the coverage rectangle.  The same draws are reused at every
 sweep value (common random numbers), so per-scheme means inherit the
 per-sample monotonicity of the underlying schemes, and aggregation uses exact
 summation so results do not depend on evaluation order.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -28,8 +28,36 @@ from .benchmarks import (
 from .model import SystemConfig, UePosition, db_to_linear
 from .optimize import solve
 
-SCHEMES = ("proposed", "benchmark1", "benchmark2")
-VARIABLES = ("snr_target_db", "bs_relay_distance_m")
+# One entry per sweep variable: the SystemConfig field a sweep value sets, the
+# conversion of a value to that field, the unit suffixes the CLI accepts on
+# values ("" for a bare number) and the plot axis label.
+VARIABLES = {
+    "snr_target_db": ("snr_target_linear", db_to_linear, ("", "db"), "SNR target [dB]"),
+    "bs_relay_distance_m": ("bs_relay_distance_m", float, ("", "m"), "BS-relay distance [m]"),
+}
+
+_BENCHMARK1 = Benchmark1Config()  # sweeps run the direct scheme at its defaults
+
+
+# Evaluators map (config, user, shadowing draw in dB) to (total power, BS power).  They
+# look scheme functions up as module globals at call time, so patching those reaches them.
+def _proposed(cfg: SystemConfig, ue: UePosition, shadow_db: float) -> tuple[float, float]:
+    sol = solve(cfg, ue)
+    return sol.total_power_w, sol.p1_w
+
+
+def _benchmark1(cfg: SystemConfig, ue: UePosition, shadow_db: float) -> tuple[float, float]:
+    tx = benchmark1_tx_power_w(cfg, _BENCHMARK1, benchmark1_distance_m(cfg, ue), shadow_db)
+    return benchmark1_total_power_w(cfg, _BENCHMARK1, tx), tx
+
+
+def _benchmark2(cfg: SystemConfig, ue: UePosition, shadow_db: float) -> tuple[float, float]:
+    sol = benchmark2_power(cfg, ue)
+    return sol.total_power_w, sol.p1_w
+
+
+_EVALUATORS = {"proposed": _proposed, "benchmark1": _benchmark1, "benchmark2": _benchmark2}
+SCHEMES = tuple(_EVALUATORS)
 
 CSV_HEADER = ("variable", "scheme", "mean_total_power_w", "mean_bs_power_w", "n_samples")
 
@@ -43,17 +71,18 @@ class SweepSpec:
     ue_samples: int = 1000
     seed: int = 0
     schemes: tuple[str, ...] = SCHEMES
-    benchmark1: Benchmark1Config = field(default_factory=Benchmark1Config)
 
     def __post_init__(self) -> None:
         if self.variable not in VARIABLES:
-            raise ValueError(f"unknown sweep variable {self.variable!r}, expected one of {VARIABLES}")
+            raise ValueError(f"unknown sweep variable {self.variable!r}, expected one of {tuple(VARIABLES)}")
         if len(self.values) == 0:
             raise ValueError("sweep needs at least one value")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("sweep values must be strictly increasing")
-        if self.variable == "bs_relay_distance_m" and self.values[0] <= 0.0:
-            raise ValueError("BS-relay distances must be positive")
+        field, to_si, _, _ = VARIABLES[self.variable]
+        for value in self.values:
+            if not 0.0 < to_si(value) < math.inf:
+                raise ValueError(f"{self.variable} value {value!r} is out of range: {field} must be finite and positive")
         if self.ue_samples < 1:
             raise ValueError("ue_samples must be >= 1")
         unknown = [s for s in self.schemes if s not in SCHEMES]
@@ -73,55 +102,28 @@ class SweepRecord:
     n_samples: int
 
 
-def _configured(config: SystemConfig, variable: str, value: float) -> SystemConfig:
-    if variable == "snr_target_db":
-        return replace(config, snr_target_linear=db_to_linear(value))
-    return replace(config, bs_relay_distance_m=value)
-
-
-def _evaluate(
-    cfg: SystemConfig,
-    spec: SweepSpec,
-    scheme: str,
-    ue: UePosition,
-    shadow_db: float,
-) -> tuple[float, float]:
-    """One (scheme, user) evaluation -> (total power, BS transmit power)."""
-    if scheme == "proposed":
-        sol = solve(cfg, ue)
-        return sol.total_power_w, sol.p1_w
-    if scheme == "benchmark2":
-        sol = benchmark2_power(cfg, ue)
-        return sol.total_power_w, sol.p1_w
-    tx = benchmark1_tx_power_w(cfg, spec.benchmark1, benchmark1_distance_m(cfg, ue), shadow_db)
-    return benchmark1_total_power_w(cfg, spec.benchmark1, tx), tx
-
-
 def run_sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRecord]:
     """Evaluate every requested scheme over the sweep values.
 
-    Users are drawn uniformly over the coverage rectangle, shadowing is drawn
-    once per user sample, and both are replayed identically at every sweep
-    value.  Any scheme failure aborts with a diagnostic naming the sample.
+    Draws x, then y, then one shadowing value per user, whichever schemes run,
+    once per call, and reuses them at every sweep value.  Any scheme failure
+    aborts with a diagnostic naming the sample.
     """
+    rng = np.random.default_rng(spec.seed)
+    xs = rng.uniform(0.0, config.coverage_x_m, spec.ue_samples)
+    ys = rng.uniform(0.0, config.coverage_y_m, spec.ue_samples)
+    shadows = rng.normal(0.0, _BENCHMARK1.shadowing_std_db, spec.ue_samples)
+    users = [(UePosition(x, y), s) for x, y, s in zip(xs.tolist(), ys.tolist(), shadows.tolist())]
+    field, to_si, _, _ = VARIABLES[spec.variable]
     records: list[SweepRecord] = []
     for value in spec.values:
-        cfg = _configured(config, spec.variable, value)
-        rng = np.random.default_rng(spec.seed)
-        xs = rng.uniform(0.0, cfg.coverage_x_m, spec.ue_samples)
-        ys = rng.uniform(0.0, cfg.coverage_y_m, spec.ue_samples)
-        shadows = (
-            rng.normal(0.0, spec.benchmark1.shadowing_std_db, spec.ue_samples)
-            if "benchmark1" in spec.schemes
-            else np.zeros(spec.ue_samples)
-        )
+        cfg = replace(config, **{field: to_si(value)})
         totals: dict[str, list[float]] = {s: [] for s in spec.schemes}
         bs_powers: dict[str, list[float]] = {s: [] for s in spec.schemes}
-        for k in range(spec.ue_samples):
-            ue = UePosition(float(xs[k]), float(ys[k]))
+        for k, (ue, shadow_db) in enumerate(users):
             for scheme in spec.schemes:
                 try:
-                    total, bs_w = _evaluate(cfg, spec, scheme, ue, float(shadows[k]))
+                    total, bs_w = _EVALUATORS[scheme](cfg, ue, shadow_db)
                 except Exception as exc:
                     raise RuntimeError(
                         f"scheme {scheme!r} failed at sample {k} "

@@ -16,6 +16,7 @@ from pinchrelay.cli import (
     parse_ratio_or_db,
     parse_values_spec,
 )
+from pinchrelay.sweep import VARIABLES
 
 
 class TestQuantityParsing:
@@ -73,6 +74,12 @@ class TestSolveCommand:
 
     def test_rejects_user_outside_coverage(self, capsys):
         assert cli_main(["solve", "--ue", "40,5"]) == 2
+
+    def test_overflowing_db_values_are_named_errors(self, capsys):
+        assert cli_main(["solve", "--gamma0", "4000dB"]) == 2
+        assert "--gamma0" in capsys.readouterr().err
+        assert cli_main(["solve", "--horn-tx-gain", "4000"]) == 1
+        assert capsys.readouterr().err == "error: 4000.0 dB is too large to convert to a linear ratio\n"
 
     def test_scenario_flags_change_the_answer(self, capsys):
         assert cli_main(["solve", "--ue", "15,5", "--gamma0", "30dB", "--json"]) == 0
@@ -180,6 +187,38 @@ class TestSweepCommand:
         argv = ["sweep", "--var", "d1", "--values", "10:2:30dB", "--out", str(tmp_path / "x.csv")]
         assert cli_main(argv) == 2
 
+    @pytest.mark.parametrize(
+        "var, values",
+        [
+            ("gamma0", "nan"),
+            ("gamma0", "inf"),
+            ("gamma0", "1e999dB"),
+            ("gamma0", "4000dB"),
+            ("gamma0", "-4000dB"),
+            ("d1", "0"),
+            ("d1", "-1"),
+            ("d1", "1e999"),
+        ],
+    )
+    def test_values_out_of_range_are_usage_errors(self, tmp_path, capsys, var, values):
+        argv = ["sweep", "--var", var, f"--values={values}", "--out", str(tmp_path / "x.csv")]
+        assert cli_main(argv) == 2
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("flag, value, named", [("--schemes", "nope", "nope"), ("--seed", "-1", "--seed")])
+    def test_bad_schemes_and_seed_are_usage_errors(self, tmp_path, capsys, flag, value, named):
+        argv = ["sweep", "--var", "d1", "--values", "30", "--samples", "1", "--out", str(tmp_path / "x.csv")]
+        assert cli_main([*argv, flag, value]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(VARIABLES))
+    def test_every_variable_is_a_choice_with_its_axis_label(self, tmp_path, capsys, name):
+        out = tmp_path / "v.csv"
+        argv = ["sweep", "--var", name, "--values", "20", "--samples", "1", "--out", str(out), "--gnuplot"]
+        assert cli_main(argv) == 0
+        label = VARIABLES[name][3]
+        assert f'set xlabel "{label}"' in (tmp_path / "v.gp").read_text(encoding="utf-8").splitlines()
+
 
 class TestVerifyCommand:
     def test_randomized_verification_passes(self, capsys):
@@ -189,6 +228,11 @@ class TestVerifyCommand:
 
     def test_trials_must_be_positive(self, capsys):
         assert cli_main(["verify", "--trials", "0"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--grid-step", "0"), ("--grid-step", "31")])
+    def test_bad_seed_and_grid_step_are_usage_errors(self, capsys, flag, value):
+        assert cli_main(["verify", "--trials", "1", flag, value]) == 2
+        assert flag in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -217,6 +217,8 @@ class TestConfigAndTypes:
         assert linear_to_db(100.0) == pytest.approx(20.0, abs=1e-12)
         with pytest.raises(ValueError):
             linear_to_db(0.0)
+        with pytest.raises(ValueError, match="4000.0 dB"):
+            db_to_linear(4000.0)
 
     @pytest.mark.parametrize(
         "kwargs",

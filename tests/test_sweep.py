@@ -50,6 +50,21 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             small_spec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "variable, value",
+        [
+            ("snr_target_db", math.nan),
+            ("snr_target_db", math.inf),
+            ("snr_target_db", 4000.0),
+            ("snr_target_db", -4000.0),
+            ("bs_relay_distance_m", 0.0),
+            ("bs_relay_distance_m", -1.0),
+        ],
+    )
+    def test_rejects_values_out_of_range(self, variable, value):
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            small_spec(variable=variable, values=(value,))
+
 
 class TestRunSweep:
     def test_degenerate_sweep_equals_single_solve(self, cfg):
@@ -93,6 +108,19 @@ class TestRunSweep:
             a = base[0].mean_total_power_w[scheme]
             b = double[0].mean_total_power_w[scheme]
             assert abs(a - b) < 0.02 * a, scheme
+
+    @pytest.mark.parametrize(
+        "variable, values",
+        [("snr_target_db", (10.0, 20.0, 30.0)), ("bs_relay_distance_m", (30.0, 60.0, 90.0))],
+    )
+    def test_scheme_subsets_give_bitwise_equal_means(self, cfg, variable, values):
+        full = run_sweep(cfg, small_spec(variable=variable, values=values))
+        for schemes in (("proposed",), ("benchmark1",)):
+            subset = run_sweep(cfg, small_spec(variable=variable, values=values, schemes=schemes))
+            for whole, part in zip(full, subset):
+                for scheme in schemes:
+                    assert part.mean_total_power_w[scheme] == whole.mean_total_power_w[scheme]
+                    assert part.mean_bs_power_w[scheme] == whole.mean_bs_power_w[scheme]
 
     def test_scheme_failure_names_the_sample(self, cfg, monkeypatch):
         def boom(config, ue):
