@@ -5,6 +5,10 @@ path loss with lognormal shadowing, one RF chain per array element.  Scheme 2
 keeps the relay and the closed-form power split but bolts the radiating
 antenna to the waveguide feed point, so the relay-to-user hop is plain free
 space with no placement freedom.
+
+:func:`benchmark1_tx_powers_w` is the direct scheme's array form for the sweep
+kernel, equal per element to :func:`benchmark1_tx_power_w` at
+:func:`benchmark1_distance_m`.
 """
 
 from __future__ import annotations
@@ -12,7 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import SystemConfig, UePosition, free_space_gain, require_finite_fields
+import numpy as np
+
+from .model import SystemConfig, UePosition, free_space_gain, libm_each, require_finite_fields
 from .optimize import PowerSolution, solve_at
 
 
@@ -73,11 +79,21 @@ def benchmark1_link_gain(
     """
     if not ue_bs_distance_m > 0.0:
         raise ValueError(f"distance must be positive, got {ue_bs_distance_m!r}")
+    return _link_gain(config, b1, ue_bs_distance_m, shadow_db)
+
+
+def _link_gain(
+    config: SystemConfig,
+    b1: Benchmark1Config,
+    ue_bs_distance_m: float | np.ndarray,
+    shadow_db: float | np.ndarray,
+):
+    """Unchecked :func:`benchmark1_link_gain` for floats or arrays, ``pow`` per element."""
     array_gain = float(b1.num_elements) ** b1.array_gain_exponent
     element_gain = 10.0 ** (b1.element_gain_dbi / 10.0)
     anchor = free_space_gain(b1.reference_distance_m, config.carrier_frequency_hz)
-    distance_loss = (ue_bs_distance_m / b1.reference_distance_m) ** (-b1.path_loss_exponent)
-    shadow = 10.0 ** (shadow_db / 10.0)
+    distance_loss = libm_each(math.pow, ue_bs_distance_m / b1.reference_distance_m, -b1.path_loss_exponent)
+    shadow = libm_each(math.pow, 10.0, shadow_db / 10.0)
     return array_gain * element_gain * anchor * distance_loss * shadow
 
 
@@ -89,6 +105,20 @@ def benchmark1_tx_power_w(
 ) -> float:
     """Radiated power needed to hit the SNR target over the direct link."""
     gain = benchmark1_link_gain(config, b1, ue_bs_distance_m, shadow_db)
+    return config.snr_target_linear * config.ue_noise_w / gain
+
+
+def benchmark1_tx_powers_w(
+    config: SystemConfig,
+    b1: Benchmark1Config,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    shadows_db: np.ndarray,
+) -> np.ndarray:
+    """Array form of :func:`benchmark1_tx_power_w` at :func:`benchmark1_distance_m`
+    for users ``(xs, ys)`` with shadowing draws ``shadows_db``."""
+    distances = config.bs_relay_distance_m + libm_each(math.hypot, xs, ys)
+    gain = _link_gain(config, b1, distances, shadows_db)
     return config.snr_target_linear * config.ue_noise_w / gain
 
 

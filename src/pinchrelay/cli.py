@@ -161,10 +161,17 @@ def _parse_ue(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
+_VALUES_RE = re.compile(r"^\s*(.*?(?:[\d.]|nan|inf(?:inity)?))\s*([a-z]*)\s*$", re.IGNORECASE)
+
+
 def parse_values_spec(text: str) -> tuple[tuple[float, ...], str]:
-    """Sweep values: ``start:step:stop[unit]`` or ``v1,v2,...[unit]``."""
-    match = re.match(r"^\s*(.*?)\s*([a-zA-Z]*)\s*$", text)
-    body, unit = match.group(1), match.group(2).lower()
+    """Sweep values: ``start:step:stop[unit]`` or ``v1,v2,...[unit]``.
+
+    The unit is the run of letters after the last number, so ``nan`` and
+    ``inf`` read as values and reach the sweep's range check.
+    """
+    match = _VALUES_RE.match(text)
+    body, unit = (match.group(1), match.group(2).lower()) if match else (text, "")
     try:
         if ":" in body:
             parts = body.split(":")

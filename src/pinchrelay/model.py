@@ -9,13 +9,25 @@ the x axis at height ``waveguide_height_m``; a pinching antenna clamped at
 Everything in this module works in linear SI units (Hz, m, W, dimensionless
 power gains).  dB quantities are converted once, explicitly, at the boundary
 (:func:`db_to_linear`); nothing converts implicitly.
+
+The sweep kernel evaluates many users at once: :func:`relay_ue_gains` is the
+array form of :func:`relay_ue_gain`, and :func:`relay_tx_power` and
+:func:`consumed_power` are the power accounting that scalar and array callers
+share.  Array results equal the scalar ones bit for bit per element: squares
+are written as products, arithmetic runs in the scalar expressions' order, and
+``exp``/``pow``/``hypot`` go through :mod:`math` per element
+(:func:`libm_each`), because numpy's vectorised versions round differently
+from libm on a few percent of inputs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import ClassVar
+from typing import Callable, ClassVar
+
+import numpy as np
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 BOLTZMANN_J_PER_K = 1.380649e-23
@@ -35,6 +47,35 @@ def linear_to_db(value: float) -> float:
     if value <= 0.0:
         raise ValueError(f"nonpositive ratio has no dB representation: {value!r}")
     return 10.0 * math.log10(value)
+
+
+def require_positive(**values: float) -> None:
+    """Reject values that are not strictly positive (NaN included), naming the first."""
+    for name, value in values.items():
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
+
+
+class SampleError(ValueError):
+    """One sample of an array evaluation is invalid; ``index`` says which."""
+
+    def __init__(self, index: int, message: str) -> None:
+        super().__init__(message)
+        self.index = index
+
+
+def libm_each(fn: Callable[..., float], *args: float | np.ndarray) -> float | np.ndarray:
+    """``fn``, a :mod:`math` function, applied to each element of the array arguments.
+
+    Float arguments repeat for every element; with no array argument this is
+    plain ``fn(*args)``.  Calling libm keeps each element equal to the scalar
+    code's result, which numpy's vectorised ``exp``/``pow``/``hypot`` do not.
+    """
+    size = next((a.size for a in args if isinstance(a, np.ndarray)), None)
+    if size is None:
+        return fn(*args)
+    columns = [a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args]
+    return np.fromiter(map(fn, *columns), float, size)
 
 
 def require_finite_fields(instance: object) -> None:
@@ -139,9 +180,9 @@ class ChannelGains:
     sigma_ue_sq_w: float
 
     def __post_init__(self) -> None:
-        for name in ("g1_sq", "g2_sq", "sigma_r_sq_w", "sigma_ue_sq_w"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        require_positive(
+            g1_sq=self.g1_sq, g2_sq=self.g2_sq, sigma_r_sq_w=self.sigma_r_sq_w, sigma_ue_sq_w=self.sigma_ue_sq_w
+        )
 
 
 def noise_power_w(bandwidth_hz: float, noise_figure_db: float) -> float:
@@ -160,7 +201,12 @@ def free_space_gain(distance_m: float, frequency_hz: float) -> float:
         raise ValueError(f"distance must be positive, got {distance_m!r}")
     if not frequency_hz > 0.0:
         raise ValueError(f"frequency must be positive, got {frequency_hz!r}")
-    return (SPEED_OF_LIGHT_M_S / (4.0 * math.pi * frequency_hz * distance_m)) ** 2
+    return _free_space(distance_m, frequency_hz)
+
+
+def _free_space(distance_m: float | np.ndarray, frequency_hz: float) -> float | np.ndarray:
+    ratio = SPEED_OF_LIGHT_M_S / (4.0 * math.pi * frequency_hz * distance_m)
+    return ratio * ratio
 
 
 def bs_relay_gain(config: SystemConfig) -> float:
@@ -181,9 +227,30 @@ def relay_ue_gain(config: SystemConfig, ue: UePosition, x_pin_m: float) -> float
             f"x_pin={x_pin_m!r} outside the waveguide [0, {config.waveguide_length_m}]"
         )
     dx = ue.x_ue_m - x_pin_m
-    distance = math.sqrt(dx * dx + ue.y_ue_m**2 + config.waveguide_height_m**2)
+    height = config.waveguide_height_m
+    distance = math.sqrt(dx * dx + ue.y_ue_m * ue.y_ue_m + height * height)
     attenuation = math.exp(-config.waveguide_attenuation_per_m * x_pin_m)
     return attenuation * free_space_gain(distance, config.carrier_frequency_hz)
+
+
+def relay_ue_gains(
+    config: SystemConfig, xs: np.ndarray, ys: np.ndarray, x_pin_m: float | np.ndarray
+) -> np.ndarray:
+    """Array form of :func:`relay_ue_gain` for users ``(xs, ys)``, equal to it per element.
+
+    ``x_pin_m`` is one position for every user or one per user, on the
+    waveguide.  A gain that is not positive raises :class:`SampleError`.
+    """
+    dx = xs - x_pin_m
+    height = config.waveguide_height_m
+    distance = np.sqrt(dx * dx + ys * ys + height * height)
+    attenuation = libm_each(math.exp, -config.waveguide_attenuation_per_m * x_pin_m)
+    g2_sq = attenuation * _free_space(distance, config.carrier_frequency_hz)
+    bad = np.flatnonzero(~(g2_sq > 0.0))
+    if bad.size:
+        k = int(bad[0])
+        raise SampleError(k, f"g2_sq must be positive, got {float(g2_sq[k])!r}")
+    return g2_sq
 
 
 def channel_gains(config: SystemConfig, ue: UePosition, x_pin_m: float) -> ChannelGains:
@@ -212,7 +279,7 @@ def af_snr(p1_w: float, beta_sq: float, gains: ChannelGains) -> float:
 def relay_tx_power_w(p1_w: float, beta_sq: float, gains: ChannelGains) -> float:
     """Relay transmit power P2 = beta^2 (P1 |g1|^2 + sigma_r^2)."""
     _require_nonnegative(p1_w=p1_w, beta_sq=beta_sq)
-    return beta_sq * (p1_w * gains.g1_sq + gains.sigma_r_sq_w)
+    return relay_tx_power(p1_w, beta_sq, gains.g1_sq, gains.sigma_r_sq_w)
 
 
 def total_power_w(p1_w: float, beta_sq: float, gains: ChannelGains, config: SystemConfig) -> float:
@@ -222,8 +289,17 @@ def total_power_w(p1_w: float, beta_sq: float, gains: ChannelGains, config: Syst
     (eta_pa P1 + P2) / eta_pa + constants, which is what the closed-form cost
     minimizes.
     """
-    p2 = relay_tx_power_w(p1_w, beta_sq, gains)
-    return p1_w + p2 / config.pa_efficiency + config.relay_circuit_power_w + config.bs_rf_chain_power_w
+    return consumed_power(p1_w, relay_tx_power_w(p1_w, beta_sq, gains), config)
+
+
+def relay_tx_power(p1_w: float | np.ndarray, beta_sq: float | np.ndarray, g1_sq: float, sigma_r_sq_w: float):
+    """Unchecked :func:`relay_tx_power_w` in operators only, for floats or arrays."""
+    return beta_sq * (p1_w * g1_sq + sigma_r_sq_w)
+
+
+def consumed_power(p1_w: float | np.ndarray, p2_w: float | np.ndarray, config: SystemConfig):
+    """Unchecked total consumed power from P1 and P2 in operators only, for floats or arrays."""
+    return p1_w + p2_w / config.pa_efficiency + config.relay_circuit_power_w + config.bs_rf_chain_power_w
 
 
 def _require_nonnegative(**values: float) -> None:

@@ -16,6 +16,10 @@ weighted cost ``J = eta_pa P1 + beta^2 (P1 |g1|^2 + sigma_r^2)`` to
 ``A u + B / u + const`` in the power surplus ``u = P1 |g1|^2 - gamma0
 sigma_r^2``, minimized at ``u* = sqrt(B / A)``.  Total consumed power at the
 optimum is ``J* / eta_pa`` plus the constant circuit terms.
+
+Array forms (:func:`optimal_pin_positions`, :func:`solve_at_many`) evaluate
+many users at once for the sweep and equal the scalar functions bit for bit per
+element; both call the one operator-only split, :func:`split_power`.
 """
 
 from __future__ import annotations
@@ -23,13 +27,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import (
     ChannelGains,
     SystemConfig,
     UePosition,
+    bs_relay_gain,
     channel_gains,
-    relay_tx_power_w,
-    total_power_w,
+    consumed_power,
+    libm_each,
+    relay_tx_power,
+    relay_ue_gains,
+    require_positive,
 )
 
 
@@ -65,7 +75,7 @@ def pin_objective(config: SystemConfig, ue: UePosition, x_m: float) -> float:
     Defined on all of R; the [0, L] restriction is applied by the optimizer.
     """
     dx = ue.x_ue_m - x_m
-    c_const = ue.y_ue_m**2 + config.waveguide_height_m**2
+    c_const = ue.y_ue_m * ue.y_ue_m + config.waveguide_height_m * config.waveguide_height_m
     return math.exp(-config.waveguide_attenuation_per_m * x_m) / (dx * dx + c_const)
 
 
@@ -79,7 +89,7 @@ def stationary_points(config: SystemConfig, ue: UePosition) -> StationaryAnalysi
     alpha = config.waveguide_attenuation_per_m
     if alpha == 0.0:
         raise ValueError("no stationary analysis for zero waveguide attenuation")
-    c_const = ue.y_ue_m**2 + config.waveguide_height_m**2
+    c_const = ue.y_ue_m * ue.y_ue_m + config.waveguide_height_m * config.waveguide_height_m
     delta = 4.0 - 4.0 * alpha * alpha * c_const
     if delta < 0.0:
         return StationaryAnalysis(delta=delta, c_const=c_const, x1_m=None, x2_m=None)
@@ -111,6 +121,23 @@ def optimal_pin_position(config: SystemConfig, ue: UePosition) -> float:
     return 0.0
 
 
+def optimal_pin_positions(config: SystemConfig, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Array form of :func:`optimal_pin_position` for users ``(xs, ys)``, equal to it per element."""
+    length = config.waveguide_length_m
+    alpha = config.waveguide_attenuation_per_m
+    if alpha == 0.0:
+        return np.minimum(np.maximum(xs, 0.0), length)
+    height = config.waveguide_height_m
+    c_const = ys * ys + height * height
+    delta = 4.0 - 4.0 * alpha * alpha * c_const
+    root = np.sqrt(np.maximum(1.0 - alpha * alpha * c_const, 0.0))  # used only where delta >= 0
+    candidate = np.minimum(np.maximum(xs - (1.0 - root) / alpha, 0.0), length)
+    dx = xs - candidate
+    at_candidate = libm_each(math.exp, -alpha * candidate) / (dx * dx + c_const)
+    at_feed = 1.0 / (xs * xs + c_const)  # pin_objective at 0: exp(-0.0) is exactly 1
+    return np.where((delta >= 0.0) & (at_candidate > at_feed), candidate, 0.0)
+
+
 def optimal_power_allocation(gains: ChannelGains, config: SystemConfig) -> tuple[float, float, float]:
     """Cost-minimizing BS power and relay gain meeting the SNR target exactly.
 
@@ -125,25 +152,39 @@ def optimal_power_allocation(gains: ChannelGains, config: SystemConfig) -> tuple
     ``p1`` strictly exceeds the feasibility floor ``gamma0 sigma_r^2 / |g1|^2``
     below which no relay gain can reach the target.
     """
+    if not (config.snr_target_linear > 0.0 and min(gains.g1_sq, gains.g2_sq) > 0.0):
+        raise ValueError("power allocation needs positive gains and SNR target")
+    return split_power(
+        config, gains.g1_sq, gains.sigma_r_sq_w, gains.sigma_ue_sq_w, gains.g2_sq, math.sqrt(gains.g2_sq)
+    )
+
+
+def split_power(
+    config: SystemConfig,
+    g1_sq: float,
+    sigma_r_sq_w: float,
+    sigma_ue_sq_w: float,
+    g2_sq: float | np.ndarray,
+    g2: float | np.ndarray,
+):
+    """Unchecked :func:`optimal_power_allocation` on the second hop's power gain
+    ``g2_sq`` and amplitude ``g2``, floats or arrays.
+
+    Everything that varies with ``g2`` is arithmetic operators only, so an
+    array gives each element the scalar result.
+    """
     gamma0 = config.snr_target_linear
     eta = config.pa_efficiency
-    if not (gamma0 > 0.0 and min(gains.g1_sq, gains.g2_sq) > 0.0):
-        raise ValueError("power allocation needs positive gains and SNR target")
-    g1 = math.sqrt(gains.g1_sq)
-    g2 = math.sqrt(gains.g2_sq)
-    sigma_r = math.sqrt(gains.sigma_r_sq_w)
-    sigma_ue = math.sqrt(gains.sigma_ue_sq_w)
+    g1 = math.sqrt(g1_sq)
+    sigma_r = math.sqrt(sigma_r_sq_w)
+    sigma_ue = math.sqrt(sigma_ue_sq_w)
     # Factored as two tame ratios: the raw four-factor product of noise
     # amplitudes over channel amplitudes can leave the normal float range.
     cross = (sigma_r / g1) * (sigma_ue / g2)
-    floor_w = gamma0 * gains.sigma_r_sq_w / gains.g1_sq
+    floor_w = gamma0 * sigma_r_sq_w / g1_sq
     p1 = floor_w + cross * math.sqrt(gamma0 * (gamma0 + 1.0) / eta)
     beta_sq = (sigma_ue / sigma_r) / (g1 * g2) * math.sqrt(eta * gamma0 / (gamma0 + 1.0))
-    j = (
-        eta * floor_w
-        + gamma0 * gains.sigma_ue_sq_w / gains.g2_sq
-        + 2.0 * cross * math.sqrt(eta * gamma0 * (gamma0 + 1.0))
-    )
+    j = eta * floor_w + gamma0 * sigma_ue_sq_w / g2_sq + 2.0 * cross * math.sqrt(eta * gamma0 * (gamma0 + 1.0))
     return p1, beta_sq, j
 
 
@@ -155,14 +196,30 @@ def solve_at(config: SystemConfig, ue: UePosition, x_pin_m: float) -> PowerSolut
     """
     gains = channel_gains(config, ue, x_pin_m)
     p1, beta_sq, j_star = optimal_power_allocation(gains, config)
+    p2 = relay_tx_power(p1, beta_sq, gains.g1_sq, gains.sigma_r_sq_w)
     return PowerSolution(
         x_pin_m=x_pin_m,
         p1_w=p1,
         beta_sq=beta_sq,
-        p2_w=relay_tx_power_w(p1, beta_sq, gains),
+        p2_w=p2,
         j_star_w=j_star,
-        total_power_w=total_power_w(p1, beta_sq, gains, config),
+        total_power_w=consumed_power(p1, p2, config),
     )
+
+
+def solve_at_many(
+    config: SystemConfig, xs: np.ndarray, ys: np.ndarray, x_pin_m: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of :func:`solve_at`: total and BS power of each user ``(xs, ys)``.
+
+    Equal per element to ``solve_at``'s ``total_power_w`` and ``p1_w``.  A
+    second-hop gain that is not positive raises :class:`~.model.SampleError`.
+    """
+    g1_sq, sigma_r_sq_w, sigma_ue_sq_w = bs_relay_gain(config), config.relay_noise_w, config.ue_noise_w
+    require_positive(g1_sq=g1_sq, sigma_r_sq_w=sigma_r_sq_w, sigma_ue_sq_w=sigma_ue_sq_w)
+    g2_sq = relay_ue_gains(config, xs, ys, x_pin_m)
+    p1, beta_sq, _ = split_power(config, g1_sq, sigma_r_sq_w, sigma_ue_sq_w, g2_sq, np.sqrt(g2_sq))
+    return consumed_power(p1, relay_tx_power(p1, beta_sq, g1_sq, sigma_r_sq_w), config), p1
 
 
 def solve(config: SystemConfig, ue: UePosition) -> PowerSolution:

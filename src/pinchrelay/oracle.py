@@ -177,7 +177,11 @@ def verify_scenario(
 
 
 def _bs_gain(config: SystemConfig) -> float:
-    horn = 10.0 ** (config.horn_gain_tx_dbi / 10.0) * 10.0 ** (config.horn_gain_rx_dbi / 10.0)
+    tx, rx = config.horn_gain_tx_dbi, config.horn_gain_rx_dbi
+    try:
+        horn = 10.0 ** (tx / 10.0) * 10.0 ** (rx / 10.0)
+    except OverflowError:
+        raise ValueError(f"horn gains {tx!r} dBi and {rx!r} dBi are too large for a linear power gain") from None
     f, d = config.carrier_frequency_hz, config.bs_relay_distance_m
     return horn * (SystemConfig.speed_of_light_m_s / (4.0 * math.pi * f * d)) ** 2
 

@@ -6,6 +6,10 @@ uniformly from the coverage rectangle.  The same draws are reused at every
 sweep value (common random numbers), so per-scheme means inherit the
 per-sample monotonicity of the underlying schemes, and aggregation uses exact
 summation so results do not depend on evaluation order.
+
+At each sweep value every scheme is evaluated over all users at once, as
+numpy arrays (the sweep kernel), and each user's result equals the scalar
+``solve``/``benchmark2_power``/``benchmark1_tx_power_w`` path bit for bit.
 """
 
 from __future__ import annotations
@@ -18,15 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .benchmarks import (
-    Benchmark1Config,
-    benchmark1_distance_m,
-    benchmark1_total_power_w,
-    benchmark1_tx_power_w,
-    benchmark2_power,
-)
-from .model import SystemConfig, UePosition, db_to_linear
-from .optimize import solve
+from .benchmarks import Benchmark1Config, benchmark1_total_power_w, benchmark1_tx_powers_w
+from .model import SampleError, SystemConfig, db_to_linear
+from .optimize import optimal_pin_positions, solve_at_many
 
 # One entry per sweep variable: the SystemConfig field a sweep value sets, the
 # conversion of a value to that field, the unit suffixes the CLI accepts on
@@ -39,21 +37,19 @@ VARIABLES = {
 _BENCHMARK1 = Benchmark1Config()  # sweeps run the direct scheme at its defaults
 
 
-# Evaluators map (config, user, shadowing draw in dB) to (total power, BS power).  They
-# look scheme functions up as module globals at call time, so patching those reaches them.
-def _proposed(cfg: SystemConfig, ue: UePosition, shadow_db: float) -> tuple[float, float]:
-    sol = solve(cfg, ue)
-    return sol.total_power_w, sol.p1_w
+# Evaluators map (config, user x and y arrays, shadowing draws in dB) to arrays of
+# (total power, BS power), one element per user.
+def _proposed(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray):
+    return solve_at_many(cfg, xs, ys, optimal_pin_positions(cfg, xs, ys))
 
 
-def _benchmark1(cfg: SystemConfig, ue: UePosition, shadow_db: float) -> tuple[float, float]:
-    tx = benchmark1_tx_power_w(cfg, _BENCHMARK1, benchmark1_distance_m(cfg, ue), shadow_db)
+def _benchmark1(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray):
+    tx = benchmark1_tx_powers_w(cfg, _BENCHMARK1, xs, ys, shadows_db)
     return benchmark1_total_power_w(cfg, _BENCHMARK1, tx), tx
 
 
-def _benchmark2(cfg: SystemConfig, ue: UePosition, shadow_db: float) -> tuple[float, float]:
-    sol = benchmark2_power(cfg, ue)
-    return sol.total_power_w, sol.p1_w
+def _benchmark2(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray):
+    return solve_at_many(cfg, xs, ys, 0.0)
 
 
 _EVALUATORS = {"proposed": _proposed, "benchmark1": _benchmark1, "benchmark2": _benchmark2}
@@ -106,40 +102,47 @@ def run_sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRecord]:
     """Evaluate every requested scheme over the sweep values.
 
     Draws x, then y, then one shadowing value per user, whichever schemes run,
-    once per call, and reuses them at every sweep value.  Any scheme failure
-    aborts with a diagnostic naming the sample.
+    once per call, and reuses them at every sweep value.  A scheme failure
+    aborts with a ``RuntimeError`` naming the scheme, the sweep value, the
+    sample and its user when one sample is at fault (a second-hop gain that is
+    not positive, a total or BS power that is not finite), and the cause.
     """
     rng = np.random.default_rng(spec.seed)
     xs = rng.uniform(0.0, config.coverage_x_m, spec.ue_samples)
     ys = rng.uniform(0.0, config.coverage_y_m, spec.ue_samples)
     shadows = rng.normal(0.0, _BENCHMARK1.shadowing_std_db, spec.ue_samples)
-    users = [(UePosition(x, y), s) for x, y, s in zip(xs.tolist(), ys.tolist(), shadows.tolist())]
     field, to_si, _, _ = VARIABLES[spec.variable]
     records: list[SweepRecord] = []
     for value in spec.values:
         cfg = replace(config, **{field: to_si(value)})
-        totals: dict[str, list[float]] = {s: [] for s in spec.schemes}
-        bs_powers: dict[str, list[float]] = {s: [] for s in spec.schemes}
-        for k, (ue, shadow_db) in enumerate(users):
-            for scheme in spec.schemes:
-                try:
-                    total, bs_w = _EVALUATORS[scheme](cfg, ue, shadow_db)
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"scheme {scheme!r} failed at sample {k} "
-                        f"(ue=({ue.x_ue_m:.6g}, {ue.y_ue_m:.6g}), {spec.variable}={value:g})"
-                    ) from exc
-                totals[scheme].append(total)
-                bs_powers[scheme].append(bs_w)
-        records.append(
-            SweepRecord(
-                variable_value=float(value),
-                mean_total_power_w={s: math.fsum(totals[s]) / spec.ue_samples for s in spec.schemes},
-                mean_bs_power_w={s: math.fsum(bs_powers[s]) / spec.ue_samples for s in spec.schemes},
-                n_samples=spec.ue_samples,
-            )
-        )
+        mean_total: dict[str, float] = {}
+        mean_bs: dict[str, float] = {}
+        for scheme in spec.schemes:
+            try:
+                total, bs_w = _evaluate(scheme, cfg, xs, ys, shadows)
+            except SampleError as exc:
+                k = exc.index
+                raise RuntimeError(
+                    f"scheme {scheme!r} failed at sample {k} "
+                    f"(ue=({xs[k]:.6g}, {ys[k]:.6g}), {spec.variable}={value:g}): {exc}"
+                ) from exc
+            except (ArithmeticError, ValueError) as exc:
+                raise RuntimeError(f"scheme {scheme!r} failed at {spec.variable}={value:g}: {exc}") from exc
+            mean_total[scheme] = math.fsum(total.tolist()) / spec.ue_samples
+            mean_bs[scheme] = math.fsum(bs_w.tolist()) / spec.ue_samples
+        records.append(SweepRecord(float(value), mean_total, mean_bs, spec.ue_samples))
     return records
+
+
+def _evaluate(scheme: str, cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray):
+    """One scheme's (total, BS power) arrays; the first sample with a non-finite one raises."""
+    with np.errstate(all="ignore"):  # a non-finite result is reported below, with its sample
+        total, bs_w = _EVALUATORS[scheme](cfg, xs, ys, shadows_db)
+    bad = np.flatnonzero(~(np.isfinite(total) & np.isfinite(bs_w)))
+    if bad.size:
+        k = int(bad[0])
+        raise SampleError(k, f"total power {float(total[k])!r} W and BS power {float(bs_w[k])!r} W must be finite")
+    return total, bs_w
 
 
 def export_csv(records: Iterable[SweepRecord], path: str | Path) -> None:

@@ -205,6 +205,20 @@ class TestSweepCommand:
         assert cli_main(argv) == 2
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("var", ["gamma0", "d1"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_values_are_named(self, tmp_path, capsys, var, value):
+        argv = ["sweep", "--var", var, f"--values={value}", "--out", str(tmp_path / "x.csv")]
+        assert cli_main(argv) == 2
+        assert f" value {value} is out of range" in capsys.readouterr().err
+
+    def test_scheme_failure_prints_its_cause(self, tmp_path, capsys):
+        argv = ["sweep", "--var", "d1", "--values", "30", "--out", str(tmp_path / "x.csv")]
+        assert cli_main([*argv, "--horn-tx-gain", "4000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scheme 'proposed' failed at bs_relay_distance_m=30: ")
+        assert "too large to convert" in err
+
     @pytest.mark.parametrize("flag, value, named", [("--schemes", "nope", "nope"), ("--seed", "-1", "--seed")])
     def test_bad_schemes_and_seed_are_usage_errors(self, tmp_path, capsys, flag, value, named):
         argv = ["sweep", "--var", "d1", "--values", "30", "--samples", "1", "--out", str(tmp_path / "x.csv")]
@@ -228,6 +242,12 @@ class TestVerifyCommand:
 
     def test_trials_must_be_positive(self, capsys):
         assert cli_main(["verify", "--trials", "0"]) == 2
+
+    def test_huge_horn_gain_is_one_error_line(self, capsys):
+        assert cli_main(["verify", "--trials", "1", "--horn-tx-gain", "4000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "4000.0 dBi" in err
 
     @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--grid-step", "0"), ("--grid-step", "31")])
     def test_bad_seed_and_grid_step_are_usage_errors(self, capsys, flag, value):

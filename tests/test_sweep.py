@@ -122,13 +122,24 @@ class TestRunSweep:
                     assert part.mean_total_power_w[scheme] == whole.mean_total_power_w[scheme]
                     assert part.mean_bs_power_w[scheme] == whole.mean_bs_power_w[scheme]
 
-    def test_scheme_failure_names_the_sample(self, cfg, monkeypatch):
-        def boom(config, ue):
-            raise ValueError("synthetic failure")
+    def test_scheme_failure_names_the_sample(self):
+        # At 1e170 Hz every second-hop gain underflows to 0 while a 1e-170 m first hop stays finite.
+        spec = small_spec(variable="bs_relay_distance_m", values=(1e-170,), schemes=("proposed",))
+        with pytest.raises(RuntimeError, match=r"scheme 'proposed' failed at sample 0") as info:
+            run_sweep(SystemConfig(carrier_frequency_hz=1e170), spec)
+        detail = r"\(ue=\([\d.e+-]+, [\d.e+-]+\), bs_relay_distance_m=1e-170\): g2_sq must be positive, got 0.0$"
+        assert re.search(detail, str(info.value))
 
-        monkeypatch.setattr("pinchrelay.sweep.solve", boom)
-        with pytest.raises(RuntimeError, match=r"scheme 'proposed' failed at sample 0"):
-            run_sweep(cfg, small_spec(schemes=("proposed",)))
+    def test_non_finite_power_names_the_sample(self):
+        spec = small_spec(variable="bs_relay_distance_m", values=(50.0,))
+        with pytest.raises(RuntimeError, match=r"scheme 'proposed' failed at sample 0 .*: total power inf W"):
+            run_sweep(SystemConfig(snr_target_linear=1e308), spec)
+
+    def test_config_failure_names_the_value_and_the_cause(self):
+        spec = small_spec(variable="bs_relay_distance_m", values=(30.0,), schemes=("benchmark2",))
+        expected = "scheme 'benchmark2' failed at bs_relay_distance_m=30: 4000.0 dB is too large to convert"
+        with pytest.raises(RuntimeError, match=re.escape(expected)):
+            run_sweep(SystemConfig(horn_gain_tx_dbi=4000.0), spec)
 
 
 class TestCsv:
