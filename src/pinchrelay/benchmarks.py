@@ -6,9 +6,8 @@ keeps the relay and the closed-form power split but bolts the radiating
 antenna to the waveguide feed point, so the relay-to-user hop is plain free
 space with no placement freedom.
 
-:func:`benchmark1_tx_powers_w` is the direct scheme's array form for the sweep
-kernel, equal per element to :func:`benchmark1_tx_power_w` at
-:func:`benchmark1_distance_m`.
+The direct scheme has one implementation, :func:`benchmark1_tx_power_w`, which
+takes one user as floats or many as arrays.
 """
 
 from __future__ import annotations
@@ -57,85 +56,36 @@ class Benchmark1Config:
             raise ValueError("array_gain_exponent must be positive")
 
 
-def benchmark1_distance_m(config: SystemConfig, ue: UePosition) -> float:
-    """Default direct-link distance: BS sits ``d1`` behind the waveguide feed.
-
-    BS, relay and coverage area are taken collinear along the waveguide axis,
-    so the direct path spans the BS-relay distance plus the ground distance
-    from the feed to the user.
-    """
-    return config.bs_relay_distance_m + math.hypot(ue.x_ue_m, ue.y_ue_m)
-
-
-def benchmark1_link_gain(
-    config: SystemConfig,
-    b1: Benchmark1Config,
-    ue_bs_distance_m: float,
-    shadow_db: float,
-) -> float:
-    """NLoS direct-link power gain: array gain x element gain x log-distance loss.
-
-    ``shadow_db`` is one lognormal shadowing draw in dB.
-    """
-    if not ue_bs_distance_m > 0.0:
-        raise ValueError(f"distance must be positive, got {ue_bs_distance_m!r}")
-    return _link_gain(config, b1, ue_bs_distance_m, shadow_db)
-
-
-def _link_gain(
-    config: SystemConfig,
-    b1: Benchmark1Config,
-    ue_bs_distance_m: float | np.ndarray,
-    shadow_db: float | np.ndarray,
-):
-    """Unchecked :func:`benchmark1_link_gain` for floats or arrays, ``pow`` per element."""
-    array_gain = float(b1.num_elements) ** b1.array_gain_exponent
-    element_gain = 10.0 ** (b1.element_gain_dbi / 10.0)
-    anchor = free_space_gain(b1.reference_distance_m, config.carrier_frequency_hz)
-    distance_loss = libm_each(math.pow, ue_bs_distance_m / b1.reference_distance_m, -b1.path_loss_exponent)
-    shadow = libm_each(math.pow, 10.0, shadow_db / 10.0)
-    return array_gain * element_gain * anchor * distance_loss * shadow
-
-
 def benchmark1_tx_power_w(
     config: SystemConfig,
     b1: Benchmark1Config,
-    ue_bs_distance_m: float,
-    shadow_db: float,
-) -> float:
-    """Radiated power needed to hit the SNR target over the direct link."""
-    gain = benchmark1_link_gain(config, b1, ue_bs_distance_m, shadow_db)
+    x_ue_m: float | np.ndarray,
+    y_ue_m: float | np.ndarray,
+    shadow_db: float | np.ndarray,
+):
+    """Radiated power the direct link needs to hit the SNR target, for one user or many.
+
+    BS, relay and coverage area are taken collinear along the waveguide axis,
+    so the direct path spans the BS-relay distance plus the ground distance
+    from the feed to the user at ``(x_ue_m, y_ue_m)``.  The link gain is array
+    gain x element gain x log-distance loss x lognormal shadowing, with
+    ``shadow_db`` one shadowing draw in dB.  Floats give a float; arrays give
+    one power per user, each equal to the float result (``hypot`` and ``pow``
+    run per element through :func:`~.model.libm_each`).
+    """
+    distance = config.bs_relay_distance_m + libm_each(math.hypot, x_ue_m, y_ue_m)
+    array_gain = float(b1.num_elements) ** b1.array_gain_exponent
+    element_gain = 10.0 ** (b1.element_gain_dbi / 10.0)
+    anchor = free_space_gain(b1.reference_distance_m, config.carrier_frequency_hz)
+    distance_loss = libm_each(math.pow, distance / b1.reference_distance_m, -b1.path_loss_exponent)
+    shadow = libm_each(math.pow, 10.0, shadow_db / 10.0)
+    gain = array_gain * element_gain * anchor * distance_loss * shadow
     return config.snr_target_linear * config.ue_noise_w / gain
 
 
-def benchmark1_tx_powers_w(
-    config: SystemConfig,
-    b1: Benchmark1Config,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    shadows_db: np.ndarray,
-) -> np.ndarray:
-    """Array form of :func:`benchmark1_tx_power_w` at :func:`benchmark1_distance_m`
-    for users ``(xs, ys)`` with shadowing draws ``shadows_db``."""
-    distances = config.bs_relay_distance_m + libm_each(math.hypot, xs, ys)
-    gain = _link_gain(config, b1, distances, shadows_db)
-    return config.snr_target_linear * config.ue_noise_w / gain
-
-
-def benchmark1_total_power_w(config: SystemConfig, b1: Benchmark1Config, tx_w: float) -> float:
+def benchmark1_total_power_w(config: SystemConfig, b1: Benchmark1Config, tx_w: float | np.ndarray):
     """Total consumed power of the direct scheme: PA draw plus per-element RF chains."""
     return tx_w / config.pa_efficiency + b1.num_elements * b1.rf_chain_power_w_per_element
-
-
-def benchmark1_power(
-    config: SystemConfig,
-    b1: Benchmark1Config,
-    ue_bs_distance_m: float,
-    shadow_db: float,
-) -> float:
-    """Total consumed power of the direct scheme for one user and shadowing draw."""
-    tx = benchmark1_tx_power_w(config, b1, ue_bs_distance_m, shadow_db)
-    return benchmark1_total_power_w(config, b1, tx)
 
 
 def benchmark2_power(config: SystemConfig, ue: UePosition) -> PowerSolution:

@@ -150,13 +150,21 @@ def optimal_power_allocation(gains: ChannelGains, config: SystemConfig) -> tuple
                   + (2 sigma_r sigma_ue / |g1||g2|) sqrt(eta gamma0 (gamma0+1))
 
     ``p1`` strictly exceeds the feasibility floor ``gamma0 sigma_r^2 / |g1|^2``
-    below which no relay gain can reach the target.
+    below which no relay gain can reach the target.  A result that is not
+    finite (an SNR target or gains beyond the float range) raises
+    ``ValueError`` naming the target and the value at fault.
     """
-    if not (config.snr_target_linear > 0.0 and min(gains.g1_sq, gains.g2_sq) > 0.0):
-        raise ValueError("power allocation needs positive gains and SNR target")
-    return split_power(
+    p1, beta_sq, j = split_power(
         config, gains.g1_sq, gains.sigma_r_sq_w, gains.sigma_ue_sq_w, gains.g2_sq, math.sqrt(gains.g2_sq)
     )
+    if not (math.isfinite(p1) and math.isfinite(beta_sq) and math.isfinite(j)):
+        values = {"p1": p1, "beta_sq": beta_sq, "j": j}
+        bad = ", ".join(f"{name}={value!r}" for name, value in values.items() if not math.isfinite(value))
+        raise ValueError(
+            f"power split is not finite at snr_target_linear={config.snr_target_linear!r} "
+            f"(g1_sq={gains.g1_sq!r}, g2_sq={gains.g2_sq!r}): {bad}"
+        )
+    return p1, beta_sq, j
 
 
 def split_power(

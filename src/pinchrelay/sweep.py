@@ -8,8 +8,9 @@ per-sample monotonicity of the underlying schemes, and aggregation uses exact
 summation so results do not depend on evaluation order.
 
 At each sweep value every scheme is evaluated over all users at once, as
-numpy arrays (the sweep kernel), and each user's result equals the scalar
-``solve``/``benchmark2_power``/``benchmark1_tx_power_w`` path bit for bit.
+numpy arrays (the sweep kernel).  Each user's result equals the scalar
+``solve``/``benchmark2_power`` path bit for bit; ``benchmark1_tx_power_w``
+takes floats or arrays, so the direct scheme has one path.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .benchmarks import Benchmark1Config, benchmark1_total_power_w, benchmark1_tx_powers_w
+from .benchmarks import Benchmark1Config, benchmark1_total_power_w, benchmark1_tx_power_w
 from .model import SampleError, SystemConfig, db_to_linear
 from .optimize import optimal_pin_positions, solve_at_many
 
@@ -44,7 +45,7 @@ def _proposed(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.
 
 
 def _benchmark1(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray):
-    tx = benchmark1_tx_powers_w(cfg, _BENCHMARK1, xs, ys, shadows_db)
+    tx = benchmark1_tx_power_w(cfg, _BENCHMARK1, xs, ys, shadows_db)
     return benchmark1_total_power_w(cfg, _BENCHMARK1, tx), tx
 
 

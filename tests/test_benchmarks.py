@@ -8,57 +8,56 @@ import pytest
 
 from pinchrelay import (
     Benchmark1Config,
-    SystemConfig,
     UePosition,
-    benchmark1_distance_m,
-    benchmark1_link_gain,
-    benchmark1_power,
+    benchmark1_total_power_w,
     benchmark1_tx_power_w,
     benchmark2_power,
-    free_space_gain,
-    relay_ue_gain,
     solve,
 )
+from pinchrelay.model import free_space_gain, relay_ue_gain
 
 NO_SHADOW = 0.0
 
 
 class TestBenchmark1:
     def test_friis_consistency(self, cfg):
+        # d1 = 50 m plus a user 30 m down the waveguide axis: an 80 m direct path
+        assert cfg.bs_relay_distance_m == 50.0
         b1 = Benchmark1Config(num_elements=1, element_gain_dbi=0.0, path_loss_exponent=2.0, shadowing_std_db=0.0)
-        distance = 80.0
-        tx = benchmark1_tx_power_w(cfg, b1, distance, NO_SHADOW)
-        expected = cfg.snr_target_linear * cfg.ue_noise_w / free_space_gain(distance, cfg.carrier_frequency_hz)
+        tx = benchmark1_tx_power_w(cfg, b1, 30.0, 0.0, NO_SHADOW)
+        expected = cfg.snr_target_linear * cfg.ue_noise_w / free_space_gain(80.0, cfg.carrier_frequency_hz)
         assert tx == pytest.approx(expected, rel=1e-12)
 
     def test_rf_chain_floor(self, cfg):
         b1 = Benchmark1Config()
-        for distance in (30.0, 65.0, 130.0):
+        # direct paths of 30, 65 and 130 m
+        for d1, x_ue in ((30.0, 0.0), (50.0, 15.0), (100.0, 30.0)):
+            near = replace(cfg, bs_relay_distance_m=d1)
             for shadow_db in (-10.0, 0.0, 10.0):
-                total = benchmark1_power(cfg, b1, distance, shadow_db)
+                total = benchmark1_total_power_w(near, b1, benchmark1_tx_power_w(near, b1, x_ue, 0.0, shadow_db))
                 assert total > 64 * 0.1
 
     def test_shadowing_shifts_power_in_db(self, cfg):
         b1 = Benchmark1Config()
-        boosted = benchmark1_tx_power_w(cfg, b1, 65.0, 0.0)
-        faded = benchmark1_tx_power_w(cfg, b1, 65.0, 10.0)
+        boosted = benchmark1_tx_power_w(cfg, b1, 15.0, 0.0, 0.0)
+        faded = benchmark1_tx_power_w(cfg, b1, 15.0, 0.0, 10.0)
         assert boosted / faded == pytest.approx(10.0, rel=1e-12)
 
     def test_array_gain_exponent_setting(self, cfg):
         linear = Benchmark1Config(array_gain_exponent=1.0)
         coherent = Benchmark1Config(array_gain_exponent=2.0)
-        ratio = benchmark1_link_gain(cfg, coherent, 65.0, NO_SHADOW) / benchmark1_link_gain(
-            cfg, linear, 65.0, NO_SHADOW
+        ratio = benchmark1_tx_power_w(cfg, linear, 15.0, 0.0, NO_SHADOW) / benchmark1_tx_power_w(
+            cfg, coherent, 15.0, 0.0, NO_SHADOW
         )
         assert ratio == pytest.approx(64.0, rel=1e-12)
 
     def test_default_geometry(self, cfg):
-        assert benchmark1_distance_m(cfg, UePosition(0.0, 0.0)) == pytest.approx(50.0)
-        assert benchmark1_distance_m(cfg, UePosition(30.0, 10.0)) == pytest.approx(50.0 + math.hypot(30.0, 10.0))
-
-    def test_rejects_bad_distance(self, cfg):
-        with pytest.raises(ValueError):
-            benchmark1_tx_power_w(cfg, Benchmark1Config(), 0.0, NO_SHADOW)
+        # the direct path is d1 plus the ground distance from the feed to the user
+        b1 = Benchmark1Config()
+        at_feed = benchmark1_tx_power_w(cfg, b1, 0.0, 0.0, NO_SHADOW)
+        assert benchmark1_tx_power_w(replace(cfg, bs_relay_distance_m=20.0), b1, 30.0, 0.0, NO_SHADOW) == at_feed
+        far = benchmark1_tx_power_w(cfg, b1, 30.0, 10.0, NO_SHADOW)
+        assert far / at_feed == pytest.approx(((50.0 + math.hypot(30.0, 10.0)) / 50.0) ** 4, rel=1e-12)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -76,12 +75,11 @@ class TestBenchmark1:
 
     def test_mean_power_reproducible(self, cfg):
         b1 = Benchmark1Config()
-        distance = benchmark1_distance_m(cfg, UePosition(15.0, 5.0))
 
         def mean_total(seed: int) -> float:
             draws = np.random.default_rng(seed).normal(0.0, b1.shadowing_std_db, 100_000)
-            totals = [benchmark1_power(cfg, b1, distance, float(s)) for s in draws]
-            return math.fsum(totals) / len(totals)
+            totals = benchmark1_total_power_w(cfg, b1, benchmark1_tx_power_w(cfg, b1, 15.0, 5.0, draws))
+            return math.fsum(totals.tolist()) / totals.size
 
         assert mean_total(5) == mean_total(5)
         assert abs(mean_total(5) - mean_total(6)) <= 0.01 * mean_total(5)

@@ -81,6 +81,13 @@ class TestSolveCommand:
         assert cli_main(["solve", "--horn-tx-gain", "4000"]) == 1
         assert capsys.readouterr().err == "error: 4000.0 dB is too large to convert to a linear ratio\n"
 
+    def test_non_finite_power_is_one_error_line(self, capsys):
+        assert cli_main(["solve", "--gamma0", "1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "snr_target_linear=1e+308" in captured.err
+
     def test_scenario_flags_change_the_answer(self, capsys):
         assert cli_main(["solve", "--ue", "15,5", "--gamma0", "30dB", "--json"]) == 0
         strict = json.loads(capsys.readouterr().out)

@@ -8,17 +8,14 @@ import pytest
 from pinchrelay import (
     SystemConfig,
     UePosition,
-    benchmark1_distance_m,
+    benchmark1_total_power_w,
     benchmark1_tx_power_w,
     benchmark2_power,
     optimal_pin_position,
-    relay_ue_gain,
     solve,
-    stationary_points,
 )
-from pinchrelay.benchmarks import benchmark1_total_power_w
-from pinchrelay.model import relay_ue_gains
-from pinchrelay.optimize import optimal_pin_positions
+from pinchrelay.model import relay_ue_gain, relay_ue_gains
+from pinchrelay.optimize import optimal_pin_positions, stationary_points
 from pinchrelay.sweep import _BENCHMARK1, _EVALUATORS, VARIABLES
 
 USERS = 1000
@@ -64,10 +61,7 @@ def positions(xs, ys) -> list[UePosition]:
 def scalar_results(cfg: SystemConfig, users, shadows) -> dict[str, tuple[list[float], list[float]]]:
     proposed = [solve(cfg, ue) for ue in users]
     fixed = [benchmark2_power(cfg, ue) for ue in users]
-    tx = [
-        benchmark1_tx_power_w(cfg, _BENCHMARK1, benchmark1_distance_m(cfg, ue), s)
-        for ue, s in zip(users, shadows.tolist())
-    ]
+    tx = [benchmark1_tx_power_w(cfg, _BENCHMARK1, ue.x_ue_m, ue.y_ue_m, s) for ue, s in zip(users, shadows.tolist())]
     return {
         "proposed": ([s.total_power_w for s in proposed], [s.p1_w for s in proposed]),
         "benchmark1": ([benchmark1_total_power_w(cfg, _BENCHMARK1, t) for t in tx], tx),

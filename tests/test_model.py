@@ -9,22 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinchrelay import (
-    BOLTZMANN_J_PER_K,
-    SPEED_OF_LIGHT_M_S,
     Benchmark1Config,
     ChannelGains,
     SystemConfig,
     UePosition,
     af_snr,
-    bs_relay_gain,
     channel_gains,
     db_to_linear,
+    total_power_w,
+)
+from pinchrelay.model import (
+    BOLTZMANN_J_PER_K,
+    SPEED_OF_LIGHT_M_S,
+    bs_relay_gain,
     free_space_gain,
     linear_to_db,
     noise_power_w,
     relay_tx_power_w,
     relay_ue_gain,
-    total_power_w,
 )
 
 C = SPEED_OF_LIGHT_M_S

@@ -18,10 +18,10 @@ from pinchrelay import (
     optimal_pin_position,
     optimal_power_allocation,
     pin_objective,
-    relay_ue_gain,
     solve,
-    stationary_points,
 )
+from pinchrelay.model import relay_ue_gain
+from pinchrelay.optimize import stationary_points
 
 C = SystemConfig.speed_of_light_m_s
 
@@ -197,6 +197,13 @@ class TestOptimalPowerAllocation:
         tiny = optimal_power_allocation(gains, SystemConfig(snr_target_linear=1e-12, pa_efficiency=1.0))
         assert tiny[0] < 1e-5 * reference[0]
         assert tiny[2] < 1e-5 * reference[2]
+
+    def test_non_finite_split_is_a_named_error(self, cfg, ue_mid):
+        with pytest.raises(ValueError, match=r"snr_target_linear=1e\+308 .*: p1=inf, j=inf$"):
+            solve(replace(cfg, snr_target_linear=1e308), ue_mid)
+        faint = ChannelGains(g1_sq=1.0, g2_sq=1e-320, sigma_r_sq_w=1.6e-11, sigma_ue_sq_w=1.6e-11)
+        with pytest.raises(ValueError, match=r"snr_target_linear=100.0 .*: j=inf$"):
+            optimal_power_allocation(faint, cfg)
 
     def test_rejects_nonpositive_target(self):
         gains, cfg = symmetric_toy()
