@@ -9,7 +9,6 @@ schemes, and a sweep/CLI layer for reproducible experiments.
 """
 
 from .benchmarks import (
-    Benchmark1Config,
     benchmark1_total_power_w,
     benchmark1_tx_power_w,
     benchmark2_power,
@@ -49,7 +48,6 @@ from .sweep import (
 
 __all__ = [
     "SCHEMES",
-    "Benchmark1Config",
     "ChannelGains",
     "OracleReport",
     "PowerSolution",

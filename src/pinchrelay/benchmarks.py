@@ -13,52 +13,26 @@ takes one user as floats or many as arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemConfig, UePosition, free_space_gain, libm_each, require_finite_fields
+from .model import SampleError, SystemConfig, UePosition, free_space_gain, libm_each
 from .optimize import PowerSolution, solve_at
 
-
-@dataclass(frozen=True)
-class Benchmark1Config:
-    """Direct-transmission array parameters.
-
-    ``array_gain_exponent`` sets the coherent beamforming gain model
-    ``num_elements ** exponent`` (1 for the standard single-stream array-gain
-    convention, 2 for a fully coherent power gain).  ``shadowing_std_db`` is
-    the standard deviation of the zero-mean lognormal shadowing term; the
-    default corresponds to a variance of 11 dB^2.
-    """
-
-    num_elements: int = 64
-    element_gain_dbi: float = 2.15
-    path_loss_exponent: float = 4.0
-    shadowing_std_db: float = math.sqrt(11.0)
-    rf_chain_power_w_per_element: float = 0.1
-    reference_distance_m: float = 1.0
-    array_gain_exponent: float = 1.0
-
-    def __post_init__(self) -> None:
-        require_finite_fields(self)
-        if self.num_elements < 1:
-            raise ValueError(f"num_elements must be >= 1, got {self.num_elements!r}")
-        if self.path_loss_exponent < 2.0:
-            raise ValueError(f"path_loss_exponent must be >= 2, got {self.path_loss_exponent!r}")
-        if self.shadowing_std_db < 0.0:
-            raise ValueError("shadowing_std_db must be nonnegative")
-        if not self.reference_distance_m > 0.0:
-            raise ValueError("reference_distance_m must be positive")
-        if self.rf_chain_power_w_per_element < 0.0:
-            raise ValueError("rf_chain_power_w_per_element must be nonnegative")
-        if not self.array_gain_exponent > 0.0:
-            raise ValueError("array_gain_exponent must be positive")
+# The direct scheme's array and channel, fixed modelling choices that every
+# caller shares: 64 elements of 2.15 dBi each with array gain N (the
+# single-stream convention, not the fully coherent N**2); log-distance path
+# loss with exponent 4, anchored to free space at 1 m; zero-mean lognormal
+# shadowing with a variance of 11 dB^2; one 0.1 W RF chain per element.
+NUM_ELEMENTS = 64
+ARRAY_ELEMENT_GAIN = NUM_ELEMENTS * 10.0 ** (2.15 / 10.0)
+PATH_LOSS_EXPONENT = 4.0
+SHADOWING_STD_DB = math.sqrt(11.0)
+RF_CHAIN_POWER_W = 0.1
 
 
 def benchmark1_tx_power_w(
     config: SystemConfig,
-    b1: Benchmark1Config,
     x_ue_m: float | np.ndarray,
     y_ue_m: float | np.ndarray,
     shadow_db: float | np.ndarray,
@@ -71,21 +45,32 @@ def benchmark1_tx_power_w(
     gain x element gain x log-distance loss x lognormal shadowing, with
     ``shadow_db`` one shadowing draw in dB.  Floats give a float; arrays give
     one power per user, each equal to the float result (``hypot`` and ``pow``
-    run per element through :func:`~.model.libm_each`).
+    run per element through :func:`~.model.libm_each`).  A link gain that
+    underflows to 0, overflows to inf or is nan raises
+    :class:`~.model.SampleError` (a ``ValueError``) whose ``index`` is the
+    first user at fault.
     """
     distance = config.bs_relay_distance_m + libm_each(math.hypot, x_ue_m, y_ue_m)
-    array_gain = float(b1.num_elements) ** b1.array_gain_exponent
-    element_gain = 10.0 ** (b1.element_gain_dbi / 10.0)
-    anchor = free_space_gain(b1.reference_distance_m, config.carrier_frequency_hz)
-    distance_loss = libm_each(math.pow, distance / b1.reference_distance_m, -b1.path_loss_exponent)
+    anchor = free_space_gain(1.0, config.carrier_frequency_hz)
+    distance_loss = libm_each(math.pow, distance, -PATH_LOSS_EXPONENT)
     shadow = libm_each(math.pow, 10.0, shadow_db / 10.0)
-    gain = array_gain * element_gain * anchor * distance_loss * shadow
+    gain = ARRAY_ELEMENT_GAIN * anchor * distance_loss * shadow
+    flat = np.ravel(gain)
+    bad = np.flatnonzero(~((flat > 0.0) & (flat < math.inf)))
+    if bad.size:
+        k = int(bad[0])
+        raise SampleError(
+            k,
+            f"link budget out of range on the direct link: gain {float(flat[k])!r} "
+            f"at bs_relay_distance_m={config.bs_relay_distance_m!r}, "
+            f"carrier_frequency_hz={config.carrier_frequency_hz!r}",
+        )
     return config.snr_target_linear * config.ue_noise_w / gain
 
 
-def benchmark1_total_power_w(config: SystemConfig, b1: Benchmark1Config, tx_w: float | np.ndarray):
+def benchmark1_total_power_w(config: SystemConfig, tx_w: float | np.ndarray):
     """Total consumed power of the direct scheme: PA draw plus per-element RF chains."""
-    return tx_w / config.pa_efficiency + b1.num_elements * b1.rf_chain_power_w_per_element
+    return tx_w / config.pa_efficiency + NUM_ELEMENTS * RF_CHAIN_POWER_W
 
 
 def benchmark2_power(config: SystemConfig, ue: UePosition) -> PowerSolution:

@@ -78,14 +78,6 @@ def libm_each(fn: Callable[..., float], *args: float | np.ndarray) -> float | np
     return np.fromiter(map(fn, *columns), float, size)
 
 
-def require_finite_fields(instance: object) -> None:
-    """Reject NaN and +-inf in every field of a dataclass instance; ``None`` passes."""
-    for field in fields(instance):
-        value = getattr(instance, field.name)
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{field.name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """Scenario parameters, stored in SI units.
@@ -116,7 +108,10 @@ class SystemConfig:
     speed_of_light_m_s: ClassVar[float] = SPEED_OF_LIGHT_M_S
 
     def __post_init__(self) -> None:
-        require_finite_fields(self)
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         for name in (
             "carrier_frequency_hz",
             "bandwidth_hz",

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .benchmarks import Benchmark1Config, benchmark1_total_power_w, benchmark1_tx_power_w
+from .benchmarks import SHADOWING_STD_DB, benchmark1_total_power_w, benchmark1_tx_power_w
 from .model import SampleError, SystemConfig, db_to_linear
 from .optimize import optimal_pin_positions, solve_at_many
 
@@ -35,8 +35,6 @@ VARIABLES = {
     "bs_relay_distance_m": ("bs_relay_distance_m", float, ("", "m"), "BS-relay distance [m]"),
 }
 
-_BENCHMARK1 = Benchmark1Config()  # sweeps run the direct scheme at its defaults
-
 
 # Evaluators map (config, user x and y arrays, shadowing draws in dB) to arrays of
 # (total power, BS power), one element per user.
@@ -45,8 +43,8 @@ def _proposed(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.
 
 
 def _benchmark1(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray):
-    tx = benchmark1_tx_power_w(cfg, _BENCHMARK1, xs, ys, shadows_db)
-    return benchmark1_total_power_w(cfg, _BENCHMARK1, tx), tx
+    tx = benchmark1_tx_power_w(cfg, xs, ys, shadows_db)
+    return benchmark1_total_power_w(cfg, tx), tx
 
 
 def _benchmark2(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray):
@@ -111,7 +109,7 @@ def run_sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRecord]:
     rng = np.random.default_rng(spec.seed)
     xs = rng.uniform(0.0, config.coverage_x_m, spec.ue_samples)
     ys = rng.uniform(0.0, config.coverage_y_m, spec.ue_samples)
-    shadows = rng.normal(0.0, _BENCHMARK1.shadowing_std_db, spec.ue_samples)
+    shadows = rng.normal(0.0, SHADOWING_STD_DB, spec.ue_samples)
     field, to_si, _, _ = VARIABLES[spec.variable]
     records: list[SweepRecord] = []
     for value in spec.values:

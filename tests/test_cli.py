@@ -226,6 +226,23 @@ class TestSweepCommand:
         assert err.startswith("error: scheme 'proposed' failed at bs_relay_distance_m=30: ")
         assert "too large to convert" in err
 
+    def test_direct_link_underflow_is_one_error_line(self, tmp_path, capsys):
+        argv = ["sweep", "--var", "d1", "--values", "1e300", "--schemes", "benchmark1", "--samples", "3"]
+        assert cli_main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: scheme 'benchmark1' failed at sample 0 ")
+        assert "link budget out of range on the direct link: gain 0.0 at bs_relay_distance_m=1e+300" in err
+
+    def test_direct_link_overflow_is_one_error_line(self, tmp_path, capsys):
+        argv = ["sweep", "--var", "d1", "--values", "30", "--schemes", "benchmark1", "--samples", "3"]
+        assert cli_main([*argv, "--freq", "1e-300", "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: scheme 'benchmark1' failed at sample 0 ")
+        assert "link budget out of range on the direct link: gain inf at " in err
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("flag, value, named", [("--schemes", "nope", "nope"), ("--seed", "-1", "--seed")])
     def test_bad_schemes_and_seed_are_usage_errors(self, tmp_path, capsys, flag, value, named):
         argv = ["sweep", "--var", "d1", "--values", "30", "--samples", "1", "--out", str(tmp_path / "x.csv")]

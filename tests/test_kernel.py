@@ -1,9 +1,12 @@
 """Sweep kernel: each array evaluator equals the scalar path bit for bit, user by user."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchrelay import (
     SystemConfig,
@@ -11,12 +14,14 @@ from pinchrelay import (
     benchmark1_total_power_w,
     benchmark1_tx_power_w,
     benchmark2_power,
+    db_to_linear,
     optimal_pin_position,
     solve,
 )
 from pinchrelay.model import relay_ue_gain, relay_ue_gains
 from pinchrelay.optimize import optimal_pin_positions, stationary_points
-from pinchrelay.sweep import _BENCHMARK1, _EVALUATORS, VARIABLES
+from pinchrelay.benchmarks import SHADOWING_STD_DB
+from pinchrelay.sweep import _EVALUATORS, VARIABLES
 
 USERS = 1000
 PLACEMENT_USERS = 20_000  # placement and gains are cheap, and a last-bit slip is rare
@@ -50,7 +55,7 @@ def draw(cfg: SystemConfig, seed: int, n: int = USERS):
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, cfg.coverage_x_m, n)
     ys = rng.uniform(0.0, cfg.coverage_y_m, n)
-    shadows = rng.normal(0.0, _BENCHMARK1.shadowing_std_db, n)
+    shadows = rng.normal(0.0, SHADOWING_STD_DB, n)
     return xs, ys, shadows
 
 
@@ -58,13 +63,71 @@ def positions(xs, ys) -> list[UePosition]:
     return [UePosition(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
 
 
+def squares_at_rounding_ties(ys: np.ndarray) -> np.ndarray:
+    """``ys`` rounded to 27 significant bits.
+
+    ``y * y`` is then exact in 54 bits, so about half of the squares fall
+    exactly between two floats: the inputs on which libm ``pow(y, 2)`` most
+    often differs from ``y * y`` (over 10% of them, against 0.08% at random).
+    """
+    mantissa, exponent = np.frexp(ys)
+    return np.ldexp(np.round(mantissa * 2.0**27), exponent - 27)
+
+
+@st.composite
+def waveguides(draw):
+    """A waveguide on which some users have real stationary points, and a generator for them."""
+    alpha = draw(st.floats(min_value=0.05, max_value=1.0))
+    height = draw(st.floats(min_value=0.1, max_value=min(5.0, 0.9 / alpha)))
+    length = draw(st.floats(min_value=1.0, max_value=50.0))
+    cfg = SystemConfig(waveguide_attenuation_per_m=alpha, waveguide_height_m=height, waveguide_length_m=length)
+    return cfg, np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+
+def near_tie_users(cfg: SystemConfig, rng: np.random.Generator, n: int = 50, spread: int = 2):
+    """Users whose ``x_ue`` makes the feed and the interior candidate radiate nearly the same.
+
+    For each ``y`` the ``x`` where the placement switches from the candidate to
+    the feed is bisected in numpy (``np.exp``, so only to within a float or
+    two of the kernel's switch); the ``spread`` floats either side of it are
+    users too, so both sides of the switch are present.
+    """
+    alpha, height, length = cfg.waveguide_attenuation_per_m, cfg.waveguide_height_m, cfg.waveguide_length_m
+    ys = squares_at_rounding_ties(rng.uniform(0.0, 0.99 * math.sqrt(1.0 / (alpha * alpha) - height * height), n))
+    c_const = ys * ys + height * height
+    root = np.sqrt(1.0 - alpha * alpha * c_const)
+
+    def candidate_wins(x):
+        pin = np.clip(x - (1.0 - root) / alpha, 0.0, length)
+        return np.exp(-alpha * pin) / ((x - pin) * (x - pin) + c_const) > 1.0 / (x * x + c_const)
+
+    lo = (1.0 + root) / alpha  # the local minimum x1 sits at the feed, so the candidate wins
+    hi = lo + 1e4  # far down the axis the feed wins
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        wins = candidate_wins(mid)
+        lo, hi = np.where(wins, mid, lo), np.where(wins, hi, mid)
+    xs = [lo]
+    for _ in range(spread):
+        xs = [np.nextafter(xs[0], -np.inf), *xs, np.nextafter(xs[-1], np.inf)]
+    return np.concatenate(xs), np.tile(ys, len(xs))
+
+
+def assert_placement_and_gain_match(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray) -> None:
+    users = positions(xs, ys)
+    x_pins = optimal_pin_positions(cfg, xs, ys)
+    assert x_pins.tolist() == [optimal_pin_position(cfg, ue) for ue in users]
+    gains = relay_ue_gains(cfg, xs, ys, x_pins)
+    assert gains.tolist() == [relay_ue_gain(cfg, ue, x) for ue, x in zip(users, x_pins.tolist())]
+
+
 def scalar_results(cfg: SystemConfig, users, shadows) -> dict[str, tuple[list[float], list[float]]]:
     proposed = [solve(cfg, ue) for ue in users]
     fixed = [benchmark2_power(cfg, ue) for ue in users]
-    tx = [benchmark1_tx_power_w(cfg, _BENCHMARK1, ue.x_ue_m, ue.y_ue_m, s) for ue, s in zip(users, shadows.tolist())]
+    tx = [benchmark1_tx_power_w(cfg, ue.x_ue_m, ue.y_ue_m, s) for ue, s in zip(users, shadows.tolist())]
     return {
         "proposed": ([s.total_power_w for s in proposed], [s.p1_w for s in proposed]),
-        "benchmark1": ([benchmark1_total_power_w(cfg, _BENCHMARK1, t) for t in tx], tx),
+        "benchmark1": ([benchmark1_total_power_w(cfg, t) for t in tx], tx),
         "benchmark2": ([s.total_power_w for s in fixed], [s.p1_w for s in fixed]),
     }
 
@@ -73,11 +136,44 @@ def scalar_results(cfg: SystemConfig, users, shadows) -> dict[str, tuple[list[fl
 def test_placement_and_gain_equal_the_scalar_path_bit_for_bit(name):
     cfg = CONFIGS[name]
     xs, ys, _ = draw(cfg, sorted(CONFIGS).index(name), PLACEMENT_USERS)
-    users = positions(xs, ys)
-    x_pins = optimal_pin_positions(cfg, xs, ys)
-    assert x_pins.tolist() == [optimal_pin_position(cfg, ue) for ue in users]
-    gains = relay_ue_gains(cfg, xs, ys, x_pins)
-    assert gains.tolist() == [relay_ue_gain(cfg, ue, x) for ue, x in zip(users, x_pins.tolist())]
+    assert_placement_and_gain_match(cfg, xs, ys)
+
+
+# Only a near-tie between the feed and the interior candidate lets the last bit
+# of either objective flip the placement, so random users almost never test it.
+@given(waveguides())
+@settings(max_examples=100, deadline=None)
+def test_placement_equals_the_scalar_path_at_feed_candidate_ties(waveguide):
+    cfg, rng = waveguide
+    assert_placement_and_gain_match(cfg, *near_tie_users(cfg, rng))
+
+
+# Placement compares the objective f, not |g2|^2, and the two round apart, so at
+# a near-tie the chosen pinch point can radiate a few ulps less than the feed
+# and the proposed total exceed benchmark2's by as much (at most 8 ulps seen
+# over 2e6 tie users).  16 ulps bounds the roundings of both evaluation paths.
+@given(waveguides(), st.floats(min_value=-20.0, max_value=60.0))
+@settings(max_examples=100, deadline=None)
+def test_adjustable_antenna_loses_to_the_fixed_one_only_by_rounding_at_ties(waveguide, gamma0_db):
+    cfg, rng = waveguide
+    cfg = replace(cfg, snr_target_linear=db_to_linear(gamma0_db))
+    xs, ys = near_tie_users(cfg, rng)
+    adjustable, _ = _EVALUATORS["proposed"](cfg, xs, ys, np.zeros(xs.size))
+    fixed, _ = _EVALUATORS["benchmark2"](cfg, xs, ys, np.zeros(xs.size))
+    assert np.all(adjustable <= fixed + 16.0 * np.spacing(fixed))
+
+
+# Where alpha^2 C nears 1 the interior root sqrt(1 - alpha^2 C) turns the last
+# bit of C into many bits of the candidate position.
+@given(waveguides())
+@settings(max_examples=100, deadline=None)
+def test_placement_equals_the_scalar_path_at_the_discriminant_edge(waveguide):
+    cfg, rng = waveguide
+    alpha, height = cfg.waveguide_attenuation_per_m, cfg.waveguide_height_m
+    ys = squares_at_rounding_ties(np.sqrt(rng.uniform(0.9, 1.0, 50) / (alpha * alpha) - height * height))
+    root = np.sqrt(np.maximum(1.0 - alpha * alpha * (ys * ys + height * height), 0.0))
+    xs = rng.uniform((1.0 - root) / alpha, (1.0 + root) / alpha)  # x1 < 0 < x2: x2 is the maximum
+    assert_placement_and_gain_match(cfg, xs, ys)
 
 
 def test_configs_fire_every_placement_case():

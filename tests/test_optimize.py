@@ -20,8 +20,8 @@ from pinchrelay import (
     pin_objective,
     solve,
 )
-from pinchrelay.model import relay_ue_gain
-from pinchrelay.optimize import stationary_points
+from pinchrelay.model import relay_ue_gain, relay_ue_gains
+from pinchrelay.optimize import optimal_pin_positions, stationary_points
 
 C = SystemConfig.speed_of_light_m_s
 
@@ -137,17 +137,39 @@ class TestOptimalPinPosition:
         _, f_grid = grid_search_pin(cfg, ue, 1e-3)
         assert best >= f_grid - 1e-12 * f_grid
 
-    def test_reads_only_geometry_and_attenuation(self, cfg, ue_mid):
-        reference = optimal_pin_position(cfg, ue_mid)
-        for change in (
-            {"pa_efficiency": 0.5},
-            {"snr_target_linear": 1e4},
-            {"noise_figure_db": 3.0},
-            {"bandwidth_hz": 1e6},
-            {"horn_gain_tx_dbi": 0.0},
-            {"bs_relay_distance_m": 500.0},
-        ):
-            assert optimal_pin_position(replace(cfg, **change), ue_mid) == reference
+    # The sweep varies only fields from this set, which is why a sweep could
+    # place the antenna once for all of its values.
+    @given(
+        alpha=st.floats(min_value=0.0, max_value=1.0),
+        x_ue=st.floats(min_value=0.0, max_value=30.0),
+        y_ue=st.floats(min_value=0.0, max_value=10.0),
+        changes=st.fixed_dictionaries(
+            {
+                "snr_target_linear": st.floats(min_value=1e-3, max_value=1e6),
+                "bs_relay_distance_m": st.floats(min_value=1.0, max_value=1e4),
+                "horn_gain_tx_dbi": st.floats(min_value=-10.0, max_value=40.0),
+                "horn_gain_rx_dbi": st.floats(min_value=-10.0, max_value=40.0),
+                "bandwidth_hz": st.floats(min_value=1e3, max_value=1e10),
+                "noise_figure_db": st.floats(min_value=0.0, max_value=20.0),
+                "ue_noise_figure_db": st.floats(min_value=0.0, max_value=20.0),
+                "pa_efficiency": st.floats(min_value=0.05, max_value=1.0),
+            }
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_reads_only_geometry_and_attenuation(self, alpha, x_ue, y_ue, changes, seed):
+        base = SystemConfig(waveguide_attenuation_per_m=alpha)
+        changed = replace(base, **changes)
+        ue = UePosition(x_ue, y_ue)
+        x_pin = optimal_pin_position(changed, ue)
+        assert x_pin == optimal_pin_position(base, ue)
+        assert relay_ue_gain(changed, ue, x_pin) == relay_ue_gain(base, ue, x_pin)
+        rng = np.random.default_rng(seed)
+        xs, ys = rng.uniform(0.0, 30.0, 200), rng.uniform(0.0, 10.0, 200)
+        x_pins = optimal_pin_positions(changed, xs, ys)
+        assert x_pins.tolist() == optimal_pin_positions(base, xs, ys).tolist()
+        assert relay_ue_gains(changed, xs, ys, x_pins).tolist() == relay_ue_gains(base, xs, ys, x_pins).tolist()
 
 
 class TestOptimalPowerAllocation:
