@@ -6,8 +6,8 @@ keeps the relay and the closed-form power split but bolts the radiating
 antenna to the waveguide feed point, so the relay-to-user hop is plain free
 space with no placement freedom.
 
-The direct scheme has one implementation, :func:`benchmark1_tx_power_w`, which
-takes one user as floats or many as arrays.
+The direct scheme has one implementation, :func:`benchmark1_link_gain` and its
+quotient :func:`benchmark1_tx_power_w`, for one user as floats or many as arrays.
 """
 
 from __future__ import annotations
@@ -30,30 +30,31 @@ PATH_LOSS_EXPONENT = 4.0
 SHADOWING_STD_DB = math.sqrt(11.0)
 RF_CHAIN_POWER_W = 0.1
 
+Floats = float | np.ndarray  # one user as floats, or many as arrays
 
-def benchmark1_tx_power_w(
-    config: SystemConfig,
-    x_ue_m: float | np.ndarray,
-    y_ue_m: float | np.ndarray,
-    shadow_db: float | np.ndarray,
-):
-    """Radiated power the direct link needs to hit the SNR target, for one user or many.
+
+def benchmark1_link_gain(config: SystemConfig, x_ue_m: Floats, y_ue_m: Floats, shadow_db: Floats):
+    """Power gain of the direct link to one user or many.
 
     BS, relay and coverage area are taken collinear along the waveguide axis,
     so the direct path spans the BS-relay distance plus the ground distance
-    from the feed to the user at ``(x_ue_m, y_ue_m)``.  The link gain is array
+    from the feed to the user at ``(x_ue_m, y_ue_m)``.  The gain is array
     gain x element gain x log-distance loss x lognormal shadowing, with
     ``shadow_db`` one shadowing draw in dB.  Floats give a float; arrays give
-    one power per user, each equal to the float result (``hypot`` and ``pow``
-    run per element through :func:`~.model.libm_each`).  A link gain that
+    one gain per user, each equal to the float result (``hypot`` and ``pow``
+    run per element through :func:`~.model.libm_each`).  A gain that
     underflows to 0, overflows to inf or is nan raises
     :class:`~.model.SampleError` (a ``ValueError``) whose ``index`` is the
     first user at fault.
     """
     distance = config.bs_relay_distance_m + libm_each(math.hypot, x_ue_m, y_ue_m)
     anchor = free_space_gain(1.0, config.carrier_frequency_hz)
-    distance_loss = libm_each(math.pow, distance, -PATH_LOSS_EXPONENT)
-    shadow = libm_each(math.pow, 10.0, shadow_db / 10.0)
+    try:
+        distance_loss = libm_each(math.pow, distance, -PATH_LOSS_EXPONENT)
+        shadow = libm_each(math.pow, 10.0, shadow_db / 10.0)
+    except OverflowError:  # rare: redo with inf in its place, so the check below names the user
+        distance_loss = libm_each(_pow_or_inf, distance, -PATH_LOSS_EXPONENT)
+        shadow = libm_each(_pow_or_inf, 10.0, shadow_db / 10.0)
     gain = ARRAY_ELEMENT_GAIN * anchor * distance_loss * shadow
     flat = np.ravel(gain)
     bad = np.flatnonzero(~((flat > 0.0) & (flat < math.inf)))
@@ -61,14 +62,25 @@ def benchmark1_tx_power_w(
         k = int(bad[0])
         raise SampleError(
             k,
-            f"link budget out of range on the direct link: gain {float(flat[k])!r} "
-            f"at bs_relay_distance_m={config.bs_relay_distance_m!r}, "
-            f"carrier_frequency_hz={config.carrier_frequency_hz!r}",
+            f"link budget out of range on the direct link: gain {float(flat[k])!r} at bs_relay_distance_m="
+            f"{config.bs_relay_distance_m!r}, carrier_frequency_hz={config.carrier_frequency_hz!r}",
         )
-    return config.snr_target_linear * config.ue_noise_w / gain
+    return gain
 
 
-def benchmark1_total_power_w(config: SystemConfig, tx_w: float | np.ndarray):
+def _pow_or_inf(base: float, exponent: float) -> float:
+    try:
+        return math.pow(base, exponent)
+    except OverflowError:
+        return math.inf
+
+
+def benchmark1_tx_power_w(config: SystemConfig, x_ue_m: Floats, y_ue_m: Floats, shadow_db: Floats):
+    """Radiated power the direct link needs to hit the SNR target, for one user or many."""
+    return config.snr_target_linear * config.ue_noise_w / benchmark1_link_gain(config, x_ue_m, y_ue_m, shadow_db)
+
+
+def benchmark1_total_power_w(config: SystemConfig, tx_w: Floats):
     """Total consumed power of the direct scheme: PA draw plus per-element RF chains."""
     return tx_w / config.pa_efficiency + NUM_ELEMENTS * RF_CHAIN_POWER_W
 

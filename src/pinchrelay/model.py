@@ -205,9 +205,15 @@ def _free_space(distance_m: float | np.ndarray, frequency_hz: float) -> float | 
 
 
 def bs_relay_gain(config: SystemConfig) -> float:
-    """BS-to-relay power gain |g1|^2: both horn gains times free-space loss."""
+    """BS-to-relay power gain |g1|^2: both horn gains times free-space loss; named ``ValueError`` outside (0, inf)."""
     horn = db_to_linear(config.horn_gain_tx_dbi) * db_to_linear(config.horn_gain_rx_dbi)
-    return horn * free_space_gain(config.bs_relay_distance_m, config.carrier_frequency_hz)
+    g1_sq = horn * free_space_gain(config.bs_relay_distance_m, config.carrier_frequency_hz)
+    if not 0.0 < g1_sq < math.inf:
+        raise ValueError(
+            f"link budget out of range on the BS-relay link: gain {g1_sq!r} at bs_relay_distance_m="
+            f"{config.bs_relay_distance_m!r}, carrier_frequency_hz={config.carrier_frequency_hz!r}"
+        )
+    return g1_sq
 
 
 def relay_ue_gain(config: SystemConfig, ue: UePosition, x_pin_m: float) -> float:

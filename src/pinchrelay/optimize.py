@@ -17,9 +17,9 @@ weighted cost ``J = eta_pa P1 + beta^2 (P1 |g1|^2 + sigma_r^2)`` to
 sigma_r^2``, minimized at ``u* = sqrt(B / A)``.  Total consumed power at the
 optimum is ``J* / eta_pa`` plus the constant circuit terms.
 
-Array forms (:func:`optimal_pin_positions`, :func:`solve_at_many`) evaluate
-many users at once for the sweep and equal the scalar functions bit for bit per
-element; both call the one operator-only split, :func:`split_power`.
+The array form :func:`optimal_pin_positions` places many users at once for the
+sweep, equal to the scalar placement bit for bit per element; the sweep and
+:func:`optimal_power_allocation` share the operator-only split :func:`split_power`.
 """
 
 from __future__ import annotations
@@ -33,13 +33,10 @@ from .model import (
     ChannelGains,
     SystemConfig,
     UePosition,
-    bs_relay_gain,
     channel_gains,
     consumed_power,
     libm_each,
     relay_tx_power,
-    relay_ue_gains,
-    require_positive,
 )
 
 
@@ -213,21 +210,6 @@ def solve_at(config: SystemConfig, ue: UePosition, x_pin_m: float) -> PowerSolut
         j_star_w=j_star,
         total_power_w=consumed_power(p1, p2, config),
     )
-
-
-def solve_at_many(
-    config: SystemConfig, xs: np.ndarray, ys: np.ndarray, x_pin_m: float | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`solve_at`: total and BS power of each user ``(xs, ys)``.
-
-    Equal per element to ``solve_at``'s ``total_power_w`` and ``p1_w``.  A
-    second-hop gain that is not positive raises :class:`~.model.SampleError`.
-    """
-    g1_sq, sigma_r_sq_w, sigma_ue_sq_w = bs_relay_gain(config), config.relay_noise_w, config.ue_noise_w
-    require_positive(g1_sq=g1_sq, sigma_r_sq_w=sigma_r_sq_w, sigma_ue_sq_w=sigma_ue_sq_w)
-    g2_sq = relay_ue_gains(config, xs, ys, x_pin_m)
-    p1, beta_sq, _ = split_power(config, g1_sq, sigma_r_sq_w, sigma_ue_sq_w, g2_sq, np.sqrt(g2_sq))
-    return consumed_power(p1, relay_tx_power(p1, beta_sq, g1_sq, sigma_r_sq_w), config), p1
 
 
 def solve(config: SystemConfig, ue: UePosition) -> PowerSolution:

@@ -8,9 +8,13 @@ per-sample monotonicity of the underlying schemes, and aggregation uses exact
 summation so results do not depend on evaluation order.
 
 At each sweep value every scheme is evaluated over all users at once, as
-numpy arrays (the sweep kernel).  Each user's result equals the scalar
-``solve``/``benchmark2_power`` path bit for bit; ``benchmark1_tx_power_w``
-takes floats or arrays, so the direct scheme has one path.
+numpy arrays (the sweep kernel), in two stages.  A scheme's user stage does
+the per-user work (placement and the second-hop gain, or the direct link's
+gain) and reads only the SystemConfig fields it declares; its power stage
+turns that into total and BS power at the sweep value's config.  ``run_sweep``
+reruns a user stage only when one of its fields differs from the previous
+sweep value.  Each user's result equals the scalar ``solve``/
+``benchmark2_power``/``benchmark1_tx_power_w`` path bit for bit.
 """
 
 from __future__ import annotations
@@ -19,13 +23,14 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .benchmarks import SHADOWING_STD_DB, benchmark1_total_power_w, benchmark1_tx_power_w
-from .model import SampleError, SystemConfig, db_to_linear
-from .optimize import optimal_pin_positions, solve_at_many
+from .benchmarks import SHADOWING_STD_DB, benchmark1_link_gain, benchmark1_total_power_w
+from .model import SampleError, SystemConfig, bs_relay_gain, consumed_power, db_to_linear, relay_tx_power
+from .model import relay_ue_gains, require_positive
+from .optimize import optimal_pin_positions, split_power
 
 # One entry per sweep variable: the SystemConfig field a sweep value sets, the
 # conversion of a value to that field, the unit suffixes the CLI accepts on
@@ -36,22 +41,41 @@ VARIABLES = {
 }
 
 
-# Evaluators map (config, user x and y arrays, shadowing draws in dB) to arrays of
-# (total power, BS power), one element per user.
-def _proposed(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray):
-    return solve_at_many(cfg, xs, ys, optimal_pin_positions(cfg, xs, ys))
+class _Scheme(NamedTuple):
+    fields: tuple[str, ...]  # the SystemConfig fields that ``users`` reads
+    users: Callable[[SystemConfig, np.ndarray, np.ndarray, np.ndarray], Any]
+    power: Callable[[SystemConfig, Any], tuple[np.ndarray, np.ndarray]]
+
+    def __call__(self, cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray):
+        return self.power(cfg, self.users(cfg, xs, ys, shadows_db))
 
 
-def _benchmark1(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray):
-    tx = benchmark1_tx_power_w(cfg, xs, ys, shadows_db)
+def _second_hop(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray, at_feed: bool = False):
+    """Each user's second-hop power gain and amplitude, at the best pinch point or at the feed."""
+    g2_sq = relay_ue_gains(cfg, xs, ys, 0.0 if at_feed else optimal_pin_positions(cfg, xs, ys))
+    return g2_sq, np.sqrt(g2_sq)
+
+
+def _relay_power(cfg: SystemConfig, second_hop: tuple[np.ndarray, np.ndarray]):
+    g1_sq, sigma_r_sq_w, sigma_ue_sq_w = bs_relay_gain(cfg), cfg.relay_noise_w, cfg.ue_noise_w
+    require_positive(sigma_r_sq_w=sigma_r_sq_w, sigma_ue_sq_w=sigma_ue_sq_w)
+    p1, beta_sq, _ = split_power(cfg, g1_sq, sigma_r_sq_w, sigma_ue_sq_w, *second_hop)
+    return consumed_power(p1, relay_tx_power(p1, beta_sq, g1_sq, sigma_r_sq_w), cfg), p1
+
+
+def _direct_power(cfg: SystemConfig, gain: np.ndarray):
+    tx = cfg.snr_target_linear * cfg.ue_noise_w / gain
     return benchmark1_total_power_w(cfg, tx), tx
 
 
-def _benchmark2(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray):
-    return solve_at_many(cfg, xs, ys, 0.0)
-
-
-_EVALUATORS = {"proposed": _proposed, "benchmark1": _benchmark1, "benchmark2": _benchmark2}
+_SECOND_HOP = ("waveguide_attenuation_per_m", "waveguide_height_m", "carrier_frequency_hz")
+_EVALUATORS = {
+    "proposed": _Scheme((*_SECOND_HOP, "waveguide_length_m"), _second_hop, _relay_power),
+    "benchmark1": _Scheme(("bs_relay_distance_m", "carrier_frequency_hz"), benchmark1_link_gain, _direct_power),
+    "benchmark2": _Scheme(
+        _SECOND_HOP, lambda cfg, xs, ys, shadows_db: _second_hop(cfg, xs, ys, shadows_db, at_feed=True), _relay_power
+    ),
+}
 SCHEMES = tuple(_EVALUATORS)
 
 CSV_HEADER = ("variable", "scheme", "mean_total_power_w", "mean_bs_power_w", "n_samples")
@@ -111,6 +135,7 @@ def run_sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRecord]:
     ys = rng.uniform(0.0, config.coverage_y_m, spec.ue_samples)
     shadows = rng.normal(0.0, SHADOWING_STD_DB, spec.ue_samples)
     field, to_si, _, _ = VARIABLES[spec.variable]
+    users: dict[str, tuple[tuple, Any]] = {}
     records: list[SweepRecord] = []
     for value in spec.values:
         cfg = replace(config, **{field: to_si(value)})
@@ -118,7 +143,7 @@ def run_sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRecord]:
         mean_bs: dict[str, float] = {}
         for scheme in spec.schemes:
             try:
-                total, bs_w = _evaluate(scheme, cfg, xs, ys, shadows)
+                total, bs_w = _evaluate(scheme, cfg, xs, ys, shadows, users)
             except SampleError as exc:
                 k = exc.index
                 raise RuntimeError(
@@ -133,10 +158,14 @@ def run_sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRecord]:
     return records
 
 
-def _evaluate(scheme: str, cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray):
-    """One scheme's (total, BS power) arrays; the first sample with a non-finite one raises."""
+def _evaluate(scheme: str, cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray, users: dict):
+    """One scheme's (total, BS power) arrays, its user stage reused while its fields hold; non-finite ones raise."""
+    stages = _EVALUATORS[scheme]
+    key = tuple(getattr(cfg, name) for name in stages.fields)
     with np.errstate(all="ignore"):  # a non-finite result is reported below, with its sample
-        total, bs_w = _EVALUATORS[scheme](cfg, xs, ys, shadows_db)
+        if scheme not in users or users[scheme][0] != key:
+            users[scheme] = key, stages.users(cfg, xs, ys, shadows_db)
+        total, bs_w = stages.power(cfg, users[scheme][1])
     bad = np.flatnonzero(~(np.isfinite(total) & np.isfinite(bs_w)))
     if bad.size:
         k = int(bad[0])

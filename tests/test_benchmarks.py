@@ -90,6 +90,24 @@ class TestBenchmark1:
         assert raised.value.index == 0
 
     @pytest.mark.parametrize(
+        "x_ue, d1, shadow_db",
+        [(0.0, 1e-100, NO_SHADOW), (15.0, 50.0, 4000.0)],
+        ids=["path-loss-pow", "shadowing-pow"],
+    )
+    def test_overflowing_pow_is_a_named_error(self, cfg, x_ue, d1, shadow_db):
+        # pow(d, -4) of a direct path under 1e-77 m, or pow(10, s / 10) of a
+        # shadowing draw over 3083 dB, leaves the float range inside libm
+        cfg = replace(cfg, bs_relay_distance_m=d1)
+        message = re.escape(f"link budget out of range on the direct link: gain inf at bs_relay_distance_m={d1!r}, ")
+        with pytest.raises(SampleError, match=message):
+            benchmark1_tx_power_w(cfg, x_ue, 0.0, shadow_db)
+        # arrays name the first user at fault; the one before it is in range
+        xs, shadows = np.array([30.0, x_ue, x_ue]), np.array([NO_SHADOW, shadow_db, shadow_db])
+        with pytest.raises(SampleError, match=message) as raised:
+            benchmark1_tx_power_w(cfg, xs, np.zeros(3), shadows)
+        assert raised.value.index == 1
+
+    @pytest.mark.parametrize(
         "arg, value, gain",
         [
             (0, math.nan, "nan"),

@@ -234,6 +234,15 @@ class TestSweepCommand:
         assert err.startswith("error: scheme 'benchmark1' failed at sample 0 ")
         assert "link budget out of range on the direct link: gain 0.0 at bs_relay_distance_m=1e+300" in err
 
+    def test_first_hop_underflow_is_one_error_line(self, tmp_path, capsys):
+        argv = ["sweep", "--var", "d1", "--values", "1e300", "--samples", "3"]
+        assert cli_main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error: scheme 'proposed' failed at bs_relay_distance_m=1e+300: link budget out of range on the "
+            "BS-relay link: gain 0.0 at bs_relay_distance_m=1e+300, carrier_frequency_hz=28000000000.0\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
+
     def test_direct_link_overflow_is_one_error_line(self, tmp_path, capsys):
         argv = ["sweep", "--var", "d1", "--values", "30", "--schemes", "benchmark1", "--samples", "3"]
         assert cli_main([*argv, "--freq", "1e-300", "--out", str(tmp_path / "x.csv")]) == 1

@@ -1,6 +1,7 @@
 """Closed-form placement and power split, cross-checked against brute force."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from pinchrelay import (
     SystemConfig,
     UePosition,
     af_snr,
+    benchmark2_power,
     channel_gains,
     grid_search_pin,
     optimal_pin_position,
@@ -263,3 +265,22 @@ class TestSolve:
     def test_total_increases_with_relay_distance(self, cfg, ue_mid):
         farther = replace(cfg, bs_relay_distance_m=2.0 * cfg.bs_relay_distance_m)
         assert solve(farther, ue_mid).total_power_w > solve(cfg, ue_mid).total_power_w
+
+    @pytest.mark.parametrize(
+        "field, value, gain",
+        [
+            ("bs_relay_distance_m", 1e300, "0.0"),
+            ("carrier_frequency_hz", 1e300, "0.0"),
+            ("bs_relay_distance_m", 1e-300, "inf"),
+            ("carrier_frequency_hz", 1e-300, "inf"),
+        ],
+    )
+    @pytest.mark.parametrize("scheme", [solve, benchmark2_power], ids=["solve", "benchmark2_power"])
+    def test_first_hop_out_of_range_is_a_named_error(self, cfg, ue_mid, scheme, field, value, gain):
+        bad = replace(cfg, **{field: value})
+        message = (
+            f"link budget out of range on the BS-relay link: gain {gain} at "
+            f"bs_relay_distance_m={bad.bs_relay_distance_m!r}, carrier_frequency_hz={bad.carrier_frequency_hz!r}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scheme(bad, ue_mid)

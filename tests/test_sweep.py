@@ -1,7 +1,10 @@
-"""Sweep engine: Monte Carlo averaging, CSV export/round-trip, determinism."""
+"""Sweep engine: Monte Carlo averaging, staged evaluation, CSV export/round-trip, determinism."""
 
+import json
 import math
 import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,23 @@ from pinchrelay import (
     solve,
     write_gnuplot_script,
 )
+from pinchrelay.benchmarks import SHADOWING_STD_DB
+from pinchrelay.cli import cli_main
+from pinchrelay.sweep import _EVALUATORS, VARIABLES
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "fig1.json"
+CONFIG_FIELDS = frozenset(f.name for f in fields(SystemConfig))
+
+# Values for both sweep variables and for four a sweep could add.  Each added
+# one moves a field that some user stage reads, where reusing its result is stale.
+SWEEPS = {
+    "snr_target_db": (0.0, 20.0, 43.0),
+    "bs_relay_distance_m": (1.0, 50.0, 250.0),
+    "waveguide_attenuation_per_m": (1e-3, 0.05, 0.3),
+    "waveguide_length_m": (5.0, 12.0, 30.0),
+    "waveguide_height_m": (0.5, 3.0, 7.0),
+    "carrier_frequency_hz": (3.5e9, 28e9, 1.4e11),
+}
 
 
 def small_spec(**overrides) -> SweepSpec:
@@ -140,6 +160,54 @@ class TestRunSweep:
         expected = "scheme 'benchmark2' failed at bs_relay_distance_m=30: 4000.0 dB is too large to convert"
         with pytest.raises(RuntimeError, match=re.escape(expected)):
             run_sweep(SystemConfig(horn_gain_tx_dbi=4000.0), spec)
+
+
+class ReadRecordingConfig(SystemConfig):
+    """A config that notes each of its fields read once ``reads`` is set."""
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").get("reads")
+        if reads is not None and name in CONFIG_FIELDS:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestStages:
+    @pytest.mark.parametrize("attenuation", [0.0, 0.01, 0.3])
+    @pytest.mark.parametrize("scheme", sorted(_EVALUATORS))
+    def test_user_stage_reads_only_its_declared_fields(self, scheme, attenuation):
+        stages = _EVALUATORS[scheme]
+        assert set(stages.fields) <= CONFIG_FIELDS
+        cfg = ReadRecordingConfig(waveguide_attenuation_per_m=attenuation)
+        object.__setattr__(cfg, "reads", set())
+        rng = np.random.default_rng(5)
+        stages.users(cfg, rng.uniform(0.0, 30.0, 20), rng.uniform(0.0, 10.0, 20), rng.normal(0.0, SHADOWING_STD_DB, 20))
+        assert cfg.reads and cfg.reads <= set(stages.fields)
+
+    @pytest.mark.parametrize("variable", sorted(SWEEPS))
+    def test_each_record_equals_a_one_value_sweep(self, cfg, monkeypatch, variable):
+        if variable not in VARIABLES:
+            monkeypatch.setitem(VARIABLES, variable, (variable, float, ("",), variable))
+        records = run_sweep(cfg, small_spec(variable=variable, values=SWEEPS[variable]))
+        for record in records:
+            [alone] = run_sweep(cfg, small_spec(variable=variable, values=(record.variable_value,)))
+            assert record == alone
+
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_fig1_means_match_the_recorded_reference(self, tmp_path, seed):
+        reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
+        out = tmp_path / "fig1.csv"
+        assert cli_main([*reference["argv"], "--seed", str(seed), "--out", str(out)]) == 0
+        rows = [
+            (record.variable_value, scheme, total, record.mean_bs_power_w[scheme])
+            for record in read_csv(out)
+            for scheme, total in record.mean_total_power_w.items()
+        ]
+        expected = reference["seeds"][str(seed)]
+        assert [row[:2] for row in rows] == [tuple(row[:2]) for row in expected]
+        for row, (_, _, total, bs_power) in zip(rows, expected):
+            assert row[2] == pytest.approx(total, rel=1e-12, abs=0.0)
+            assert row[3] == pytest.approx(bs_power, rel=1e-12, abs=0.0)
 
 
 class TestCsv:
