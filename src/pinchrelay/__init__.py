@@ -26,7 +26,6 @@ from .optimize import (
     PowerSolution,
     optimal_pin_position,
     optimal_power_allocation,
-    pin_objective,
     solve,
 )
 from .oracle import (
@@ -34,6 +33,7 @@ from .oracle import (
     grid_power_min_2d,
     grid_search_pin,
     numeric_power_min,
+    pin_objective,
     verify_scenario,
 )
 from .sweep import (

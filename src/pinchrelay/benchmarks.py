@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .model import SampleError, SystemConfig, UePosition, free_space_gain, libm_each
+from .model import SystemConfig, UePosition, free_space_gain, libm_each, require_link_gain
 from .optimize import PowerSolution, solve_at
 
 # The direct scheme's array and channel, fixed modelling choices that every
@@ -56,15 +56,8 @@ def benchmark1_link_gain(config: SystemConfig, x_ue_m: Floats, y_ue_m: Floats, s
         distance_loss = libm_each(_pow_or_inf, distance, -PATH_LOSS_EXPONENT)
         shadow = libm_each(_pow_or_inf, 10.0, shadow_db / 10.0)
     gain = ARRAY_ELEMENT_GAIN * anchor * distance_loss * shadow
-    flat = np.ravel(gain)
-    bad = np.flatnonzero(~((flat > 0.0) & (flat < math.inf)))
-    if bad.size:
-        k = int(bad[0])
-        raise SampleError(
-            k,
-            f"link budget out of range on the direct link: gain {float(flat[k])!r} at bs_relay_distance_m="
-            f"{config.bs_relay_distance_m!r}, carrier_frequency_hz={config.carrier_frequency_hz!r}",
-        )
+    # raveled, so a float is checked as one user and fails as SampleError index 0 too
+    require_link_gain(config, "direct", np.ravel(gain), ("bs_relay_distance_m", "carrier_frequency_hz"))
     return gain
 
 

@@ -161,6 +161,10 @@ def _parse_ue(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
+# A range spec may expand to at most this many sweep values; the count is
+# checked before any value is built.
+MAX_RANGE_VALUES = 10_000
+
 _VALUES_RE = re.compile(r"^\s*(.*?(?:[\d.]|nan|inf(?:inity)?))\s*([a-z]*)\s*$", re.IGNORECASE)
 
 
@@ -168,7 +172,8 @@ def parse_values_spec(text: str) -> tuple[tuple[float, ...], str]:
     """Sweep values: ``start:step:stop[unit]`` or ``v1,v2,...[unit]``.
 
     The unit is the run of letters after the last number, so ``nan`` and
-    ``inf`` read as values and reach the sweep's range check.
+    ``inf`` read as values and reach the sweep's range check.  A range needs a
+    finite start, step and stop and at most ``MAX_RANGE_VALUES`` values.
     """
     match = _VALUES_RE.match(text)
     body, unit = (match.group(1), match.group(2).lower()) if match else (text, "")
@@ -178,9 +183,14 @@ def parse_values_spec(text: str) -> tuple[tuple[float, ...], str]:
             if len(parts) != 3:
                 raise ValueError("range spec must be start:step:stop")
             start, step, stop = (float(p) for p in parts)
+            if not all(math.isfinite(v) for v in (start, step, stop)):
+                raise ValueError("range spec needs a finite start, step and stop")
             if step <= 0.0 or stop < start:
                 raise ValueError("range spec needs step > 0 and stop >= start")
-            count = int(math.floor((stop - start) / step + 1e-9)) + 1
+            span = (stop - start) / step + 1e-9  # inf when the quotient overflows
+            if not span < MAX_RANGE_VALUES:
+                raise ValueError(f"range spec needs (stop - start) / step below {MAX_RANGE_VALUES}")
+            count = int(math.floor(span)) + 1
             values = tuple(start + i * step for i in range(count))
         else:
             values = tuple(float(p) for p in body.split(","))

@@ -32,6 +32,8 @@ import numpy as np
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 BOLTZMANN_J_PER_K = 1.380649e-23
 NOISE_REFERENCE_TEMP_K = 290.0
+# The SystemConfig fields the second-hop gain |g2|^2 reads, besides the user and pinch positions.
+RELAY_UE_FIELDS = ("waveguide_attenuation_per_m", "waveguide_height_m", "carrier_frequency_hz")
 
 
 def db_to_linear(value_db: float) -> float:
@@ -204,15 +206,30 @@ def _free_space(distance_m: float | np.ndarray, frequency_hz: float) -> float | 
     return ratio * ratio
 
 
+def require_link_gain(config: SystemConfig, link: str, gain: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
+    """``gain`` if all of it lies in (0, inf), else a :class:`SampleError` at the first element at fault.
+
+    Its message is :func:`link_out_of_range`'s; scalar callers compare and raise ``ValueError`` inline.
+    """
+    bad = np.flatnonzero(~((gain > 0.0) & (gain < math.inf)))
+    if bad.size:
+        k = int(bad[0])
+        raise SampleError(k, link_out_of_range(config, link, float(gain.flat[k]), names))
+    return gain
+
+
+def link_out_of_range(config: SystemConfig, link: str, gain: float, names: tuple[str, ...]) -> str:
+    """Error message for a ``link`` gain outside (0, inf), naming the config fields ``names``."""
+    at = ", ".join(f"{name}={getattr(config, name)!r}" for name in names)
+    return f"link budget out of range on the {link} link: gain {gain!r} at {at}"
+
+
 def bs_relay_gain(config: SystemConfig) -> float:
     """BS-to-relay power gain |g1|^2: both horn gains times free-space loss; named ``ValueError`` outside (0, inf)."""
     horn = db_to_linear(config.horn_gain_tx_dbi) * db_to_linear(config.horn_gain_rx_dbi)
     g1_sq = horn * free_space_gain(config.bs_relay_distance_m, config.carrier_frequency_hz)
     if not 0.0 < g1_sq < math.inf:
-        raise ValueError(
-            f"link budget out of range on the BS-relay link: gain {g1_sq!r} at bs_relay_distance_m="
-            f"{config.bs_relay_distance_m!r}, carrier_frequency_hz={config.carrier_frequency_hz!r}"
-        )
+        raise ValueError(link_out_of_range(config, "BS-relay", g1_sq, ("bs_relay_distance_m", "carrier_frequency_hz")))
     return g1_sq
 
 
@@ -221,7 +238,7 @@ def relay_ue_gain(config: SystemConfig, ue: UePosition, x_pin_m: float) -> float
 
     Product of the guided-wave attenuation exp(-alpha_D * x_pin) accumulated up
     to the pinch point and the free-space gain over the 3-D pinch-to-user
-    distance.  ``x_pin_m`` must lie on the waveguide, i.e. in [0, L].
+    distance.  ``x_pin_m`` must lie on the waveguide, i.e. in [0, L]; the gain is unchecked.
     """
     if not 0.0 <= x_pin_m <= config.waveguide_length_m:
         raise ValueError(
@@ -240,25 +257,23 @@ def relay_ue_gains(
     """Array form of :func:`relay_ue_gain` for users ``(xs, ys)``, equal to it per element.
 
     ``x_pin_m`` is one position for every user or one per user, on the
-    waveguide.  A gain that is not positive raises :class:`SampleError`.
+    waveguide.  Like the scalar form it leaves the gain unchecked.
     """
     dx = xs - x_pin_m
     height = config.waveguide_height_m
     distance = np.sqrt(dx * dx + ys * ys + height * height)
     attenuation = libm_each(math.exp, -config.waveguide_attenuation_per_m * x_pin_m)
-    g2_sq = attenuation * _free_space(distance, config.carrier_frequency_hz)
-    bad = np.flatnonzero(~(g2_sq > 0.0))
-    if bad.size:
-        k = int(bad[0])
-        raise SampleError(k, f"g2_sq must be positive, got {float(g2_sq[k])!r}")
-    return g2_sq
+    return attenuation * _free_space(distance, config.carrier_frequency_hz)
 
 
 def channel_gains(config: SystemConfig, ue: UePosition, x_pin_m: float) -> ChannelGains:
-    """Assemble both hop gains and both noise powers for one scenario."""
+    """Assemble both hop gains and both noise powers for one scenario; gains must lie in (0, inf)."""
+    g1_sq, g2_sq = bs_relay_gain(config), relay_ue_gain(config, ue, x_pin_m)
+    if not 0.0 < g2_sq < math.inf:
+        raise ValueError(link_out_of_range(config, "relay-UE", g2_sq, RELAY_UE_FIELDS))
     return ChannelGains(
-        g1_sq=bs_relay_gain(config),
-        g2_sq=relay_ue_gain(config, ue, x_pin_m),
+        g1_sq=g1_sq,
+        g2_sq=g2_sq,
         sigma_r_sq_w=config.relay_noise_w,
         sigma_ue_sq_w=config.ue_noise_w,
     )

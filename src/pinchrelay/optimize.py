@@ -8,7 +8,7 @@ attenuation up to the pinch point over the squared pinch-to-user distance.
 minimum ``x1`` (larger u) and the unique interior local maximum ``x2``
 (smaller u), so the constrained optimum on ``[0, L]`` is either the feed
 endpoint ``x = 0`` or ``x2`` clamped to the waveguide, whichever radiates the
-stronger gain.
+stronger |g2|^2: the same gain that then powers the relay, never below the feed's.
 
 Power split.  With the placement fixed, the SNR target is active at the cost
 optimum, pinning the relay gain as a function of the BS power and reducing the
@@ -18,7 +18,7 @@ sigma_r^2``, minimized at ``u* = sqrt(B / A)``.  Total consumed power at the
 optimum is ``J* / eta_pa`` plus the constant circuit terms.
 
 The array form :func:`optimal_pin_positions` places many users at once for the
-sweep, equal to the scalar placement bit for bit per element; the sweep and
+sweep with their gains, both equal to the scalar ones bit for bit; the sweep and
 :func:`optimal_power_allocation` share the operator-only split :func:`split_power`.
 """
 
@@ -35,8 +35,9 @@ from .model import (
     UePosition,
     channel_gains,
     consumed_power,
-    libm_each,
     relay_tx_power,
+    relay_ue_gain,
+    relay_ue_gains,
 )
 
 
@@ -66,16 +67,6 @@ class PowerSolution:
     total_power_w: float
 
 
-def pin_objective(config: SystemConfig, ue: UePosition, x_m: float) -> float:
-    """Placement objective f(x); proportional to the radiated-link gain.
-
-    Defined on all of R; the [0, L] restriction is applied by the optimizer.
-    """
-    dx = ue.x_ue_m - x_m
-    c_const = ue.y_ue_m * ue.y_ue_m + config.waveguide_height_m * config.waveguide_height_m
-    return math.exp(-config.waveguide_attenuation_per_m * x_m) / (dx * dx + c_const)
-
-
 def stationary_points(config: SystemConfig, ue: UePosition) -> StationaryAnalysis:
     """Solve the stationary-point quadratic of the placement objective.
 
@@ -102,9 +93,9 @@ def optimal_pin_position(config: SystemConfig, ue: UePosition) -> float:
     With no attenuation the objective is pure distance minimization and the
     optimum is ``x_ue`` clamped to ``[0, L]``.  Otherwise the only candidates
     are the feed endpoint and the interior maximum ``x2`` clamped to the
-    waveguide; evaluating both makes the result a global argmax under every
-    case split (``x2`` below the feed, beyond the far end, or in between).
-    Ties go to the feed endpoint.
+    waveguide; comparing their |g2|^2 makes the result a global argmax under
+    every case split (``x2`` below the feed, beyond the far end, or in
+    between).  Ties go to the feed endpoint.
     """
     length = config.waveguide_length_m
     if config.waveguide_attenuation_per_m == 0.0:
@@ -113,26 +104,30 @@ def optimal_pin_position(config: SystemConfig, ue: UePosition) -> float:
     if analysis.x2_m is None:
         return 0.0
     candidate = min(max(analysis.x2_m, 0.0), length)
-    if pin_objective(config, ue, candidate) > pin_objective(config, ue, 0.0):
+    if relay_ue_gain(config, ue, candidate) > relay_ue_gain(config, ue, 0.0):
         return candidate
     return 0.0
 
 
-def optimal_pin_positions(config: SystemConfig, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Array form of :func:`optimal_pin_position` for users ``(xs, ys)``, equal to it per element."""
+def optimal_pin_positions(config: SystemConfig, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of :func:`optimal_pin_position` for users ``(xs, ys)``, equal to it per element.
+
+    Returns ``(x_pins, g2_sq)``: each user's pinch point and the unchecked |g2|^2 it was chosen by.
+    """
     length = config.waveguide_length_m
     alpha = config.waveguide_attenuation_per_m
     if alpha == 0.0:
-        return np.minimum(np.maximum(xs, 0.0), length)
+        x_pins = np.minimum(np.maximum(xs, 0.0), length)
+        return x_pins, relay_ue_gains(config, xs, ys, x_pins)
     height = config.waveguide_height_m
     c_const = ys * ys + height * height
     delta = 4.0 - 4.0 * alpha * alpha * c_const
     root = np.sqrt(np.maximum(1.0 - alpha * alpha * c_const, 0.0))  # used only where delta >= 0
     candidate = np.minimum(np.maximum(xs - (1.0 - root) / alpha, 0.0), length)
-    dx = xs - candidate
-    at_candidate = libm_each(math.exp, -alpha * candidate) / (dx * dx + c_const)
-    at_feed = 1.0 / (xs * xs + c_const)  # pin_objective at 0: exp(-0.0) is exactly 1
-    return np.where((delta >= 0.0) & (at_candidate > at_feed), candidate, 0.0)
+    at_candidate = relay_ue_gains(config, xs, ys, candidate)
+    at_feed = relay_ue_gains(config, xs, ys, 0.0)
+    wins = (delta >= 0.0) & (at_candidate > at_feed)
+    return np.where(wins, candidate, 0.0), np.where(wins, at_candidate, at_feed)
 
 
 def optimal_power_allocation(gains: ChannelGains, config: SystemConfig) -> tuple[float, float, float]:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import ChannelGains, SystemConfig, UePosition
-from .optimize import optimal_pin_position, optimal_power_allocation, pin_objective
+from .optimize import optimal_pin_position, optimal_power_allocation
 
 log = logging.getLogger(__name__)
 
@@ -36,6 +36,13 @@ class OracleReport:
     rel_gap: float
     grid_resolution: float
     passed: bool
+
+
+def pin_objective(config: SystemConfig, ue: UePosition, x_m: float) -> float:
+    """Placement objective f(x) = exp(-alpha x) / ((x_ue - x)^2 + y_ue^2 + d^2) on all of R, proportional to |g2|^2."""
+    dx = ue.x_ue_m - x_m
+    c_const = ue.y_ue_m * ue.y_ue_m + config.waveguide_height_m * config.waveguide_height_m
+    return math.exp(-config.waveguide_attenuation_per_m * x_m) / (dx * dx + c_const)
 
 
 def grid_search_pin(config: SystemConfig, ue: UePosition, step_m: float) -> tuple[float, float]:

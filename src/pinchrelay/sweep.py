@@ -29,7 +29,7 @@ import numpy as np
 
 from .benchmarks import SHADOWING_STD_DB, benchmark1_link_gain, benchmark1_total_power_w
 from .model import SampleError, SystemConfig, bs_relay_gain, consumed_power, db_to_linear, relay_tx_power
-from .model import relay_ue_gains, require_positive
+from .model import RELAY_UE_FIELDS, relay_ue_gains, require_link_gain, require_positive
 from .optimize import optimal_pin_positions, split_power
 
 # One entry per sweep variable: the SystemConfig field a sweep value sets, the
@@ -52,7 +52,8 @@ class _Scheme(NamedTuple):
 
 def _second_hop(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray, at_feed: bool = False):
     """Each user's second-hop power gain and amplitude, at the best pinch point or at the feed."""
-    g2_sq = relay_ue_gains(cfg, xs, ys, 0.0 if at_feed else optimal_pin_positions(cfg, xs, ys))
+    g2_sq = relay_ue_gains(cfg, xs, ys, 0.0) if at_feed else optimal_pin_positions(cfg, xs, ys)[1]
+    g2_sq = require_link_gain(cfg, "relay-UE", g2_sq, RELAY_UE_FIELDS)
     return g2_sq, np.sqrt(g2_sq)
 
 
@@ -68,12 +69,11 @@ def _direct_power(cfg: SystemConfig, gain: np.ndarray):
     return benchmark1_total_power_w(cfg, tx), tx
 
 
-_SECOND_HOP = ("waveguide_attenuation_per_m", "waveguide_height_m", "carrier_frequency_hz")
 _EVALUATORS = {
-    "proposed": _Scheme((*_SECOND_HOP, "waveguide_length_m"), _second_hop, _relay_power),
+    "proposed": _Scheme((*RELAY_UE_FIELDS, "waveguide_length_m"), _second_hop, _relay_power),
     "benchmark1": _Scheme(("bs_relay_distance_m", "carrier_frequency_hz"), benchmark1_link_gain, _direct_power),
     "benchmark2": _Scheme(
-        _SECOND_HOP, lambda cfg, xs, ys, shadows_db: _second_hop(cfg, xs, ys, shadows_db, at_feed=True), _relay_power
+        RELAY_UE_FIELDS, lambda cfg, xs, ys, shadows_db: _second_hop(cfg, xs, ys, shadows_db, at_feed=True), _relay_power
     ),
 }
 SCHEMES = tuple(_EVALUATORS)
@@ -127,8 +127,8 @@ def run_sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRecord]:
     Draws x, then y, then one shadowing value per user, whichever schemes run,
     once per call, and reuses them at every sweep value.  A scheme failure
     aborts with a ``RuntimeError`` naming the scheme, the sweep value, the
-    sample and its user when one sample is at fault (a second-hop gain that is
-    not positive, a total or BS power that is not finite), and the cause.
+    sample and its user when one sample is at fault (a link gain out of range,
+    a total or BS power that is not finite), and the cause.
     """
     rng = np.random.default_rng(spec.seed)
     xs = rng.uniform(0.0, config.coverage_x_m, spec.ue_samples)

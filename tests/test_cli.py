@@ -2,12 +2,14 @@
 
 import argparse
 import json
+import re
 from dataclasses import fields
 
 import pytest
 
 from pinchrelay import SystemConfig
 from pinchrelay.cli import (
+    MAX_RANGE_VALUES,
     _add_scenario_flags,
     cli_main,
     load_config_file,
@@ -53,6 +55,16 @@ class TestQuantityParsing:
         with pytest.raises(ValueError):
             parse_values_spec("10:2")
 
+    # a non-finite start, step or stop; (stop - start) / step overflowing or over the cap
+    @pytest.mark.parametrize("spec", ["0:1e-320:1dB", "-inf:1:0", "0:inf:5", "nan:1:3", "0:1e-9:1", "0:1:1e4"])
+    def test_values_spec_rejects_unbounded_ranges(self, spec):
+        with pytest.raises(ValueError, match=f"^cannot parse sweep values {re.escape(repr(spec))}: range spec needs"):
+            parse_values_spec(spec)
+
+    def test_values_spec_range_may_reach_the_cap(self):
+        values, _ = parse_values_spec(f"1:1:{MAX_RANGE_VALUES}")
+        assert len(values) == MAX_RANGE_VALUES and values[-1] == MAX_RANGE_VALUES
+
 
 class TestSolveCommand:
     def test_prints_the_optimal_position(self, capsys):
@@ -87,6 +99,13 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "snr_target_linear=1e+308" in captured.err
+
+    def test_second_hop_overflow_is_one_error_line(self, capsys):
+        assert cli_main(["solve", "--ue", "15,5", "--freq", "1e-150", "--d1", "1e150"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: link budget out of range on the relay-UE link: gain inf at ")
+        assert captured.err.count("\n") == 1
 
     def test_scenario_flags_change_the_answer(self, capsys):
         assert cli_main(["solve", "--ue", "15,5", "--gamma0", "30dB", "--json"]) == 0
@@ -250,6 +269,23 @@ class TestSweepCommand:
         assert err.count("\n") == 1
         assert err.startswith("error: scheme 'benchmark1' failed at sample 0 ")
         assert "link budget out of range on the direct link: gain inf at " in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_second_hop_overflow_is_one_error_line(self, tmp_path, capsys):
+        argv = ["sweep", "--var", "gamma0", "--values", "10dB", "--samples", "5", "--freq", "1e-150", "--d1", "1e150"]
+        assert cli_main([*argv, "--schemes", "benchmark2", "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: scheme 'benchmark2' failed at sample 0 ")
+        assert "link budget out of range on the relay-UE link: gain inf at " in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("spec", ["0:1e-320:1dB", "-inf:1:0", "0:inf:5", "0:1e-9:1"])
+    def test_unbounded_range_specs_are_usage_errors(self, tmp_path, capsys, spec):
+        argv = ["sweep", "--var", "gamma0", f"--values={spec}", "--out", str(tmp_path / "x.csv")]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse sweep values {spec!r}: ") and err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("flag, value, named", [("--schemes", "nope", "nope"), ("--seed", "-1", "--seed")])

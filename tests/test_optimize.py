@@ -24,6 +24,7 @@ from pinchrelay import (
 )
 from pinchrelay.model import relay_ue_gain, relay_ue_gains
 from pinchrelay.optimize import optimal_pin_positions, stationary_points
+from pinchrelay.sweep import _EVALUATORS
 
 C = SystemConfig.speed_of_light_m_s
 
@@ -139,6 +140,20 @@ class TestOptimalPinPosition:
         _, f_grid = grid_search_pin(cfg, ue, 1e-3)
         assert best >= f_grid - 1e-12 * f_grid
 
+    def test_a_candidate_whose_gain_underflows_loses_to_the_feed(self):
+        # exp(-alpha x2) underflows to 0 at the interior candidate x2 ~ 1 m; comparing
+        # it must not raise, and both paths go on with the feed's finite gain
+        cfg = SystemConfig(waveguide_attenuation_per_m=1000.0, waveguide_height_m=0.5e-3)
+        ue = UePosition(1.0, 0.0)
+        assert stationary_points(cfg, ue).x2_m == pytest.approx(1.0, abs=1e-3)
+        assert optimal_pin_position(cfg, ue) == 0.0
+        x_pins, g2_sq = optimal_pin_positions(cfg, np.array([1.0]), np.array([0.0]))
+        assert x_pins.tolist() == [0.0] and g2_sq.tolist() == [relay_ue_gain(cfg, ue, 0.0)]
+        for scheme in ("proposed", "benchmark2"):
+            total, bs_w = _EVALUATORS[scheme](cfg, np.array([1.0]), np.array([0.0]), np.zeros(1))
+            assert np.isfinite(total).all() and np.isfinite(bs_w).all()
+        assert solve(cfg, ue).total_power_w == benchmark2_power(cfg, ue).total_power_w == total[0]
+
     # The sweep varies only fields from this set, which is why a sweep could
     # place the antenna once for all of its values.
     @given(
@@ -169,8 +184,10 @@ class TestOptimalPinPosition:
         assert relay_ue_gain(changed, ue, x_pin) == relay_ue_gain(base, ue, x_pin)
         rng = np.random.default_rng(seed)
         xs, ys = rng.uniform(0.0, 30.0, 200), rng.uniform(0.0, 10.0, 200)
-        x_pins = optimal_pin_positions(changed, xs, ys)
-        assert x_pins.tolist() == optimal_pin_positions(base, xs, ys).tolist()
+        x_pins, g2_sq = optimal_pin_positions(changed, xs, ys)
+        base_pins, base_g2_sq = optimal_pin_positions(base, xs, ys)
+        assert x_pins.tolist() == base_pins.tolist()
+        assert g2_sq.tolist() == base_g2_sq.tolist()
         assert relay_ue_gains(changed, xs, ys, x_pins).tolist() == relay_ue_gains(base, xs, ys, x_pins).tolist()
 
 
@@ -281,6 +298,18 @@ class TestSolve:
         message = (
             f"link budget out of range on the BS-relay link: gain {gain} at "
             f"bs_relay_distance_m={bad.bs_relay_distance_m!r}, carrier_frequency_hz={bad.carrier_frequency_hz!r}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scheme(bad, ue_mid)
+
+    # f d1 = 1 keeps the first hop in range while the second hop leaves it
+    @pytest.mark.parametrize("frequency, d1, gain", [(1e-150, 1e150, "inf"), (1e170, 1e-170, "0.0")])
+    @pytest.mark.parametrize("scheme", [solve, benchmark2_power], ids=["solve", "benchmark2_power"])
+    def test_second_hop_out_of_range_is_a_named_error(self, cfg, ue_mid, scheme, frequency, d1, gain):
+        bad = replace(cfg, carrier_frequency_hz=frequency, bs_relay_distance_m=d1)
+        message = (
+            f"link budget out of range on the relay-UE link: gain {gain} at waveguide_attenuation_per_m=0.01, "
+            f"waveguide_height_m=3.0, carrier_frequency_hz={frequency!r}"
         )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             scheme(bad, ue_mid)

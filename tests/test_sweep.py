@@ -147,7 +147,11 @@ class TestRunSweep:
         spec = small_spec(variable="bs_relay_distance_m", values=(1e-170,), schemes=("proposed",))
         with pytest.raises(RuntimeError, match=r"scheme 'proposed' failed at sample 0") as info:
             run_sweep(SystemConfig(carrier_frequency_hz=1e170), spec)
-        detail = r"\(ue=\([\d.e+-]+, [\d.e+-]+\), bs_relay_distance_m=1e-170\): g2_sq must be positive, got 0.0$"
+        detail = (
+            r"\(ue=\([\d.e+-]+, [\d.e+-]+\), bs_relay_distance_m=1e-170\): "
+            r"link budget out of range on the relay-UE link: gain 0.0 at waveguide_attenuation_per_m=0.01, "
+            r"waveguide_height_m=3.0, carrier_frequency_hz=1e\+170$"
+        )
         assert re.search(detail, str(info.value))
 
     def test_non_finite_power_names_the_sample(self):
