@@ -54,13 +54,8 @@ def _unit_parser(units: dict[str, float], expected: str) -> Callable[[str], floa
 parse_frequency_hz = _unit_parser({"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}, "a frequency in Hz/kHz/MHz/GHz")
 parse_length_m = _unit_parser({"m": 1.0, "cm": 1e-2, "mm": 1e-3, "km": 1e3}, "a length in m/cm/mm/km")
 parse_power_w = _unit_parser({"w": 1.0, "mw": 1e-3, "kw": 1e3}, "a power in W/mW/kW")
-
-
-def parse_db_value(text: str) -> float:
-    value, unit = _split_quantity(text)
-    if unit not in ("", "db", "dbi"):
-        raise ValueError(f"{text!r}: expected a plain dB value")
-    return value
+parse_db_value = _unit_parser({"db": 1.0, "dbi": 1.0}, "a plain dB value")
+parse_plain = _unit_parser({}, "a unitless number")
 
 
 def parse_ratio_or_db(text: str) -> float:
@@ -70,13 +65,6 @@ def parse_ratio_or_db(text: str) -> float:
         return db_to_linear(value)
     if unit:
         raise ValueError(f"{text!r}: expected a linear ratio or a value with a dB suffix")
-    return value
-
-
-def parse_plain(text: str) -> float:
-    value, unit = _split_quantity(text)
-    if unit:
-        raise ValueError(f"{text!r}: expected a unitless number")
     return value
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar
+from typing import Callable
 
 import numpy as np
 
@@ -42,13 +42,6 @@ def db_to_linear(value_db: float) -> float:
         return 10.0 ** (value_db / 10.0)
     except OverflowError:
         raise ValueError(f"{value_db!r} dB is too large to convert to a linear ratio") from None
-
-
-def linear_to_db(value: float) -> float:
-    """dB value for a linear power ratio."""
-    if value <= 0.0:
-        raise ValueError(f"nonpositive ratio has no dB representation: {value!r}")
-    return 10.0 * math.log10(value)
 
 
 def require_positive(**values: float) -> None:
@@ -107,28 +100,16 @@ class SystemConfig:
     coverage_x_m: float = 30.0
     coverage_y_m: float = 10.0
 
-    speed_of_light_m_s: ClassVar[float] = SPEED_OF_LIGHT_M_S
-
     def __post_init__(self) -> None:
         for field in fields(self):
             value = getattr(self, field.name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{field.name} must be finite, got {value!r}")
-        for name in (
-            "carrier_frequency_hz",
-            "bandwidth_hz",
-            "waveguide_length_m",
-            "waveguide_height_m",
-            "bs_relay_distance_m",
-            "snr_target_linear",
-            "coverage_x_m",
-            "coverage_y_m",
-        ):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        for name in ("waveguide_attenuation_per_m", "relay_circuit_power_w", "bs_rf_chain_power_w"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
+        positive = ("carrier_frequency_hz", "bandwidth_hz", "waveguide_length_m", "waveguide_height_m")
+        positive += ("bs_relay_distance_m", "snr_target_linear", "coverage_x_m", "coverage_y_m")
+        require_positive(**{name: getattr(self, name) for name in positive})
+        nonnegative = ("waveguide_attenuation_per_m", "relay_circuit_power_w", "bs_rf_chain_power_w")
+        _require_nonnegative(**{name: getattr(self, name) for name in nonnegative})
         if not 0.0 < self.pa_efficiency <= 1.0:
             raise ValueError(f"pa_efficiency must lie in (0, 1], got {self.pa_efficiency!r}")
 
@@ -177,9 +158,15 @@ class ChannelGains:
     sigma_ue_sq_w: float
 
     def __post_init__(self) -> None:
-        require_positive(
-            g1_sq=self.g1_sq, g2_sq=self.g2_sq, sigma_r_sq_w=self.sigma_r_sq_w, sigma_ue_sq_w=self.sigma_ue_sq_w
-        )
+        # Written out, one comparison per field: a ChannelGains is built on every solve.
+        if not 0.0 < self.g1_sq < math.inf:
+            raise ValueError(f"g1_sq must lie in (0, inf), got {self.g1_sq!r}")
+        if not 0.0 < self.g2_sq < math.inf:
+            raise ValueError(f"g2_sq must lie in (0, inf), got {self.g2_sq!r}")
+        if not 0.0 < self.sigma_r_sq_w < math.inf:
+            raise ValueError(f"sigma_r_sq_w must lie in (0, inf), got {self.sigma_r_sq_w!r}")
+        if not 0.0 < self.sigma_ue_sq_w < math.inf:
+            raise ValueError(f"sigma_ue_sq_w must lie in (0, inf), got {self.sigma_ue_sq_w!r}")
 
 
 def noise_power_w(bandwidth_hz: float, noise_figure_db: float) -> float:
@@ -239,6 +226,7 @@ def relay_ue_gain(config: SystemConfig, ue: UePosition, x_pin_m: float) -> float
     Product of the guided-wave attenuation exp(-alpha_D * x_pin) accumulated up
     to the pinch point and the free-space gain over the 3-D pinch-to-user
     distance.  ``x_pin_m`` must lie on the waveguide, i.e. in [0, L]; the gain is unchecked.
+    A zero distance makes the free-space factor ``inf``, as in :func:`relay_ue_gains`.
     """
     if not 0.0 <= x_pin_m <= config.waveguide_length_m:
         raise ValueError(
@@ -248,7 +236,11 @@ def relay_ue_gain(config: SystemConfig, ue: UePosition, x_pin_m: float) -> float
     height = config.waveguide_height_m
     distance = math.sqrt(dx * dx + ue.y_ue_m * ue.y_ue_m + height * height)
     attenuation = math.exp(-config.waveguide_attenuation_per_m * x_pin_m)
-    return attenuation * free_space_gain(distance, config.carrier_frequency_hz)
+    try:
+        free_space = _free_space(distance, config.carrier_frequency_hz)
+    except ZeroDivisionError:
+        free_space = math.inf
+    return attenuation * free_space
 
 
 def relay_ue_gains(
@@ -292,12 +284,6 @@ def af_snr(p1_w: float, beta_sq: float, gains: ChannelGains) -> float:
     return signal / noise
 
 
-def relay_tx_power_w(p1_w: float, beta_sq: float, gains: ChannelGains) -> float:
-    """Relay transmit power P2 = beta^2 (P1 |g1|^2 + sigma_r^2)."""
-    _require_nonnegative(p1_w=p1_w, beta_sq=beta_sq)
-    return relay_tx_power(p1_w, beta_sq, gains.g1_sq, gains.sigma_r_sq_w)
-
-
 def total_power_w(p1_w: float, beta_sq: float, gains: ChannelGains, config: SystemConfig) -> float:
     """Total consumed power: BS transmit + relay PA draw + constant circuit terms.
 
@@ -305,11 +291,12 @@ def total_power_w(p1_w: float, beta_sq: float, gains: ChannelGains, config: Syst
     (eta_pa P1 + P2) / eta_pa + constants, which is what the closed-form cost
     minimizes.
     """
-    return consumed_power(p1_w, relay_tx_power_w(p1_w, beta_sq, gains), config)
+    _require_nonnegative(p1_w=p1_w, beta_sq=beta_sq)
+    return consumed_power(p1_w, relay_tx_power(p1_w, beta_sq, gains.g1_sq, gains.sigma_r_sq_w), config)
 
 
 def relay_tx_power(p1_w: float | np.ndarray, beta_sq: float | np.ndarray, g1_sq: float, sigma_r_sq_w: float):
-    """Unchecked :func:`relay_tx_power_w` in operators only, for floats or arrays."""
+    """Relay transmit power P2 = beta^2 (P1 |g1|^2 + sigma_r^2), unchecked; operators only, for floats or arrays."""
     return beta_sq * (p1_w * g1_sq + sigma_r_sq_w)
 
 

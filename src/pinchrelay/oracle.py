@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ChannelGains, SystemConfig, UePosition
+from .model import SPEED_OF_LIGHT_M_S, ChannelGains, SystemConfig, UePosition
 from .optimize import optimal_pin_position, optimal_power_allocation
 
 log = logging.getLogger(__name__)
@@ -190,11 +190,11 @@ def _bs_gain(config: SystemConfig) -> float:
     except OverflowError:
         raise ValueError(f"horn gains {tx!r} dBi and {rx!r} dBi are too large for a linear power gain") from None
     f, d = config.carrier_frequency_hz, config.bs_relay_distance_m
-    return horn * (SystemConfig.speed_of_light_m_s / (4.0 * math.pi * f * d)) ** 2
+    return horn * (SPEED_OF_LIGHT_M_S / (4.0 * math.pi * f * d)) ** 2
 
 
 def _pin_gain(config: SystemConfig, ue: UePosition, x_pin_m: float) -> float:
     dist_sq = (ue.x_ue_m - x_pin_m) ** 2 + ue.y_ue_m**2 + config.waveguide_height_m**2
     f = config.carrier_frequency_hz
-    fsg = SystemConfig.speed_of_light_m_s**2 / (16.0 * math.pi**2 * f * f * dist_sq)
+    fsg = SPEED_OF_LIGHT_M_S**2 / (16.0 * math.pi**2 * f * f * dist_sq)
     return math.exp(-config.waveguide_attenuation_per_m * x_pin_m) * fsg

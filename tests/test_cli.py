@@ -107,6 +107,13 @@ class TestSolveCommand:
         assert captured.err.startswith("error: link budget out of range on the relay-UE link: gain inf at ")
         assert captured.err.count("\n") == 1
 
+    def test_zero_pinch_to_user_distance_is_one_error_line(self, capsys):
+        assert cli_main(["solve", "--ue", "5,0", "--height", "1e-200"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: link budget out of range on the relay-UE link: gain inf at ")
+        assert "waveguide_height_m=1e-200" in captured.err and captured.err.count("\n") == 1
+
     def test_scenario_flags_change_the_answer(self, capsys):
         assert cli_main(["solve", "--ue", "15,5", "--gamma0", "30dB", "--json"]) == 0
         strict = json.loads(capsys.readouterr().out)

@@ -22,11 +22,11 @@ from pinchrelay import (
     pin_objective,
     solve,
 )
-from pinchrelay.model import relay_ue_gain, relay_ue_gains
+from pinchrelay.model import SPEED_OF_LIGHT_M_S, relay_ue_gain, relay_ue_gains
 from pinchrelay.optimize import optimal_pin_positions, stationary_points
 from pinchrelay.sweep import _EVALUATORS
 
-C = SystemConfig.speed_of_light_m_s
+C = SPEED_OF_LIGHT_M_S
 
 
 def symmetric_toy():
@@ -313,3 +313,27 @@ class TestSolve:
         )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             scheme(bad, ue_mid)
+
+    # Once the height's square underflows, a pinch point right above the user is at distance 0.
+    @pytest.mark.parametrize("scheme, x_ue", [("proposed", 0.0), ("proposed", 5.0), ("benchmark2", 0.0)])
+    def test_zero_pinch_to_user_distance_is_a_relay_ue_error_on_both_paths(self, cfg, scheme, x_ue):
+        bad = replace(cfg, waveguide_height_m=1e-200)
+        message = re.escape(
+            "link budget out of range on the relay-UE link: gain inf at waveguide_attenuation_per_m=0.01, "
+            "waveguide_height_m=1e-200, carrier_frequency_hz=28000000000.0"
+        )
+        scalar = {"proposed": solve, "benchmark2": benchmark2_power}[scheme]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            scalar(bad, UePosition(x_ue, 0.0))
+        with np.errstate(divide="ignore"), pytest.raises(ValueError, match=f"^{message}$"):
+            _EVALUATORS[scheme](bad, np.array([x_ue]), np.zeros(1), np.zeros(1))
+
+    def test_zero_distance_behind_full_attenuation_leaves_the_feed_on_both_paths(self):
+        # exp(-1000) underflows, so the candidate above the user has gain 0 * inf = nan and the feed wins
+        cfg = SystemConfig(waveguide_attenuation_per_m=100.0, waveguide_height_m=1e-200)
+        ue = UePosition(10.0, 0.0)
+        assert optimal_pin_position(cfg, ue) == 0.0
+        sol = solve(cfg, ue)
+        with np.errstate(all="ignore"):
+            total, p1 = _EVALUATORS["proposed"](cfg, np.array([10.0]), np.zeros(1), np.zeros(1))
+        assert (total[0], p1[0]) == (sol.total_power_w, sol.p1_w)
