@@ -8,72 +8,34 @@ total consumed power, brute-force verification oracles, two benchmark
 schemes, and a sweep/CLI layer for reproducible experiments.
 """
 
-from .benchmarks import (
-    benchmark1_total_power_w,
-    benchmark1_tx_power_w,
-    benchmark2_power,
-)
-from .model import (
-    ChannelGains,
-    SystemConfig,
-    UePosition,
-    af_snr,
-    channel_gains,
-    db_to_linear,
-    total_power_w,
-)
-from .optimize import (
-    PowerSolution,
-    optimal_pin_position,
-    optimal_power_allocation,
-    solve,
-)
-from .oracle import (
-    OracleReport,
-    grid_power_min_2d,
-    grid_search_pin,
-    numeric_power_min,
-    pin_objective,
-    verify_scenario,
-)
-from .sweep import (
-    SCHEMES,
-    SweepRecord,
-    SweepSpec,
-    export_csv,
-    read_csv,
-    run_sweep,
-    write_gnuplot_script,
-)
+import importlib
 
-__all__ = [
-    "SCHEMES",
-    "ChannelGains",
-    "OracleReport",
-    "PowerSolution",
-    "SweepRecord",
-    "SweepSpec",
-    "SystemConfig",
-    "UePosition",
-    "af_snr",
-    "benchmark1_total_power_w",
-    "benchmark1_tx_power_w",
-    "benchmark2_power",
-    "channel_gains",
-    "db_to_linear",
-    "export_csv",
-    "grid_power_min_2d",
-    "grid_search_pin",
-    "numeric_power_min",
-    "optimal_pin_position",
-    "optimal_power_allocation",
-    "pin_objective",
-    "read_csv",
-    "run_sweep",
-    "solve",
-    "total_power_w",
-    "verify_scenario",
-    "write_gnuplot_script",
-]
+# Each public name, by the module that defines it.  A module is imported when
+# one of its names is first read (PEP 562), so ``import pinchrelay`` imports no
+# submodule and no numpy.
+_MODULES = {
+    "benchmarks": ("benchmark1_total_power_w", "benchmark1_tx_power_w", "benchmark2_power"),
+    "model": ("ChannelGains", "SystemConfig", "UePosition", "af_snr", "channel_gains", "db_to_linear", "total_power_w"),
+    "optimize": ("PowerSolution", "optimal_pin_position", "optimal_power_allocation", "solve"),
+    "oracle": (
+        "OracleReport", "grid_power_min_2d", "grid_search_pin", "numeric_power_min", "pin_objective", "verify_scenario"
+    ),
+    "sweep": ("SCHEMES", "SweepRecord", "SweepSpec", "export_csv", "read_csv", "run_sweep", "write_gnuplot_script"),
+}
+_MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

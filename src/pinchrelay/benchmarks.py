@@ -13,11 +13,15 @@ quotient :func:`benchmark1_tx_power_w`, for one user as floats or many as arrays
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .model import SystemConfig, UePosition, free_space_gain, libm_each, require_link_gain
+from .model import SystemConfig, UePosition, free_space_gain
 from .optimize import PowerSolution, solve_at
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    Floats = float | np.ndarray  # one user as floats, or many as arrays
 
 # The direct scheme's array and channel, fixed modelling choices that every
 # caller shares: 64 elements of 2.15 dBi each with array gain N (the
@@ -30,8 +34,6 @@ PATH_LOSS_EXPONENT = 4.0
 SHADOWING_STD_DB = math.sqrt(11.0)
 RF_CHAIN_POWER_W = 0.1
 
-Floats = float | np.ndarray  # one user as floats, or many as arrays
-
 
 def benchmark1_link_gain(config: SystemConfig, x_ue_m: Floats, y_ue_m: Floats, shadow_db: Floats):
     """Power gain of the direct link to one user or many.
@@ -42,11 +44,15 @@ def benchmark1_link_gain(config: SystemConfig, x_ue_m: Floats, y_ue_m: Floats, s
     gain x element gain x log-distance loss x lognormal shadowing, with
     ``shadow_db`` one shadowing draw in dB.  Floats give a float; arrays give
     one gain per user, each equal to the float result (``hypot`` and ``pow``
-    run per element through :func:`~.model.libm_each`).  A gain that
+    run per element through :func:`~.kernel.libm_each`).  A gain that
     underflows to 0, overflows to inf or is nan raises
-    :class:`~.model.SampleError` (a ``ValueError``) whose ``index`` is the
+    :class:`~.kernel.SampleError` (a ``ValueError``) whose ``index`` is the
     first user at fault.
     """
+    import numpy as np
+
+    from .kernel import libm_each, require_link_gain  # here, not at the top: the kernel imports this module
+
     distance = config.bs_relay_distance_m + libm_each(math.hypot, x_ue_m, y_ue_m)
     anchor = free_space_gain(1.0, config.carrier_frequency_hz)
     try:

@@ -17,11 +17,8 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .model import SystemConfig, UePosition, db_to_linear
 from .optimize import solve
-from .oracle import verify_scenario
 from .sweep import SCHEMES, VARIABLES, SweepSpec, export_csv, run_sweep, write_gnuplot_script
 
 
@@ -285,6 +282,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def verify_scenario(config: SystemConfig, ue: UePosition, *, grid_step_m: float):
+    """The oracle's :func:`~.oracle.verify_scenario`, imported when first called, so only ``verify`` loads numpy."""
+    from . import oracle
+
+    return oracle.verify_scenario(config, ue, grid_step_m=grid_step_m)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = _build_config(args)
     if args.trials < 1:
@@ -293,6 +297,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("--seed must be >= 0")
     if not 0.0 < args.grid_step <= config.waveguide_length_m:
         raise UsageError(f"--grid-step must lie in (0, {config.waveguide_length_m:g}] m, got {args.grid_step!r}")
+    import numpy as np
+
     rng = np.random.default_rng(args.seed)
     failures = 0
     for k in range(args.trials):

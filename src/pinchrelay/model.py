@@ -10,24 +10,19 @@ Everything in this module works in linear SI units (Hz, m, W, dimensionless
 power gains).  dB quantities are converted once, explicitly, at the boundary
 (:func:`db_to_linear`); nothing converts implicitly.
 
-The sweep kernel evaluates many users at once: :func:`relay_ue_gains` is the
-array form of :func:`relay_ue_gain`, and :func:`relay_tx_power` and
-:func:`consumed_power` are the power accounting that scalar and array callers
-share.  Array results equal the scalar ones bit for bit per element: squares
-are written as products, arithmetic runs in the scalar expressions' order, and
-``exp``/``pow``/``hypot`` go through :mod:`math` per element
-(:func:`libm_each`), because numpy's vectorised versions round differently
-from libm on a few percent of inputs.
+This module imports no numpy; the array forms are in :mod:`.kernel`.
+:func:`relay_tx_power`, :func:`consumed_power` and the free-space factor use
+arithmetic operators only, so they serve floats and arrays alike.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 BOLTZMANN_J_PER_K = 1.380649e-23
@@ -49,28 +44,6 @@ def require_positive(**values: float) -> None:
     for name, value in values.items():
         if not value > 0.0:
             raise ValueError(f"{name} must be positive, got {value!r}")
-
-
-class SampleError(ValueError):
-    """One sample of an array evaluation is invalid; ``index`` says which."""
-
-    def __init__(self, index: int, message: str) -> None:
-        super().__init__(message)
-        self.index = index
-
-
-def libm_each(fn: Callable[..., float], *args: float | np.ndarray) -> float | np.ndarray:
-    """``fn``, a :mod:`math` function, applied to each element of the array arguments.
-
-    Float arguments repeat for every element; with no array argument this is
-    plain ``fn(*args)``.  Calling libm keeps each element equal to the scalar
-    code's result, which numpy's vectorised ``exp``/``pow``/``hypot`` do not.
-    """
-    size = next((a.size for a in args if isinstance(a, np.ndarray)), None)
-    if size is None:
-        return fn(*args)
-    columns = [a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args]
-    return np.fromiter(map(fn, *columns), float, size)
 
 
 @dataclass(frozen=True)
@@ -179,7 +152,8 @@ def noise_power_w(bandwidth_hz: float, noise_figure_db: float) -> float:
 def free_space_gain(distance_m: float, frequency_hz: float) -> float:
     """Free-space power gain (lambda / 4 pi d)^2 = c^2 / (16 pi^2 f^2 d^2).
 
-    Singular at zero distance, so nonpositive arguments are rejected.
+    Singular at zero distance, so nonpositive arguments are rejected; positive
+    ones whose product ``4 pi f d`` underflows to 0 give an infinite gain.
     """
     if not distance_m > 0.0:
         raise ValueError(f"distance must be positive, got {distance_m!r}")
@@ -189,20 +163,12 @@ def free_space_gain(distance_m: float, frequency_hz: float) -> float:
 
 
 def _free_space(distance_m: float | np.ndarray, frequency_hz: float) -> float | np.ndarray:
-    ratio = SPEED_OF_LIGHT_M_S / (4.0 * math.pi * frequency_hz * distance_m)
+    """(c / 4 pi f d)^2; a float ``4 pi f d`` that underflows to 0 gives inf, as it does in an array."""
+    try:
+        ratio = SPEED_OF_LIGHT_M_S / (4.0 * math.pi * frequency_hz * distance_m)
+    except ZeroDivisionError:
+        return math.inf
     return ratio * ratio
-
-
-def require_link_gain(config: SystemConfig, link: str, gain: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
-    """``gain`` if all of it lies in (0, inf), else a :class:`SampleError` at the first element at fault.
-
-    Its message is :func:`link_out_of_range`'s; scalar callers compare and raise ``ValueError`` inline.
-    """
-    bad = np.flatnonzero(~((gain > 0.0) & (gain < math.inf)))
-    if bad.size:
-        k = int(bad[0])
-        raise SampleError(k, link_out_of_range(config, link, float(gain.flat[k]), names))
-    return gain
 
 
 def link_out_of_range(config: SystemConfig, link: str, gain: float, names: tuple[str, ...]) -> str:
@@ -226,7 +192,7 @@ def relay_ue_gain(config: SystemConfig, ue: UePosition, x_pin_m: float) -> float
     Product of the guided-wave attenuation exp(-alpha_D * x_pin) accumulated up
     to the pinch point and the free-space gain over the 3-D pinch-to-user
     distance.  ``x_pin_m`` must lie on the waveguide, i.e. in [0, L]; the gain is unchecked.
-    A zero distance makes the free-space factor ``inf``, as in :func:`relay_ue_gains`.
+    A zero distance makes the free-space factor ``inf``, as in :func:`~.kernel.relay_ue_gains`.
     """
     if not 0.0 <= x_pin_m <= config.waveguide_length_m:
         raise ValueError(
@@ -236,25 +202,6 @@ def relay_ue_gain(config: SystemConfig, ue: UePosition, x_pin_m: float) -> float
     height = config.waveguide_height_m
     distance = math.sqrt(dx * dx + ue.y_ue_m * ue.y_ue_m + height * height)
     attenuation = math.exp(-config.waveguide_attenuation_per_m * x_pin_m)
-    try:
-        free_space = _free_space(distance, config.carrier_frequency_hz)
-    except ZeroDivisionError:
-        free_space = math.inf
-    return attenuation * free_space
-
-
-def relay_ue_gains(
-    config: SystemConfig, xs: np.ndarray, ys: np.ndarray, x_pin_m: float | np.ndarray
-) -> np.ndarray:
-    """Array form of :func:`relay_ue_gain` for users ``(xs, ys)``, equal to it per element.
-
-    ``x_pin_m`` is one position for every user or one per user, on the
-    waveguide.  Like the scalar form it leaves the gain unchecked.
-    """
-    dx = xs - x_pin_m
-    height = config.waveguide_height_m
-    distance = np.sqrt(dx * dx + ys * ys + height * height)
-    attenuation = libm_each(math.exp, -config.waveguide_attenuation_per_m * x_pin_m)
     return attenuation * _free_space(distance, config.carrier_frequency_hz)
 
 

@@ -17,17 +17,16 @@ weighted cost ``J = eta_pa P1 + beta^2 (P1 |g1|^2 + sigma_r^2)`` to
 sigma_r^2``, minimized at ``u* = sqrt(B / A)``.  Total consumed power at the
 optimum is ``J* / eta_pa`` plus the constant circuit terms.
 
-The array form :func:`optimal_pin_positions` places many users at once for the
-sweep with their gains, both equal to the scalar ones bit for bit; the sweep and
-:func:`optimal_power_allocation` share the operator-only split :func:`split_power`.
+This module imports no numpy.  The sweep places users with the array form in
+:mod:`.kernel`, and it shares the operator-only split :func:`split_power` with
+:func:`optimal_power_allocation`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import (
     ChannelGains,
@@ -37,8 +36,10 @@ from .model import (
     consumed_power,
     relay_tx_power,
     relay_ue_gain,
-    relay_ue_gains,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -107,27 +108,6 @@ def optimal_pin_position(config: SystemConfig, ue: UePosition) -> float:
     if relay_ue_gain(config, ue, candidate) > relay_ue_gain(config, ue, 0.0):
         return candidate
     return 0.0
-
-
-def optimal_pin_positions(config: SystemConfig, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`optimal_pin_position` for users ``(xs, ys)``, equal to it per element.
-
-    Returns ``(x_pins, g2_sq)``: each user's pinch point and the unchecked |g2|^2 it was chosen by.
-    """
-    length = config.waveguide_length_m
-    alpha = config.waveguide_attenuation_per_m
-    if alpha == 0.0:
-        x_pins = np.minimum(np.maximum(xs, 0.0), length)
-        return x_pins, relay_ue_gains(config, xs, ys, x_pins)
-    height = config.waveguide_height_m
-    c_const = ys * ys + height * height
-    delta = 4.0 - 4.0 * alpha * alpha * c_const
-    root = np.sqrt(np.maximum(1.0 - alpha * alpha * c_const, 0.0))  # used only where delta >= 0
-    candidate = np.minimum(np.maximum(xs - (1.0 - root) / alpha, 0.0), length)
-    at_candidate = relay_ue_gains(config, xs, ys, candidate)
-    at_feed = relay_ue_gains(config, xs, ys, 0.0)
-    wins = (delta >= 0.0) & (at_candidate > at_feed)
-    return np.where(wins, candidate, 0.0), np.where(wins, at_candidate, at_feed)
 
 
 def optimal_power_allocation(gains: ChannelGains, config: SystemConfig) -> tuple[float, float, float]:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import SPEED_OF_LIGHT_M_S, ChannelGains, SystemConfig, UePosition
+from .model import SPEED_OF_LIGHT_M_S, ChannelGains, SystemConfig, UePosition, link_out_of_range
 from .optimize import optimal_pin_position, optimal_power_allocation
 
 log = logging.getLogger(__name__)
@@ -190,7 +190,13 @@ def _bs_gain(config: SystemConfig) -> float:
     except OverflowError:
         raise ValueError(f"horn gains {tx!r} dBi and {rx!r} dBi are too large for a linear power gain") from None
     f, d = config.carrier_frequency_hz, config.bs_relay_distance_m
-    return horn * (SPEED_OF_LIGHT_M_S / (4.0 * math.pi * f * d)) ** 2
+    try:
+        g1_sq = horn * (SPEED_OF_LIGHT_M_S / (4.0 * math.pi * f * d)) ** 2
+    except ArithmeticError:  # the square overflows, or 4 pi f d underflows to 0
+        g1_sq = math.inf
+    if not 0.0 < g1_sq < math.inf:
+        raise ValueError(link_out_of_range(config, "BS-relay", g1_sq, ("bs_relay_distance_m", "carrier_frequency_hz")))
+    return g1_sq
 
 
 def _pin_gain(config: SystemConfig, ue: UePosition, x_pin_m: float) -> float:

@@ -8,13 +8,11 @@ per-sample monotonicity of the underlying schemes, and aggregation uses exact
 summation so results do not depend on evaluation order.
 
 At each sweep value every scheme is evaluated over all users at once, as
-numpy arrays (the sweep kernel), in two stages.  A scheme's user stage does
-the per-user work (placement and the second-hop gain, or the direct link's
-gain) and reads only the SystemConfig fields it declares; its power stage
-turns that into total and BS power at the sweep value's config.  ``run_sweep``
-reruns a user stage only when one of its fields differs from the previous
-sweep value.  Each user's result equals the scalar ``solve``/
-``benchmark2_power``/``benchmark1_tx_power_w`` path bit for bit.
+numpy arrays, by :mod:`.kernel`, which reruns a scheme's per-user stage only
+when a SystemConfig field it reads differs from the previous sweep value.
+Each user's result equals the scalar ``solve``/``benchmark2_power``/
+``benchmark1_tx_power_w`` path bit for bit.  ``run_sweep`` imports the kernel
+and numpy when it runs, so specs and CSVs are handled without them.
 """
 
 from __future__ import annotations
@@ -23,14 +21,10 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, Sequence
 
-import numpy as np
-
-from .benchmarks import SHADOWING_STD_DB, benchmark1_link_gain, benchmark1_total_power_w
-from .model import SampleError, SystemConfig, bs_relay_gain, consumed_power, db_to_linear, relay_tx_power
-from .model import RELAY_UE_FIELDS, relay_ue_gains, require_link_gain, require_positive
-from .optimize import optimal_pin_positions, split_power
+from .benchmarks import SHADOWING_STD_DB
+from .model import SystemConfig, db_to_linear
 
 # One entry per sweep variable: the SystemConfig field a sweep value sets, the
 # conversion of a value to that field, the unit suffixes the CLI accepts on
@@ -41,42 +35,9 @@ VARIABLES = {
 }
 
 
-class _Scheme(NamedTuple):
-    fields: tuple[str, ...]  # the SystemConfig fields that ``users`` reads
-    users: Callable[[SystemConfig, np.ndarray, np.ndarray, np.ndarray], Any]
-    power: Callable[[SystemConfig, Any], tuple[np.ndarray, np.ndarray]]
-
-    def __call__(self, cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray):
-        return self.power(cfg, self.users(cfg, xs, ys, shadows_db))
-
-
-def _second_hop(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray, at_feed: bool = False):
-    """Each user's second-hop power gain and amplitude, at the best pinch point or at the feed."""
-    g2_sq = relay_ue_gains(cfg, xs, ys, 0.0) if at_feed else optimal_pin_positions(cfg, xs, ys)[1]
-    g2_sq = require_link_gain(cfg, "relay-UE", g2_sq, RELAY_UE_FIELDS)
-    return g2_sq, np.sqrt(g2_sq)
-
-
-def _relay_power(cfg: SystemConfig, second_hop: tuple[np.ndarray, np.ndarray]):
-    g1_sq, sigma_r_sq_w, sigma_ue_sq_w = bs_relay_gain(cfg), cfg.relay_noise_w, cfg.ue_noise_w
-    require_positive(sigma_r_sq_w=sigma_r_sq_w, sigma_ue_sq_w=sigma_ue_sq_w)
-    p1, beta_sq, _ = split_power(cfg, g1_sq, sigma_r_sq_w, sigma_ue_sq_w, *second_hop)
-    return consumed_power(p1, relay_tx_power(p1, beta_sq, g1_sq, sigma_r_sq_w), cfg), p1
-
-
-def _direct_power(cfg: SystemConfig, gain: np.ndarray):
-    tx = cfg.snr_target_linear * cfg.ue_noise_w / gain
-    return benchmark1_total_power_w(cfg, tx), tx
-
-
-_EVALUATORS = {
-    "proposed": _Scheme((*RELAY_UE_FIELDS, "waveguide_length_m"), _second_hop, _relay_power),
-    "benchmark1": _Scheme(("bs_relay_distance_m", "carrier_frequency_hz"), benchmark1_link_gain, _direct_power),
-    "benchmark2": _Scheme(
-        RELAY_UE_FIELDS, lambda cfg, xs, ys, shadows_db: _second_hop(cfg, xs, ys, shadows_db, at_feed=True), _relay_power
-    ),
-}
-SCHEMES = tuple(_EVALUATORS)
+# The kernel's schemes in the order of its ``_EVALUATORS`` table (a test holds the
+# two equal), written out so that a spec or a CSV needs neither the kernel nor numpy.
+SCHEMES = ("proposed", "benchmark1", "benchmark2")
 
 CSV_HEADER = ("variable", "scheme", "mean_total_power_w", "mean_bs_power_w", "n_samples")
 
@@ -130,6 +91,10 @@ def run_sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRecord]:
     sample and its user when one sample is at fault (a link gain out of range,
     a total or BS power that is not finite), and the cause.
     """
+    import numpy as np
+
+    from .kernel import SampleError, evaluate
+
     rng = np.random.default_rng(spec.seed)
     xs = rng.uniform(0.0, config.coverage_x_m, spec.ue_samples)
     ys = rng.uniform(0.0, config.coverage_y_m, spec.ue_samples)
@@ -143,7 +108,7 @@ def run_sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRecord]:
         mean_bs: dict[str, float] = {}
         for scheme in spec.schemes:
             try:
-                total, bs_w = _evaluate(scheme, cfg, xs, ys, shadows, users)
+                total, bs_w = evaluate(scheme, cfg, xs, ys, shadows, users)
             except SampleError as exc:
                 k = exc.index
                 raise RuntimeError(
@@ -156,21 +121,6 @@ def run_sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRecord]:
             mean_bs[scheme] = math.fsum(bs_w.tolist()) / spec.ue_samples
         records.append(SweepRecord(float(value), mean_total, mean_bs, spec.ue_samples))
     return records
-
-
-def _evaluate(scheme: str, cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray, users: dict):
-    """One scheme's (total, BS power) arrays, its user stage reused while its fields hold; non-finite ones raise."""
-    stages = _EVALUATORS[scheme]
-    key = tuple(getattr(cfg, name) for name in stages.fields)
-    with np.errstate(all="ignore"):  # a non-finite result is reported below, with its sample
-        if scheme not in users or users[scheme][0] != key:
-            users[scheme] = key, stages.users(cfg, xs, ys, shadows_db)
-        total, bs_w = stages.power(cfg, users[scheme][1])
-    bad = np.flatnonzero(~(np.isfinite(total) & np.isfinite(bs_w)))
-    if bad.size:
-        k = int(bad[0])
-        raise SampleError(k, f"total power {float(total[k])!r} W and BS power {float(bs_w[k])!r} W must be finite")
-    return total, bs_w
 
 
 def export_csv(records: Iterable[SweepRecord], path: str | Path) -> None:

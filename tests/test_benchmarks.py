@@ -19,8 +19,8 @@ from pinchrelay import (
     solve,
 )
 from pinchrelay.benchmarks import NUM_ELEMENTS, PATH_LOSS_EXPONENT, SHADOWING_STD_DB
-from pinchrelay.model import SPEED_OF_LIGHT_M_S, SampleError, free_space_gain, relay_ue_gain
-from pinchrelay.sweep import _EVALUATORS
+from pinchrelay.kernel import _EVALUATORS, SampleError
+from pinchrelay.model import SPEED_OF_LIGHT_M_S, free_space_gain, relay_ue_gain
 
 NO_SHADOW = 0.0
 

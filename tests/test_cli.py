@@ -7,6 +7,7 @@ from dataclasses import fields
 
 import pytest
 
+import pinchrelay.cli
 from pinchrelay import SystemConfig
 from pinchrelay.cli import (
     MAX_RANGE_VALUES,
@@ -106,6 +107,15 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: link budget out of range on the relay-UE link: gain inf at ")
         assert captured.err.count("\n") == 1
+
+    def test_first_hop_whose_4_pi_f_d_underflows_is_one_error_line(self, capsys):
+        assert cli_main(["solve", "--ue", "15,5", "--freq", "1e-200", "--d1", "1e-200"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: link budget out of range on the BS-relay link: gain inf at "
+            "bs_relay_distance_m=1e-200, carrier_frequency_hz=1e-200\n"
+        )
 
     def test_zero_pinch_to_user_distance_is_one_error_line(self, capsys):
         assert cli_main(["solve", "--ue", "5,0", "--height", "1e-200"]) == 1
@@ -324,6 +334,25 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "4000.0 dBi" in err
+
+    def test_each_trial_calls_the_modules_verify_scenario(self, capsys, monkeypatch):
+        calls = []
+        original = pinchrelay.cli.verify_scenario
+        monkeypatch.setattr(pinchrelay.cli, "verify_scenario", lambda *a, **k: calls.append(a) or original(*a, **k))
+        assert cli_main(["verify", "--trials", "2"]) == 0
+        assert len(calls) == 2
+
+    # the oracle's square overflows at 1e-150 Hz, its product with the horn gains at 1e-148 Hz
+    @pytest.mark.parametrize("freq, gain", [("1e-150", "inf"), ("1e-148", "inf"), ("1e300", "0.0")])
+    def test_first_hop_out_of_range_is_one_error_line(self, capsys, freq, gain):
+        assert cli_main(["verify", "--trials", "1", "--freq", freq]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(
+            rf"error: link budget out of range on the BS-relay link: gain {gain} at "
+            rf"bs_relay_distance_m=[0-9.]+, carrier_frequency_hz={re.escape(repr(float(freq)))}\n",
+            captured.err,
+        )
 
     @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--grid-step", "0"), ("--grid-step", "31")])
     def test_bad_seed_and_grid_step_are_usage_errors(self, capsys, flag, value):

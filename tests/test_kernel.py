@@ -22,10 +22,11 @@ from pinchrelay import (
     optimal_pin_position,
     solve,
 )
-from pinchrelay.model import bs_relay_gain, relay_ue_gain, relay_ue_gains
-from pinchrelay.optimize import optimal_pin_positions, split_power, stationary_points
+from pinchrelay.model import bs_relay_gain, relay_ue_gain
+from pinchrelay.optimize import split_power, stationary_points
 from pinchrelay.benchmarks import SHADOWING_STD_DB
-from pinchrelay.sweep import _EVALUATORS, VARIABLES
+from pinchrelay.kernel import _EVALUATORS, optimal_pin_positions, relay_ue_gains
+from pinchrelay.sweep import VARIABLES
 
 USERS = 1000
 PLACEMENT_USERS = 20_000  # placement and gains are cheap, and a last-bit slip is rare

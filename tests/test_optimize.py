@@ -22,9 +22,9 @@ from pinchrelay import (
     pin_objective,
     solve,
 )
-from pinchrelay.model import SPEED_OF_LIGHT_M_S, relay_ue_gain, relay_ue_gains
-from pinchrelay.optimize import optimal_pin_positions, stationary_points
-from pinchrelay.sweep import _EVALUATORS
+from pinchrelay.kernel import _EVALUATORS, optimal_pin_positions, relay_ue_gains
+from pinchrelay.model import SPEED_OF_LIGHT_M_S, relay_ue_gain
+from pinchrelay.optimize import stationary_points
 
 C = SPEED_OF_LIGHT_M_S
 
@@ -298,6 +298,16 @@ class TestSolve:
         message = (
             f"link budget out of range on the BS-relay link: gain {gain} at "
             f"bs_relay_distance_m={bad.bs_relay_distance_m!r}, carrier_frequency_hz={bad.carrier_frequency_hz!r}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scheme(bad, ue_mid)
+
+    @pytest.mark.parametrize("scheme", [solve, benchmark2_power], ids=["solve", "benchmark2_power"])
+    def test_first_hop_whose_4_pi_f_d_underflows_is_a_named_error(self, cfg, ue_mid, scheme):
+        bad = replace(cfg, carrier_frequency_hz=1e-200, bs_relay_distance_m=1e-200)
+        message = (
+            "link budget out of range on the BS-relay link: gain inf at "
+            "bs_relay_distance_m=1e-200, carrier_frequency_hz=1e-200"
         )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             scheme(bad, ue_mid)

@@ -25,7 +25,8 @@ from pinchrelay import (
 )
 from pinchrelay.benchmarks import SHADOWING_STD_DB
 from pinchrelay.cli import cli_main
-from pinchrelay.sweep import _EVALUATORS, VARIABLES
+from pinchrelay.kernel import _EVALUATORS
+from pinchrelay.sweep import SCHEMES, VARIABLES
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "fig1.json"
 CONFIG_FIELDS = frozenset(f.name for f in fields(SystemConfig))
@@ -177,6 +178,9 @@ class ReadRecordingConfig(SystemConfig):
 
 
 class TestStages:
+    def test_schemes_are_the_kernels_evaluators_in_order(self):
+        assert SCHEMES == tuple(_EVALUATORS)
+
     @pytest.mark.parametrize("attenuation", [0.0, 0.01, 0.3])
     @pytest.mark.parametrize("scheme", sorted(_EVALUATORS))
     def test_user_stage_reads_only_its_declared_fields(self, scheme, attenuation):
