@@ -63,7 +63,7 @@ def benchmark1_link_gain(config: SystemConfig, x_ue_m: Floats, y_ue_m: Floats, s
         shadow = libm_each(_pow_or_inf, 10.0, shadow_db / 10.0)
     gain = ARRAY_ELEMENT_GAIN * anchor * distance_loss * shadow
     # raveled, so a float is checked as one user and fails as SampleError index 0 too
-    require_link_gain(config, "direct", np.ravel(gain), ("bs_relay_distance_m", "carrier_frequency_hz"))
+    require_link_gain(config, "direct", np.ravel(gain))
     return gain
 
 

@@ -232,8 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    config = _build_config(args)
+def _cmd_solve(args: argparse.Namespace, config: SystemConfig) -> int:
     if args.ue is None:
         ue = UePosition(config.coverage_x_m / 2.0, config.coverage_y_m / 2.0)
     else:
@@ -252,8 +251,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _build_config(args)
+def _cmd_sweep(args: argparse.Namespace, config: SystemConfig) -> int:
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
     variable = _SWEEP_VARIABLES.get(args.var, args.var)
@@ -289,8 +287,7 @@ def verify_scenario(config: SystemConfig, ue: UePosition, *, grid_step_m: float)
     return oracle.verify_scenario(config, ue, grid_step_m=grid_step_m)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    config = _build_config(args)
+def _cmd_verify(args: argparse.Namespace, config: SystemConfig) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
     if args.seed < 0:
@@ -324,8 +321,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _cmd_config_dump(args: argparse.Namespace) -> int:
-    config = _build_config(args)
+def _cmd_config_dump(args: argparse.Namespace, config: SystemConfig) -> int:
     for field in fields(SystemConfig):
         value = getattr(config, field.name)
         print(f"{field.name} = {'none' if value is None else repr(value)}")
@@ -339,7 +335,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed usage / help
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        return args.func(args, _build_config(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

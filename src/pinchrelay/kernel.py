@@ -12,21 +12,22 @@ modules import no numpy, so a single-point solve never loads it.
 Each scheme is two stages.  Its user stage does the per-user work (placement
 and the second-hop gain, or the direct link's gain) and reads only the
 SystemConfig fields it declares; its power stage turns that into total and BS
-power at one config.  :func:`evaluate` reruns a user stage only when one of
-those fields changes.
+power at one config.  :func:`evaluate`, the one way to run a scheme, reruns a
+user stage only when one of those fields changes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import partial
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .benchmarks import benchmark1_link_gain, benchmark1_total_power_w
-from .model import RELAY_UE_FIELDS, SystemConfig, _free_space, bs_relay_gain, consumed_power, link_out_of_range
-from .model import relay_tx_power, require_positive
+from .model import LINK_FIELDS, SystemConfig, _free_space, bs_relay_gain, consumed_power, link_out_of_range
+from .model import relay_tx_power
 from .optimize import split_power
 
 
@@ -52,7 +53,7 @@ def libm_each(fn: Callable[..., float], *args: float | np.ndarray) -> float | np
     return np.fromiter(map(fn, *columns), float, size)
 
 
-def require_link_gain(config: SystemConfig, link: str, gain: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
+def require_link_gain(config: SystemConfig, link: str, gain: np.ndarray) -> np.ndarray:
     """``gain`` if all of it lies in (0, inf), else a :class:`SampleError` at the first element at fault.
 
     Its message is :func:`~.model.link_out_of_range`'s; scalar callers compare and raise ``ValueError`` inline.
@@ -60,7 +61,7 @@ def require_link_gain(config: SystemConfig, link: str, gain: np.ndarray, names: 
     bad = np.flatnonzero(~((gain > 0.0) & (gain < math.inf)))
     if bad.size:
         k = int(bad[0])
-        raise SampleError(k, link_out_of_range(config, link, float(gain.flat[k]), names))
+        raise SampleError(k, link_out_of_range(config, link, float(gain.flat[k])))
     return gain
 
 
@@ -105,20 +106,16 @@ class _Scheme(NamedTuple):
     users: Callable[[SystemConfig, np.ndarray, np.ndarray, np.ndarray], Any]
     power: Callable[[SystemConfig, Any], tuple[np.ndarray, np.ndarray]]
 
-    def __call__(self, cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray):
-        return self.power(cfg, self.users(cfg, xs, ys, shadows_db))
-
 
 def _second_hop(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray, at_feed: bool = False):
     """Each user's second-hop power gain and amplitude, at the best pinch point or at the feed."""
     g2_sq = relay_ue_gains(cfg, xs, ys, 0.0) if at_feed else optimal_pin_positions(cfg, xs, ys)[1]
-    g2_sq = require_link_gain(cfg, "relay-UE", g2_sq, RELAY_UE_FIELDS)
+    g2_sq = require_link_gain(cfg, "relay-UE", g2_sq)
     return g2_sq, np.sqrt(g2_sq)
 
 
 def _relay_power(cfg: SystemConfig, second_hop: tuple[np.ndarray, np.ndarray]):
     g1_sq, sigma_r_sq_w, sigma_ue_sq_w = bs_relay_gain(cfg), cfg.relay_noise_w, cfg.ue_noise_w
-    require_positive(sigma_r_sq_w=sigma_r_sq_w, sigma_ue_sq_w=sigma_ue_sq_w)
     p1, beta_sq, _ = split_power(cfg, g1_sq, sigma_r_sq_w, sigma_ue_sq_w, *second_hop)
     return consumed_power(p1, relay_tx_power(p1, beta_sq, g1_sq, sigma_r_sq_w), cfg), p1
 
@@ -129,11 +126,9 @@ def _direct_power(cfg: SystemConfig, gain: np.ndarray):
 
 
 _EVALUATORS = {
-    "proposed": _Scheme((*RELAY_UE_FIELDS, "waveguide_length_m"), _second_hop, _relay_power),
-    "benchmark1": _Scheme(("bs_relay_distance_m", "carrier_frequency_hz"), benchmark1_link_gain, _direct_power),
-    "benchmark2": _Scheme(
-        RELAY_UE_FIELDS, lambda cfg, xs, ys, shadows_db: _second_hop(cfg, xs, ys, shadows_db, at_feed=True), _relay_power
-    ),
+    "proposed": _Scheme((*LINK_FIELDS["relay-UE"], "waveguide_length_m"), _second_hop, _relay_power),
+    "benchmark1": _Scheme(LINK_FIELDS["direct"], benchmark1_link_gain, _direct_power),
+    "benchmark2": _Scheme(LINK_FIELDS["relay-UE"], partial(_second_hop, at_feed=True), _relay_power),
 }
 
 

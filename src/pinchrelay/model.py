@@ -27,8 +27,12 @@ if TYPE_CHECKING:
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 BOLTZMANN_J_PER_K = 1.380649e-23
 NOISE_REFERENCE_TEMP_K = 290.0
-# The SystemConfig fields the second-hop gain |g2|^2 reads, besides the user and pinch positions.
-RELAY_UE_FIELDS = ("waveguide_attenuation_per_m", "waveguide_height_m", "carrier_frequency_hz")
+# The SystemConfig fields each link's gain reads, besides the user and pinch positions.
+LINK_FIELDS = {
+    "BS-relay": ("bs_relay_distance_m", "carrier_frequency_hz"),
+    "relay-UE": ("waveguide_attenuation_per_m", "waveguide_height_m", "carrier_frequency_hz"),
+    "direct": ("bs_relay_distance_m", "carrier_frequency_hz"),
+}
 
 
 def db_to_linear(value_db: float) -> float:
@@ -143,10 +147,12 @@ class ChannelGains:
 
 
 def noise_power_w(bandwidth_hz: float, noise_figure_db: float) -> float:
-    """Thermal noise power k*T0*B*F with T0 = 290 K."""
-    if not bandwidth_hz > 0.0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth_hz!r}")
-    return BOLTZMANN_J_PER_K * NOISE_REFERENCE_TEMP_K * bandwidth_hz * db_to_linear(noise_figure_db)
+    """Thermal noise power k*T0*B*F with T0 = 290 K; ``ValueError`` naming both inputs outside (0, inf)."""
+    noise_w = BOLTZMANN_J_PER_K * NOISE_REFERENCE_TEMP_K * bandwidth_hz * db_to_linear(noise_figure_db)
+    if not 0.0 < noise_w < math.inf:
+        at = f"bandwidth_hz={bandwidth_hz!r}, noise figure {noise_figure_db!r} dB"
+        raise ValueError(f"noise power {noise_w!r} W out of range at {at}")
+    return noise_w
 
 
 def free_space_gain(distance_m: float, frequency_hz: float) -> float:
@@ -171,9 +177,9 @@ def _free_space(distance_m: float | np.ndarray, frequency_hz: float) -> float | 
     return ratio * ratio
 
 
-def link_out_of_range(config: SystemConfig, link: str, gain: float, names: tuple[str, ...]) -> str:
-    """Error message for a ``link`` gain outside (0, inf), naming the config fields ``names``."""
-    at = ", ".join(f"{name}={getattr(config, name)!r}" for name in names)
+def link_out_of_range(config: SystemConfig, link: str, gain: float) -> str:
+    """Error message for a ``link`` gain outside (0, inf), naming the config fields that link reads."""
+    at = ", ".join(f"{name}={getattr(config, name)!r}" for name in LINK_FIELDS[link])
     return f"link budget out of range on the {link} link: gain {gain!r} at {at}"
 
 
@@ -182,7 +188,7 @@ def bs_relay_gain(config: SystemConfig) -> float:
     horn = db_to_linear(config.horn_gain_tx_dbi) * db_to_linear(config.horn_gain_rx_dbi)
     g1_sq = horn * free_space_gain(config.bs_relay_distance_m, config.carrier_frequency_hz)
     if not 0.0 < g1_sq < math.inf:
-        raise ValueError(link_out_of_range(config, "BS-relay", g1_sq, ("bs_relay_distance_m", "carrier_frequency_hz")))
+        raise ValueError(link_out_of_range(config, "BS-relay", g1_sq))
     return g1_sq
 
 
@@ -209,7 +215,7 @@ def channel_gains(config: SystemConfig, ue: UePosition, x_pin_m: float) -> Chann
     """Assemble both hop gains and both noise powers for one scenario; gains must lie in (0, inf)."""
     g1_sq, g2_sq = bs_relay_gain(config), relay_ue_gain(config, ue, x_pin_m)
     if not 0.0 < g2_sq < math.inf:
-        raise ValueError(link_out_of_range(config, "relay-UE", g2_sq, RELAY_UE_FIELDS))
+        raise ValueError(link_out_of_range(config, "relay-UE", g2_sq))
     return ChannelGains(
         g1_sq=g1_sq,
         g2_sq=g2_sq,

@@ -123,8 +123,8 @@ def optimal_power_allocation(gains: ChannelGains, config: SystemConfig) -> tuple
 
     ``p1`` strictly exceeds the feasibility floor ``gamma0 sigma_r^2 / |g1|^2``
     below which no relay gain can reach the target.  A result that is not
-    finite (an SNR target or gains beyond the float range) raises
-    ``ValueError`` naming the target and the value at fault.
+    finite (an SNR target, a PA efficiency or gains beyond the float range)
+    raises ``ValueError`` naming the target, the efficiency and the value at fault.
     """
     p1, beta_sq, j = split_power(
         config, gains.g1_sq, gains.sigma_r_sq_w, gains.sigma_ue_sq_w, gains.g2_sq, math.sqrt(gains.g2_sq)
@@ -133,8 +133,8 @@ def optimal_power_allocation(gains: ChannelGains, config: SystemConfig) -> tuple
         values = {"p1": p1, "beta_sq": beta_sq, "j": j}
         bad = ", ".join(f"{name}={value!r}" for name, value in values.items() if not math.isfinite(value))
         raise ValueError(
-            f"power split is not finite at snr_target_linear={config.snr_target_linear!r} "
-            f"(g1_sq={gains.g1_sq!r}, g2_sq={gains.g2_sq!r}): {bad}"
+            f"power split is not finite at snr_target_linear={config.snr_target_linear!r} and "
+            f"pa_efficiency={config.pa_efficiency!r} (g1_sq={gains.g1_sq!r}, g2_sq={gains.g2_sq!r}): {bad}"
         )
     return p1, beta_sq, j
 

@@ -63,11 +63,7 @@ def grid_search_pin(config: SystemConfig, ue: UePosition, step_m: float) -> tupl
     return float(xs[best]), float(values[best])
 
 
-def numeric_power_min(
-    gains: ChannelGains,
-    config: SystemConfig,
-    p1_grid: Sequence[float] | None = None,
-) -> tuple[float, float, float]:
+def numeric_power_min(gains: ChannelGains, config: SystemConfig) -> tuple[float, float, float]:
     """Grid minimizer of the power cost along the active SNR constraint.
 
     At equality the relay gain is pinned,
@@ -75,27 +71,16 @@ def numeric_power_min(
     leaving a scalar cost
     ``J(P1) = eta P1 + gamma0 sigma_ue^2 (P1 |g1|^2 + sigma_r^2)
       / (|g2|^2 (P1 |g1|^2 - gamma0 sigma_r^2))``
-    evaluated on a log-spaced grid above the feasibility floor.  The default
-    grid spans ``[floor * (1 + 1e-6), 10 * p1_closed_form]`` with 10^4 points.
+    evaluated on a log-spaced grid of ``DEFAULT_P1_POINTS`` points spanning
+    ``[floor * (1 + P1_FLOOR_MARGIN), 10 * p1_closed_form]``, above the feasibility floor.
 
     Returns ``(p1_best, beta_sq_best, j_best)``.
     """
     gamma0 = config.snr_target_linear
     eta = config.pa_efficiency
     floor_w = gamma0 * gains.sigma_r_sq_w / gains.g1_sq
-    if p1_grid is None:
-        p1_closed, _, _ = optimal_power_allocation(gains, config)
-        grid = np.logspace(
-            math.log10(floor_w * (1.0 + P1_FLOOR_MARGIN)),
-            math.log10(10.0 * p1_closed),
-            DEFAULT_P1_POINTS,
-        )
-    else:
-        grid = np.asarray(p1_grid, dtype=float)
-        if grid.size == 0:
-            raise ValueError("empty P1 grid")
-        if not np.all(grid > floor_w):
-            raise ValueError(f"P1 grid must lie strictly above the feasibility floor {floor_w!r}")
+    p1_closed, _, _ = optimal_power_allocation(gains, config)
+    grid = np.logspace(math.log10(floor_w * (1.0 + P1_FLOOR_MARGIN)), math.log10(10.0 * p1_closed), DEFAULT_P1_POINTS)
     surplus = grid * gains.g1_sq - gamma0 * gains.sigma_r_sq_w
     cost = eta * grid + gamma0 * gains.sigma_ue_sq_w * (grid * gains.g1_sq + gains.sigma_r_sq_w) / (
         gains.g2_sq * surplus
@@ -153,15 +138,7 @@ def verify_scenario(
     x_closed = optimal_pin_position(config, ue)
     f_closed = pin_objective(config, ue, x_closed)
     x_grid, f_grid = grid_search_pin(config, ue, grid_step_m)
-    shortfall = max(0.0, f_grid - f_closed) / f_grid
-    position = OracleReport(
-        closed_form_value=f_closed,
-        oracle_value=f_grid,
-        abs_gap=abs(f_closed - f_grid),
-        rel_gap=shortfall,
-        grid_resolution=grid_step_m,
-        passed=shortfall <= POSITION_REL_TOL,
-    )
+    position = _report(f_closed, f_grid, max(0.0, f_grid - f_closed) / f_grid, grid_step_m, POSITION_REL_TOL)
 
     gains = ChannelGains(
         g1_sq=_bs_gain(config),
@@ -171,16 +148,14 @@ def verify_scenario(
     )
     _, _, j_closed = optimal_power_allocation(gains, config)
     _, _, j_grid = numeric_power_min(gains, config)
-    rel_gap = abs(j_closed - j_grid) / j_grid
-    power = OracleReport(
-        closed_form_value=j_closed,
-        oracle_value=j_grid,
-        abs_gap=abs(j_closed - j_grid),
-        rel_gap=rel_gap,
-        grid_resolution=10.0 ** (1.0 / DEFAULT_P1_POINTS) - 1.0,
-        passed=rel_gap <= POWER_REL_TOL,
-    )
+    power_step = 10.0 ** (1.0 / DEFAULT_P1_POINTS) - 1.0
+    power = _report(j_closed, j_grid, abs(j_closed - j_grid) / j_grid, power_step, POWER_REL_TOL)
     return position, power
+
+
+def _report(closed: float, oracle: float, rel_gap: float, resolution: float, tolerance: float) -> OracleReport:
+    """One comparison's report: the absolute gap, and a pass when ``rel_gap`` is within ``tolerance``."""
+    return OracleReport(closed, oracle, abs(closed - oracle), rel_gap, resolution, rel_gap <= tolerance)
 
 
 def _bs_gain(config: SystemConfig) -> float:
@@ -195,7 +170,7 @@ def _bs_gain(config: SystemConfig) -> float:
     except ArithmeticError:  # the square overflows, or 4 pi f d underflows to 0
         g1_sq = math.inf
     if not 0.0 < g1_sq < math.inf:
-        raise ValueError(link_out_of_range(config, "BS-relay", g1_sq, ("bs_relay_distance_m", "carrier_frequency_hz")))
+        raise ValueError(link_out_of_range(config, "BS-relay", g1_sq))
     return g1_sq
 
 

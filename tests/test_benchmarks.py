@@ -19,7 +19,7 @@ from pinchrelay import (
     solve,
 )
 from pinchrelay.benchmarks import NUM_ELEMENTS, PATH_LOSS_EXPONENT, SHADOWING_STD_DB
-from pinchrelay.kernel import _EVALUATORS, SampleError
+from pinchrelay.kernel import SampleError, evaluate
 from pinchrelay.model import SPEED_OF_LIGHT_M_S, free_space_gain, relay_ue_gain
 
 NO_SHADOW = 0.0
@@ -234,8 +234,8 @@ class TestBenchmark2:
         assert solve(cfg, ue).total_power_w <= benchmark2_power(cfg, ue).total_power_w
         rng = np.random.default_rng(seed)
         xs, ys = rng.uniform(0.0, 30.0, 200), rng.uniform(0.0, 10.0, 200)
-        adjustable, _ = _EVALUATORS["proposed"](cfg, xs, ys, np.zeros(200))
-        fixed, _ = _EVALUATORS["benchmark2"](cfg, xs, ys, np.zeros(200))
+        adjustable, _ = evaluate("proposed", cfg, xs, ys, np.zeros(200), {})
+        fixed, _ = evaluate("benchmark2", cfg, xs, ys, np.zeros(200), {})
         assert np.all(adjustable <= fixed)
 
     def test_monotone_in_snr_target(self, cfg):

@@ -124,6 +124,12 @@ class TestSolveCommand:
         assert captured.err.startswith("error: link budget out of range on the relay-UE link: gain inf at ")
         assert "waveguide_height_m=1e-200" in captured.err and captured.err.count("\n") == 1
 
+    def test_pa_efficiency_at_fault_is_named(self, capsys):
+        assert cli_main(["solve", "--eta-pa", "5e-324"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: power split is not finite at snr_target_linear=100.0 and pa_efficiency=5e-324 (")
+        assert err.endswith("): p1=inf\n") and err.count("\n") == 1
+
     def test_scenario_flags_change_the_answer(self, capsys):
         assert cli_main(["solve", "--ue", "15,5", "--gamma0", "30dB", "--json"]) == 0
         strict = json.loads(capsys.readouterr().out)
@@ -190,6 +196,25 @@ class TestConfigHandling:
         config.write_text("warp_factor = 9\n", encoding="utf-8")
         assert cli_main(["config-dump", "--config", str(config)]) == 2
         assert "warp_factor" in capsys.readouterr().err
+
+    def test_unreadable_file_is_a_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        assert cli_main(["config-dump", "--config", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {missing}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "line, detail",
+        [
+            ("carrier_frequency_hz 28e9", "expected 'key = value', got 'carrier_frequency_hz 28e9'"),
+            ("carrier_frequency_hz = fast", "cannot parse quantity 'fast'"),
+        ],
+    )
+    def test_malformed_line_is_a_usage_error_naming_file_and_line(self, tmp_path, capsys, line, detail):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"# scenario\n{line}\n", encoding="utf-8")
+        assert cli_main(["config-dump", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {config}:2: {detail}\n"
 
     def test_invalid_field_value_is_a_usage_error(self, capsys):
         assert cli_main(["config-dump", "--eta-pa", "1.5"]) == 2
@@ -320,6 +345,35 @@ class TestSweepCommand:
         assert f'set xlabel "{label}"' in (tmp_path / "v.gp").read_text(encoding="utf-8").splitlines()
 
 
+NOISE_UNDERFLOW = "noise power 0.0 W out of range at bandwidth_hz=400000000.0, noise figure -4000.0 dB"
+NOISE_OVERFLOW = "noise power inf W out of range at bandwidth_hz=1e+300, noise figure 300.0 dB"
+NOISE_SWEEP = ["sweep", "--var", "gamma0", "--values", "20dB", "--samples", "5"]
+
+
+class TestNoiseOutOfRange:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--noise-figure", "-4000"], NOISE_UNDERFLOW),
+            (
+                [*NOISE_SWEEP, "--noise-figure", "-4000", "--schemes", "benchmark1"],
+                f"scheme 'benchmark1' failed at snr_target_db=20: {NOISE_UNDERFLOW}",
+            ),
+            ([*NOISE_SWEEP, "--noise-figure", "-4000"], f"scheme 'proposed' failed at snr_target_db=20: {NOISE_UNDERFLOW}"),
+            (
+                [*NOISE_SWEEP, "--bandwidth", "1e300", "--noise-figure", "300"],
+                f"scheme 'proposed' failed at snr_target_db=20: {NOISE_OVERFLOW}",
+            ),
+        ],
+    )
+    def test_is_one_error_line_naming_bandwidth_and_noise_figure(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "n.csv"
+        assert cli_main([*argv, "--out", str(out)] if argv[0] == "sweep" else argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestVerifyCommand:
     def test_randomized_verification_passes(self, capsys):
         assert cli_main(["verify", "--seed", "7", "--trials", "100"]) == 0
@@ -366,6 +420,14 @@ class TestExitCodes:
 
     def test_invalid_unit(self, capsys):
         assert cli_main(["solve", "--freq", "28parsecs"]) == 2
+
+    def test_unparsable_quantity(self, capsys):
+        assert cli_main(["solve", "--freq", "abc"]) == 2
+        assert "argument --freq: cannot parse quantity 'abc'" in capsys.readouterr().err
+
+    def test_ue_needs_exactly_two_coordinates(self, capsys):
+        assert cli_main(["solve", "--ue", "1,2,3"]) == 2
+        assert "argument --ue: '1,2,3': expected UE coordinates as 'x,y'" in capsys.readouterr().err
 
     def test_missing_subcommand(self, capsys):
         assert cli_main([]) == 2

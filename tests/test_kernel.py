@@ -25,7 +25,7 @@ from pinchrelay import (
 from pinchrelay.model import bs_relay_gain, relay_ue_gain
 from pinchrelay.optimize import split_power, stationary_points
 from pinchrelay.benchmarks import SHADOWING_STD_DB
-from pinchrelay.kernel import _EVALUATORS, optimal_pin_positions, relay_ue_gains
+from pinchrelay.kernel import _EVALUATORS, evaluate, optimal_pin_positions, relay_ue_gains
 from pinchrelay.sweep import VARIABLES
 
 USERS = 1000
@@ -183,8 +183,8 @@ def test_adjustable_antenna_never_loses_to_the_fixed_one_at_ties(waveguide, gamm
     cfg, rng = waveguide
     cfg = replace(cfg, snr_target_linear=db_to_linear(gamma0_db))
     xs, ys = near_tie_users(cfg, rng)
-    adjustable, _ = _EVALUATORS["proposed"](cfg, xs, ys, np.zeros(xs.size))
-    fixed, _ = _EVALUATORS["benchmark2"](cfg, xs, ys, np.zeros(xs.size))
+    adjustable, _ = evaluate("proposed", cfg, xs, ys, np.zeros(xs.size), {})
+    fixed, _ = evaluate("benchmark2", cfg, xs, ys, np.zeros(xs.size), {})
     assert np.all(adjustable <= fixed)
 
 
@@ -220,7 +220,7 @@ def test_evaluators_equal_the_scalar_path_bit_for_bit(name, variable):
     for value in SWEEP_VALUES[variable]:
         cfg = replace(CONFIGS[name], **{field: to_si(value)})
         for scheme, (totals, bs_powers) in scalar_results(cfg, users, shadows).items():
-            total, bs_w = _EVALUATORS[scheme](cfg, xs, ys, shadows)
+            total, bs_w = evaluate(scheme, cfg, xs, ys, shadows, {})
             assert total.tolist() == totals, (scheme, value)
             assert bs_w.tolist() == bs_powers, (scheme, value)
 
@@ -229,7 +229,7 @@ def both_paths(cfg: SystemConfig, xs, ys, shadows) -> dict[str, list[tuple[np.nd
     """Each scheme's (total, BS power) per user from the scalar path and from its evaluator."""
     scalar = scalar_results(cfg, positions(xs, ys), shadows)
     return {
-        scheme: [tuple(np.array(a) for a in scalar[scheme]), _EVALUATORS[scheme](cfg, xs, ys, shadows)]
+        scheme: [tuple(np.array(a) for a in scalar[scheme]), evaluate(scheme, cfg, xs, ys, shadows, {})]
         for scheme in _EVALUATORS
     }
 
@@ -296,6 +296,6 @@ def test_every_entry_point_is_finite_or_a_named_error_across_the_dynamic_range_b
         tx = result_or_named_error(benchmark1_tx_power_w, cfg, ue.x_ue_m, ue.y_ue_m, shadow)
         assert tx is None or math.isfinite(tx) and math.isfinite(benchmark1_total_power_w(cfg, tx)), tx
     with np.errstate(all="ignore"):  # as in run_sweep, which reports a non-finite result with its sample
-        for evaluator in _EVALUATORS.values():
-            result = result_or_named_error(evaluator, cfg, xs, ys, shadows)
+        for scheme in _EVALUATORS:
+            result = result_or_named_error(evaluate, scheme, cfg, xs, ys, shadows, {})
             assert result is None or np.all(np.isfinite(result)), result

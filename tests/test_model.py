@@ -1,6 +1,7 @@
 """Link-budget model: noise, free-space gain, hop gains, AF SNR, power accounting."""
 
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -13,8 +14,11 @@ from pinchrelay import (
     SystemConfig,
     UePosition,
     af_snr,
+    benchmark1_tx_power_w,
+    benchmark2_power,
     channel_gains,
     db_to_linear,
+    solve,
     total_power_w,
 )
 from pinchrelay.model import (
@@ -55,6 +59,28 @@ class TestNoisePower:
     def test_rejects_nonpositive_bandwidth(self, bandwidth):
         with pytest.raises(ValueError):
             noise_power_w(bandwidth, 10.0)
+
+    @pytest.mark.parametrize("bandwidth, noise_figure, noise", [(400e6, -4000.0, "0.0"), (1e300, 300.0, "inf")])
+    def test_noise_outside_the_float_range_names_both_inputs(self, bandwidth, noise_figure, noise):
+        message = f"noise power {noise} W out of range at bandwidth_hz={bandwidth!r}, noise figure {noise_figure!r} dB"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            noise_power_w(bandwidth, noise_figure)
+
+    # k*T0*B*F underflows to 0 W at a finite noise figure; no entry point may go on with a 0 W noise.
+    @pytest.mark.parametrize("field", ["noise_figure_db", "ue_noise_figure_db"])
+    def test_every_entry_point_names_a_noise_power_out_of_range(self, field):
+        cfg = SystemConfig(**{field: -4000.0})
+        ue = UePosition(15.0, 5.0)
+        message = re.escape("noise power 0.0 W out of range at bandwidth_hz=400000000.0, noise figure -4000.0 dB")
+        entry_points = [
+            (solve, (cfg, ue)),
+            (benchmark2_power, (cfg, ue)),
+            (benchmark1_tx_power_w, (cfg, 15.0, 5.0, 0.0)),
+            (benchmark1_tx_power_w, (cfg, np.array([15.0, 3.0]), np.array([5.0, 1.0]), np.zeros(2))),
+        ]
+        for fn, args in entry_points:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                fn(*args)
 
 
 class TestFreeSpaceGain:

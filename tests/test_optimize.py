@@ -22,7 +22,7 @@ from pinchrelay import (
     pin_objective,
     solve,
 )
-from pinchrelay.kernel import _EVALUATORS, optimal_pin_positions, relay_ue_gains
+from pinchrelay.kernel import evaluate, optimal_pin_positions, relay_ue_gains
 from pinchrelay.model import SPEED_OF_LIGHT_M_S, relay_ue_gain
 from pinchrelay.optimize import stationary_points
 
@@ -150,7 +150,7 @@ class TestOptimalPinPosition:
         x_pins, g2_sq = optimal_pin_positions(cfg, np.array([1.0]), np.array([0.0]))
         assert x_pins.tolist() == [0.0] and g2_sq.tolist() == [relay_ue_gain(cfg, ue, 0.0)]
         for scheme in ("proposed", "benchmark2"):
-            total, bs_w = _EVALUATORS[scheme](cfg, np.array([1.0]), np.array([0.0]), np.zeros(1))
+            total, bs_w = evaluate(scheme, cfg, np.array([1.0]), np.array([0.0]), np.zeros(1), {})
             assert np.isfinite(total).all() and np.isfinite(bs_w).all()
         assert solve(cfg, ue).total_power_w == benchmark2_power(cfg, ue).total_power_w == total[0]
 
@@ -246,6 +246,11 @@ class TestOptimalPowerAllocation:
         with pytest.raises(ValueError, match=r"snr_target_linear=100.0 .*: j=inf$"):
             optimal_power_allocation(faint, cfg)
 
+    def test_non_finite_split_names_the_pa_efficiency(self, cfg, ue_mid):
+        message = r"^power split is not finite at snr_target_linear=100.0 and pa_efficiency=5e-324 \(.*\): p1=inf$"
+        with pytest.raises(ValueError, match=message):
+            solve(replace(cfg, pa_efficiency=5e-324), ue_mid)
+
     def test_rejects_nonpositive_target(self):
         gains, cfg = symmetric_toy()
         with pytest.raises(ValueError):
@@ -336,7 +341,7 @@ class TestSolve:
         with pytest.raises(ValueError, match=f"^{message}$"):
             scalar(bad, UePosition(x_ue, 0.0))
         with np.errstate(divide="ignore"), pytest.raises(ValueError, match=f"^{message}$"):
-            _EVALUATORS[scheme](bad, np.array([x_ue]), np.zeros(1), np.zeros(1))
+            evaluate(scheme, bad, np.array([x_ue]), np.zeros(1), np.zeros(1), {})
 
     def test_zero_distance_behind_full_attenuation_leaves_the_feed_on_both_paths(self):
         # exp(-1000) underflows, so the candidate above the user has gain 0 * inf = nan and the feed wins
@@ -345,5 +350,5 @@ class TestSolve:
         assert optimal_pin_position(cfg, ue) == 0.0
         sol = solve(cfg, ue)
         with np.errstate(all="ignore"):
-            total, p1 = _EVALUATORS["proposed"](cfg, np.array([10.0]), np.zeros(1), np.zeros(1))
+            total, p1 = evaluate("proposed", cfg, np.array([10.0]), np.zeros(1), np.zeros(1), {})
         assert (total[0], p1[0]) == (sol.total_power_w, sol.p1_w)

@@ -250,6 +250,18 @@ class TestCsv:
             assert back.mean_total_power_w == original.mean_total_power_w
             assert back.mean_bs_power_w == original.mean_bs_power_w
 
+    def test_wrong_header_names_the_file(self, tmp_path):
+        path = tmp_path / "other.csv"
+        path.write_text("a,b\n1,2\n", encoding="utf-8")
+        message = f"unexpected CSV header in {path}: ['a', 'b']"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_csv(path)
+
+    def test_unreadable_file_names_the_path(self, tmp_path):
+        path = tmp_path / "missing.csv"
+        with pytest.raises(OSError, match=f"^{re.escape(f'cannot read sweep CSV from {path}: ')}"):
+            read_csv(path)
+
     @pytest.mark.parametrize(
         "row, detail",
         [
