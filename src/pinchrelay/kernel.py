@@ -45,11 +45,12 @@ def libm_each(fn: Callable[..., float], *args: float | np.ndarray) -> float | np
     Float arguments repeat for every element; with no array argument this is
     plain ``fn(*args)``.  Calling libm keeps each element equal to the scalar
     code's result, which numpy's vectorised ``exp``/``pow``/``hypot`` do not.
+    An array is read through its buffer (a ``memoryview``), not copied to a list.
     """
     size = next((a.size for a in args if isinstance(a, np.ndarray)), None)
     if size is None:
         return fn(*args)
-    columns = [a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args]
+    columns = [memoryview(a) if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args]
     return np.fromiter(map(fn, *columns), float, size)
 
 

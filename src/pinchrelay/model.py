@@ -93,13 +93,14 @@ class SystemConfig:
     @property
     def relay_noise_w(self) -> float:
         """Thermal noise power at the relay receiver."""
-        return noise_power_w(self.bandwidth_hz, self.noise_figure_db)
+        return noise_power_w(self.bandwidth_hz, self.noise_figure_db, "noise_figure_db")
 
     @property
     def ue_noise_w(self) -> float:
         """Thermal noise power at the user terminal."""
-        nf = self.noise_figure_db if self.ue_noise_figure_db is None else self.ue_noise_figure_db
-        return noise_power_w(self.bandwidth_hz, nf)
+        if self.ue_noise_figure_db is None:
+            return noise_power_w(self.bandwidth_hz, self.noise_figure_db, "noise_figure_db")
+        return noise_power_w(self.bandwidth_hz, self.ue_noise_figure_db, "ue_noise_figure_db")
 
 
 @dataclass(frozen=True)
@@ -146,11 +147,15 @@ class ChannelGains:
             raise ValueError(f"sigma_ue_sq_w must lie in (0, inf), got {self.sigma_ue_sq_w!r}")
 
 
-def noise_power_w(bandwidth_hz: float, noise_figure_db: float) -> float:
-    """Thermal noise power k*T0*B*F with T0 = 290 K; ``ValueError`` naming both inputs outside (0, inf)."""
+def noise_power_w(bandwidth_hz: float, noise_figure_db: float, field: str = "noise_figure_db") -> float:
+    """Thermal noise power k*T0*B*F with T0 = 290 K.
+
+    Outside (0, inf) it raises ``ValueError`` naming both inputs, the noise
+    figure as the SystemConfig ``field`` it was read from.
+    """
     noise_w = BOLTZMANN_J_PER_K * NOISE_REFERENCE_TEMP_K * bandwidth_hz * db_to_linear(noise_figure_db)
     if not 0.0 < noise_w < math.inf:
-        at = f"bandwidth_hz={bandwidth_hz!r}, noise figure {noise_figure_db!r} dB"
+        at = f"bandwidth_hz={bandwidth_hz!r}, {field}={noise_figure_db!r}"
         raise ValueError(f"noise power {noise_w!r} W out of range at {at}")
     return noise_w
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -49,18 +50,35 @@ def grid_search_pin(config: SystemConfig, ue: UePosition, step_m: float) -> tupl
     """Exhaustive placement search over {0, step, 2*step, ..., L}.
 
     Returns the maximizing grid point and its objective value; ties break to
-    the smallest x.
+    the smallest x.  The grid is kept for the next call with the same
+    ``(L, step)``; the objective is evaluated in two buffers, in place, in the
+    order of ``exp(-alpha xs) / ((x_ue - xs)**2 + c)``.
     """
     length = config.waveguide_length_m
     if not 0.0 < step_m <= length:
         raise ValueError(f"grid step must lie in (0, {length}], got {step_m!r}")
-    xs = np.arange(0.0, length, step_m)
-    xs = np.append(xs, length)
+    xs = _placement_grid(length, float(step_m))
     alpha = config.waveguide_attenuation_per_m
     c_const = ue.y_ue_m**2 + config.waveguide_height_m**2
-    values = np.exp(-alpha * xs) / ((ue.x_ue_m - xs) ** 2 + c_const)
+    # One block for both buffers: malloc keeps a block of that size for the next
+    # call, where two separate grid-sized buffers were handed back to the OS.
+    values, denominator = np.empty((2, xs.size))
+    np.multiply(-alpha, xs, out=values)
+    np.exp(values, out=values)
+    np.subtract(ue.x_ue_m, xs, out=denominator)
+    np.multiply(denominator, denominator, out=denominator)
+    np.add(denominator, c_const, out=denominator)
+    np.divide(values, denominator, out=values)
     best = int(np.argmax(values))  # argmax returns the first (smallest-x) maximizer
     return float(xs[best]), float(values[best])
+
+
+@lru_cache(maxsize=1)  # a run verifies on one grid; a fine grid is not kept once another is asked for
+def _placement_grid(length_m: float, step_m: float) -> np.ndarray:
+    """The read-only grid {0, step, 2*step, ..., L} that :func:`grid_search_pin` searches."""
+    xs = np.append(np.arange(0.0, length_m, step_m), length_m)
+    xs.flags.writeable = False
+    return xs
 
 
 def numeric_power_min(gains: ChannelGains, config: SystemConfig) -> tuple[float, float, float]:
@@ -78,9 +96,7 @@ def numeric_power_min(gains: ChannelGains, config: SystemConfig) -> tuple[float,
     """
     gamma0 = config.snr_target_linear
     eta = config.pa_efficiency
-    floor_w = gamma0 * gains.sigma_r_sq_w / gains.g1_sq
-    p1_closed, _, _ = optimal_power_allocation(gains, config)
-    grid = np.logspace(math.log10(floor_w * (1.0 + P1_FLOOR_MARGIN)), math.log10(10.0 * p1_closed), DEFAULT_P1_POINTS)
+    grid = _p1_grid(gains, config)
     surplus = grid * gains.g1_sq - gamma0 * gains.sigma_r_sq_w
     cost = eta * grid + gamma0 * gains.sigma_ue_sq_w * (grid * gains.g1_sq + gains.sigma_r_sq_w) / (
         gains.g2_sq * surplus
@@ -91,6 +107,16 @@ def numeric_power_min(gains: ChannelGains, config: SystemConfig) -> tuple[float,
     p1_best = float(grid[best])
     beta_sq_best = gamma0 * gains.sigma_ue_sq_w / (gains.g2_sq * (p1_best * gains.g1_sq - gamma0 * gains.sigma_r_sq_w))
     return p1_best, float(beta_sq_best), float(cost[best])
+
+
+@lru_cache(maxsize=1)  # verify_scenario reads the step of the grid numeric_power_min has just searched
+def _p1_grid(gains: ChannelGains, config: SystemConfig) -> np.ndarray:
+    """The read-only log-spaced P1 grid that :func:`numeric_power_min` searches."""
+    floor_w = config.snr_target_linear * gains.sigma_r_sq_w / gains.g1_sq
+    p1_closed, _, _ = optimal_power_allocation(gains, config)
+    grid = np.logspace(math.log10(floor_w * (1.0 + P1_FLOOR_MARGIN)), math.log10(10.0 * p1_closed), DEFAULT_P1_POINTS)
+    grid.flags.writeable = False
+    return grid
 
 
 def grid_power_min_2d(
@@ -148,7 +174,8 @@ def verify_scenario(
     )
     _, _, j_closed = optimal_power_allocation(gains, config)
     _, _, j_grid = numeric_power_min(gains, config)
-    power_step = 10.0 ** (1.0 / DEFAULT_P1_POINTS) - 1.0
+    p1_grid = _p1_grid(gains, config)
+    power_step = float(p1_grid[1] / p1_grid[0]) - 1.0  # the relative step of the log grid just searched
     power = _report(j_closed, j_grid, abs(j_closed - j_grid) / j_grid, power_step, POWER_REL_TOL)
     return position, power
 

@@ -117,8 +117,9 @@ def run_sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRecord]:
                 ) from exc
             except (ArithmeticError, ValueError) as exc:
                 raise RuntimeError(f"scheme {scheme!r} failed at {spec.variable}={value:g}: {exc}") from exc
-            mean_total[scheme] = math.fsum(total.tolist()) / spec.ue_samples
-            mean_bs[scheme] = math.fsum(bs_w.tolist()) / spec.ue_samples
+            # fsum reads the array's buffer: the exact sum of tolist() without building the list
+            mean_total[scheme] = math.fsum(memoryview(total)) / spec.ue_samples
+            mean_bs[scheme] = math.fsum(memoryview(bs_w)) / spec.ue_samples
         records.append(SweepRecord(float(value), mean_total, mean_bs, spec.ue_samples))
     return records
 

@@ -345,8 +345,9 @@ class TestSweepCommand:
         assert f'set xlabel "{label}"' in (tmp_path / "v.gp").read_text(encoding="utf-8").splitlines()
 
 
-NOISE_UNDERFLOW = "noise power 0.0 W out of range at bandwidth_hz=400000000.0, noise figure -4000.0 dB"
-NOISE_OVERFLOW = "noise power inf W out of range at bandwidth_hz=1e+300, noise figure 300.0 dB"
+NOISE_UNDERFLOW = "noise power 0.0 W out of range at bandwidth_hz=400000000.0, noise_figure_db=-4000.0"
+NOISE_OVERFLOW = "noise power inf W out of range at bandwidth_hz=1e+300, noise_figure_db=300.0"
+UE_NOISE_UNDERFLOW = "noise power 0.0 W out of range at bandwidth_hz=400000000.0, ue_noise_figure_db=-4000.0"
 NOISE_SWEEP = ["sweep", "--var", "gamma0", "--values", "20dB", "--samples", "5"]
 
 
@@ -363,6 +364,11 @@ class TestNoiseOutOfRange:
             (
                 [*NOISE_SWEEP, "--bandwidth", "1e300", "--noise-figure", "300"],
                 f"scheme 'proposed' failed at snr_target_db=20: {NOISE_OVERFLOW}",
+            ),
+            (["solve", "--ue-noise-figure", "-4000"], UE_NOISE_UNDERFLOW),
+            (
+                [*NOISE_SWEEP, "--ue-noise-figure", "-4000", "--schemes", "benchmark1"],
+                f"scheme 'benchmark1' failed at snr_target_db=20: {UE_NOISE_UNDERFLOW}",
             ),
         ],
     )

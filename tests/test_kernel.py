@@ -25,7 +25,7 @@ from pinchrelay import (
 from pinchrelay.model import bs_relay_gain, relay_ue_gain
 from pinchrelay.optimize import split_power, stationary_points
 from pinchrelay.benchmarks import SHADOWING_STD_DB
-from pinchrelay.kernel import _EVALUATORS, evaluate, optimal_pin_positions, relay_ue_gains
+from pinchrelay.kernel import _EVALUATORS, evaluate, libm_each, optimal_pin_positions, relay_ue_gains
 from pinchrelay.sweep import VARIABLES
 
 USERS = 1000
@@ -159,6 +159,15 @@ def scalar_results(cfg: SystemConfig, users, shadows) -> dict[str, tuple[list[fl
         "benchmark1": ([benchmark1_total_power_w(cfg, t) for t in tx], tx),
         "benchmark2": ([s.total_power_w for s in fixed], [s.p1_w for s in fixed]),
     }
+
+
+def test_libm_each_reads_strided_arrays_element_by_element():
+    base = np.random.default_rng(8).uniform(-5.0, 5.0, (40, 3))
+    a, b = base[::2, 0], base[::-2, 2]  # a positive and a negative stride, neither contiguous
+    assert not a.flags.contiguous and not b.flags.contiguous
+    assert libm_each(math.hypot, a, b).tolist() == [math.hypot(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert libm_each(math.pow, 10.0, a).tolist() == [math.pow(10.0, x) for x in a.tolist()]
+    assert libm_each(math.exp, b).tolist() == [math.exp(x) for x in b.tolist()]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

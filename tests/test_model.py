@@ -62,16 +62,18 @@ class TestNoisePower:
 
     @pytest.mark.parametrize("bandwidth, noise_figure, noise", [(400e6, -4000.0, "0.0"), (1e300, 300.0, "inf")])
     def test_noise_outside_the_float_range_names_both_inputs(self, bandwidth, noise_figure, noise):
-        message = f"noise power {noise} W out of range at bandwidth_hz={bandwidth!r}, noise figure {noise_figure!r} dB"
+        message = f"noise power {noise} W out of range at bandwidth_hz={bandwidth!r}, noise_figure_db={noise_figure!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             noise_power_w(bandwidth, noise_figure)
+        with pytest.raises(ValueError, match=f"^{re.escape(message.replace('noise_figure_db', 'ue_noise_figure_db'))}$"):
+            noise_power_w(bandwidth, noise_figure, "ue_noise_figure_db")
 
     # k*T0*B*F underflows to 0 W at a finite noise figure; no entry point may go on with a 0 W noise.
     @pytest.mark.parametrize("field", ["noise_figure_db", "ue_noise_figure_db"])
     def test_every_entry_point_names_a_noise_power_out_of_range(self, field):
         cfg = SystemConfig(**{field: -4000.0})
         ue = UePosition(15.0, 5.0)
-        message = re.escape("noise power 0.0 W out of range at bandwidth_hz=400000000.0, noise figure -4000.0 dB")
+        message = re.escape(f"noise power 0.0 W out of range at bandwidth_hz=400000000.0, {field}=-4000.0")
         entry_points = [
             (solve, (cfg, ue)),
             (benchmark2_power, (cfg, ue)),

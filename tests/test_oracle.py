@@ -1,6 +1,7 @@
 """Brute-force oracles: placement grid search, constraint-curve power grid, reports."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from pinchrelay import (
     pin_objective,
     verify_scenario,
 )
+from pinchrelay.oracle import DEFAULT_P1_POINTS, P1_FLOOR_MARGIN, _placement_grid
 
 
 def symmetric_toy():
@@ -67,6 +69,43 @@ class TestGridSearchPin:
             f_closed = pin_objective(cfg, ue, optimal_pin_position(cfg, ue))
             _, f_grid = grid_search_pin(cfg, ue, 1e-2)
             assert f_grid <= f_closed * (1.0 + 1e-12)
+
+    def test_equals_the_full_array_expression_exactly(self):
+        # The objective as one full-array expression, each temporary a new array.
+        def full_array_search(config, ue, step_m):
+            xs = np.append(np.arange(0.0, config.waveguide_length_m, step_m), config.waveguide_length_m)
+            alpha = config.waveguide_attenuation_per_m
+            c_const = ue.y_ue_m**2 + config.waveguide_height_m**2
+            values = np.exp(-alpha * xs) / ((ue.x_ue_m - xs) ** 2 + c_const)
+            best = int(np.argmax(values))
+            return float(xs[best]), float(values[best])
+
+        rng = np.random.default_rng(5)
+        for k in range(1200):
+            cfg = SystemConfig(
+                waveguide_attenuation_per_m=0.0 if k % 4 == 0 else float(10.0 ** rng.uniform(-4, -0.5)),
+                waveguide_height_m=float(rng.uniform(0.5, 10.0)),
+                waveguide_length_m=float(rng.uniform(1.0, 40.0)),
+            )
+            ue = UePosition(float(rng.uniform(-20.0, 60.0)), float(rng.uniform(-5.0, 30.0)))
+            for step in (0.37, 2.5e-3):
+                assert grid_search_pin(cfg, ue, step) == full_array_search(cfg, ue, step), (cfg, ue, step)
+
+    @pytest.mark.parametrize("length, step", [(30.0, 1e-3), (7.3, 0.007), (30.0, 10.0), (5.0, 5.0)])
+    def test_cached_grid_is_read_only_and_ends_at_the_length(self, length, step):
+        xs = _placement_grid(length, step)
+        assert not xs.flags.writeable
+        np.testing.assert_array_equal(xs, np.append(np.arange(0.0, length, step), length))
+
+    def test_warm_call_allocates_at_most_two_grid_sized_buffers(self, cfg, ue_mid):
+        grid_search_pin(cfg, ue_mid, 1e-3)
+        tracemalloc.start()
+        try:
+            grid_search_pin(cfg, ue_mid, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * 30_001 + 16 * 1024
 
 
 class TestNumericPowerMin:
@@ -155,6 +194,19 @@ class TestVerifyScenario:
 
     def test_deterministic(self, cfg, ue_mid):
         assert verify_scenario(cfg, ue_mid) == verify_scenario(cfg, ue_mid)
+
+    @pytest.mark.parametrize("gamma0", [3.0, 100.0, 1000.0])
+    def test_power_resolution_is_the_step_of_the_grid_searched(self, cfg, ue_mid, gamma0):
+        scenario = replace(cfg, snr_target_linear=gamma0)
+        _, power = verify_scenario(scenario, ue_mid)
+        gains = channel_gains(scenario, ue_mid, optimal_pin_position(scenario, ue_mid))
+        p1_closed, _, _ = optimal_power_allocation(gains, scenario)
+        floor_w = gamma0 * gains.sigma_r_sq_w / gains.g1_sq
+        low, high = math.log10(floor_w * (1.0 + P1_FLOOR_MARGIN)), math.log10(10.0 * p1_closed)
+        grid = np.logspace(low, high, DEFAULT_P1_POINTS)
+        assert power.grid_resolution == pytest.approx(grid[1] / grid[0] - 1.0, rel=1e-12, abs=0.0)
+        # the grid spans more than two decades, not one
+        assert power.grid_resolution > 2.0 * (10.0 ** (1.0 / DEFAULT_P1_POINTS) - 1.0)
 
     def test_randomized_scenarios_pass(self, cfg):
         rng = np.random.default_rng(23)

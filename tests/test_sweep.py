@@ -3,7 +3,7 @@
 import json
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from pinchrelay import (
 )
 from pinchrelay.benchmarks import SHADOWING_STD_DB
 from pinchrelay.cli import cli_main
-from pinchrelay.kernel import _EVALUATORS
+from pinchrelay.kernel import _EVALUATORS, evaluate
 from pinchrelay.sweep import SCHEMES, VARIABLES
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "fig1.json"
@@ -97,6 +97,21 @@ class TestRunSweep:
         assert record.mean_total_power_w["proposed"] == expected.total_power_w
         assert record.mean_bs_power_w["proposed"] == expected.p1_w
         assert record.n_samples == 1
+
+    @pytest.mark.parametrize("ue_samples", [1, 7, 1000])
+    def test_means_are_exact_sums_of_the_kernel_arrays(self, cfg, ue_samples):
+        spec = SweepSpec(variable="snr_target_db", values=(10.0, 20.0, 30.0), ue_samples=ue_samples, seed=4)
+        records = run_sweep(cfg, spec)
+        rng = np.random.default_rng(spec.seed)
+        xs = rng.uniform(0.0, cfg.coverage_x_m, ue_samples)
+        ys = rng.uniform(0.0, cfg.coverage_y_m, ue_samples)
+        shadows = rng.normal(0.0, SHADOWING_STD_DB, ue_samples)
+        for record in records:
+            at = replace(cfg, snr_target_linear=db_to_linear(record.variable_value))
+            for scheme in SCHEMES:
+                total, bs_w = evaluate(scheme, at, xs, ys, shadows, {})
+                assert record.mean_total_power_w[scheme] == math.fsum(total.tolist()) / ue_samples
+                assert record.mean_bs_power_w[scheme] == math.fsum(bs_w.tolist()) / ue_samples
 
     def test_means_increase_with_snr_target(self, cfg):
         records = run_sweep(cfg, small_spec(values=(10.0, 15.0, 20.0, 25.0, 30.0)))
