@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .model import SystemConfig, UePosition, free_space_gain
+from .model import SystemConfig, UePosition, free_space_gain, link_out_of_range
 from .optimize import PowerSolution, solve_at
 
 if TYPE_CHECKING:
@@ -76,12 +76,21 @@ def _pow_or_inf(base: float, exponent: float) -> float:
 
 def benchmark1_tx_power_w(config: SystemConfig, x_ue_m: Floats, y_ue_m: Floats, shadow_db: Floats):
     """Radiated power the direct link needs to hit the SNR target, for one user or many."""
-    return config.snr_target_linear * config.ue_noise_w / benchmark1_link_gain(config, x_ue_m, y_ue_m, shadow_db)
+    gain = benchmark1_link_gain(config, x_ue_m, y_ue_m, shadow_db)
+    tx = config.snr_target_linear * config.ue_noise_w / gain
+    if isinstance(tx, float) and tx == math.inf:  # floats only: the sweep checks each user in kernel.evaluate
+        at = f"snr_target_linear={config.snr_target_linear!r}"
+        raise ValueError(f"{link_out_of_range(config, 'direct', gain)}: transmit power inf W at {at}")
+    return tx
 
 
 def benchmark1_total_power_w(config: SystemConfig, tx_w: Floats):
     """Total consumed power of the direct scheme: PA draw plus per-element RF chains."""
-    return tx_w / config.pa_efficiency + NUM_ELEMENTS * RF_CHAIN_POWER_W
+    total = tx_w / config.pa_efficiency + NUM_ELEMENTS * RF_CHAIN_POWER_W
+    if isinstance(total, float) and not math.isfinite(total):  # floats only, as above
+        at = f"pa_efficiency={config.pa_efficiency!r} and tx_w={tx_w!r}"
+        raise ValueError(f"direct-scheme total power {total!r} W at {at}")
+    return total
 
 
 def benchmark2_power(config: SystemConfig, ue: UePosition) -> PowerSolution:

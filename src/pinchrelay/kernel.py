@@ -92,13 +92,12 @@ def optimal_pin_positions(config: SystemConfig, xs: np.ndarray, ys: np.ndarray) 
         x_pins = np.minimum(np.maximum(xs, 0.0), length)
         return x_pins, relay_ue_gains(config, xs, ys, x_pins)
     height = config.waveguide_height_m
-    c_const = ys * ys + height * height
-    delta = 4.0 - 4.0 * alpha * alpha * c_const
-    root = np.sqrt(np.maximum(1.0 - alpha * alpha * c_const, 0.0))  # used only where delta >= 0
+    discriminant = 1.0 - alpha * alpha * (ys * ys + height * height)
+    root = np.sqrt(np.maximum(discriminant, 0.0))  # used only where discriminant >= 0
     candidate = np.minimum(np.maximum(xs - (1.0 - root) / alpha, 0.0), length)
     at_candidate = relay_ue_gains(config, xs, ys, candidate)
     at_feed = relay_ue_gains(config, xs, ys, 0.0)
-    wins = (delta >= 0.0) & (at_candidate > at_feed)
+    wins = (discriminant >= 0.0) & (at_candidate > at_feed)
     return np.where(wins, candidate, 0.0), np.where(wins, at_candidate, at_feed)
 
 

@@ -99,7 +99,7 @@ class SystemConfig:
     def ue_noise_w(self) -> float:
         """Thermal noise power at the user terminal."""
         if self.ue_noise_figure_db is None:
-            return noise_power_w(self.bandwidth_hz, self.noise_figure_db, "noise_figure_db")
+            return self.relay_noise_w
         return noise_power_w(self.bandwidth_hz, self.ue_noise_figure_db, "ue_noise_figure_db")
 
 

@@ -44,15 +44,8 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class StationaryAnalysis:
-    """Stationary points of the placement objective.
+    """Interior maximum ``x2`` of the placement objective; ``None`` when the discriminant is negative."""
 
-    ``delta`` is the discriminant ``4 - 4 alpha^2 C``; the roots ``x1 <= x2``
-    are present only when it is nonnegative.
-    """
-
-    delta: float
-    c_const: float
-    x1_m: float | None
     x2_m: float | None
 
 
@@ -69,7 +62,7 @@ class PowerSolution:
 
 
 def stationary_points(config: SystemConfig, ue: UePosition) -> StationaryAnalysis:
-    """Solve the stationary-point quadratic of the placement objective.
+    """The interior maximum of the placement objective, from its stationary-point quadratic.
 
     Requires a strictly positive attenuation coefficient; at alpha = 0 the
     quadratic degenerates and the caller should use the pure distance-
@@ -78,14 +71,10 @@ def stationary_points(config: SystemConfig, ue: UePosition) -> StationaryAnalysi
     alpha = config.waveguide_attenuation_per_m
     if alpha == 0.0:
         raise ValueError("no stationary analysis for zero waveguide attenuation")
-    c_const = ue.y_ue_m * ue.y_ue_m + config.waveguide_height_m * config.waveguide_height_m
-    delta = 4.0 - 4.0 * alpha * alpha * c_const
-    if delta < 0.0:
-        return StationaryAnalysis(delta=delta, c_const=c_const, x1_m=None, x2_m=None)
-    root = math.sqrt(1.0 - alpha * alpha * c_const)
-    x1 = ue.x_ue_m - (1.0 + root) / alpha
-    x2 = ue.x_ue_m - (1.0 - root) / alpha
-    return StationaryAnalysis(delta=delta, c_const=c_const, x1_m=x1, x2_m=x2)
+    discriminant = 1.0 - alpha * alpha * (ue.y_ue_m * ue.y_ue_m + config.waveguide_height_m * config.waveguide_height_m)
+    if discriminant < 0.0:
+        return StationaryAnalysis(x2_m=None)
+    return StationaryAnalysis(x2_m=ue.x_ue_m - (1.0 - math.sqrt(discriminant)) / alpha)
 
 
 def optimal_pin_position(config: SystemConfig, ue: UePosition) -> float:

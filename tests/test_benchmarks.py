@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pinchrelay import (
+    SweepSpec,
     SystemConfig,
     UePosition,
     benchmark1_total_power_w,
     benchmark1_tx_power_w,
     benchmark2_power,
     db_to_linear,
+    run_sweep,
     solve,
 )
 from pinchrelay.benchmarks import NUM_ELEMENTS, PATH_LOSS_EXPONENT, SHADOWING_STD_DB
@@ -161,6 +163,38 @@ class TestBenchmark1:
         assert benchmark1_total_power_w(cfg, tx) == tx / pa_efficiency + 64 * 0.1
         txs = benchmark1_tx_power_w(cfg, np.array([0.0, 15.0, 30.0]), np.array([0.0, 5.0, 10.0]), np.zeros(3))
         assert benchmark1_total_power_w(cfg, txs).tolist() == [t / pa_efficiency + 64 * 0.1 for t in txs.tolist()]
+
+    def test_infinite_total_power_is_a_named_error(self, cfg):
+        # tx / 5e-324 overflows although the efficiency lies in (0, 1]
+        tx = benchmark1_tx_power_w(cfg, 15.0, 5.0, NO_SHADOW)
+        message = re.escape(f"direct-scheme total power inf W at pa_efficiency=5e-324 and tx_w={tx!r}")
+        with pytest.raises(ValueError, match=message):
+            benchmark1_total_power_w(replace(cfg, pa_efficiency=5e-324), tx)
+
+    def test_infinite_tx_power_is_a_named_error(self, cfg):
+        # a link gain of 9.4e-319 lies in (0, inf), but snr * noise / gain overflows
+        far = replace(cfg, bs_relay_distance_m=3e78)
+        message = re.escape(
+            "link budget out of range on the direct link: gain 9.4102e-319 at bs_relay_distance_m=3e+78, "
+            "carrier_frequency_hz=28000000000.0: transmit power inf W at snr_target_linear=100.0"
+        )
+        with pytest.raises(ValueError, match=message):
+            benchmark1_tx_power_w(far, 15.0, 5.0, NO_SHADOW)
+
+    @pytest.mark.parametrize(
+        "variable, value, pa_efficiency, bs_w",
+        [("snr_target_db", 20.0, 5e-324, "868.017216959334"), ("bs_relay_distance_m", 3e78, 0.9, "inf")],
+        ids=["pa_efficiency", "bs_relay_distance_m"],
+    )
+    def test_sweep_reports_an_infinite_power_per_sample(self, cfg, variable, value, pa_efficiency, bs_w):
+        # arrays pass the float checks, so the sweep's per-sample message is the one it always gave
+        spec = SweepSpec(variable, (value,), ue_samples=5, schemes=("benchmark1",))
+        message = (
+            f"scheme 'benchmark1' failed at sample 0 (ue=(19.1089, 9.12756), {variable}={value:g}): "
+            f"total power inf W and BS power {bs_w} W must be finite"
+        )
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            run_sweep(replace(cfg, pa_efficiency=pa_efficiency), spec)
 
     @pytest.mark.parametrize(
         "field, value",

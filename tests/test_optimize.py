@@ -53,39 +53,71 @@ class TestPinObjective:
             assert ratio == pytest.approx(constant, rel=1e-12)
 
 
-class TestStationaryPoints:
-    def test_default_scenario(self, cfg, ue_mid):
-        analysis = stationary_points(cfg, ue_mid)
-        assert analysis.c_const == pytest.approx(34.0, rel=1e-15)
-        assert analysis.delta == pytest.approx(4.0 - 4e-4 * 34.0, rel=1e-12)
-        root = math.sqrt(1.0 - 1e-4 * 34.0)
-        assert analysis.x1_m == pytest.approx(15.0 - (1.0 + root) / 0.01, rel=1e-12)
-        assert analysis.x2_m == pytest.approx(15.0 - (1.0 - root) / 0.01, rel=1e-9)
-        assert analysis.x1_m <= analysis.x2_m
+def random_placements(n: int, seed: int):
+    """``n`` (config, user) pairs across attenuations, heights, lengths and user positions."""
+    rng = np.random.default_rng(seed)
+    draws = zip(*(rng.uniform(lo, hi, n).tolist() for lo, hi in ((1e-4, 0.3), (0.5, 10.0), (5.0, 50.0))))
+    users = zip(rng.uniform(-10.0, 50.0, n).tolist(), rng.uniform(0.0, 20.0, n).tolist())
+    for (alpha, height, length), (x_ue, y_ue) in zip(draws, users):
+        cfg = SystemConfig(waveguide_attenuation_per_m=alpha, waveguide_height_m=height, waveguide_length_m=length)
+        yield cfg, UePosition(x_ue, y_ue)
 
-    @pytest.mark.parametrize("x_root", ["x1_m", "x2_m"])
-    def test_roots_satisfy_the_quadratic(self, cfg, ue_mid, x_root):
+
+class TestStationaryPoints:
+    """``stationary_points`` keeps only the interior maximum ``x2``, the root that placement reads."""
+
+    @staticmethod
+    def assert_solves_the_quadratic(cfg: SystemConfig, ue: UePosition, x2: float) -> None:
+        # alpha u^2 - 2u + alpha C = 0 in u = x_ue - x2, to 1e-9 of its largest term
         alpha = cfg.waveguide_attenuation_per_m
-        analysis = stationary_points(cfg, ue_mid)
-        u = ue_mid.x_ue_m - getattr(analysis, x_root)
-        residual = alpha * u * u - 2.0 * u + alpha * analysis.c_const
-        scale = max(abs(alpha * u * u), abs(2.0 * u), abs(alpha * analysis.c_const))
-        assert abs(residual) <= 1e-9 * scale
+        c_const = ue.y_ue_m * ue.y_ue_m + cfg.waveguide_height_m * cfg.waveguide_height_m
+        u = ue.x_ue_m - x2
+        terms = (alpha * u * u, -2.0 * u, alpha * c_const)
+        assert abs(math.fsum(terms)) <= 1e-9 * max(map(abs, terms))
+
+    def test_default_scenario(self, cfg, ue_mid):
+        x2 = stationary_points(cfg, ue_mid).x2_m
+        assert x2 == pytest.approx(15.0 - (1.0 - math.sqrt(1.0 - 1e-4 * 34.0)) / 0.01, rel=1e-12)
+        self.assert_solves_the_quadratic(cfg, ue_mid, x2)
+
+    def test_interior_maximum_solves_the_quadratic(self):
+        solved = 0
+        for cfg, ue in random_placements(500, seed=3):
+            x2 = stationary_points(cfg, ue).x2_m
+            if x2 is not None:
+                self.assert_solves_the_quadratic(cfg, ue, x2)
+                solved += 1
+        assert solved >= 100
+
+    def test_interior_maximum_on_the_waveguide_is_the_placement(self):
+        # On [0, L] the objective rises from the local minimum x1 to x2, so x2 is the
+        # placement unless x1 lies on the waveguide too and the feed radiates more.
+        placed = 0
+        for cfg, ue in random_placements(400, seed=5):
+            x2 = stationary_points(cfg, ue).x2_m
+            if x2 is None or not 0.0 <= x2 <= cfg.waveguide_length_m:
+                continue
+            position = optimal_pin_position(cfg, ue)
+            best = pin_objective(cfg, ue, position)
+            assert position == (x2 if relay_ue_gain(cfg, ue, x2) > relay_ue_gain(cfg, ue, 0.0) else 0.0)
+            _, f_grid = grid_search_pin(cfg, ue, 1e-3)
+            assert f_grid <= best * (1.0 + 1e-10)
+            placed += position == x2
+        assert placed >= 30
 
     def test_no_real_roots_for_distant_user(self, cfg):
-        analysis = stationary_points(cfg, UePosition(15.0, 100.0))
-        assert analysis.c_const == pytest.approx(10009.0)
-        assert analysis.delta < 0.0
-        assert analysis.x1_m is None and analysis.x2_m is None
+        # 1 - alpha^2 C = 1 - 1e-4 * 10009 < 0
+        assert stationary_points(cfg, UePosition(15.0, 100.0)).x2_m is None
 
     def test_repeated_root_at_zero_discriminant(self):
         # alpha^2 * C = 1 in exact binary arithmetic: alpha = 0.25, C = 16
         cfg = SystemConfig(waveguide_attenuation_per_m=0.25, waveguide_height_m=4.0)
         ue = UePosition(20.0, 0.0)
-        analysis = stationary_points(cfg, ue)
-        assert analysis.delta == 0.0
-        assert analysis.x1_m == pytest.approx(20.0 - 4.0, rel=1e-12)
-        assert analysis.x2_m == pytest.approx(analysis.x1_m, rel=1e-12)
+        assert stationary_points(cfg, ue).x2_m == 16.0
+        # both paths test the same discriminant, so the array form matches bit for bit
+        x_pins, g2_sq = optimal_pin_positions(cfg, np.array([20.0]), np.array([0.0]))
+        x_pin = optimal_pin_position(cfg, ue)
+        assert x_pins.tolist() == [x_pin] and g2_sq.tolist() == [relay_ue_gain(cfg, ue, x_pin)]
 
     def test_zero_attenuation_has_no_analysis(self, ue_mid):
         cfg = SystemConfig(waveguide_attenuation_per_m=0.0)
