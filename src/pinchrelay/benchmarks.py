@@ -6,8 +6,9 @@ keeps the relay and the closed-form power split but bolts the radiating
 antenna to the waveguide feed point, so the relay-to-user hop is plain free
 space with no placement freedom.
 
-The direct scheme has one implementation, :func:`benchmark1_link_gain` and its
-quotient :func:`benchmark1_tx_power_w`, for one user as floats or many as arrays.
+The direct scheme has one implementation, for one user as floats or many as
+arrays: its link gain :func:`benchmark1_link_gain` and its one transmit-power
+quotient :func:`direct_tx_power_w`, which the sweep kernel calls too.
 """
 
 from __future__ import annotations
@@ -76,7 +77,11 @@ def _pow_or_inf(base: float, exponent: float) -> float:
 
 def benchmark1_tx_power_w(config: SystemConfig, x_ue_m: Floats, y_ue_m: Floats, shadow_db: Floats):
     """Radiated power the direct link needs to hit the SNR target, for one user or many."""
-    gain = benchmark1_link_gain(config, x_ue_m, y_ue_m, shadow_db)
+    return direct_tx_power_w(config, benchmark1_link_gain(config, x_ue_m, y_ue_m, shadow_db))
+
+
+def direct_tx_power_w(config: SystemConfig, gain: Floats):
+    """Radiated power that hits the SNR target over direct-link gain ``gain``, one float or an array of them."""
     tx = config.snr_target_linear * config.ue_noise_w / gain
     if isinstance(tx, float) and tx == math.inf:  # floats only: the sweep checks each user in kernel.evaluate
         at = f"snr_target_linear={config.snr_target_linear!r}"

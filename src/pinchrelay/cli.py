@@ -187,11 +187,13 @@ def parse_values_spec(text: str) -> tuple[tuple[float, ...], str]:
 _SWEEP_VARIABLES = {"gamma0": "snr_target_db", "d1": "bs_relay_distance_m"}
 
 
-def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
+def _scenario_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False)
     group = parser.add_argument_group("scenario")
     group.add_argument("--config", metavar="FILE", help="flat 'key = value' scenario file; flags override it")
     for name, (flag, parse, metavar, help_text) in _SCENARIO_FIELDS.items():
         group.add_argument(flag, dest=name, type=_argtype(parse), metavar=metavar, help=help_text)
+    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -200,15 +202,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Power-minimizing design of a relay-fed pinching-antenna downlink.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    scenario = _scenario_parser()
 
-    p_solve = sub.add_parser("solve", help="solve one scenario for a single user position")
-    _add_scenario_flags(p_solve)
+    p_solve = sub.add_parser("solve", parents=[scenario], help="solve one scenario for a single user position")
     p_solve.add_argument("--ue", type=_argtype(_parse_ue), metavar="X,Y", help="user position [m]; default: coverage center")
     p_solve.add_argument("--json", action="store_true", help="emit the solution as JSON instead of a table")
     p_solve.set_defaults(func=_cmd_solve)
 
-    p_sweep = sub.add_parser("sweep", help="sweep gamma0 or d1, averaging over random user positions")
-    _add_scenario_flags(p_sweep)
+    p_sweep = sub.add_parser("sweep", parents=[scenario], help="sweep gamma0 or d1, averaging over random user positions")
     p_sweep.add_argument("--var", required=True, choices=sorted([*_SWEEP_VARIABLES, *VARIABLES]), help="sweep variable")
     p_sweep.add_argument("--values", required=True, metavar="SPEC", help="'start:step:stop[unit]' or 'v1,v2,...'")
     p_sweep.add_argument("--samples", type=int, default=1000, metavar="N", help="user positions per sweep value")
@@ -218,15 +219,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--gnuplot", action="store_true", help="also write a companion gnuplot script next to the CSV")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_verify = sub.add_parser("verify", help="check the closed forms against brute-force oracles")
-    _add_scenario_flags(p_verify)
+    p_verify = sub.add_parser("verify", parents=[scenario], help="check the closed forms against brute-force oracles")
     p_verify.add_argument("--trials", type=int, default=20, metavar="N", help="number of randomized scenarios")
     p_verify.add_argument("--seed", type=int, default=0, help="random seed for scenario draws")
     p_verify.add_argument("--grid-step", type=_argtype(parse_length_m), default=1e-3, metavar="S", help="placement grid step [m]")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_dump = sub.add_parser("config-dump", help="print the effective scenario parameters")
-    _add_scenario_flags(p_dump)
+    p_dump = sub.add_parser("config-dump", parents=[scenario], help="print the effective scenario parameters")
     p_dump.set_defaults(func=_cmd_config_dump)
 
     return parser
@@ -287,7 +286,15 @@ def verify_scenario(config: SystemConfig, ue: UePosition, *, grid_step_m: float)
     return oracle.verify_scenario(config, ue, grid_step_m=grid_step_m)
 
 
+# verify draws these fields afresh in every trial: their flags are usage errors,
+# and their config-file values are ignored, so a config-dump file still loads
+_VERIFY_DRAWN_FIELDS = ("waveguide_attenuation_per_m", "bs_relay_distance_m", "snr_target_linear", "pa_efficiency")
+
+
 def _cmd_verify(args: argparse.Namespace, config: SystemConfig) -> int:
+    for name in _VERIFY_DRAWN_FIELDS:
+        if getattr(args, name) is not None:
+            raise UsageError(f"verify draws {name} at random in every trial, so {_SCENARIO_FIELDS[name][0]} cannot set it")
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
     if args.seed < 0:
@@ -339,7 +346,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, RuntimeError, ValueError) as exc:
+    except (MemoryError, OSError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,7 +25,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .benchmarks import benchmark1_link_gain, benchmark1_total_power_w
+from .benchmarks import benchmark1_link_gain, benchmark1_total_power_w, direct_tx_power_w
 from .model import LINK_FIELDS, SystemConfig, _free_space, bs_relay_gain, consumed_power, link_out_of_range
 from .model import relay_tx_power
 from .optimize import split_power
@@ -121,7 +121,7 @@ def _relay_power(cfg: SystemConfig, second_hop: tuple[np.ndarray, np.ndarray]):
 
 
 def _direct_power(cfg: SystemConfig, gain: np.ndarray):
-    tx = cfg.snr_target_linear * cfg.ue_noise_w / gain
+    tx = direct_tx_power_w(cfg, gain)
     return benchmark1_total_power_w(cfg, tx), tx
 
 

@@ -4,14 +4,18 @@ import argparse
 import json
 import re
 from dataclasses import fields
+from types import SimpleNamespace
 
 import pytest
 
 import pinchrelay.cli
 from pinchrelay import SystemConfig
 from pinchrelay.cli import (
+    _SCENARIO_FIELDS,
+    _VERIFY_DRAWN_FIELDS,
     MAX_RANGE_VALUES,
-    _add_scenario_flags,
+    _build_parser,
+    _scenario_parser,
     cli_main,
     load_config_file,
     parse_frequency_hz,
@@ -170,8 +174,7 @@ class TestConfigHandling:
 
     def test_every_field_has_one_flag_and_one_key(self, tmp_path, capsys):
         names = [f.name for f in fields(SystemConfig)]
-        parser = argparse.ArgumentParser()
-        _add_scenario_flags(parser)
+        parser = _scenario_parser()
         actions = [a for a in parser._actions if a.dest not in ("help", "config")]
         assert sorted(a.dest for a in actions) == sorted(names)
         assert all(len(a.option_strings) == 1 for a in actions)
@@ -286,6 +289,16 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: scheme 'proposed' failed at bs_relay_distance_m=30: ")
         assert "too large to convert" in err
+
+    # 1e18 users, 6.9 EiB per array: no machine can map that, so the allocation fails at once
+    def test_samples_too_many_to_allocate_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--var", "gamma0", "--values", "20dB", "--samples", str(10**18), "--schemes", "proposed"]
+        assert cli_main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "allocate" in err
+        assert not out.exists()
 
     def test_direct_link_underflow_is_one_error_line(self, tmp_path, capsys):
         argv = ["sweep", "--var", "d1", "--values", "1e300", "--schemes", "benchmark1", "--samples", "3"]
@@ -419,6 +432,45 @@ class TestVerifyCommand:
         assert cli_main(["verify", "--trials", "1", flag, value]) == 2
         assert flag in capsys.readouterr().err
 
+    # each trial draws these four fields, so a flag that sets one would be silently ignored
+    @pytest.mark.parametrize(
+        "flag, name",
+        [
+            ("--alpha-d", "waveguide_attenuation_per_m"),
+            ("--d1", "bs_relay_distance_m"),
+            ("--gamma0", "snr_target_linear"),
+            ("--eta-pa", "pa_efficiency"),
+        ],
+    )
+    def test_flags_for_drawn_fields_are_usage_errors(self, capsys, flag, name):
+        assert cli_main(["verify", "--trials", "1", flag, "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: verify draws {name} at random in every trial, so {flag} cannot set it\n"
+
+    def test_trials_replace_exactly_the_drawn_fields(self, capsys, monkeypatch):
+        configs, report = [], SimpleNamespace(passed=True, rel_gap=0.0)
+        monkeypatch.setattr(pinchrelay.cli, "verify_scenario", lambda cfg, *a, **k: configs.append(cfg) or (report, report))
+        assert cli_main(["verify", "--trials", "2"]) == 0
+        assert len(configs) == 2
+        for cfg in configs:
+            changed = {f.name for f in fields(SystemConfig) if getattr(cfg, f.name) != getattr(SystemConfig(), f.name)}
+            assert changed == set(_VERIFY_DRAWN_FIELDS)
+
+    def test_full_config_dump_file_still_loads(self, tmp_path, capsys):
+        assert cli_main(["config-dump", "--gamma0", "1e300", "--d1", "70"]) == 0
+        dumped = tmp_path / "dump.cfg"
+        dumped.write_text(capsys.readouterr().out, encoding="utf-8")
+        assert cli_main(["verify", "--trials", "2", "--config", str(dumped)]) == 0
+        assert "verify: 2/2 scenarios passed" in capsys.readouterr().out
+
+    # 3e17 grid points, 2.1 EiB: no machine can map that, so the allocation fails at once
+    def test_grid_too_large_to_allocate_is_one_error_line(self, capsys):
+        assert cli_main(["verify", "--trials", "1", "--grid-step", "1e-16"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "allocate" in err
+
 
 class TestExitCodes:
     def test_unknown_flag(self, capsys):
@@ -440,3 +492,20 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", ["solve", "sweep", "verify", "config-dump"])
+    def test_help_lists_each_scenario_flag_once_in_field_order(self, capsys, command):
+        assert cli_main([command, "--help"]) == 0
+        listed = re.findall(r"^  (--[a-z0-9-]+)", capsys.readouterr().out, re.MULTILINE)
+        scenario_flags = ["--config", *(flag for flag, *_ in _SCENARIO_FIELDS.values())]
+        assert [flag for flag in listed if flag in scenario_flags] == scenario_flags
+
+    def test_subcommands_share_one_set_of_scenario_actions(self):
+        parser = _build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        commands = subparsers.choices.values()
+        scenario = {a.dest for a in _scenario_parser()._actions}
+        shared = {id(a) for command in commands for a in command._actions if a.dest in scenario}
+        assert len(shared) == len(scenario) == 1 + len(_SCENARIO_FIELDS)
