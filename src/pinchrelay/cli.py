@@ -15,11 +15,14 @@ import re
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .model import SystemConfig, UePosition, db_to_linear
 from .optimize import solve
 from .sweep import SCHEMES, VARIABLES, SweepSpec, export_csv, run_sweep, write_gnuplot_script
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class UsageError(ValueError):
@@ -149,6 +152,11 @@ def _parse_ue(text: str) -> tuple[float, float]:
 # A range spec may expand to at most this many sweep values; the count is
 # checked before any value is built.
 MAX_RANGE_VALUES = 10_000
+# The most users a sweep draws, and the most points a verify placement grid
+# holds: a 10**6-user sweep peaks near 150 MiB and a 10**7-point verify near
+# 260 MiB, so a larger request is a usage error, not an allocation.
+MAX_SAMPLES = 10**6
+MAX_GRID_POINTS = 10**7
 
 _VALUES_RE = re.compile(r"^\s*(.*?(?:[\d.]|nan|inf(?:inity)?))\s*([a-z]*)\s*$", re.IGNORECASE)
 
@@ -253,6 +261,8 @@ def _cmd_solve(args: argparse.Namespace, config: SystemConfig) -> int:
 def _cmd_sweep(args: argparse.Namespace, config: SystemConfig) -> int:
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
+    if args.samples > MAX_SAMPLES:
+        raise UsageError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
     variable = _SWEEP_VARIABLES.get(args.var, args.var)
     _, _, units, label = VARIABLES[variable]
     try:
@@ -286,9 +296,14 @@ def verify_scenario(config: SystemConfig, ue: UePosition, *, grid_step_m: float)
     return oracle.verify_scenario(config, ue, grid_step_m=grid_step_m)
 
 
-# verify draws these fields afresh in every trial: their flags are usage errors,
-# and their config-file values are ignored, so a config-dump file still loads
-_VERIFY_DRAWN_FIELDS = ("waveguide_attenuation_per_m", "bs_relay_distance_m", "snr_target_linear", "pa_efficiency")
+# verify draws these fields afresh in every trial, in this order: their flags are
+# usage errors, and their config-file values are ignored, so a config-dump file still loads
+_VERIFY_DRAWN_FIELDS: dict[str, Callable[[np.random.Generator], float]] = {
+    "waveguide_attenuation_per_m": lambda rng: 10.0 ** rng.uniform(-4.0, -1.3),
+    "bs_relay_distance_m": lambda rng: rng.uniform(30.0, 100.0),
+    "snr_target_linear": lambda rng: 10.0 ** rng.uniform(0.5, 3.0),
+    "pa_efficiency": lambda rng: rng.uniform(0.7, 1.0),
+}
 
 
 def _cmd_verify(args: argparse.Namespace, config: SystemConfig) -> int:
@@ -301,18 +316,17 @@ def _cmd_verify(args: argparse.Namespace, config: SystemConfig) -> int:
         raise UsageError("--seed must be >= 0")
     if not 0.0 < args.grid_step <= config.waveguide_length_m:
         raise UsageError(f"--grid-step must lie in (0, {config.waveguide_length_m:g}] m, got {args.grid_step!r}")
+    points = config.waveguide_length_m / args.grid_step + 1.0
+    if points > MAX_GRID_POINTS:
+        raise UsageError(
+            f"--grid-step gives {points:.10g} grid points (L / step + 1), over the limit of {MAX_GRID_POINTS}"
+        )
     import numpy as np
 
     rng = np.random.default_rng(args.seed)
     failures = 0
     for k in range(args.trials):
-        cfg = replace(
-            config,
-            waveguide_attenuation_per_m=float(10.0 ** rng.uniform(-4.0, -1.3)),
-            bs_relay_distance_m=float(rng.uniform(30.0, 100.0)),
-            snr_target_linear=float(10.0 ** rng.uniform(0.5, 3.0)),
-            pa_efficiency=float(rng.uniform(0.7, 1.0)),
-        )
+        cfg = replace(config, **{name: float(draw(rng)) for name, draw in _VERIFY_DRAWN_FIELDS.items()})
         ue = UePosition(
             float(rng.uniform(0.0, cfg.coverage_x_m)),
             float(rng.uniform(0.0, cfg.coverage_y_m)),

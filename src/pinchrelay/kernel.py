@@ -6,8 +6,10 @@ element equals the scalar path (:mod:`.model`, :mod:`.optimize`,
 runs in the scalar expressions' order, and ``exp``/``pow``/``hypot`` go
 through :mod:`math` per element (:func:`libm_each`), because numpy's
 vectorised versions round differently from libm on a few percent of inputs.
-This is the one module where the scalar and array forms meet; the scalar
-modules import no numpy, so a single-point solve never loads it.
+The scalar modules import no numpy, so a single-point solve never loads it.
+One function outside this module also takes floats or arrays:
+:func:`.benchmarks.benchmark1_link_gain`, which imports numpy and this
+module when it is called.
 
 Each scheme is two stages.  Its user stage does the per-user work (placement
 and the second-hop gain, or the direct link's gain) and reads only the

@@ -94,29 +94,24 @@ def numeric_power_min(gains: ChannelGains, config: SystemConfig) -> tuple[float,
 
     Returns ``(p1_best, beta_sq_best, j_best)``.
     """
+    p1_closed, _, _ = optimal_power_allocation(gains, config)
+    return _power_search(gains, config, p1_closed)[:3]
+
+
+def _power_search(gains: ChannelGains, config: SystemConfig, p1_closed: float) -> tuple[float, float, float, float]:
+    """:func:`numeric_power_min` on the grid up to ``10 * p1_closed``; also returns the grid's relative step."""
     gamma0 = config.snr_target_linear
-    eta = config.pa_efficiency
-    grid = _p1_grid(gains, config)
+    floor_w = gamma0 * gains.sigma_r_sq_w / gains.g1_sq
+    grid = np.logspace(math.log10(floor_w * (1.0 + P1_FLOOR_MARGIN)), math.log10(10.0 * p1_closed), DEFAULT_P1_POINTS)
     surplus = grid * gains.g1_sq - gamma0 * gains.sigma_r_sq_w
-    cost = eta * grid + gamma0 * gains.sigma_ue_sq_w * (grid * gains.g1_sq + gains.sigma_r_sq_w) / (
+    cost = config.pa_efficiency * grid + gamma0 * gains.sigma_ue_sq_w * (grid * gains.g1_sq + gains.sigma_r_sq_w) / (
         gains.g2_sq * surplus
     )
     best = int(np.argmin(cost))
     if best in (0, grid.size - 1):
         log.warning("power-grid minimum landed on the boundary (index %d of %d)", best, grid.size)
-    p1_best = float(grid[best])
-    beta_sq_best = gamma0 * gains.sigma_ue_sq_w / (gains.g2_sq * (p1_best * gains.g1_sq - gamma0 * gains.sigma_r_sq_w))
-    return p1_best, float(beta_sq_best), float(cost[best])
-
-
-@lru_cache(maxsize=1)  # verify_scenario reads the step of the grid numeric_power_min has just searched
-def _p1_grid(gains: ChannelGains, config: SystemConfig) -> np.ndarray:
-    """The read-only log-spaced P1 grid that :func:`numeric_power_min` searches."""
-    floor_w = config.snr_target_linear * gains.sigma_r_sq_w / gains.g1_sq
-    p1_closed, _, _ = optimal_power_allocation(gains, config)
-    grid = np.logspace(math.log10(floor_w * (1.0 + P1_FLOOR_MARGIN)), math.log10(10.0 * p1_closed), DEFAULT_P1_POINTS)
-    grid.flags.writeable = False
-    return grid
+    beta_sq_best = gamma0 * gains.sigma_ue_sq_w / (gains.g2_sq * float(surplus[best]))
+    return float(grid[best]), beta_sq_best, float(cost[best]), float(grid[1] / grid[0]) - 1.0
 
 
 def grid_power_min_2d(
@@ -172,10 +167,8 @@ def verify_scenario(
         sigma_r_sq_w=config.relay_noise_w,
         sigma_ue_sq_w=config.ue_noise_w,
     )
-    _, _, j_closed = optimal_power_allocation(gains, config)
-    _, _, j_grid = numeric_power_min(gains, config)
-    p1_grid = _p1_grid(gains, config)
-    power_step = float(p1_grid[1] / p1_grid[0]) - 1.0  # the relative step of the log grid just searched
+    p1_closed, _, j_closed = optimal_power_allocation(gains, config)
+    _, _, j_grid, power_step = _power_search(gains, config, p1_closed)
     power = _report(j_closed, j_grid, abs(j_closed - j_grid) / j_grid, power_step, POWER_REL_TOL)
     return position, power
 

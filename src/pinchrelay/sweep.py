@@ -63,8 +63,10 @@ class SweepSpec:
         for value in self.values:
             if not 0.0 < to_si(value) < math.inf:
                 raise ValueError(f"{self.variable} value {value!r} is out of range: {field} must be finite and positive")
-        if self.ue_samples < 1:
-            raise ValueError("ue_samples must be >= 1")
+        for name, least in (("ue_samples", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not hasattr(value, "__index__") or value < least:  # an int, or a numpy integer
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         unknown = [s for s in self.schemes if s not in SCHEMES]
         if unknown or not self.schemes:
             raise ValueError(f"schemes must be a nonempty subset of {SCHEMES}, got {self.schemes!r}")

@@ -13,7 +13,9 @@ from pinchrelay import SystemConfig
 from pinchrelay.cli import (
     _SCENARIO_FIELDS,
     _VERIFY_DRAWN_FIELDS,
+    MAX_GRID_POINTS,
     MAX_RANGE_VALUES,
+    MAX_SAMPLES,
     _build_parser,
     _scenario_parser,
     cli_main,
@@ -290,14 +292,30 @@ class TestSweepCommand:
         assert err.startswith("error: scheme 'proposed' failed at bs_relay_distance_m=30: ")
         assert "too large to convert" in err
 
-    # 1e18 users, 6.9 EiB per array: no machine can map that, so the allocation fails at once
+    # 1e18 users, 6.9 EiB per array: rejected before anything is allocated
     def test_samples_too_many_to_allocate_is_one_error_line(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         argv = ["sweep", "--var", "gamma0", "--values", "20dB", "--samples", str(10**18), "--schemes", "proposed"]
-        assert cli_main([*argv, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "allocate" in err
+        assert cli_main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --samples must be at most {MAX_SAMPLES}, got {10**18}\n"
+        assert not out.exists()
+
+    def test_samples_at_the_cap_pass_the_check(self, tmp_path, capsys, monkeypatch):
+        specs = []
+        monkeypatch.setattr(pinchrelay.cli, "run_sweep", lambda config, spec: specs.append(spec) or [])
+        argv = ["sweep", "--var", "gamma0", "--values", "20dB", "--samples", str(MAX_SAMPLES)]
+        assert cli_main([*argv, "--out", str(tmp_path / "x.csv")]) == 0
+        assert [spec.ue_samples for spec in specs] == [MAX_SAMPLES]
+
+    def test_failed_allocation_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def run_sweep(config, spec):
+            raise MemoryError("Unable to allocate 6.94 EiB for an array with shape (1000000000000000000,)")
+
+        monkeypatch.setattr(pinchrelay.cli, "run_sweep", run_sweep)
+        out = tmp_path / "x.csv"
+        assert cli_main(["sweep", "--var", "gamma0", "--values", "20dB", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: Unable to allocate 6.94 EiB for an array with shape (1000000000000000000,)\n"
         assert not out.exists()
 
     def test_direct_link_underflow_is_one_error_line(self, tmp_path, capsys):
@@ -464,12 +482,20 @@ class TestVerifyCommand:
         assert cli_main(["verify", "--trials", "2", "--config", str(dumped)]) == 0
         assert "verify: 2/2 scenarios passed" in capsys.readouterr().out
 
-    # 3e17 grid points, 2.1 EiB: no machine can map that, so the allocation fails at once
+    # 3e17 grid points, 2.1 EiB: rejected before anything is allocated
     def test_grid_too_large_to_allocate_is_one_error_line(self, capsys):
-        assert cli_main(["verify", "--trials", "1", "--grid-step", "1e-16"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "allocate" in err
+        assert cli_main(["verify", "--trials", "1", "--grid-step", "1e-16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        limit = f"over the limit of {MAX_GRID_POINTS}"
+        assert captured.err == f"error: --grid-step gives 3e+17 grid points (L / step + 1), {limit}\n"
+
+    # L / step + 1 against the cap: 1e7 + 1 points on a 30 m guide at 3 um, just under 1e7 at 3.000001 um
+    @pytest.mark.parametrize("step, code", [("3e-6", 2), ("3.000001e-6", 0)])
+    def test_grid_cap_counts_both_ends(self, capsys, monkeypatch, step, code):
+        report = SimpleNamespace(passed=True, rel_gap=0.0)
+        monkeypatch.setattr(pinchrelay.cli, "verify_scenario", lambda *a, **k: (report, report))
+        assert cli_main(["verify", "--trials", "1", "--grid-step", step]) == code
 
 
 class TestExitCodes:

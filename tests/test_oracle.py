@@ -1,5 +1,6 @@
 """Brute-force oracles: placement grid search, constraint-curve power grid, reports."""
 
+import logging
 import math
 import tracemalloc
 from dataclasses import replace
@@ -21,6 +22,16 @@ from pinchrelay import (
     verify_scenario,
 )
 from pinchrelay.oracle import DEFAULT_P1_POINTS, P1_FLOOR_MARGIN, _placement_grid
+
+
+def p1_scaled_down(monkeypatch):
+    """Make the oracle's closed-form split return a BS power 100x too small, its cost unchanged."""
+
+    def scaled(gains, config):
+        p1, beta_sq, j = optimal_power_allocation(gains, config)
+        return p1 / 100.0, beta_sq, j
+
+    monkeypatch.setattr("pinchrelay.oracle.optimal_power_allocation", scaled)
 
 
 def symmetric_toy():
@@ -140,6 +151,16 @@ class TestNumericPowerMin:
         gains = channel_gains(cfg, ue_mid, 14.83)
         assert numeric_power_min(gains, cfg) == numeric_power_min(gains, cfg)
 
+    def test_grid_follows_the_split_it_is_built_from(self, cfg, ue_mid, monkeypatch):
+        gains = channel_gains(cfg, ue_mid, 14.83)
+        p1_closed, _, _ = optimal_power_allocation(gains, cfg)
+        before = numeric_power_min(gains, cfg)  # a grid kept from this call would hide the patch below
+        p1_scaled_down(monkeypatch)
+        p1_best, _, _ = numeric_power_min(gains, cfg)
+        # the grid now ends at 10 * p1_closed / 100, below the optimum, so its top end wins
+        assert p1_best == pytest.approx(p1_closed / 10.0, rel=1e-12)
+        assert p1_best < before[0]
+
 
 class TestGridPowerMin2d:
     def test_agrees_with_closed_form(self, cfg, ue_mid):
@@ -194,6 +215,27 @@ class TestVerifyScenario:
 
     def test_deterministic(self, cfg, ue_mid):
         assert verify_scenario(cfg, ue_mid) == verify_scenario(cfg, ue_mid)
+
+    def test_evaluates_the_closed_form_split_once(self, cfg, ue_mid, monkeypatch):
+        calls = []
+        counted = lambda *args: calls.append(args) or optimal_power_allocation(*args)  # noqa: E731
+        monkeypatch.setattr("pinchrelay.oracle.optimal_power_allocation", counted)
+        verify_scenario(replace(cfg, snr_target_linear=123.0), ue_mid)
+        assert len(calls) == 1
+
+    def test_default_scenario_logs_nothing(self, cfg, ue_mid, caplog):
+        with caplog.at_level(logging.DEBUG, logger="pinchrelay"):
+            verify_scenario(cfg, ue_mid)
+        assert caplog.records == []
+
+    def test_minimum_on_the_grid_edge_warns_and_fails(self, cfg, ue_mid, monkeypatch, caplog):
+        p1_scaled_down(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="pinchrelay.oracle"):
+            _, power = verify_scenario(cfg, ue_mid)
+        assert not power.passed
+        assert [record.getMessage() for record in caplog.records] == [
+            f"power-grid minimum landed on the boundary (index {DEFAULT_P1_POINTS - 1} of {DEFAULT_P1_POINTS})"
+        ]
 
     @pytest.mark.parametrize("gamma0", [3.0, 100.0, 1000.0])
     def test_power_resolution_is_the_step_of_the_grid_searched(self, cfg, ue_mid, gamma0):

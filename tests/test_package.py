@@ -71,8 +71,10 @@ class TestColdStart:
             (["config-dump"], False),
             (["--help"], False),
             (["sweep", "--var", "gamma0", "--values", "20dB", "--samples", "3", "--out", "x.csv"], True),
+            (["sweep", "--var", "gamma0", "--values", "20dB", "--samples", "1000001", "--out", "x.csv"], False),
+            (["verify", "--grid-step", "1e-16"], False),
         ],
-        ids=["solve", "config-dump", "help", "sweep"],
+        ids=["solve", "config-dump", "help", "sweep", "sweep-over-cap", "verify-over-cap"],
     )
     def test_numpy_is_loaded_only_by_commands_that_use_arrays(self, tmp_path, argv, loads_numpy):
         code = "import sys\nfrom pinchrelay.cli import cli_main\ncli_main(sys.argv[1:])\nprint('numpy' in sys.modules)"

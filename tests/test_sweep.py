@@ -65,11 +65,23 @@ class TestSweepSpec:
             {"schemes": ("proposed", "nonsense")},
             {"schemes": ()},
             {"variable": "bs_relay_distance_m", "values": (-5.0, 10.0)},
+            {"seed": -1},
+            {"seed": 1.5},
+            {"ue_samples": 5.5},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             small_spec(**kwargs)
+
+    @pytest.mark.parametrize("name, value", [("seed", -1), ("seed", 1.5), ("ue_samples", 5.5), ("ue_samples", 0)])
+    def test_integer_fields_are_named(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= [01], got {value!r}$"):
+            small_spec(**{name: value})
+
+    def test_numpy_integers_are_integers(self):
+        spec = small_spec(ue_samples=np.int64(7), seed=np.uint32(5))
+        assert (spec.ue_samples, spec.seed) == (7, 5)
 
     @pytest.mark.parametrize(
         "variable, value",
