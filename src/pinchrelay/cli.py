@@ -152,11 +152,9 @@ def _parse_ue(text: str) -> tuple[float, float]:
 # A range spec may expand to at most this many sweep values; the count is
 # checked before any value is built.
 MAX_RANGE_VALUES = 10_000
-# The most users a sweep draws, and the most points a verify placement grid
-# holds: a 10**6-user sweep peaks near 150 MiB and a 10**7-point verify near
-# 260 MiB, so a larger request is a usage error, not an allocation.
+# The most users a sweep draws: a 10**6-user sweep peaks near 150 MiB, so a
+# larger request is a usage error, not an allocation.
 MAX_SAMPLES = 10**6
-MAX_GRID_POINTS = 10**7
 
 _VALUES_RE = re.compile(r"^\s*(.*?(?:[\d.]|nan|inf(?:inity)?))\s*([a-z]*)\s*$", re.IGNORECASE)
 
@@ -230,7 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[scenario], help="check the closed forms against brute-force oracles")
     p_verify.add_argument("--trials", type=int, default=20, metavar="N", help="number of randomized scenarios")
     p_verify.add_argument("--seed", type=int, default=0, help="random seed for scenario draws")
-    p_verify.add_argument("--grid-step", type=_argtype(parse_length_m), default=1e-3, metavar="S", help="placement grid step [m]")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_dump = sub.add_parser("config-dump", parents=[scenario], help="print the effective scenario parameters")
@@ -289,11 +286,11 @@ def _cmd_sweep(args: argparse.Namespace, config: SystemConfig) -> int:
     return 0
 
 
-def verify_scenario(config: SystemConfig, ue: UePosition, *, grid_step_m: float):
+def verify_scenario(config: SystemConfig, ue: UePosition):
     """The oracle's :func:`~.oracle.verify_scenario`, imported when first called, so only ``verify`` loads numpy."""
     from . import oracle
 
-    return oracle.verify_scenario(config, ue, grid_step_m=grid_step_m)
+    return oracle.verify_scenario(config, ue)
 
 
 # verify draws these fields afresh in every trial, in this order: their flags are
@@ -314,13 +311,6 @@ def _cmd_verify(args: argparse.Namespace, config: SystemConfig) -> int:
         raise UsageError("--trials must be >= 1")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
-    if not 0.0 < args.grid_step <= config.waveguide_length_m:
-        raise UsageError(f"--grid-step must lie in (0, {config.waveguide_length_m:g}] m, got {args.grid_step!r}")
-    points = config.waveguide_length_m / args.grid_step + 1.0
-    if points > MAX_GRID_POINTS:
-        raise UsageError(
-            f"--grid-step gives {points:.10g} grid points (L / step + 1), over the limit of {MAX_GRID_POINTS}"
-        )
     import numpy as np
 
     rng = np.random.default_rng(args.seed)
@@ -331,7 +321,7 @@ def _cmd_verify(args: argparse.Namespace, config: SystemConfig) -> int:
             float(rng.uniform(0.0, cfg.coverage_x_m)),
             float(rng.uniform(0.0, cfg.coverage_y_m)),
         )
-        position, power = verify_scenario(cfg, ue, grid_step_m=args.grid_step)
+        position, power = verify_scenario(cfg, ue)
         ok = position.passed and power.passed
         failures += 0 if ok else 1
         print(

@@ -161,18 +161,30 @@ def solve_at(config: SystemConfig, ue: UePosition, x_pin_m: float) -> PowerSolut
     """Optimal power split with the pinching antenna held at ``x_pin_m``.
 
     The closed-form split admits a solution for any positive gains, so every
-    position on the waveguide yields an operating point.
+    position on the waveguide yields an operating point.  A relay power or
+    total that is not finite raises ``ValueError`` naming the values at fault
+    and the config fields that add to the total.
     """
     gains = channel_gains(config, ue, x_pin_m)
     p1, beta_sq, j_star = optimal_power_allocation(gains, config)
     p2 = relay_tx_power(p1, beta_sq, gains.g1_sq, gains.sigma_r_sq_w)
+    total = consumed_power(p1, p2, config)
+    if not (math.isfinite(p2) and math.isfinite(total)):
+        values = {"p2_w": p2, "total_power_w": total}
+        bad = ", ".join(f"{name}={value!r}" for name, value in values.items() if not math.isfinite(value))
+        fields = ("pa_efficiency", "relay_circuit_power_w", "bs_rf_chain_power_w")
+        at = ", ".join(f"{name}={getattr(config, name)!r}" for name in fields)
+        raise ValueError(
+            f"operating point is not finite at {at} (p1={p1!r}, beta_sq={beta_sq!r}, "
+            f"g1_sq={gains.g1_sq!r}, sigma_r_sq_w={gains.sigma_r_sq_w!r}): {bad}"
+        )
     return PowerSolution(
         x_pin_m=x_pin_m,
         p1_w=p1,
         beta_sq=beta_sq,
         p2_w=p2,
         j_star_w=j_star,
-        total_power_w=consumed_power(p1, p2, config),
+        total_power_w=total,
     )
 
 

@@ -22,6 +22,10 @@ from .optimize import optimal_pin_position, optimal_power_allocation
 log = logging.getLogger(__name__)
 
 DEFAULT_P1_POINTS = 10_000
+# verify's placement grid: 1 mm steps, coarser only where that would take more
+# than MAX_GRID_POINTS points (about 260 MiB peak at the limit)
+GRID_STEP_M = 1e-3
+MAX_GRID_POINTS = 10**7
 POSITION_REL_TOL = 1e-10
 POWER_REL_TOL = 1e-3
 P1_FLOOR_MARGIN = 1e-6
@@ -52,25 +56,40 @@ def grid_search_pin(config: SystemConfig, ue: UePosition, step_m: float) -> tupl
     Returns the maximizing grid point and its objective value; ties break to
     the smallest x.  The grid is kept for the next call with the same
     ``(L, step)``; the objective is evaluated in two buffers, in place, in the
-    order of ``exp(-alpha xs) / ((x_ue - xs)**2 + c)``.
+    order of ``exp(-alpha xs) / ((x_ue - xs)**2 + c)``.  A ``c`` past the
+    float range, or an objective that underflows to 0 at every grid point,
+    raises ``ValueError`` naming the geometry.
     """
     length = config.waveguide_length_m
     if not 0.0 < step_m <= length:
         raise ValueError(f"grid step must lie in (0, {length}], got {step_m!r}")
     xs = _placement_grid(length, float(step_m))
     alpha = config.waveguide_attenuation_per_m
-    c_const = ue.y_ue_m**2 + config.waveguide_height_m**2
+    try:
+        c_const = ue.y_ue_m**2 + config.waveguide_height_m**2
+    except OverflowError:
+        raise _geometry_error("squared distance from the user to the waveguide overflows", config, ue) from None
     # One block for both buffers: malloc keeps a block of that size for the next
     # call, where two separate grid-sized buffers were handed back to the OS.
     values, denominator = np.empty((2, xs.size))
-    np.multiply(-alpha, xs, out=values)
-    np.exp(values, out=values)
-    np.subtract(ue.x_ue_m, xs, out=denominator)
-    np.multiply(denominator, denominator, out=denominator)
-    np.add(denominator, c_const, out=denominator)
-    np.divide(values, denominator, out=values)
+    with np.errstate(over="ignore"):  # a distance whose square overflows gives inf, and an objective of 0
+        np.multiply(-alpha, xs, out=values)
+        np.exp(values, out=values)
+        np.subtract(ue.x_ue_m, xs, out=denominator)
+        np.multiply(denominator, denominator, out=denominator)
+        np.add(denominator, c_const, out=denominator)
+        np.divide(values, denominator, out=values)
     best = int(np.argmax(values))  # argmax returns the first (smallest-x) maximizer
+    if not values[best] > 0.0:
+        raise _geometry_error("placement objective underflows to 0 on the whole grid", config, ue)
     return float(xs[best]), float(values[best])
+
+
+def _geometry_error(problem: str, config: SystemConfig, ue: UePosition) -> ValueError:
+    """``problem``, at the user position and the config fields the placement objective reads."""
+    fields = ("waveguide_length_m", "waveguide_height_m", "waveguide_attenuation_per_m")
+    at = ", ".join(f"{name}={getattr(config, name)!r}" for name in fields)
+    return ValueError(f"{problem} at user ({ue.x_ue_m!r}, {ue.y_ue_m!r}) m, {at}")
 
 
 @lru_cache(maxsize=1)  # a run verifies on one grid; a fine grid is not kept once another is asked for
@@ -101,16 +120,24 @@ def numeric_power_min(gains: ChannelGains, config: SystemConfig) -> tuple[float,
 def _power_search(gains: ChannelGains, config: SystemConfig, p1_closed: float) -> tuple[float, float, float, float]:
     """:func:`numeric_power_min` on the grid up to ``10 * p1_closed``; also returns the grid's relative step."""
     gamma0 = config.snr_target_linear
-    floor_w = gamma0 * gains.sigma_r_sq_w / gains.g1_sq
+    # Each hop's gain and noise scaled by one power of two, halfway between their
+    # exponents: exact, so J keeps its bits wherever the unscaled products stay in
+    # the float range, and its products stay in range where they would not.
+    k = -(math.frexp(gamma0 * gains.sigma_r_sq_w)[1] + math.frexp(gains.g1_sq)[1]) // 2
+    m = -(math.frexp(gamma0 * gains.sigma_ue_sq_w)[1] + math.frexp(gains.g2_sq)[1]) // 2
+    g1_sq, sigma_r_sq = math.ldexp(gains.g1_sq, k), math.ldexp(gains.sigma_r_sq_w, k)
+    g2_sq, sigma_ue_sq = math.ldexp(gains.g2_sq, m), math.ldexp(gains.sigma_ue_sq_w, m)
+    floor_w = gamma0 * sigma_r_sq / g1_sq
     grid = np.logspace(math.log10(floor_w * (1.0 + P1_FLOOR_MARGIN)), math.log10(10.0 * p1_closed), DEFAULT_P1_POINTS)
-    surplus = grid * gains.g1_sq - gamma0 * gains.sigma_r_sq_w
-    cost = config.pa_efficiency * grid + gamma0 * gains.sigma_ue_sq_w * (grid * gains.g1_sq + gains.sigma_r_sq_w) / (
-        gains.g2_sq * surplus
-    )
+    surplus = grid * g1_sq - gamma0 * sigma_r_sq
+    if not surplus[0] > 0.0:  # a floor a few ulps above 0 W: floor * (1 + margin) rounds back onto it
+        raise ValueError(f"the P1 grid cannot resolve a feasibility floor of {floor_w!r} W above 0 W")
+    with np.errstate(over="ignore"):  # J may pass the float range just above the floor: inf loses to finite costs
+        cost = config.pa_efficiency * grid + gamma0 * sigma_ue_sq * (grid * g1_sq + sigma_r_sq) / (g2_sq * surplus)
     best = int(np.argmin(cost))
     if best in (0, grid.size - 1):
         log.warning("power-grid minimum landed on the boundary (index %d of %d)", best, grid.size)
-    beta_sq_best = gamma0 * gains.sigma_ue_sq_w / (gains.g2_sq * float(surplus[best]))
+    beta_sq_best = math.ldexp(gamma0 * sigma_ue_sq / (g2_sq * float(surplus[best])), k)
     return float(grid[best]), beta_sq_best, float(cost[best]), float(grid[1] / grid[0]) - 1.0
 
 
@@ -142,31 +169,35 @@ def grid_power_min_2d(
     return float(p1[i, 0]), float(beta[0, j]), float(cost[i, j])
 
 
-def verify_scenario(
-    config: SystemConfig,
-    ue: UePosition,
-    *,
-    grid_step_m: float = 1e-3,
-) -> tuple[OracleReport, OracleReport]:
+def verify_scenario(config: SystemConfig, ue: UePosition) -> tuple[OracleReport, OracleReport]:
     """Run both oracles against the closed forms for one scenario.
 
-    The position report compares objective values: the grid is a lower bound
-    on the true maximum, so the closed form fails only if the grid beats it by
-    more than ``POSITION_REL_TOL`` (relative).  The power report compares the
+    The placement grid steps ``GRID_STEP_M`` along the waveguide, or the
+    finest step that keeps it within ``MAX_GRID_POINTS`` points, and is
+    ``{0, L}`` on a waveguide shorter than one step.  The position report
+    compares objective values: the grid is a lower bound on the true maximum,
+    so the closed form fails only if the grid beats it by more than
+    ``POSITION_REL_TOL`` (relative).  The power report compares the
     closed-form minimum cost against the constraint-curve grid minimum,
-    two-sided, within ``POWER_REL_TOL``.
+    two-sided, within ``POWER_REL_TOL``.  A scenario the oracles cannot
+    check raises ``ValueError``: a distance whose square passes the float
+    range, a relay-UE gain outside (0, inf) (a pinch point on the user), or
+    a feasibility floor too close to 0 W for the P1 grid to resolve.
     """
     x_closed = optimal_pin_position(config, ue)
-    f_closed = pin_objective(config, ue, x_closed)
-    x_grid, f_grid = grid_search_pin(config, ue, grid_step_m)
-    position = _report(f_closed, f_grid, max(0.0, f_grid - f_closed) / f_grid, grid_step_m, POSITION_REL_TOL)
+    g2_sq = _pin_gain(config, ue, x_closed)  # first, to name a geometry whose squares overflow
+    g1_sq = _bs_gain(config)
+    if not 0.0 < g2_sq < math.inf:  # checked after the first hop, as in model.channel_gains
+        raise ValueError(link_out_of_range(config, "relay-UE", g2_sq))
+    gains = ChannelGains(g1_sq, g2_sq, sigma_r_sq_w=config.relay_noise_w, sigma_ue_sq_w=config.ue_noise_w)
+    f_closed = pin_objective(config, ue, x_closed)  # the pinch is off the user, so f(x) has no 0 divisor
+    length = config.waveguide_length_m
+    step = min(length, max(GRID_STEP_M, length / (MAX_GRID_POINTS - 1)))
+    if length / step > MAX_GRID_POINTS - 1:  # the quotient rounded up: one more step would pass the budget
+        step = math.nextafter(step, math.inf)
+    _, f_grid = grid_search_pin(config, ue, step)
+    position = _report(f_closed, f_grid, max(0.0, f_grid - f_closed) / f_grid, step, POSITION_REL_TOL)
 
-    gains = ChannelGains(
-        g1_sq=_bs_gain(config),
-        g2_sq=_pin_gain(config, ue, x_closed),
-        sigma_r_sq_w=config.relay_noise_w,
-        sigma_ue_sq_w=config.ue_noise_w,
-    )
     p1_closed, _, j_closed = optimal_power_allocation(gains, config)
     _, _, j_grid, power_step = _power_search(gains, config, p1_closed)
     power = _report(j_closed, j_grid, abs(j_closed - j_grid) / j_grid, power_step, POWER_REL_TOL)
@@ -195,7 +226,13 @@ def _bs_gain(config: SystemConfig) -> float:
 
 
 def _pin_gain(config: SystemConfig, ue: UePosition, x_pin_m: float) -> float:
-    dist_sq = (ue.x_ue_m - x_pin_m) ** 2 + ue.y_ue_m**2 + config.waveguide_height_m**2
+    try:
+        dist_sq = (ue.x_ue_m - x_pin_m) ** 2 + ue.y_ue_m**2 + config.waveguide_height_m**2
+    except OverflowError:
+        raise _geometry_error("squared pinch-to-user distance overflows", config, ue) from None
     f = config.carrier_frequency_hz
-    fsg = SPEED_OF_LIGHT_M_S**2 / (16.0 * math.pi**2 * f * f * dist_sq)
+    try:
+        fsg = SPEED_OF_LIGHT_M_S**2 / (16.0 * math.pi**2 * f * f * dist_sq)
+    except ZeroDivisionError:  # the pinch sits on the user, or 16 pi^2 f^2 d^2 underflows to 0
+        fsg = math.inf
     return math.exp(-config.waveguide_attenuation_per_m * x_pin_m) * fsg

@@ -111,6 +111,10 @@ def run_sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRecord]:
         for scheme in spec.schemes:
             try:
                 total, bs_w = evaluate(scheme, cfg, xs, ys, shadows, users)
+                # fsum reads the array's buffer: the exact sum of tolist() without building the list;
+                # a sum past the float range raises OverflowError
+                mean_total[scheme] = math.fsum(memoryview(total)) / spec.ue_samples
+                mean_bs[scheme] = math.fsum(memoryview(bs_w)) / spec.ue_samples
             except SampleError as exc:
                 k = exc.index
                 raise RuntimeError(
@@ -119,9 +123,6 @@ def run_sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRecord]:
                 ) from exc
             except (ArithmeticError, ValueError) as exc:
                 raise RuntimeError(f"scheme {scheme!r} failed at {spec.variable}={value:g}: {exc}") from exc
-            # fsum reads the array's buffer: the exact sum of tolist() without building the list
-            mean_total[scheme] = math.fsum(memoryview(total)) / spec.ue_samples
-            mean_bs[scheme] = math.fsum(memoryview(bs_w)) / spec.ue_samples
         records.append(SweepRecord(float(value), mean_total, mean_bs, spec.ue_samples))
     return records
 

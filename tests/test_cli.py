@@ -1,19 +1,23 @@
 """CLI: units parsing, config files, subcommands, exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
 import re
 from dataclasses import fields
+from decimal import Decimal, InvalidOperation
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pinchrelay.cli
 from pinchrelay import SystemConfig
 from pinchrelay.cli import (
     _SCENARIO_FIELDS,
     _VERIFY_DRAWN_FIELDS,
-    MAX_GRID_POINTS,
     MAX_RANGE_VALUES,
     MAX_SAMPLES,
     _build_parser,
@@ -129,6 +133,14 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: link budget out of range on the relay-UE link: gain inf at ")
         assert "waveguide_height_m=1e-200" in captured.err and captured.err.count("\n") == 1
+
+    def test_non_finite_relay_power_is_one_error_line(self, capsys):
+        gains = ["--horn-tx-gain", "-30", "--horn-rx-gain", "3000"]
+        assert cli_main(["solve", "--ue", "15,5", *gains, "--noise-figure", "3000", "--ue-noise-figure", "3000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: operating point is not finite at pa_efficiency=0.9, ")
+        assert captured.err.endswith("): p2_w=inf, total_power_w=inf\n") and captured.err.count("\n") == 1
 
     def test_pa_efficiency_at_fault_is_named(self, capsys):
         assert cli_main(["solve", "--eta-pa", "5e-324"]) == 1
@@ -307,6 +319,12 @@ class TestSweepCommand:
         assert cli_main([*argv, "--out", str(tmp_path / "x.csv")]) == 0
         assert [spec.ue_samples for spec in specs] == [MAX_SAMPLES]
 
+    def test_mean_past_the_float_range_is_one_error_line(self, tmp_path, capsys):
+        argv = ["sweep", "--var", "gamma0", "--values", "20dB", "--samples", "2", "--bs-rf-power", "1.7e308"]
+        assert cli_main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: scheme 'proposed' failed at snr_target_db=20: intermediate overflow in fsum\n"
+
     def test_failed_allocation_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         def run_sweep(config, spec):
             raise MemoryError("Unable to allocate 6.94 EiB for an array with shape (1000000000000000000,)")
@@ -445,10 +463,13 @@ class TestVerifyCommand:
             captured.err,
         )
 
-    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--grid-step", "0"), ("--grid-step", "31")])
+    # the oracle derives the placement grid from the waveguide length, so --grid-step is no flag at all
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--grid-step", "0")])
     def test_bad_seed_and_grid_step_are_usage_errors(self, capsys, flag, value):
         assert cli_main(["verify", "--trials", "1", flag, value]) == 2
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert flag in err
+        assert ("unrecognized arguments: --grid-step 0" in err) == (flag == "--grid-step")
 
     # each trial draws these four fields, so a flag that sets one would be silently ignored
     @pytest.mark.parametrize(
@@ -482,20 +503,27 @@ class TestVerifyCommand:
         assert cli_main(["verify", "--trials", "2", "--config", str(dumped)]) == 0
         assert "verify: 2/2 scenarios passed" in capsys.readouterr().out
 
-    # 3e17 grid points, 2.1 EiB: rejected before anything is allocated
-    def test_grid_too_large_to_allocate_is_one_error_line(self, capsys):
-        assert cli_main(["verify", "--trials", "1", "--grid-step", "1e-16"]) == 2
+    # longer than 1 mm x (10**7 - 1): a coarser grid of 10**7 points; shorter than 1 mm: the grid {0, L}
+    @pytest.mark.parametrize("length", ["2e4", "5e-4"])
+    def test_any_waveguide_length_gets_a_grid(self, capsys, length):
+        assert cli_main(["verify", "--trials", "1", "--length", length]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith("verify: 1/1 scenarios passed\n") and captured.err == ""
+
+    # each squares a length past the float range: 1.7e308 m high, or a user 1.4e308 m along the guide
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--height", "1.7e308", "--horn-tx-gain", "-4000"], "waveguide_height_m=1.7e+308"),
+            (["--coverage-x", "1.7e308", "--bs-rf-power", "1e-40"], "at user (1.382559406640463e+308, "),
+        ],
+    )
+    def test_geometry_past_the_float_range_is_one_error_line(self, capsys, argv, named):
+        assert cli_main(["verify", "--trials", "1", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        limit = f"over the limit of {MAX_GRID_POINTS}"
-        assert captured.err == f"error: --grid-step gives 3e+17 grid points (L / step + 1), {limit}\n"
-
-    # L / step + 1 against the cap: 1e7 + 1 points on a 30 m guide at 3 um, just under 1e7 at 3.000001 um
-    @pytest.mark.parametrize("step, code", [("3e-6", 2), ("3.000001e-6", 0)])
-    def test_grid_cap_counts_both_ends(self, capsys, monkeypatch, step, code):
-        report = SimpleNamespace(passed=True, rel_gap=0.0)
-        monkeypatch.setattr(pinchrelay.cli, "verify_scenario", lambda *a, **k: (report, report))
-        assert cli_main(["verify", "--trials", "1", "--grid-step", step]) == code
+        assert captured.err.startswith("error: squared pinch-to-user distance overflows at user (")
+        assert named in captured.err and captured.err.count("\n") == 1
 
 
 class TestExitCodes:
@@ -535,3 +563,64 @@ class TestParser:
         scenario = {a.dest for a in _scenario_parser()._actions}
         shared = {id(a) for command in commands for a in command._actions if a.dest in scenario}
         assert len(shared) == len(scenario) == 1 + len(_SCENARIO_FIELDS)
+
+
+# Scenario values at the ends of the float range, and dB values past the edge of a finite linear ratio
+_EXTREMES = (
+    *("0", "5e-324", "-5e-324", "1e-150", "1e150", "-1e150", "1.7e308", "-1.7e308"),
+    *("3000", "-3000", "4000", "-4000"),
+)
+_COMMANDS = st.one_of(
+    st.just(["solve"]),
+    st.just(["config-dump"]),
+    st.just(["verify", "--trials", "1"]),
+    st.builds(
+        lambda var, samples: ["sweep", "--var", var, "--values", "20", "--samples", str(samples)],
+        st.sampled_from(["gamma0", "d1"]),
+        st.integers(1, 5),
+    ),
+)
+_VALUES = st.one_of(st.sampled_from(_EXTREMES), st.floats(allow_nan=False, allow_infinity=False).map(repr))
+_SCENARIO = st.lists(
+    st.sampled_from([flag for flag, *_ in _SCENARIO_FIELDS.values()]), min_size=1, max_size=4, unique=True
+).flatmap(lambda flags: st.tuples(*(_VALUES.map(f"{flag}={{}}".format) for flag in flags)))
+
+
+@pytest.fixture(scope="class")
+def sweep_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("every_argv") / "sweep.csv"
+
+
+class TestEveryArgv:
+    """The whole CLI at extreme scenario values: a clean exit 0, or one ``error:`` line and exit 1 or 2."""
+
+    # each example was a traceback or a silent inf before it became a named error
+    @example(argv=["verify", "--trials", "1", "--height=1.7e308", "--horn-tx-gain=-4000"])
+    @example(argv=["verify", "--trials", "1", "--coverage-x=1.7e308", "--bs-rf-power=1e-40"])
+    @example(
+        argv=[
+            *("solve", "--ue", "15,5", "--horn-tx-gain=-30", "--horn-rx-gain=3000"),
+            *("--noise-figure=3000", "--ue-noise-figure=3000"),
+        ]
+    )
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(argv=st.builds(lambda command, scenario: [*command, *scenario], _COMMANDS, _SCENARIO))
+    def test_every_argv_ends_cleanly(self, sweep_csv, argv):
+        if argv[0] == "sweep":
+            sweep_csv.unlink(missing_ok=True)
+            argv = [*argv, "--out", str(sweep_csv)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+        if code == 0:
+            printed = out.getvalue() + (sweep_csv.read_text(encoding="utf-8") if argv[0] == "sweep" else "")
+            # Decimal, not float: the table's 10 digits may round the largest double up past the float range
+            numbers = []
+            for token in re.split(r"[\s,:|=()\[\]{}\"/]+", printed):
+                with contextlib.suppress(InvalidOperation):
+                    numbers.append(Decimal(token))
+            assert all(number.is_finite() for number in numbers), printed
+        else:
+            assert code in (1, 2)
+            error_lines = [line for line in err.getvalue().splitlines() if "error:" in line]
+            assert len(error_lines) == 1, err.getvalue()

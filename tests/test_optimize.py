@@ -292,6 +292,26 @@ class TestOptimalPowerAllocation:
 
 
 class TestSolve:
+    # p1 |g1|^2 overflows inside P2 = beta^2 (p1 |g1|^2 + sigma_r^2), though beta^2 p1 |g1|^2 alone would not;
+    # or the circuit powers sum past the float range
+    @pytest.mark.parametrize(
+        "changes, bad",
+        [
+            (
+                {"horn_gain_tx_dbi": -30.0, "horn_gain_rx_dbi": 3e3, "noise_figure_db": 3e3, "ue_noise_figure_db": 3e3},
+                "p2_w=inf, total_power_w=inf",
+            ),
+            ({"relay_circuit_power_w": 1.7e308, "bs_rf_chain_power_w": 1.7e308}, "total_power_w=inf"),
+        ],
+    )
+    @pytest.mark.parametrize("scheme", [solve, benchmark2_power], ids=["solve", "benchmark2_power"])
+    def test_non_finite_operating_point_is_a_named_error(self, cfg, ue_mid, scheme, changes, bad):
+        bad_cfg = replace(cfg, **changes)
+        fields = ("pa_efficiency", "relay_circuit_power_w", "bs_rf_chain_power_w")
+        at = ", ".join(f"{name}={getattr(bad_cfg, name)!r}" for name in fields)
+        with pytest.raises(ValueError, match=rf"^operating point is not finite at {re.escape(at)} \(p1=.*\): {bad}$"):
+            scheme(bad_cfg, ue_mid)
+
     def test_total_power_identity(self, cfg, ue_mid):
         sol = solve(cfg, ue_mid)
         reconstructed = sol.j_star_w / cfg.pa_efficiency + cfg.relay_circuit_power_w + cfg.bs_rf_chain_power_w

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -21,7 +22,14 @@ from pinchrelay import (
     pin_objective,
     verify_scenario,
 )
-from pinchrelay.oracle import DEFAULT_P1_POINTS, P1_FLOOR_MARGIN, _placement_grid
+from pinchrelay.oracle import (
+    DEFAULT_P1_POINTS,
+    GRID_STEP_M,
+    MAX_GRID_POINTS,
+    P1_FLOOR_MARGIN,
+    _placement_grid,
+    _power_search,
+)
 
 
 def p1_scaled_down(monkeypatch):
@@ -108,6 +116,19 @@ class TestGridSearchPin:
         assert not xs.flags.writeable
         np.testing.assert_array_equal(xs, np.append(np.arange(0.0, length, step), length))
 
+    def test_height_whose_square_overflows_is_a_named_error(self, cfg, ue_mid):
+        message = r"^squared distance from the user to the waveguide overflows at user \(15\.0, 5\.0\) m, .*"
+        with pytest.raises(ValueError, match=message + r"waveguide_height_m=1\.7e\+308, "):
+            grid_search_pin(replace(cfg, waveguide_height_m=1.7e308), ue_mid, 1e-3)
+
+    def test_objective_underflowing_on_the_whole_grid_is_a_named_error(self, cfg):
+        message = (
+            "placement objective underflows to 0 on the whole grid at user (1.7e+308, 5.0) m, "
+            "waveguide_length_m=30.0, waveguide_height_m=3.0, waveguide_attenuation_per_m=0.01"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            grid_search_pin(cfg, UePosition(1.7e308, 5.0), 1.0)
+
     def test_warm_call_allocates_at_most_two_grid_sized_buffers(self, cfg, ue_mid):
         grid_search_pin(cfg, ue_mid, 1e-3)
         tracemalloc.start()
@@ -160,6 +181,30 @@ class TestNumericPowerMin:
         # the grid now ends at 10 * p1_closed / 100, below the optimum, so its top end wins
         assert p1_best == pytest.approx(p1_closed / 10.0, rel=1e-12)
         assert p1_best < before[0]
+
+
+    def test_cost_keeps_its_unscaled_bits(self):
+        # The power grid as first written, each hop unscaled: the power-of-two scaling in
+        # _power_search changes no bit of its result while these products stay in range.
+        def unscaled_search(gains, config, p1_closed):
+            gamma0 = config.snr_target_linear
+            floor_w = gamma0 * gains.sigma_r_sq_w / gains.g1_sq
+            low, high = math.log10(floor_w * (1.0 + P1_FLOOR_MARGIN)), math.log10(10.0 * p1_closed)
+            grid = np.logspace(low, high, DEFAULT_P1_POINTS)
+            surplus = grid * gains.g1_sq - gamma0 * gains.sigma_r_sq_w
+            numerator = gamma0 * gains.sigma_ue_sq_w * (grid * gains.g1_sq + gains.sigma_r_sq_w)
+            cost = config.pa_efficiency * grid + numerator / (gains.g2_sq * surplus)
+            best = int(np.argmin(cost))
+            beta_sq = gamma0 * gains.sigma_ue_sq_w / (gains.g2_sq * float(surplus[best]))
+            return float(grid[best]), beta_sq, float(cost[best]), float(grid[1] / grid[0]) - 1.0
+
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            gamma0, eta = float(10.0 ** rng.uniform(0.5, 3.0)), float(rng.uniform(0.7, 1.0))
+            config = SystemConfig(snr_target_linear=gamma0, pa_efficiency=eta)
+            gains = ChannelGains(*(float(10.0 ** rng.uniform(-12.0, -1.0)) for _ in range(4)))
+            p1_closed, _, _ = optimal_power_allocation(gains, config)
+            assert _power_search(gains, config, p1_closed) == unscaled_search(gains, config, p1_closed)
 
 
 class TestGridPowerMin2d:
@@ -249,6 +294,74 @@ class TestVerifyScenario:
         assert power.grid_resolution == pytest.approx(grid[1] / grid[0] - 1.0, rel=1e-12, abs=0.0)
         # the grid spans more than two decades, not one
         assert power.grid_resolution > 2.0 * (10.0 ** (1.0 / DEFAULT_P1_POINTS) - 1.0)
+
+    # 1 mm up to 9,999.999 m; beyond, the finest step within MAX_GRID_POINTS; below 1 mm, the grid {0, L}
+    @pytest.mark.parametrize(
+        "length, step, points",
+        [
+            (5e-4, 5e-4, 2),
+            (30.0, GRID_STEP_M, 30_001),
+            (9999.999, GRID_STEP_M, MAX_GRID_POINTS),
+            (1e4, 1e4 / (MAX_GRID_POINTS - 1), MAX_GRID_POINTS),
+            # L / (L / (N - 1)) rounds above N - 1 here, so the step is one ulp coarser
+            (10000.004368809548, math.nextafter(10000.004368809548 / 9_999_999, math.inf), MAX_GRID_POINTS),
+            (2e4, 2e4 / (MAX_GRID_POINTS - 1), MAX_GRID_POINTS),
+            (1.7e308, 1.7e308 / (MAX_GRID_POINTS - 1), MAX_GRID_POINTS),
+        ],
+    )
+    def test_placement_grid_follows_the_length_within_the_budget(self, cfg, ue_mid, monkeypatch, length, step, points):
+        sizes = []
+
+        def recording(length_m, step_m):
+            xs = _placement_grid(length_m, step_m)
+            sizes.append(xs.size)
+            return xs
+
+        monkeypatch.setattr("pinchrelay.oracle._placement_grid", recording)
+        try:
+            position, power = verify_scenario(replace(cfg, waveguide_length_m=length), ue_mid)
+        finally:
+            _placement_grid.cache_clear()  # keep no 10**7-point grid for the rest of the session
+        assert sizes == [points]
+        assert position.grid_resolution == step
+        assert position.passed and power.passed
+
+    def test_pinch_on_the_user_is_a_relay_ue_error(self, cfg):
+        # the height's square underflows, so the closed form pinches right above the user, at distance 0
+        message = re.escape(
+            "link budget out of range on the relay-UE link: gain inf at waveguide_attenuation_per_m=0.01, "
+            "waveguide_height_m=1e-200, carrier_frequency_hz=28000000000.0"
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify_scenario(replace(cfg, waveguide_height_m=1e-200), UePosition(15.0, 0.0))
+
+    @pytest.mark.parametrize("x_ue, height", [(15.0, 1.7e308), (1.7e308, 3.0)])
+    def test_squares_past_the_float_range_are_named_errors(self, cfg, x_ue, height):
+        at = f"at user ({x_ue!r}, 5.0) m, waveguide_length_m=30.0, waveguide_height_m={height!r}, "
+        with pytest.raises(ValueError, match=f"^squared pinch-to-user distance overflows {re.escape(at)}"):
+            verify_scenario(replace(cfg, waveguide_height_m=height), UePosition(x_ue, 5.0))
+
+    # noise powers and gains whose products in J leave the float range, though J does not
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"bandwidth_hz": 1e-150},
+            {"ue_noise_figure_db": 3000.0},
+            {"bandwidth_hz": 1e303, "ue_noise_figure_db": 1e-150},
+            {"noise_figure_db": -3000.0},
+        ],
+    )
+    def test_power_check_holds_where_j_s_products_leave_the_float_range(self, cfg, ue_mid, changes):
+        _, power = verify_scenario(replace(cfg, **changes), ue_mid)
+        assert power.passed and power.rel_gap >= 0.0
+
+    def test_feasibility_floor_below_the_grid_s_resolution_is_a_named_error(self, cfg, ue_mid):
+        # a 4 kHz carrier and a -3000 dB noise figure put the floor gamma0 sigma_r^2 / |g1|^2 at a
+        # subnormal 1.1e-319 W, where floor * (1 + P1_FLOOR_MARGIN) and the grid's first point round onto it
+        scenario = replace(cfg, carrier_frequency_hz=4000.0, noise_figure_db=-3000.0, snr_target_linear=10.0)
+        message = r"^the P1 grid cannot resolve a feasibility floor of 1\.1256e-319 W above 0 W$"
+        with pytest.raises(ValueError, match=message):
+            verify_scenario(scenario, ue_mid)
 
     def test_randomized_scenarios_pass(self, cfg):
         rng = np.random.default_rng(23)

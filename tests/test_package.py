@@ -72,9 +72,9 @@ class TestColdStart:
             (["--help"], False),
             (["sweep", "--var", "gamma0", "--values", "20dB", "--samples", "3", "--out", "x.csv"], True),
             (["sweep", "--var", "gamma0", "--values", "20dB", "--samples", "1000001", "--out", "x.csv"], False),
-            (["verify", "--grid-step", "1e-16"], False),
+            (["verify", "--trials", "0"], False),
         ],
-        ids=["solve", "config-dump", "help", "sweep", "sweep-over-cap", "verify-over-cap"],
+        ids=["solve", "config-dump", "help", "sweep", "sweep-over-cap", "verify-usage-error"],
     )
     def test_numpy_is_loaded_only_by_commands_that_use_arrays(self, tmp_path, argv, loads_numpy):
         code = "import sys\nfrom pinchrelay.cli import cli_main\ncli_main(sys.argv[1:])\nprint('numpy' in sys.modules)"
