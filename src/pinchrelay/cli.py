@@ -251,7 +251,10 @@ def _cmd_solve(args: argparse.Namespace, config: SystemConfig) -> int:
     rows = [(f.name, getattr(solution, f.name)) for f in fields(solution)]
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
-        print(f"{name:<{width}}  {value:.10g}")
+        text = f"{value:.10g}"
+        if math.isinf(float(text)):  # 10 digits round the largest doubles up past the float range
+            text = repr(value)
+        print(f"{name:<{width}}  {text}")
     return 0
 
 

@@ -1,15 +1,17 @@
 """Brute-force verification of the closed forms.
 
-The placement check exhaustively grids the waveguide; the power check grids
-the BS power along the active-SNR-constraint curve (with an optional 2-D grid
-that does not assume the constraint reduction).  All objective formulas here
-are written out inline, independently of the code paths under test.
+The placement check exhaustively grids the waveguide; the power check runs a
+golden-section search for the minimum cost along the active-SNR-constraint
+curve, and evaluates the cost and the SNR at the closed form's operating point
+(with an optional 2-D grid that does not assume the constraint reduction).
+All objective formulas here are written out inline, independently of the code
+paths under test.
 """
 
 from __future__ import annotations
 
-import logging
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -19,16 +21,18 @@ import numpy as np
 from .model import SPEED_OF_LIGHT_M_S, ChannelGains, SystemConfig, UePosition, link_out_of_range
 from .optimize import optimal_pin_position, optimal_power_allocation
 
-log = logging.getLogger(__name__)
-
-DEFAULT_P1_POINTS = 10_000
+# the power search's budget of cost evaluations; verify's draws take 44 to 48
+DEFAULT_P1_POINTS = 128
+# the power search stops once its bracket in ln(surplus) is this narrow: about
+# 1e-8 relative in the surplus, and far below 1e-16 relative in the cost
+POWER_SEARCH_WIDTH = 1e-8
 # verify's placement grid: 1 mm steps, coarser only where that would take more
 # than MAX_GRID_POINTS points (about 260 MiB peak at the limit)
 GRID_STEP_M = 1e-3
 MAX_GRID_POINTS = 10**7
 POSITION_REL_TOL = 1e-10
-POWER_REL_TOL = 1e-3
-P1_FLOOR_MARGIN = 1e-6
+POWER_REL_TOL = 1e-14
+_GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -101,44 +105,86 @@ def _placement_grid(length_m: float, step_m: float) -> np.ndarray:
 
 
 def numeric_power_min(gains: ChannelGains, config: SystemConfig) -> tuple[float, float, float]:
-    """Grid minimizer of the power cost along the active SNR constraint.
+    """Golden-section minimizer of the power cost along the active SNR constraint.
 
-    At equality the relay gain is pinned,
-    ``beta^2 = gamma0 sigma_ue^2 / (|g2|^2 (P1 |g1|^2 - gamma0 sigma_r^2))``,
-    leaving a scalar cost
-    ``J(P1) = eta P1 + gamma0 sigma_ue^2 (P1 |g1|^2 + sigma_r^2)
-      / (|g2|^2 (P1 |g1|^2 - gamma0 sigma_r^2))``
-    evaluated on a log-spaced grid of ``DEFAULT_P1_POINTS`` points spanning
-    ``[floor * (1 + P1_FLOOR_MARGIN), 10 * p1_closed_form]``, above the feasibility floor.
+    At equality the relay gain is pinned by the surplus
+    ``u = P1 |g1|^2 - gamma0 sigma_r^2``,
+    ``beta^2 = gamma0 sigma_ue^2 / (|g2|^2 u)``, leaving a scalar cost
+    ``J = eta P1 + gamma0 sigma_ue^2 (P1 |g1|^2 + sigma_r^2) / (|g2|^2 u)``
+    with ``P1 = (u + gamma0 sigma_r^2) / |g1|^2``, convex in ``t = ln u``.
+    The search walks downhill from ``t0 = ln(gamma0 sigma_r^2)`` in steps
+    that grow by the golden ratio until ``J`` rises (a cost past the float
+    range counts as a rise), then narrows that bracket by golden sections to
+    ``POWER_SEARCH_WIDTH`` in ``t``.  It evaluates ``J`` at most
+    ``DEFAULT_P1_POINTS`` times; a search that needs more, or a minimum cost
+    outside the normal float range, where no relative gap can be resolved,
+    raises ``ValueError``.
 
     Returns ``(p1_best, beta_sq_best, j_best)``.
     """
-    p1_closed, _, _ = optimal_power_allocation(gains, config)
-    return _power_search(gains, config, p1_closed)[:3]
+    gamma0, eta = config.snr_target_linear, config.pa_efficiency
+    k, g1_sq, sigma_r_sq, g2_sq, sigma_ue_sq = _scaled_hops(gains, gamma0)
+    surplus0 = gamma0 * sigma_r_sq  # u at t0
+    evaluations = 0
+
+    def cost(s: float) -> float:
+        """J at ``t = t0 + s``."""
+        nonlocal evaluations
+        if evaluations == DEFAULT_P1_POINTS:
+            raise ValueError(f"the P1 search found no minimum of the power cost within {DEFAULT_P1_POINTS} evaluations")
+        evaluations += 1
+        try:
+            u = surplus0 * math.exp(s)
+            p1 = (u + surplus0) / g1_sq
+            j = eta * p1 + gamma0 * sigma_ue_sq * (p1 * g1_sq + sigma_r_sq) / (g2_sq * u)
+        except (OverflowError, ZeroDivisionError):  # u past the float range, or 0
+            return math.inf
+        return j if j < math.inf else math.inf  # a nan (inf / inf) rises too
+
+    a, j_a, b, j_b = 0.0, cost(0.0), 1.0, cost(1.0)
+    if j_b > j_a:  # downhill runs from a to b
+        a, b, j_b = b, a, j_a
+    c = b + _GOLDEN_RATIO * (b - a)
+    j_c = cost(c)
+    while j_c < j_b:
+        a, b, j_b = b, c, j_c
+        c = b + _GOLDEN_RATIO * (b - a)
+        j_c = cost(c)
+    low, high = min(a, c), max(a, c)
+    while high - low > POWER_SEARCH_WIDTH:
+        # probe the longer side of b, a golden section into it
+        x = b + (2.0 - _GOLDEN_RATIO) * (high - b if high - b > b - low else low - b)
+        j_x = cost(x)
+        if j_x < j_b:
+            low, high = (low, b) if x < b else (b, high)
+            b, j_b = x, j_x
+        else:
+            low, high = (x, high) if x < b else (low, x)
+    if not sys.float_info.min <= j_b < math.inf:
+        raise ValueError(
+            f"the minimum power cost {j_b!r} W lies outside the normal float range, so no relative gap can be resolved"
+        )
+    u = surplus0 * math.exp(b)
+    return (u + surplus0) / g1_sq, math.ldexp(gamma0 * sigma_ue_sq / (g2_sq * u), k), j_b
 
 
-def _power_search(gains: ChannelGains, config: SystemConfig, p1_closed: float) -> tuple[float, float, float, float]:
-    """:func:`numeric_power_min` on the grid up to ``10 * p1_closed``; also returns the grid's relative step."""
-    gamma0 = config.snr_target_linear
-    # Each hop's gain and noise scaled by one power of two, halfway between their
-    # exponents: exact, so J keeps its bits wherever the unscaled products stay in
-    # the float range, and its products stay in range where they would not.
+def _scaled_hops(gains: ChannelGains, gamma0: float) -> tuple[int, float, float, float, float]:
+    """``(k, |g1|^2, sigma_r^2, |g2|^2, sigma_ue^2)``, each hop's gain and noise scaled by one power of two.
+
+    The exponents sit halfway between each hop's gain and ``gamma0`` times its
+    noise; the first hop's is ``k``.  The scaling is exact, so the power cost
+    keeps its bits wherever the unscaled products stay in the float range, and
+    its products stay in range where they would not.
+    """
     k = -(math.frexp(gamma0 * gains.sigma_r_sq_w)[1] + math.frexp(gains.g1_sq)[1]) // 2
     m = -(math.frexp(gamma0 * gains.sigma_ue_sq_w)[1] + math.frexp(gains.g2_sq)[1]) // 2
-    g1_sq, sigma_r_sq = math.ldexp(gains.g1_sq, k), math.ldexp(gains.sigma_r_sq_w, k)
-    g2_sq, sigma_ue_sq = math.ldexp(gains.g2_sq, m), math.ldexp(gains.sigma_ue_sq_w, m)
-    floor_w = gamma0 * sigma_r_sq / g1_sq
-    grid = np.logspace(math.log10(floor_w * (1.0 + P1_FLOOR_MARGIN)), math.log10(10.0 * p1_closed), DEFAULT_P1_POINTS)
-    surplus = grid * g1_sq - gamma0 * sigma_r_sq
-    if not surplus[0] > 0.0:  # a floor a few ulps above 0 W: floor * (1 + margin) rounds back onto it
-        raise ValueError(f"the P1 grid cannot resolve a feasibility floor of {floor_w!r} W above 0 W")
-    with np.errstate(over="ignore"):  # J may pass the float range just above the floor: inf loses to finite costs
-        cost = config.pa_efficiency * grid + gamma0 * sigma_ue_sq * (grid * g1_sq + sigma_r_sq) / (g2_sq * surplus)
-    best = int(np.argmin(cost))
-    if best in (0, grid.size - 1):
-        log.warning("power-grid minimum landed on the boundary (index %d of %d)", best, grid.size)
-    beta_sq_best = math.ldexp(gamma0 * sigma_ue_sq / (g2_sq * float(surplus[best])), k)
-    return float(grid[best]), beta_sq_best, float(cost[best]), float(grid[1] / grid[0]) - 1.0
+    return (
+        k,
+        math.ldexp(gains.g1_sq, k),
+        math.ldexp(gains.sigma_r_sq_w, k),
+        math.ldexp(gains.g2_sq, m),
+        math.ldexp(gains.sigma_ue_sq_w, m),
+    )
 
 
 def grid_power_min_2d(
@@ -177,12 +223,14 @@ def verify_scenario(config: SystemConfig, ue: UePosition) -> tuple[OracleReport,
     ``{0, L}`` on a waveguide shorter than one step.  The position report
     compares objective values: the grid is a lower bound on the true maximum,
     so the closed form fails only if the grid beats it by more than
-    ``POSITION_REL_TOL`` (relative).  The power report compares the
-    closed-form minimum cost against the constraint-curve grid minimum,
-    two-sided, within ``POWER_REL_TOL``.  A scenario the oracles cannot
+    ``POSITION_REL_TOL`` (relative).  The power report's gap is the largest
+    of three, each within ``POWER_REL_TOL`` for a pass: the closed-form
+    minimum cost against :func:`numeric_power_min`'s, two-sided; the cost
+    at the closed form's ``(p1, beta_sq)`` against its reported cost; and
+    the SNR at that pair against the target.  A scenario the oracles cannot
     check raises ``ValueError``: a distance whose square passes the float
     range, a relay-UE gain outside (0, inf) (a pinch point on the user), or
-    a feasibility floor too close to 0 W for the P1 grid to resolve.
+    a minimum cost outside the normal float range.
     """
     x_closed = optimal_pin_position(config, ue)
     g2_sq = _pin_gain(config, ue, x_closed)  # first, to name a geometry whose squares overflow
@@ -198,9 +246,16 @@ def verify_scenario(config: SystemConfig, ue: UePosition) -> tuple[OracleReport,
     _, f_grid = grid_search_pin(config, ue, step)
     position = _report(f_closed, f_grid, max(0.0, f_grid - f_closed) / f_grid, step, POSITION_REL_TOL)
 
-    p1_closed, _, j_closed = optimal_power_allocation(gains, config)
-    _, _, j_grid, power_step = _power_search(gains, config, p1_closed)
-    power = _report(j_closed, j_grid, abs(j_closed - j_grid) / j_grid, power_step, POWER_REL_TOL)
+    p1, beta_sq, j_closed = optimal_power_allocation(gains, config)
+    _, _, j_search = numeric_power_min(gains, config)
+    # the cost and the SNR at the closed form's operating point, each hop scaled as in the search
+    gamma0 = config.snr_target_linear
+    k, g1_sq, sigma_r_sq, g2_sq, sigma_ue_sq = _scaled_hops(gains, gamma0)
+    beta_sq = math.ldexp(beta_sq, -k)
+    j_pair = config.pa_efficiency * p1 + beta_sq * (p1 * g1_sq + sigma_r_sq)
+    snr = p1 * g1_sq * beta_sq * g2_sq / (sigma_ue_sq + beta_sq * g2_sq * sigma_r_sq)
+    rel_gap = max(abs(j_closed - j_search) / j_search, abs(j_pair - j_closed) / j_search, abs(snr - gamma0) / gamma0)
+    power = _report(j_closed, j_search, rel_gap, POWER_SEARCH_WIDTH, POWER_REL_TOL)
     return position, power
 
 

@@ -4,6 +4,8 @@ import argparse
 import contextlib
 import io
 import json
+import logging
+import math
 import re
 from dataclasses import fields
 from decimal import Decimal, InvalidOperation
@@ -147,6 +149,19 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: power split is not finite at snr_target_linear=100.0 and pa_efficiency=5e-324 (")
         assert err.endswith("): p1=inf\n") and err.count("\n") == 1
+
+    # 10 significant digits round the largest doubles up past the float range; such a value prints as its repr
+    @pytest.mark.parametrize("argv", [["--amp-circ-power", "1.7976931345e308"], ["--ue", "15,5"]])
+    def test_every_table_value_reads_back_finite(self, capsys, argv):
+        assert cli_main(["solve", *argv]) == 0
+        assert cli_main(["solve", *argv, "--json"]) == 0
+        table, exact = capsys.readouterr().out.split("{", 1)
+        solution = json.loads("{" + exact)
+        for line in table.splitlines():
+            name, text = line.split()
+            value = float(text)
+            assert math.isfinite(value) and value == pytest.approx(solution[name], rel=5e-10)
+        assert ("total_power_w  1.7976931345e+308\n" in table) == (argv[0] == "--amp-circ-power")
 
     def test_scenario_flags_change_the_answer(self, capsys):
         assert cli_main(["solve", "--ue", "15,5", "--gamma0", "30dB", "--json"]) == 0
@@ -509,6 +524,26 @@ class TestVerifyCommand:
         assert cli_main(["verify", "--trials", "1", "--length", length]) == 0
         captured = capsys.readouterr()
         assert captured.out.endswith("verify: 1/1 scenarios passed\n") and captured.err == ""
+
+    # tiny terminal noise puts the optimal BS power on the feasibility floor, to the last bit
+    def test_optimum_on_the_feasibility_floor_passes_quietly(self, capsys, caplog):
+        with caplog.at_level(logging.DEBUG, logger="pinchrelay"):
+            assert cli_main(["verify", "--ue-noise-figure", "-3000", "--trials", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and caplog.records == []
+        gaps = [float(gap) for gap in re.findall(r"power rel gap (\S+)", captured.out)]
+        assert len(gaps) == 2 and max(gaps) <= 1e-12
+
+    # each moves the closed form's (p1, beta_sq) and keeps its cost: see conftest.SPLIT_MUTANTS
+    def test_operating_point_mutants_fail_every_trial(self, capsys, mutated_split):
+        assert cli_main(["verify", "--trials", "20"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("| FAIL\n") == 20 and out.endswith("verify: 0/20 scenarios passed\n")
+
+    def test_largest_power_gap_over_2000_trials(self, capsys):
+        assert cli_main(["verify", "--trials", "2000", "--seed", "3"]) == 0
+        gaps = [float(gap) for gap in re.findall(r"power rel gap (\S+)", capsys.readouterr().out)]
+        assert len(gaps) == 2000 and max(gaps) <= 1e-12
 
     # each squares a length past the float range: 1.7e308 m high, or a user 1.4e308 m along the guide
     @pytest.mark.parametrize(

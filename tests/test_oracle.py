@@ -1,4 +1,4 @@
-"""Brute-force oracles: placement grid search, constraint-curve power grid, reports."""
+"""Brute-force oracles: placement grid search, constraint-curve power search, reports."""
 
 import logging
 import math
@@ -22,24 +22,47 @@ from pinchrelay import (
     pin_objective,
     verify_scenario,
 )
+from pinchrelay.cli import _VERIFY_DRAWN_FIELDS
 from pinchrelay.oracle import (
+    _GOLDEN_RATIO,
     DEFAULT_P1_POINTS,
     GRID_STEP_M,
     MAX_GRID_POINTS,
-    P1_FLOOR_MARGIN,
+    POWER_REL_TOL,
+    POWER_SEARCH_WIDTH,
     _placement_grid,
-    _power_search,
 )
 
+# noise powers and gains whose products in J leave the float range, though J does not
+EXTREME_NOISE = [
+    {"bandwidth_hz": 1e-150},
+    {"ue_noise_figure_db": 3000.0},
+    {"bandwidth_hz": 1e303, "ue_noise_figure_db": 1e-150},
+    {"noise_figure_db": -3000.0},
+]
 
-def p1_scaled_down(monkeypatch):
-    """Make the oracle's closed-form split return a BS power 100x too small, its cost unchanged."""
 
-    def scaled(gains, config):
-        p1, beta_sq, j = optimal_power_allocation(gains, config)
-        return p1 / 100.0, beta_sq, j
+class CountingMath:
+    """The ``math`` module, counting calls to ``exp``: the power search takes one per evaluation of J, and one more."""
 
-    monkeypatch.setattr("pinchrelay.oracle.optimal_power_allocation", scaled)
+    def __init__(self):
+        self.exp_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def exp(self, x):
+        self.exp_calls += 1
+        return math.exp(x)
+
+
+def verify_draws(seed, trials):
+    """``(config, user)`` pairs drawn as ``pinchrelay verify`` draws them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        scenario = replace(SystemConfig(), **{name: float(draw(rng)) for name, draw in _VERIFY_DRAWN_FIELDS.items()})
+        x_ue = float(rng.uniform(0.0, scenario.coverage_x_m))
+        yield scenario, UePosition(x_ue, float(rng.uniform(0.0, scenario.coverage_y_m)))
 
 
 def symmetric_toy():
@@ -144,13 +167,13 @@ class TestNumericPowerMin:
     def test_symmetric_toy(self):
         gains, cfg = symmetric_toy()
         _, _, j_best = numeric_power_min(gains, cfg)
-        assert j_best == pytest.approx(2.0 + 2.0 * math.sqrt(2.0), rel=1e-5)
+        assert j_best == pytest.approx(2.0 + 2.0 * math.sqrt(2.0), rel=1e-15)
 
     def test_matches_closed_form_at_defaults(self, cfg, ue_mid):
         gains = channel_gains(cfg, ue_mid, optimal_pin_position(cfg, ue_mid))
         _, _, j_best = numeric_power_min(gains, cfg)
         _, _, j_closed = optimal_power_allocation(gains, cfg)
-        assert abs(j_closed - j_best) <= 1e-3 * j_best
+        assert abs(j_closed - j_best) <= POWER_REL_TOL * j_best
 
     def test_never_undercuts_the_true_minimum(self, cfg, ue_mid):
         gains = channel_gains(cfg, ue_mid, 14.83)
@@ -172,39 +195,83 @@ class TestNumericPowerMin:
         gains = channel_gains(cfg, ue_mid, 14.83)
         assert numeric_power_min(gains, cfg) == numeric_power_min(gains, cfg)
 
-    def test_grid_follows_the_split_it_is_built_from(self, cfg, ue_mid, monkeypatch):
+    def test_search_does_not_read_the_closed_form_split(self, cfg, ue_mid, monkeypatch):
         gains = channel_gains(cfg, ue_mid, 14.83)
-        p1_closed, _, _ = optimal_power_allocation(gains, cfg)
-        before = numeric_power_min(gains, cfg)  # a grid kept from this call would hide the patch below
-        p1_scaled_down(monkeypatch)
-        p1_best, _, _ = numeric_power_min(gains, cfg)
-        # the grid now ends at 10 * p1_closed / 100, below the optimum, so its top end wins
-        assert p1_best == pytest.approx(p1_closed / 10.0, rel=1e-12)
-        assert p1_best < before[0]
+        before = numeric_power_min(gains, cfg)
 
+        def unavailable(gains, config):
+            raise AssertionError("numeric_power_min called optimal_power_allocation")
 
-    def test_cost_keeps_its_unscaled_bits(self):
-        # The power grid as first written, each hop unscaled: the power-of-two scaling in
-        # _power_search changes no bit of its result while these products stay in range.
-        def unscaled_search(gains, config, p1_closed):
-            gamma0 = config.snr_target_linear
-            floor_w = gamma0 * gains.sigma_r_sq_w / gains.g1_sq
-            low, high = math.log10(floor_w * (1.0 + P1_FLOOR_MARGIN)), math.log10(10.0 * p1_closed)
-            grid = np.logspace(low, high, DEFAULT_P1_POINTS)
-            surplus = grid * gains.g1_sq - gamma0 * gains.sigma_r_sq_w
-            numerator = gamma0 * gains.sigma_ue_sq_w * (grid * gains.g1_sq + gains.sigma_r_sq_w)
-            cost = config.pa_efficiency * grid + numerator / (gains.g2_sq * surplus)
-            best = int(np.argmin(cost))
-            beta_sq = gamma0 * gains.sigma_ue_sq_w / (gains.g2_sq * float(surplus[best]))
-            return float(grid[best]), beta_sq, float(cost[best]), float(grid[1] / grid[0]) - 1.0
+        for split in (lambda g, c: (1e-6, 1e6, 1e-6), unavailable):
+            monkeypatch.setattr("pinchrelay.oracle.optimal_power_allocation", split)
+            assert numeric_power_min(gains, cfg) == before
+
+    def test_search_keeps_its_unscaled_bits(self):
+        # The search as first written, each hop unscaled: the power-of-two scaling in
+        # numeric_power_min changes no bit of its result while these products stay in range.
+        def unscaled_search(gains, config):
+            gamma0, eta = config.snr_target_linear, config.pa_efficiency
+            surplus0 = gamma0 * gains.sigma_r_sq_w
+
+            def cost(s):
+                u = surplus0 * math.exp(s)
+                p1 = (u + surplus0) / gains.g1_sq
+                return eta * p1 + gamma0 * gains.sigma_ue_sq_w * (p1 * gains.g1_sq + gains.sigma_r_sq_w) / (gains.g2_sq * u)
+
+            a, j_a, b, j_b = 0.0, cost(0.0), 1.0, cost(1.0)
+            if j_b > j_a:
+                a, b, j_b = b, a, j_a
+            c = b + _GOLDEN_RATIO * (b - a)
+            j_c = cost(c)
+            while j_c < j_b:
+                a, b, j_b = b, c, j_c
+                c = b + _GOLDEN_RATIO * (b - a)
+                j_c = cost(c)
+            low, high = min(a, c), max(a, c)
+            while high - low > POWER_SEARCH_WIDTH:
+                x = b + (2.0 - _GOLDEN_RATIO) * (high - b if high - b > b - low else low - b)
+                j_x = cost(x)
+                if j_x < j_b:
+                    low, high = (low, b) if x < b else (b, high)
+                    b, j_b = x, j_x
+                else:
+                    low, high = (x, high) if x < b else (low, x)
+            u = surplus0 * math.exp(b)
+            return (u + surplus0) / gains.g1_sq, gamma0 * gains.sigma_ue_sq_w / (gains.g2_sq * u), j_b
 
         rng = np.random.default_rng(17)
         for _ in range(300):
             gamma0, eta = float(10.0 ** rng.uniform(0.5, 3.0)), float(rng.uniform(0.7, 1.0))
             config = SystemConfig(snr_target_linear=gamma0, pa_efficiency=eta)
             gains = ChannelGains(*(float(10.0 ** rng.uniform(-12.0, -1.0)) for _ in range(4)))
-            p1_closed, _, _ = optimal_power_allocation(gains, config)
-            assert _power_search(gains, config, p1_closed) == unscaled_search(gains, config, p1_closed)
+            assert numeric_power_min(gains, config) == unscaled_search(gains, config)
+
+    def test_evaluations_stay_within_the_budget(self, cfg, ue_mid, monkeypatch):
+        scenarios = [*verify_draws(29, 300), *((replace(cfg, **changes), ue_mid) for changes in EXTREME_NOISE)]
+        evaluations = []
+        for scenario, ue in scenarios:
+            gains = channel_gains(scenario, ue, optimal_pin_position(scenario, ue))
+            counting = CountingMath()
+            monkeypatch.setattr("pinchrelay.oracle.math", counting)
+            numeric_power_min(gains, scenario)
+            monkeypatch.undo()
+            evaluations.append(counting.exp_calls - 1)
+        assert 0 < min(evaluations) and max(evaluations) <= DEFAULT_P1_POINTS
+
+    def test_search_past_its_budget_is_a_named_error(self, cfg, ue_mid, monkeypatch):
+        gains = channel_gains(cfg, ue_mid, 14.83)
+        counting = CountingMath()
+        monkeypatch.setattr("pinchrelay.oracle.math", counting)
+        monkeypatch.setattr("pinchrelay.oracle.DEFAULT_P1_POINTS", 10)
+        with pytest.raises(ValueError, match=r"^the P1 search found no minimum of the power cost within 10 evaluations$"):
+            numeric_power_min(gains, cfg)
+        assert counting.exp_calls == 10
+
+    def test_uses_no_numpy(self, cfg, ue_mid, monkeypatch):
+        gains = channel_gains(cfg, ue_mid, 14.83)
+        before = numeric_power_min(gains, cfg)
+        monkeypatch.setattr("pinchrelay.oracle.np", None)
+        assert numeric_power_min(gains, cfg) == before
 
 
 class TestGridPowerMin2d:
@@ -233,7 +300,7 @@ class TestVerifyScenario:
         position, power = verify_scenario(cfg, ue_mid)
         assert position.passed and power.passed
         assert position.rel_gap <= 1e-10
-        assert power.rel_gap <= 1e-3
+        assert power.rel_gap <= POWER_REL_TOL
 
     def test_perturbed_position_fails(self, cfg, ue_mid, monkeypatch):
         shifted = lambda config, ue: optimal_pin_position(config, ue) + 1.0  # noqa: E731
@@ -250,7 +317,7 @@ class TestVerifyScenario:
 
     def test_report_invariants(self, cfg, ue_mid):
         position, power = verify_scenario(cfg, ue_mid)
-        for report, tol in ((position, 1e-10), (power, 1e-3)):
+        for report, tol in ((position, 1e-10), (power, POWER_REL_TOL)):
             assert report.passed == (report.rel_gap <= tol)
             assert report.abs_gap == pytest.approx(abs(report.closed_form_value - report.oracle_value))
         # maximization oracle can only fall short of the closed form
@@ -273,27 +340,28 @@ class TestVerifyScenario:
             verify_scenario(cfg, ue_mid)
         assert caplog.records == []
 
-    def test_minimum_on_the_grid_edge_warns_and_fails(self, cfg, ue_mid, monkeypatch, caplog):
-        p1_scaled_down(monkeypatch)
-        with caplog.at_level(logging.WARNING, logger="pinchrelay.oracle"):
-            _, power = verify_scenario(cfg, ue_mid)
-        assert not power.passed
-        assert [record.getMessage() for record in caplog.records] == [
-            f"power-grid minimum landed on the boundary (index {DEFAULT_P1_POINTS - 1} of {DEFAULT_P1_POINTS})"
-        ]
+    def test_operating_point_off_the_optimum_fails(self, cfg, ue_mid, mutated_split):
+        # each mutant keeps the closed form's cost, so only the cost and the SNR at its pair can catch it
+        for scenario, ue in [(cfg, ue_mid), *verify_draws(3, 20)]:
+            _, power = verify_scenario(scenario, ue)
+            assert not power.passed and power.rel_gap > 1e-6
+
+    def test_pair_on_the_cost_s_level_set_fails_on_its_snr(self, cfg, ue_mid, monkeypatch):
+        # a BS power 1% high and the relay gain that keeps the reported cost: only the SNR is off
+        def level_set(gains, config):
+            p1, _, j = optimal_power_allocation(gains, config)
+            p1 *= 1.01
+            return p1, (j - config.pa_efficiency * p1) / (p1 * gains.g1_sq + gains.sigma_r_sq_w), j
+
+        monkeypatch.setattr("pinchrelay.oracle.optimal_power_allocation", level_set)
+        _, power = verify_scenario(cfg, ue_mid)
+        assert not power.passed and power.rel_gap > 1e-6
 
     @pytest.mark.parametrize("gamma0", [3.0, 100.0, 1000.0])
-    def test_power_resolution_is_the_step_of_the_grid_searched(self, cfg, ue_mid, gamma0):
-        scenario = replace(cfg, snr_target_linear=gamma0)
-        _, power = verify_scenario(scenario, ue_mid)
-        gains = channel_gains(scenario, ue_mid, optimal_pin_position(scenario, ue_mid))
-        p1_closed, _, _ = optimal_power_allocation(gains, scenario)
-        floor_w = gamma0 * gains.sigma_r_sq_w / gains.g1_sq
-        low, high = math.log10(floor_w * (1.0 + P1_FLOOR_MARGIN)), math.log10(10.0 * p1_closed)
-        grid = np.logspace(low, high, DEFAULT_P1_POINTS)
-        assert power.grid_resolution == pytest.approx(grid[1] / grid[0] - 1.0, rel=1e-12, abs=0.0)
-        # the grid spans more than two decades, not one
-        assert power.grid_resolution > 2.0 * (10.0 ** (1.0 / DEFAULT_P1_POINTS) - 1.0)
+    def test_power_resolution_is_the_search_s_stopping_width(self, cfg, ue_mid, gamma0):
+        _, power = verify_scenario(replace(cfg, snr_target_linear=gamma0), ue_mid)
+        assert power.grid_resolution == POWER_SEARCH_WIDTH == 1e-8
+        assert power.passed and power.rel_gap <= POWER_REL_TOL
 
     # 1 mm up to 9,999.999 m; beyond, the finest step within MAX_GRID_POINTS; below 1 mm, the grid {0, L}
     @pytest.mark.parametrize(
@@ -341,25 +409,19 @@ class TestVerifyScenario:
         with pytest.raises(ValueError, match=f"^squared pinch-to-user distance overflows {re.escape(at)}"):
             verify_scenario(replace(cfg, waveguide_height_m=height), UePosition(x_ue, 5.0))
 
-    # noise powers and gains whose products in J leave the float range, though J does not
-    @pytest.mark.parametrize(
-        "changes",
-        [
-            {"bandwidth_hz": 1e-150},
-            {"ue_noise_figure_db": 3000.0},
-            {"bandwidth_hz": 1e303, "ue_noise_figure_db": 1e-150},
-            {"noise_figure_db": -3000.0},
-        ],
-    )
+    @pytest.mark.parametrize("changes", EXTREME_NOISE)
     def test_power_check_holds_where_j_s_products_leave_the_float_range(self, cfg, ue_mid, changes):
         _, power = verify_scenario(replace(cfg, **changes), ue_mid)
         assert power.passed and power.rel_gap >= 0.0
 
-    def test_feasibility_floor_below_the_grid_s_resolution_is_a_named_error(self, cfg, ue_mid):
-        # a 4 kHz carrier and a -3000 dB noise figure put the floor gamma0 sigma_r^2 / |g1|^2 at a
-        # subnormal 1.1e-319 W, where floor * (1 + P1_FLOOR_MARGIN) and the grid's first point round onto it
+    def test_minimum_cost_below_the_normal_float_range_is_a_named_error(self, cfg, ue_mid):
+        # a 4 kHz carrier and a -3000 dB noise figure put the feasibility floor gamma0 sigma_r^2 / |g1|^2
+        # at a subnormal 1.1e-319 W and the minimum cost at 2.1e-317 W, where a relative gap has few bits
         scenario = replace(cfg, carrier_frequency_hz=4000.0, noise_figure_db=-3000.0, snr_target_linear=10.0)
-        message = r"^the P1 grid cannot resolve a feasibility floor of 1\.1256e-319 W above 0 W$"
+        message = (
+            r"^the minimum power cost 2\.068591e-317 W lies outside the normal float range, "
+            r"so no relative gap can be resolved$"
+        )
         with pytest.raises(ValueError, match=message):
             verify_scenario(scenario, ue_mid)
 
