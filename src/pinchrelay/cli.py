@@ -9,6 +9,7 @@ inside the package.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -202,6 +203,9 @@ def _scenario_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built at the first call and reused: parse_args returns a fresh Namespace each time,
+# and the commands it dispatches to look their helpers up when they run.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pinchrelay",

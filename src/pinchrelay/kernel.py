@@ -7,6 +7,8 @@ runs in the scalar expressions' order, and ``exp``/``pow``/``hypot`` go
 through :mod:`math` per element (:func:`libm_each`), because numpy's
 vectorised versions round differently from libm on a few percent of inputs.
 The scalar modules import no numpy, so a single-point solve never loads it.
+:func:`exact_sum` gives the sweep's means: ``math.fsum`` bit for bit, from
+one error-free split of the array.
 One function outside this module also takes floats or arrays:
 :func:`.benchmarks.benchmark1_link_gain`, which imports numpy and this
 module when it is called.
@@ -54,6 +56,43 @@ def libm_each(fn: Callable[..., float], *args: float | np.ndarray) -> float | np
         return fn(*args)
     columns = [memoryview(a) if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args]
     return np.fromiter(map(fn, *columns), float, size)
+
+
+# exact_sum's split needs max|a| in this range: its constant and its error bound stay normal floats
+_SPLIT_RANGE = (2.0**-900, 2.0**900)
+
+
+def exact_sum(a: np.ndarray) -> float:
+    """``math.fsum(a)`` bit for bit for a 1-D float64 array, from one error-free split.
+
+    A power of two ``sigma`` >= (n + 2) max|a| splits each element into a high
+    part ``q = (a + sigma) - sigma``, a multiple of ulp(sigma)/2 whose partial
+    sums below sigma are all exact, and an exact remainder ``r = a - q``
+    (Rump, Ogita and Oishi, "Accurate floating-point summation, part I", 2008).
+    The sum of the remainders errs by at most ``n*n*2**-53*ulp(sigma)`` in any
+    order.  The result is returned when that bound and the rounding error of
+    ``hi + lo`` certify that it is the correctly rounded sum; otherwise (a tie,
+    cancellation to about 0, a value outside ``_SPLIT_RANGE`` or not finite,
+    n >= 2**26) this is ``math.fsum`` itself, with its errors.
+    """
+    n = a.size
+    buf = np.abs(a)
+    top = float(np.maximum.reduce(buf)) if n else 0.0
+    if _SPLIT_RANGE[0] < top < _SPLIT_RANGE[1]:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + (n + 2).bit_length())
+        np.add(a, sigma, out=buf)
+        np.subtract(buf, sigma, out=buf)
+        hi = float(np.add.reduce(buf))
+        np.subtract(a, buf, out=buf)
+        lo = float(np.add.reduce(buf))
+        h = hi + lo
+        lo_part = h - hi
+        err = (hi - (h - lo_part)) + (lo - lo_part)  # h + err == hi + lo exactly (TwoSum)
+        # the half-gap to h's neighbours; the one toward 0 is half as wide at a power of two
+        half_gap = math.ulp(h) / (4.0 if abs(math.frexp(h)[0]) == 0.5 else 2.0)
+        if abs(err) + n * n * 2.0**-53 * math.ulp(sigma) < half_gap:
+            return h
+    return math.fsum(memoryview(a))
 
 
 def require_link_gain(config: SystemConfig, link: str, gain: np.ndarray) -> np.ndarray:

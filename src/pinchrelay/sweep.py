@@ -95,7 +95,7 @@ def run_sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRecord]:
     """
     import numpy as np
 
-    from .kernel import SampleError, evaluate
+    from .kernel import SampleError, evaluate, exact_sum
 
     rng = np.random.default_rng(spec.seed)
     xs = rng.uniform(0.0, config.coverage_x_m, spec.ue_samples)
@@ -111,10 +111,10 @@ def run_sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRecord]:
         for scheme in spec.schemes:
             try:
                 total, bs_w = evaluate(scheme, cfg, xs, ys, shadows, users)
-                # fsum reads the array's buffer: the exact sum of tolist() without building the list;
-                # a sum past the float range raises OverflowError
-                mean_total[scheme] = math.fsum(memoryview(total)) / spec.ue_samples
-                mean_bs[scheme] = math.fsum(memoryview(bs_w)) / spec.ue_samples
+                # exact_sum is math.fsum bit for bit: an error-free split where it can certify the
+                # rounding, fsum itself where not; a sum past the float range raises OverflowError
+                mean_total[scheme] = exact_sum(total) / spec.ue_samples
+                mean_bs[scheme] = exact_sum(bs_w) / spec.ue_samples
             except SampleError as exc:
                 k = exc.index
                 raise RuntimeError(
@@ -184,8 +184,13 @@ def write_gnuplot_script(
     xlabel: str,
     schemes: Sequence[str] = SCHEMES,
 ) -> None:
-    """Emit a companion gnuplot script plotting mean total power per scheme."""
+    """Emit a companion gnuplot script plotting mean total power per scheme.
+
+    The CSV's file name is a single-quoted gnuplot string, which has no
+    escapes, so a ``"`` or ``\\`` in it is literal and a ``'`` is written twice.
+    """
     csv_path = Path(csv_path)
+    data_file = "'" + csv_path.name.replace("'", "''") + "'"
     lines = [
         f"# companion plot script for {csv_path.name}",
         'set datafile separator ","',
@@ -196,7 +201,7 @@ def write_gnuplot_script(
         "plot \\",
     ]
     plots = [
-        f'  "{csv_path.name}" skip 1 using 1:(stringcolumn(2) eq "{s}" ? column(3) : NaN) '
+        f'  {data_file} skip 1 using 1:(stringcolumn(2) eq "{s}" ? column(3) : NaN) '
         f'with linespoints title "{s}"'
         for s in schemes
     ]

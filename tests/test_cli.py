@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pinchrelay.cli
-from pinchrelay import SystemConfig
+from pinchrelay import PowerSolution, SystemConfig
 from pinchrelay.cli import (
     _SCENARIO_FIELDS,
     _VERIFY_DRAWN_FIELDS,
@@ -598,6 +598,38 @@ class TestParser:
         scenario = {a.dest for a in _scenario_parser()._actions}
         shared = {id(a) for command in commands for a in command._actions if a.dest in scenario}
         assert len(shared) == len(scenario) == 1 + len(_SCENARIO_FIELDS)
+
+
+class TestParserReuse:
+    """One parser serves every ``cli_main`` call of a process, and no call leaves state for the next."""
+
+    def test_the_parser_is_built_once(self, capsys):
+        cli_main(["config-dump"])
+        assert _build_parser() is _build_parser()
+
+    def test_json_then_plain_solve_prints_a_table(self, capsys):
+        assert cli_main(["solve", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["x_pin_m"] >= 0.0
+        assert cli_main(["solve"]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in table] == [f.name for f in fields(PowerSolution)]
+
+    def test_gnuplot_sweep_then_plain_sweep_writes_no_script(self, tmp_path, capsys):
+        argv = ["sweep", "--var", "gamma0", "--values", "20dB", "--samples", "2"]
+        assert cli_main([*argv, "--out", str(tmp_path / "a.csv"), "--gnuplot"]) == 0
+        assert cli_main([*argv, "--out", str(tmp_path / "b.csv")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.gp", "b.csv"]
+
+    @pytest.mark.parametrize("bad", [["solve", "--bogus"], ["sweep", "--values", "20dB"], ["solve", "--freq", "abc"], []])
+    def test_a_usage_error_then_a_valid_call_exits_zero(self, capsys, bad):
+        assert cli_main(bad) == 2
+        assert cli_main(["solve", "--ue", "15,5"]) == 0
+
+    def test_help_prints_the_same_bytes_twice(self, capsys):
+        assert cli_main(["solve", "--help"]) == 0
+        first = capsys.readouterr().out
+        assert cli_main(["solve", "--help"]) == 0
+        assert capsys.readouterr().out == first
 
 
 # Scenario values at the ends of the float range, and dB values past the edge of a finite linear ratio

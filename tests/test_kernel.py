@@ -2,11 +2,12 @@
 
 import math
 import re
+import warnings
 from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pinchrelay import (
@@ -25,7 +26,7 @@ from pinchrelay import (
 from pinchrelay.model import bs_relay_gain, relay_ue_gain
 from pinchrelay.optimize import split_power, stationary_points
 from pinchrelay.benchmarks import SHADOWING_STD_DB
-from pinchrelay.kernel import _EVALUATORS, evaluate, libm_each, optimal_pin_positions, relay_ue_gains
+from pinchrelay.kernel import _EVALUATORS, evaluate, exact_sum, libm_each, optimal_pin_positions, relay_ue_gains
 from pinchrelay.sweep import VARIABLES
 
 USERS = 1000
@@ -168,6 +169,100 @@ def test_libm_each_reads_strided_arrays_element_by_element():
     assert libm_each(math.hypot, a, b).tolist() == [math.hypot(x, y) for x, y in zip(a.tolist(), b.tolist())]
     assert libm_each(math.pow, 10.0, a).tolist() == [math.pow(10.0, x) for x in a.tolist()]
     assert libm_each(math.exp, b).tolist() == [math.exp(x) for x in b.tolist()]
+
+
+def sum_outcome(fn, a: np.ndarray):
+    """``fn(a)`` as its bits (``float.hex`` keeps the sign of 0; every NaN is one outcome), or its error."""
+    try:
+        value = fn(a)
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return "nan" if math.isnan(value) else value.hex()
+
+
+def fsum_of_list(a: np.ndarray) -> float:
+    return math.fsum(a.tolist())
+
+
+# Scales of the elements, as powers of two: ordinary ones, where the split runs, and the edges,
+# subnormal, at either end of the split's range, near 2^1000 and where a sum passes the float range
+SUM_SCALES = (-899, -500, -60, -1, 0, 1, 60, 500, 899)
+SUM_EDGE_SCALES = (-1074, -1064, -1022, -901, -900, 900, 1000, 1023)
+SUM_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 2.0**1000, -(2.0**1000), 1.7e308, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def sum_arrays(draw):
+    """1 to 2000 float64s with mixed signs or one sign, summing to an exact half-ulp tie, to within
+    ``2**-k`` ulp of one, or to about 0 by cancellation, or signed zeros; perhaps with a few specials."""
+    n = draw(st.integers(min_value=1, max_value=2000))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    shape = draw(st.sampled_from(["mixed", "one_sign", "near_tie", "tie", "cancel", "zeros"]))
+    scale = draw(st.sampled_from(SUM_EDGE_SCALES if draw(st.integers(min_value=0, max_value=3)) == 3 else SUM_SCALES))
+    a = np.ldexp(rng.uniform(-1.0, 1.0, n), scale)
+    if shape == "one_sign":
+        a = np.abs(a)
+    elif shape == "zeros":
+        a = rng.choice(np.array([0.0, -0.0]), n)
+    elif shape in ("near_tie", "tie", "cancel") and n >= 4:
+        # pairs v, -v cancel exactly, so the sum is that of the first three elements
+        pairs = (n - 3) // 2
+        a[3 + pairs : 3 + 2 * pairs] = -a[3 : 3 + pairs]
+        a[3 + 2 * pairs :] = 0.0
+        if shape != "cancel":  # x + ulp(x)/2 lies halfway between two doubles; a third element may nudge it
+            a[0] = np.ldexp(rng.uniform(1.0, 2.0), min(scale, 1022))
+            a[1] = math.copysign(math.ulp(a[0]) / 2.0, rng.uniform(-1.0, 1.0))
+            nudge = math.ulp(a[0]) * 2.0 ** -draw(st.integers(min_value=2, max_value=60))
+            a[2] = math.copysign(nudge, rng.uniform(-1.0, 1.0)) if shape == "near_tie" else 0.0
+        a = rng.permutation(a)
+    specials = st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(SUM_SPECIALS)), max_size=3)
+    for index, value in draw(specials) if draw(st.booleans()) else ():
+        a[index % n] = value
+    return a
+
+
+@example(np.array([-0.0]))
+@example(np.array([0.0, -0.0]))
+@example(np.array([1.0, 2.0**-53]))  # a tie, rounded to even
+@example(np.array([1.0 + 2.0**-52, 2.0**-53]))  # a tie, rounded up to even
+@example(np.array([1.7e308, 1.7e308]))  # intermediate overflow
+@example(np.array([math.inf, -math.inf]))
+@example(np.array([math.nan, 1.0]))
+@given(sum_arrays())
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+def test_exact_sum_is_fsum_bit_for_bit(a):
+    assert sum_outcome(exact_sum, a) == sum_outcome(fsum_of_list, a)
+
+
+@pytest.mark.parametrize(
+    "a, falls_back",
+    [
+        (np.random.default_rng(2).uniform(0.1, 10.0, 1000), False),
+        (np.random.default_rng(3).normal(0.0, 1e-200, 1000), False),
+        (np.array([1.0, 2.0**-53]), True),  # a tie
+        (np.array([1.0, -1.0, 2.0**-60]), True),  # cancellation to about 0
+        (np.full(5, 1e300), True),  # past the split's range
+        (np.array([5e-324, 1e-300]), True),  # below it
+        (np.array([1.0, math.nan]), True),
+    ],
+    ids=["uniform", "tiny-mixed-signs", "tie", "cancellation", "huge", "subnormal", "nan"],
+)
+def test_exact_sum_falls_back_to_fsum_only_where_it_cannot_certify_the_rounding(monkeypatch, a, falls_back):
+    expected, calls, fsum = sum_outcome(fsum_of_list, a), [], math.fsum
+    monkeypatch.setattr(math, "fsum", lambda values: calls.append(values) or fsum(values))
+    assert sum_outcome(exact_sum, a) == expected
+    assert len(calls) == (1 if falls_back else 0)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [[math.nan, 1.0], [math.inf, 1.0], [math.inf, -math.inf], [-math.inf] * 300, [1.7e308, 1.7e308], [2.0**899] * 2000],
+)
+def test_exact_sum_raises_no_numpy_warning(a):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sum_outcome(exact_sum, np.array(a))
+    assert caught == []
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

@@ -79,3 +79,12 @@ class TestColdStart:
     def test_numpy_is_loaded_only_by_commands_that_use_arrays(self, tmp_path, argv, loads_numpy):
         code = "import sys\nfrom pinchrelay.cli import cli_main\ncli_main(sys.argv[1:])\nprint('numpy' in sys.modules)"
         assert fresh_interpreter(code, *argv, cwd=tmp_path) == str(loads_numpy)
+
+    def test_the_cli_parser_is_built_at_the_first_call_not_at_import(self, tmp_path):
+        code = (
+            "import pinchrelay.cli as cli\n"
+            "built = cli._build_parser.cache_info().currsize\n"
+            "cli.cli_main(['config-dump'])\n"
+            "print(built, cli._build_parser.cache_info().currsize)"
+        )
+        assert fresh_interpreter(code, cwd=tmp_path) == "0 1"

@@ -1,5 +1,6 @@
 """Sweep engine: Monte Carlo averaging, staged evaluation, CSV export/round-trip, determinism."""
 
+import hashlib
 import json
 import math
 import re
@@ -245,6 +246,31 @@ class TestStages:
             assert row[3] == pytest.approx(bs_power, rel=1e-12, abs=0.0)
 
 
+# sha256 of the fig1 and fig2 CSVs at seed 0 with 1,000 users, recorded when every mean was a
+# plain math.fsum: any change to a mean's last bit, or to the CSV format, shows here
+GOLDEN_SWEEPS = {
+    "fig1": (
+        ["--var", "gamma0", "--values", "10:2:30dB"],
+        "3b66d6e991ab4b28bf5c16b7f5342d91eeb4d30fead3fefd2774d2f09f8aae1f",
+    ),
+    "fig2": (
+        ["--var", "d1", "--values", "30:10:100"],
+        "893c1065c00e061c3e0b93c4f4a0b9fd84387b6803ec280ccac320fb79376c20",
+    ),
+}
+
+
+@pytest.mark.parametrize("figure", sorted(GOLDEN_SWEEPS))
+def test_figure_csv_bytes_are_the_recorded_ones_with_no_fsum_fallback(tmp_path, capsys, monkeypatch, figure):
+    argv, sha256 = GOLDEN_SWEEPS[figure]
+    fallbacks, fsum = [], math.fsum
+    monkeypatch.setattr(math, "fsum", lambda values: fallbacks.append(values) or fsum(values))
+    out = tmp_path / f"{figure}.csv"
+    assert cli_main(["sweep", *argv, "--samples", "1000", "--seed", "0", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+    assert fallbacks == []  # exact_sum certified every mean without math.fsum
+
+
 class TestCsv:
     def test_header_only_for_empty_records(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -352,3 +378,13 @@ class TestCsv:
         assert "fig.csv" in text
         for scheme in ("proposed", "benchmark1", "benchmark2"):
             assert scheme in text
+
+    @pytest.mark.parametrize(
+        "name, quoted",
+        [("fig.csv", "'fig.csv'"), ('a"b.csv', "'a\"b.csv'"), ("a\\b.csv", "'a\\b.csv'"), ("it's.csv", "'it''s.csv'")],
+    )
+    def test_gnuplot_script_quotes_the_csv_name(self, tmp_path, name, quoted):
+        script = tmp_path / "fig.gp"
+        write_gnuplot_script(tmp_path / name, script, "SNR target [dB]", ("proposed",))
+        plot = script.read_text(encoding="utf-8").splitlines()[-1]
+        assert plot.startswith(f"  {quoted} skip 1 using 1:")
