@@ -12,18 +12,16 @@ import argparse
 import functools
 import json
 import math
+import random
 import re
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from .model import SystemConfig, UePosition, db_to_linear
 from .optimize import solve
 from .sweep import SCHEMES, VARIABLES, SweepSpec, export_csv, run_sweep, write_gnuplot_script
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class UsageError(ValueError):
@@ -275,6 +273,8 @@ def _cmd_sweep(args: argparse.Namespace, config: SystemConfig) -> int:
         raise UsageError(str(exc)) from exc
     if unit not in units:
         raise UsageError(f"unit {unit!r} does not fit sweep variable {variable} (use {units[1] or 'no unit'})")
+    if args.gnuplot and any(c in Path(args.out).name for c in "\r\n"):
+        raise UsageError(f"--gnuplot cannot quote a line break in the CSV name {Path(args.out).name!r}")
     try:
         spec = SweepSpec(
             variable=variable,
@@ -294,7 +294,7 @@ def _cmd_sweep(args: argparse.Namespace, config: SystemConfig) -> int:
 
 
 def verify_scenario(config: SystemConfig, ue: UePosition):
-    """The oracle's :func:`~.oracle.verify_scenario`, imported when first called, so only ``verify`` loads numpy."""
+    """The oracle's :func:`~.oracle.verify_scenario`, imported at the first call: only ``verify`` loads the oracle."""
     from . import oracle
 
     return oracle.verify_scenario(config, ue)
@@ -302,7 +302,7 @@ def verify_scenario(config: SystemConfig, ue: UePosition):
 
 # verify draws these fields afresh in every trial, in this order: their flags are
 # usage errors, and their config-file values are ignored, so a config-dump file still loads
-_VERIFY_DRAWN_FIELDS: dict[str, Callable[[np.random.Generator], float]] = {
+_VERIFY_DRAWN_FIELDS: dict[str, Callable[[random.Random], float]] = {
     "waveguide_attenuation_per_m": lambda rng: 10.0 ** rng.uniform(-4.0, -1.3),
     "bs_relay_distance_m": lambda rng: rng.uniform(30.0, 100.0),
     "snr_target_linear": lambda rng: 10.0 ** rng.uniform(0.5, 3.0),
@@ -318,16 +318,11 @@ def _cmd_verify(args: argparse.Namespace, config: SystemConfig) -> int:
         raise UsageError("--trials must be >= 1")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
-    import numpy as np
-
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     failures = 0
     for k in range(args.trials):
-        cfg = replace(config, **{name: float(draw(rng)) for name, draw in _VERIFY_DRAWN_FIELDS.items()})
-        ue = UePosition(
-            float(rng.uniform(0.0, cfg.coverage_x_m)),
-            float(rng.uniform(0.0, cfg.coverage_y_m)),
-        )
+        cfg = replace(config, **{name: draw(rng) for name, draw in _VERIFY_DRAWN_FIELDS.items()})
+        ue = UePosition(rng.uniform(0.0, cfg.coverage_x_m), rng.uniform(0.0, cfg.coverage_y_m))
         position, power = verify_scenario(cfg, ue)
         ok = position.passed and power.passed
         failures += 0 if ok else 1

@@ -18,6 +18,7 @@ arithmetic operators only, so they serve floats and arrays alike.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
@@ -41,13 +42,6 @@ def db_to_linear(value_db: float) -> float:
         return 10.0 ** (value_db / 10.0)
     except OverflowError:
         raise ValueError(f"{value_db!r} dB is too large to convert to a linear ratio") from None
-
-
-def require_positive(**values: float) -> None:
-    """Reject values that are not strictly positive (NaN included), naming the first."""
-    for name, value in values.items():
-        if not value > 0.0:
-            raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -78,15 +72,18 @@ class SystemConfig:
     coverage_y_m: float = 10.0
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            value = getattr(self, field.name)
+        # One C call for every field, in order: every verify trial and sweep value builds a config.
+        # (vars(self) would give each config a real __dict__, and slow every later attribute read.)
+        values = dict(zip(_FIELD_NAMES, _field_values(self)))
+        for name, value in values.items():
             if value is not None and not math.isfinite(value):
-                raise ValueError(f"{field.name} must be finite, got {value!r}")
-        positive = ("carrier_frequency_hz", "bandwidth_hz", "waveguide_length_m", "waveguide_height_m")
-        positive += ("bs_relay_distance_m", "snr_target_linear", "coverage_x_m", "coverage_y_m")
-        require_positive(**{name: getattr(self, name) for name in positive})
-        nonnegative = ("waveguide_attenuation_per_m", "relay_circuit_power_w", "bs_rf_chain_power_w")
-        _require_nonnegative(**{name: getattr(self, name) for name in nonnegative})
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in _POSITIVE_FIELDS:
+            if not values[name] > 0.0:
+                raise ValueError(f"{name} must be positive, got {values[name]!r}")
+        for name in _NONNEGATIVE_FIELDS:
+            if not values[name] >= 0.0:
+                raise ValueError(f"{name} must be nonnegative, got {values[name]!r}")
         if not 0.0 < self.pa_efficiency <= 1.0:
             raise ValueError(f"pa_efficiency must lie in (0, 1], got {self.pa_efficiency!r}")
 
@@ -101,6 +98,13 @@ class SystemConfig:
         if self.ue_noise_figure_db is None:
             return self.relay_noise_w
         return noise_power_w(self.bandwidth_hz, self.ue_noise_figure_db, "ue_noise_figure_db")
+
+
+_FIELD_NAMES = tuple(field.name for field in fields(SystemConfig))
+_field_values = operator.attrgetter(*_FIELD_NAMES)
+_POSITIVE_FIELDS = ("carrier_frequency_hz", "bandwidth_hz", "waveguide_length_m", "waveguide_height_m")
+_POSITIVE_FIELDS += ("bs_relay_distance_m", "snr_target_linear", "coverage_x_m", "coverage_y_m")
+_NONNEGATIVE_FIELDS = ("waveguide_attenuation_per_m", "relay_circuit_power_w", "bs_rf_chain_power_w")
 
 
 @dataclass(frozen=True)

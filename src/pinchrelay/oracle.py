@@ -1,9 +1,11 @@
 """Brute-force verification of the closed forms.
 
-The placement check exhaustively grids the waveguide; the power check runs a
+The placement check bounds the objective's maximum on the waveguide from
+above, by its curvature split and a bisection; the power check runs a
 golden-section search for the minimum cost along the active-SNR-constraint
-curve, and evaluates the cost and the SNR at the closed form's operating point
-(with an optional 2-D grid that does not assume the constraint reduction).
+curve, and evaluates the cost and the SNR at the closed form's operating point.
+The exhaustive placement grid and a 2-D power grid that does not assume the
+constraint reduction remain for the acceptance gate; only they import numpy.
 All objective formulas here are written out inline, independently of the code
 paths under test.
 """
@@ -14,22 +16,22 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .model import SPEED_OF_LIGHT_M_S, ChannelGains, SystemConfig, UePosition, link_out_of_range
 from .optimize import optimal_pin_position, optimal_power_allocation
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # the power search's budget of cost evaluations; verify's draws take 44 to 48
 DEFAULT_P1_POINTS = 128
 # the power search stops once its bracket in ln(surplus) is this narrow: about
 # 1e-8 relative in the surplus, and far below 1e-16 relative in the cost
 POWER_SEARCH_WIDTH = 1e-8
-# verify's placement grid: 1 mm steps, coarser only where that would take more
-# than MAX_GRID_POINTS points (about 260 MiB peak at the limit)
-GRID_STEP_M = 1e-3
-MAX_GRID_POINTS = 10**7
+# the placement bisection stops once its upper bound on ln f is this close to
+# the best value it has evaluated: 1e-15 relative in f, below verify's tolerance
+PLACEMENT_SEARCH_GAP = 1e-15
 POSITION_REL_TOL = 1e-10
 POWER_REL_TOL = 1e-14
 _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
@@ -54,6 +56,63 @@ def pin_objective(config: SystemConfig, ue: UePosition, x_m: float) -> float:
     return math.exp(-config.waveguide_attenuation_per_m * x_m) / (dx * dx + c_const)
 
 
+def ln_pin_objective(config: SystemConfig, ue: UePosition, x_m: float) -> float:
+    """``g(x) = ln f(x) = -alpha x - ln((x_ue - x)^2 + y_ue^2 + d^2)``, finite where f underflows to 0."""
+    dx = ue.x_ue_m - x_m
+    c_const = ue.y_ue_m * ue.y_ue_m + config.waveguide_height_m * config.waveguide_height_m
+    return -config.waveguide_attenuation_per_m * x_m - math.log(dx * dx + c_const)
+
+
+def pin_bounds(config: SystemConfig, ue: UePosition) -> tuple[float, float, float, float]:
+    """Certified bounds on the maximum of ``g = ln f`` over the waveguide ``[0, L]``.
+
+    In ``u = x_ue - x`` with ``C = y_ue^2 + d^2``, ``g'' = 2(u^2 - C) / (u^2 + C)^2``:
+    ``g`` is convex where ``|u| > sqrt(C)`` and concave where ``|u| < sqrt(C)``.
+    On the two convex pieces the maximum lies at a piece end.  On the concave
+    piece ``g'`` falls, so a bisection on its sign keeps a bracket ``[lo, hi]``
+    around the piece's maximum, and the tangent at ``lo`` bounds the piece by
+    ``g(lo) + g'(lo) (hi - lo)``.  The bisection stops once that bound lies
+    within ``PLACEMENT_SEARCH_GAP`` of ``g(lo)``, or the bracket splits no
+    further.  Nothing here reads the closed-form placement.
+
+    Returns ``(x_best, g_lower, g_upper, width)``: the best point evaluated,
+    its ``g``, the upper bound, and the final bracket's width (0 where the
+    concave piece peaks at one of its ends).
+    """
+    length, alpha, x_ue = config.waveguide_length_m, config.waveguide_attenuation_per_m, ue.x_ue_m
+    c_const = ue.y_ue_m * ue.y_ue_m + config.waveguide_height_m * config.waveguide_height_m
+    root_c = math.sqrt(c_const)
+    a = min(max(x_ue - root_c, 0.0), length)
+    b = min(max(x_ue + root_c, 0.0), length)
+
+    def slope(x: float) -> float:
+        u = x_ue - x
+        return 2.0 * u / (u * u + c_const) - alpha
+
+    lo, hi, slope_lo = a, b, slope(a)
+    if slope_lo <= 0.0:  # g falls from a, and so on the whole concave piece
+        hi = a
+    elif slope(b) >= 0.0:  # g rises all the way to b
+        lo = b
+    else:
+        gap = PLACEMENT_SEARCH_GAP
+        while slope_lo * (hi - lo) > gap:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            u = x_ue - mid  # slope(mid), written out: this loop is most of the search's time
+            slope_mid = 2.0 * u / (u * u + c_const) - alpha
+            if slope_mid > 0.0:
+                lo, slope_lo = mid, slope_mid
+            elif slope_mid < 0.0:
+                hi = mid
+            else:
+                lo = hi = mid
+    g = {x: ln_pin_objective(config, ue, x) for x in (0.0, a, lo, hi, b, length)}
+    x_best = max(g, key=g.__getitem__)  # ties go to the first point listed
+    return x_best, g[x_best], max(g[x_best], g[lo] + slope_lo * (hi - lo)), hi - lo
+
+
 def grid_search_pin(config: SystemConfig, ue: UePosition, step_m: float) -> tuple[float, float]:
     """Exhaustive placement search over {0, step, 2*step, ..., L}.
 
@@ -64,6 +123,8 @@ def grid_search_pin(config: SystemConfig, ue: UePosition, step_m: float) -> tupl
     float range, or an objective that underflows to 0 at every grid point,
     raises ``ValueError`` naming the geometry.
     """
+    import numpy as np
+
     length = config.waveguide_length_m
     if not 0.0 < step_m <= length:
         raise ValueError(f"grid step must lie in (0, {length}], got {step_m!r}")
@@ -96,9 +157,11 @@ def _geometry_error(problem: str, config: SystemConfig, ue: UePosition) -> Value
     return ValueError(f"{problem} at user ({ue.x_ue_m!r}, {ue.y_ue_m!r}) m, {at}")
 
 
-@lru_cache(maxsize=1)  # a run verifies on one grid; a fine grid is not kept once another is asked for
+@lru_cache(maxsize=1)  # a caller searches one grid at a time; a fine grid is not kept once another is asked for
 def _placement_grid(length_m: float, step_m: float) -> np.ndarray:
     """The read-only grid {0, step, 2*step, ..., L} that :func:`grid_search_pin` searches."""
+    import numpy as np
+
     xs = np.append(np.arange(0.0, length_m, step_m), length_m)
     xs.flags.writeable = False
     return xs
@@ -199,6 +262,8 @@ def grid_power_min_2d(
     meets the target competes.  Cross-multiplied feasibility test avoids the
     constraint-reduction algebra entirely.
     """
+    import numpy as np
+
     p1 = np.asarray(p1_grid, dtype=float).reshape(-1, 1)
     beta = np.asarray(beta_sq_grid, dtype=float).reshape(1, -1)
     if p1.size == 0 or beta.size == 0:
@@ -218,12 +283,13 @@ def grid_power_min_2d(
 def verify_scenario(config: SystemConfig, ue: UePosition) -> tuple[OracleReport, OracleReport]:
     """Run both oracles against the closed forms for one scenario.
 
-    The placement grid steps ``GRID_STEP_M`` along the waveguide, or the
-    finest step that keeps it within ``MAX_GRID_POINTS`` points, and is
-    ``{0, L}`` on a waveguide shorter than one step.  The position report
-    compares objective values: the grid is a lower bound on the true maximum,
-    so the closed form fails only if the grid beats it by more than
-    ``POSITION_REL_TOL`` (relative).  The power report's gap is the largest
+    The position report compares the closed form's objective with the
+    certified upper bound of :func:`pin_bounds`, in ``ln f`` so that an
+    objective that underflows is still checked: the closed form fails when
+    the bound beats it by more than ``POSITION_REL_TOL`` (relative), and,
+    with an infinite gap, when it lies off the waveguide.  Its oracle value
+    is the objective at the search's best point, and its resolution the
+    search's final bracket width.  The power report's gap is the largest
     of three, each within ``POWER_REL_TOL`` for a pass: the closed-form
     minimum cost against :func:`numeric_power_min`'s, two-sided; the cost
     at the closed form's ``(p1, beta_sq)`` against its reported cost; and
@@ -238,13 +304,13 @@ def verify_scenario(config: SystemConfig, ue: UePosition) -> tuple[OracleReport,
     if not 0.0 < g2_sq < math.inf:  # checked after the first hop, as in model.channel_gains
         raise ValueError(link_out_of_range(config, "relay-UE", g2_sq))
     gains = ChannelGains(g1_sq, g2_sq, sigma_r_sq_w=config.relay_noise_w, sigma_ue_sq_w=config.ue_noise_w)
-    f_closed = pin_objective(config, ue, x_closed)  # the pinch is off the user, so f(x) has no 0 divisor
-    length = config.waveguide_length_m
-    step = min(length, max(GRID_STEP_M, length / (MAX_GRID_POINTS - 1)))
-    if length / step > MAX_GRID_POINTS - 1:  # the quotient rounded up: one more step would pass the budget
-        step = math.nextafter(step, math.inf)
-    _, f_grid = grid_search_pin(config, ue, step)
-    position = _report(f_closed, f_grid, max(0.0, f_grid - f_closed) / f_grid, step, POSITION_REL_TOL)
+    # the pinch is off the user, so neither f nor ln f has a 0 divisor
+    x_best, _, g_upper, width = pin_bounds(config, ue)
+    rel_gap = max(0.0, -math.expm1(ln_pin_objective(config, ue, x_closed) - g_upper))
+    if not 0.0 <= x_closed <= config.waveguide_length_m:  # off the waveguide, where f may exceed the bound
+        rel_gap = math.inf
+    f_closed, f_best = pin_objective(config, ue, x_closed), pin_objective(config, ue, x_best)
+    position = _report(f_closed, f_best, rel_gap, width, POSITION_REL_TOL)
 
     p1, beta_sq, j_closed = optimal_power_allocation(gains, config)
     _, _, j_search = numeric_power_min(gains, config)

@@ -188,8 +188,11 @@ def write_gnuplot_script(
 
     The CSV's file name is a single-quoted gnuplot string, which has no
     escapes, so a ``"`` or ``\\`` in it is literal and a ``'`` is written twice.
+    Such a string cannot hold a line break: a name with one raises ``ValueError``.
     """
     csv_path = Path(csv_path)
+    if any(c in csv_path.name for c in "\r\n"):
+        raise ValueError(f"a gnuplot string cannot hold the line break in the CSV name {csv_path.name!r}")
     data_file = "'" + csv_path.name.replace("'", "''") + "'"
     lines = [
         f"# companion plot script for {csv_path.name}",

@@ -400,6 +400,18 @@ class TestSweepCommand:
         assert cli_main([*argv, flag, value]) == 2
         assert named in capsys.readouterr().err
 
+    # a gnuplot string cannot hold a line break, which would end the script's comment and plot lines
+    @pytest.mark.parametrize("name", ['a\nset output "x".csv', "a\rb.csv"])
+    def test_gnuplot_line_break_in_the_name_is_a_usage_error(self, tmp_path, capsys, name):
+        argv = ["sweep", "--var", "gamma0", "--values", "20dB", "--samples", "2", "--out", str(tmp_path / name)]
+        assert cli_main([*argv, "--gnuplot"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --gnuplot cannot quote a line break in the CSV name {name!r}\n"
+        assert list(tmp_path.iterdir()) == []
+        assert cli_main(argv) == 0  # without a script the name is only a file name
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
     @pytest.mark.parametrize("name", sorted(VARIABLES))
     def test_every_variable_is_a_choice_with_its_axis_label(self, tmp_path, capsys, name):
         out = tmp_path / "v.csv"
@@ -540,17 +552,38 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.count("| FAIL\n") == 20 and out.endswith("verify: 0/20 scenarios passed\n")
 
+    # each moves the closed-form pinch point off the maximum: see conftest.PIN_MUTANTS.  On verify's
+    # default draws the clamped candidate always beats the feed; for users far past the end of a
+    # 10 m waveguide the feed always wins.
+    @pytest.mark.parametrize(
+        "mutated_pin, argv",
+        [
+            ("x+0.3mm", []),
+            ("x+0.3mm", ["--coverage-x", "1e8", "--length", "10"]),
+            ("clamped-candidate", ["--coverage-x", "1e8", "--length", "10"]),
+        ],
+        indirect=["mutated_pin"],
+    )
+    def test_placement_mutants_fail_every_trial(self, capsys, mutated_pin, argv):
+        assert cli_main(["verify", "--trials", "20", *argv]) == 1
+        out = capsys.readouterr().out
+        assert out.count("| FAIL\n") == 20 and out.endswith("verify: 0/20 scenarios passed\n")
+
+    def test_far_users_pass(self, capsys):
+        assert cli_main(["verify", "--trials", "20", "--coverage-x", "1e8", "--length", "10"]) == 0
+        assert capsys.readouterr().out.endswith("verify: 20/20 scenarios passed\n")
+
     def test_largest_power_gap_over_2000_trials(self, capsys):
         assert cli_main(["verify", "--trials", "2000", "--seed", "3"]) == 0
         gaps = [float(gap) for gap in re.findall(r"power rel gap (\S+)", capsys.readouterr().out)]
         assert len(gaps) == 2000 and max(gaps) <= 1e-12
 
-    # each squares a length past the float range: 1.7e308 m high, or a user 1.4e308 m along the guide
+    # each squares a length past the float range: 1.7e308 m high, or a user 8.7e307 m along the guide
     @pytest.mark.parametrize(
         "argv, named",
         [
             (["--height", "1.7e308", "--horn-tx-gain", "-4000"], "waveguide_height_m=1.7e+308"),
-            (["--coverage-x", "1.7e308", "--bs-rf-power", "1e-40"], "at user (1.382559406640463e+308, "),
+            (["--coverage-x", "1.7e308", "--bs-rf-power", "1e-40"], "at user (8.691670263266344e+307, "),
         ],
     )
     def test_geometry_past_the_float_range_is_one_error_line(self, capsys, argv, named):

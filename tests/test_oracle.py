@@ -1,13 +1,16 @@
-"""Brute-force oracles: placement grid search, constraint-curve power search, reports."""
+"""Oracles: certified placement bounds, placement grid search, constraint-curve power search, reports."""
 
 import logging
 import math
+import random
 import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchrelay import (
     ChannelGains,
@@ -26,12 +29,14 @@ from pinchrelay.cli import _VERIFY_DRAWN_FIELDS
 from pinchrelay.oracle import (
     _GOLDEN_RATIO,
     DEFAULT_P1_POINTS,
-    GRID_STEP_M,
-    MAX_GRID_POINTS,
+    POSITION_REL_TOL,
     POWER_REL_TOL,
     POWER_SEARCH_WIDTH,
     _placement_grid,
+    ln_pin_objective,
+    pin_bounds,
 )
+from test_package import fresh_interpreter
 
 # noise powers and gains whose products in J leave the float range, though J does not
 EXTREME_NOISE = [
@@ -58,17 +63,130 @@ class CountingMath:
 
 def verify_draws(seed, trials):
     """``(config, user)`` pairs drawn as ``pinchrelay verify`` draws them."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for _ in range(trials):
-        scenario = replace(SystemConfig(), **{name: float(draw(rng)) for name, draw in _VERIFY_DRAWN_FIELDS.items()})
-        x_ue = float(rng.uniform(0.0, scenario.coverage_x_m))
-        yield scenario, UePosition(x_ue, float(rng.uniform(0.0, scenario.coverage_y_m)))
+        scenario = replace(SystemConfig(), **{name: draw(rng) for name, draw in _VERIFY_DRAWN_FIELDS.items()})
+        x_ue = rng.uniform(0.0, scenario.coverage_x_m)
+        yield scenario, UePosition(x_ue, rng.uniform(0.0, scenario.coverage_y_m))
 
 
 def symmetric_toy():
     cfg = SystemConfig(pa_efficiency=1.0, snr_target_linear=1.0)
     gains = ChannelGains(g1_sq=1.0, g2_sq=1.0, sigma_r_sq_w=1.0, sigma_ue_sq_w=1.0)
     return gains, cfg
+
+
+def tie_user_x(alpha, c_const):
+    """The user x past the objective's stationary points at which f(0) equals f at the interior maximum."""
+    root = math.sqrt(1.0 - alpha * alpha * c_const)
+    u_max, u_min = (1.0 - root) / alpha, (1.0 + root) / alpha
+
+    def interior_minus_feed(x_ue):
+        return -alpha * (x_ue - u_max) - math.log(u_max * u_max + c_const) + math.log(x_ue * x_ue + c_const)
+
+    lo, hi = u_min, 2.0 * u_min
+    while interior_minus_feed(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        lo, hi = (mid, hi) if interior_minus_feed(mid) > 0.0 else (lo, mid)
+    return lo
+
+
+@st.composite
+def placement_scenarios(draw):
+    """A waveguide of 1 mm to 10 km and a user on it or off either end, at edge-case attenuations."""
+    length = 10.0 ** draw(st.floats(-3.0, 4.0))
+    height, y_ue = 10.0 ** draw(st.floats(-2.0, 2.0)), draw(st.floats(0.0, 50.0))
+    c_const = y_ue * y_ue + height * height
+    x_ue = length * draw(st.floats(-1.0, 2.0))
+    kind = draw(st.sampled_from(["zero", "tiny", "plain", "edge", "tie"]))
+    if kind == "zero":
+        alpha = 0.0
+    elif kind == "tiny":
+        alpha = 10.0 ** draw(st.floats(-14.0, -8.0))
+    elif kind == "plain":
+        alpha = 10.0 ** draw(st.floats(-4.0, 0.0))
+    elif kind == "edge":  # alpha^2 C within 1e-16 to 1e-3 of 1, from either side
+        alpha = (1.0 + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-16.0, -3.0))) / math.sqrt(c_const)
+    else:  # the feed and the interior maximum radiate within a few ulps of each other
+        alpha = draw(st.floats(0.05, 0.9)) / math.sqrt(c_const)
+        x_ue = tie_user_x(alpha, c_const) * (1.0 + draw(st.integers(-4, 4)) * 2.0**-52)
+        length = x_ue * draw(st.floats(0.5, 2.0))
+    config = SystemConfig(waveguide_length_m=length, waveguide_height_m=height, waveguide_attenuation_per_m=alpha)
+    return config, UePosition(x_ue, y_ue)
+
+
+class TestPinBounds:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(scenario=placement_scenarios())
+    def test_bounds_are_tight_beat_the_grid_and_pass_the_closed_form(self, scenario):
+        config, ue = scenario
+        x_best, g_lower, g_upper, width = pin_bounds(config, ue)
+        assert 0.0 <= x_best <= config.waveguide_length_m and width >= 0.0
+        assert g_lower == ln_pin_objective(config, ue, x_best)
+        assert 0.0 <= math.expm1(g_upper - g_lower) <= 1e-12
+        # 1 mm steps up to 100 m, and 10^5 + 1 points beyond
+        step = min(config.waveguide_length_m, max(1e-3, config.waveguide_length_m / 1e5))
+        _, f_grid = grid_search_pin(config, ue, step)
+        assert math.log(f_grid) <= g_lower + 1e-14 * max(1.0, abs(g_lower))
+        position, _ = verify_scenario(config, ue)
+        assert position.passed, position
+
+    def test_default_scenario_brackets_the_interior_maximum(self, cfg, ue_mid):
+        x_best, g_lower, g_upper, width = pin_bounds(cfg, ue_mid)
+        x2 = 15.0 - (1.0 - math.sqrt(1.0 - 1e-4 * 34.0)) / 0.01
+        assert 0.0 < width < 1e-6 and abs(x_best - x2) <= width
+        assert g_lower - 1e-15 <= ln_pin_objective(cfg, ue_mid, optimal_pin_position(cfg, ue_mid)) <= g_upper
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-6])
+    def test_upper_bound_holds_however_early_the_bisection_stops(self, monkeypatch, gap):
+        monkeypatch.setattr("pinchrelay.oracle.PLACEMENT_SEARCH_GAP", gap)
+        for scenario, ue in verify_draws(5, 50):
+            _, g_lower, g_upper, _ = pin_bounds(scenario, ue)
+            _, f_grid = grid_search_pin(scenario, ue, 1e-3)
+            g_closed = ln_pin_objective(scenario, ue, optimal_pin_position(scenario, ue))
+            assert max(math.log(f_grid), g_closed) <= g_upper + 1e-15 and g_upper - g_lower <= gap
+
+    def test_a_loose_bound_fails_the_closed_form_rather_than_passing_it(self, cfg, ue_mid, monkeypatch):
+        monkeypatch.setattr("pinchrelay.oracle.PLACEMENT_SEARCH_GAP", 1e-2)
+        position, _ = verify_scenario(cfg, ue_mid)
+        assert not position.passed and position.rel_gap > 1e-4
+
+    def test_local_minimum_between_the_feed_and_the_interior_maximum(self):
+        # C = 409 lies past u = 2/alpha: f falls from the feed to a local minimum near x = 102 m,
+        # then rises to the interior maximum x2 near 297.9 m, inside the concave piece |u| < sqrt(C)
+        config = SystemConfig(waveguide_length_m=400.0, waveguide_attenuation_per_m=0.01)
+        ue = UePosition(300.0, 20.0)
+        x2 = 300.0 - (1.0 - math.sqrt(1.0 - 1e-4 * 409.0)) / 0.01
+        x_best, g_lower, _, width = pin_bounds(config, ue)
+        assert abs(x_best - x2) <= width < 1e-6
+        assert g_lower >= ln_pin_objective(config, ue, x2) - 1e-15 > ln_pin_objective(config, ue, 0.0)
+
+    @pytest.mark.parametrize("x_ue", [-5.0, 45.0])
+    def test_user_off_the_waveguide_peaks_at_an_end(self, cfg, x_ue):
+        config = replace(cfg, waveguide_attenuation_per_m=0.0)
+        x_best, g_lower, g_upper, width = pin_bounds(config, UePosition(x_ue, 5.0))
+        assert x_best == min(max(x_ue, 0.0), cfg.waveguide_length_m)
+        assert g_lower == g_upper and width == 0.0
+
+    def test_search_does_not_read_the_closed_form_placement(self, cfg, ue_mid, monkeypatch):
+        before = pin_bounds(cfg, ue_mid)
+
+        def unavailable(config, ue):
+            raise AssertionError("pin_bounds called optimal_pin_position")
+
+        monkeypatch.setattr("pinchrelay.oracle.optimal_pin_position", unavailable)
+        assert pin_bounds(cfg, ue_mid) == before
+
+    def test_subnormal_objective_is_checked_in_ln_f(self, cfg):
+        # a user 1.3e154 m along the guide: f is subnormal at every pinch point, with few bits left
+        scenario = replace(cfg, carrier_frequency_hz=1e-145, bs_relay_distance_m=1e145)
+        position, power = verify_scenario(scenario, UePosition(1.3e154, 5.0))
+        assert 0.0 < position.closed_form_value < 2.3e-308
+        assert position.passed and position.rel_gap <= 1e-15 and power.passed
 
 
 class TestGridSearchPin:
@@ -267,11 +385,15 @@ class TestNumericPowerMin:
             numeric_power_min(gains, cfg)
         assert counting.exp_calls == 10
 
-    def test_uses_no_numpy(self, cfg, ue_mid, monkeypatch):
-        gains = channel_gains(cfg, ue_mid, 14.83)
-        before = numeric_power_min(gains, cfg)
-        monkeypatch.setattr("pinchrelay.oracle.np", None)
-        assert numeric_power_min(gains, cfg) == before
+    def test_uses_no_numpy(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from pinchrelay import SystemConfig, UePosition, channel_gains, numeric_power_min\n"
+            "config = SystemConfig()\n"
+            "numeric_power_min(channel_gains(config, UePosition(15.0, 5.0), 14.83), config)\n"
+            "print('numpy' in sys.modules)"
+        )
+        assert fresh_interpreter(code, cwd=tmp_path) == "False"
 
 
 class TestGridPowerMin2d:
@@ -302,6 +424,12 @@ class TestVerifyScenario:
         assert position.rel_gap <= 1e-10
         assert power.rel_gap <= POWER_REL_TOL
 
+    def test_pinch_point_off_the_waveguide_fails(self, cfg, ue_mid, monkeypatch):
+        past_the_end = lambda config, ue: config.waveguide_length_m + 1.0  # noqa: E731
+        monkeypatch.setattr("pinchrelay.oracle.optimal_pin_position", past_the_end)
+        position, _ = verify_scenario(cfg, UePosition(40.0, 5.0))
+        assert not position.passed and position.rel_gap == math.inf
+
     def test_perturbed_position_fails(self, cfg, ue_mid, monkeypatch):
         shifted = lambda config, ue: optimal_pin_position(config, ue) + 1.0  # noqa: E731
         monkeypatch.setattr("pinchrelay.oracle.optimal_pin_position", shifted)
@@ -317,11 +445,11 @@ class TestVerifyScenario:
 
     def test_report_invariants(self, cfg, ue_mid):
         position, power = verify_scenario(cfg, ue_mid)
-        for report, tol in ((position, 1e-10), (power, POWER_REL_TOL)):
+        for report, tol in ((position, POSITION_REL_TOL), (power, POWER_REL_TOL)):
             assert report.passed == (report.rel_gap <= tol)
             assert report.abs_gap == pytest.approx(abs(report.closed_form_value - report.oracle_value))
-        # maximization oracle can only fall short of the closed form
-        assert position.oracle_value <= position.closed_form_value * (1.0 + 1e-12)
+        # the search's best point sits within its gap of the maximum, which the closed form attains
+        assert position.oracle_value == pytest.approx(position.closed_form_value, rel=1e-15)
         # minimization oracle cannot undercut the true minimum by more than float noise
         assert power.oracle_value >= power.closed_form_value * (1.0 - 1e-9)
 
@@ -362,37 +490,6 @@ class TestVerifyScenario:
         _, power = verify_scenario(replace(cfg, snr_target_linear=gamma0), ue_mid)
         assert power.grid_resolution == POWER_SEARCH_WIDTH == 1e-8
         assert power.passed and power.rel_gap <= POWER_REL_TOL
-
-    # 1 mm up to 9,999.999 m; beyond, the finest step within MAX_GRID_POINTS; below 1 mm, the grid {0, L}
-    @pytest.mark.parametrize(
-        "length, step, points",
-        [
-            (5e-4, 5e-4, 2),
-            (30.0, GRID_STEP_M, 30_001),
-            (9999.999, GRID_STEP_M, MAX_GRID_POINTS),
-            (1e4, 1e4 / (MAX_GRID_POINTS - 1), MAX_GRID_POINTS),
-            # L / (L / (N - 1)) rounds above N - 1 here, so the step is one ulp coarser
-            (10000.004368809548, math.nextafter(10000.004368809548 / 9_999_999, math.inf), MAX_GRID_POINTS),
-            (2e4, 2e4 / (MAX_GRID_POINTS - 1), MAX_GRID_POINTS),
-            (1.7e308, 1.7e308 / (MAX_GRID_POINTS - 1), MAX_GRID_POINTS),
-        ],
-    )
-    def test_placement_grid_follows_the_length_within_the_budget(self, cfg, ue_mid, monkeypatch, length, step, points):
-        sizes = []
-
-        def recording(length_m, step_m):
-            xs = _placement_grid(length_m, step_m)
-            sizes.append(xs.size)
-            return xs
-
-        monkeypatch.setattr("pinchrelay.oracle._placement_grid", recording)
-        try:
-            position, power = verify_scenario(replace(cfg, waveguide_length_m=length), ue_mid)
-        finally:
-            _placement_grid.cache_clear()  # keep no 10**7-point grid for the rest of the session
-        assert sizes == [points]
-        assert position.grid_resolution == step
-        assert position.passed and power.passed
 
     def test_pinch_on_the_user_is_a_relay_ue_error(self, cfg):
         # the height's square underflows, so the closed form pinches right above the user, at distance 0

@@ -73,8 +73,9 @@ class TestColdStart:
             (["sweep", "--var", "gamma0", "--values", "20dB", "--samples", "3", "--out", "x.csv"], True),
             (["sweep", "--var", "gamma0", "--values", "20dB", "--samples", "1000001", "--out", "x.csv"], False),
             (["verify", "--trials", "0"], False),
+            (["verify", "--trials", "1"], False),
         ],
-        ids=["solve", "config-dump", "help", "sweep", "sweep-over-cap", "verify-usage-error"],
+        ids=["solve", "config-dump", "help", "sweep", "sweep-over-cap", "verify-usage-error", "verify"],
     )
     def test_numpy_is_loaded_only_by_commands_that_use_arrays(self, tmp_path, argv, loads_numpy):
         code = "import sys\nfrom pinchrelay.cli import cli_main\ncli_main(sys.argv[1:])\nprint('numpy' in sys.modules)"

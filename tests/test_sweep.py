@@ -388,3 +388,11 @@ class TestCsv:
         write_gnuplot_script(tmp_path / name, script, "SNR target [dB]", ("proposed",))
         plot = script.read_text(encoding="utf-8").splitlines()[-1]
         assert plot.startswith(f"  {quoted} skip 1 using 1:")
+
+    @pytest.mark.parametrize("name", ["a\nb.csv", "a\rb.csv"])
+    def test_gnuplot_script_rejects_a_line_break_in_the_csv_name(self, tmp_path, name):
+        script = tmp_path / "fig.gp"
+        message = f"a gnuplot string cannot hold the line break in the CSV name {name!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_gnuplot_script(tmp_path / name, script, "SNR target [dB]", ("proposed",))
+        assert not script.exists()
