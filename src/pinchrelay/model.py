@@ -95,9 +95,7 @@ class SystemConfig:
     @property
     def ue_noise_w(self) -> float:
         """Thermal noise power at the user terminal."""
-        if self.ue_noise_figure_db is None:
-            return self.relay_noise_w
-        return noise_power_w(self.bandwidth_hz, self.ue_noise_figure_db, "ue_noise_figure_db")
+        return _ue_noise_w(self)
 
 
 _FIELD_NAMES = tuple(field.name for field in fields(SystemConfig))
@@ -111,13 +109,18 @@ _NONNEGATIVE_FIELDS = ("waveguide_attenuation_per_m", "relay_circuit_power_w", "
 class UePosition:
     """User terminal coordinates on the ground plane (z = 0).
 
-    The dataclass itself accepts any geometry so that placement studies can
-    probe users outside the served rectangle; use :meth:`in_coverage` when the
-    position must lie inside the configured coverage area.
+    The dataclass itself accepts any finite geometry so that placement studies
+    can probe users outside the served rectangle; use :meth:`in_coverage` when
+    the position must lie inside the configured coverage area.
     """
 
     x_ue_m: float
     y_ue_m: float
+
+    def __post_init__(self) -> None:
+        for name, value in (("x_ue_m", self.x_ue_m), ("y_ue_m", self.y_ue_m)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
     @classmethod
     def in_coverage(cls, config: SystemConfig, x_ue_m: float, y_ue_m: float) -> "UePosition":
@@ -222,15 +225,27 @@ def relay_ue_gain(config: SystemConfig, ue: UePosition, x_pin_m: float) -> float
 
 def channel_gains(config: SystemConfig, ue: UePosition, x_pin_m: float) -> ChannelGains:
     """Assemble both hop gains and both noise powers for one scenario; gains must lie in (0, inf)."""
+    return ChannelGains(*_link_budget(config, ue, x_pin_m))
+
+
+def _link_budget(config: SystemConfig, ue: UePosition, x_pin_m: float) -> tuple[float, float, float, float]:
+    """:func:`channel_gains`' checked ``(g1_sq, g2_sq, sigma_r_sq_w, sigma_ue_sq_w)`` as plain floats.
+
+    Each value is already checked where it is computed, so nothing here is checked twice,
+    and a terminal that reuses the relay noise figure reuses its noise power too.
+    """
     g1_sq, g2_sq = bs_relay_gain(config), relay_ue_gain(config, ue, x_pin_m)
     if not 0.0 < g2_sq < math.inf:
         raise ValueError(link_out_of_range(config, "relay-UE", g2_sq))
-    return ChannelGains(
-        g1_sq=g1_sq,
-        g2_sq=g2_sq,
-        sigma_r_sq_w=config.relay_noise_w,
-        sigma_ue_sq_w=config.ue_noise_w,
-    )
+    sigma_r_sq_w = config.relay_noise_w
+    return g1_sq, g2_sq, sigma_r_sq_w, _ue_noise_w(config, sigma_r_sq_w)
+
+
+def _ue_noise_w(config: SystemConfig, relay_noise_w: float | None = None) -> float:
+    """The terminal's noise power; ``ue_noise_figure_db = None`` reuses the relay's, ``relay_noise_w`` if given."""
+    if config.ue_noise_figure_db is not None:
+        return noise_power_w(config.bandwidth_hz, config.ue_noise_figure_db, "ue_noise_figure_db")
+    return config.relay_noise_w if relay_noise_w is None else relay_noise_w
 
 
 def af_snr(p1_w: float, beta_sq: float, gains: ChannelGains) -> float:

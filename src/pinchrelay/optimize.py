@@ -28,15 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .model import (
-    ChannelGains,
-    SystemConfig,
-    UePosition,
-    channel_gains,
-    consumed_power,
-    relay_tx_power,
-    relay_ue_gain,
-)
+from .model import ChannelGains, SystemConfig, UePosition, _link_budget, consumed_power, relay_tx_power, relay_ue_gain
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,13 +60,18 @@ def stationary_points(config: SystemConfig, ue: UePosition) -> StationaryAnalysi
     quadratic degenerates and the caller should use the pure distance-
     minimizing placement instead.
     """
-    alpha = config.waveguide_attenuation_per_m
-    if alpha == 0.0:
+    if config.waveguide_attenuation_per_m == 0.0:
         raise ValueError("no stationary analysis for zero waveguide attenuation")
+    return StationaryAnalysis(_interior_maximum(config, ue))
+
+
+def _interior_maximum(config: SystemConfig, ue: UePosition) -> float | None:
+    """``x2`` for a positive attenuation, or ``None`` when the discriminant is negative."""
+    alpha = config.waveguide_attenuation_per_m
     discriminant = 1.0 - alpha * alpha * (ue.y_ue_m * ue.y_ue_m + config.waveguide_height_m * config.waveguide_height_m)
     if discriminant < 0.0:
-        return StationaryAnalysis(x2_m=None)
-    return StationaryAnalysis(x2_m=ue.x_ue_m - (1.0 - math.sqrt(discriminant)) / alpha)
+        return None
+    return ue.x_ue_m - (1.0 - math.sqrt(discriminant)) / alpha
 
 
 def optimal_pin_position(config: SystemConfig, ue: UePosition) -> float:
@@ -90,10 +87,10 @@ def optimal_pin_position(config: SystemConfig, ue: UePosition) -> float:
     length = config.waveguide_length_m
     if config.waveguide_attenuation_per_m == 0.0:
         return min(max(ue.x_ue_m, 0.0), length)
-    analysis = stationary_points(config, ue)
-    if analysis.x2_m is None:
+    x2 = _interior_maximum(config, ue)
+    if x2 is None:
         return 0.0
-    candidate = min(max(analysis.x2_m, 0.0), length)
+    candidate = min(max(x2, 0.0), length)
     if relay_ue_gain(config, ue, candidate) > relay_ue_gain(config, ue, 0.0):
         return candidate
     return 0.0
@@ -115,15 +112,20 @@ def optimal_power_allocation(gains: ChannelGains, config: SystemConfig) -> tuple
     finite (an SNR target, a PA efficiency or gains beyond the float range)
     raises ``ValueError`` naming the target, the efficiency and the value at fault.
     """
-    p1, beta_sq, j = split_power(
-        config, gains.g1_sq, gains.sigma_r_sq_w, gains.sigma_ue_sq_w, gains.g2_sq, math.sqrt(gains.g2_sq)
-    )
+    return _checked_split(config, gains.g1_sq, gains.g2_sq, gains.sigma_r_sq_w, gains.sigma_ue_sq_w)
+
+
+def _checked_split(
+    config: SystemConfig, g1_sq: float, g2_sq: float, sigma_r_sq_w: float, sigma_ue_sq_w: float
+) -> tuple[float, float, float]:
+    """:func:`optimal_power_allocation` on the link budget as floats, in :func:`~.model._link_budget`'s order."""
+    p1, beta_sq, j = split_power(config, g1_sq, sigma_r_sq_w, sigma_ue_sq_w, g2_sq, math.sqrt(g2_sq))
     if not (math.isfinite(p1) and math.isfinite(beta_sq) and math.isfinite(j)):
         values = {"p1": p1, "beta_sq": beta_sq, "j": j}
         bad = ", ".join(f"{name}={value!r}" for name, value in values.items() if not math.isfinite(value))
         raise ValueError(
             f"power split is not finite at snr_target_linear={config.snr_target_linear!r} and "
-            f"pa_efficiency={config.pa_efficiency!r} (g1_sq={gains.g1_sq!r}, g2_sq={gains.g2_sq!r}): {bad}"
+            f"pa_efficiency={config.pa_efficiency!r} (g1_sq={g1_sq!r}, g2_sq={g2_sq!r}): {bad}"
         )
     return p1, beta_sq, j
 
@@ -165,9 +167,9 @@ def solve_at(config: SystemConfig, ue: UePosition, x_pin_m: float) -> PowerSolut
     total that is not finite raises ``ValueError`` naming the values at fault
     and the config fields that add to the total.
     """
-    gains = channel_gains(config, ue, x_pin_m)
-    p1, beta_sq, j_star = optimal_power_allocation(gains, config)
-    p2 = relay_tx_power(p1, beta_sq, gains.g1_sq, gains.sigma_r_sq_w)
+    g1_sq, g2_sq, sigma_r_sq_w, sigma_ue_sq_w = _link_budget(config, ue, x_pin_m)
+    p1, beta_sq, j_star = _checked_split(config, g1_sq, g2_sq, sigma_r_sq_w, sigma_ue_sq_w)
+    p2 = relay_tx_power(p1, beta_sq, g1_sq, sigma_r_sq_w)
     total = consumed_power(p1, p2, config)
     if not (math.isfinite(p2) and math.isfinite(total)):
         values = {"p2_w": p2, "total_power_w": total}
@@ -176,16 +178,9 @@ def solve_at(config: SystemConfig, ue: UePosition, x_pin_m: float) -> PowerSolut
         at = ", ".join(f"{name}={getattr(config, name)!r}" for name in fields)
         raise ValueError(
             f"operating point is not finite at {at} (p1={p1!r}, beta_sq={beta_sq!r}, "
-            f"g1_sq={gains.g1_sq!r}, sigma_r_sq_w={gains.sigma_r_sq_w!r}): {bad}"
+            f"g1_sq={g1_sq!r}, sigma_r_sq_w={sigma_r_sq_w!r}): {bad}"
         )
-    return PowerSolution(
-        x_pin_m=x_pin_m,
-        p1_w=p1,
-        beta_sq=beta_sq,
-        p2_w=p2,
-        j_star_w=j_star,
-        total_power_w=total,
-    )
+    return PowerSolution(x_pin_m, p1, beta_sq, p2, j_star, total)  # positional: keyword arguments are slower
 
 
 def solve(config: SystemConfig, ue: UePosition) -> PowerSolution:

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import logging
@@ -100,6 +101,11 @@ class TestSolveCommand:
     def test_rejects_user_outside_coverage(self, capsys):
         assert cli_main(["solve", "--ue", "40,5"]) == 2
 
+    @pytest.mark.parametrize("ue", ["nan,5", "5,inf"])
+    def test_non_finite_user_is_a_usage_error(self, capsys, ue):
+        assert cli_main(["solve", "--ue", ue]) == 2
+        assert capsys.readouterr().err.startswith("error: UE (")
+
     def test_overflowing_db_values_are_named_errors(self, capsys):
         assert cli_main(["solve", "--gamma0", "4000dB"]) == 2
         assert "--gamma0" in capsys.readouterr().err
@@ -169,6 +175,52 @@ class TestSolveCommand:
         assert cli_main(["solve", "--ue", "15,5", "--gamma0", "10dB", "--json"]) == 0
         relaxed = json.loads(capsys.readouterr().out)
         assert strict["total_power_w"] > relaxed["total_power_w"]
+
+
+# sha256 of the solve table and of solve --json, recorded when solve built a ChannelGains and a
+# StationaryAnalysis on every call: any change to a solution's last bit, or to either format, shows here
+GOLDEN_SOLVES = {
+    "defaults": (
+        [],
+        "158422fb0098aa67822903900c900889eeb99d4161da6ecf192e55cdee353f84",
+        "6c0c6f82f2bab962dac4da8ab25b2cc9373b9581cdab7b17d72558e392ac13d3",
+    ),
+    "ue-15-5": (
+        ["--ue", "15,5"],
+        "158422fb0098aa67822903900c900889eeb99d4161da6ecf192e55cdee353f84",
+        "6c0c6f82f2bab962dac4da8ab25b2cc9373b9581cdab7b17d72558e392ac13d3",
+    ),
+    # past the end of a 5 m waveguide the clamped interior maximum radiates less than the feed
+    "feed-wins": (
+        ["--alpha-d", "0.1", "--length", "5", "--ue", "30,0"],
+        "72a75cdb681414203a349fe37ba3338c3d7ce7468618395541c4492e93e045bf",
+        "866c47f070e5075cf4b8fdf211a4904b44d3b042170564051e5329bdb86ced11",
+    ),
+    # alpha^2 C = 0.25 * 34 > 1: the placement quadratic has no real root
+    "no-root": (
+        ["--alpha-d", "0.5", "--ue", "15,5"],
+        "d291f6876bd91674ae1046e756dfaad7af5f92332573aaf3a11eaf684afe7a2b",
+        "0e70dcddbb5f67e5f416e1132684f378a12f15b05fb416f1ef1cc091d4d50e11",
+    ),
+    "no-attenuation": (
+        ["--alpha-d", "0", "--ue", "15,5"],
+        "1c43b05fdc7c0d8c9e628a24644f6834fd7cce9c07fc82f87dee11daf360862e",
+        "cc0ac79400ebe8b0863d6014c8c548224c49653c0c29c8154c60f829496bb3c4",
+    ),
+    "ue-noise-figure": (
+        ["--ue-noise-figure", "7", "--ue", "15,5"],
+        "2be23818129494ace63051f7bd0d4a39274dc53d139e88bf20d9ce6bf64d0909",
+        "3817aa34c1c99aace79b0bcc4932c1e787aab599687f00e5149c62b9b394c453",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SOLVES))
+def test_solve_bytes_are_the_recorded_ones(capsys, case):
+    argv, table_sha256, json_sha256 = GOLDEN_SOLVES[case]
+    for extra, sha256 in (([], table_sha256), (["--json"], json_sha256)):
+        assert cli_main(["solve", *argv, *extra]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 
 class TestConfigHandling:

@@ -20,6 +20,7 @@ from pinchrelay import (
     db_to_linear,
     solve,
     total_power_w,
+    verify_scenario,
 )
 from pinchrelay.model import (
     BOLTZMANN_J_PER_K,
@@ -273,6 +274,28 @@ class TestConfigAndTypes:
         for x, y in [(-0.1, 5.0), (30.1, 5.0), (15.0, -0.1), (15.0, 10.1)]:
             with pytest.raises(ValueError):
                 UePosition.in_coverage(cfg, x, y)
+
+    # the position names the coordinate at fault, before any scheme reads it
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            (math.nan, 5.0, "x_ue_m must be finite, got nan"),
+            (5.0, math.inf, "y_ue_m must be finite, got inf"),
+            (-math.inf, 0.0, "x_ue_m must be finite, got -inf"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "scheme", [solve, benchmark2_power, verify_scenario], ids=["solve", "benchmark2_power", "verify_scenario"]
+    )
+    def test_non_finite_user_is_a_named_error(self, cfg, scheme, x, y, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scheme(cfg, UePosition(x, y))
+
+    def test_finite_users_outside_coverage_stay_accepted(self, cfg):
+        for x, y in [(-1.7e308, 5.0), (15.0, -1e150), (40.0, 5.0)]:
+            ue = UePosition(x, y)
+            assert (ue.x_ue_m, ue.y_ue_m) == (x, y)
+        assert solve(cfg, UePosition(40.0, 5.0)).x_pin_m == cfg.waveguide_length_m
 
     def test_channel_gains_reject_nonpositive(self):
         with pytest.raises(ValueError):

@@ -2,11 +2,11 @@
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pinchrelay import (
@@ -22,9 +22,10 @@ from pinchrelay import (
     pin_objective,
     solve,
 )
+from pinchrelay import model
 from pinchrelay.kernel import evaluate, optimal_pin_positions, relay_ue_gains
-from pinchrelay.model import SPEED_OF_LIGHT_M_S, relay_ue_gain
-from pinchrelay.optimize import stationary_points
+from pinchrelay.model import SPEED_OF_LIGHT_M_S, consumed_power, relay_tx_power, relay_ue_gain
+from pinchrelay.optimize import StationaryAnalysis, solve_at, stationary_points
 
 C = SPEED_OF_LIGHT_M_S
 
@@ -404,3 +405,94 @@ class TestSolve:
         with np.errstate(all="ignore"):
             total, p1 = evaluate("proposed", cfg, np.array([10.0]), np.zeros(1), np.zeros(1), {})
         assert (total[0], p1[0]) == (sol.total_power_w, sol.p1_w)
+
+
+# The extreme scenario values the whole-CLI property draws, as SystemConfig field values
+_EXTREMES = (0.0, 5e-324, -5e-324, 1e-150, 1e150, -1e150, 1.7e308, -1.7e308, 3000.0, -3000.0, 4000.0, -4000.0)
+_COORDINATES = st.one_of(st.floats(min_value=-20.0, max_value=200.0), st.sampled_from(_EXTREMES))
+
+
+def _config_or_none(alpha, length, ue_noise_figure_db, extremes):
+    drawn = {"waveguide_attenuation_per_m": alpha, "waveguide_length_m": length, "ue_noise_figure_db": ue_noise_figure_db}
+    try:
+        return SystemConfig(**{**drawn, **extremes})
+    except ValueError:
+        return None
+
+
+_CONFIGS = st.builds(
+    _config_or_none,
+    # 0.05-0.3 per m: users well past the end of a short waveguide are placed at the feed
+    alpha=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0), st.floats(min_value=0.05, max_value=0.3)),
+    length=st.floats(min_value=0.5, max_value=60.0),
+    ue_noise_figure_db=st.one_of(st.none(), st.floats(min_value=-20.0, max_value=40.0)),
+    extremes=st.dictionaries(
+        st.sampled_from([field.name for field in fields(SystemConfig)]), st.sampled_from(_EXTREMES), max_size=2
+    ),
+)
+
+
+def _composed(config, ue, x_pin_m):
+    """The operating point from the public layers, one call each."""
+    gains = channel_gains(config, ue, x_pin_m)
+    assert (gains.sigma_r_sq_w, gains.sigma_ue_sq_w) == (config.relay_noise_w, config.ue_noise_w)
+    p1, beta_sq, j = optimal_power_allocation(gains, config)
+    p2 = relay_tx_power(p1, beta_sq, gains.g1_sq, gains.sigma_r_sq_w)
+    return x_pin_m, p1, beta_sq, p2, j, consumed_power(p1, p2, config)
+
+
+def _outcome(call):
+    """``call()``'s values as reprs, so that equal means bit for bit, or its ``ValueError`` message."""
+    try:
+        values = call()
+    except ValueError as exc:
+        return str(exc)
+    return tuple(map(repr, values if isinstance(values, tuple) else astuple(values)))
+
+
+class TestOnePassSolve:
+    """``solve``, ``solve_at`` and ``benchmark2_power`` take the link budget and split as floats, in one pass."""
+
+    @example(config=SystemConfig(), x_ue=15.0, y_ue=5.0, fraction=0.5)
+    @example(config=SystemConfig(waveguide_attenuation_per_m=0.1, waveguide_length_m=5.0), x_ue=30.0, y_ue=0.0, fraction=1)
+    @example(config=SystemConfig(waveguide_attenuation_per_m=0.5), x_ue=15.0, y_ue=5.0, fraction=0.25)
+    @example(config=SystemConfig(waveguide_attenuation_per_m=0.0), x_ue=40.0, y_ue=5.0, fraction=0.0)
+    @example(config=SystemConfig(ue_noise_figure_db=7.0), x_ue=15.0, y_ue=5.0, fraction=-0.1)
+    @example(config=SystemConfig(pa_efficiency=5e-324), x_ue=15.0, y_ue=5.0, fraction=0.5)
+    @example(
+        config=SystemConfig(horn_gain_tx_dbi=-30.0, horn_gain_rx_dbi=3e3, noise_figure_db=3e3, ue_noise_figure_db=3e3),
+        x_ue=15.0,
+        y_ue=5.0,
+        fraction=0.5,
+    )
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(config=_CONFIGS, x_ue=_COORDINATES, y_ue=_COORDINATES, fraction=st.floats(min_value=-0.25, max_value=1.25))
+    def test_equals_the_public_composition_bit_for_bit(self, config, x_ue, y_ue, fraction):
+        assume(config is not None)
+        ue = UePosition(x_ue, y_ue)
+        x_pin = fraction * config.waveguide_length_m
+        cases = [
+            (lambda: solve(config, ue), lambda: _composed(config, ue, optimal_pin_position(config, ue))),
+            (lambda: solve_at(config, ue, x_pin), lambda: _composed(config, ue, x_pin)),
+            (lambda: benchmark2_power(config, ue), lambda: _composed(config, ue, 0.0)),
+        ]
+        for one_pass, composed in cases:
+            got, expected = _outcome(one_pass), _outcome(composed)
+            if isinstance(expected, tuple) and not all(math.isfinite(float(value)) for value in expected):
+                # the composition stops short of the operating point's own check
+                assert got.startswith("operating point is not finite at "), got
+            else:
+                assert got == expected
+
+    @pytest.mark.parametrize("ue_noise_figure_db, noise_powers", [(None, 1), (7.0, 2)])
+    @pytest.mark.parametrize("scheme", [solve, benchmark2_power], ids=["solve", "benchmark2_power"])
+    def test_builds_no_record_and_each_noise_power_once(self, monkeypatch, scheme, ue_noise_figure_db, noise_powers):
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a one-pass solve builds no ChannelGains or StationaryAnalysis")
+
+        monkeypatch.setattr(ChannelGains, "__post_init__", unbuilt)
+        monkeypatch.setattr(StationaryAnalysis, "__init__", unbuilt)
+        calls, noise_power_w = [], model.noise_power_w
+        monkeypatch.setattr(model, "noise_power_w", lambda *args: calls.append(args) or noise_power_w(*args))
+        scheme(SystemConfig(ue_noise_figure_db=ue_noise_figure_db), UePosition(15.0, 5.0))
+        assert len(calls) == noise_powers
