@@ -18,7 +18,7 @@ _MODULES = {
     "model": ("ChannelGains", "SystemConfig", "UePosition", "af_snr", "channel_gains", "db_to_linear", "total_power_w"),
     "optimize": ("PowerSolution", "optimal_pin_position", "optimal_power_allocation", "solve"),
     "oracle": (
-        "OracleReport", "grid_power_min_2d", "grid_search_pin", "numeric_power_min", "pin_objective", "verify_scenario"
+        "OracleReport", "grid_search_pin", "numeric_power_min", "pin_objective", "verify_scenario"
     ),
     "sweep": ("SCHEMES", "SweepRecord", "SweepSpec", "export_csv", "read_csv", "run_sweep", "write_gnuplot_script"),
 }

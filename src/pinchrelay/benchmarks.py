@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .model import SystemConfig, UePosition, free_space_gain, link_out_of_range
+from .model import SystemConfig, UePosition, _pow_or_inf, free_space_gain, link_out_of_range
 from .optimize import PowerSolution, solve_at
 
 if TYPE_CHECKING:
@@ -66,13 +66,6 @@ def benchmark1_link_gain(config: SystemConfig, x_ue_m: Floats, y_ue_m: Floats, s
     # raveled, so a float is checked as one user and fails as SampleError index 0 too
     require_link_gain(config, "direct", np.ravel(gain))
     return gain
-
-
-def _pow_or_inf(base: float, exponent: float) -> float:
-    try:
-        return math.pow(base, exponent)
-    except OverflowError:
-        return math.inf
 
 
 def benchmark1_tx_power_w(config: SystemConfig, x_ue_m: Floats, y_ue_m: Floats, shadow_db: Floats):

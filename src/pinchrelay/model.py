@@ -8,7 +8,9 @@ the x axis at height ``waveguide_height_m``; a pinching antenna clamped at
 
 Everything in this module works in linear SI units (Hz, m, W, dimensionless
 power gains).  dB quantities are converted once, explicitly, at the boundary
-(:func:`db_to_linear`); nothing converts implicitly.
+(:func:`db_to_linear`), or, for the noise figures and horn gains, where they
+are used, with a ratio past the float range read as inf so that the range
+check names the field; nothing converts implicitly.
 
 This module imports no numpy; the array forms are in :mod:`.kernel`.
 :func:`relay_tx_power`, :func:`consumed_power` and the free-space factor use
@@ -30,7 +32,7 @@ BOLTZMANN_J_PER_K = 1.380649e-23
 NOISE_REFERENCE_TEMP_K = 290.0
 # The SystemConfig fields each link's gain reads, besides the user and pinch positions.
 LINK_FIELDS = {
-    "BS-relay": ("bs_relay_distance_m", "carrier_frequency_hz"),
+    "BS-relay": ("bs_relay_distance_m", "carrier_frequency_hz", "horn_gain_tx_dbi", "horn_gain_rx_dbi"),
     "relay-UE": ("waveguide_attenuation_per_m", "waveguide_height_m", "carrier_frequency_hz"),
     "direct": ("bs_relay_distance_m", "carrier_frequency_hz"),
 }
@@ -42,6 +44,14 @@ def db_to_linear(value_db: float) -> float:
         return 10.0 ** (value_db / 10.0)
     except OverflowError:
         raise ValueError(f"{value_db!r} dB is too large to convert to a linear ratio") from None
+
+
+def _pow_or_inf(base: float, exponent: float) -> float:
+    """``base ** exponent``, with a result too large for a float as inf, for a range check that names its input."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -143,15 +153,10 @@ class ChannelGains:
     sigma_ue_sq_w: float
 
     def __post_init__(self) -> None:
-        # Written out, one comparison per field: a ChannelGains is built on every solve.
-        if not 0.0 < self.g1_sq < math.inf:
-            raise ValueError(f"g1_sq must lie in (0, inf), got {self.g1_sq!r}")
-        if not 0.0 < self.g2_sq < math.inf:
-            raise ValueError(f"g2_sq must lie in (0, inf), got {self.g2_sq!r}")
-        if not 0.0 < self.sigma_r_sq_w < math.inf:
-            raise ValueError(f"sigma_r_sq_w must lie in (0, inf), got {self.sigma_r_sq_w!r}")
-        if not 0.0 < self.sigma_ue_sq_w < math.inf:
-            raise ValueError(f"sigma_ue_sq_w must lie in (0, inf), got {self.sigma_ue_sq_w!r}")
+        for name in ("g1_sq", "g2_sq", "sigma_r_sq_w", "sigma_ue_sq_w"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must lie in (0, inf), got {value!r}")
 
 
 def noise_power_w(bandwidth_hz: float, noise_figure_db: float, field: str = "noise_figure_db") -> float:
@@ -160,7 +165,7 @@ def noise_power_w(bandwidth_hz: float, noise_figure_db: float, field: str = "noi
     Outside (0, inf) it raises ``ValueError`` naming both inputs, the noise
     figure as the SystemConfig ``field`` it was read from.
     """
-    noise_w = BOLTZMANN_J_PER_K * NOISE_REFERENCE_TEMP_K * bandwidth_hz * db_to_linear(noise_figure_db)
+    noise_w = BOLTZMANN_J_PER_K * NOISE_REFERENCE_TEMP_K * bandwidth_hz * _pow_or_inf(10.0, noise_figure_db / 10.0)
     if not 0.0 < noise_w < math.inf:
         at = f"bandwidth_hz={bandwidth_hz!r}, {field}={noise_figure_db!r}"
         raise ValueError(f"noise power {noise_w!r} W out of range at {at}")
@@ -197,7 +202,7 @@ def link_out_of_range(config: SystemConfig, link: str, gain: float) -> str:
 
 def bs_relay_gain(config: SystemConfig) -> float:
     """BS-to-relay power gain |g1|^2: both horn gains times free-space loss; named ``ValueError`` outside (0, inf)."""
-    horn = db_to_linear(config.horn_gain_tx_dbi) * db_to_linear(config.horn_gain_rx_dbi)
+    horn = _pow_or_inf(10.0, config.horn_gain_tx_dbi / 10.0) * _pow_or_inf(10.0, config.horn_gain_rx_dbi / 10.0)
     g1_sq = horn * free_space_gain(config.bs_relay_distance_m, config.carrier_frequency_hz)
     if not 0.0 < g1_sq < math.inf:
         raise ValueError(link_out_of_range(config, "BS-relay", g1_sq))

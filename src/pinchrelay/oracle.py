@@ -4,8 +4,8 @@ The placement check bounds the objective's maximum on the waveguide from
 above, by its curvature split and a bisection; the power check runs a
 golden-section search for the minimum cost along the active-SNR-constraint
 curve, and evaluates the cost and the SNR at the closed form's operating point.
-The exhaustive placement grid and a 2-D power grid that does not assume the
-constraint reduction remain for the acceptance gate; only they import numpy.
+The exhaustive placement grid :func:`grid_search_pin` remains as plain
+reference code for the acceptance gate and perfbench; only it imports numpy.
 All objective formulas here are written out inline, independently of the code
 paths under test.
 """
@@ -15,14 +15,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
 
 from .model import SPEED_OF_LIGHT_M_S, ChannelGains, SystemConfig, UePosition, link_out_of_range
 from .optimize import optimal_pin_position, optimal_power_allocation
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # the power search's budget of cost evaluations; verify's draws take 44 to 48
 DEFAULT_P1_POINTS = 128
@@ -114,36 +109,26 @@ def pin_bounds(config: SystemConfig, ue: UePosition) -> tuple[float, float, floa
 
 
 def grid_search_pin(config: SystemConfig, ue: UePosition, step_m: float) -> tuple[float, float]:
-    """Exhaustive placement search over {0, step, 2*step, ..., L}.
+    """Exhaustive placement search over {0, step, 2*step, ..., L}, for the acceptance gate.
 
-    Returns the maximizing grid point and its objective value; ties break to
-    the smallest x.  The grid is kept for the next call with the same
-    ``(L, step)``; the objective is evaluated in two buffers, in place, in the
-    order of ``exp(-alpha xs) / ((x_ue - xs)**2 + c)``.  A ``c`` past the
-    float range, or an objective that underflows to 0 at every grid point,
-    raises ``ValueError`` naming the geometry.
+    Returns the maximizing grid point and its objective value
+    ``exp(-alpha xs) / ((x_ue - xs)**2 + c)``; ties break to the smallest x.
+    A ``c`` past the float range, or an objective that underflows to 0 at
+    every grid point, raises ``ValueError`` naming the geometry.
     """
     import numpy as np
 
     length = config.waveguide_length_m
     if not 0.0 < step_m <= length:
         raise ValueError(f"grid step must lie in (0, {length}], got {step_m!r}")
-    xs = _placement_grid(length, float(step_m))
+    xs = np.append(np.arange(0.0, length, step_m), length)
     alpha = config.waveguide_attenuation_per_m
     try:
         c_const = ue.y_ue_m**2 + config.waveguide_height_m**2
     except OverflowError:
         raise _geometry_error("squared distance from the user to the waveguide overflows", config, ue) from None
-    # One block for both buffers: malloc keeps a block of that size for the next
-    # call, where two separate grid-sized buffers were handed back to the OS.
-    values, denominator = np.empty((2, xs.size))
     with np.errstate(over="ignore"):  # a distance whose square overflows gives inf, and an objective of 0
-        np.multiply(-alpha, xs, out=values)
-        np.exp(values, out=values)
-        np.subtract(ue.x_ue_m, xs, out=denominator)
-        np.multiply(denominator, denominator, out=denominator)
-        np.add(denominator, c_const, out=denominator)
-        np.divide(values, denominator, out=values)
+        values = np.exp(-alpha * xs) / ((ue.x_ue_m - xs) ** 2 + c_const)
     best = int(np.argmax(values))  # argmax returns the first (smallest-x) maximizer
     if not values[best] > 0.0:
         raise _geometry_error("placement objective underflows to 0 on the whole grid", config, ue)
@@ -155,16 +140,6 @@ def _geometry_error(problem: str, config: SystemConfig, ue: UePosition) -> Value
     fields = ("waveguide_length_m", "waveguide_height_m", "waveguide_attenuation_per_m")
     at = ", ".join(f"{name}={getattr(config, name)!r}" for name in fields)
     return ValueError(f"{problem} at user ({ue.x_ue_m!r}, {ue.y_ue_m!r}) m, {at}")
-
-
-@lru_cache(maxsize=1)  # a caller searches one grid at a time; a fine grid is not kept once another is asked for
-def _placement_grid(length_m: float, step_m: float) -> np.ndarray:
-    """The read-only grid {0, step, 2*step, ..., L} that :func:`grid_search_pin` searches."""
-    import numpy as np
-
-    xs = np.append(np.arange(0.0, length_m, step_m), length_m)
-    xs.flags.writeable = False
-    return xs
 
 
 def numeric_power_min(gains: ChannelGains, config: SystemConfig) -> tuple[float, float, float]:
@@ -250,36 +225,6 @@ def _scaled_hops(gains: ChannelGains, gamma0: float) -> tuple[int, float, float,
     )
 
 
-def grid_power_min_2d(
-    gains: ChannelGains,
-    config: SystemConfig,
-    p1_grid: Sequence[float],
-    beta_sq_grid: Sequence[float],
-) -> tuple[float, float, float]:
-    """2-D grid minimizer over (P1, beta^2), feasibility checked pointwise.
-
-    Does not assume the SNR constraint is active: every grid pair whose SNR
-    meets the target competes.  Cross-multiplied feasibility test avoids the
-    constraint-reduction algebra entirely.
-    """
-    import numpy as np
-
-    p1 = np.asarray(p1_grid, dtype=float).reshape(-1, 1)
-    beta = np.asarray(beta_sq_grid, dtype=float).reshape(1, -1)
-    if p1.size == 0 or beta.size == 0:
-        raise ValueError("empty 2-D power grid")
-    gamma0 = config.snr_target_linear
-    signal = p1 * beta * gains.g1_sq * gains.g2_sq
-    noise = gains.sigma_ue_sq_w + beta * gains.g2_sq * gains.sigma_r_sq_w
-    feasible = signal >= gamma0 * noise
-    if not feasible.any():
-        raise ValueError("no feasible point on the 2-D power grid")
-    cost = config.pa_efficiency * p1 + beta * (p1 * gains.g1_sq + gains.sigma_r_sq_w)
-    cost = np.where(feasible, cost, np.inf)
-    i, j = np.unravel_index(int(np.argmin(cost)), cost.shape)
-    return float(p1[i, 0]), float(beta[0, j]), float(cost[i, j])
-
-
 def verify_scenario(config: SystemConfig, ue: UePosition) -> tuple[OracleReport, OracleReport]:
     """Run both oracles against the closed forms for one scenario.
 
@@ -334,8 +279,8 @@ def _bs_gain(config: SystemConfig) -> float:
     tx, rx = config.horn_gain_tx_dbi, config.horn_gain_rx_dbi
     try:
         horn = 10.0 ** (tx / 10.0) * 10.0 ** (rx / 10.0)
-    except OverflowError:
-        raise ValueError(f"horn gains {tx!r} dBi and {rx!r} dBi are too large for a linear power gain") from None
+    except OverflowError:  # the range check below names the horn gains
+        horn = math.inf
     f, d = config.carrier_frequency_hz, config.bs_relay_distance_m
     try:
         g1_sq = horn * (SPEED_OF_LIGHT_M_S / (4.0 * math.pi * f * d)) ** 2

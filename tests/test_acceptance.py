@@ -19,7 +19,6 @@ from pinchrelay import (
     af_snr,
     channel_gains,
     export_csv,
-    grid_power_min_2d,
     grid_search_pin,
     numeric_power_min,
     optimal_pin_position,
@@ -30,6 +29,7 @@ from pinchrelay import (
     total_power_w,
 )
 from pinchrelay.cli import cli_main
+from grid_oracles import grid_power_min_2d
 
 BASE = SystemConfig()
 SCHEMES = ("proposed", "benchmark1", "benchmark2")
@@ -87,8 +87,9 @@ def test_criterion_1_placement_matches_grid_oracle():
 
 
 def test_criterion_2_power_matches_numeric_oracle():
-    """500 random scenarios: closed-form cost within 0.1% of the 1-D grid
-    oracle; 2-D feasibility grid agrees within 1% on 20 of them; under 60 s."""
+    """500 random scenarios: closed-form cost within 0.1% of the golden-section
+    search along the constraint curve; 2-D feasibility grid agrees within 1% on
+    20 of them; under 60 s."""
     rng = np.random.default_rng(314159)
     started = time.perf_counter()
     worst_1d, worst_2d = 0.0, 0.0

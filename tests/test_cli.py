@@ -110,7 +110,18 @@ class TestSolveCommand:
         assert cli_main(["solve", "--gamma0", "4000dB"]) == 2
         assert "--gamma0" in capsys.readouterr().err
         assert cli_main(["solve", "--horn-tx-gain", "4000"]) == 1
-        assert capsys.readouterr().err == "error: 4000.0 dB is too large to convert to a linear ratio\n"
+        assert capsys.readouterr().err == (
+            "error: link budget out of range on the BS-relay link: gain inf at bs_relay_distance_m=50.0, "
+            "carrier_frequency_hz=28000000000.0, horn_gain_tx_dbi=4000.0, horn_gain_rx_dbi=20.0\n"
+        )
+        for argv, field in [
+            (["solve", "--noise-figure", "4000"], "noise_figure_db"),
+            (["solve", "--ue-noise-figure", "4000"], "ue_noise_figure_db"),
+            (["verify", "--trials", "1", "--noise-figure", "4000"], "noise_figure_db"),
+        ]:
+            assert cli_main(argv) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: noise power inf W out of range at bandwidth_hz=400000000.0, {field}=4000.0\n"
 
     def test_non_finite_power_is_one_error_line(self, capsys):
         assert cli_main(["solve", "--gamma0", "1e308"]) == 1
@@ -132,7 +143,7 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err == (
             "error: link budget out of range on the BS-relay link: gain inf at "
-            "bs_relay_distance_m=1e-200, carrier_frequency_hz=1e-200\n"
+            "bs_relay_distance_m=1e-200, carrier_frequency_hz=1e-200, horn_gain_tx_dbi=20.0, horn_gain_rx_dbi=20.0\n"
         )
 
     def test_zero_pinch_to_user_distance_is_one_error_line(self, capsys):
@@ -369,7 +380,7 @@ class TestSweepCommand:
         assert cli_main([*argv, "--horn-tx-gain", "4000"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: scheme 'proposed' failed at bs_relay_distance_m=30: ")
-        assert "too large to convert" in err
+        assert "horn_gain_tx_dbi=4000.0" in err
 
     # 1e18 users, 6.9 EiB per array: rejected before anything is allocated
     def test_samples_too_many_to_allocate_is_one_error_line(self, tmp_path, capsys):
@@ -416,7 +427,8 @@ class TestSweepCommand:
         assert cli_main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err == (
             "error: scheme 'proposed' failed at bs_relay_distance_m=1e+300: link budget out of range on the "
-            "BS-relay link: gain 0.0 at bs_relay_distance_m=1e+300, carrier_frequency_hz=28000000000.0\n"
+            "BS-relay link: gain 0.0 at bs_relay_distance_m=1e+300, carrier_frequency_hz=28000000000.0, "
+            "horn_gain_tx_dbi=20.0, horn_gain_rx_dbi=20.0\n"
         )
         assert not (tmp_path / "x.csv").exists()
 
@@ -521,7 +533,7 @@ class TestVerifyCommand:
         assert cli_main(["verify", "--trials", "1", "--horn-tx-gain", "4000"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "4000.0 dBi" in err
+        assert "horn_gain_tx_dbi=4000.0" in err
 
     def test_each_trial_calls_the_modules_verify_scenario(self, capsys, monkeypatch):
         calls = []
@@ -538,7 +550,8 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert re.fullmatch(
             rf"error: link budget out of range on the BS-relay link: gain {gain} at "
-            rf"bs_relay_distance_m=[0-9.]+, carrier_frequency_hz={re.escape(repr(float(freq)))}\n",
+            rf"bs_relay_distance_m=[0-9.]+, carrier_frequency_hz={re.escape(repr(float(freq)))}, "
+            r"horn_gain_tx_dbi=20\.0, horn_gain_rx_dbi=20\.0\n",
             captured.err,
         )
 

@@ -61,7 +61,10 @@ class TestNoisePower:
         with pytest.raises(ValueError):
             noise_power_w(bandwidth, 10.0)
 
-    @pytest.mark.parametrize("bandwidth, noise_figure, noise", [(400e6, -4000.0, "0.0"), (1e300, 300.0, "inf")])
+    # 4000 dB is a ratio past the float range: read as inf, so the range check names the field
+    @pytest.mark.parametrize(
+        "bandwidth, noise_figure, noise", [(400e6, -4000.0, "0.0"), (1e300, 300.0, "inf"), (400e6, 4000.0, "inf")]
+    )
     def test_noise_outside_the_float_range_names_both_inputs(self, bandwidth, noise_figure, noise):
         message = f"noise power {noise} W out of range at bandwidth_hz={bandwidth!r}, noise_figure_db={noise_figure!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -122,6 +125,18 @@ class TestBsRelayGain:
         bumped = SystemConfig(horn_gain_tx_dbi=23.0)
         assert bumped.horn_gain_rx_dbi == 20.0
         assert bs_relay_gain(bumped) / bs_relay_gain(cfg) == pytest.approx(10.0 ** 0.3, rel=1e-12)
+
+    @pytest.mark.parametrize("field", ["horn_gain_tx_dbi", "horn_gain_rx_dbi"])
+    @pytest.mark.parametrize("value, gain", [(4000.0, "inf"), (-4000.0, "0.0")])
+    def test_horn_gain_outside_the_float_range_names_both_horns(self, field, value, gain):
+        bad = SystemConfig(**{field: value})
+        message = (
+            f"link budget out of range on the BS-relay link: gain {gain} at bs_relay_distance_m=50.0, "
+            f"carrier_frequency_hz=28000000000.0, horn_gain_tx_dbi={bad.horn_gain_tx_dbi!r}, "
+            f"horn_gain_rx_dbi={bad.horn_gain_rx_dbi!r}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bs_relay_gain(bad)
 
 
 class TestRelayUeGain:
@@ -304,7 +319,7 @@ class TestConfigAndTypes:
             ChannelGains(g1_sq=1.0, g2_sq=1.0, sigma_r_sq_w=-1.0, sigma_ue_sq_w=1.0)
 
     @pytest.mark.parametrize("name", [f.name for f in fields(ChannelGains)])
-    @pytest.mark.parametrize("value", [0.0, math.inf])
+    @pytest.mark.parametrize("value", [0.0, math.inf, math.nan])
     def test_channel_gains_reject_values_outside_zero_to_inf(self, name, value):
         kwargs = {"g1_sq": 1.0, "g2_sq": 1.0, "sigma_r_sq_w": 1.0, "sigma_ue_sq_w": 1.0, name: value}
         with pytest.raises(ValueError, match=rf"^{name} must lie in \(0, inf\), got {value!r}$"):

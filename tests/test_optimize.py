@@ -355,7 +355,8 @@ class TestSolve:
         bad = replace(cfg, **{field: value})
         message = (
             f"link budget out of range on the BS-relay link: gain {gain} at "
-            f"bs_relay_distance_m={bad.bs_relay_distance_m!r}, carrier_frequency_hz={bad.carrier_frequency_hz!r}"
+            f"bs_relay_distance_m={bad.bs_relay_distance_m!r}, carrier_frequency_hz={bad.carrier_frequency_hz!r}, "
+            "horn_gain_tx_dbi=20.0, horn_gain_rx_dbi=20.0"
         )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             scheme(bad, ue_mid)
@@ -365,7 +366,7 @@ class TestSolve:
         bad = replace(cfg, carrier_frequency_hz=1e-200, bs_relay_distance_m=1e-200)
         message = (
             "link budget out of range on the BS-relay link: gain inf at "
-            "bs_relay_distance_m=1e-200, carrier_frequency_hz=1e-200"
+            "bs_relay_distance_m=1e-200, carrier_frequency_hz=1e-200, horn_gain_tx_dbi=20.0, horn_gain_rx_dbi=20.0"
         )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             scheme(bad, ue_mid)

@@ -4,7 +4,6 @@ import logging
 import math
 import random
 import re
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +16,6 @@ from pinchrelay import (
     SystemConfig,
     UePosition,
     channel_gains,
-    grid_power_min_2d,
     grid_search_pin,
     numeric_power_min,
     optimal_pin_position,
@@ -32,10 +30,10 @@ from pinchrelay.oracle import (
     POSITION_REL_TOL,
     POWER_REL_TOL,
     POWER_SEARCH_WIDTH,
-    _placement_grid,
     ln_pin_objective,
     pin_bounds,
 )
+from grid_oracles import grid_power_min_2d
 from test_package import fresh_interpreter
 
 # noise powers and gains whose products in J leave the float range, though J does not
@@ -251,12 +249,6 @@ class TestGridSearchPin:
             for step in (0.37, 2.5e-3):
                 assert grid_search_pin(cfg, ue, step) == full_array_search(cfg, ue, step), (cfg, ue, step)
 
-    @pytest.mark.parametrize("length, step", [(30.0, 1e-3), (7.3, 0.007), (30.0, 10.0), (5.0, 5.0)])
-    def test_cached_grid_is_read_only_and_ends_at_the_length(self, length, step):
-        xs = _placement_grid(length, step)
-        assert not xs.flags.writeable
-        np.testing.assert_array_equal(xs, np.append(np.arange(0.0, length, step), length))
-
     def test_height_whose_square_overflows_is_a_named_error(self, cfg, ue_mid):
         message = r"^squared distance from the user to the waveguide overflows at user \(15\.0, 5\.0\) m, .*"
         with pytest.raises(ValueError, match=message + r"waveguide_height_m=1\.7e\+308, "):
@@ -269,16 +261,6 @@ class TestGridSearchPin:
         )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             grid_search_pin(cfg, UePosition(1.7e308, 5.0), 1.0)
-
-    def test_warm_call_allocates_at_most_two_grid_sized_buffers(self, cfg, ue_mid):
-        grid_search_pin(cfg, ue_mid, 1e-3)
-        tracemalloc.start()
-        try:
-            grid_search_pin(cfg, ue_mid, 1e-3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * 8 * 30_001 + 16 * 1024
 
 
 class TestNumericPowerMin:

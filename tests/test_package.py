@@ -18,7 +18,7 @@ EXPORTS = {
     },
     "pinchrelay.optimize": {"PowerSolution", "optimal_pin_position", "optimal_power_allocation", "solve"},
     "pinchrelay.oracle": {
-        "OracleReport", "grid_power_min_2d", "grid_search_pin", "numeric_power_min", "pin_objective", "verify_scenario"
+        "OracleReport", "grid_search_pin", "numeric_power_min", "pin_objective", "verify_scenario"
     },
     "pinchrelay.sweep": {
         "SCHEMES", "SweepRecord", "SweepSpec", "export_csv", "read_csv", "run_sweep", "write_gnuplot_script"
@@ -40,7 +40,7 @@ def fresh_interpreter(code: str, *argv: str, cwd: Path) -> str:
 class TestLazyRoot:
     def test_each_name_is_the_object_its_module_defines(self):
         assert set(pinchrelay.__all__) == set().union(*EXPORTS.values())
-        assert len(pinchrelay.__all__) == 27
+        assert len(pinchrelay.__all__) == 26
         for module, names in EXPORTS.items():
             for name in names:
                 assert getattr(pinchrelay, name) is getattr(importlib.import_module(module), name)

@@ -190,7 +190,11 @@ class TestRunSweep:
 
     def test_config_failure_names_the_value_and_the_cause(self):
         spec = small_spec(variable="bs_relay_distance_m", values=(30.0,), schemes=("benchmark2",))
-        expected = "scheme 'benchmark2' failed at bs_relay_distance_m=30: 4000.0 dB is too large to convert"
+        expected = (
+            "scheme 'benchmark2' failed at bs_relay_distance_m=30: link budget out of range on the BS-relay link: "
+            "gain inf at bs_relay_distance_m=30.0, carrier_frequency_hz=28000000000.0, horn_gain_tx_dbi=4000.0, "
+            "horn_gain_rx_dbi=20.0"
+        )
         with pytest.raises(RuntimeError, match=re.escape(expected)):
             run_sweep(SystemConfig(horn_gain_tx_dbi=4000.0), spec)
 
