@@ -165,7 +165,11 @@ def noise_power_w(bandwidth_hz: float, noise_figure_db: float, field: str = "noi
     Outside (0, inf) it raises ``ValueError`` naming both inputs, the noise
     figure as the SystemConfig ``field`` it was read from.
     """
-    noise_w = BOLTZMANN_J_PER_K * NOISE_REFERENCE_TEMP_K * bandwidth_hz * _pow_or_inf(10.0, noise_figure_db / 10.0)
+    try:  # _pow_or_inf, inline: every solve computes one or two noise powers
+        figure = 10.0 ** (noise_figure_db / 10.0)
+    except OverflowError:
+        figure = math.inf
+    noise_w = BOLTZMANN_J_PER_K * NOISE_REFERENCE_TEMP_K * bandwidth_hz * figure
     if not 0.0 < noise_w < math.inf:
         at = f"bandwidth_hz={bandwidth_hz!r}, {field}={noise_figure_db!r}"
         raise ValueError(f"noise power {noise_w!r} W out of range at {at}")
@@ -229,21 +233,16 @@ def relay_ue_gain(config: SystemConfig, ue: UePosition, x_pin_m: float) -> float
 
 
 def channel_gains(config: SystemConfig, ue: UePosition, x_pin_m: float) -> ChannelGains:
-    """Assemble both hop gains and both noise powers for one scenario; gains must lie in (0, inf)."""
-    return ChannelGains(*_link_budget(config, ue, x_pin_m))
+    """Assemble both hop gains and both noise powers for one scenario; gains must lie in (0, inf).
 
-
-def _link_budget(config: SystemConfig, ue: UePosition, x_pin_m: float) -> tuple[float, float, float, float]:
-    """:func:`channel_gains`' checked ``(g1_sq, g2_sq, sigma_r_sq_w, sigma_ue_sq_w)`` as plain floats.
-
-    Each value is already checked where it is computed, so nothing here is checked twice,
-    and a terminal that reuses the relay noise figure reuses its noise power too.
+    Each value is checked where it is computed, and a terminal that reuses the
+    relay noise figure reuses its noise power too.
     """
     g1_sq, g2_sq = bs_relay_gain(config), relay_ue_gain(config, ue, x_pin_m)
     if not 0.0 < g2_sq < math.inf:
         raise ValueError(link_out_of_range(config, "relay-UE", g2_sq))
     sigma_r_sq_w = config.relay_noise_w
-    return g1_sq, g2_sq, sigma_r_sq_w, _ue_noise_w(config, sigma_r_sq_w)
+    return ChannelGains(g1_sq, g2_sq, sigma_r_sq_w, _ue_noise_w(config, sigma_r_sq_w))
 
 
 def _ue_noise_w(config: SystemConfig, relay_noise_w: float | None = None) -> float:

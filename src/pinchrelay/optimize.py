@@ -17,9 +17,9 @@ weighted cost ``J = eta_pa P1 + beta^2 (P1 |g1|^2 + sigma_r^2)`` to
 sigma_r^2``, minimized at ``u* = sqrt(B / A)``.  Total consumed power at the
 optimum is ``J* / eta_pa`` plus the constant circuit terms.
 
-This module imports no numpy.  The sweep places users with the array form in
-:mod:`.kernel`, and it shares the operator-only split :func:`split_power` with
-:func:`optimal_power_allocation`.
+This module imports no numpy; the sweep's array forms are in :mod:`.kernel`, and it shares
+:func:`split_power` with :func:`optimal_power_allocation` and :func:`solve_at`, whose one pass
+over floats hands the placement's |g2|^2 to the split and runs the link budget inline.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .model import ChannelGains, SystemConfig, UePosition, _link_budget, consumed_power, relay_tx_power, relay_ue_gain
+from .model import SPEED_OF_LIGHT_M_S, ChannelGains, SystemConfig, UePosition, _ue_noise_w, bs_relay_gain
+from .model import link_out_of_range, relay_ue_gain
 
 if TYPE_CHECKING:
     import numpy as np
@@ -74,6 +75,9 @@ def _interior_maximum(config: SystemConfig, ue: UePosition) -> float | None:
     return ue.x_ue_m - (1.0 - math.sqrt(discriminant)) / alpha
 
 
+_last_placement: tuple = (None, None, math.nan, math.nan)  # optimal_pin_position's latest (config, ue, x_pin, g2_sq)
+
+
 def optimal_pin_position(config: SystemConfig, ue: UePosition) -> float:
     """Gain-maximizing pinching-antenna position on the waveguide.
 
@@ -84,16 +88,33 @@ def optimal_pin_position(config: SystemConfig, ue: UePosition) -> float:
     every case split (``x2`` below the feed, beyond the far end, or in
     between).  Ties go to the feed endpoint.
     """
+    global _last_placement
     length = config.waveguide_length_m
+    x_ue = ue.x_ue_m
     if config.waveguide_attenuation_per_m == 0.0:
-        return min(max(ue.x_ue_m, 0.0), length)
-    x2 = _interior_maximum(config, ue)
-    if x2 is None:
-        return 0.0
-    candidate = min(max(x2, 0.0), length)
-    if relay_ue_gain(config, ue, candidate) > relay_ue_gain(config, ue, 0.0):
-        return candidate
-    return 0.0
+        x_pin = 0.0 if x_ue < 0.0 else length if x_ue > length else x_ue  # min(max(x_ue, 0.0), length)
+        g2_sq = relay_ue_gain(config, ue, x_pin)
+    else:
+        x2 = _interior_maximum(config, ue)
+        y_ue, height = ue.y_ue_m, config.waveguide_height_m
+        four_pi_f = 4.0 * math.pi * config.carrier_frequency_hz  # model._free_space's factors, shared
+        try:  # the attenuation factor at the feed is exp(-0.0) = 1 exactly
+            ratio = SPEED_OF_LIGHT_M_S / (four_pi_f * math.sqrt(x_ue * x_ue + y_ue * y_ue + height * height))
+        except ZeroDivisionError:
+            ratio = math.inf
+        x_pin, g2_sq = 0.0, ratio * ratio
+        if x2 is not None:
+            candidate = 0.0 if x2 < 0.0 else length if x2 > length else x2  # nan stays nan, and loses to the feed
+            dx = x_ue - candidate
+            try:
+                ratio = SPEED_OF_LIGHT_M_S / (four_pi_f * math.sqrt(dx * dx + y_ue * y_ue + height * height))
+            except ZeroDivisionError:
+                ratio = math.inf
+            at_candidate = math.exp(-config.waveguide_attenuation_per_m * candidate) * (ratio * ratio)
+            if at_candidate > g2_sq:
+                x_pin, g2_sq = candidate, at_candidate
+    _last_placement = config, ue, x_pin, g2_sq
+    return x_pin
 
 
 def optimal_power_allocation(gains: ChannelGains, config: SystemConfig) -> tuple[float, float, float]:
@@ -118,7 +139,7 @@ def optimal_power_allocation(gains: ChannelGains, config: SystemConfig) -> tuple
 def _checked_split(
     config: SystemConfig, g1_sq: float, g2_sq: float, sigma_r_sq_w: float, sigma_ue_sq_w: float
 ) -> tuple[float, float, float]:
-    """:func:`optimal_power_allocation` on the link budget as floats, in :func:`~.model._link_budget`'s order."""
+    """:func:`optimal_power_allocation` on the link budget as floats, in :class:`~.model.ChannelGains`' order."""
     p1, beta_sq, j = split_power(config, g1_sq, sigma_r_sq_w, sigma_ue_sq_w, g2_sq, math.sqrt(g2_sq))
     if not (math.isfinite(p1) and math.isfinite(beta_sq) and math.isfinite(j)):
         values = {"p1": p1, "beta_sq": beta_sq, "j": j}
@@ -166,11 +187,30 @@ def solve_at(config: SystemConfig, ue: UePosition, x_pin_m: float) -> PowerSolut
     position on the waveguide yields an operating point.  A relay power or
     total that is not finite raises ``ValueError`` naming the values at fault
     and the config fields that add to the total.
+
+    One pass over floats through :func:`~.model.channel_gains`, :func:`optimal_power_allocation`,
+    ``relay_tx_power`` and ``consumed_power``, each value checked where it is computed, with their
+    messages in their order; at the point :func:`optimal_pin_position` last chose, its |g2|^2 is reused.
     """
-    g1_sq, g2_sq, sigma_r_sq_w, sigma_ue_sq_w = _link_budget(config, ue, x_pin_m)
-    p1, beta_sq, j_star = _checked_split(config, g1_sq, g2_sq, sigma_r_sq_w, sigma_ue_sq_w)
-    p2 = relay_tx_power(p1, beta_sq, g1_sq, sigma_r_sq_w)
-    total = consumed_power(p1, p2, config)
+    try:  # bs_relay_gain's product; a factor past the float range is left to it
+        ratio = SPEED_OF_LIGHT_M_S / (4.0 * math.pi * config.carrier_frequency_hz * config.bs_relay_distance_m)
+        g1_sq = 10.0 ** (config.horn_gain_tx_dbi / 10.0) * 10.0 ** (config.horn_gain_rx_dbi / 10.0) * (ratio * ratio)
+    except (OverflowError, ZeroDivisionError):
+        g1_sq = math.nan
+    if not 0.0 < g1_sq < math.inf:
+        g1_sq = bs_relay_gain(config)  # raises its named error
+    placed_config, placed_ue, placed_x, g2_sq = _last_placement
+    if placed_config is not config or placed_ue is not ue or placed_x != x_pin_m:
+        g2_sq = relay_ue_gain(config, ue, x_pin_m)
+    if not 0.0 < g2_sq < math.inf:
+        raise ValueError(link_out_of_range(config, "relay-UE", g2_sq))
+    sigma_r_sq_w = config.relay_noise_w
+    sigma_ue_sq_w = _ue_noise_w(config, sigma_r_sq_w)
+    p1, beta_sq, j_star = split_power(config, g1_sq, sigma_r_sq_w, sigma_ue_sq_w, g2_sq, math.sqrt(g2_sq))
+    if not (math.isfinite(p1) and math.isfinite(beta_sq) and math.isfinite(j_star)):
+        _checked_split(config, g1_sq, g2_sq, sigma_r_sq_w, sigma_ue_sq_w)  # raises its named error
+    p2 = beta_sq * (p1 * g1_sq + sigma_r_sq_w)
+    total = p1 + p2 / config.pa_efficiency + config.relay_circuit_power_w + config.bs_rf_chain_power_w
     if not (math.isfinite(p2) and math.isfinite(total)):
         values = {"p2_w": p2, "total_power_w": total}
         bad = ", ".join(f"{name}={value!r}" for name, value in values.items() if not math.isfinite(value))
@@ -187,6 +227,7 @@ def solve(config: SystemConfig, ue: UePosition) -> PowerSolution:
     """Full pipeline: place the pinching antenna, then split the powers.
 
     The placement step reads only the geometry and the attenuation
-    coefficient, so it is independent of the power variables.
+    coefficient, so it is independent of the power variables.  It runs
+    through the public name, so that a wrapper around it sees every placement.
     """
     return solve_at(config, ue, optimal_pin_position(config, ue))

@@ -2,6 +2,8 @@
 
 import math
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, fields, replace
 
 import numpy as np
@@ -22,7 +24,7 @@ from pinchrelay import (
     pin_objective,
     solve,
 )
-from pinchrelay import model
+from pinchrelay import model, optimize
 from pinchrelay.kernel import evaluate, optimal_pin_positions, relay_ue_gains
 from pinchrelay.model import SPEED_OF_LIGHT_M_S, consumed_power, relay_tx_power, relay_ue_gain
 from pinchrelay.optimize import StationaryAnalysis, solve_at, stationary_points
@@ -186,6 +188,19 @@ class TestOptimalPinPosition:
             total, bs_w = evaluate(scheme, cfg, np.array([1.0]), np.array([0.0]), np.zeros(1), {})
             assert np.isfinite(total).all() and np.isfinite(bs_w).all()
         assert solve(cfg, ue).total_power_w == benchmark2_power(cfg, ue).total_power_w == total[0]
+
+    def test_a_nan_discriminant_places_at_the_feed_on_both_paths(self):
+        # alpha^2 underflows to 0 while d^2 overflows to inf: the discriminant is 0 * inf = nan,
+        # where the true root lies far behind the feed; the feed wins, as in the array form
+        cfg = SystemConfig(waveguide_attenuation_per_m=5e-324, waveguide_height_m=1e200)
+        ue = UePosition(15.0, 5.0)
+        assert math.isnan(stationary_points(cfg, ue).x2_m)
+        with np.errstate(invalid="ignore"):
+            x_pins, g2_sq = optimal_pin_positions(cfg, np.array([15.0]), np.array([5.0]))
+        assert x_pins.tolist() == [optimal_pin_position(cfg, ue)] == [0.0]
+        assert g2_sq.tolist() == [relay_ue_gain(cfg, ue, 0.0)] == [0.0]
+        with pytest.raises(ValueError, match=r"^link budget out of range on the relay-UE link: gain 0\.0 at "):
+            solve(cfg, ue)
 
     # The sweep varies only fields from this set, which is why a sweep could
     # place the antenna once for all of its values.
@@ -466,6 +481,11 @@ class TestOnePassSolve:
         y_ue=5.0,
         fraction=0.5,
     )
+    # Two checks fail at once: the first in channel_gains -> optimal_power_allocation order wins
+    @example(config=SystemConfig(horn_gain_tx_dbi=4000.0, horn_gain_rx_dbi=-4000.0), x_ue=15.0, y_ue=5.0, fraction=0.5)
+    @example(config=SystemConfig(horn_gain_tx_dbi=4000.0, ue_noise_figure_db=4000.0), x_ue=15.0, y_ue=5.0, fraction=0.5)
+    @example(config=SystemConfig(waveguide_height_m=1e200, noise_figure_db=4000.0), x_ue=15.0, y_ue=5.0, fraction=0.5)
+    @example(config=SystemConfig(pa_efficiency=5e-324, relay_circuit_power_w=1.7e308), x_ue=15.0, y_ue=5.0, fraction=0.5)
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(config=_CONFIGS, x_ue=_COORDINATES, y_ue=_COORDINATES, fraction=st.floats(min_value=-0.25, max_value=1.25))
     def test_equals_the_public_composition_bit_for_bit(self, config, x_ue, y_ue, fraction):
@@ -497,3 +517,58 @@ class TestOnePassSolve:
         monkeypatch.setattr(model, "noise_power_w", lambda *args: calls.append(args) or noise_power_w(*args))
         scheme(SystemConfig(ue_noise_figure_db=ue_noise_figure_db), UePosition(15.0, 5.0))
         assert len(calls) == noise_powers
+
+    @pytest.mark.parametrize(
+        "config, first_fault",
+        [
+            (SystemConfig(horn_gain_tx_dbi=4000.0, horn_gain_rx_dbi=-4000.0), "on the BS-relay link: gain nan at "),
+            (SystemConfig(horn_gain_tx_dbi=4000.0, ue_noise_figure_db=4000.0), "on the BS-relay link: gain inf at "),
+            (SystemConfig(waveguide_height_m=1e200, noise_figure_db=4000.0), "on the relay-UE link: gain 0.0 at "),
+            (SystemConfig(pa_efficiency=5e-324, relay_circuit_power_w=1.7e308), "power split is not finite at "),
+        ],
+    )
+    def test_of_two_faults_the_first_in_layer_order_is_reported(self, config, first_fault):
+        with pytest.raises(ValueError) as raised:
+            solve(config, UePosition(15.0, 5.0))
+        assert first_fault in str(raised.value)
+
+    def test_evaluates_the_second_hop_gain_at_most_once_per_candidate(self, monkeypatch):
+        # one exp per |g2|^2 away from the feed (at the feed it is exp(-0.0) = 1): the pinch
+        # point's gain is handed from the placement to the split, not evaluated again
+        calls, exp = [], math.exp
+        monkeypatch.setattr(math, "exp", lambda x: calls.append(x) or exp(x))
+        cfg, ue = SystemConfig(), UePosition(15.0, 5.0)
+        solve(cfg, ue)
+        assert len(calls) <= 2
+        calls.clear()
+        benchmark2_power(cfg, ue)
+        assert len(calls) <= 1
+
+    def test_a_wrapped_placement_sees_every_solve_and_a_replaced_one_gets_its_own_gain(self, monkeypatch):
+        cfg, ue = SystemConfig(), UePosition(15.0, 5.0)
+        expected, placed = solve(cfg, ue), []
+        monkeypatch.setattr(optimize, "optimal_pin_position", lambda c, u: placed.append(u) or optimal_pin_position(c, u))
+        assert solve(cfg, ue) == expected and placed == [ue]
+        # a replacement that places elsewhere leaves the latest placement's gain behind
+        monkeypatch.setattr(optimize, "optimal_pin_position", lambda c, u: 7.5)
+        got = _outcome(lambda: solve(cfg, ue))
+        assert got == _outcome(lambda: _composed(cfg, ue, 7.5)) != _outcome(lambda: expected)
+
+    def test_solves_in_threads_equal_the_serial_ones(self):
+        # the chosen gain passes from the placement to the split through one module-level
+        # slot; a solve that finds another thread's placement there evaluates its own gain
+        pairs = [
+            (SystemConfig(waveguide_attenuation_per_m=alpha), UePosition(x_ue, y_ue))
+            for alpha in (1e-3, 0.05, 0.2, 0.5)
+            for x_ue, y_ue in ((3.0, 1.0), (15.0, 5.0), (28.0, 9.0), (40.0, 0.5))
+        ]
+        expected = [solve(config, ue) for config, ue in pairs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                runs = [pool.submit(lambda: [solve(config, ue) for config, ue in pairs * 50]) for _ in range(8)]
+                results = [run.result(timeout=60) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(result == expected * 50 for result in results)
