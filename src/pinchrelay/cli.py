@@ -15,7 +15,7 @@ import math
 import random
 import re
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -319,9 +319,10 @@ def _cmd_verify(args: argparse.Namespace, config: SystemConfig) -> int:
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
     rng = random.Random(args.seed)
+    base = asdict(config)  # once: each trial's config is these fields with the draws over them
     failures = 0
     for k in range(args.trials):
-        cfg = replace(config, **{name: draw(rng) for name, draw in _VERIFY_DRAWN_FIELDS.items()})
+        cfg = SystemConfig(**{**base, **{name: draw(rng) for name, draw in _VERIFY_DRAWN_FIELDS.items()}})
         ue = UePosition(rng.uniform(0.0, cfg.coverage_x_m), rng.uniform(0.0, cfg.coverage_y_m))
         position, power = verify_scenario(cfg, ue)
         ok = position.passed and power.passed

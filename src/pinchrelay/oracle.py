@@ -1,9 +1,10 @@
 """Brute-force verification of the closed forms.
 
 The placement check bounds the objective's maximum on the waveguide from
-above, by its curvature split and a bisection; the power check runs a
-golden-section search for the minimum cost along the active-SNR-constraint
+above, by its curvature split and a bracketed Newton search; the power check
+runs Brent's minimizer for the minimum cost along the active-SNR-constraint
 curve, and evaluates the cost and the SNR at the closed form's operating point.
+Both searches converge superlinearly and keep a bracket around their optimum.
 The exhaustive placement grid :func:`grid_search_pin` remains as plain
 reference code for the acceptance gate and perfbench; only it imports numpy.
 All objective formulas here are written out inline, independently of the code
@@ -19,17 +20,19 @@ from dataclasses import dataclass
 from .model import SPEED_OF_LIGHT_M_S, ChannelGains, SystemConfig, UePosition, link_out_of_range
 from .optimize import optimal_pin_position, optimal_power_allocation
 
-# the power search's budget of cost evaluations; verify's draws take 44 to 48
+# the power search's budget of cost evaluations; verify's draws take 13 to 35, 15 in the median
 DEFAULT_P1_POINTS = 128
 # the power search stops once its bracket in ln(surplus) is this narrow: about
 # 1e-8 relative in the surplus, and far below 1e-16 relative in the cost
 POWER_SEARCH_WIDTH = 1e-8
-# the placement bisection stops once its upper bound on ln f is this close to
+# the placement search stops once its upper bound on ln f is this close to
 # the best value it has evaluated: 1e-15 relative in f, below verify's tolerance
 PLACEMENT_SEARCH_GAP = 1e-15
 POSITION_REL_TOL = 1e-10
 POWER_REL_TOL = 1e-14
 _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
+# the placement search aims its Newton steps this factor past the root of g', so that both ends close in
+_NEWTON_OVERSHOOT = 1.0 + 2.0**-10
 
 
 @dataclass(frozen=True)
@@ -64,11 +67,16 @@ def pin_bounds(config: SystemConfig, ue: UePosition) -> tuple[float, float, floa
     In ``u = x_ue - x`` with ``C = y_ue^2 + d^2``, ``g'' = 2(u^2 - C) / (u^2 + C)^2``:
     ``g`` is convex where ``|u| > sqrt(C)`` and concave where ``|u| < sqrt(C)``.
     On the two convex pieces the maximum lies at a piece end.  On the concave
-    piece ``g'`` falls, so a bisection on its sign keeps a bracket ``[lo, hi]``
-    around the piece's maximum, and the tangent at ``lo`` bounds the piece by
-    ``g(lo) + g'(lo) (hi - lo)``.  The bisection stops once that bound lies
-    within ``PLACEMENT_SEARCH_GAP`` of ``g(lo)``, or the bracket splits no
-    further.  Nothing here reads the closed-form placement.
+    piece ``g'`` falls, so its sign keeps a bracket ``[lo, hi]`` around the
+    piece's maximum, and the tangent at ``lo`` bounds the piece by
+    ``g(lo) + g'(lo) (hi - lo)``.  Each step is Newton's on ``g'`` from the
+    last point, ``(1 + 2^-10) g' / |g''|``: aimed a little past the root, it
+    lands on alternate sides, so ``lo`` and ``hi`` both close in.  A step
+    that leaves ``(lo, hi)``, or meets ``g'' = 0`` at a piece end, bisects
+    instead.  The search stops once the bound lies within
+    ``PLACEMENT_SEARCH_GAP`` of ``g(lo)``, or the bracket splits no further:
+    after 4 steps on most of verify's draws, against 26 halvings for a
+    bisection.  Nothing here reads the closed-form placement.
 
     Returns ``(x_best, g_lower, g_upper, width)``: the best point evaluated,
     its ``g``, the upper bound, and the final bracket's width (0 where the
@@ -90,16 +98,23 @@ def pin_bounds(config: SystemConfig, ue: UePosition) -> tuple[float, float, floa
     elif slope(b) >= 0.0:  # g rises all the way to b
         lo = b
     else:
-        gap = PLACEMENT_SEARCH_GAP
+        gap, x, slope_x = PLACEMENT_SEARCH_GAP, lo, slope_lo
+        u = x_ue - x
+        w = u * u + c_const
         while slope_lo * (hi - lo) > gap:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
+            # a Newton step on g' from the last point x: g'/|g''|, with |g''| = 2(C - u^2)/(u^2 + C)^2 = 2 excess/w^2
+            excess = c_const - u * u
+            mid = x + _NEWTON_OVERSHOOT * slope_x * w * w / (excess + excess) if excess > 0.0 else hi
+            if not lo < mid < hi:  # past the bracket, or g'' is 0 (mid = hi): bisect
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break
             u = x_ue - mid  # slope(mid), written out: this loop is most of the search's time
-            slope_mid = 2.0 * u / (u * u + c_const) - alpha
-            if slope_mid > 0.0:
-                lo, slope_lo = mid, slope_mid
-            elif slope_mid < 0.0:
+            w = u * u + c_const
+            x, slope_x = mid, 2.0 * u / w - alpha
+            if slope_x > 0.0:
+                lo, slope_lo = mid, slope_x
+            elif slope_x < 0.0:
                 hi = mid
             else:
                 lo = hi = mid
@@ -143,7 +158,7 @@ def _geometry_error(problem: str, config: SystemConfig, ue: UePosition) -> Value
 
 
 def numeric_power_min(gains: ChannelGains, config: SystemConfig) -> tuple[float, float, float]:
-    """Golden-section minimizer of the power cost along the active SNR constraint.
+    """Brent's minimizer of the power cost along the active SNR constraint.
 
     At equality the relay gain is pinned by the surplus
     ``u = P1 |g1|^2 - gamma0 sigma_r^2``,
@@ -152,8 +167,15 @@ def numeric_power_min(gains: ChannelGains, config: SystemConfig) -> tuple[float,
     with ``P1 = (u + gamma0 sigma_r^2) / |g1|^2``, convex in ``t = ln u``.
     The search walks downhill from ``t0 = ln(gamma0 sigma_r^2)`` in steps
     that grow by the golden ratio until ``J`` rises (a cost past the float
-    range counts as a rise), then narrows that bracket by golden sections to
-    ``POWER_SEARCH_WIDTH`` in ``t``.  It evaluates ``J`` at most
+    range counts as a rise).  Brent's method (*Algorithms for Minimization
+    without Derivatives*, 1973, ch. 5) then narrows that bracket to
+    ``POWER_SEARCH_WIDTH`` in ``t``: a step to the vertex of the parabola
+    through the three best points, or a golden section into the longer side
+    of the best point where that vertex leaves the bracket, moves more than
+    half the step before last, or a cost is ``inf``.  No step is shorter than
+    ``POWER_SEARCH_WIDTH / 4``, so the bracket closes to that width around
+    the best point.  Verify's draws take 15 evaluations in the median,
+    against 46 for golden sections alone.  It evaluates ``J`` at most
     ``DEFAULT_P1_POINTS`` times; a search that needs more, or a minimum cost
     outside the normal float range, where no relative gap can be resolved,
     raises ``ValueError``.
@@ -181,23 +203,53 @@ def numeric_power_min(gains: ChannelGains, config: SystemConfig) -> tuple[float,
 
     a, j_a, b, j_b = 0.0, cost(0.0), 1.0, cost(1.0)
     if j_b > j_a:  # downhill runs from a to b
-        a, b, j_b = b, a, j_a
+        a, j_a, b, j_b = b, j_b, a, j_a
     c = b + _GOLDEN_RATIO * (b - a)
     j_c = cost(c)
     while j_c < j_b:
-        a, b, j_b = b, c, j_c
+        a, j_a, b, j_b = b, j_b, c, j_c
         c = b + _GOLDEN_RATIO * (b - a)
         j_c = cost(c)
+    # Brent's minimizer: b is the best point, w the second best and v the third, so j_b <= j_w <= j_v
     low, high = min(a, c), max(a, c)
+    w, j_w, v, j_v = (a, j_a, c, j_c) if j_a <= j_c else (c, j_c, a, j_a)
+    step, step_before = c - b, b - a
+    min_step = 0.25 * POWER_SEARCH_WIDTH
     while high - low > POWER_SEARCH_WIDTH:
-        # probe the longer side of b, a golden section into it
-        x = b + (2.0 - _GOLDEN_RATIO) * (high - b if high - b > b - low else low - b)
+        # the vertex of the parabola through b, w and v lies p / q from b
+        r = (b - w) * (j_b - j_v)
+        q = (b - v) * (j_b - j_w)
+        p = (b - v) * q - (b - w) * r
+        q = 2.0 * (q - r)
+        if q > 0.0:
+            p = -p
+        else:
+            q = -q
+        if j_v < math.inf and abs(p) < 0.5 * q * abs(step_before) and q * (low - b) < p < q * (high - b):
+            step_before, step = step, p / q
+            x = b + step
+            if x - low < 2.0 * min_step or high - x < 2.0 * min_step:  # near an end: toward the middle
+                step = min_step if high - b > b - low else -min_step
+        else:  # a golden section into the longer side of b
+            step_before = high - b if high - b > b - low else low - b
+            step = (2.0 - _GOLDEN_RATIO) * step_before
+        x = b + (step if abs(step) >= min_step else math.copysign(min_step, step))
         j_x = cost(x)
         if j_x < j_b:
-            low, high = (low, b) if x < b else (b, high)
-            b, j_b = x, j_x
+            if x < b:
+                high = b
+            else:
+                low = b
+            v, j_v, w, j_w, b, j_b = w, j_w, b, j_b, x, j_x
         else:
-            low, high = (x, high) if x < b else (low, x)
+            if x < b:
+                low = x
+            else:
+                high = x
+            if j_x <= j_w:
+                v, j_v, w, j_w = w, j_w, x, j_x
+            elif j_x <= j_v:
+                v, j_v = x, j_x
     if not sys.float_info.min <= j_b < math.inf:
         raise ValueError(
             f"the minimum power cost {j_b!r} W lies outside the normal float range, so no relative gap can be resolved"
