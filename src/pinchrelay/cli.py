@@ -248,9 +248,9 @@ def _cmd_solve(args: argparse.Namespace, config: SystemConfig) -> int:
             raise UsageError(str(exc)) from exc
     solution = solve(config, ue)
     if args.json:
-        print(json.dumps(asdict(solution), indent=2))
+        print(json.dumps(solution._asdict(), indent=2))
         return 0
-    rows = [(f.name, getattr(solution, f.name)) for f in fields(solution)]
+    rows = list(zip(solution._fields, solution))
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         text = f"{value:.10g}"

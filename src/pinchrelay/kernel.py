@@ -30,9 +30,8 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .benchmarks import benchmark1_link_gain, benchmark1_total_power_w, direct_tx_power_w
-from .model import LINK_FIELDS, SystemConfig, _free_space, bs_relay_gain, consumed_power, link_out_of_range
-from .model import relay_tx_power
-from .optimize import split_power
+from .model import LINK_FIELDS, SystemConfig, _free_space, consumed_power, link_out_of_range, relay_tx_power
+from .optimize import link_constants, split_per_user
 
 
 class SampleError(ValueError):
@@ -156,8 +155,8 @@ def _second_hop(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: n
 
 
 def _relay_power(cfg: SystemConfig, second_hop: tuple[np.ndarray, np.ndarray]):
-    g1_sq, sigma_r_sq_w, sigma_ue_sq_w = bs_relay_gain(cfg), cfg.relay_noise_w, cfg.ue_noise_w
-    p1, beta_sq, _ = split_power(cfg, g1_sq, sigma_r_sq_w, sigma_ue_sq_w, *second_hop)
+    g1_sq, sigma_r_sq_w, _, factors = link_constants(cfg)
+    p1, beta_sq, _ = split_per_user(factors, *second_hop)
     return consumed_power(p1, relay_tx_power(p1, beta_sq, g1_sq, sigma_r_sq_w), cfg), p1
 
 

@@ -61,7 +61,8 @@ class SystemConfig:
     ``snr_target_linear`` is a linear ratio (100 = 20 dB); antenna gains are
     kept in dBi because that is how they are quoted, and converted exactly
     once inside :func:`bs_relay_gain`.  ``ue_noise_figure_db = None`` means
-    the terminal reuses the relay noise figure.
+    the terminal reuses the relay noise figure.  A config's first solve keeps
+    on it what every solve there shares: :func:`~.optimize.link_constants`.
     """
 
     carrier_frequency_hz: float = 28e9
@@ -165,10 +166,7 @@ def noise_power_w(bandwidth_hz: float, noise_figure_db: float, field: str = "noi
     Outside (0, inf) it raises ``ValueError`` naming both inputs, the noise
     figure as the SystemConfig ``field`` it was read from.
     """
-    try:  # _pow_or_inf, inline: every solve computes one or two noise powers
-        figure = 10.0 ** (noise_figure_db / 10.0)
-    except OverflowError:
-        figure = math.inf
+    figure = _pow_or_inf(10.0, noise_figure_db / 10.0)
     noise_w = BOLTZMANN_J_PER_K * NOISE_REFERENCE_TEMP_K * bandwidth_hz * figure
     if not 0.0 < noise_w < math.inf:
         at = f"bandwidth_hz={bandwidth_hz!r}, {field}={noise_figure_db!r}"

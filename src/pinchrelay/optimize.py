@@ -18,15 +18,15 @@ sigma_r^2``, minimized at ``u* = sqrt(B / A)``.  Total consumed power at the
 optimum is ``J* / eta_pa`` plus the constant circuit terms.
 
 This module imports no numpy; the sweep's array forms are in :mod:`.kernel`, and it shares
-:func:`split_power` with :func:`optimal_power_allocation` and :func:`solve_at`, whose one pass
-over floats hands the placement's |g2|^2 to the split and runs the link budget inline.
+:func:`split_per_user` with :func:`optimal_power_allocation` and :func:`solve_at`, whose one pass
+over floats hands the placement's |g2|^2 to the split and reads the rest from :func:`link_constants`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .model import SPEED_OF_LIGHT_M_S, ChannelGains, SystemConfig, UePosition, _ue_noise_w, bs_relay_gain
 from .model import link_out_of_range, relay_ue_gain
@@ -42,8 +42,7 @@ class StationaryAnalysis:
     x2_m: float | None
 
 
-@dataclass(frozen=True)
-class PowerSolution:
+class PowerSolution(NamedTuple):
     """Jointly optimal operating point for one scenario."""
 
     x_pin_m: float
@@ -151,32 +150,62 @@ def _checked_split(
     return p1, beta_sq, j
 
 
-def split_power(
-    config: SystemConfig,
-    g1_sq: float,
-    sigma_r_sq_w: float,
-    sigma_ue_sq_w: float,
-    g2_sq: float | np.ndarray,
-    g2: float | np.ndarray,
-):
-    """Unchecked :func:`optimal_power_allocation` on the second hop's power gain
-    ``g2_sq`` and amplitude ``g2``, floats or arrays.
+def link_constants(config: SystemConfig) -> tuple:
+    """``(g1_sq, sigma_r_sq_w, sigma_ue_sq_w, factors)``: what every solve at ``config`` shares, ``factors`` its
+    :func:`split_factors`.  The first value out of range raises its named error, in channel_gains' order."""
+    constants = _constants(config)
+    if math.isnan(constants[0]):  # a value is out of range
+        bs_relay_gain(config), config.relay_noise_w, config.ue_noise_w  # the first out of range raises
+    return constants
 
-    Everything that varies with ``g2`` is arithmetic operators only, so an
-    array gives each element the scalar result.
+
+def _constants(config: SystemConfig) -> tuple:
+    """:func:`link_constants`, unchecked: computed on the config's first solve and kept on it; nan if out of range."""
+    constants = getattr(config, "_link_constants", None)  # None before the config's first solve
+    if constants is None:
+        try:
+            g1_sq, sigma_r_sq_w = bs_relay_gain(config), config.relay_noise_w
+            sigma_ue_sq_w = _ue_noise_w(config, sigma_r_sq_w)
+        except ValueError:  # raised again where the values are read; building them never raises
+            g1_sq = sigma_r_sq_w = sigma_ue_sq_w = math.nan
+        factors = split_factors(config.snr_target_linear, config.pa_efficiency, g1_sq, sigma_r_sq_w, sigma_ue_sq_w)
+        constants = g1_sq, sigma_r_sq_w, sigma_ue_sq_w, factors
+        object.__setattr__(config, "_link_constants", constants)  # no field: ==, repr and replace() ignore it
+    return constants
+
+
+def split_factors(gamma0: float, eta: float, g1_sq: float, sigma_r_sq_w: float, sigma_ue_sq_w: float) -> tuple:
+    """The split's config-only factors ``(g1, sigma_r / g1, sigma_ue, sigma_ue / sigma_r, floor,
+    sqrt(gamma0 (gamma0+1) / eta), sqrt(eta gamma0 / (gamma0+1)), sqrt(eta gamma0 (gamma0+1)), eta floor,
+    gamma0 sigma_ue^2)`` for :func:`split_per_user`, with amplitudes ``g1``, ``sigma`` and floor
+    ``gamma0 sigma_r^2 / |g1|^2``.  On positive or nan inputs nothing raises: past the float range is inf."""
+    g1, sigma_r, sigma_ue = math.sqrt(g1_sq), math.sqrt(sigma_r_sq_w), math.sqrt(sigma_ue_sq_w)
+    floor_w = gamma0 * sigma_r_sq_w / g1_sq
+    roots = math.sqrt(gamma0 * (gamma0 + 1.0) / eta), math.sqrt(eta * gamma0 / (gamma0 + 1.0))
+    roots += (math.sqrt(eta * gamma0 * (gamma0 + 1.0)),)
+    return g1, sigma_r / g1, sigma_ue, sigma_ue / sigma_r, floor_w, *roots, eta * floor_w, gamma0 * sigma_ue_sq_w
+
+
+def split_power(config: SystemConfig, g1_sq: float, sigma_r_sq_w: float, sigma_ue_sq_w: float, g2_sq, g2):
+    """Unchecked :func:`optimal_power_allocation` on any link budget: :func:`split_per_user` on its
+    :func:`split_factors`, for the second hop's power gain ``g2_sq`` and amplitude ``g2``."""
+    factors = split_factors(config.snr_target_linear, config.pa_efficiency, g1_sq, sigma_r_sq_w, sigma_ue_sq_w)
+    return split_per_user(factors, g2_sq, g2)
+
+
+def split_per_user(factors: tuple[float, ...], g2_sq: float | np.ndarray, g2: float | np.ndarray):
+    """The split's per-user operators: ``(p1, beta_sq, j)`` from a config's :func:`split_factors`
+    and the second hop's power gain ``g2_sq`` and amplitude ``g2``, floats or arrays.
+
+    Arithmetic operators only, so an array gives each element the scalar result.
     """
-    gamma0 = config.snr_target_linear
-    eta = config.pa_efficiency
-    g1 = math.sqrt(g1_sq)
-    sigma_r = math.sqrt(sigma_r_sq_w)
-    sigma_ue = math.sqrt(sigma_ue_sq_w)
+    g1, r_over_g1, sigma_ue, ue_over_r, floor_w, root_p1, root_beta, root_j, eta_floor_w, gamma0_ue_w = factors
     # Factored as two tame ratios: the raw four-factor product of noise
     # amplitudes over channel amplitudes can leave the normal float range.
-    cross = (sigma_r / g1) * (sigma_ue / g2)
-    floor_w = gamma0 * sigma_r_sq_w / g1_sq
-    p1 = floor_w + cross * math.sqrt(gamma0 * (gamma0 + 1.0) / eta)
-    beta_sq = (sigma_ue / sigma_r) / (g1 * g2) * math.sqrt(eta * gamma0 / (gamma0 + 1.0))
-    j = eta * floor_w + gamma0 * sigma_ue_sq_w / g2_sq + 2.0 * cross * math.sqrt(eta * gamma0 * (gamma0 + 1.0))
+    cross = r_over_g1 * (sigma_ue / g2)
+    p1 = floor_w + cross * root_p1
+    beta_sq = ue_over_r / (g1 * g2) * root_beta
+    j = eta_floor_w + gamma0_ue_w / g2_sq + 2.0 * cross * root_j
     return p1, beta_sq, j
 
 
@@ -189,24 +218,21 @@ def solve_at(config: SystemConfig, ue: UePosition, x_pin_m: float) -> PowerSolut
     and the config fields that add to the total.
 
     One pass over floats through :func:`~.model.channel_gains`, :func:`optimal_power_allocation`,
-    ``relay_tx_power`` and ``consumed_power``, each value checked where it is computed, with their
-    messages in their order; at the point :func:`optimal_pin_position` last chose, its |g2|^2 is reused.
+    ``relay_tx_power`` and ``consumed_power`` on :func:`link_constants`, each value checked where it is
+    computed, with their messages in their order; at the point :func:`optimal_pin_position` last chose,
+    its |g2|^2 is reused.
     """
-    try:  # bs_relay_gain's product; a factor past the float range is left to it
-        ratio = SPEED_OF_LIGHT_M_S / (4.0 * math.pi * config.carrier_frequency_hz * config.bs_relay_distance_m)
-        g1_sq = 10.0 ** (config.horn_gain_tx_dbi / 10.0) * 10.0 ** (config.horn_gain_rx_dbi / 10.0) * (ratio * ratio)
-    except (OverflowError, ZeroDivisionError):
-        g1_sq = math.nan
+    g1_sq, sigma_r_sq_w, sigma_ue_sq_w, factors = _constants(config)
     if not 0.0 < g1_sq < math.inf:
-        g1_sq = bs_relay_gain(config)  # raises its named error
+        bs_relay_gain(config)  # raises its named error; if |g1|^2 is in range, a noise power is not, and raises below
     placed_config, placed_ue, placed_x, g2_sq = _last_placement
     if placed_config is not config or placed_ue is not ue or placed_x != x_pin_m:
         g2_sq = relay_ue_gain(config, ue, x_pin_m)
     if not 0.0 < g2_sq < math.inf:
         raise ValueError(link_out_of_range(config, "relay-UE", g2_sq))
-    sigma_r_sq_w = config.relay_noise_w
-    sigma_ue_sq_w = _ue_noise_w(config, sigma_r_sq_w)
-    p1, beta_sq, j_star = split_power(config, g1_sq, sigma_r_sq_w, sigma_ue_sq_w, g2_sq, math.sqrt(g2_sq))
+    if math.isnan(sigma_r_sq_w):  # all three are nan when one is out of range
+        link_constants(config)  # |g1|^2 is not: raises the first noise power's named error
+    p1, beta_sq, j_star = split_per_user(factors, g2_sq, math.sqrt(g2_sq))
     if not (math.isfinite(p1) and math.isfinite(beta_sq) and math.isfinite(j_star)):
         _checked_split(config, g1_sq, g2_sq, sigma_r_sq_w, sigma_ue_sq_w)  # raises its named error
     p2 = beta_sq * (p1 * g1_sq + sigma_r_sq_w)
@@ -220,7 +246,7 @@ def solve_at(config: SystemConfig, ue: UePosition, x_pin_m: float) -> PowerSolut
             f"operating point is not finite at {at} (p1={p1!r}, beta_sq={beta_sq!r}, "
             f"g1_sq={g1_sq!r}, sigma_r_sq_w={sigma_r_sq_w!r}): {bad}"
         )
-    return PowerSolution(x_pin_m, p1, beta_sq, p2, j_star, total)  # positional: keyword arguments are slower
+    return PowerSolution(x_pin_m, p1, beta_sq, p2, j_star, total)
 
 
 def solve(config: SystemConfig, ue: UePosition) -> PowerSolution:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import SPEED_OF_LIGHT_M_S, ChannelGains, SystemConfig, UePosition, link_out_of_range
 from .optimize import optimal_pin_position, optimal_power_allocation
@@ -35,8 +35,7 @@ _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 _NEWTON_OVERSHOOT = 1.0 + 2.0**-10
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """Outcome of one closed-form-vs-brute-force comparison."""
 
     closed_form_value: float
@@ -182,8 +181,13 @@ def numeric_power_min(gains: ChannelGains, config: SystemConfig) -> tuple[float,
 
     Returns ``(p1_best, beta_sq_best, j_best)``.
     """
-    gamma0, eta = config.snr_target_linear, config.pa_efficiency
-    k, g1_sq, sigma_r_sq, g2_sq, sigma_ue_sq = _scaled_hops(gains, gamma0)
+    gamma0 = config.snr_target_linear
+    return _power_min(_scaled_hops(gains, gamma0), gamma0, config.pa_efficiency)
+
+
+def _power_min(hops: tuple[int, float, float, float, float], gamma0: float, eta: float) -> tuple[float, float, float]:
+    """:func:`numeric_power_min` on the hops as :func:`_scaled_hops` scales them."""
+    k, g1_sq, sigma_r_sq, g2_sq, sigma_ue_sq = hops
     surplus0 = gamma0 * sigma_r_sq  # u at t0
     evaluations = 0
 
@@ -310,10 +314,10 @@ def verify_scenario(config: SystemConfig, ue: UePosition) -> tuple[OracleReport,
     position = _report(f_closed, f_best, rel_gap, width, POSITION_REL_TOL)
 
     p1, beta_sq, j_closed = optimal_power_allocation(gains, config)
-    _, _, j_search = numeric_power_min(gains, config)
-    # the cost and the SNR at the closed form's operating point, each hop scaled as in the search
     gamma0 = config.snr_target_linear
-    k, g1_sq, sigma_r_sq, g2_sq, sigma_ue_sq = _scaled_hops(gains, gamma0)
+    k, g1_sq, sigma_r_sq, g2_sq, sigma_ue_sq = hops = _scaled_hops(gains, gamma0)
+    _, _, j_search = _power_min(hops, gamma0, config.pa_efficiency)
+    # the cost and the SNR at the closed form's operating point, each hop scaled as in the search
     beta_sq = math.ldexp(beta_sq, -k)
     j_pair = config.pa_efficiency * p1 + beta_sq * (p1 * g1_sq + sigma_r_sq)
     snr = p1 * g1_sq * beta_sq * g2_sq / (sigma_ue_sq + beta_sq * g2_sq * sigma_r_sq)

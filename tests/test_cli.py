@@ -98,6 +98,15 @@ class TestSolveCommand:
         solution = json.loads(capsys.readouterr().out)
         assert solution["total_power_w"] > 0.0
 
+    def test_the_solution_is_an_immutable_record_whose_fields_are_the_printed_names(self, capsys):
+        solution = pinchrelay.solve(SystemConfig(), pinchrelay.UePosition(15.0, 5.0))
+        with pytest.raises(AttributeError):
+            solution.p1_w = 0.0
+        assert cli_main(["solve", "--ue", "15,5", "--json"]) == 0
+        assert tuple(json.loads(capsys.readouterr().out)) == PowerSolution._fields
+        assert cli_main(["solve", "--ue", "15,5"]) == 0
+        assert tuple(line.split()[0] for line in capsys.readouterr().out.splitlines()) == PowerSolution._fields
+
     def test_rejects_user_outside_coverage(self, capsys):
         assert cli_main(["solve", "--ue", "40,5"]) == 2
 
@@ -710,7 +719,7 @@ class TestParserReuse:
         assert json.loads(capsys.readouterr().out)["x_pin_m"] >= 0.0
         assert cli_main(["solve"]) == 0
         table = capsys.readouterr().out.splitlines()
-        assert [line.split()[0] for line in table] == [f.name for f in fields(PowerSolution)]
+        assert [line.split()[0] for line in table] == list(PowerSolution._fields)
 
     def test_gnuplot_sweep_then_plain_sweep_writes_no_script(self, tmp_path, capsys):
         argv = ["sweep", "--var", "gamma0", "--values", "20dB", "--samples", "2"]

@@ -396,7 +396,7 @@ def test_every_entry_point_is_finite_or_a_named_error_across_the_dynamic_range_b
     xs, ys, shadows = draw(cfg, seed, 5)
     for ue, shadow in zip(positions(xs, ys), shadows.tolist()):
         for sol in (result_or_named_error(solve, cfg, ue), result_or_named_error(benchmark2_power, cfg, ue)):
-            assert sol is None or all(map(math.isfinite, astuple(sol))), sol
+            assert sol is None or all(map(math.isfinite, tuple(sol))), sol
         tx = result_or_named_error(benchmark1_tx_power_w, cfg, ue.x_ue_m, ue.y_ue_m, shadow)
         assert tx is None or math.isfinite(tx) and math.isfinite(benchmark1_total_power_w(cfg, tx)), tx
     with np.errstate(all="ignore"):  # as in run_sweep, which reports a non-finite result with its sample

@@ -572,3 +572,108 @@ class TestOnePassSolve:
         finally:
             sys.setswitchinterval(interval)
         assert all(result == expected * 50 for result in results)
+
+
+# Configs whose derived values lie out of range, and the messages solve, benchmark2_power and a
+# one-value sweep (20 dB, 3 users, seed 0) raise on them, for the user at (15, 5) m.
+_AT = "bs_relay_distance_m=50.0, carrier_frequency_hz=28000000000.0"
+_SWEEP_AT = "scheme 'proposed' failed at snr_target_db=20: "
+_SWEEP_SAMPLE_AT = "scheme 'proposed' failed at sample 0 (ue=(19.1089, 0.165276), snr_target_db=20): "
+_RELAY_UE = "link budget out of range on the relay-UE link: gain inf at waveguide_attenuation_per_m=0.01, "
+_SPLIT = "power split is not finite at snr_target_linear=100.0 and pa_efficiency=5e-324 (g1_sq=2.9037926822160467e-06, "
+DERIVED_OUT_OF_RANGE = {
+    "horn-tx-gain 4000": (
+        {"horn_gain_tx_dbi": 4000.0},
+        *2 * [f"link budget out of range on the BS-relay link: gain inf at {_AT}, horn_gain_tx_dbi=4000.0, horn_gain_rx_dbi=20.0"],
+        _SWEEP_AT + f"link budget out of range on the BS-relay link: gain inf at {_AT}, horn_gain_tx_dbi=4000.0, horn_gain_rx_dbi=20.0",
+    ),
+    "horn-tx-gain -4000": (
+        {"horn_gain_tx_dbi": -4000.0},
+        *2 * [f"link budget out of range on the BS-relay link: gain 0.0 at {_AT}, horn_gain_tx_dbi=-4000.0, horn_gain_rx_dbi=20.0"],
+        _SWEEP_AT + f"link budget out of range on the BS-relay link: gain 0.0 at {_AT}, horn_gain_tx_dbi=-4000.0, horn_gain_rx_dbi=20.0",
+    ),
+    "horn pair": (
+        {"horn_gain_tx_dbi": 4000.0, "horn_gain_rx_dbi": -4000.0},
+        *2 * [f"link budget out of range on the BS-relay link: gain nan at {_AT}, horn_gain_tx_dbi=4000.0, horn_gain_rx_dbi=-4000.0"],
+        _SWEEP_AT + f"link budget out of range on the BS-relay link: gain nan at {_AT}, horn_gain_tx_dbi=4000.0, horn_gain_rx_dbi=-4000.0",
+    ),
+    "noise-figure 4000": (
+        {"noise_figure_db": 4000.0},
+        *2 * ["noise power inf W out of range at bandwidth_hz=400000000.0, noise_figure_db=4000.0"],
+        _SWEEP_AT + "noise power inf W out of range at bandwidth_hz=400000000.0, noise_figure_db=4000.0",
+    ),
+    "ue-noise-figure 4000": (
+        {"ue_noise_figure_db": 4000.0},
+        *2 * ["noise power inf W out of range at bandwidth_hz=400000000.0, ue_noise_figure_db=4000.0"],
+        _SWEEP_AT + "noise power inf W out of range at bandwidth_hz=400000000.0, ue_noise_figure_db=4000.0",
+    ),
+    "freq 1e-150, d1 1e150": (
+        {"carrier_frequency_hz": 1e-150, "bs_relay_distance_m": 1e150},
+        *2 * [_RELAY_UE + "waveguide_height_m=3.0, carrier_frequency_hz=1e-150"],
+        _SWEEP_SAMPLE_AT + _RELAY_UE + "waveguide_height_m=3.0, carrier_frequency_hz=1e-150",
+    ),
+    "freq 1e-150, d1 1e150, noise-figure 4000": (  # the relay-UE link is checked before the noise powers
+        {"carrier_frequency_hz": 1e-150, "bs_relay_distance_m": 1e150, "noise_figure_db": 4000.0},
+        *2 * [_RELAY_UE + "waveguide_height_m=3.0, carrier_frequency_hz=1e-150"],
+        _SWEEP_SAMPLE_AT + _RELAY_UE + "waveguide_height_m=3.0, carrier_frequency_hz=1e-150",
+    ),
+    "eta-pa 5e-324, amp-circ-power 1.7e308": (
+        {"pa_efficiency": 5e-324, "relay_circuit_power_w": 1.7e308},
+        _SPLIT + "g2_sq=1.839296875859925e-08): p1=inf",
+        _SPLIT + "g2_sq=2.8028886893977283e-09): p1=inf",
+        _SWEEP_SAMPLE_AT + "total power inf W and BS power inf W must be finite",
+    ),
+}
+
+
+class TestConfigConstants:
+    """A config's first solve computes |g1|^2, both noise powers and the split's factors, once."""
+
+    @staticmethod
+    def count_link_constants(monkeypatch) -> list:
+        """Wrap |g1|^2 and the noise power under every name the package calls them by; returns the call log."""
+        calls = []
+        for module, name in ((model, "noise_power_w"), (model, "bs_relay_gain"), (optimize, "bs_relay_gain")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, _f=original, _n=name: calls.append((_n, args[-1])) or _f(*args))
+        return calls
+
+    @pytest.mark.parametrize("ue_noise_figure_db", [None, 7.0])
+    def test_solves_compute_each_link_constant_once(self, monkeypatch, ue_noise_figure_db):
+        calls = self.count_link_constants(monkeypatch)
+        cfg, ue = SystemConfig(ue_noise_figure_db=ue_noise_figure_db), UePosition(15.0, 5.0)
+        assert replace(cfg, coverage_x_m=20.0) != cfg and calls == []  # building a config computes none
+        solve(cfg, ue)
+        first = list(calls)
+        assert len(first) == len(set(first)) == (2 if ue_noise_figure_db is None else 3)  # one per constant
+        assert {name for name, _ in first} == {"noise_power_w", "bs_relay_gain"}
+        for _ in range(100):
+            solve(cfg, ue)
+        benchmark2_power(cfg, ue)
+        assert calls == first
+
+    def test_a_d1_sweep_computes_the_first_hop_gain_once_per_value(self, monkeypatch):
+        from pinchrelay.sweep import SweepSpec, run_sweep
+
+        calls = self.count_link_constants(monkeypatch)
+        values = (30.0, 40.0, 50.0, 60.0)
+        run_sweep(SystemConfig(), SweepSpec("bs_relay_distance_m", values, ue_samples=10))
+        assert [config.bs_relay_distance_m for name, config in calls if name == "bs_relay_gain"] == list(values)
+
+    @pytest.mark.parametrize("name", sorted(DERIVED_OUT_OF_RANGE))
+    def test_a_derived_value_out_of_range_builds_and_raises_its_named_error_where_it_is_read(self, name):
+        from pinchrelay.sweep import SweepSpec, run_sweep
+
+        changes, solve_error, benchmark2_error, sweep_error = DERIVED_OUT_OF_RANGE[name]
+        cfg, ue = SystemConfig(**changes), UePosition(15.0, 5.0)
+        assert replace(cfg, coverage_x_m=20.0).coverage_x_m == 20.0
+        assert replace(cfg) == cfg
+        with pytest.raises(ValueError) as raised:
+            solve(cfg, ue)
+        assert str(raised.value) == solve_error
+        with pytest.raises(ValueError) as raised:
+            benchmark2_power(cfg, ue)
+        assert str(raised.value) == benchmark2_error
+        with pytest.raises(RuntimeError) as raised:
+            run_sweep(cfg, SweepSpec("snr_target_db", (20.0,), ue_samples=3))
+        assert str(raised.value) == sweep_error

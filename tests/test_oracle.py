@@ -24,6 +24,7 @@ from pinchrelay import (
     pin_objective,
     verify_scenario,
 )
+from pinchrelay import oracle
 from pinchrelay.cli import _VERIFY_DRAWN_FIELDS
 from pinchrelay.oracle import (
     _GOLDEN_RATIO,
@@ -472,6 +473,15 @@ class TestVerifyScenario:
         assert optimal_pin_position(cfg, ue) == 0.0
         position, power = verify_scenario(cfg, ue)
         assert position.passed and power.passed
+
+    def test_scales_the_hops_once_and_reports_immutable_records(self, cfg, ue_mid, monkeypatch):
+        calls, scaled_hops = [], oracle._scaled_hops
+        monkeypatch.setattr(oracle, "_scaled_hops", lambda *args: calls.append(args) or scaled_hops(*args))
+        position, power = verify_scenario(cfg, ue_mid)
+        assert len(calls) == 1
+        for report in (position, power):
+            with pytest.raises(AttributeError):
+                report.passed = False
 
     def test_report_invariants(self, cfg, ue_mid):
         position, power = verify_scenario(cfg, ue_mid)
