@@ -8,7 +8,9 @@ space with no placement freedom.
 
 The direct scheme has one implementation, for one user as floats or many as
 arrays: its link gain :func:`benchmark1_link_gain` and its one transmit-power
-quotient :func:`direct_tx_power_w`, which the sweep kernel calls too.
+quotient :func:`direct_tx_power_w`, which the sweep kernel calls too.  The
+link gain checks its per-user inputs against their domains; over those and
+the config's, every power here is finite.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .model import SystemConfig, UePosition, _pow_or_inf, free_space_gain, link_out_of_range
+from .model import UE_DOMAIN, SystemConfig, UePosition, free_space_gain, out_of_domain
 from .optimize import PowerSolution, solve_at
 
 if TYPE_CHECKING:
@@ -34,6 +36,8 @@ ARRAY_ELEMENT_GAIN = NUM_ELEMENTS * 10.0 ** (2.15 / 10.0)
 PATH_LOSS_EXPONENT = 4.0
 SHADOWING_STD_DB = math.sqrt(11.0)
 RF_CHAIN_POWER_W = 0.1
+# A shadowing draw's domain in dB: 30 standard deviations each way.
+SHADOW_DB_DOMAIN = (-100.0, 100.0)
 
 
 def benchmark1_link_gain(config: SystemConfig, x_ue_m: Floats, y_ue_m: Floats, shadow_db: Floats):
@@ -45,27 +49,24 @@ def benchmark1_link_gain(config: SystemConfig, x_ue_m: Floats, y_ue_m: Floats, s
     gain x element gain x log-distance loss x lognormal shadowing, with
     ``shadow_db`` one shadowing draw in dB.  Floats give a float; arrays give
     one gain per user, each equal to the float result (``hypot`` and ``pow``
-    run per element through :func:`~.kernel.libm_each`).  A gain that
-    underflows to 0, overflows to inf or is nan raises
-    :class:`~.kernel.SampleError` (a ``ValueError``) whose ``index`` is the
-    first user at fault.
+    run per element through :func:`~.kernel.libm_each`).  A coordinate outside
+    ``UE_DOMAIN`` or a draw outside ``SHADOW_DB_DOMAIN`` raises ``ValueError``
+    naming the first one.
     """
     import numpy as np
 
-    from .kernel import libm_each, require_link_gain  # here, not at the top: the kernel imports this module
+    from .kernel import libm_each  # here, not at the top: the kernel imports this module
 
+    inputs = ("x_ue_m", x_ue_m, UE_DOMAIN), ("y_ue_m", y_ue_m, UE_DOMAIN), ("shadow_db", shadow_db, SHADOW_DB_DOMAIN)
+    for name, values, (lo, hi) in inputs:
+        if not (lo <= np.min(values) and np.max(values) <= hi):  # a nan fails too
+            first = np.flatnonzero(np.logical_not((values >= lo) & (values <= hi)))[0]
+            raise ValueError(out_of_domain(name, float(np.ravel(values)[first]), (lo, hi)))
     distance = config.bs_relay_distance_m + libm_each(math.hypot, x_ue_m, y_ue_m)
     anchor = free_space_gain(1.0, config.carrier_frequency_hz)
-    try:
-        distance_loss = libm_each(math.pow, distance, -PATH_LOSS_EXPONENT)
-        shadow = libm_each(math.pow, 10.0, shadow_db / 10.0)
-    except OverflowError:  # rare: redo with inf in its place, so the check below names the user
-        distance_loss = libm_each(_pow_or_inf, distance, -PATH_LOSS_EXPONENT)
-        shadow = libm_each(_pow_or_inf, 10.0, shadow_db / 10.0)
-    gain = ARRAY_ELEMENT_GAIN * anchor * distance_loss * shadow
-    # raveled, so a float is checked as one user and fails as SampleError index 0 too
-    require_link_gain(config, "direct", np.ravel(gain))
-    return gain
+    distance_loss = libm_each(math.pow, distance, -PATH_LOSS_EXPONENT)
+    shadow = libm_each(math.pow, 10.0, shadow_db / 10.0)
+    return ARRAY_ELEMENT_GAIN * anchor * distance_loss * shadow
 
 
 def benchmark1_tx_power_w(config: SystemConfig, x_ue_m: Floats, y_ue_m: Floats, shadow_db: Floats):
@@ -75,20 +76,12 @@ def benchmark1_tx_power_w(config: SystemConfig, x_ue_m: Floats, y_ue_m: Floats, 
 
 def direct_tx_power_w(config: SystemConfig, gain: Floats):
     """Radiated power that hits the SNR target over direct-link gain ``gain``, one float or an array of them."""
-    tx = config.snr_target_linear * config.ue_noise_w / gain
-    if isinstance(tx, float) and tx == math.inf:  # floats only: the sweep checks each user in kernel.evaluate
-        at = f"snr_target_linear={config.snr_target_linear!r}"
-        raise ValueError(f"{link_out_of_range(config, 'direct', gain)}: transmit power inf W at {at}")
-    return tx
+    return config.snr_target_linear * config.ue_noise_w / gain
 
 
 def benchmark1_total_power_w(config: SystemConfig, tx_w: Floats):
     """Total consumed power of the direct scheme: PA draw plus per-element RF chains."""
-    total = tx_w / config.pa_efficiency + NUM_ELEMENTS * RF_CHAIN_POWER_W
-    if isinstance(total, float) and not math.isfinite(total):  # floats only, as above
-        at = f"pa_efficiency={config.pa_efficiency!r} and tx_w={tx_w!r}"
-        raise ValueError(f"direct-scheme total power {total!r} W at {at}")
-    return total
+    return tx_w / config.pa_efficiency + NUM_ELEMENTS * RF_CHAIN_POWER_W
 
 
 def benchmark2_power(config: SystemConfig, ue: UePosition) -> PowerSolution:

@@ -253,10 +253,7 @@ def _cmd_solve(args: argparse.Namespace, config: SystemConfig) -> int:
     rows = list(zip(solution._fields, solution))
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
-        text = f"{value:.10g}"
-        if math.isinf(float(text)):  # 10 digits round the largest doubles up past the float range
-            text = repr(value)
-        print(f"{name:<{width}}  {text}")
+        print(f"{name:<{width}}  {value:.10g}")
     return 0
 
 
@@ -353,7 +350,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MemoryError, OSError, RuntimeError, ValueError) as exc:
+    except (MemoryError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,8 @@ Each scheme is two stages.  Its user stage does the per-user work (placement
 and the second-hop gain, or the direct link's gain) and reads only the
 SystemConfig fields it declares; its power stage turns that into total and BS
 power at one config.  :func:`evaluate`, the one way to run a scheme, reruns a
-user stage only when one of those fields changes.
+user stage only when one of those fields changes.  Over the inputs' domain
+(:data:`~.model.DOMAIN`) every element is finite, as on the scalar path.
 """
 
 from __future__ import annotations
@@ -30,16 +31,8 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .benchmarks import benchmark1_link_gain, benchmark1_total_power_w, direct_tx_power_w
-from .model import LINK_FIELDS, SystemConfig, _free_space, consumed_power, link_out_of_range, relay_tx_power
+from .model import LINK_FIELDS, SystemConfig, _free_space, consumed_power, relay_tx_power
 from .optimize import link_constants, split_per_user
-
-
-class SampleError(ValueError):
-    """One sample of an array evaluation is invalid; ``index`` says which."""
-
-    def __init__(self, index: int, message: str) -> None:
-        super().__init__(message)
-        self.index = index
 
 
 def libm_each(fn: Callable[..., float], *args: float | np.ndarray) -> float | np.ndarray:
@@ -94,25 +87,14 @@ def exact_sum(a: np.ndarray) -> float:
     return math.fsum(memoryview(a))
 
 
-def require_link_gain(config: SystemConfig, link: str, gain: np.ndarray) -> np.ndarray:
-    """``gain`` if all of it lies in (0, inf), else a :class:`SampleError` at the first element at fault.
-
-    Its message is :func:`~.model.link_out_of_range`'s; scalar callers compare and raise ``ValueError`` inline.
-    """
-    bad = np.flatnonzero(~((gain > 0.0) & (gain < math.inf)))
-    if bad.size:
-        k = int(bad[0])
-        raise SampleError(k, link_out_of_range(config, link, float(gain.flat[k])))
-    return gain
-
-
 def relay_ue_gains(
     config: SystemConfig, xs: np.ndarray, ys: np.ndarray, x_pin_m: float | np.ndarray
 ) -> np.ndarray:
     """Array form of :func:`~.model.relay_ue_gain` for users ``(xs, ys)``, equal to it per element.
 
     ``x_pin_m`` is one position for every user or one per user, on the
-    waveguide.  Like the scalar form it leaves the gain unchecked.
+    waveguide.  Its callers pass the points the placement chose, or the feed,
+    whose gains lie in the model's domain, so it leaves the gain unchecked.
     """
     dx = xs - x_pin_m
     height = config.waveguide_height_m
@@ -150,7 +132,6 @@ class _Scheme(NamedTuple):
 def _second_hop(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray, at_feed: bool = False):
     """Each user's second-hop power gain and amplitude, at the best pinch point or at the feed."""
     g2_sq = relay_ue_gains(cfg, xs, ys, 0.0) if at_feed else optimal_pin_positions(cfg, xs, ys)[1]
-    g2_sq = require_link_gain(cfg, "relay-UE", g2_sq)
     return g2_sq, np.sqrt(g2_sq)
 
 
@@ -173,18 +154,9 @@ _EVALUATORS = {
 
 
 def evaluate(scheme: str, cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray, users: dict):
-    """One scheme's (total, BS power) arrays, its user stage reused from ``users`` while its fields hold.
-
-    A total or BS power that is not finite raises :class:`SampleError` at the first user at fault.
-    """
+    """One scheme's (total, BS power) arrays, its user stage reused from ``users`` while its fields hold."""
     stages = _EVALUATORS[scheme]
     key = tuple(getattr(cfg, name) for name in stages.fields)
-    with np.errstate(all="ignore"):  # a non-finite result is reported below, with its sample
-        if scheme not in users or users[scheme][0] != key:
-            users[scheme] = key, stages.users(cfg, xs, ys, shadows_db)
-        total, bs_w = stages.power(cfg, users[scheme][1])
-    bad = np.flatnonzero(~(np.isfinite(total) & np.isfinite(bs_w)))
-    if bad.size:
-        k = int(bad[0])
-        raise SampleError(k, f"total power {float(total[k])!r} W and BS power {float(bs_w[k])!r} W must be finite")
-    return total, bs_w
+    if scheme not in users or users[scheme][0] != key:
+        users[scheme] = key, stages.users(cfg, xs, ys, shadows_db)
+    return stages.power(cfg, users[scheme][1])

@@ -8,9 +8,11 @@ the x axis at height ``waveguide_height_m``; a pinching antenna clamped at
 
 Everything in this module works in linear SI units (Hz, m, W, dimensionless
 power gains).  dB quantities are converted once, explicitly, at the boundary
-(:func:`db_to_linear`), or, for the noise figures and horn gains, where they
-are used, with a ratio past the float range read as inf so that the range
-check names the field; nothing converts implicitly.
+(:func:`db_to_linear`) or where they are used; nothing converts implicitly.
+Every input lies in a physical domain, checked when it is built: ``DOMAIN``
+for each :class:`SystemConfig` field, ``UE_DOMAIN`` for each user coordinate
+and ``CHANNEL_DOMAIN`` for each :class:`ChannelGains` value.  Over that box
+every derived quantity stays far inside the float range.
 
 This module imports no numpy; the array forms are in :mod:`.kernel`.
 :func:`relay_tx_power`, :func:`consumed_power` and the free-space factor use
@@ -32,25 +34,47 @@ BOLTZMANN_J_PER_K = 1.380649e-23
 NOISE_REFERENCE_TEMP_K = 290.0
 # The SystemConfig fields each link's gain reads, besides the user and pinch positions.
 LINK_FIELDS = {
-    "BS-relay": ("bs_relay_distance_m", "carrier_frequency_hz", "horn_gain_tx_dbi", "horn_gain_rx_dbi"),
     "relay-UE": ("waveguide_attenuation_per_m", "waveguide_height_m", "carrier_frequency_hz"),
     "direct": ("bs_relay_distance_m", "carrier_frequency_hz"),
 }
 
+# The physical domain of each SystemConfig field, [lo, hi] in the field's SI unit.  README's
+# "Domain" section gives each field's unit and the use that sets its margin.
+DOMAIN = {
+    "carrier_frequency_hz": (1e8, 1e13),
+    "bandwidth_hz": (1e3, 1e11),
+    "noise_figure_db": (0.0, 40.0),
+    "ue_noise_figure_db": (0.0, 40.0),  # or None: the terminal reuses the relay's noise figure
+    "waveguide_attenuation_per_m": (0.0, 100.0),
+    "horn_gain_tx_dbi": (-10.0, 60.0),
+    "horn_gain_rx_dbi": (-10.0, 60.0),
+    "pa_efficiency": (1e-3, 1.0),
+    "relay_circuit_power_w": (0.0, 1e3),
+    "bs_rf_chain_power_w": (0.0, 1e3),
+    "waveguide_length_m": (1e-4, 1e7),
+    "waveguide_height_m": (1e-2, 1e3),
+    "bs_relay_distance_m": (0.1, 1e5),
+    "snr_target_linear": (1e-3, 1e6),
+    "coverage_x_m": (1e-2, 1e5),
+    "coverage_y_m": (1e-2, 1e5),
+}
+# Each UePosition coordinate, in m; it holds every coverage rectangle in DOMAIN.
+UE_DOMAIN = (-1e5, 1e5)
+# Each ChannelGains value: wide enough for unit gains and noise, narrow enough that the
+# closed-form split and the oracle's power search stay finite over it.
+CHANNEL_DOMAIN = (1e-30, 1e30)
+
+
+def out_of_domain(name: str, value: object, bounds: tuple[float, float]) -> str:
+    """The one message for a value outside its domain: it names the field, its bounds and the value."""
+    return f"{name} must lie in [{bounds[0]:g}, {bounds[1]:g}], got {value!r}"
+
 
 def db_to_linear(value_db: float) -> float:
-    """Linear power ratio for a dB value; a ratio too large for a float raises ``ValueError``."""
+    """Linear power ratio for a dB value; a ratio too large for a float is inf, which every domain rejects."""
     try:
         return 10.0 ** (value_db / 10.0)
-    except OverflowError:
-        raise ValueError(f"{value_db!r} dB is too large to convert to a linear ratio") from None
-
-
-def _pow_or_inf(base: float, exponent: float) -> float:
-    """``base ** exponent``, with a result too large for a float as inf, for a range check that names its input."""
-    try:
-        return base**exponent
-    except OverflowError:
+    except OverflowError:  # a dB value as typed, past about 3083 dB (--gamma0 4000dB), before any domain check
         return math.inf
 
 
@@ -61,8 +85,9 @@ class SystemConfig:
     ``snr_target_linear`` is a linear ratio (100 = 20 dB); antenna gains are
     kept in dBi because that is how they are quoted, and converted exactly
     once inside :func:`bs_relay_gain`.  ``ue_noise_figure_db = None`` means
-    the terminal reuses the relay noise figure.  A config's first solve keeps
-    on it what every solve there shares: :func:`~.optimize.link_constants`.
+    the terminal reuses the relay noise figure.  Each field must lie in its
+    ``DOMAIN`` bounds.  A config's first solve keeps on it what every solve
+    there shares: :func:`~.optimize.link_constants`.
     """
 
     carrier_frequency_hz: float = 28e9
@@ -83,25 +108,18 @@ class SystemConfig:
     coverage_y_m: float = 10.0
 
     def __post_init__(self) -> None:
-        # One C call for every field, in order: every verify trial and sweep value builds a config.
+        # One pass over one C call's values: every verify trial and sweep value builds a config.
         # (vars(self) would give each config a real __dict__, and slow every later attribute read.)
-        values = dict(zip(_FIELD_NAMES, _field_values(self)))
-        for name, value in values.items():
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in _POSITIVE_FIELDS:
-            if not values[name] > 0.0:
-                raise ValueError(f"{name} must be positive, got {values[name]!r}")
-        for name in _NONNEGATIVE_FIELDS:
-            if not values[name] >= 0.0:
-                raise ValueError(f"{name} must be nonnegative, got {values[name]!r}")
-        if not 0.0 < self.pa_efficiency <= 1.0:
-            raise ValueError(f"pa_efficiency must lie in (0, 1], got {self.pa_efficiency!r}")
+        for name, value, (lo, hi) in zip(_FIELD_NAMES, _field_values(self), _BOUNDS):
+            if value is None or not lo <= value <= hi:  # nan fails too
+                if value is None and name == "ue_noise_figure_db":
+                    continue
+                raise ValueError(out_of_domain(name, value, (lo, hi)))
 
     @property
     def relay_noise_w(self) -> float:
         """Thermal noise power at the relay receiver."""
-        return noise_power_w(self.bandwidth_hz, self.noise_figure_db, "noise_figure_db")
+        return noise_power_w(self.bandwidth_hz, self.noise_figure_db)
 
     @property
     def ue_noise_w(self) -> float:
@@ -111,42 +129,39 @@ class SystemConfig:
 
 _FIELD_NAMES = tuple(field.name for field in fields(SystemConfig))
 _field_values = operator.attrgetter(*_FIELD_NAMES)
-_POSITIVE_FIELDS = ("carrier_frequency_hz", "bandwidth_hz", "waveguide_length_m", "waveguide_height_m")
-_POSITIVE_FIELDS += ("bs_relay_distance_m", "snr_target_linear", "coverage_x_m", "coverage_y_m")
-_NONNEGATIVE_FIELDS = ("waveguide_attenuation_per_m", "relay_circuit_power_w", "bs_rf_chain_power_w")
+_BOUNDS = tuple(DOMAIN[name] for name in _FIELD_NAMES)
 
 
 @dataclass(frozen=True)
 class UePosition:
     """User terminal coordinates on the ground plane (z = 0).
 
-    The dataclass itself accepts any finite geometry so that placement studies
-    can probe users outside the served rectangle; use :meth:`in_coverage` when
-    the position must lie inside the configured coverage area.
+    Each coordinate must lie in ``UE_DOMAIN``, which reaches well outside any
+    coverage rectangle so that placement studies can probe users outside the
+    served area; use :meth:`in_coverage` when the position must lie inside it.
     """
 
     x_ue_m: float
     y_ue_m: float
 
     def __post_init__(self) -> None:
+        lo, hi = UE_DOMAIN
         for name, value in (("x_ue_m", self.x_ue_m), ("y_ue_m", self.y_ue_m)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            if not lo <= value <= hi:
+                raise ValueError(out_of_domain(name, value, UE_DOMAIN))
 
     @classmethod
     def in_coverage(cls, config: SystemConfig, x_ue_m: float, y_ue_m: float) -> "UePosition":
         """Construct a position, rejecting coordinates outside the coverage rectangle."""
-        if not 0.0 <= x_ue_m <= config.coverage_x_m or not 0.0 <= y_ue_m <= config.coverage_y_m:
-            raise ValueError(
-                f"UE ({x_ue_m}, {y_ue_m}) outside coverage "
-                f"[0, {config.coverage_x_m}] x [0, {config.coverage_y_m}]"
-            )
+        for name, value, extent in (("x_ue_m", x_ue_m, config.coverage_x_m), ("y_ue_m", y_ue_m, config.coverage_y_m)):
+            if not 0.0 <= value <= extent:
+                raise ValueError(f"{out_of_domain(name, value, (0.0, extent))} (the coverage rectangle)")
         return cls(x_ue_m, y_ue_m)
 
 
 @dataclass(frozen=True)
 class ChannelGains:
-    """Link power gains and noise powers for one scenario instance."""
+    """Link power gains and noise powers for one scenario instance, each in ``CHANNEL_DOMAIN``."""
 
     g1_sq: float
     g2_sq: float
@@ -154,31 +169,22 @@ class ChannelGains:
     sigma_ue_sq_w: float
 
     def __post_init__(self) -> None:
+        lo, hi = CHANNEL_DOMAIN
         for name in ("g1_sq", "g2_sq", "sigma_r_sq_w", "sigma_ue_sq_w"):
             value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must lie in (0, inf), got {value!r}")
+            if not lo <= value <= hi:
+                raise ValueError(out_of_domain(name, value, CHANNEL_DOMAIN))
 
 
-def noise_power_w(bandwidth_hz: float, noise_figure_db: float, field: str = "noise_figure_db") -> float:
-    """Thermal noise power k*T0*B*F with T0 = 290 K.
-
-    Outside (0, inf) it raises ``ValueError`` naming both inputs, the noise
-    figure as the SystemConfig ``field`` it was read from.
-    """
-    figure = _pow_or_inf(10.0, noise_figure_db / 10.0)
-    noise_w = BOLTZMANN_J_PER_K * NOISE_REFERENCE_TEMP_K * bandwidth_hz * figure
-    if not 0.0 < noise_w < math.inf:
-        at = f"bandwidth_hz={bandwidth_hz!r}, {field}={noise_figure_db!r}"
-        raise ValueError(f"noise power {noise_w!r} W out of range at {at}")
-    return noise_w
+def noise_power_w(bandwidth_hz: float, noise_figure_db: float) -> float:
+    """Thermal noise power k*T0*B*F with T0 = 290 K."""
+    return BOLTZMANN_J_PER_K * NOISE_REFERENCE_TEMP_K * bandwidth_hz * 10.0 ** (noise_figure_db / 10.0)
 
 
 def free_space_gain(distance_m: float, frequency_hz: float) -> float:
     """Free-space power gain (lambda / 4 pi d)^2 = c^2 / (16 pi^2 f^2 d^2).
 
-    Singular at zero distance, so nonpositive arguments are rejected; positive
-    ones whose product ``4 pi f d`` underflows to 0 give an infinite gain.
+    Singular at zero distance, so nonpositive arguments are rejected.
     """
     if not distance_m > 0.0:
         raise ValueError(f"distance must be positive, got {distance_m!r}")
@@ -188,27 +194,21 @@ def free_space_gain(distance_m: float, frequency_hz: float) -> float:
 
 
 def _free_space(distance_m: float | np.ndarray, frequency_hz: float) -> float | np.ndarray:
-    """(c / 4 pi f d)^2; a float ``4 pi f d`` that underflows to 0 gives inf, as it does in an array."""
-    try:
-        ratio = SPEED_OF_LIGHT_M_S / (4.0 * math.pi * frequency_hz * distance_m)
-    except ZeroDivisionError:
-        return math.inf
+    """(c / 4 pi f d)^2, for one distance or an array of them."""
+    ratio = SPEED_OF_LIGHT_M_S / (4.0 * math.pi * frequency_hz * distance_m)
     return ratio * ratio
 
 
 def link_out_of_range(config: SystemConfig, link: str, gain: float) -> str:
-    """Error message for a ``link`` gain outside (0, inf), naming the config fields that link reads."""
+    """Error message for a ``link`` gain outside ``CHANNEL_DOMAIN``, naming the config fields that link reads."""
     at = ", ".join(f"{name}={getattr(config, name)!r}" for name in LINK_FIELDS[link])
     return f"link budget out of range on the {link} link: gain {gain!r} at {at}"
 
 
 def bs_relay_gain(config: SystemConfig) -> float:
-    """BS-to-relay power gain |g1|^2: both horn gains times free-space loss; named ``ValueError`` outside (0, inf)."""
-    horn = _pow_or_inf(10.0, config.horn_gain_tx_dbi / 10.0) * _pow_or_inf(10.0, config.horn_gain_rx_dbi / 10.0)
-    g1_sq = horn * free_space_gain(config.bs_relay_distance_m, config.carrier_frequency_hz)
-    if not 0.0 < g1_sq < math.inf:
-        raise ValueError(link_out_of_range(config, "BS-relay", g1_sq))
-    return g1_sq
+    """BS-to-relay power gain |g1|^2: both horn gains times free-space loss."""
+    horn = 10.0 ** (config.horn_gain_tx_dbi / 10.0) * 10.0 ** (config.horn_gain_rx_dbi / 10.0)
+    return horn * _free_space(config.bs_relay_distance_m, config.carrier_frequency_hz)
 
 
 def relay_ue_gain(config: SystemConfig, ue: UePosition, x_pin_m: float) -> float:
@@ -216,8 +216,11 @@ def relay_ue_gain(config: SystemConfig, ue: UePosition, x_pin_m: float) -> float
 
     Product of the guided-wave attenuation exp(-alpha_D * x_pin) accumulated up
     to the pinch point and the free-space gain over the 3-D pinch-to-user
-    distance.  ``x_pin_m`` must lie on the waveguide, i.e. in [0, L]; the gain is unchecked.
-    A zero distance makes the free-space factor ``inf``, as in :func:`~.kernel.relay_ue_gains`.
+    distance.  ``x_pin_m`` must lie on the waveguide, i.e. in [0, L].  The
+    one gain check left in the package is here: far along a lossy waveguide
+    (alpha L up to 1e9 in the domain) exp(-alpha x) underflows, so a gain below
+    ``CHANNEL_DOMAIN`` raises ``ValueError``.  The placement never chooses such
+    a point, since its gain is never below the feed's.
     """
     if not 0.0 <= x_pin_m <= config.waveguide_length_m:
         raise ValueError(
@@ -227,26 +230,25 @@ def relay_ue_gain(config: SystemConfig, ue: UePosition, x_pin_m: float) -> float
     height = config.waveguide_height_m
     distance = math.sqrt(dx * dx + ue.y_ue_m * ue.y_ue_m + height * height)
     attenuation = math.exp(-config.waveguide_attenuation_per_m * x_pin_m)
-    return attenuation * _free_space(distance, config.carrier_frequency_hz)
+    g2_sq = attenuation * _free_space(distance, config.carrier_frequency_hz)
+    if g2_sq < CHANNEL_DOMAIN[0]:
+        raise ValueError(link_out_of_range(config, "relay-UE", g2_sq))
+    return g2_sq
 
 
 def channel_gains(config: SystemConfig, ue: UePosition, x_pin_m: float) -> ChannelGains:
-    """Assemble both hop gains and both noise powers for one scenario; gains must lie in (0, inf).
+    """Assemble both hop gains and both noise powers for one scenario.
 
-    Each value is checked where it is computed, and a terminal that reuses the
-    relay noise figure reuses its noise power too.
+    A terminal that reuses the relay noise figure reuses its noise power too.
     """
-    g1_sq, g2_sq = bs_relay_gain(config), relay_ue_gain(config, ue, x_pin_m)
-    if not 0.0 < g2_sq < math.inf:
-        raise ValueError(link_out_of_range(config, "relay-UE", g2_sq))
-    sigma_r_sq_w = config.relay_noise_w
+    g1_sq, g2_sq, sigma_r_sq_w = bs_relay_gain(config), relay_ue_gain(config, ue, x_pin_m), config.relay_noise_w
     return ChannelGains(g1_sq, g2_sq, sigma_r_sq_w, _ue_noise_w(config, sigma_r_sq_w))
 
 
 def _ue_noise_w(config: SystemConfig, relay_noise_w: float | None = None) -> float:
     """The terminal's noise power; ``ue_noise_figure_db = None`` reuses the relay's, ``relay_noise_w`` if given."""
     if config.ue_noise_figure_db is not None:
-        return noise_power_w(config.bandwidth_hz, config.ue_noise_figure_db, "ue_noise_figure_db")
+        return noise_power_w(config.bandwidth_hz, config.ue_noise_figure_db)
     return config.relay_noise_w if relay_noise_w is None else relay_noise_w
 
 

@@ -8,16 +8,16 @@ Both searches converge superlinearly and keep a bracket around their optimum.
 The exhaustive placement grid :func:`grid_search_pin` remains as plain
 reference code for the acceptance gate and perfbench; only it imports numpy.
 All objective formulas here are written out inline, independently of the code
-paths under test.
+paths under test.  Over the inputs' domain (:data:`~.model.DOMAIN`) every
+value they take is a finite, normal float.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple
 
-from .model import SPEED_OF_LIGHT_M_S, ChannelGains, SystemConfig, UePosition, link_out_of_range
+from .model import SPEED_OF_LIGHT_M_S, ChannelGains, SystemConfig, UePosition
 from .optimize import optimal_pin_position, optimal_power_allocation
 
 # the power search's budget of cost evaluations; verify's draws take 13 to 35, 15 in the median
@@ -127,8 +127,6 @@ def grid_search_pin(config: SystemConfig, ue: UePosition, step_m: float) -> tupl
 
     Returns the maximizing grid point and its objective value
     ``exp(-alpha xs) / ((x_ue - xs)**2 + c)``; ties break to the smallest x.
-    A ``c`` past the float range, or an objective that underflows to 0 at
-    every grid point, raises ``ValueError`` naming the geometry.
     """
     import numpy as np
 
@@ -137,23 +135,10 @@ def grid_search_pin(config: SystemConfig, ue: UePosition, step_m: float) -> tupl
         raise ValueError(f"grid step must lie in (0, {length}], got {step_m!r}")
     xs = np.append(np.arange(0.0, length, step_m), length)
     alpha = config.waveguide_attenuation_per_m
-    try:
-        c_const = ue.y_ue_m**2 + config.waveguide_height_m**2
-    except OverflowError:
-        raise _geometry_error("squared distance from the user to the waveguide overflows", config, ue) from None
-    with np.errstate(over="ignore"):  # a distance whose square overflows gives inf, and an objective of 0
-        values = np.exp(-alpha * xs) / ((ue.x_ue_m - xs) ** 2 + c_const)
+    c_const = ue.y_ue_m**2 + config.waveguide_height_m**2
+    values = np.exp(-alpha * xs) / ((ue.x_ue_m - xs) ** 2 + c_const)
     best = int(np.argmax(values))  # argmax returns the first (smallest-x) maximizer
-    if not values[best] > 0.0:
-        raise _geometry_error("placement objective underflows to 0 on the whole grid", config, ue)
     return float(xs[best]), float(values[best])
-
-
-def _geometry_error(problem: str, config: SystemConfig, ue: UePosition) -> ValueError:
-    """``problem``, at the user position and the config fields the placement objective reads."""
-    fields = ("waveguide_length_m", "waveguide_height_m", "waveguide_attenuation_per_m")
-    at = ", ".join(f"{name}={getattr(config, name)!r}" for name in fields)
-    return ValueError(f"{problem} at user ({ue.x_ue_m!r}, {ue.y_ue_m!r}) m, {at}")
 
 
 def numeric_power_min(gains: ChannelGains, config: SystemConfig) -> tuple[float, float, float]:
@@ -165,29 +150,21 @@ def numeric_power_min(gains: ChannelGains, config: SystemConfig) -> tuple[float,
     ``J = eta P1 + gamma0 sigma_ue^2 (P1 |g1|^2 + sigma_r^2) / (|g2|^2 u)``
     with ``P1 = (u + gamma0 sigma_r^2) / |g1|^2``, convex in ``t = ln u``.
     The search walks downhill from ``t0 = ln(gamma0 sigma_r^2)`` in steps
-    that grow by the golden ratio until ``J`` rises (a cost past the float
-    range counts as a rise).  Brent's method (*Algorithms for Minimization
-    without Derivatives*, 1973, ch. 5) then narrows that bracket to
-    ``POWER_SEARCH_WIDTH`` in ``t``: a step to the vertex of the parabola
-    through the three best points, or a golden section into the longer side
-    of the best point where that vertex leaves the bracket, moves more than
-    half the step before last, or a cost is ``inf``.  No step is shorter than
-    ``POWER_SEARCH_WIDTH / 4``, so the bracket closes to that width around
-    the best point.  Verify's draws take 15 evaluations in the median,
+    that grow by the golden ratio until ``J`` rises.  Brent's method
+    (*Algorithms for Minimization without Derivatives*, 1973, ch. 5) then
+    narrows that bracket to ``POWER_SEARCH_WIDTH`` in ``t``: a step to the
+    vertex of the parabola through the three best points, or a golden section
+    into the longer side of the best point where that vertex leaves the
+    bracket or moves more than half the step before last.  No step is shorter
+    than ``POWER_SEARCH_WIDTH / 4``, so the bracket closes to that width
+    around the best point.  Verify's draws take 15 evaluations in the median,
     against 46 for golden sections alone.  It evaluates ``J`` at most
-    ``DEFAULT_P1_POINTS`` times; a search that needs more, or a minimum cost
-    outside the normal float range, where no relative gap can be resolved,
-    raises ``ValueError``.
+    ``DEFAULT_P1_POINTS`` times; a search that needs more raises ``ValueError``.
 
     Returns ``(p1_best, beta_sq_best, j_best)``.
     """
-    gamma0 = config.snr_target_linear
-    return _power_min(_scaled_hops(gains, gamma0), gamma0, config.pa_efficiency)
-
-
-def _power_min(hops: tuple[int, float, float, float, float], gamma0: float, eta: float) -> tuple[float, float, float]:
-    """:func:`numeric_power_min` on the hops as :func:`_scaled_hops` scales them."""
-    k, g1_sq, sigma_r_sq, g2_sq, sigma_ue_sq = hops
+    gamma0, eta = config.snr_target_linear, config.pa_efficiency
+    g1_sq, g2_sq, sigma_r_sq, sigma_ue_sq = gains.g1_sq, gains.g2_sq, gains.sigma_r_sq_w, gains.sigma_ue_sq_w
     surplus0 = gamma0 * sigma_r_sq  # u at t0
     evaluations = 0
 
@@ -197,13 +174,9 @@ def _power_min(hops: tuple[int, float, float, float, float], gamma0: float, eta:
         if evaluations == DEFAULT_P1_POINTS:
             raise ValueError(f"the P1 search found no minimum of the power cost within {DEFAULT_P1_POINTS} evaluations")
         evaluations += 1
-        try:
-            u = surplus0 * math.exp(s)
-            p1 = (u + surplus0) / g1_sq
-            j = eta * p1 + gamma0 * sigma_ue_sq * (p1 * g1_sq + sigma_r_sq) / (g2_sq * u)
-        except (OverflowError, ZeroDivisionError):  # u past the float range, or 0
-            return math.inf
-        return j if j < math.inf else math.inf  # a nan (inf / inf) rises too
+        u = surplus0 * math.exp(s)
+        p1 = (u + surplus0) / g1_sq
+        return eta * p1 + gamma0 * sigma_ue_sq * (p1 * g1_sq + sigma_r_sq) / (g2_sq * u)
 
     a, j_a, b, j_b = 0.0, cost(0.0), 1.0, cost(1.0)
     if j_b > j_a:  # downhill runs from a to b
@@ -229,7 +202,7 @@ def _power_min(hops: tuple[int, float, float, float, float], gamma0: float, eta:
             p = -p
         else:
             q = -q
-        if j_v < math.inf and abs(p) < 0.5 * q * abs(step_before) and q * (low - b) < p < q * (high - b):
+        if abs(p) < 0.5 * q * abs(step_before) and q * (low - b) < p < q * (high - b):
             step_before, step = step, p / q
             x = b + step
             if x - low < 2.0 * min_step or high - x < 2.0 * min_step:  # near an end: toward the middle
@@ -254,57 +227,28 @@ def _power_min(hops: tuple[int, float, float, float, float], gamma0: float, eta:
                 v, j_v, w, j_w = w, j_w, x, j_x
             elif j_x <= j_v:
                 v, j_v = x, j_x
-    if not sys.float_info.min <= j_b < math.inf:
-        raise ValueError(
-            f"the minimum power cost {j_b!r} W lies outside the normal float range, so no relative gap can be resolved"
-        )
     u = surplus0 * math.exp(b)
-    return (u + surplus0) / g1_sq, math.ldexp(gamma0 * sigma_ue_sq / (g2_sq * u), k), j_b
-
-
-def _scaled_hops(gains: ChannelGains, gamma0: float) -> tuple[int, float, float, float, float]:
-    """``(k, |g1|^2, sigma_r^2, |g2|^2, sigma_ue^2)``, each hop's gain and noise scaled by one power of two.
-
-    The exponents sit halfway between each hop's gain and ``gamma0`` times its
-    noise; the first hop's is ``k``.  The scaling is exact, so the power cost
-    keeps its bits wherever the unscaled products stay in the float range, and
-    its products stay in range where they would not.
-    """
-    k = -(math.frexp(gamma0 * gains.sigma_r_sq_w)[1] + math.frexp(gains.g1_sq)[1]) // 2
-    m = -(math.frexp(gamma0 * gains.sigma_ue_sq_w)[1] + math.frexp(gains.g2_sq)[1]) // 2
-    return (
-        k,
-        math.ldexp(gains.g1_sq, k),
-        math.ldexp(gains.sigma_r_sq_w, k),
-        math.ldexp(gains.g2_sq, m),
-        math.ldexp(gains.sigma_ue_sq_w, m),
-    )
+    return (u + surplus0) / g1_sq, gamma0 * sigma_ue_sq / (g2_sq * u), j_b
 
 
 def verify_scenario(config: SystemConfig, ue: UePosition) -> tuple[OracleReport, OracleReport]:
     """Run both oracles against the closed forms for one scenario.
 
     The position report compares the closed form's objective with the
-    certified upper bound of :func:`pin_bounds`, in ``ln f`` so that an
-    objective that underflows is still checked: the closed form fails when
-    the bound beats it by more than ``POSITION_REL_TOL`` (relative), and,
+    certified upper bound of :func:`pin_bounds`, in ``ln f``: the closed
+    form fails when the bound beats it by more than ``POSITION_REL_TOL`` (relative), and,
     with an infinite gap, when it lies off the waveguide.  Its oracle value
     is the objective at the search's best point, and its resolution the
     search's final bracket width.  The power report's gap is the largest
     of three, each within ``POWER_REL_TOL`` for a pass: the closed-form
     minimum cost against :func:`numeric_power_min`'s, two-sided; the cost
     at the closed form's ``(p1, beta_sq)`` against its reported cost; and
-    the SNR at that pair against the target.  A scenario the oracles cannot
-    check raises ``ValueError``: a distance whose square passes the float
-    range, a relay-UE gain outside (0, inf) (a pinch point on the user), or
-    a minimum cost outside the normal float range.
+    the SNR at that pair against the target.
     """
     x_closed = optimal_pin_position(config, ue)
-    g2_sq = _pin_gain(config, ue, x_closed)  # first, to name a geometry whose squares overflow
-    g1_sq = _bs_gain(config)
-    if not 0.0 < g2_sq < math.inf:  # checked after the first hop, as in model.channel_gains
-        raise ValueError(link_out_of_range(config, "relay-UE", g2_sq))
-    gains = ChannelGains(g1_sq, g2_sq, sigma_r_sq_w=config.relay_noise_w, sigma_ue_sq_w=config.ue_noise_w)
+    g1_sq, g2_sq = _bs_gain(config), _pin_gain(config, ue, x_closed)
+    sigma_r_sq, sigma_ue_sq = config.relay_noise_w, config.ue_noise_w
+    gains = ChannelGains(g1_sq, g2_sq, sigma_r_sq, sigma_ue_sq)
     # the pinch is off the user, so neither f nor ln f has a 0 divisor
     x_best, _, g_upper, width = pin_bounds(config, ue)
     rel_gap = max(0.0, -math.expm1(ln_pin_objective(config, ue, x_closed) - g_upper))
@@ -315,10 +259,8 @@ def verify_scenario(config: SystemConfig, ue: UePosition) -> tuple[OracleReport,
 
     p1, beta_sq, j_closed = optimal_power_allocation(gains, config)
     gamma0 = config.snr_target_linear
-    k, g1_sq, sigma_r_sq, g2_sq, sigma_ue_sq = hops = _scaled_hops(gains, gamma0)
-    _, _, j_search = _power_min(hops, gamma0, config.pa_efficiency)
-    # the cost and the SNR at the closed form's operating point, each hop scaled as in the search
-    beta_sq = math.ldexp(beta_sq, -k)
+    _, _, j_search = numeric_power_min(gains, config)
+    # the cost and the SNR at the closed form's operating point
     j_pair = config.pa_efficiency * p1 + beta_sq * (p1 * g1_sq + sigma_r_sq)
     snr = p1 * g1_sq * beta_sq * g2_sq / (sigma_ue_sq + beta_sq * g2_sq * sigma_r_sq)
     rel_gap = max(abs(j_closed - j_search) / j_search, abs(j_pair - j_closed) / j_search, abs(snr - gamma0) / gamma0)
@@ -332,29 +274,12 @@ def _report(closed: float, oracle: float, rel_gap: float, resolution: float, tol
 
 
 def _bs_gain(config: SystemConfig) -> float:
-    tx, rx = config.horn_gain_tx_dbi, config.horn_gain_rx_dbi
-    try:
-        horn = 10.0 ** (tx / 10.0) * 10.0 ** (rx / 10.0)
-    except OverflowError:  # the range check below names the horn gains
-        horn = math.inf
-    f, d = config.carrier_frequency_hz, config.bs_relay_distance_m
-    try:
-        g1_sq = horn * (SPEED_OF_LIGHT_M_S / (4.0 * math.pi * f * d)) ** 2
-    except ArithmeticError:  # the square overflows, or 4 pi f d underflows to 0
-        g1_sq = math.inf
-    if not 0.0 < g1_sq < math.inf:
-        raise ValueError(link_out_of_range(config, "BS-relay", g1_sq))
-    return g1_sq
+    horn = 10.0 ** (config.horn_gain_tx_dbi / 10.0) * 10.0 ** (config.horn_gain_rx_dbi / 10.0)
+    return horn * (SPEED_OF_LIGHT_M_S / (4.0 * math.pi * config.carrier_frequency_hz * config.bs_relay_distance_m)) ** 2
 
 
 def _pin_gain(config: SystemConfig, ue: UePosition, x_pin_m: float) -> float:
-    try:
-        dist_sq = (ue.x_ue_m - x_pin_m) ** 2 + ue.y_ue_m**2 + config.waveguide_height_m**2
-    except OverflowError:
-        raise _geometry_error("squared pinch-to-user distance overflows", config, ue) from None
+    dist_sq = (ue.x_ue_m - x_pin_m) ** 2 + ue.y_ue_m**2 + config.waveguide_height_m**2
     f = config.carrier_frequency_hz
-    try:
-        fsg = SPEED_OF_LIGHT_M_S**2 / (16.0 * math.pi**2 * f * f * dist_sq)
-    except ZeroDivisionError:  # the pinch sits on the user, or 16 pi^2 f^2 d^2 underflows to 0
-        fsg = math.inf
+    fsg = SPEED_OF_LIGHT_M_S**2 / (16.0 * math.pi**2 * f * f * dist_sq)
     return math.exp(-config.waveguide_attenuation_per_m * x_pin_m) * fsg

@@ -18,13 +18,12 @@ and numpy when it runs, so specs and CSVs are handled without them.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .benchmarks import SHADOWING_STD_DB
-from .model import SystemConfig, db_to_linear
+from .model import DOMAIN, SystemConfig, db_to_linear, out_of_domain
 
 # One entry per sweep variable: the SystemConfig field a sweep value sets, the
 # conversion of a value to that field, the unit suffixes the CLI accepts on
@@ -60,9 +59,11 @@ class SweepSpec:
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("sweep values must be strictly increasing")
         field, to_si, _, _ = VARIABLES[self.variable]
+        lo, hi = DOMAIN[field]
         for value in self.values:
-            if not 0.0 < to_si(value) < math.inf:
-                raise ValueError(f"{self.variable} value {value!r} is out of range: {field} must be finite and positive")
+            si_value = to_si(value)
+            if not lo <= si_value <= hi:  # nan fails too
+                raise ValueError(f"{out_of_domain(field, si_value, (lo, hi))} at {self.variable} = {value!r}")
         for name, least in (("ue_samples", 1), ("seed", 0)):
             value = getattr(self, name)
             if not hasattr(value, "__index__") or value < least:  # an int, or a numpy integer
@@ -88,14 +89,11 @@ def run_sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRecord]:
     """Evaluate every requested scheme over the sweep values.
 
     Draws x, then y, then one shadowing value per user, whichever schemes run,
-    once per call, and reuses them at every sweep value.  A scheme failure
-    aborts with a ``RuntimeError`` naming the scheme, the sweep value, the
-    sample and its user when one sample is at fault (a link gain out of range,
-    a total or BS power that is not finite), and the cause.
+    once per call, and reuses them at every sweep value.
     """
     import numpy as np
 
-    from .kernel import SampleError, evaluate, exact_sum
+    from .kernel import evaluate, exact_sum
 
     rng = np.random.default_rng(spec.seed)
     xs = rng.uniform(0.0, config.coverage_x_m, spec.ue_samples)
@@ -109,20 +107,10 @@ def run_sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRecord]:
         mean_total: dict[str, float] = {}
         mean_bs: dict[str, float] = {}
         for scheme in spec.schemes:
-            try:
-                total, bs_w = evaluate(scheme, cfg, xs, ys, shadows, users)
-                # exact_sum is math.fsum bit for bit: an error-free split where it can certify the
-                # rounding, fsum itself where not; a sum past the float range raises OverflowError
-                mean_total[scheme] = exact_sum(total) / spec.ue_samples
-                mean_bs[scheme] = exact_sum(bs_w) / spec.ue_samples
-            except SampleError as exc:
-                k = exc.index
-                raise RuntimeError(
-                    f"scheme {scheme!r} failed at sample {k} "
-                    f"(ue=({xs[k]:.6g}, {ys[k]:.6g}), {spec.variable}={value:g}): {exc}"
-                ) from exc
-            except (ArithmeticError, ValueError) as exc:
-                raise RuntimeError(f"scheme {scheme!r} failed at {spec.variable}={value:g}: {exc}") from exc
+            total, bs_w = evaluate(scheme, cfg, xs, ys, shadows, users)
+            # exact_sum is math.fsum bit for bit: an error-free split where it can certify the rounding
+            mean_total[scheme] = exact_sum(total) / spec.ue_samples
+            mean_bs[scheme] = exact_sum(bs_w) / spec.ue_samples
         records.append(SweepRecord(float(value), mean_total, mean_bs, spec.ue_samples))
     return records
 

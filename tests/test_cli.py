@@ -5,10 +5,10 @@ import contextlib
 import hashlib
 import io
 import json
-import logging
 import math
+import random
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from decimal import Decimal, InvalidOperation
 from types import SimpleNamespace
 
@@ -17,7 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pinchrelay.cli
-from pinchrelay import PowerSolution, SystemConfig
+from conftest import PIN_MUTANTS
+from pinchrelay import PowerSolution, SystemConfig, UePosition, optimal_pin_position
 from pinchrelay.cli import (
     _SCENARIO_FIELDS,
     _VERIFY_DRAWN_FIELDS,
@@ -113,71 +114,28 @@ class TestSolveCommand:
     @pytest.mark.parametrize("ue", ["nan,5", "5,inf"])
     def test_non_finite_user_is_a_usage_error(self, capsys, ue):
         assert cli_main(["solve", "--ue", ue]) == 2
-        assert capsys.readouterr().err.startswith("error: UE (")
+        assert re.fullmatch(r"error: [xy]_ue_m must lie in \[0, (30|10)\], got (nan|inf) \(the coverage rectangle\)\n",
+                            capsys.readouterr().err)
 
-    def test_overflowing_db_values_are_named_errors(self, capsys):
-        assert cli_main(["solve", "--gamma0", "4000dB"]) == 2
-        assert "--gamma0" in capsys.readouterr().err
-        assert cli_main(["solve", "--horn-tx-gain", "4000"]) == 1
-        assert capsys.readouterr().err == (
-            "error: link budget out of range on the BS-relay link: gain inf at bs_relay_distance_m=50.0, "
-            "carrier_frequency_hz=28000000000.0, horn_gain_tx_dbi=4000.0, horn_gain_rx_dbi=20.0\n"
-        )
-        for argv, field in [
-            (["solve", "--noise-figure", "4000"], "noise_figure_db"),
-            (["solve", "--ue-noise-figure", "4000"], "ue_noise_figure_db"),
-            (["verify", "--trials", "1", "--noise-figure", "4000"], "noise_figure_db"),
-        ]:
-            assert cli_main(argv) == 1
-            err = capsys.readouterr().err
-            assert err == f"error: noise power inf W out of range at bandwidth_hz=400000000.0, {field}=4000.0\n"
-
-    def test_non_finite_power_is_one_error_line(self, capsys):
-        assert cli_main(["solve", "--gamma0", "1e308"]) == 1
+    # a dB value past the float range reads as inf, which the field's domain rejects by name
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--gamma0", "4000dB"], "snr_target_linear must lie in [0.001, 1e+06], got inf"),
+            (["--horn-tx-gain", "4000"], "horn_gain_tx_dbi must lie in [-10, 60], got 4000.0"),
+            (["--noise-figure", "4000"], "noise_figure_db must lie in [0, 40], got 4000.0"),
+            (["--ue-noise-figure", "-3000"], "ue_noise_figure_db must lie in [0, 40], got -3000.0"),
+            (["--gamma0", "1e308"], "snr_target_linear must lie in [0.001, 1e+06], got 1e+308"),
+            (["--eta-pa", "5e-324"], "pa_efficiency must lie in [0.001, 1], got 5e-324"),
+            (["--height", "1e-200"], "waveguide_height_m must lie in [0.01, 1000], got 1e-200"),
+        ],
+    )
+    def test_values_outside_the_domain_are_one_usage_error_line(self, capsys, argv, message):
+        assert cli_main(["solve", "--ue", "15,5", *argv]) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert "snr_target_linear=1e+308" in captured.err
+        assert captured.out == "" and captured.err == f"error: invalid scenario configuration: {message}\n"
 
-    def test_second_hop_overflow_is_one_error_line(self, capsys):
-        assert cli_main(["solve", "--ue", "15,5", "--freq", "1e-150", "--d1", "1e150"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: link budget out of range on the relay-UE link: gain inf at ")
-        assert captured.err.count("\n") == 1
-
-    def test_first_hop_whose_4_pi_f_d_underflows_is_one_error_line(self, capsys):
-        assert cli_main(["solve", "--ue", "15,5", "--freq", "1e-200", "--d1", "1e-200"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: link budget out of range on the BS-relay link: gain inf at "
-            "bs_relay_distance_m=1e-200, carrier_frequency_hz=1e-200, horn_gain_tx_dbi=20.0, horn_gain_rx_dbi=20.0\n"
-        )
-
-    def test_zero_pinch_to_user_distance_is_one_error_line(self, capsys):
-        assert cli_main(["solve", "--ue", "5,0", "--height", "1e-200"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: link budget out of range on the relay-UE link: gain inf at ")
-        assert "waveguide_height_m=1e-200" in captured.err and captured.err.count("\n") == 1
-
-    def test_non_finite_relay_power_is_one_error_line(self, capsys):
-        gains = ["--horn-tx-gain", "-30", "--horn-rx-gain", "3000"]
-        assert cli_main(["solve", "--ue", "15,5", *gains, "--noise-figure", "3000", "--ue-noise-figure", "3000"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: operating point is not finite at pa_efficiency=0.9, ")
-        assert captured.err.endswith("): p2_w=inf, total_power_w=inf\n") and captured.err.count("\n") == 1
-
-    def test_pa_efficiency_at_fault_is_named(self, capsys):
-        assert cli_main(["solve", "--eta-pa", "5e-324"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: power split is not finite at snr_target_linear=100.0 and pa_efficiency=5e-324 (")
-        assert err.endswith("): p1=inf\n") and err.count("\n") == 1
-
-    # 10 significant digits round the largest doubles up past the float range; such a value prints as its repr
-    @pytest.mark.parametrize("argv", [["--amp-circ-power", "1.7976931345e308"], ["--ue", "15,5"]])
+    @pytest.mark.parametrize("argv", [["--amp-circ-power", "1000"], ["--ue", "15,5"]])
     def test_every_table_value_reads_back_finite(self, capsys, argv):
         assert cli_main(["solve", *argv]) == 0
         assert cli_main(["solve", *argv, "--json"]) == 0
@@ -187,7 +145,6 @@ class TestSolveCommand:
             name, text = line.split()
             value = float(text)
             assert math.isfinite(value) and value == pytest.approx(solution[name], rel=5e-10)
-        assert ("total_power_w  1.7976931345e+308\n" in table) == (argv[0] == "--amp-circ-power")
 
     def test_scenario_flags_change_the_answer(self, capsys):
         assert cli_main(["solve", "--ue", "15,5", "--gamma0", "30dB", "--json"]) == 0
@@ -382,14 +339,15 @@ class TestSweepCommand:
     def test_non_finite_values_are_named(self, tmp_path, capsys, var, value):
         argv = ["sweep", "--var", var, f"--values={value}", "--out", str(tmp_path / "x.csv")]
         assert cli_main(argv) == 2
-        assert f" value {value} is out of range" in capsys.readouterr().err
+        field = {"gamma0": "snr_target_linear", "d1": "bs_relay_distance_m"}[var]
+        assert re.fullmatch(rf"error: {field} must lie in \[.*\], got \S+ at \w+ = {value}\n", capsys.readouterr().err)
 
-    def test_scheme_failure_prints_its_cause(self, tmp_path, capsys):
+    def test_a_field_outside_its_domain_is_a_usage_error_before_the_sweep(self, tmp_path, capsys):
         argv = ["sweep", "--var", "d1", "--values", "30", "--out", str(tmp_path / "x.csv")]
-        assert cli_main([*argv, "--horn-tx-gain", "4000"]) == 1
+        assert cli_main([*argv, "--horn-tx-gain", "4000"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: scheme 'proposed' failed at bs_relay_distance_m=30: ")
-        assert "horn_gain_tx_dbi=4000.0" in err
+        assert err == "error: invalid scenario configuration: horn_gain_tx_dbi must lie in [-10, 60], got 4000.0\n"
+        assert not (tmp_path / "x.csv").exists()
 
     # 1e18 users, 6.9 EiB per array: rejected before anything is allocated
     def test_samples_too_many_to_allocate_is_one_error_line(self, tmp_path, capsys):
@@ -406,12 +364,6 @@ class TestSweepCommand:
         assert cli_main([*argv, "--out", str(tmp_path / "x.csv")]) == 0
         assert [spec.ue_samples for spec in specs] == [MAX_SAMPLES]
 
-    def test_mean_past_the_float_range_is_one_error_line(self, tmp_path, capsys):
-        argv = ["sweep", "--var", "gamma0", "--values", "20dB", "--samples", "2", "--bs-rf-power", "1.7e308"]
-        assert cli_main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: scheme 'proposed' failed at snr_target_db=20: intermediate overflow in fsum\n"
-
     def test_failed_allocation_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         def run_sweep(config, spec):
             raise MemoryError("Unable to allocate 6.94 EiB for an array with shape (1000000000000000000,)")
@@ -422,42 +374,6 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.err == "error: Unable to allocate 6.94 EiB for an array with shape (1000000000000000000,)\n"
         assert not out.exists()
-
-    def test_direct_link_underflow_is_one_error_line(self, tmp_path, capsys):
-        argv = ["sweep", "--var", "d1", "--values", "1e300", "--schemes", "benchmark1", "--samples", "3"]
-        assert cli_main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("error: scheme 'benchmark1' failed at sample 0 ")
-        assert "link budget out of range on the direct link: gain 0.0 at bs_relay_distance_m=1e+300" in err
-
-    def test_first_hop_underflow_is_one_error_line(self, tmp_path, capsys):
-        argv = ["sweep", "--var", "d1", "--values", "1e300", "--samples", "3"]
-        assert cli_main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
-        assert capsys.readouterr().err == (
-            "error: scheme 'proposed' failed at bs_relay_distance_m=1e+300: link budget out of range on the "
-            "BS-relay link: gain 0.0 at bs_relay_distance_m=1e+300, carrier_frequency_hz=28000000000.0, "
-            "horn_gain_tx_dbi=20.0, horn_gain_rx_dbi=20.0\n"
-        )
-        assert not (tmp_path / "x.csv").exists()
-
-    def test_direct_link_overflow_is_one_error_line(self, tmp_path, capsys):
-        argv = ["sweep", "--var", "d1", "--values", "30", "--schemes", "benchmark1", "--samples", "3"]
-        assert cli_main([*argv, "--freq", "1e-300", "--out", str(tmp_path / "x.csv")]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("error: scheme 'benchmark1' failed at sample 0 ")
-        assert "link budget out of range on the direct link: gain inf at " in err
-        assert not (tmp_path / "x.csv").exists()
-
-    def test_second_hop_overflow_is_one_error_line(self, tmp_path, capsys):
-        argv = ["sweep", "--var", "gamma0", "--values", "10dB", "--samples", "5", "--freq", "1e-150", "--d1", "1e150"]
-        assert cli_main([*argv, "--schemes", "benchmark2", "--out", str(tmp_path / "x.csv")]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("error: scheme 'benchmark2' failed at sample 0 ")
-        assert "link budget out of range on the relay-UE link: gain inf at " in err
-        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("spec", ["0:1e-320:1dB", "-inf:1:0", "0:inf:5", "0:1e-9:1"])
     def test_unbounded_range_specs_are_usage_errors(self, tmp_path, capsys, spec):
@@ -494,39 +410,16 @@ class TestSweepCommand:
         assert f'set xlabel "{label}"' in (tmp_path / "v.gp").read_text(encoding="utf-8").splitlines()
 
 
-NOISE_UNDERFLOW = "noise power 0.0 W out of range at bandwidth_hz=400000000.0, noise_figure_db=-4000.0"
-NOISE_OVERFLOW = "noise power inf W out of range at bandwidth_hz=1e+300, noise_figure_db=300.0"
-UE_NOISE_UNDERFLOW = "noise power 0.0 W out of range at bandwidth_hz=400000000.0, ue_noise_figure_db=-4000.0"
-NOISE_SWEEP = ["sweep", "--var", "gamma0", "--values", "20dB", "--samples", "5"]
+FAR_USERS = {"--coverage-x": "1e5", "--length": "10"}
+_FLAG_FIELDS = {flag: name for name, (flag, *_) in _SCENARIO_FIELDS.items()}
 
 
-class TestNoiseOutOfRange:
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (["solve", "--noise-figure", "-4000"], NOISE_UNDERFLOW),
-            (
-                [*NOISE_SWEEP, "--noise-figure", "-4000", "--schemes", "benchmark1"],
-                f"scheme 'benchmark1' failed at snr_target_db=20: {NOISE_UNDERFLOW}",
-            ),
-            ([*NOISE_SWEEP, "--noise-figure", "-4000"], f"scheme 'proposed' failed at snr_target_db=20: {NOISE_UNDERFLOW}"),
-            (
-                [*NOISE_SWEEP, "--bandwidth", "1e300", "--noise-figure", "300"],
-                f"scheme 'proposed' failed at snr_target_db=20: {NOISE_OVERFLOW}",
-            ),
-            (["solve", "--ue-noise-figure", "-4000"], UE_NOISE_UNDERFLOW),
-            (
-                [*NOISE_SWEEP, "--ue-noise-figure", "-4000", "--schemes", "benchmark1"],
-                f"scheme 'benchmark1' failed at snr_target_db=20: {UE_NOISE_UNDERFLOW}",
-            ),
-        ],
-    )
-    def test_is_one_error_line_naming_bandwidth_and_noise_figure(self, tmp_path, capsys, argv, message):
-        out = tmp_path / "n.csv"
-        assert cli_main([*argv, "--out", str(out)] if argv[0] == "sweep" else argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == f"error: {message}\n"
-        assert not out.exists()
+def verify_draws(base, trials, seed=0):
+    """``(config, user)`` pairs as ``pinchrelay verify`` draws them over ``base``."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        config = replace(base, **{name: draw(rng) for name, draw in _VERIFY_DRAWN_FIELDS.items()})
+        yield config, UePosition(rng.uniform(0.0, config.coverage_x_m), rng.uniform(0.0, config.coverage_y_m))
 
 
 class TestVerifyCommand:
@@ -538,11 +431,10 @@ class TestVerifyCommand:
     def test_trials_must_be_positive(self, capsys):
         assert cli_main(["verify", "--trials", "0"]) == 2
 
-    def test_huge_horn_gain_is_one_error_line(self, capsys):
-        assert cli_main(["verify", "--trials", "1", "--horn-tx-gain", "4000"]) == 1
+    def test_huge_horn_gain_is_one_usage_error_line(self, capsys):
+        assert cli_main(["verify", "--trials", "1", "--horn-tx-gain", "4000"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "horn_gain_tx_dbi=4000.0" in err
+        assert err == "error: invalid scenario configuration: horn_gain_tx_dbi must lie in [-10, 60], got 4000.0\n"
 
     def test_each_trial_calls_the_modules_verify_scenario(self, capsys, monkeypatch):
         calls = []
@@ -551,17 +443,13 @@ class TestVerifyCommand:
         assert cli_main(["verify", "--trials", "2"]) == 0
         assert len(calls) == 2
 
-    # the oracle's square overflows at 1e-150 Hz, its product with the horn gains at 1e-148 Hz
-    @pytest.mark.parametrize("freq, gain", [("1e-150", "inf"), ("1e-148", "inf"), ("1e300", "0.0")])
-    def test_first_hop_out_of_range_is_one_error_line(self, capsys, freq, gain):
-        assert cli_main(["verify", "--trials", "1", "--freq", freq]) == 1
+    @pytest.mark.parametrize("freq", ["1e-150", "1e-148", "1e300"])
+    def test_carrier_outside_its_domain_is_one_usage_error_line(self, capsys, freq):
+        assert cli_main(["verify", "--trials", "1", "--freq", freq]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert re.fullmatch(
-            rf"error: link budget out of range on the BS-relay link: gain {gain} at "
-            rf"bs_relay_distance_m=[0-9.]+, carrier_frequency_hz={re.escape(repr(float(freq)))}, "
-            r"horn_gain_tx_dbi=20\.0, horn_gain_rx_dbi=20\.0\n",
-            captured.err,
+        assert captured.err == (
+            f"error: invalid scenario configuration: carrier_frequency_hz must lie in [1e+08, 1e+13], got {float(freq)!r}\n"
         )
 
     # the oracle derives the placement grid from the waveguide length, so --grid-step is no flag at all
@@ -598,7 +486,7 @@ class TestVerifyCommand:
             assert changed == set(_VERIFY_DRAWN_FIELDS)
 
     def test_full_config_dump_file_still_loads(self, tmp_path, capsys):
-        assert cli_main(["config-dump", "--gamma0", "1e300", "--d1", "70"]) == 0
+        assert cli_main(["config-dump", "--gamma0", "1e5", "--d1", "70"]) == 0
         dumped = tmp_path / "dump.cfg"
         dumped.write_text(capsys.readouterr().out, encoding="utf-8")
         assert cli_main(["verify", "--trials", "2", "--config", str(dumped)]) == 0
@@ -611,15 +499,6 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out.endswith("verify: 1/1 scenarios passed\n") and captured.err == ""
 
-    # tiny terminal noise puts the optimal BS power on the feasibility floor, to the last bit
-    def test_optimum_on_the_feasibility_floor_passes_quietly(self, capsys, caplog):
-        with caplog.at_level(logging.DEBUG, logger="pinchrelay"):
-            assert cli_main(["verify", "--ue-noise-figure", "-3000", "--trials", "2"]) == 0
-        captured = capsys.readouterr()
-        assert captured.err == "" and caplog.records == []
-        gaps = [float(gap) for gap in re.findall(r"power rel gap (\S+)", captured.out)]
-        assert len(gaps) == 2 and max(gaps) <= 1e-12
-
     # each moves the closed form's (p1, beta_sq) and keeps its cost: see conftest.SPLIT_MUTANTS
     def test_operating_point_mutants_fail_every_trial(self, capsys, mutated_split):
         assert cli_main(["verify", "--trials", "20"]) == 1
@@ -627,45 +506,29 @@ class TestVerifyCommand:
         assert out.count("| FAIL\n") == 20 and out.endswith("verify: 0/20 scenarios passed\n")
 
     # each moves the closed-form pinch point off the maximum: see conftest.PIN_MUTANTS.  On verify's
-    # default draws the clamped candidate always beats the feed; for users far past the end of a
-    # 10 m waveguide the feed always wins.
+    # default draws the clamped candidate always beats the feed.  For users up to 100 km past the end
+    # of a 10 m waveguide the feed wins on all but one of the 20 draws; a trial fails where the mutant
+    # moves the pinch point, and passes where it does not.
     @pytest.mark.parametrize(
-        "mutated_pin, argv",
-        [
-            ("x+0.3mm", []),
-            ("x+0.3mm", ["--coverage-x", "1e8", "--length", "10"]),
-            ("clamped-candidate", ["--coverage-x", "1e8", "--length", "10"]),
-        ],
+        "mutated_pin, flags",
+        [("x+0.3mm", {}), ("x+0.3mm", FAR_USERS), ("clamped-candidate", FAR_USERS)],
         indirect=["mutated_pin"],
     )
-    def test_placement_mutants_fail_every_trial(self, capsys, mutated_pin, argv):
-        assert cli_main(["verify", "--trials", "20", *argv]) == 1
-        out = capsys.readouterr().out
-        assert out.count("| FAIL\n") == 20 and out.endswith("verify: 0/20 scenarios passed\n")
+    def test_placement_mutants_fail_every_trial_they_move(self, capsys, mutated_pin, flags):
+        assert cli_main(["verify", "--trials", "20", *(text for flag in flags.items() for text in flag)]) == 1
+        failed = [line.endswith("| FAIL") for line in capsys.readouterr().out.splitlines()[:-1]]
+        base = SystemConfig(**{_FLAG_FIELDS[flag]: float(value) for flag, value in flags.items()})
+        moved = [PIN_MUTANTS[mutated_pin](cfg, ue) != optimal_pin_position(cfg, ue) for cfg, ue in verify_draws(base, 20)]
+        assert failed == moved and sum(moved) >= 19
 
     def test_far_users_pass(self, capsys):
-        assert cli_main(["verify", "--trials", "20", "--coverage-x", "1e8", "--length", "10"]) == 0
+        assert cli_main(["verify", "--trials", "20", *(text for flag in FAR_USERS.items() for text in flag)]) == 0
         assert capsys.readouterr().out.endswith("verify: 20/20 scenarios passed\n")
 
     def test_largest_power_gap_over_2000_trials(self, capsys):
         assert cli_main(["verify", "--trials", "2000", "--seed", "3"]) == 0
         gaps = [float(gap) for gap in re.findall(r"power rel gap (\S+)", capsys.readouterr().out)]
         assert len(gaps) == 2000 and max(gaps) <= 1e-12
-
-    # each squares a length past the float range: 1.7e308 m high, or a user 8.7e307 m along the guide
-    @pytest.mark.parametrize(
-        "argv, named",
-        [
-            (["--height", "1.7e308", "--horn-tx-gain", "-4000"], "waveguide_height_m=1.7e+308"),
-            (["--coverage-x", "1.7e308", "--bs-rf-power", "1e-40"], "at user (8.691670263266344e+307, "),
-        ],
-    )
-    def test_geometry_past_the_float_range_is_one_error_line(self, capsys, argv, named):
-        assert cli_main(["verify", "--trials", "1", *argv]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: squared pinch-to-user distance overflows at user (")
-        assert named in captured.err and captured.err.count("\n") == 1
 
 
 class TestExitCodes:

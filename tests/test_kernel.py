@@ -1,9 +1,8 @@
 """Sweep kernel: each array evaluator equals the scalar path bit for bit, user by user."""
 
 import math
-import re
 import warnings
-from dataclasses import astuple, fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,19 +96,6 @@ def wide_box(draw):
         waveguide_attenuation_per_m=draw(st.floats(min_value=1e-5, max_value=1.0)),
         snr_target_linear=db_to_linear(draw(st.floats(min_value=-20.0, max_value=60.0))),
         bs_relay_distance_m=draw(st.floats(min_value=1.0, max_value=1e4)),
-    )
-
-
-@st.composite
-def dynamic_range_box(draw):
-    """A config with alpha in {0} or [1e-6, 1] /m, carrier in [1e8, 1e12] Hz, d1 in [1e-3, 1e6] m and gamma0 in
-    [-30, 80] dB, each nonzero value log-uniform."""
-    log_alpha = st.floats(min_value=-6.0, max_value=0.0)
-    return SystemConfig(
-        waveguide_attenuation_per_m=draw(st.just(0.0) | log_alpha.map(lambda e: 10.0**e)),
-        carrier_frequency_hz=10.0 ** draw(st.floats(min_value=8.0, max_value=12.0)),
-        bs_relay_distance_m=10.0 ** draw(st.floats(min_value=-3.0, max_value=6.0)),
-        snr_target_linear=db_to_linear(draw(st.floats(min_value=-30.0, max_value=80.0))),
     )
 
 
@@ -375,31 +361,3 @@ def test_every_scheme_meets_the_snr_target_across_the_wide_box(cfg, seed):
     for x, y, shadow in zip(xs.tolist(), ys.tolist(), shadows.tolist()):
         received = benchmark1_tx_power_w(cfg, x, y, shadow) * direct.users(cfg, x, y, shadow)
         assert received / sigma_ue_sq_w == pytest.approx(gamma0, rel=1e-9)
-
-
-NAMES_A_FIELD_OR_LINK = re.compile("|".join([*(f.name for f in fields(SystemConfig)), r"the [\w-]+ link"]))
-
-
-def result_or_named_error(fn, *args):
-    """``fn(*args)``, or None if it raised a ``ValueError`` naming a SystemConfig field or a link."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        assert NAMES_A_FIELD_OR_LINK.search(str(exc)), str(exc)
-        return None
-
-
-# The package's dynamic-range contract: every result is finite or a ValueError naming what is at fault.
-@given(dynamic_range_box(), st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=200, deadline=None)
-def test_every_entry_point_is_finite_or_a_named_error_across_the_dynamic_range_box(cfg, seed):
-    xs, ys, shadows = draw(cfg, seed, 5)
-    for ue, shadow in zip(positions(xs, ys), shadows.tolist()):
-        for sol in (result_or_named_error(solve, cfg, ue), result_or_named_error(benchmark2_power, cfg, ue)):
-            assert sol is None or all(map(math.isfinite, tuple(sol))), sol
-        tx = result_or_named_error(benchmark1_tx_power_w, cfg, ue.x_ue_m, ue.y_ue_m, shadow)
-        assert tx is None or math.isfinite(tx) and math.isfinite(benchmark1_total_power_w(cfg, tx)), tx
-    with np.errstate(all="ignore"):  # as in run_sweep, which reports a non-finite result with its sample
-        for scheme in _EVALUATORS:
-            result = result_or_named_error(evaluate, scheme, cfg, xs, ys, shadows, {})
-            assert result is None or np.all(np.isfinite(result)), result

@@ -14,7 +14,6 @@ from pinchrelay import (
     SystemConfig,
     UePosition,
     af_snr,
-    benchmark1_tx_power_w,
     benchmark2_power,
     channel_gains,
     db_to_linear,
@@ -56,38 +55,6 @@ class TestNoisePower:
     def test_ten_db_is_a_factor_ten(self):
         assert noise_power_w(400e6, 10.0) / noise_power_w(400e6, 0.0) == pytest.approx(10.0, rel=1e-15)
 
-    @pytest.mark.parametrize("bandwidth", [0.0, -1.0])
-    def test_rejects_nonpositive_bandwidth(self, bandwidth):
-        with pytest.raises(ValueError):
-            noise_power_w(bandwidth, 10.0)
-
-    # 4000 dB is a ratio past the float range: read as inf, so the range check names the field
-    @pytest.mark.parametrize(
-        "bandwidth, noise_figure, noise", [(400e6, -4000.0, "0.0"), (1e300, 300.0, "inf"), (400e6, 4000.0, "inf")]
-    )
-    def test_noise_outside_the_float_range_names_both_inputs(self, bandwidth, noise_figure, noise):
-        message = f"noise power {noise} W out of range at bandwidth_hz={bandwidth!r}, noise_figure_db={noise_figure!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            noise_power_w(bandwidth, noise_figure)
-        with pytest.raises(ValueError, match=f"^{re.escape(message.replace('noise_figure_db', 'ue_noise_figure_db'))}$"):
-            noise_power_w(bandwidth, noise_figure, "ue_noise_figure_db")
-
-    # k*T0*B*F underflows to 0 W at a finite noise figure; no entry point may go on with a 0 W noise.
-    @pytest.mark.parametrize("field", ["noise_figure_db", "ue_noise_figure_db"])
-    def test_every_entry_point_names_a_noise_power_out_of_range(self, field):
-        cfg = SystemConfig(**{field: -4000.0})
-        ue = UePosition(15.0, 5.0)
-        message = re.escape(f"noise power 0.0 W out of range at bandwidth_hz=400000000.0, {field}=-4000.0")
-        entry_points = [
-            (solve, (cfg, ue)),
-            (benchmark2_power, (cfg, ue)),
-            (benchmark1_tx_power_w, (cfg, 15.0, 5.0, 0.0)),
-            (benchmark1_tx_power_w, (cfg, np.array([15.0, 3.0]), np.array([5.0, 1.0]), np.zeros(2))),
-        ]
-        for fn, args in entry_points:
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                fn(*args)
-
 
 class TestFreeSpaceGain:
     def test_reference_value(self):
@@ -125,18 +92,6 @@ class TestBsRelayGain:
         bumped = SystemConfig(horn_gain_tx_dbi=23.0)
         assert bumped.horn_gain_rx_dbi == 20.0
         assert bs_relay_gain(bumped) / bs_relay_gain(cfg) == pytest.approx(10.0 ** 0.3, rel=1e-12)
-
-    @pytest.mark.parametrize("field", ["horn_gain_tx_dbi", "horn_gain_rx_dbi"])
-    @pytest.mark.parametrize("value, gain", [(4000.0, "inf"), (-4000.0, "0.0")])
-    def test_horn_gain_outside_the_float_range_names_both_horns(self, field, value, gain):
-        bad = SystemConfig(**{field: value})
-        message = (
-            f"link budget out of range on the BS-relay link: gain {gain} at bs_relay_distance_m=50.0, "
-            f"carrier_frequency_hz=28000000000.0, horn_gain_tx_dbi={bad.horn_gain_tx_dbi!r}, "
-            f"horn_gain_rx_dbi={bad.horn_gain_rx_dbi!r}"
-        )
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            bs_relay_gain(bad)
 
 
 class TestRelayUeGain:
@@ -257,8 +212,8 @@ class TestTotalPower:
 class TestConfigAndTypes:
     def test_db_to_linear(self):
         assert db_to_linear(20.0) == pytest.approx(100.0, rel=1e-15)
-        with pytest.raises(ValueError, match="4000.0 dB"):
-            db_to_linear(4000.0)
+        # a ratio past the float range is inf, which the domain of the field it sets rejects by name
+        assert db_to_linear(4000.0) == math.inf
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -280,7 +235,7 @@ class TestConfigAndTypes:
     @pytest.mark.parametrize("name", [f.name for f in fields(SystemConfig)])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_config_rejects_non_finite_fields(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[.*\], got {value!r}$"):
             SystemConfig(**{name: value})
 
     def test_ue_coverage_validation(self, cfg):
@@ -294,9 +249,9 @@ class TestConfigAndTypes:
     @pytest.mark.parametrize(
         "x, y, message",
         [
-            (math.nan, 5.0, "x_ue_m must be finite, got nan"),
-            (5.0, math.inf, "y_ue_m must be finite, got inf"),
-            (-math.inf, 0.0, "x_ue_m must be finite, got -inf"),
+            (math.nan, 5.0, "x_ue_m must lie in [-100000, 100000], got nan"),
+            (5.0, math.inf, "y_ue_m must lie in [-100000, 100000], got inf"),
+            (-math.inf, 0.0, "x_ue_m must lie in [-100000, 100000], got -inf"),
         ],
     )
     @pytest.mark.parametrize(
@@ -307,7 +262,7 @@ class TestConfigAndTypes:
             scheme(cfg, UePosition(x, y))
 
     def test_finite_users_outside_coverage_stay_accepted(self, cfg):
-        for x, y in [(-1.7e308, 5.0), (15.0, -1e150), (40.0, 5.0)]:
+        for x, y in [(-1e5, 5.0), (15.0, -1e5), (40.0, 5.0)]:
             ue = UePosition(x, y)
             assert (ue.x_ue_m, ue.y_ue_m) == (x, y)
         assert solve(cfg, UePosition(40.0, 5.0)).x_pin_m == cfg.waveguide_length_m
@@ -320,9 +275,9 @@ class TestConfigAndTypes:
 
     @pytest.mark.parametrize("name", [f.name for f in fields(ChannelGains)])
     @pytest.mark.parametrize("value", [0.0, math.inf, math.nan])
-    def test_channel_gains_reject_values_outside_zero_to_inf(self, name, value):
+    def test_channel_gains_reject_values_outside_their_domain(self, name, value):
         kwargs = {"g1_sq": 1.0, "g2_sq": 1.0, "sigma_r_sq_w": 1.0, "sigma_ue_sq_w": 1.0, name: value}
-        with pytest.raises(ValueError, match=rf"^{name} must lie in \(0, inf\), got {value!r}$"):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[1e-30, 1e\+30\], got {value!r}$"):
             ChannelGains(**kwargs)
 
     def test_gains_bounded_by_antenna_gains(self, cfg, ue_mid):

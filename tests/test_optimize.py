@@ -4,11 +4,11 @@ import math
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, fields, replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pinchrelay import (
@@ -26,7 +26,7 @@ from pinchrelay import (
 )
 from pinchrelay import model, optimize
 from pinchrelay.kernel import evaluate, optimal_pin_positions, relay_ue_gains
-from pinchrelay.model import SPEED_OF_LIGHT_M_S, consumed_power, relay_tx_power, relay_ue_gain
+from pinchrelay.model import DOMAIN, SPEED_OF_LIGHT_M_S, UE_DOMAIN, consumed_power, relay_tx_power, relay_ue_gain
 from pinchrelay.optimize import StationaryAnalysis, solve_at, stationary_points
 
 C = SPEED_OF_LIGHT_M_S
@@ -176,31 +176,30 @@ class TestOptimalPinPosition:
         assert best >= f_grid - 1e-12 * f_grid
 
     def test_a_candidate_whose_gain_underflows_loses_to_the_feed(self):
-        # exp(-alpha x2) underflows to 0 at the interior candidate x2 ~ 1 m; comparing
+        # exp(-alpha x2) underflows to 0 at the interior candidate x2 ~ 10 m; comparing
         # it must not raise, and both paths go on with the feed's finite gain
-        cfg = SystemConfig(waveguide_attenuation_per_m=1000.0, waveguide_height_m=0.5e-3)
-        ue = UePosition(1.0, 0.0)
-        assert stationary_points(cfg, ue).x2_m == pytest.approx(1.0, abs=1e-3)
+        cfg = SystemConfig(waveguide_attenuation_per_m=99.0, waveguide_height_m=0.01)
+        ue = UePosition(10.0, 0.0)
+        assert stationary_points(cfg, ue).x2_m == pytest.approx(9.991, abs=1e-3)
         assert optimal_pin_position(cfg, ue) == 0.0
-        x_pins, g2_sq = optimal_pin_positions(cfg, np.array([1.0]), np.array([0.0]))
+        x_pins, g2_sq = optimal_pin_positions(cfg, np.array([10.0]), np.array([0.0]))
         assert x_pins.tolist() == [0.0] and g2_sq.tolist() == [relay_ue_gain(cfg, ue, 0.0)]
         for scheme in ("proposed", "benchmark2"):
-            total, bs_w = evaluate(scheme, cfg, np.array([1.0]), np.array([0.0]), np.zeros(1), {})
+            total, bs_w = evaluate(scheme, cfg, np.array([10.0]), np.array([0.0]), np.zeros(1), {})
             assert np.isfinite(total).all() and np.isfinite(bs_w).all()
         assert solve(cfg, ue).total_power_w == benchmark2_power(cfg, ue).total_power_w == total[0]
 
-    def test_a_nan_discriminant_places_at_the_feed_on_both_paths(self):
-        # alpha^2 underflows to 0 while d^2 overflows to inf: the discriminant is 0 * inf = nan,
-        # where the true root lies far behind the feed; the feed wins, as in the array form
-        cfg = SystemConfig(waveguide_attenuation_per_m=5e-324, waveguide_height_m=1e200)
-        ue = UePosition(15.0, 5.0)
-        assert math.isnan(stationary_points(cfg, ue).x2_m)
-        with np.errstate(invalid="ignore"):
-            x_pins, g2_sq = optimal_pin_positions(cfg, np.array([15.0]), np.array([5.0]))
-        assert x_pins.tolist() == [optimal_pin_position(cfg, ue)] == [0.0]
-        assert g2_sq.tolist() == [relay_ue_gain(cfg, ue, 0.0)] == [0.0]
-        with pytest.raises(ValueError, match=r"^link budget out of range on the relay-UE link: gain 0\.0 at "):
-            solve(cfg, ue)
+    def test_a_pinch_point_whose_gain_underflows_is_a_named_error_only_where_a_caller_puts_it(self):
+        # far along a lossy guide exp(-alpha x) underflows; the placement never goes there
+        cfg, ue = SystemConfig(waveguide_attenuation_per_m=100.0, waveguide_length_m=1e7), UePosition(15.0, 5.0)
+        message = (
+            "link budget out of range on the relay-UE link: gain 0.0 at waveguide_attenuation_per_m=100.0, "
+            "waveguide_height_m=3.0, carrier_frequency_hz=28000000000.0"
+        )
+        for entry_point in (relay_ue_gain, solve_at, channel_gains):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                entry_point(cfg, ue, 10.0)
+        assert all(map(math.isfinite, solve(cfg, ue)))
 
     # The sweep varies only fields from this set, which is why a sweep could
     # place the antenna once for all of its values.
@@ -280,24 +279,23 @@ class TestOptimalPowerAllocation:
         assert p1 > floor
         assert p1 - floor == pytest.approx(margin, rel=1e-9)
 
-    def test_vanishing_target_costs_nothing(self):
+    def test_vanishing_target_costs_little(self):
+        # p1 and j fall as sqrt(gamma0): at the domain's smallest target, 1e-3, to about 1.4% of a unit target's
         gains = ChannelGains(g1_sq=1.0, g2_sq=1.0, sigma_r_sq_w=1.0, sigma_ue_sq_w=1.0)
         reference = optimal_power_allocation(gains, SystemConfig(snr_target_linear=1.0, pa_efficiency=1.0))
-        tiny = optimal_power_allocation(gains, SystemConfig(snr_target_linear=1e-12, pa_efficiency=1.0))
-        assert tiny[0] < 1e-5 * reference[0]
-        assert tiny[2] < 1e-5 * reference[2]
+        tiny = optimal_power_allocation(gains, SystemConfig(snr_target_linear=1e-3, pa_efficiency=1.0))
+        assert tiny[0] < 0.02 * reference[0]
+        assert tiny[2] < 0.02 * reference[2]
 
-    def test_non_finite_split_is_a_named_error(self, cfg, ue_mid):
-        with pytest.raises(ValueError, match=r"snr_target_linear=1e\+308 .*: p1=inf, j=inf$"):
-            solve(replace(cfg, snr_target_linear=1e308), ue_mid)
-        faint = ChannelGains(g1_sq=1.0, g2_sq=1e-320, sigma_r_sq_w=1.6e-11, sigma_ue_sq_w=1.6e-11)
-        with pytest.raises(ValueError, match=r"snr_target_linear=100.0 .*: j=inf$"):
-            optimal_power_allocation(faint, cfg)
-
-    def test_non_finite_split_names_the_pa_efficiency(self, cfg, ue_mid):
-        message = r"^power split is not finite at snr_target_linear=100.0 and pa_efficiency=5e-324 \(.*\): p1=inf$"
-        with pytest.raises(ValueError, match=message):
-            solve(replace(cfg, pa_efficiency=5e-324), ue_mid)
+    def test_a_split_past_the_domain_is_rejected_where_its_inputs_are_built(self, cfg):
+        for changes, message in [
+            ({"snr_target_linear": 1e308}, "snr_target_linear must lie in [0.001, 1e+06], got 1e+308"),
+            ({"pa_efficiency": 5e-324}, "pa_efficiency must lie in [0.001, 1], got 5e-324"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                replace(cfg, **changes)
+        with pytest.raises(ValueError, match=r"^g2_sq must lie in \[1e-30, 1e\+30\], got 1e-320$"):
+            ChannelGains(g1_sq=1.0, g2_sq=1e-320, sigma_r_sq_w=1.6e-11, sigma_ue_sq_w=1.6e-11)
 
     def test_rejects_nonpositive_target(self):
         gains, cfg = symmetric_toy()
@@ -308,26 +306,6 @@ class TestOptimalPowerAllocation:
 
 
 class TestSolve:
-    # p1 |g1|^2 overflows inside P2 = beta^2 (p1 |g1|^2 + sigma_r^2), though beta^2 p1 |g1|^2 alone would not;
-    # or the circuit powers sum past the float range
-    @pytest.mark.parametrize(
-        "changes, bad",
-        [
-            (
-                {"horn_gain_tx_dbi": -30.0, "horn_gain_rx_dbi": 3e3, "noise_figure_db": 3e3, "ue_noise_figure_db": 3e3},
-                "p2_w=inf, total_power_w=inf",
-            ),
-            ({"relay_circuit_power_w": 1.7e308, "bs_rf_chain_power_w": 1.7e308}, "total_power_w=inf"),
-        ],
-    )
-    @pytest.mark.parametrize("scheme", [solve, benchmark2_power], ids=["solve", "benchmark2_power"])
-    def test_non_finite_operating_point_is_a_named_error(self, cfg, ue_mid, scheme, changes, bad):
-        bad_cfg = replace(cfg, **changes)
-        fields = ("pa_efficiency", "relay_circuit_power_w", "bs_rf_chain_power_w")
-        at = ", ".join(f"{name}={getattr(bad_cfg, name)!r}" for name in fields)
-        with pytest.raises(ValueError, match=rf"^operating point is not finite at {re.escape(at)} \(p1=.*\): {bad}$"):
-            scheme(bad_cfg, ue_mid)
-
     def test_total_power_identity(self, cfg, ue_mid):
         sol = solve(cfg, ue_mid)
         reconstructed = sol.j_star_w / cfg.pa_efficiency + cfg.relay_circuit_power_w + cfg.bs_rf_chain_power_w
@@ -356,95 +334,26 @@ class TestSolve:
         farther = replace(cfg, bs_relay_distance_m=2.0 * cfg.bs_relay_distance_m)
         assert solve(farther, ue_mid).total_power_w > solve(cfg, ue_mid).total_power_w
 
-    @pytest.mark.parametrize(
-        "field, value, gain",
-        [
-            ("bs_relay_distance_m", 1e300, "0.0"),
-            ("carrier_frequency_hz", 1e300, "0.0"),
-            ("bs_relay_distance_m", 1e-300, "inf"),
-            ("carrier_frequency_hz", 1e-300, "inf"),
-        ],
-    )
-    @pytest.mark.parametrize("scheme", [solve, benchmark2_power], ids=["solve", "benchmark2_power"])
-    def test_first_hop_out_of_range_is_a_named_error(self, cfg, ue_mid, scheme, field, value, gain):
-        bad = replace(cfg, **{field: value})
-        message = (
-            f"link budget out of range on the BS-relay link: gain {gain} at "
-            f"bs_relay_distance_m={bad.bs_relay_distance_m!r}, carrier_frequency_hz={bad.carrier_frequency_hz!r}, "
-            "horn_gain_tx_dbi=20.0, horn_gain_rx_dbi=20.0"
-        )
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            scheme(bad, ue_mid)
 
-    @pytest.mark.parametrize("scheme", [solve, benchmark2_power], ids=["solve", "benchmark2_power"])
-    def test_first_hop_whose_4_pi_f_d_underflows_is_a_named_error(self, cfg, ue_mid, scheme):
-        bad = replace(cfg, carrier_frequency_hz=1e-200, bs_relay_distance_m=1e-200)
-        message = (
-            "link budget out of range on the BS-relay link: gain inf at "
-            "bs_relay_distance_m=1e-200, carrier_frequency_hz=1e-200, horn_gain_tx_dbi=20.0, horn_gain_rx_dbi=20.0"
-        )
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            scheme(bad, ue_mid)
-
-    # f d1 = 1 keeps the first hop in range while the second hop leaves it
-    @pytest.mark.parametrize("frequency, d1, gain", [(1e-150, 1e150, "inf"), (1e170, 1e-170, "0.0")])
-    @pytest.mark.parametrize("scheme", [solve, benchmark2_power], ids=["solve", "benchmark2_power"])
-    def test_second_hop_out_of_range_is_a_named_error(self, cfg, ue_mid, scheme, frequency, d1, gain):
-        bad = replace(cfg, carrier_frequency_hz=frequency, bs_relay_distance_m=d1)
-        message = (
-            f"link budget out of range on the relay-UE link: gain {gain} at waveguide_attenuation_per_m=0.01, "
-            f"waveguide_height_m=3.0, carrier_frequency_hz={frequency!r}"
-        )
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            scheme(bad, ue_mid)
-
-    # Once the height's square underflows, a pinch point right above the user is at distance 0.
-    @pytest.mark.parametrize("scheme, x_ue", [("proposed", 0.0), ("proposed", 5.0), ("benchmark2", 0.0)])
-    def test_zero_pinch_to_user_distance_is_a_relay_ue_error_on_both_paths(self, cfg, scheme, x_ue):
-        bad = replace(cfg, waveguide_height_m=1e-200)
-        message = re.escape(
-            "link budget out of range on the relay-UE link: gain inf at waveguide_attenuation_per_m=0.01, "
-            "waveguide_height_m=1e-200, carrier_frequency_hz=28000000000.0"
-        )
-        scalar = {"proposed": solve, "benchmark2": benchmark2_power}[scheme]
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            scalar(bad, UePosition(x_ue, 0.0))
-        with np.errstate(divide="ignore"), pytest.raises(ValueError, match=f"^{message}$"):
-            evaluate(scheme, bad, np.array([x_ue]), np.zeros(1), np.zeros(1), {})
-
-    def test_zero_distance_behind_full_attenuation_leaves_the_feed_on_both_paths(self):
-        # exp(-1000) underflows, so the candidate above the user has gain 0 * inf = nan and the feed wins
-        cfg = SystemConfig(waveguide_attenuation_per_m=100.0, waveguide_height_m=1e-200)
-        ue = UePosition(10.0, 0.0)
-        assert optimal_pin_position(cfg, ue) == 0.0
-        sol = solve(cfg, ue)
-        with np.errstate(all="ignore"):
-            total, p1 = evaluate("proposed", cfg, np.array([10.0]), np.zeros(1), np.zeros(1), {})
-        assert (total[0], p1[0]) == (sol.total_power_w, sol.p1_w)
-
-
-# The extreme scenario values the whole-CLI property draws, as SystemConfig field values
-_EXTREMES = (0.0, 5e-324, -5e-324, 1e-150, 1e150, -1e150, 1.7e308, -1.7e308, 3000.0, -3000.0, 4000.0, -4000.0)
-_COORDINATES = st.one_of(st.floats(min_value=-20.0, max_value=200.0), st.sampled_from(_EXTREMES))
-
-
-def _config_or_none(alpha, length, ue_noise_figure_db, extremes):
-    drawn = {"waveguide_attenuation_per_m": alpha, "waveguide_length_m": length, "ue_noise_figure_db": ue_noise_figure_db}
-    try:
-        return SystemConfig(**{**drawn, **extremes})
-    except ValueError:
-        return None
-
-
+# Field values at the ends of their domain, and user coordinates at the ends of theirs
+_COORDINATES = st.one_of(st.floats(min_value=-20.0, max_value=200.0), st.sampled_from((*UE_DOMAIN, 0.0)))
+_DOMAIN_ENDS = st.dictionaries(st.sampled_from(sorted(DOMAIN)), st.sampled_from((0, 1)), max_size=2).map(
+    lambda ends: {name: DOMAIN[name][end] for name, end in ends.items()}
+)
 _CONFIGS = st.builds(
-    _config_or_none,
+    lambda alpha, length, ue_noise_figure_db, ends: SystemConfig(
+        **{
+            "waveguide_attenuation_per_m": alpha,
+            "waveguide_length_m": length,
+            "ue_noise_figure_db": ue_noise_figure_db,
+            **ends,
+        }
+    ),
     # 0.05-0.3 per m: users well past the end of a short waveguide are placed at the feed
     alpha=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0), st.floats(min_value=0.05, max_value=0.3)),
     length=st.floats(min_value=0.5, max_value=60.0),
-    ue_noise_figure_db=st.one_of(st.none(), st.floats(min_value=-20.0, max_value=40.0)),
-    extremes=st.dictionaries(
-        st.sampled_from([field.name for field in fields(SystemConfig)]), st.sampled_from(_EXTREMES), max_size=2
-    ),
+    ue_noise_figure_db=st.one_of(st.none(), st.floats(min_value=0.0, max_value=40.0)),
+    ends=_DOMAIN_ENDS,
 )
 
 
@@ -474,22 +383,12 @@ class TestOnePassSolve:
     @example(config=SystemConfig(waveguide_attenuation_per_m=0.5), x_ue=15.0, y_ue=5.0, fraction=0.25)
     @example(config=SystemConfig(waveguide_attenuation_per_m=0.0), x_ue=40.0, y_ue=5.0, fraction=0.0)
     @example(config=SystemConfig(ue_noise_figure_db=7.0), x_ue=15.0, y_ue=5.0, fraction=-0.1)
-    @example(config=SystemConfig(pa_efficiency=5e-324), x_ue=15.0, y_ue=5.0, fraction=0.5)
-    @example(
-        config=SystemConfig(horn_gain_tx_dbi=-30.0, horn_gain_rx_dbi=3e3, noise_figure_db=3e3, ue_noise_figure_db=3e3),
-        x_ue=15.0,
-        y_ue=5.0,
-        fraction=0.5,
-    )
-    # Two checks fail at once: the first in channel_gains -> optimal_power_allocation order wins
-    @example(config=SystemConfig(horn_gain_tx_dbi=4000.0, horn_gain_rx_dbi=-4000.0), x_ue=15.0, y_ue=5.0, fraction=0.5)
-    @example(config=SystemConfig(horn_gain_tx_dbi=4000.0, ue_noise_figure_db=4000.0), x_ue=15.0, y_ue=5.0, fraction=0.5)
-    @example(config=SystemConfig(waveguide_height_m=1e200, noise_figure_db=4000.0), x_ue=15.0, y_ue=5.0, fraction=0.5)
-    @example(config=SystemConfig(pa_efficiency=5e-324, relay_circuit_power_w=1.7e308), x_ue=15.0, y_ue=5.0, fraction=0.5)
+    @example(config=SystemConfig(pa_efficiency=1e-3), x_ue=15.0, y_ue=5.0, fraction=0.5)
+    # a caller's pinch point far along a lossy guide, where exp(-alpha x) underflows
+    @example(config=SystemConfig(waveguide_attenuation_per_m=100.0), x_ue=15.0, y_ue=5.0, fraction=0.5)
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(config=_CONFIGS, x_ue=_COORDINATES, y_ue=_COORDINATES, fraction=st.floats(min_value=-0.25, max_value=1.25))
     def test_equals_the_public_composition_bit_for_bit(self, config, x_ue, y_ue, fraction):
-        assume(config is not None)
         ue = UePosition(x_ue, y_ue)
         x_pin = fraction * config.waveguide_length_m
         cases = [
@@ -498,12 +397,7 @@ class TestOnePassSolve:
             (lambda: benchmark2_power(config, ue), lambda: _composed(config, ue, 0.0)),
         ]
         for one_pass, composed in cases:
-            got, expected = _outcome(one_pass), _outcome(composed)
-            if isinstance(expected, tuple) and not all(math.isfinite(float(value)) for value in expected):
-                # the composition stops short of the operating point's own check
-                assert got.startswith("operating point is not finite at "), got
-            else:
-                assert got == expected
+            assert _outcome(one_pass) == _outcome(composed)
 
     @pytest.mark.parametrize("ue_noise_figure_db, noise_powers", [(None, 1), (7.0, 2)])
     @pytest.mark.parametrize("scheme", [solve, benchmark2_power], ids=["solve", "benchmark2_power"])
@@ -517,20 +411,6 @@ class TestOnePassSolve:
         monkeypatch.setattr(model, "noise_power_w", lambda *args: calls.append(args) or noise_power_w(*args))
         scheme(SystemConfig(ue_noise_figure_db=ue_noise_figure_db), UePosition(15.0, 5.0))
         assert len(calls) == noise_powers
-
-    @pytest.mark.parametrize(
-        "config, first_fault",
-        [
-            (SystemConfig(horn_gain_tx_dbi=4000.0, horn_gain_rx_dbi=-4000.0), "on the BS-relay link: gain nan at "),
-            (SystemConfig(horn_gain_tx_dbi=4000.0, ue_noise_figure_db=4000.0), "on the BS-relay link: gain inf at "),
-            (SystemConfig(waveguide_height_m=1e200, noise_figure_db=4000.0), "on the relay-UE link: gain 0.0 at "),
-            (SystemConfig(pa_efficiency=5e-324, relay_circuit_power_w=1.7e308), "power split is not finite at "),
-        ],
-    )
-    def test_of_two_faults_the_first_in_layer_order_is_reported(self, config, first_fault):
-        with pytest.raises(ValueError) as raised:
-            solve(config, UePosition(15.0, 5.0))
-        assert first_fault in str(raised.value)
 
     def test_evaluates_the_second_hop_gain_at_most_once_per_candidate(self, monkeypatch):
         # one exp per |g2|^2 away from the feed (at the feed it is exp(-0.0) = 1): the pinch
@@ -574,58 +454,6 @@ class TestOnePassSolve:
         assert all(result == expected * 50 for result in results)
 
 
-# Configs whose derived values lie out of range, and the messages solve, benchmark2_power and a
-# one-value sweep (20 dB, 3 users, seed 0) raise on them, for the user at (15, 5) m.
-_AT = "bs_relay_distance_m=50.0, carrier_frequency_hz=28000000000.0"
-_SWEEP_AT = "scheme 'proposed' failed at snr_target_db=20: "
-_SWEEP_SAMPLE_AT = "scheme 'proposed' failed at sample 0 (ue=(19.1089, 0.165276), snr_target_db=20): "
-_RELAY_UE = "link budget out of range on the relay-UE link: gain inf at waveguide_attenuation_per_m=0.01, "
-_SPLIT = "power split is not finite at snr_target_linear=100.0 and pa_efficiency=5e-324 (g1_sq=2.9037926822160467e-06, "
-DERIVED_OUT_OF_RANGE = {
-    "horn-tx-gain 4000": (
-        {"horn_gain_tx_dbi": 4000.0},
-        *2 * [f"link budget out of range on the BS-relay link: gain inf at {_AT}, horn_gain_tx_dbi=4000.0, horn_gain_rx_dbi=20.0"],
-        _SWEEP_AT + f"link budget out of range on the BS-relay link: gain inf at {_AT}, horn_gain_tx_dbi=4000.0, horn_gain_rx_dbi=20.0",
-    ),
-    "horn-tx-gain -4000": (
-        {"horn_gain_tx_dbi": -4000.0},
-        *2 * [f"link budget out of range on the BS-relay link: gain 0.0 at {_AT}, horn_gain_tx_dbi=-4000.0, horn_gain_rx_dbi=20.0"],
-        _SWEEP_AT + f"link budget out of range on the BS-relay link: gain 0.0 at {_AT}, horn_gain_tx_dbi=-4000.0, horn_gain_rx_dbi=20.0",
-    ),
-    "horn pair": (
-        {"horn_gain_tx_dbi": 4000.0, "horn_gain_rx_dbi": -4000.0},
-        *2 * [f"link budget out of range on the BS-relay link: gain nan at {_AT}, horn_gain_tx_dbi=4000.0, horn_gain_rx_dbi=-4000.0"],
-        _SWEEP_AT + f"link budget out of range on the BS-relay link: gain nan at {_AT}, horn_gain_tx_dbi=4000.0, horn_gain_rx_dbi=-4000.0",
-    ),
-    "noise-figure 4000": (
-        {"noise_figure_db": 4000.0},
-        *2 * ["noise power inf W out of range at bandwidth_hz=400000000.0, noise_figure_db=4000.0"],
-        _SWEEP_AT + "noise power inf W out of range at bandwidth_hz=400000000.0, noise_figure_db=4000.0",
-    ),
-    "ue-noise-figure 4000": (
-        {"ue_noise_figure_db": 4000.0},
-        *2 * ["noise power inf W out of range at bandwidth_hz=400000000.0, ue_noise_figure_db=4000.0"],
-        _SWEEP_AT + "noise power inf W out of range at bandwidth_hz=400000000.0, ue_noise_figure_db=4000.0",
-    ),
-    "freq 1e-150, d1 1e150": (
-        {"carrier_frequency_hz": 1e-150, "bs_relay_distance_m": 1e150},
-        *2 * [_RELAY_UE + "waveguide_height_m=3.0, carrier_frequency_hz=1e-150"],
-        _SWEEP_SAMPLE_AT + _RELAY_UE + "waveguide_height_m=3.0, carrier_frequency_hz=1e-150",
-    ),
-    "freq 1e-150, d1 1e150, noise-figure 4000": (  # the relay-UE link is checked before the noise powers
-        {"carrier_frequency_hz": 1e-150, "bs_relay_distance_m": 1e150, "noise_figure_db": 4000.0},
-        *2 * [_RELAY_UE + "waveguide_height_m=3.0, carrier_frequency_hz=1e-150"],
-        _SWEEP_SAMPLE_AT + _RELAY_UE + "waveguide_height_m=3.0, carrier_frequency_hz=1e-150",
-    ),
-    "eta-pa 5e-324, amp-circ-power 1.7e308": (
-        {"pa_efficiency": 5e-324, "relay_circuit_power_w": 1.7e308},
-        _SPLIT + "g2_sq=1.839296875859925e-08): p1=inf",
-        _SPLIT + "g2_sq=2.8028886893977283e-09): p1=inf",
-        _SWEEP_SAMPLE_AT + "total power inf W and BS power inf W must be finite",
-    ),
-}
-
-
 class TestConfigConstants:
     """A config's first solve computes |g1|^2, both noise powers and the split's factors, once."""
 
@@ -659,21 +487,3 @@ class TestConfigConstants:
         values = (30.0, 40.0, 50.0, 60.0)
         run_sweep(SystemConfig(), SweepSpec("bs_relay_distance_m", values, ue_samples=10))
         assert [config.bs_relay_distance_m for name, config in calls if name == "bs_relay_gain"] == list(values)
-
-    @pytest.mark.parametrize("name", sorted(DERIVED_OUT_OF_RANGE))
-    def test_a_derived_value_out_of_range_builds_and_raises_its_named_error_where_it_is_read(self, name):
-        from pinchrelay.sweep import SweepSpec, run_sweep
-
-        changes, solve_error, benchmark2_error, sweep_error = DERIVED_OUT_OF_RANGE[name]
-        cfg, ue = SystemConfig(**changes), UePosition(15.0, 5.0)
-        assert replace(cfg, coverage_x_m=20.0).coverage_x_m == 20.0
-        assert replace(cfg) == cfg
-        with pytest.raises(ValueError) as raised:
-            solve(cfg, ue)
-        assert str(raised.value) == solve_error
-        with pytest.raises(ValueError) as raised:
-            benchmark2_power(cfg, ue)
-        assert str(raised.value) == benchmark2_error
-        with pytest.raises(RuntimeError) as raised:
-            run_sweep(cfg, SweepSpec("snr_target_db", (20.0,), ue_samples=3))
-        assert str(raised.value) == sweep_error

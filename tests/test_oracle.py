@@ -3,7 +3,6 @@
 import logging
 import math
 import random
-import re
 import statistics
 from dataclasses import replace
 
@@ -16,6 +15,7 @@ from pinchrelay import (
     ChannelGains,
     SystemConfig,
     UePosition,
+    af_snr,
     channel_gains,
     grid_search_pin,
     numeric_power_min,
@@ -38,12 +38,12 @@ from pinchrelay.oracle import (
 from grid_oracles import grid_power_min_2d
 from test_package import fresh_interpreter
 
-# noise powers and gains whose products in J leave the float range, though J does not
-EXTREME_NOISE = [
-    {"bandwidth_hz": 1e-150},
-    {"ue_noise_figure_db": 3000.0},
-    {"bandwidth_hz": 1e303, "ue_noise_figure_db": 1e-150},
-    {"noise_figure_db": -3000.0},
+# noise powers at the corners of their domain: each alone at either end, and the two far apart
+NOISE_CORNERS = [
+    {"bandwidth_hz": 1e3},
+    {"bandwidth_hz": 1e11, "noise_figure_db": 40.0},
+    {"bandwidth_hz": 1e11, "ue_noise_figure_db": 0.0, "noise_figure_db": 40.0},
+    {"bandwidth_hz": 1e3, "ue_noise_figure_db": 40.0, "noise_figure_db": 0.0},
 ]
 
 
@@ -192,13 +192,6 @@ class TestPinBounds:
         monkeypatch.setattr("pinchrelay.oracle.optimal_pin_position", unavailable)
         assert pin_bounds(cfg, ue_mid) == before
 
-    def test_subnormal_objective_is_checked_in_ln_f(self, cfg):
-        # a user 1.3e154 m along the guide: f is subnormal at every pinch point, with few bits left
-        scenario = replace(cfg, carrier_frequency_hz=1e-145, bs_relay_distance_m=1e145)
-        position, power = verify_scenario(scenario, UePosition(1.3e154, 5.0))
-        assert 0.0 < position.closed_form_value < 2.3e-308
-        assert position.passed and position.rel_gap <= 1e-15 and power.passed
-
 
 class TestGridSearchPin:
     def test_two_point_grid(self, cfg, ue_mid):
@@ -262,19 +255,6 @@ class TestGridSearchPin:
             for step in (0.37, 2.5e-3):
                 assert grid_search_pin(cfg, ue, step) == full_array_search(cfg, ue, step), (cfg, ue, step)
 
-    def test_height_whose_square_overflows_is_a_named_error(self, cfg, ue_mid):
-        message = r"^squared distance from the user to the waveguide overflows at user \(15\.0, 5\.0\) m, .*"
-        with pytest.raises(ValueError, match=message + r"waveguide_height_m=1\.7e\+308, "):
-            grid_search_pin(replace(cfg, waveguide_height_m=1.7e308), ue_mid, 1e-3)
-
-    def test_objective_underflowing_on_the_whole_grid_is_a_named_error(self, cfg):
-        message = (
-            "placement objective underflows to 0 on the whole grid at user (1.7e+308, 5.0) m, "
-            "waveguide_length_m=30.0, waveguide_height_m=3.0, waveguide_attenuation_per_m=0.01"
-        )
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            grid_search_pin(cfg, UePosition(1.7e308, 5.0), 1.0)
-
 
 class TestNumericPowerMin:
     def test_symmetric_toy(self):
@@ -320,8 +300,9 @@ class TestNumericPowerMin:
             assert numeric_power_min(gains, cfg) == before
 
     def test_search_keeps_its_unscaled_bits(self):
-        # The search written out with each hop unscaled: the power-of-two scaling in
-        # numeric_power_min changes no bit of its result while these products stay in range.
+        # The search written out: numeric_power_min gives its bits.  They are also the bits of the
+        # search on each hop scaled by a power of two, which earlier versions ran, while every
+        # product stays a normal float, as it does over the domain.
         def unscaled_search(gains, config):
             gamma0, eta = config.snr_target_linear, config.pa_efficiency
             surplus0 = gamma0 * gains.sigma_r_sq_w
@@ -383,7 +364,7 @@ class TestNumericPowerMin:
             assert numeric_power_min(gains, config) == unscaled_search(gains, config)
 
     def test_evaluations_stay_within_the_budget(self, cfg, ue_mid, monkeypatch):
-        scenarios = [*verify_draws(29, 300), *((replace(cfg, **changes), ue_mid) for changes in EXTREME_NOISE)]
+        scenarios = [*verify_draws(29, 300), *((replace(cfg, **changes), ue_mid) for changes in NOISE_CORNERS)]
         evaluations = []
         for scenario, ue in scenarios:
             gains = channel_gains(scenario, ue, optimal_pin_position(scenario, ue))
@@ -396,7 +377,7 @@ class TestNumericPowerMin:
 
     def test_convergence_stays_superlinear(self, cfg, ue_mid, monkeypatch):
         # golden sections alone take 46 evaluations on most of these draws
-        scenarios = [*verify_draws(29, 300), *((replace(cfg, **changes), ue_mid) for changes in EXTREME_NOISE)]
+        scenarios = [*verify_draws(29, 300), *((replace(cfg, **changes), ue_mid) for changes in NOISE_CORNERS)]
         evaluations = []
         for scenario, ue in scenarios:
             gains = channel_gains(scenario, ue, optimal_pin_position(scenario, ue))
@@ -474,9 +455,9 @@ class TestVerifyScenario:
         position, power = verify_scenario(cfg, ue)
         assert position.passed and power.passed
 
-    def test_scales_the_hops_once_and_reports_immutable_records(self, cfg, ue_mid, monkeypatch):
-        calls, scaled_hops = [], oracle._scaled_hops
-        monkeypatch.setattr(oracle, "_scaled_hops", lambda *args: calls.append(args) or scaled_hops(*args))
+    def test_runs_the_public_power_search_once_and_reports_immutable_records(self, cfg, ue_mid, monkeypatch):
+        calls, search = [], oracle.numeric_power_min
+        monkeypatch.setattr(oracle, "numeric_power_min", lambda *args: calls.append(args) or search(*args))
         position, power = verify_scenario(cfg, ue_mid)
         assert len(calls) == 1
         for report in (position, power):
@@ -531,36 +512,23 @@ class TestVerifyScenario:
         assert power.grid_resolution == POWER_SEARCH_WIDTH == 1e-8
         assert power.passed and power.rel_gap <= POWER_REL_TOL
 
-    def test_pinch_on_the_user_is_a_relay_ue_error(self, cfg):
-        # the height's square underflows, so the closed form pinches right above the user, at distance 0
-        message = re.escape(
-            "link budget out of range on the relay-UE link: gain inf at waveguide_attenuation_per_m=0.01, "
-            "waveguide_height_m=1e-200, carrier_frequency_hz=28000000000.0"
-        )
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            verify_scenario(replace(cfg, waveguide_height_m=1e-200), UePosition(15.0, 0.0))
-
-    @pytest.mark.parametrize("x_ue, height", [(15.0, 1.7e308), (1.7e308, 3.0)])
-    def test_squares_past_the_float_range_are_named_errors(self, cfg, x_ue, height):
-        at = f"at user ({x_ue!r}, 5.0) m, waveguide_length_m=30.0, waveguide_height_m={height!r}, "
-        with pytest.raises(ValueError, match=f"^squared pinch-to-user distance overflows {re.escape(at)}"):
-            verify_scenario(replace(cfg, waveguide_height_m=height), UePosition(x_ue, 5.0))
-
-    @pytest.mark.parametrize("changes", EXTREME_NOISE)
-    def test_power_check_holds_where_j_s_products_leave_the_float_range(self, cfg, ue_mid, changes):
+    @pytest.mark.parametrize("changes", NOISE_CORNERS)
+    def test_power_check_holds_at_the_noise_domain_corners(self, cfg, ue_mid, changes):
         _, power = verify_scenario(replace(cfg, **changes), ue_mid)
         assert power.passed and power.rel_gap >= 0.0
 
-    def test_minimum_cost_below_the_normal_float_range_is_a_named_error(self, cfg, ue_mid):
-        # a 4 kHz carrier and a -3000 dB noise figure put the feasibility floor gamma0 sigma_r^2 / |g1|^2
-        # at a subnormal 1.1e-319 W and the minimum cost at 2.1e-317 W, where a relative gap has few bits
-        scenario = replace(cfg, carrier_frequency_hz=4000.0, noise_figure_db=-3000.0, snr_target_linear=10.0)
-        message = (
-            r"^the minimum power cost 2\.06859e-317 W lies outside the normal float range, "
-            r"so no relative gap can be resolved$"
-        )
-        with pytest.raises(ValueError, match=message):
-            verify_scenario(scenario, ue_mid)
+    def test_optimum_on_the_feasibility_floor_passes_quietly(self, caplog):
+        # tiny terminal noise puts the optimal BS power on the feasibility floor, to the last bit;
+        # the closed form's cost, its pair's cost and its SNR still agree with the search
+        cfg = SystemConfig(snr_target_linear=100.0, pa_efficiency=0.9)
+        gains = ChannelGains(g1_sq=1.0, g2_sq=1.0, sigma_r_sq_w=1e10, sigma_ue_sq_w=1e-30)
+        with caplog.at_level(logging.DEBUG, logger="pinchrelay"):
+            p1, beta_sq, j_closed = optimal_power_allocation(gains, cfg)
+            _, _, j_search = numeric_power_min(gains, cfg)
+        assert p1 == cfg.snr_target_linear * gains.sigma_r_sq_w / gains.g1_sq
+        j_pair = cfg.pa_efficiency * p1 + beta_sq * (p1 * gains.g1_sq + gains.sigma_r_sq_w)
+        gaps = (j_closed - j_search) / j_search, (j_pair - j_closed) / j_search, af_snr(p1, beta_sq, gains) / 100.0 - 1.0
+        assert max(map(abs, gaps)) <= 1e-12 and caplog.records == []
 
     def test_randomized_scenarios_pass(self, cfg):
         rng = np.random.default_rng(23)

@@ -27,6 +27,7 @@ from pinchrelay import (
 from pinchrelay.benchmarks import SHADOWING_STD_DB
 from pinchrelay.cli import cli_main
 from pinchrelay.kernel import _EVALUATORS, evaluate
+from pinchrelay.model import DOMAIN
 from pinchrelay.sweep import SCHEMES, VARIABLES
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "fig1.json"
@@ -93,10 +94,15 @@ class TestSweepSpec:
             ("snr_target_db", -4000.0),
             ("bs_relay_distance_m", 0.0),
             ("bs_relay_distance_m", -1.0),
+            ("snr_target_db", 60.000000000001),
+            ("bs_relay_distance_m", 1e300),
         ],
     )
     def test_rejects_values_out_of_range(self, variable, value):
-        with pytest.raises(ValueError, match=re.escape(repr(value))):
+        field, to_si, _, _ = VARIABLES[variable]
+        lo, hi = DOMAIN[field]
+        message = f"{field} must lie in [{lo:g}, {hi:g}], got {to_si(value)!r} at {variable} = {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             small_spec(variable=variable, values=(value,))
 
 
@@ -170,33 +176,6 @@ class TestRunSweep:
                 for scheme in schemes:
                     assert part.mean_total_power_w[scheme] == whole.mean_total_power_w[scheme]
                     assert part.mean_bs_power_w[scheme] == whole.mean_bs_power_w[scheme]
-
-    def test_scheme_failure_names_the_sample(self):
-        # At 1e170 Hz every second-hop gain underflows to 0 while a 1e-170 m first hop stays finite.
-        spec = small_spec(variable="bs_relay_distance_m", values=(1e-170,), schemes=("proposed",))
-        with pytest.raises(RuntimeError, match=r"scheme 'proposed' failed at sample 0") as info:
-            run_sweep(SystemConfig(carrier_frequency_hz=1e170), spec)
-        detail = (
-            r"\(ue=\([\d.e+-]+, [\d.e+-]+\), bs_relay_distance_m=1e-170\): "
-            r"link budget out of range on the relay-UE link: gain 0.0 at waveguide_attenuation_per_m=0.01, "
-            r"waveguide_height_m=3.0, carrier_frequency_hz=1e\+170$"
-        )
-        assert re.search(detail, str(info.value))
-
-    def test_non_finite_power_names_the_sample(self):
-        spec = small_spec(variable="bs_relay_distance_m", values=(50.0,))
-        with pytest.raises(RuntimeError, match=r"scheme 'proposed' failed at sample 0 .*: total power inf W"):
-            run_sweep(SystemConfig(snr_target_linear=1e308), spec)
-
-    def test_config_failure_names_the_value_and_the_cause(self):
-        spec = small_spec(variable="bs_relay_distance_m", values=(30.0,), schemes=("benchmark2",))
-        expected = (
-            "scheme 'benchmark2' failed at bs_relay_distance_m=30: link budget out of range on the BS-relay link: "
-            "gain inf at bs_relay_distance_m=30.0, carrier_frequency_hz=28000000000.0, horn_gain_tx_dbi=4000.0, "
-            "horn_gain_rx_dbi=20.0"
-        )
-        with pytest.raises(RuntimeError, match=re.escape(expected)):
-            run_sweep(SystemConfig(horn_gain_tx_dbi=4000.0), spec)
 
 
 class ReadRecordingConfig(SystemConfig):
