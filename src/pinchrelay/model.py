@@ -11,8 +11,10 @@ power gains).  dB quantities are converted once, explicitly, at the boundary
 (:func:`db_to_linear`) or where they are used; nothing converts implicitly.
 Every input lies in a physical domain, checked when it is built: ``DOMAIN``
 for each :class:`SystemConfig` field, ``UE_DOMAIN`` for each user coordinate
-and ``CHANNEL_DOMAIN`` for each :class:`ChannelGains` value.  Over that box
-every derived quantity stays far inside the float range.
+and ``CHANNEL_DOMAIN`` for each :class:`ChannelGains` value; an operating
+point that :func:`af_snr` or :func:`total_power_w` takes is checked against
+``OPERATING_DOMAIN``.  Over that box every derived quantity stays far inside
+the float range.
 
 This module imports no numpy; the array forms are in :mod:`.kernel`.
 :func:`relay_tx_power`, :func:`consumed_power` and the free-space factor use
@@ -63,6 +65,9 @@ UE_DOMAIN = (-1e5, 1e5)
 # Each ChannelGains value: wide enough for unit gains and noise, narrow enough that the
 # closed-form split and the oracle's power search stay finite over it.
 CHANNEL_DOMAIN = (1e-30, 1e30)
+# Each operating-point value that total_power_w and af_snr take, p1_w in W and beta_sq: it holds
+# every solve's p1 (at most 3.8e24 W over DOMAIN) and beta^2 (at most 2.5e28).
+OPERATING_DOMAIN = (0.0, 1e30)
 
 
 def out_of_domain(name: str, value: object, bounds: tuple[float, float]) -> str:
@@ -257,9 +262,10 @@ def af_snr(p1_w: float, beta_sq: float, gains: ChannelGains) -> float:
 
     gamma = P1 beta^2 |g1|^2 |g2|^2 / (sigma_ue^2 + beta^2 |g2|^2 sigma_r^2);
     monotone in both P1 and beta^2, capped by the first-hop SNR
-    P1 |g1|^2 / sigma_r^2 as beta^2 grows.
+    P1 |g1|^2 / sigma_r^2 as beta^2 grows.  ``p1_w`` and ``beta_sq`` must lie
+    in ``OPERATING_DOMAIN``.
     """
-    _require_nonnegative(p1_w=p1_w, beta_sq=beta_sq)
+    _require_operating_point(p1_w, beta_sq)
     signal = p1_w * beta_sq * gains.g1_sq * gains.g2_sq
     noise = gains.sigma_ue_sq_w + beta_sq * gains.g2_sq * gains.sigma_r_sq_w
     return signal / noise
@@ -270,9 +276,9 @@ def total_power_w(p1_w: float, beta_sq: float, gains: ChannelGains, config: Syst
 
     P1 + P2 / eta_pa + P_amp_circ + P_bs_rf.  Equivalently
     (eta_pa P1 + P2) / eta_pa + constants, which is what the closed-form cost
-    minimizes.
+    minimizes.  ``p1_w`` and ``beta_sq`` must lie in ``OPERATING_DOMAIN``.
     """
-    _require_nonnegative(p1_w=p1_w, beta_sq=beta_sq)
+    _require_operating_point(p1_w, beta_sq)
     return consumed_power(p1_w, relay_tx_power(p1_w, beta_sq, gains.g1_sq, gains.sigma_r_sq_w), config)
 
 
@@ -286,7 +292,8 @@ def consumed_power(p1_w: float | np.ndarray, p2_w: float | np.ndarray, config: S
     return p1_w + p2_w / config.pa_efficiency + config.relay_circuit_power_w + config.bs_rf_chain_power_w
 
 
-def _require_nonnegative(**values: float) -> None:
-    for name, value in values.items():
-        if not value >= 0.0:
-            raise ValueError(f"{name} must be nonnegative, got {value!r}")
+def _require_operating_point(p1_w: float, beta_sq: float) -> None:
+    lo, hi = OPERATING_DOMAIN
+    for name, value in (("p1_w", p1_w), ("beta_sq", beta_sq)):
+        if not lo <= value <= hi:  # nan fails too
+            raise ValueError(out_of_domain(name, value, OPERATING_DOMAIN))

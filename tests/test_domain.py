@@ -16,6 +16,7 @@ from pinchrelay import (
     ChannelGains,
     SystemConfig,
     UePosition,
+    af_snr,
     benchmark1_total_power_w,
     benchmark1_tx_power_w,
     benchmark2_power,
@@ -23,13 +24,14 @@ from pinchrelay import (
     numeric_power_min,
     optimal_power_allocation,
     solve,
+    total_power_w,
 )
 from pinchrelay.benchmarks import ARRAY_ELEMENT_GAIN, NUM_ELEMENTS, PATH_LOSS_EXPONENT, RF_CHAIN_POWER_W
 from pinchrelay.benchmarks import SHADOW_DB_DOMAIN
 from pinchrelay.cli import _SCENARIO_FIELDS, cli_main
 from pinchrelay.kernel import evaluate
 from pinchrelay.model import BOLTZMANN_J_PER_K, CHANNEL_DOMAIN, DOMAIN, NOISE_REFERENCE_TEMP_K, SPEED_OF_LIGHT_M_S
-from pinchrelay.model import UE_DOMAIN
+from pinchrelay.model import OPERATING_DOMAIN, UE_DOMAIN
 from pinchrelay.sweep import SCHEMES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -55,6 +57,7 @@ class TestReadme:
         assert len(table) == len(rows)
         code = {**DOMAIN, "x_ue_m": UE_DOMAIN, "y_ue_m": UE_DOMAIN, "shadow_db": SHADOW_DB_DOMAIN}
         code.update(dict.fromkeys(CHANNEL_FIELDS, CHANNEL_DOMAIN))
+        code.update(dict.fromkeys(("p1_w", "beta_sq"), OPERATING_DOMAIN))
         assert table == code
 
 
@@ -214,6 +217,10 @@ class TestDerivedRange:
         for name, (lo, hi) in bounds.items():
             assert SAFE[0] <= lo <= hi <= SAFE[1], (name, lo, hi)
 
+    def test_every_solve_s_operating_point_lies_in_its_domain(self):
+        for name in ("p1", "beta_sq"):
+            assert OPERATING_DOMAIN[0] <= BOUNDS[name][0] <= BOUNDS[name][1] <= OPERATING_DOMAIN[1], name
+
     def test_the_code_stays_within_the_bounds_at_the_domains_corners(self):
         rng = random.Random(2026)
         ends = (UE_DOMAIN[0], 0.0, UE_DOMAIN[1])
@@ -230,6 +237,10 @@ class TestDerivedRange:
             for scheme in (sol, benchmark2_power(config, ue)):
                 for name, value in (("p1", scheme.p1_w), ("beta_sq", scheme.beta_sq), ("p2", scheme.p2_w)):
                     within(BOUNDS, name, value)
+                # the operating point lies in OPERATING_DOMAIN: both functions take it
+                gains_at = channel_gains(config, ue, scheme.x_pin_m)
+                assert af_snr(scheme.p1_w, scheme.beta_sq, gains_at) > 0.0
+                within(BOUNDS, "relay_total", total_power_w(scheme.p1_w, scheme.beta_sq, gains_at, config))
                 within(BOUNDS, "j", scheme.j_star_w)
                 within(BOUNDS, "relay_total", scheme.total_power_w)
             tx = benchmark1_tx_power_w(config, ue.x_ue_m, ue.y_ue_m, rng.choice(SHADOW_DB_DOMAIN))

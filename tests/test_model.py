@@ -23,6 +23,7 @@ from pinchrelay import (
 )
 from pinchrelay.model import (
     BOLTZMANN_J_PER_K,
+    OPERATING_DOMAIN,
     SPEED_OF_LIGHT_M_S,
     bs_relay_gain,
     free_space_gain,
@@ -176,6 +177,26 @@ class TestAfSnr:
             af_snr(1.0, -1.0, toy_gains())
 
 
+class TestOperatingPointDomain:
+    @pytest.mark.parametrize("value", [-5e-324, math.nextafter(1e30, math.inf), 1e308, math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["p1_w", "beta_sq"])
+    def test_a_value_past_its_domain_is_one_named_error_in_both_functions(self, cfg, name, value):
+        point = {"p1_w": 0.1, "beta_sq": 1.0, name: value}
+        expected = f"{name} must lie in [0, 1e+30], got {value!r}"
+        with pytest.raises(ValueError) as raised:
+            total_power_w(point["p1_w"], point["beta_sq"], toy_gains(), cfg)
+        assert str(raised.value) == expected
+        with pytest.raises(ValueError) as raised:
+            af_snr(point["p1_w"], point["beta_sq"], toy_gains())
+        assert str(raised.value) == expected
+
+    def test_the_domain_ends_give_finite_values(self, cfg):
+        assert OPERATING_DOMAIN == (0.0, 1e30)
+        for p1, beta_sq in ((0.0, 0.0), (1e30, 1e30), (1e30, 0.0), (0.0, 1e30)):
+            assert math.isfinite(total_power_w(p1, beta_sq, toy_gains(), cfg))
+            assert math.isfinite(af_snr(p1, beta_sq, toy_gains()))
+
+
 class TestRelayTxPower:
     def test_zero_gain(self):
         assert relay_tx_power(1.0, 0.0, 1.0, 1.0) == 0.0
@@ -186,9 +207,9 @@ class TestRelayTxPower:
 
 class TestTotalPower:
     def test_rejects_negative_inputs(self, cfg):
-        with pytest.raises(ValueError, match="^p1_w must be nonnegative"):
+        with pytest.raises(ValueError, match=r"^p1_w must lie in \[0, 1e\+30\], got -0\.1$"):
             total_power_w(-0.1, 1.0, toy_gains(), cfg)
-        with pytest.raises(ValueError, match="^beta_sq must be nonnegative"):
+        with pytest.raises(ValueError, match=r"^beta_sq must lie in \[0, 1e\+30\], got -1\.0$"):
             total_power_w(0.1, -1.0, toy_gains(), cfg)
 
     def test_idle_floor(self, cfg, ue_mid):
