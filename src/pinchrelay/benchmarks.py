@@ -7,10 +7,10 @@ antenna to the waveguide feed point, so the relay-to-user hop is plain free
 space with no placement freedom.
 
 The direct scheme has one implementation, for one user as floats or many as
-arrays: its link gain :func:`benchmark1_link_gain` and its one transmit-power
-quotient :func:`direct_tx_power_w`, which the sweep kernel calls too.  The
-link gain checks its per-user inputs against their domains; over those and
-the config's, every power here is finite.
+arrays: its link gain :func:`benchmark1_link_gain`, in three parts, and its one
+transmit-power quotient :func:`direct_tx_power_w`, which the sweep kernel calls
+too.  The link gain checks its per-user inputs against their domains; over
+those and the config's, every power here is finite.
 """
 
 from __future__ import annotations
@@ -51,32 +51,59 @@ def benchmark1_link_gain(config: SystemConfig, x_ue_m: Floats, y_ue_m: Floats, s
     one gain per user, each equal to the float result (``hypot`` and ``pow``
     run per element through :func:`~.kernel.libm_each`).  A coordinate outside
     ``UE_DOMAIN`` or a draw outside ``SHADOW_DB_DOMAIN`` raises ``ValueError``
-    naming the first one.
+    naming the first one.  It is three parts, which the sweep kernel runs as
+    separate stages: :func:`ground_distance_m`, :func:`shadowing_gain` and
+    :func:`direct_path_gain`.
     """
+    return direct_path_gain(config, ground_distance_m(x_ue_m, y_ue_m), shadowing_gain(shadow_db))
+
+
+def _check_draws(*inputs: tuple) -> None:
+    """Raise ``ValueError`` naming the first value outside its domain, given ``(name, values, (lo, hi))`` triples."""
     import numpy as np
 
-    from .kernel import libm_each  # here, not at the top: the kernel imports this module
-
-    inputs = ("x_ue_m", x_ue_m, UE_DOMAIN), ("y_ue_m", y_ue_m, UE_DOMAIN), ("shadow_db", shadow_db, SHADOW_DB_DOMAIN)
     for name, values, (lo, hi) in inputs:
         if not (lo <= np.min(values) and np.max(values) <= hi):  # a nan fails too
             first = np.flatnonzero(np.logical_not((values >= lo) & (values <= hi)))[0]
             raise ValueError(out_of_domain(name, float(np.ravel(values)[first]), (lo, hi)))
-    distance = config.bs_relay_distance_m + libm_each(math.hypot, x_ue_m, y_ue_m)
+
+
+def ground_distance_m(x_ue_m: Floats, y_ue_m: Floats):
+    """Ground distance from the waveguide feed to each user, checked against ``UE_DOMAIN``."""
+    from .kernel import libm_each  # here, not at the top: the kernel imports this module
+
+    _check_draws(("x_ue_m", x_ue_m, UE_DOMAIN), ("y_ue_m", y_ue_m, UE_DOMAIN))
+    return libm_each(math.hypot, x_ue_m, y_ue_m)
+
+
+def shadowing_gain(shadow_db: Floats):
+    """Linear lognormal shadowing factor of each draw in dB, checked against ``SHADOW_DB_DOMAIN``."""
+    from .kernel import libm_each
+
+    _check_draws(("shadow_db", shadow_db, SHADOW_DB_DOMAIN))
+    return libm_each(math.pow, 10.0, shadow_db / 10.0)
+
+
+def direct_path_gain(config: SystemConfig, ground_m: Floats, shadow: Floats):
+    """The direct link's gain over ground distance ``ground_m`` with linear shadowing ``shadow``;
+    it reads only ``LINK_FIELDS["direct"]``."""
+    from .kernel import libm_each
+
     anchor = free_space_gain(1.0, config.carrier_frequency_hz)
-    distance_loss = libm_each(math.pow, distance, -PATH_LOSS_EXPONENT)
-    shadow = libm_each(math.pow, 10.0, shadow_db / 10.0)
+    distance_loss = libm_each(math.pow, config.bs_relay_distance_m + ground_m, -PATH_LOSS_EXPONENT)
     return ARRAY_ELEMENT_GAIN * anchor * distance_loss * shadow
 
 
 def benchmark1_tx_power_w(config: SystemConfig, x_ue_m: Floats, y_ue_m: Floats, shadow_db: Floats):
     """Radiated power the direct link needs to hit the SNR target, for one user or many."""
-    return direct_tx_power_w(config, benchmark1_link_gain(config, x_ue_m, y_ue_m, shadow_db))
+    gain = benchmark1_link_gain(config, x_ue_m, y_ue_m, shadow_db)
+    return direct_tx_power_w(config.snr_target_linear, config.ue_noise_w, gain)
 
 
-def direct_tx_power_w(config: SystemConfig, gain: Floats):
-    """Radiated power that hits the SNR target over direct-link gain ``gain``, one float or an array of them."""
-    return config.snr_target_linear * config.ue_noise_w / gain
+def direct_tx_power_w(gamma0: float, sigma_ue_sq_w: float, gain: Floats):
+    """Radiated power that hits SNR target ``gamma0`` at terminal noise ``sigma_ue_sq_w`` over
+    direct-link gain ``gain``, one float or an array of them."""
+    return gamma0 * sigma_ue_sq_w / gain
 
 
 def benchmark1_total_power_w(config: SystemConfig, tx_w: Floats):

@@ -151,7 +151,7 @@ def _parse_ue(text: str) -> tuple[float, float]:
 # A range spec may expand to at most this many sweep values; the count is
 # checked before any value is built.
 MAX_RANGE_VALUES = 10_000
-# The most users a sweep draws: a 10**6-user sweep peaks near 150 MiB, so a
+# The most users a sweep draws: a 10**6-user sweep peaks near 270 MiB, so a
 # larger request is a usage error, not an allocation.
 MAX_SAMPLES = 10**6
 

@@ -36,9 +36,12 @@ BOLTZMANN_J_PER_K = 1.380649e-23
 NOISE_REFERENCE_TEMP_K = 290.0
 # The SystemConfig fields each link's gain reads, besides the user and pinch positions.
 LINK_FIELDS = {
+    "BS-relay": ("horn_gain_tx_dbi", "horn_gain_rx_dbi", "bs_relay_distance_m", "carrier_frequency_hz"),
     "relay-UE": ("waveguide_attenuation_per_m", "waveguide_height_m", "carrier_frequency_hz"),
     "direct": ("bs_relay_distance_m", "carrier_frequency_hz"),
 }
+# The SystemConfig fields that both noise powers read.
+NOISE_FIELDS = ("bandwidth_hz", "noise_figure_db", "ue_noise_figure_db")
 
 # The physical domain of each SystemConfig field, [lo, hi] in the field's SI unit.  README's
 # "Domain" section gives each field's unit and the use that sets its margin.
@@ -91,8 +94,8 @@ class SystemConfig:
     kept in dBi because that is how they are quoted, and converted exactly
     once inside :func:`bs_relay_gain`.  ``ue_noise_figure_db = None`` means
     the terminal reuses the relay noise figure.  Each field must lie in its
-    ``DOMAIN`` bounds.  A config's first solve keeps on it what every solve
-    there shares: :func:`~.optimize.link_constants`.
+    ``DOMAIN`` bounds.  A config's first solve (or :func:`channel_gains` call)
+    keeps on it what every solve there shares: :func:`~.optimize.link_constants`.
     """
 
     carrier_frequency_hz: float = 28e9
@@ -244,10 +247,13 @@ def relay_ue_gain(config: SystemConfig, ue: UePosition, x_pin_m: float) -> float
 def channel_gains(config: SystemConfig, ue: UePosition, x_pin_m: float) -> ChannelGains:
     """Assemble both hop gains and both noise powers for one scenario.
 
-    A terminal that reuses the relay noise figure reuses its noise power too.
+    |g1|^2 and the noise powers are the config's :func:`~.optimize.link_constants`, computed
+    once per config; a terminal that reuses the relay noise figure reuses its noise power too.
     """
-    g1_sq, g2_sq, sigma_r_sq_w = bs_relay_gain(config), relay_ue_gain(config, ue, x_pin_m), config.relay_noise_w
-    return ChannelGains(g1_sq, g2_sq, sigma_r_sq_w, _ue_noise_w(config, sigma_r_sq_w))
+    from .optimize import link_constants  # here, not at the top: optimize imports this module
+
+    g1_sq, sigma_r_sq_w, sigma_ue_sq_w, _, _ = link_constants(config)
+    return ChannelGains(g1_sq, relay_ue_gain(config, ue, x_pin_m), sigma_r_sq_w, sigma_ue_sq_w)
 
 
 def _ue_noise_w(config: SystemConfig, relay_noise_w: float | None = None) -> float:

@@ -8,17 +8,20 @@ per-sample monotonicity of the underlying schemes, and aggregation uses exact
 summation so results do not depend on evaluation order.
 
 At each sweep value every scheme is evaluated over all users at once, as
-numpy arrays, by :mod:`.kernel`, which reruns a scheme's per-user stage only
-when a SystemConfig field it reads differs from the previous sweep value.
-Each user's result equals the scalar ``solve``/``benchmark2_power``/
-``benchmark1_tx_power_w`` path bit for bit.  ``run_sweep`` imports the kernel
-and numpy when it runs, so specs and CSVs are handled without them.
+numpy arrays, by :mod:`.kernel`, whose schemes are chains of stages: each
+stage before the power stage reruns only when a SystemConfig field that it or
+a stage before it reads differs from the previous sweep value.  Each user's result equals the scalar
+``solve``/``benchmark2_power``/``benchmark1_tx_power_w`` path bit for bit.  The
+value's rows, total and BS power per scheme, are summed by one
+:func:`.kernel.exact_sum` over them as a block, and each mean is ``math.fsum``
+bit for bit.  ``run_sweep`` imports the kernel and numpy when it runs, so specs
+and CSVs are handled without them.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -100,37 +103,39 @@ def run_sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRecord]:
     ys = rng.uniform(0.0, config.coverage_y_m, spec.ue_samples)
     shadows = rng.normal(0.0, SHADOWING_STD_DB, spec.ue_samples)
     field, to_si, _, _ = VARIABLES[spec.variable]
-    users: dict[str, tuple[tuple, Any]] = {}
+    base = asdict(config)  # once: each value's config is these fields with the swept one over them
+    n = spec.ue_samples
+    cache: dict[str, tuple[Any, Any]] = {}
+    block = np.empty((2 * len(spec.schemes), n))  # one value's rows: total and BS power per scheme
     records: list[SweepRecord] = []
     for value in spec.values:
-        cfg = replace(config, **{field: to_si(value)})
-        mean_total: dict[str, float] = {}
-        mean_bs: dict[str, float] = {}
-        for scheme in spec.schemes:
-            total, bs_w = evaluate(scheme, cfg, xs, ys, shadows, users)
-            # exact_sum is math.fsum bit for bit: an error-free split where it can certify the rounding
-            mean_total[scheme] = exact_sum(total) / spec.ue_samples
-            mean_bs[scheme] = exact_sum(bs_w) / spec.ue_samples
-        records.append(SweepRecord(float(value), mean_total, mean_bs, spec.ue_samples))
+        cfg = SystemConfig(**{**base, field: to_si(value)})
+        for i, scheme in enumerate(spec.schemes):
+            block[2 * i], block[2 * i + 1] = evaluate(scheme, cfg, xs, ys, shadows, cache)
+        # each row's sum is math.fsum's bit for bit: an error-free split where it can certify the rounding
+        sums = exact_sum(block)
+        mean_total = {scheme: sums[2 * i] / n for i, scheme in enumerate(spec.schemes)}
+        mean_bs = {scheme: sums[2 * i + 1] / n for i, scheme in enumerate(spec.schemes)}
+        records.append(SweepRecord(float(value), mean_total, mean_bs, n))
     return records
 
 
 def export_csv(records: Iterable[SweepRecord], path: str | Path) -> None:
-    """Write sweep records as UTF-8, LF-terminated CSV at full double precision.
+    """Write sweep records as UTF-8, LF-terminated CSV at full double precision, in one write.
 
     One row per (sweep value, scheme); floats are rendered with 17 significant
     digits so parsing the file reproduces them bit for bit.
     """
     path = Path(path)
+    rows = (
+        f"{record.variable_value:.17g},{scheme},{mean_total:.17g},{record.mean_bs_power_w[scheme]:.17g},"
+        f"{record.n_samples}\n"
+        for record in records
+        for scheme, mean_total in record.mean_total_power_w.items()
+    )
+    text = ",".join(CSV_HEADER) + "\n" + "".join(rows)
     try:
-        with path.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(CSV_HEADER) + "\n")
-            for record in records:
-                for scheme, mean_total in record.mean_total_power_w.items():
-                    fh.write(
-                        f"{record.variable_value:.17g},{scheme},{mean_total:.17g},"
-                        f"{record.mean_bs_power_w[scheme]:.17g},{record.n_samples}\n"
-                    )
+        path.write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise OSError(f"cannot write sweep CSV to {path}: {exc}") from exc
 

@@ -24,8 +24,9 @@ from pinchrelay import (
 )
 from pinchrelay.model import bs_relay_gain, relay_ue_gain
 from pinchrelay.optimize import split_power, stationary_points
-from pinchrelay.benchmarks import SHADOWING_STD_DB
-from pinchrelay.kernel import _EVALUATORS, evaluate, exact_sum, libm_each, optimal_pin_positions, relay_ue_gains
+from pinchrelay.benchmarks import SHADOWING_STD_DB, benchmark1_link_gain
+from pinchrelay.kernel import _EVALUATORS, _STAGES, evaluate, exact_sum, libm_each, optimal_pin_positions, relay_ue_gains
+from pinchrelay import kernel
 from pinchrelay.sweep import VARIABLES
 
 USERS = 1000
@@ -177,14 +178,16 @@ SUM_EDGE_SCALES = (-1074, -1064, -1022, -901, -900, 900, 1000, 1023)
 SUM_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 2.0**1000, -(2.0**1000), 1.7e308, math.inf, -math.inf, math.nan)
 
 
-@st.composite
-def sum_arrays(draw):
-    """1 to 2000 float64s with mixed signs or one sign, summing to an exact half-ulp tie, to within
-    ``2**-k`` ulp of one, or to about 0 by cancellation, or signed zeros; perhaps with a few specials."""
-    n = draw(st.integers(min_value=1, max_value=2000))
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    shape = draw(st.sampled_from(["mixed", "one_sign", "near_tie", "tie", "cancel", "zeros"]))
-    scale = draw(st.sampled_from(SUM_EDGE_SCALES if draw(st.integers(min_value=0, max_value=3)) == 3 else SUM_SCALES))
+SUM_SHAPES = ("mixed", "one_sign", "near_tie", "tie", "cancel", "zeros")
+
+
+def sum_scale(draw) -> int:
+    return draw(st.sampled_from(SUM_EDGE_SCALES if draw(st.integers(min_value=0, max_value=3)) == 3 else SUM_SCALES))
+
+
+def sum_row(draw, rng: np.random.Generator, n: int, shape: str, scale: int) -> np.ndarray:
+    """``n`` float64s of about ``2**scale`` with mixed signs or one sign, summing to an exact half-ulp tie,
+    to within ``2**-k`` ulp of one, or to about 0 by cancellation, or signed zeros; perhaps with a few specials."""
     a = np.ldexp(rng.uniform(-1.0, 1.0, n), scale)
     if shape == "one_sign":
         a = np.abs(a)
@@ -207,6 +210,28 @@ def sum_arrays(draw):
     return a
 
 
+@st.composite
+def sum_arrays(draw):
+    """1 to 2000 float64s, one :func:`sum_row`."""
+    n = draw(st.integers(min_value=1, max_value=2000))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    shape = draw(st.sampled_from(SUM_SHAPES))
+    return sum_row(draw, rng, n, shape, sum_scale(draw))
+
+
+@st.composite
+def sum_blocks(draw):
+    """2 to 6 :func:`sum_row` rows of 1 to 1000 float64s, their scales up to 2**100 (about 1e30) apart."""
+    n = draw(st.integers(min_value=1, max_value=1000))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    top = sum_scale(draw)
+    rows = []
+    for _ in range(draw(st.integers(min_value=2, max_value=6))):
+        shape = draw(st.sampled_from(SUM_SHAPES))
+        rows.append(sum_row(draw, rng, n, shape, top - draw(st.integers(min_value=0, max_value=100))))
+    return np.array(rows)
+
+
 @example(np.array([-0.0]))
 @example(np.array([0.0, -0.0]))
 @example(np.array([1.0, 2.0**-53]))  # a tie, rounded to even
@@ -218,6 +243,51 @@ def sum_arrays(draw):
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 def test_exact_sum_is_fsum_bit_for_bit(a):
     assert sum_outcome(exact_sum, a) == sum_outcome(fsum_of_list, a)
+
+
+def row_outcomes(block: np.ndarray):
+    """Each row's ``math.fsum`` as its bits, or the first row's error: what ``exact_sum(block)`` must give."""
+    outcomes = [sum_outcome(fsum_of_list, row) for row in block]
+    return next((outcome for outcome in outcomes if isinstance(outcome, tuple)), outcomes)
+
+
+def block_outcome(block: np.ndarray):
+    try:
+        sums = exact_sum(block)
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return ["nan" if math.isnan(value) else value.hex() for value in sums]
+
+
+# One sigma splits a whole block only when it can serve every row, and a row it cannot certify is
+# split again on its own sigma; whichever path a row takes, its sum must be its own math.fsum.
+@example(np.array([[1.0, 2.0**-53], [3.0, 4.0]]))  # a tie beside a row that certifies
+@example(np.array([[1e30, 1.0], [1.0, 1e-30]]))
+@example(np.array([[1.0, math.nan], [1.0, 2.0]]))
+@example(np.array([[1.0, 2.0], [math.inf, -math.inf]]))
+@given(sum_blocks())
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+def test_row_wise_exact_sum_is_each_rows_fsum_bit_for_bit(block):
+    assert block_outcome(block) == row_outcomes(block)
+
+
+@pytest.mark.parametrize("far_below", [False, True], ids=["one-sigma", "far-below"])
+def test_exact_sum_falls_back_only_for_the_rows_it_cannot_certify(monkeypatch, far_below):
+    rng = np.random.default_rng(4)
+    block = np.zeros((5, 1000))
+    block[0] = rng.uniform(0.1, 10.0, 1000)
+    block[1, :2] = 1.0, 2.0**-53  # a tie
+    block[2] = rng.uniform(0.1, 10.0, 1000) * (1e-30 if far_below else 1.0)
+    block[3, :3] = 1.0, -1.0, 2.0**-60  # cancellation to about 0
+    block[4] = rng.normal(0.0, 1e3, 1000)
+    expected, calls, one_row, fsum, split = row_outcomes(block), [], [], math.fsum, kernel.exact_sum
+    monkeypatch.setattr(math, "fsum", lambda values: calls.append(bytes(values)) or fsum(values))
+    monkeypatch.setattr(kernel, "exact_sum", lambda row: one_row.append(row.tobytes()) or split(row))
+    assert block_outcome(block) == expected
+    # a row far below the block's largest element puts every row on its own sigma; otherwise
+    # only the rows the shared sigma cannot certify are split again, alone
+    assert one_row == [block[k].tobytes() for k in ((0, 1, 2, 3, 4) if far_below else (1, 3))]
+    assert calls == [block[k].tobytes() for k in (1, 3)]
 
 
 @pytest.mark.parametrize(
@@ -348,16 +418,16 @@ def test_every_scheme_meets_the_snr_target_across_the_wide_box(cfg, seed):
     for ue in positions(xs, ys):
         for sol in (solve(cfg, ue), benchmark2_power(cfg, ue)):
             assert af_snr(sol.p1_w, sol.beta_sq, channel_gains(cfg, ue, sol.x_pin_m)) == pytest.approx(gamma0, rel=1e-9)
-    for scheme in ("proposed", "benchmark2"):  # the relay user stage, then the split its power stage makes
-        g2_sq, g2 = _EVALUATORS[scheme].users(cfg, xs, ys, shadows)
+    for hop in ("placement", "feed"):  # the relay schemes' second-hop stage, then the split their power stage makes
+        g2_sq, g2 = _STAGES[hop].run(cfg, xs, ys)
         p1, beta_sq, _ = split_power(cfg, g1_sq, sigma_r_sq_w, sigma_ue_sq_w, g2_sq, g2)
         for k in range(xs.size):
             gains = ChannelGains(g1_sq, float(g2_sq[k]), sigma_r_sq_w, sigma_ue_sq_w)
-            assert af_snr(float(p1[k]), float(beta_sq[k]), gains) == pytest.approx(gamma0, rel=1e-9), scheme
-    direct = _EVALUATORS["benchmark1"]
-    gain = direct.users(cfg, xs, ys, shadows)
-    _, tx = direct.power(cfg, gain)
+            assert af_snr(float(p1[k]), float(beta_sq[k]), gains) == pytest.approx(gamma0, rel=1e-9), hop
+    stages: dict = {}
+    _, tx = evaluate("benchmark1", cfg, xs, ys, shadows, stages)
+    gain = stages["path_loss"][1]
     np.testing.assert_allclose(tx * gain / sigma_ue_sq_w, gamma0, rtol=1e-9, atol=0.0)
     for x, y, shadow in zip(xs.tolist(), ys.tolist(), shadows.tolist()):
-        received = benchmark1_tx_power_w(cfg, x, y, shadow) * direct.users(cfg, x, y, shadow)
+        received = benchmark1_tx_power_w(cfg, x, y, shadow) * benchmark1_link_gain(cfg, x, y, shadow)
         assert received / sigma_ue_sq_w == pytest.approx(gamma0, rel=1e-9)

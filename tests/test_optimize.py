@@ -26,7 +26,7 @@ from pinchrelay import (
 )
 from pinchrelay import model, optimize
 from pinchrelay.kernel import evaluate, optimal_pin_positions, relay_ue_gains
-from pinchrelay.model import DOMAIN, SPEED_OF_LIGHT_M_S, UE_DOMAIN, consumed_power, relay_tx_power, relay_ue_gain
+from pinchrelay.model import DOMAIN, SPEED_OF_LIGHT_M_S, UE_DOMAIN, bs_relay_gain, consumed_power, relay_tx_power, relay_ue_gain
 from pinchrelay.optimize import StationaryAnalysis, solve_at, stationary_points
 
 C = SPEED_OF_LIGHT_M_S
@@ -479,6 +479,17 @@ class TestConfigConstants:
             solve(cfg, ue)
         benchmark2_power(cfg, ue)
         assert calls == first
+
+    @pytest.mark.parametrize("ue_noise_figure_db", [None, 7.0])
+    def test_channel_gains_reads_the_configs_constants(self, monkeypatch, ue_noise_figure_db):
+        cfg, ue = SystemConfig(ue_noise_figure_db=ue_noise_figure_db), UePosition(15.0, 5.0)
+        expected = ChannelGains(bs_relay_gain(cfg), relay_ue_gain(cfg, ue, 7.5), cfg.relay_noise_w, cfg.ue_noise_w)
+        calls = self.count_link_constants(monkeypatch)
+        gains = [channel_gains(cfg, ue, x_pin) for x_pin in (0.0, 7.5, 14.83)]
+        solve(cfg, ue)
+        assert [name for name, _ in calls].count("bs_relay_gain") == 1  # |g1|^2 once per config, not per call
+        assert len(calls) == (2 if ue_noise_figure_db is None else 3)  # and each noise power once
+        assert gains[1] == expected
 
     def test_a_d1_sweep_computes_the_first_hop_gain_once_per_value(self, monkeypatch):
         from pinchrelay.sweep import SweepSpec, run_sweep

@@ -4,7 +4,9 @@ import hashlib
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +26,10 @@ from pinchrelay import (
     solve,
     write_gnuplot_script,
 )
+from pinchrelay import optimize
 from pinchrelay.benchmarks import SHADOWING_STD_DB
 from pinchrelay.cli import cli_main
-from pinchrelay.kernel import _EVALUATORS, evaluate
+from pinchrelay.kernel import _EVALUATORS, _STAGES, evaluate
 from pinchrelay.model import DOMAIN
 from pinchrelay.sweep import SCHEMES, VARIABLES
 
@@ -192,16 +195,44 @@ class TestStages:
     def test_schemes_are_the_kernels_evaluators_in_order(self):
         assert SCHEMES == tuple(_EVALUATORS)
 
+    # A stage's result is reused while its fields and those of the stages before it hold, which is
+    # only correct if it reads nothing it does not declare.
     @pytest.mark.parametrize("attenuation", [0.0, 0.01, 0.3])
     @pytest.mark.parametrize("scheme", sorted(_EVALUATORS))
-    def test_user_stage_reads_only_its_declared_fields(self, scheme, attenuation):
-        stages = _EVALUATORS[scheme]
-        assert set(stages.fields) <= CONFIG_FIELDS
-        cfg = ReadRecordingConfig(waveguide_attenuation_per_m=attenuation)
-        object.__setattr__(cfg, "reads", set())
+    def test_every_stage_reads_only_its_declared_fields(self, scheme, attenuation):
         rng = np.random.default_rng(5)
-        stages.users(cfg, rng.uniform(0.0, 30.0, 20), rng.uniform(0.0, 10.0, 20), rng.normal(0.0, SHADOWING_STD_DB, 20))
-        assert cfg.reads and cfg.reads <= set(stages.fields)
+        draws = {"xs": rng.uniform(0.0, 30.0, 20), "ys": rng.uniform(0.0, 10.0, 20)}
+        draws["shadows"] = rng.normal(0.0, SHADOWING_STD_DB, 20)
+        cache: dict = {}
+        evaluate(scheme, SystemConfig(waveguide_attenuation_per_m=attenuation), *draws.values(), cache)
+        for name in _EVALUATORS[scheme]:
+            stage = _STAGES[name]
+            assert set(stage.fields) <= CONFIG_FIELDS
+            cfg = ReadRecordingConfig(waveguide_attenuation_per_m=attenuation)
+            object.__setattr__(cfg, "reads", set())
+            stage.run(cfg, *(draws[i] if i in draws else cache[i][1] for i in stage.inputs))
+            assert cfg.reads <= set(stage.fields), name
+            assert cfg.reads or not stage.fields, name  # the recording sees a stage's reads
+
+    @staticmethod
+    def count_stage_runs(monkeypatch) -> Counter:
+        runs: Counter = Counter()
+        for name, stage in _STAGES.items():
+            counted = partial(lambda name, run, *args: runs.update([name]) or run(*args), name, stage.run)
+            monkeypatch.setitem(_STAGES, name, stage._replace(run=counted))
+        return runs
+
+    @pytest.mark.parametrize("variable", ["snr_target_db", "bs_relay_distance_m"])
+    def test_a_sweep_reruns_only_the_stages_its_variable_reaches(self, cfg, monkeypatch, variable):
+        runs, g1_configs, bs_relay_gain = self.count_stage_runs(monkeypatch), [], optimize.bs_relay_gain
+        monkeypatch.setattr(optimize, "bs_relay_gain", lambda config: g1_configs.append(config) or bs_relay_gain(config))
+        values = SWEEPS[variable]
+        run_sweep(cfg, small_spec(variable=variable, values=values))
+        per_value = {"proposed_power", "benchmark1_power", "benchmark2_power"}
+        if variable == "bs_relay_distance_m":  # |g1|^2, the split's terms and the direct path loss read d1
+            per_value |= {"link", "proposed_terms", "benchmark2_terms", "path_loss"}
+        assert runs == {name: len(values) if name in per_value else 1 for name in _STAGES}
+        assert len(g1_configs) == runs["link"]  # |g1|^2 once per link stage: once per sweep, or once per d1
 
     @pytest.mark.parametrize("variable", sorted(SWEEPS))
     def test_each_record_equals_a_one_value_sweep(self, cfg, monkeypatch, variable):
