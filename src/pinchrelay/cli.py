@@ -272,6 +272,8 @@ def _cmd_sweep(args: argparse.Namespace, config: SystemConfig) -> int:
         raise UsageError(f"unit {unit!r} does not fit sweep variable {variable} (use {units[1] or 'no unit'})")
     if args.gnuplot and any(c in Path(args.out).name for c in "\r\n"):
         raise UsageError(f"--gnuplot cannot quote a line break in the CSV name {Path(args.out).name!r}")
+    if args.gnuplot and Path(args.out).suffix == ".gp":  # the script's name is the CSV's with .gp
+        raise UsageError(f"--gnuplot would write its script over the CSV {args.out!r}: give --out another suffix")
     try:
         spec = SweepSpec(
             variable=variable,

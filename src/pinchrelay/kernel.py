@@ -15,16 +15,16 @@ numpy and this module when it is called.
 
 Each scheme is a chain of stages (``_EVALUATORS``), each stage a row of
 ``_STAGES``: the SystemConfig fields it reads, the draws and earlier stages it
-takes, and its function.  The relay schemes share one link stage (|g1|^2, both
-noise powers and the split's link factors); each has its own second-hop stage
-(placement, or the feed) and a terms stage, which computes the split's per-user
-terms once per second hop and link, so that its power stage at each sweep value
-is the split's target part and the power accounting alone.  The direct scheme's
-stages are geometry, shadowing, path loss and power.  :func:`evaluate`, the one
-way to run a scheme, runs its power stage at every call and reruns an earlier
-stage only when a field that it or a stage before it reads changes.  Over the
-inputs' domain (:data:`~.model.DOMAIN`) every element is finite, as on the
-scalar path.
+takes, and its function.  The relay schemes share the link stage (|g1|^2, both
+noise powers and the split's link factors) and the feed stage (each user's
+|g2|^2 at the feed, which the placement stage compares its candidates with);
+each has a terms stage, which computes the split's per-user terms once per
+second hop and link, so that its power stage at each sweep value is the split's
+target part and the power accounting alone.  The direct scheme's stages are
+geometry, shadowing, path loss and power.  :func:`evaluate`, the one way to run
+a scheme, runs its power stage at every call and reruns an earlier stage only
+when a field that it or a stage before it reads changes.  Over the inputs'
+domain (:data:`~.model.DOMAIN`) every element is finite, as on the scalar path.
 """
 
 from __future__ import annotations
@@ -32,14 +32,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import partial
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .benchmarks import benchmark1_total_power_w, direct_path_gain, direct_tx_power_w, ground_distance_m, shadowing_gain
-from .model import LINK_FIELDS, NOISE_FIELDS, SystemConfig, _free_space, consumed_power, relay_tx_power
-from .optimize import link_budget, split_powers, split_terms, target_factors
+from .model import LINK_FIELDS, NOISE_FIELDS, SystemConfig, consumed_power, relay_tx_power, unchecked_relay_ue_gain
+from .optimize import link_budget, split_powers, split_terms, stationary_root, target_factors
 
 
 def libm_each(fn: Callable[..., float], *args: float | np.ndarray) -> float | np.ndarray:
@@ -112,38 +111,24 @@ def exact_sum(a: np.ndarray) -> list[float] | float:
     return sums if a.ndim > 1 else sums[0]
 
 
-def relay_ue_gains(
-    config: SystemConfig, xs: np.ndarray, ys: np.ndarray, x_pin_m: float | np.ndarray
-) -> np.ndarray:
-    """Array form of :func:`~.model.relay_ue_gain` for users ``(xs, ys)``, equal to it per element.
-
-    ``x_pin_m`` is one position for every user or one per user, on the
-    waveguide.  Its callers pass the points the placement chose, or the feed,
-    whose gains lie in the model's domain, so it leaves the gain unchecked.
-    """
-    dx = xs - x_pin_m
-    height = config.waveguide_height_m
-    distance = np.sqrt(dx * dx + ys * ys + height * height)
-    attenuation = libm_each(math.exp, -config.waveguide_attenuation_per_m * x_pin_m)
-    return attenuation * _free_space(distance, config.carrier_frequency_hz)
+def libm_exp(x: float | np.ndarray) -> float | np.ndarray:
+    """``math.exp`` of each element (:func:`libm_each`): the ``exp`` the model's array gains take."""
+    return libm_each(math.exp, x)
 
 
-def optimal_pin_positions(config: SystemConfig, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def optimal_pin_positions(config: SystemConfig, xs: np.ndarray, ys: np.ndarray, at_feed: np.ndarray) -> tuple:
     """Array form of :func:`~.optimize.optimal_pin_position` for users ``(xs, ys)``, equal to it per element.
 
-    Returns ``(x_pins, g2_sq)``: each user's pinch point and the unchecked |g2|^2 it was chosen by.
+    ``at_feed`` is each user's |g2|^2 at the feed.  Returns ``(x_pins, g2_sq)``: each user's pinch point
+    and the unchecked |g2|^2 it was chosen by.
     """
     length = config.waveguide_length_m
-    alpha = config.waveguide_attenuation_per_m
-    if alpha == 0.0:
+    if config.waveguide_attenuation_per_m == 0.0:
         x_pins = np.minimum(np.maximum(xs, 0.0), length)
-        return x_pins, relay_ue_gains(config, xs, ys, x_pins)
-    height = config.waveguide_height_m
-    discriminant = 1.0 - alpha * alpha * (ys * ys + height * height)
-    root = np.sqrt(np.maximum(discriminant, 0.0))  # used only where discriminant >= 0
-    candidate = np.minimum(np.maximum(xs - (1.0 - root) / alpha, 0.0), length)
-    at_candidate = relay_ue_gains(config, xs, ys, candidate)
-    at_feed = relay_ue_gains(config, xs, ys, 0.0)
+        return x_pins, unchecked_relay_ue_gain(config, xs, ys, x_pins, np.sqrt, libm_exp)
+    discriminant, x2 = stationary_root(config, xs, ys, np.sqrt)
+    candidate = np.minimum(np.maximum(x2, 0.0), length)
+    at_candidate = unchecked_relay_ue_gain(config, xs, ys, candidate, np.sqrt, libm_exp)
     wins = (discriminant >= 0.0) & (at_candidate > at_feed)
     return np.where(wins, candidate, 0.0), np.where(wins, at_candidate, at_feed)
 
@@ -154,9 +139,13 @@ class _Stage(NamedTuple):
     run: Callable[..., Any]
 
 
-def _second_hop(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, at_feed: bool = False):
-    """Each user's second-hop power gain and amplitude, at the best pinch point or at the feed."""
-    g2_sq = relay_ue_gains(cfg, xs, ys, 0.0) if at_feed else optimal_pin_positions(cfg, xs, ys)[1]
+def _feed(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray):
+    g2_sq = unchecked_relay_ue_gain(cfg, xs, ys, 0.0, np.sqrt, libm_exp)
+    return g2_sq, np.sqrt(g2_sq)  # a second hop's power gain and amplitude
+
+
+def _placement(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, feed: tuple[np.ndarray, np.ndarray]):
+    g2_sq = optimal_pin_positions(cfg, xs, ys, feed[0])[1]
     return g2_sq, np.sqrt(g2_sq)
 
 
@@ -179,20 +168,20 @@ def _direct_power(cfg: SystemConfig, budget, gain: np.ndarray):
 _RELAY_POWER_FIELDS = ("snr_target_linear", "pa_efficiency", "relay_circuit_power_w", "bs_rf_chain_power_w")
 _STAGES = {
     "link": _Stage((*LINK_FIELDS["BS-relay"], *NOISE_FIELDS), (), link_budget),
-    "placement": _Stage((*LINK_FIELDS["relay-UE"], "waveguide_length_m"), ("xs", "ys"), _second_hop),
+    "feed": _Stage(LINK_FIELDS["relay-UE"], ("xs", "ys"), _feed),
+    "placement": _Stage((*LINK_FIELDS["relay-UE"], "waveguide_length_m"), ("xs", "ys", "feed"), _placement),
     "proposed_terms": _Stage((), ("link", "placement"), _terms),
     "proposed_power": _Stage(_RELAY_POWER_FIELDS, ("link", "proposed_terms"), _relay_power),
     "geometry": _Stage((), ("xs", "ys"), lambda cfg, xs, ys: ground_distance_m(xs, ys)),
     "shadowing": _Stage((), ("shadows",), lambda cfg, shadows_db: shadowing_gain(shadows_db)),
     "path_loss": _Stage(LINK_FIELDS["direct"], ("geometry", "shadowing"), direct_path_gain),
     "benchmark1_power": _Stage(("snr_target_linear", "pa_efficiency"), ("link", "path_loss"), _direct_power),
-    "feed": _Stage(LINK_FIELDS["relay-UE"], ("xs", "ys"), partial(_second_hop, at_feed=True)),
     "benchmark2_terms": _Stage((), ("link", "feed"), _terms),
     "benchmark2_power": _Stage(_RELAY_POWER_FIELDS, ("link", "benchmark2_terms"), _relay_power),
 }
 # Each scheme's stages, each after the stages it takes; the last gives (total, BS power).
 _EVALUATORS = {
-    "proposed": ("link", "placement", "proposed_terms", "proposed_power"),
+    "proposed": ("link", "feed", "placement", "proposed_terms", "proposed_power"),
     "benchmark1": ("geometry", "shadowing", "path_loss", "link", "benchmark1_power"),
     "benchmark2": ("link", "feed", "benchmark2_terms", "benchmark2_power"),
 }

@@ -17,8 +17,9 @@ point that :func:`af_snr` or :func:`total_power_w` takes is checked against
 the float range.
 
 This module imports no numpy; the array forms are in :mod:`.kernel`.
-:func:`relay_tx_power`, :func:`consumed_power` and the free-space factor use
-arithmetic operators only, so they serve floats and arrays alike.
+:func:`relay_tx_power`, :func:`consumed_power`, the free-space factor and
+:func:`unchecked_relay_ue_gain` use arithmetic operators only (the last also
+its caller's ``sqrt`` and ``exp``), so they serve floats and arrays alike.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     import numpy as np
@@ -231,17 +232,20 @@ def relay_ue_gain(config: SystemConfig, ue: UePosition, x_pin_m: float) -> float
     a point, since its gain is never below the feed's.
     """
     if not 0.0 <= x_pin_m <= config.waveguide_length_m:
-        raise ValueError(
-            f"x_pin={x_pin_m!r} outside the waveguide [0, {config.waveguide_length_m}]"
-        )
-    dx = ue.x_ue_m - x_pin_m
-    height = config.waveguide_height_m
-    distance = math.sqrt(dx * dx + ue.y_ue_m * ue.y_ue_m + height * height)
-    attenuation = math.exp(-config.waveguide_attenuation_per_m * x_pin_m)
-    g2_sq = attenuation * _free_space(distance, config.carrier_frequency_hz)
+        raise ValueError(f"x_pin={x_pin_m!r} outside the waveguide [0, {config.waveguide_length_m}]")
+    g2_sq = unchecked_relay_ue_gain(config, ue.x_ue_m, ue.y_ue_m, x_pin_m, math.sqrt, math.exp)
     if g2_sq < CHANNEL_DOMAIN[0]:
         raise ValueError(link_out_of_range(config, "relay-UE", g2_sq))
     return g2_sq
+
+
+def unchecked_relay_ue_gain(config: SystemConfig, x_ue_m, y_ue_m, x_pin_m, sqrt: Callable, exp: Callable):
+    """|g2|^2 of :func:`relay_ue_gain`, unchecked, for floats or arrays: operators only, and the
+    caller's ``sqrt`` and ``exp`` (:mod:`math`'s for floats; for arrays, ones equal to them per element)."""
+    dx = x_ue_m - x_pin_m
+    height = config.waveguide_height_m
+    distance = sqrt(dx * dx + y_ue_m * y_ue_m + height * height)
+    return exp(-config.waveguide_attenuation_per_m * x_pin_m) * _free_space(distance, config.carrier_frequency_hz)
 
 
 def channel_gains(config: SystemConfig, ue: UePosition, x_pin_m: float) -> ChannelGains:

@@ -17,13 +17,14 @@ weighted cost ``J = eta_pa P1 + beta^2 (P1 |g1|^2 + sigma_r^2)`` to
 sigma_r^2``, minimized at ``u* = sqrt(B / A)``.  Total consumed power at the
 optimum is ``J* / eta_pa`` plus the constant circuit terms.
 
-This module imports no numpy; the sweep's array forms are in :mod:`.kernel`.  The split is
-written once, in parts that serve floats and arrays alike: :func:`link_factors` and
-:func:`target_factors` build its factors, and its per-user parts apply them, :func:`split_terms`
-(the link part), :func:`split_powers` (the target part) and :func:`split_cost` (``j``).
-:func:`optimal_power_allocation` composes them through :func:`split_power`; :func:`solve_at`'s one
-pass over floats hands the placement's |g2|^2 to them and reads the rest from :func:`link_constants`.
-Over the inputs' domain (:data:`~.model.DOMAIN`) every value here is finite, so nothing is checked.
+This module imports no numpy; the sweep's array forms are in :mod:`.kernel`.  The placement root,
+:func:`stationary_root`, is written once for floats and arrays alike, and so is the split, in parts:
+:func:`link_factors` and :func:`target_factors` build its factors, and its per-user parts apply
+them, :func:`split_terms` (the link part), :func:`split_powers` (the target part) and
+:func:`split_cost` (``j``).  :func:`optimal_power_allocation` composes them through
+:func:`split_power`; :func:`solve_at`'s one pass over floats hands the placement's |g2|^2 to them
+and reads the rest from :func:`link_constants`.  Over the inputs' domain (:data:`~.model.DOMAIN`)
+every value here is finite, so nothing is checked.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .model import SPEED_OF_LIGHT_M_S, ChannelGains, SystemConfig, UePosition, _ue_noise_w, bs_relay_gain
 from .model import relay_ue_gain
@@ -67,16 +68,17 @@ def stationary_points(config: SystemConfig, ue: UePosition) -> StationaryAnalysi
     """
     if config.waveguide_attenuation_per_m == 0.0:
         raise ValueError("no stationary analysis for zero waveguide attenuation")
-    return StationaryAnalysis(_interior_maximum(config, ue))
+    discriminant, x2 = stationary_root(config, ue.x_ue_m, ue.y_ue_m, math.sqrt)
+    return StationaryAnalysis(x2 if discriminant >= 0.0 else None)
 
 
-def _interior_maximum(config: SystemConfig, ue: UePosition) -> float | None:
-    """``x2`` for a positive attenuation, or ``None`` when the discriminant is negative."""
+def stationary_root(config: SystemConfig, x_ue_m, y_ue_m, sqrt: Callable):
+    """``(discriminant, x2)`` of the stationary-point quadratic for a positive attenuation, floats or
+    arrays: operators only, and the caller's ``sqrt``.  ``x2`` is the interior maximum where the
+    discriminant is >= 0; elsewhere it is taken over ``|discriminant|``, only so that it is defined."""
     alpha = config.waveguide_attenuation_per_m
-    discriminant = 1.0 - alpha * alpha * (ue.y_ue_m * ue.y_ue_m + config.waveguide_height_m * config.waveguide_height_m)
-    if discriminant < 0.0:
-        return None
-    return ue.x_ue_m - (1.0 - math.sqrt(discriminant)) / alpha
+    discriminant = 1.0 - alpha * alpha * (y_ue_m * y_ue_m + config.waveguide_height_m * config.waveguide_height_m)
+    return discriminant, x_ue_m - (1.0 - sqrt(abs(discriminant))) / alpha
 
 
 _last_placement: tuple = (None, None, math.nan, math.nan)  # optimal_pin_position's latest (config, ue, x_pin, g2_sq)
@@ -99,15 +101,16 @@ def optimal_pin_position(config: SystemConfig, ue: UePosition) -> float:
         x_pin = 0.0 if x_ue < 0.0 else length if x_ue > length else x_ue  # min(max(x_ue, 0.0), length)
         g2_sq = relay_ue_gain(config, ue, x_pin)
     else:
-        x2 = _interior_maximum(config, ue)
+        discriminant, x2 = stationary_root(config, x_ue, ue.y_ue_m, math.sqrt)
         y_ue, height = ue.y_ue_m, config.waveguide_height_m
         four_pi_f = 4.0 * math.pi * config.carrier_frequency_hz  # model._free_space's factors, shared
-        # the attenuation factor at the feed is exp(-0.0) = 1 exactly
+        # model.unchecked_relay_ue_gain at the feed (exp(-0.0) = 1), inline: a call adds ~0.2 us to a ~2 us solve
         ratio = SPEED_OF_LIGHT_M_S / (four_pi_f * math.sqrt(x_ue * x_ue + y_ue * y_ue + height * height))
         x_pin, g2_sq = 0.0, ratio * ratio
-        if x2 is not None:
+        if discriminant >= 0.0:
             candidate = 0.0 if x2 < 0.0 else length if x2 > length else x2
             dx = x_ue - candidate
+            # model.unchecked_relay_ue_gain at the candidate, inline: a call adds ~0.2 us to a ~2 us solve
             ratio = SPEED_OF_LIGHT_M_S / (four_pi_f * math.sqrt(dx * dx + y_ue * y_ue + height * height))
             at_candidate = math.exp(-config.waveguide_attenuation_per_m * candidate) * (ratio * ratio)
             if at_candidate > g2_sq:  # a candidate whose attenuation underflows to 0 loses
@@ -245,6 +248,7 @@ def solve_at(config: SystemConfig, ue: UePosition, x_pin_m: float) -> PowerSolut
     cross, k = split_terms(link, math.sqrt(g2_sq))
     p1, beta_sq = split_powers(target, cross, k)
     j_star = split_cost(target, g2_sq, cross)
+    # model.relay_tx_power and consumed_power, inline: the two calls add ~0.07 us to a ~2 us solve
     p2 = beta_sq * (p1 * g1_sq + sigma_r_sq_w)
     total = p1 + p2 / config.pa_efficiency + config.relay_circuit_power_w + config.bs_rf_chain_power_w
     return _new_solution((x_pin_m, p1, beta_sq, p2, j_star, total))

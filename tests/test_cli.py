@@ -401,6 +401,18 @@ class TestSweepCommand:
         assert cli_main(argv) == 0  # without a script the name is only a file name
         assert [p.name for p in tmp_path.iterdir()] == [name]
 
+    # the script goes to the CSV's name with .gp: a CSV named *.gp would be overwritten by it
+    def test_gnuplot_script_over_the_csv_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "fig.gp"
+        argv = ["sweep", "--var", "gamma0", "--values", "10,20dB", "--samples", "5", "--out", str(out)]
+        assert cli_main([*argv, "--gnuplot"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --gnuplot would write its script over the CSV {str(out)!r}: give --out another suffix\n"
+        assert list(tmp_path.iterdir()) == []
+        assert cli_main(argv) == 0  # without a script the name is only a file name
+        assert out.read_text(encoding="utf-8").startswith("variable,scheme,")
+
     @pytest.mark.parametrize("name", sorted(VARIABLES))
     def test_every_variable_is_a_choice_with_its_axis_label(self, tmp_path, capsys, name):
         out = tmp_path / "v.csv"

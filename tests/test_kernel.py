@@ -22,10 +22,10 @@ from pinchrelay import (
     optimal_pin_position,
     solve,
 )
-from pinchrelay.model import bs_relay_gain, relay_ue_gain
+from pinchrelay.model import bs_relay_gain, relay_ue_gain, unchecked_relay_ue_gain
 from pinchrelay.optimize import split_power, stationary_points
 from pinchrelay.benchmarks import SHADOWING_STD_DB, benchmark1_link_gain
-from pinchrelay.kernel import _EVALUATORS, _STAGES, evaluate, exact_sum, libm_each, optimal_pin_positions, relay_ue_gains
+from pinchrelay.kernel import _EVALUATORS, _STAGES, evaluate, exact_sum, libm_each, libm_exp, optimal_pin_positions
 from pinchrelay import kernel
 from pinchrelay.sweep import VARIABLES
 
@@ -131,9 +131,10 @@ def near_tie_users(cfg: SystemConfig, rng: np.random.Generator, n: int = 50, spr
 
 def assert_placement_and_gain_match(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray) -> None:
     users = positions(xs, ys)
-    x_pins, chosen = optimal_pin_positions(cfg, xs, ys)
+    at_feed = unchecked_relay_ue_gain(cfg, xs, ys, 0.0, np.sqrt, libm_exp)
+    x_pins, chosen = optimal_pin_positions(cfg, xs, ys, at_feed)
     assert x_pins.tolist() == [optimal_pin_position(cfg, ue) for ue in users]
-    gains = relay_ue_gains(cfg, xs, ys, x_pins)
+    gains = unchecked_relay_ue_gain(cfg, xs, ys, x_pins, np.sqrt, libm_exp)
     assert gains.tolist() == [relay_ue_gain(cfg, ue, x) for ue, x in zip(users, x_pins.tolist())]
     assert chosen.tolist() == gains.tolist()
 
@@ -418,8 +419,9 @@ def test_every_scheme_meets_the_snr_target_across_the_wide_box(cfg, seed):
     for ue in positions(xs, ys):
         for sol in (solve(cfg, ue), benchmark2_power(cfg, ue)):
             assert af_snr(sol.p1_w, sol.beta_sq, channel_gains(cfg, ue, sol.x_pin_m)) == pytest.approx(gamma0, rel=1e-9)
-    for hop in ("placement", "feed"):  # the relay schemes' second-hop stage, then the split their power stage makes
-        g2_sq, g2 = _STAGES[hop].run(cfg, xs, ys)
+    feed = _STAGES["feed"].run(cfg, xs, ys)
+    # the relay schemes' second-hop stage, then the split their power stage makes
+    for hop, (g2_sq, g2) in (("placement", _STAGES["placement"].run(cfg, xs, ys, feed)), ("feed", feed)):
         p1, beta_sq, _ = split_power(cfg, g1_sq, sigma_r_sq_w, sigma_ue_sq_w, g2_sq, g2)
         for k in range(xs.size):
             gains = ChannelGains(g1_sq, float(g2_sq[k]), sigma_r_sq_w, sigma_ue_sq_w)

@@ -25,11 +25,17 @@ from pinchrelay import (
     solve,
 )
 from pinchrelay import model, optimize
-from pinchrelay.kernel import evaluate, optimal_pin_positions, relay_ue_gains
+from pinchrelay.kernel import evaluate, libm_exp, optimal_pin_positions
 from pinchrelay.model import DOMAIN, SPEED_OF_LIGHT_M_S, UE_DOMAIN, bs_relay_gain, consumed_power, relay_tx_power, relay_ue_gain
+from pinchrelay.model import unchecked_relay_ue_gain
 from pinchrelay.optimize import StationaryAnalysis, solve_at, stationary_points
 
 C = SPEED_OF_LIGHT_M_S
+
+
+def kernel_placement(cfg, xs, ys):
+    """The sweep kernel's ``(x_pins, g2_sq)``, compared with the feed's gains as the sweep compares them."""
+    return optimal_pin_positions(cfg, xs, ys, unchecked_relay_ue_gain(cfg, xs, ys, 0.0, np.sqrt, libm_exp))
 
 
 def symmetric_toy():
@@ -118,7 +124,7 @@ class TestStationaryPoints:
         ue = UePosition(20.0, 0.0)
         assert stationary_points(cfg, ue).x2_m == 16.0
         # both paths test the same discriminant, so the array form matches bit for bit
-        x_pins, g2_sq = optimal_pin_positions(cfg, np.array([20.0]), np.array([0.0]))
+        x_pins, g2_sq = kernel_placement(cfg, np.array([20.0]), np.array([0.0]))
         x_pin = optimal_pin_position(cfg, ue)
         assert x_pins.tolist() == [x_pin] and g2_sq.tolist() == [relay_ue_gain(cfg, ue, x_pin)]
 
@@ -182,7 +188,7 @@ class TestOptimalPinPosition:
         ue = UePosition(10.0, 0.0)
         assert stationary_points(cfg, ue).x2_m == pytest.approx(9.991, abs=1e-3)
         assert optimal_pin_position(cfg, ue) == 0.0
-        x_pins, g2_sq = optimal_pin_positions(cfg, np.array([10.0]), np.array([0.0]))
+        x_pins, g2_sq = kernel_placement(cfg, np.array([10.0]), np.array([0.0]))
         assert x_pins.tolist() == [0.0] and g2_sq.tolist() == [relay_ue_gain(cfg, ue, 0.0)]
         for scheme in ("proposed", "benchmark2"):
             total, bs_w = evaluate(scheme, cfg, np.array([10.0]), np.array([0.0]), np.zeros(1), {})
@@ -231,11 +237,12 @@ class TestOptimalPinPosition:
         assert relay_ue_gain(changed, ue, x_pin) == relay_ue_gain(base, ue, x_pin)
         rng = np.random.default_rng(seed)
         xs, ys = rng.uniform(0.0, 30.0, 200), rng.uniform(0.0, 10.0, 200)
-        x_pins, g2_sq = optimal_pin_positions(changed, xs, ys)
-        base_pins, base_g2_sq = optimal_pin_positions(base, xs, ys)
+        x_pins, g2_sq = kernel_placement(changed, xs, ys)
+        base_pins, base_g2_sq = kernel_placement(base, xs, ys)
         assert x_pins.tolist() == base_pins.tolist()
         assert g2_sq.tolist() == base_g2_sq.tolist()
-        assert relay_ue_gains(changed, xs, ys, x_pins).tolist() == relay_ue_gains(base, xs, ys, x_pins).tolist()
+        gains = [unchecked_relay_ue_gain(c, xs, ys, x_pins, np.sqrt, libm_exp).tolist() for c in (changed, base)]
+        assert gains[0] == gains[1]
 
 
 class TestOptimalPowerAllocation:

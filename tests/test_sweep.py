@@ -234,6 +234,15 @@ class TestStages:
         assert runs == {name: len(values) if name in per_value else 1 for name in _STAGES}
         assert len(g1_configs) == runs["link"]  # |g1|^2 once per link stage: once per sweep, or once per d1
 
+    def test_a_sweep_evaluates_the_feed_gain_once(self, cfg, monkeypatch):
+        # one exp per user at the candidate the placement weighs, and one for all users at the
+        # feed, whose gain the placement compares with and the fixed-antenna scheme powers
+        calls, exp = [], math.exp
+        monkeypatch.setattr(math, "exp", lambda x: calls.append(x) or exp(x))
+        spec = small_spec()
+        run_sweep(cfg, spec)
+        assert spec.schemes == SCHEMES and len(calls) == spec.ue_samples + 1
+
     @pytest.mark.parametrize("variable", sorted(SWEEPS))
     def test_each_record_equals_a_one_value_sweep(self, cfg, monkeypatch, variable):
         if variable not in VARIABLES:
