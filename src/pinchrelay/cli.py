@@ -318,10 +318,12 @@ def _cmd_verify(args: argparse.Namespace, config: SystemConfig) -> int:
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
     rng = random.Random(args.seed)
-    base = asdict(config)  # once: each trial's config is these fields with the draws over them
+    kwargs = asdict(config)  # one dict for all trials: each trial draws over its drawn fields
     failures = 0
     for k in range(args.trials):
-        cfg = SystemConfig(**{**base, **{name: draw(rng) for name, draw in _VERIFY_DRAWN_FIELDS.items()}})
+        for name, draw in _VERIFY_DRAWN_FIELDS.items():
+            kwargs[name] = draw(rng)
+        cfg = SystemConfig(**kwargs)
         ue = UePosition(rng.uniform(0.0, cfg.coverage_x_m), rng.uniform(0.0, cfg.coverage_y_m))
         position, power = verify_scenario(cfg, ue)
         ok = position.passed and power.passed

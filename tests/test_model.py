@@ -1,8 +1,10 @@
 """Link-budget model: noise, free-space gain, hop gains, AF SNR, power accounting."""
 
+import copy
 import math
+import pickle
 import re
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, asdict, astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -301,6 +303,18 @@ class TestConfigAndTypes:
         with pytest.raises(ValueError, match=rf"^{name} must lie in \[1e-30, 1e\+30\], got {value!r}$"):
             ChannelGains(**kwargs)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: UePosition(None, 5.0), "x_ue_m must lie in [-100000, 100000], got None"),
+            (lambda: ChannelGains(1.0, None, 1.0, 1.0), "g2_sq must lie in [1e-30, 1e+30], got None"),
+            (lambda: SystemConfig(bandwidth_hz=None), "bandwidth_hz must lie in [1000, 1e+11], got None"),
+        ],
+    )
+    def test_none_is_a_named_error_where_a_field_takes_no_none(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
     def test_gains_bounded_by_antenna_gains(self, cfg, ue_mid):
         gains = channel_gains(cfg, ue_mid, 14.83)
         horn_product = db_to_linear(cfg.horn_gain_tx_dbi) * db_to_linear(cfg.horn_gain_rx_dbi)
@@ -313,3 +327,99 @@ class TestConfigAndTypes:
         assert cfg.ue_noise_w == pytest.approx(noise_power_w(400e6, 13.0), rel=1e-15)
         same = SystemConfig()
         assert same.ue_noise_w == same.relay_noise_w
+
+
+# one instance of each frozen value type, its constructor arguments, and a field with a second value in its domain
+VALUE_TYPES = {
+    "SystemConfig": (SystemConfig, {"snr_target_linear": 200.0, "ue_noise_figure_db": 7.0}, "bandwidth_hz", 1e6),
+    "UePosition": (UePosition, {"x_ue_m": 15.0, "y_ue_m": 5.0}, "y_ue_m", 6.0),
+    "ChannelGains": (
+        ChannelGains,
+        {"g1_sq": 1e-6, "g2_sq": 2e-7, "sigma_r_sq_w": 3e-12, "sigma_ue_sq_w": 4e-12},
+        "g2_sq",
+        5e-7,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(VALUE_TYPES))
+class TestValueTypeContract:
+    """SystemConfig, UePosition and ChannelGains behave as frozen dataclasses in every observable way."""
+
+    @staticmethod
+    def build(kind):
+        cls, kwargs, name, other = VALUE_TYPES[kind]
+        return cls, cls(**kwargs), name, other
+
+    def test_frozen_on_set_and_delete(self, kind):
+        _, value, name, other = self.build(kind)
+        before = repr(value)
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, other)
+        with pytest.raises(FrozenInstanceError):
+            delattr(value, name)
+        with pytest.raises(FrozenInstanceError):
+            value.unlisted = 1.0
+        assert repr(value) == before
+
+    def test_construction_takes_keywords_positions_and_defaults(self, kind):
+        cls, value, _, _ = self.build(kind)
+        assert cls(*astuple(value)) == value
+        assert cls(**asdict(value)) == value
+        with pytest.raises(TypeError):
+            cls(*astuple(value), 1.0)
+        with pytest.raises(TypeError):
+            cls(**asdict(value), unlisted=1.0)
+        if kind == "SystemConfig":
+            assert cls() == SystemConfig(carrier_frequency_hz=28e9) and cls().ue_noise_figure_db is None
+        else:
+            with pytest.raises(TypeError):
+                cls()
+
+    def test_equality_hash_and_repr(self, kind):
+        cls, value, name, other = self.build(kind)
+        twin = cls(**asdict(value))
+        assert value == twin and hash(value) == hash(twin) and value is not twin
+        changed = replace(value, **{name: other})
+        assert value != changed and changed != value
+        assert value != astuple(value) and (value == astuple(value)) is False
+        assert {value, twin, changed} == {value, changed}
+        shown = ", ".join(f"{f.name}={getattr(value, f.name)!r}" for f in fields(cls))
+        assert repr(value) == f"{kind}({shown})"
+
+    def test_replace_fields_and_asdict(self, kind):
+        cls, value, name, other = self.build(kind)
+        _, kwargs, _, _ = VALUE_TYPES[kind]
+        assert [f.name for f in fields(value)] == list(cls.__annotations__)
+        assert asdict(value) == {f.name: getattr(value, f.name) for f in fields(cls)}
+        assert all(asdict(value)[key] == expected for key, expected in kwargs.items())
+        changed = replace(value, **{name: other})
+        assert type(changed) is cls and getattr(changed, name) == other and getattr(value, name) != other
+        assert {k: v for k, v in asdict(changed).items() if k != name} == {
+            k: v for k, v in asdict(value).items() if k != name
+        }
+        assert replace(value) == value and replace(value) is not value
+        # replace validates, as construction does
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[.*\], got nan$"):
+            replace(value, **{name: math.nan})
+
+    def test_copy_deepcopy_and_pickle(self, kind):
+        cls, value, name, other = self.build(kind)
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is cls and twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+            with pytest.raises(FrozenInstanceError):
+                setattr(twin, name, other)
+
+
+
+def test_a_config_s_kept_link_constants_are_no_field():
+    config, fresh = SystemConfig(), SystemConfig()
+    solve(config, UePosition(15.0, 5.0))
+    assert getattr(config, "_link_constants", None) is not None
+    assert getattr(fresh, "_link_constants", None) is None
+    assert config == fresh and hash(config) == hash(fresh) and repr(config) == repr(fresh)
+    assert asdict(config) == asdict(fresh) and "_link_constants" not in asdict(config)
+    assert "_link_constants" not in [f.name for f in fields(config)]
+    assert getattr(replace(config), "_link_constants", None) is None
+    assert getattr(replace(config, snr_target_linear=50.0), "_link_constants", None) is None
+    assert pickle.loads(pickle.dumps(config)) == fresh

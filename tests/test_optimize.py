@@ -412,7 +412,7 @@ class TestOnePassSolve:
         def unbuilt(*args, **kwargs):
             raise AssertionError("a one-pass solve builds no ChannelGains or StationaryAnalysis")
 
-        monkeypatch.setattr(ChannelGains, "__post_init__", unbuilt)
+        monkeypatch.setattr(ChannelGains, "__init__", unbuilt)
         monkeypatch.setattr(StationaryAnalysis, "__init__", unbuilt)
         calls, noise_power_w = [], model.noise_power_w
         monkeypatch.setattr(model, "noise_power_w", lambda *args: calls.append(args) or noise_power_w(*args))

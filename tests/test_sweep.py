@@ -84,6 +84,12 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=rf"^{name} must be an integer >= [01], got {value!r}$"):
             small_spec(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [("ue_samples", True), ("seed", False), ("seed", True)])
+    def test_bools_are_not_integers(self, name, value):
+        # a bool passes an __index__ check, and would fail only inside numpy's generator
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= [01], got {value!r}$"):
+            small_spec(**{name: value})
+
     def test_numpy_integers_are_integers(self):
         spec = small_spec(ue_samples=np.int64(7), seed=np.uint32(5))
         assert (spec.ue_samples, spec.seed) == (7, 5)
