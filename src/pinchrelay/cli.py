@@ -260,10 +260,15 @@ def _cmd_solve(args: argparse.Namespace, config: SystemConfig) -> int:
 def _cmd_sweep(args: argparse.Namespace, config: SystemConfig) -> int:
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
+    if args.samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {args.samples}")
     if args.samples > MAX_SAMPLES:
         raise UsageError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
     variable = _SWEEP_VARIABLES.get(args.var, args.var)
-    _, _, units, label = VARIABLES[variable]
+    field, _, units, label = VARIABLES[variable]
+    # as in verify, a config-file value for the swept field is ignored, so a config-dump file still loads
+    if getattr(args, field) is not None:
+        raise UsageError(f"sweep sets {field} at every value, so {_SCENARIO_FIELDS[field][0]} cannot set it")
     try:
         values, unit = parse_values_spec(args.values)
     except ValueError as exc:

@@ -120,14 +120,11 @@ def optimal_pin_positions(config: SystemConfig, xs: np.ndarray, ys: np.ndarray, 
     """Array form of :func:`~.optimize.optimal_pin_position` for users ``(xs, ys)``, equal to it per element.
 
     ``at_feed`` is each user's |g2|^2 at the feed.  Returns ``(x_pins, g2_sq)``: each user's pinch point
-    and the unchecked |g2|^2 it was chosen by.
+    and the unchecked |g2|^2 it was chosen by.  At alpha = 0 too, the candidate ``x2`` clamped to the
+    waveguide wins only where it radiates more than the feed.
     """
-    length = config.waveguide_length_m
-    if config.waveguide_attenuation_per_m == 0.0:
-        x_pins = np.minimum(np.maximum(xs, 0.0), length)
-        return x_pins, unchecked_relay_ue_gain(config, xs, ys, x_pins, np.sqrt, libm_exp)
     discriminant, x2 = stationary_root(config, xs, ys, np.sqrt)
-    candidate = np.minimum(np.maximum(x2, 0.0), length)
+    candidate = np.minimum(np.maximum(x2, 0.0), config.waveguide_length_m)
     at_candidate = unchecked_relay_ue_gain(config, xs, ys, candidate, np.sqrt, libm_exp)
     wins = (discriminant >= 0.0) & (at_candidate > at_feed)
     return np.where(wins, candidate, 0.0), np.where(wins, at_candidate, at_feed)
@@ -149,19 +146,21 @@ def _placement(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, feed: tuple[np
     return g2_sq, np.sqrt(g2_sq)
 
 
-def _terms(cfg: SystemConfig, budget, second_hop: tuple[np.ndarray, np.ndarray]):
-    return split_terms(budget.link, second_hop[1])
+def _terms(cfg: SystemConfig, budget: tuple, second_hop: tuple[np.ndarray, np.ndarray]):
+    _, _, _, link = budget
+    return split_terms(link, second_hop[1])
 
 
-def _relay_power(cfg: SystemConfig, budget, terms):
+def _relay_power(cfg: SystemConfig, budget: tuple, terms):
     g1_sq, sigma_r_sq_w, sigma_ue_sq_w, _ = budget
     target = target_factors(cfg.snr_target_linear, cfg.pa_efficiency, g1_sq, sigma_r_sq_w, sigma_ue_sq_w)
     p1, beta_sq = split_powers(target, *terms)
     return consumed_power(p1, relay_tx_power(p1, beta_sq, g1_sq, sigma_r_sq_w), cfg), p1
 
 
-def _direct_power(cfg: SystemConfig, budget, gain: np.ndarray):
-    tx = direct_tx_power_w(cfg.snr_target_linear, budget.sigma_ue_sq_w, gain)
+def _direct_power(cfg: SystemConfig, budget: tuple, gain: np.ndarray):
+    _, _, sigma_ue_sq_w, _ = budget
+    tx = direct_tx_power_w(cfg.snr_target_linear, sigma_ue_sq_w, gain)
     return benchmark1_total_power_w(cfg, tx), tx
 
 

@@ -9,6 +9,10 @@ minimum ``x1`` (larger u) and the unique interior local maximum ``x2``
 (smaller u), so the constrained optimum on ``[0, L]`` is either the feed
 endpoint ``x = 0`` or ``x2`` clamped to the waveguide, whichever radiates the
 stronger |g2|^2: the same gain that then powers the relay, never below the feed's.
+The maximum is written ``x2 = x_ue - alpha C / (1 + sqrt(1 - alpha^2 C))``, the
+form without cancellation at small alpha, whose limit at alpha = 0 is ``x_ue``:
+a lossless waveguide puts the pinch right under the user, and needs no case of
+its own.
 
 Power split.  With the placement fixed, the SNR target is active at the cost
 optimum, pinning the relay gain as a function of the BS power and reducing the
@@ -34,8 +38,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .model import SPEED_OF_LIGHT_M_S, ChannelGains, SystemConfig, UePosition, _ue_noise_w, bs_relay_gain
-from .model import relay_ue_gain
+from .model import SPEED_OF_LIGHT_M_S, ChannelGains, SystemConfig, UePosition, _ue_noise_w, bs_relay_gain, relay_ue_gain
 
 if TYPE_CHECKING:
     import numpy as np
@@ -62,23 +65,21 @@ class PowerSolution(NamedTuple):
 def stationary_points(config: SystemConfig, ue: UePosition) -> StationaryAnalysis:
     """The interior maximum of the placement objective, from its stationary-point quadratic.
 
-    Requires a strictly positive attenuation coefficient; at alpha = 0 the
-    quadratic degenerates and the caller should use the pure distance-
-    minimizing placement instead.
+    At alpha = 0 the quadratic's root is its lossless limit, ``x2 = x_ue``.
     """
-    if config.waveguide_attenuation_per_m == 0.0:
-        raise ValueError("no stationary analysis for zero waveguide attenuation")
     discriminant, x2 = stationary_root(config, ue.x_ue_m, ue.y_ue_m, math.sqrt)
     return StationaryAnalysis(x2 if discriminant >= 0.0 else None)
 
 
 def stationary_root(config: SystemConfig, x_ue_m, y_ue_m, sqrt: Callable):
-    """``(discriminant, x2)`` of the stationary-point quadratic for a positive attenuation, floats or
-    arrays: operators only, and the caller's ``sqrt``.  ``x2`` is the interior maximum where the
-    discriminant is >= 0; elsewhere it is taken over ``|discriminant|``, only so that it is defined."""
+    """``(discriminant, x2)`` of the stationary-point quadratic, floats or arrays: operators only, and
+    the caller's ``sqrt``.  ``x2 = x_ue - alpha C / (1 + sqrt(discriminant))`` is the interior maximum
+    where the discriminant is >= 0, free of cancellation at small alpha and ``x_ue`` at alpha = 0;
+    elsewhere it is taken over ``|discriminant|``, only so that it is defined."""
     alpha = config.waveguide_attenuation_per_m
-    discriminant = 1.0 - alpha * alpha * (y_ue_m * y_ue_m + config.waveguide_height_m * config.waveguide_height_m)
-    return discriminant, x_ue_m - (1.0 - sqrt(abs(discriminant))) / alpha
+    c_const = y_ue_m * y_ue_m + config.waveguide_height_m * config.waveguide_height_m
+    discriminant = 1.0 - alpha * alpha * c_const
+    return discriminant, x_ue_m - alpha * c_const / (1.0 + sqrt(abs(discriminant)))
 
 
 _last_placement: tuple = (None, None, math.nan, math.nan)  # optimal_pin_position's latest (config, ue, x_pin, g2_sq)
@@ -87,34 +88,29 @@ _last_placement: tuple = (None, None, math.nan, math.nan)  # optimal_pin_positio
 def optimal_pin_position(config: SystemConfig, ue: UePosition) -> float:
     """Gain-maximizing pinching-antenna position on the waveguide.
 
-    With no attenuation the objective is pure distance minimization and the
-    optimum is ``x_ue`` clamped to ``[0, L]``.  Otherwise the only candidates
-    are the feed endpoint and the interior maximum ``x2`` clamped to the
-    waveguide; comparing their |g2|^2 makes the result a global argmax under
-    every case split (``x2`` below the feed, beyond the far end, or in
-    between).  Ties go to the feed endpoint.
+    The only candidates are the feed endpoint and the interior maximum ``x2``
+    clamped to the waveguide; comparing their |g2|^2 makes the result a global
+    argmax under every case split (``x2`` below the feed, beyond the far end,
+    or in between).  Ties go to the feed endpoint.  With no attenuation
+    ``x2 = x_ue``, so the candidate is ``x_ue`` clamped to ``[0, L]``: pure
+    distance minimization.
     """
     global _last_placement
     length = config.waveguide_length_m
-    x_ue = ue.x_ue_m
-    if config.waveguide_attenuation_per_m == 0.0:
-        x_pin = 0.0 if x_ue < 0.0 else length if x_ue > length else x_ue  # min(max(x_ue, 0.0), length)
-        g2_sq = relay_ue_gain(config, ue, x_pin)
-    else:
-        discriminant, x2 = stationary_root(config, x_ue, ue.y_ue_m, math.sqrt)
-        y_ue, height = ue.y_ue_m, config.waveguide_height_m
-        four_pi_f = 4.0 * math.pi * config.carrier_frequency_hz  # model._free_space's factors, shared
-        # model.unchecked_relay_ue_gain at the feed (exp(-0.0) = 1), inline: a call adds ~0.2 us to a ~2 us solve
-        ratio = SPEED_OF_LIGHT_M_S / (four_pi_f * math.sqrt(x_ue * x_ue + y_ue * y_ue + height * height))
-        x_pin, g2_sq = 0.0, ratio * ratio
-        if discriminant >= 0.0:
-            candidate = 0.0 if x2 < 0.0 else length if x2 > length else x2
-            dx = x_ue - candidate
-            # model.unchecked_relay_ue_gain at the candidate, inline: a call adds ~0.2 us to a ~2 us solve
-            ratio = SPEED_OF_LIGHT_M_S / (four_pi_f * math.sqrt(dx * dx + y_ue * y_ue + height * height))
-            at_candidate = math.exp(-config.waveguide_attenuation_per_m * candidate) * (ratio * ratio)
-            if at_candidate > g2_sq:  # a candidate whose attenuation underflows to 0 loses
-                x_pin, g2_sq = candidate, at_candidate
+    x_ue, y_ue, height = ue.x_ue_m, ue.y_ue_m, config.waveguide_height_m
+    discriminant, x2 = stationary_root(config, x_ue, y_ue, math.sqrt)
+    four_pi_f = 4.0 * math.pi * config.carrier_frequency_hz  # model._free_space's factors, shared
+    # model.unchecked_relay_ue_gain at the feed (exp(-0.0) = 1), inline: a call adds ~0.2 us to a ~2 us solve
+    ratio = SPEED_OF_LIGHT_M_S / (four_pi_f * math.sqrt(x_ue * x_ue + y_ue * y_ue + height * height))
+    x_pin, g2_sq = 0.0, ratio * ratio
+    if discriminant >= 0.0:
+        candidate = 0.0 if x2 < 0.0 else length if x2 > length else x2
+        dx = x_ue - candidate
+        # model.unchecked_relay_ue_gain at the candidate, inline: a call adds ~0.2 us to a ~2 us solve
+        ratio = SPEED_OF_LIGHT_M_S / (four_pi_f * math.sqrt(dx * dx + y_ue * y_ue + height * height))
+        at_candidate = math.exp(-config.waveguide_attenuation_per_m * candidate) * (ratio * ratio)
+        if at_candidate > g2_sq:  # a candidate whose attenuation underflows to 0 loses
+            x_pin, g2_sq = candidate, at_candidate
     _last_placement = config, ue, x_pin, g2_sq
     return x_pin
 
@@ -137,44 +133,27 @@ def optimal_power_allocation(gains: ChannelGains, config: SystemConfig) -> tuple
     return split_power(config, gains.g1_sq, gains.sigma_r_sq_w, gains.sigma_ue_sq_w, g2_sq, math.sqrt(g2_sq))
 
 
-class LinkBudget(NamedTuple):
-    """|g1|^2, both noise powers and the split's :func:`link_factors`: what a config's links fix."""
-
-    g1_sq: float
-    sigma_r_sq_w: float
-    sigma_ue_sq_w: float
-    link: tuple  # link_factors
-
-
-class LinkConstants(NamedTuple):
-    """What every solve at one config shares: its :class:`LinkBudget`'s fields, then its
-    :func:`target_factors`, flat so that a solve unpacks them in one step."""
-
-    g1_sq: float
-    sigma_r_sq_w: float
-    sigma_ue_sq_w: float
-    link: tuple  # link_factors
-    target: tuple  # target_factors
-
-
 # PowerSolution(*values) from a tuple of the values, without the Python frame of the named
 # tuple's generated __new__ (about 0.2 us of a 2 us solve)
 _new_solution = partial(tuple.__new__, PowerSolution)
 
 
-def link_budget(config: SystemConfig) -> LinkBudget:
-    """The config's :class:`LinkBudget`, computed afresh; it reads only the BS-relay and noise fields."""
+def link_budget(config: SystemConfig) -> tuple:
+    """The config's link budget, ``(g1_sq, sigma_r_sq_w, sigma_ue_sq_w, link)``: |g1|^2, both noise
+    powers and the split's :func:`link_factors`, computed afresh from the BS-relay and noise fields."""
     g1_sq, sigma_r_sq_w = bs_relay_gain(config), config.relay_noise_w
     sigma_ue_sq_w = _ue_noise_w(config, sigma_r_sq_w)
-    return LinkBudget(g1_sq, sigma_r_sq_w, sigma_ue_sq_w, link_factors(g1_sq, sigma_r_sq_w, sigma_ue_sq_w))
+    return g1_sq, sigma_r_sq_w, sigma_ue_sq_w, link_factors(g1_sq, sigma_r_sq_w, sigma_ue_sq_w)
 
 
-def link_constants(config: SystemConfig) -> LinkConstants:
-    """The config's :class:`LinkConstants`, computed on its first solve and kept on it."""
+def link_constants(config: SystemConfig) -> tuple:
+    """What every solve at one config shares, ``(g1_sq, sigma_r_sq_w, sigma_ue_sq_w, link, target)``:
+    its :func:`link_budget`, then its :func:`target_factors`.  Computed on the config's first solve
+    and kept on it."""
     constants = getattr(config, "_link_constants", None)  # None before the config's first solve
     if constants is None:
         budget = link_budget(config)
-        constants = LinkConstants(*budget, target_factors(config.snr_target_linear, config.pa_efficiency, *budget[:3]))
+        constants = (*budget, target_factors(config.snr_target_linear, config.pa_efficiency, *budget[:3]))
         object.__setattr__(config, "_link_constants", constants)  # no field: ==, repr and replace() ignore it
     return constants
 

@@ -1,10 +1,12 @@
 """Closed-form placement and power split, cross-checked against brute force."""
 
 import math
+import random
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from pinchrelay import model, optimize
 from pinchrelay.kernel import evaluate, libm_exp, optimal_pin_positions
 from pinchrelay.model import DOMAIN, SPEED_OF_LIGHT_M_S, UE_DOMAIN, bs_relay_gain, consumed_power, relay_tx_power, relay_ue_gain
 from pinchrelay.model import unchecked_relay_ue_gain
-from pinchrelay.optimize import StationaryAnalysis, solve_at, stationary_points
+from pinchrelay.optimize import StationaryAnalysis, solve_at, stationary_points, stationary_root
 
 C = SPEED_OF_LIGHT_M_S
 
@@ -128,10 +130,36 @@ class TestStationaryPoints:
         x_pin = optimal_pin_position(cfg, ue)
         assert x_pins.tolist() == [x_pin] and g2_sq.tolist() == [relay_ue_gain(cfg, ue, x_pin)]
 
-    def test_zero_attenuation_has_no_analysis(self, ue_mid):
+    def test_zero_attenuation_puts_the_pinch_under_the_user(self):
+        # alpha = 0 is the root's lossless limit, x2 = x_ue, and the general placement then clamps it
         cfg = SystemConfig(waveguide_attenuation_per_m=0.0)
-        with pytest.raises(ValueError):
-            stationary_points(cfg, ue_mid)
+        for x_ue in (-5.0, 0.0, 0.25, 15.0, 29.75, 30.0, 40.0):
+            ue = UePosition(x_ue, 5.0)
+            assert stationary_points(cfg, ue).x2_m.hex() == x_ue.hex()
+            assert optimal_pin_position(cfg, ue).hex() == min(max(x_ue, 0.0), cfg.waveguide_length_m).hex()
+        for cfg, ue in random_placements(300, seed=13):
+            cfg = replace(cfg, waveguide_attenuation_per_m=0.0)
+            assert stationary_points(cfg, ue).x2_m.hex() == ue.x_ue_m.hex()
+            clamped = min(max(ue.x_ue_m, 0.0), cfg.waveguide_length_m)
+            assert optimal_pin_position(cfg, ue).hex() == clamped.hex()
+
+    def test_the_root_s_offset_is_within_4_ulp_of_a_decimal_reference(self):
+        # at x_ue = 0 the root is the negated offset alpha C / (1 + sqrt(1 - alpha^2 C)) exactly; this form
+        # does not cancel at small alpha.  alpha is log-uniform from 1e-12 up to alpha^2 C = 1/2: nearer 1
+        # the discriminant itself is ill-conditioned.
+        rng = random.Random(12)
+        worst = 0.0
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for _ in range(20_000):
+                y_ue, height = rng.uniform(0.0, 10.0), rng.uniform(0.5, 10.0)
+                c_const = Decimal(y_ue) ** 2 + Decimal(height) ** 2
+                alpha = math.exp(rng.uniform(math.log(1e-12), math.log(math.sqrt(0.5 / float(c_const)))))
+                exact = Decimal(alpha) * c_const / (1 + (1 - Decimal(alpha) ** 2 * c_const).sqrt())
+                cfg = SystemConfig(waveguide_attenuation_per_m=alpha, waveguide_height_m=height)
+                offset = -stationary_root(cfg, 0.0, y_ue, math.sqrt)[1]
+                worst = max(worst, float(abs(Decimal(offset) - exact) / Decimal(math.ulp(offset))))
+        assert worst <= 4.0
 
 
 class TestOptimalPinPosition:
