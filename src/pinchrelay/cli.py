@@ -67,13 +67,18 @@ def parse_ratio_or_db(text: str) -> float:
     return value
 
 
+def parse_db_or_none(text: str) -> float | None:
+    """A plain dB value, or ``none`` (any case): the terminal reuses the relay's noise figure."""
+    return None if text.strip().lower() == "none" else parse_db_value(text)
+
+
 # One entry per SystemConfig field: the config-file key, then its CLI flag,
 # value parser, metavar and help text.
-_SCENARIO_FIELDS: dict[str, tuple[str, Callable[[str], float], str, str]] = {
+_SCENARIO_FIELDS: dict[str, tuple[str, Callable[[str], float | None], str, str]] = {
     "carrier_frequency_hz": ("--freq", parse_frequency_hz, "F", "carrier frequency (e.g. 28GHz)"),
     "bandwidth_hz": ("--bandwidth", parse_frequency_hz, "B", "bandwidth (e.g. 400MHz)"),
     "noise_figure_db": ("--noise-figure", parse_db_value, "NF", "receiver noise figure [dB]"),
-    "ue_noise_figure_db": ("--ue-noise-figure", parse_db_value, "NF", "terminal noise figure override [dB]"),
+    "ue_noise_figure_db": ("--ue-noise-figure", parse_db_or_none, "NF", "terminal noise figure [dB], or none"),
     "waveguide_attenuation_per_m": ("--alpha-d", parse_plain, "A", "waveguide attenuation [1/m]"),
     "horn_gain_tx_dbi": ("--horn-tx-gain", parse_db_value, "G", "BS horn gain [dBi]"),
     "horn_gain_rx_dbi": ("--horn-rx-gain", parse_db_value, "G", "relay horn gain [dBi]"),
@@ -106,25 +111,17 @@ def load_config_file(path: str | Path) -> dict[str, float | None]:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         if key not in _SCENARIO_FIELDS:
             raise UsageError(f"{path}:{lineno}: unknown configuration key {key!r}")
-        value = value.strip()
-        if key == "ue_noise_figure_db" and value.lower() == "none":
-            values[key] = None
-            continue
         try:
-            values[key] = _SCENARIO_FIELDS[key][1](value)
+            values[key] = _SCENARIO_FIELDS[key][1](value.strip())
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: {exc}") from exc
     return values
 
 
 def _build_config(args: argparse.Namespace) -> SystemConfig:
-    values: dict[str, float | None] = {}
-    if args.config:
-        values.update(load_config_file(args.config))
-    for name in _SCENARIO_FIELDS:
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            values[name] = flag_value
+    values = load_config_file(args.config) if args.config else {}
+    # the flags given win over the file
+    values.update((name, value) for name, value in vars(args).items() if name in _SCENARIO_FIELDS)
     try:
         return SystemConfig(**values)
     except (TypeError, ValueError) as exc:
@@ -193,9 +190,10 @@ _SWEEP_VARIABLES = {"gamma0": "snr_target_db", "d1": "bs_relay_distance_m"}
 
 
 def _scenario_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(add_help=False)
+    # a scenario flag's default is SUPPRESS: it is in args only when it is given
+    parser = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     group = parser.add_argument_group("scenario")
-    group.add_argument("--config", metavar="FILE", help="flat 'key = value' scenario file; flags override it")
+    group.add_argument("--config", default=None, metavar="FILE", help="flat 'key = value' scenario file; flags override it")
     for name, (flag, parse, metavar, help_text) in _SCENARIO_FIELDS.items():
         group.add_argument(flag, dest=name, type=_argtype(parse), metavar=metavar, help=help_text)
     return parser
@@ -267,7 +265,7 @@ def _cmd_sweep(args: argparse.Namespace, config: SystemConfig) -> int:
     variable = _SWEEP_VARIABLES.get(args.var, args.var)
     field, _, units, label = VARIABLES[variable]
     # as in verify, a config-file value for the swept field is ignored, so a config-dump file still loads
-    if getattr(args, field) is not None:
+    if field in vars(args):
         raise UsageError(f"sweep sets {field} at every value, so {_SCENARIO_FIELDS[field][0]} cannot set it")
     try:
         values, unit = parse_values_spec(args.values)
@@ -316,7 +314,7 @@ _VERIFY_DRAWN_FIELDS: dict[str, Callable[[random.Random], float]] = {
 
 def _cmd_verify(args: argparse.Namespace, config: SystemConfig) -> int:
     for name in _VERIFY_DRAWN_FIELDS:
-        if getattr(args, name) is not None:
+        if name in vars(args):
             raise UsageError(f"verify draws {name} at random in every trial, so {_SCENARIO_FIELDS[name][0]} cannot set it")
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")

@@ -18,13 +18,14 @@ Each scheme is a chain of stages (``_EVALUATORS``), each stage a row of
 takes, and its function.  The relay schemes share the link stage (|g1|^2, both
 noise powers and the split's link factors) and the feed stage (each user's
 |g2|^2 at the feed, which the placement stage compares its candidates with);
-each has a terms stage, which computes the split's per-user terms once per
-second hop and link, so that its power stage at each sweep value is the split's
-target part and the power accounting alone.  The direct scheme's stages are
-geometry, shadowing, path loss and power.  :func:`evaluate`, the one way to run
-a scheme, runs its power stage at every call and reruns an earlier stage only
-when a field that it or a stage before it reads changes.  Over the inputs'
-domain (:data:`~.model.DOMAIN`) every element is finite, as on the scalar path.
+each has a terms stage, which computes the split's per-user terms from the root
+of its second hop's |g2|^2, once per second hop and link, so that its power
+stage at each sweep value is the split's target part and the power accounting
+alone.  The direct scheme's stages are geometry, shadowing, path loss and
+power.  :func:`evaluate`, the one way to run a scheme, runs its power stage at
+every call and reruns an earlier stage only when a field that it or a stage
+before it reads changes.  Over the inputs' domain (:data:`~.model.DOMAIN`)
+every element is finite, as on the scalar path.
 """
 
 from __future__ import annotations
@@ -136,19 +137,17 @@ class _Stage(NamedTuple):
     run: Callable[..., Any]
 
 
-def _feed(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray):
-    g2_sq = unchecked_relay_ue_gain(cfg, xs, ys, 0.0, np.sqrt, libm_exp)
-    return g2_sq, np.sqrt(g2_sq)  # a second hop's power gain and amplitude
+def _feed(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    return unchecked_relay_ue_gain(cfg, xs, ys, 0.0, np.sqrt, libm_exp)
 
 
-def _placement(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, feed: tuple[np.ndarray, np.ndarray]):
-    g2_sq = optimal_pin_positions(cfg, xs, ys, feed[0])[1]
-    return g2_sq, np.sqrt(g2_sq)
+def _placement(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, feed: np.ndarray) -> np.ndarray:
+    return optimal_pin_positions(cfg, xs, ys, feed)[1]
 
 
-def _terms(cfg: SystemConfig, budget: tuple, second_hop: tuple[np.ndarray, np.ndarray]):
+def _terms(cfg: SystemConfig, budget: tuple, g2_sq: np.ndarray):
     _, _, _, link = budget
-    return split_terms(link, second_hop[1])
+    return split_terms(link, np.sqrt(g2_sq))  # the split reads the second hop's amplitude
 
 
 def _relay_power(cfg: SystemConfig, budget: tuple, terms):

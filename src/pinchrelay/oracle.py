@@ -10,8 +10,10 @@ optimum.
 The exhaustive placement grid :func:`grid_search_pin` remains as plain
 reference code for the acceptance gate and perfbench; only it imports numpy.
 All objective formulas here are written out inline, independently of the code
-paths under test.  Over the inputs' domain (:data:`~.model.DOMAIN`) every
-value they take is a finite, normal float.
+paths under test; :func:`verify_scenario` evaluates the objective at the
+closed-form pinch once, as ``ln f``, and derives ``f`` and both hop gains there.
+Over the inputs' domain (:data:`~.model.DOMAIN`) every value they take is a
+finite, normal float.
 """
 
 from __future__ import annotations
@@ -234,29 +236,31 @@ def numeric_power_min(gains: ChannelGains, config: SystemConfig) -> tuple[float,
 def verify_scenario(config: SystemConfig, ue: UePosition) -> tuple[OracleReport, OracleReport]:
     """Run both oracles against the closed forms for one scenario.
 
-    The position report compares the closed form's objective with the
-    certified upper bound of :func:`pin_bounds`, in ``ln f``: the closed
-    form fails when the bound beats it by more than ``POSITION_REL_TOL`` (relative), and,
-    with an infinite gap, when it lies off the waveguide.  Its oracle value
-    is the objective at the search's best point, and its resolution the
-    search's final bracket width.  The power report's gap is the largest
-    of three, each within ``POWER_REL_TOL`` for a pass: the closed-form
-    minimum cost against :func:`numeric_power_min`'s, two-sided; the cost
-    at the closed form's ``(p1, beta_sq)`` against its reported cost; and
-    the SNR at that pair against the target.
+    The position report compares ``ln f`` at the closed form, evaluated once and
+    finite where ``f`` underflows, with the certified upper bound of :func:`pin_bounds`:
+    the closed form fails when the bound beats it by more than ``POSITION_REL_TOL``
+    (relative), and, with an infinite gap, when it lies off the waveguide.  Its values
+    are ``exp`` of ``ln f`` there and at the search's best point, and its resolution the
+    search's final bracket width; ``|g2|^2 = (c / (4 pi f_c))^2 f`` at the closed form.
+    The power report's gap is the largest of three, each within ``POWER_REL_TOL`` for a
+    pass: the closed-form minimum cost against :func:`numeric_power_min`'s, two-sided;
+    the cost at the closed form's ``(p1, beta_sq)`` against its reported cost; and the
+    SNR at that pair against the target.
     """
     x_closed = optimal_pin_position(config, ue)
-    g1_sq, g2_sq = _bs_gain(config), _pin_gain(config, ue, x_closed)
+    # the objective at the closed form, once: the pinch is off the user, so ln f has no 0 divisor
+    ln_closed = ln_pin_objective(config, ue, x_closed)
+    ratio = SPEED_OF_LIGHT_M_S / (4.0 * math.pi * config.carrier_frequency_hz)  # free space's amplitude at 1 m
+    horn = 10.0 ** (config.horn_gain_tx_dbi / 10.0) * 10.0 ** (config.horn_gain_rx_dbi / 10.0)
+    g1_sq, g2_sq = horn * (ratio / config.bs_relay_distance_m) ** 2, ratio * ratio * math.exp(ln_closed)
     sigma_r_sq = config.relay_noise_w
     sigma_ue_sq = sigma_r_sq if config.ue_noise_figure_db is None else config.ue_noise_w
     gains = ChannelGains(g1_sq, g2_sq, sigma_r_sq, sigma_ue_sq)
-    # the pinch is off the user, so neither f nor ln f has a 0 divisor
-    x_best, _, g_upper, width = pin_bounds(config, ue)
-    rel_gap = max(0.0, -math.expm1(ln_pin_objective(config, ue, x_closed) - g_upper))
+    _, g_best, g_upper, width = pin_bounds(config, ue)
+    rel_gap = max(0.0, -math.expm1(ln_closed - g_upper))
     if not 0.0 <= x_closed <= config.waveguide_length_m:  # off the waveguide, where f may exceed the bound
         rel_gap = math.inf
-    f_closed, f_best = pin_objective(config, ue, x_closed), pin_objective(config, ue, x_best)
-    position = _report(f_closed, f_best, rel_gap, width, POSITION_REL_TOL)
+    position = _report(math.exp(ln_closed), math.exp(g_best), rel_gap, width, POSITION_REL_TOL)
 
     p1, beta_sq, j_closed = optimal_power_allocation(gains, config)
     gamma0 = config.snr_target_linear
@@ -273,14 +277,3 @@ def _report(closed: float, oracle: float, rel_gap: float, resolution: float, tol
     """One comparison's report: the absolute gap, and a pass when ``rel_gap`` is within ``tolerance``."""
     return _new_report((closed, oracle, abs(closed - oracle), rel_gap, resolution, rel_gap <= tolerance))
 
-
-def _bs_gain(config: SystemConfig) -> float:
-    horn = 10.0 ** (config.horn_gain_tx_dbi / 10.0) * 10.0 ** (config.horn_gain_rx_dbi / 10.0)
-    return horn * (SPEED_OF_LIGHT_M_S / (4.0 * math.pi * config.carrier_frequency_hz * config.bs_relay_distance_m)) ** 2
-
-
-def _pin_gain(config: SystemConfig, ue: UePosition, x_pin_m: float) -> float:
-    dist_sq = (ue.x_ue_m - x_pin_m) ** 2 + ue.y_ue_m**2 + config.waveguide_height_m**2
-    f = config.carrier_frequency_hz
-    fsg = SPEED_OF_LIGHT_M_S**2 / (16.0 * math.pi**2 * f * f * dist_sq)
-    return math.exp(-config.waveguide_attenuation_per_m * x_pin_m) * fsg

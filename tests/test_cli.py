@@ -222,6 +222,19 @@ class TestConfigHandling:
         dumped = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
         assert dumped["bs_relay_distance_m"] == "70.0"
 
+    def test_ue_noise_figure_none_flag_is_the_default_and_overrides_a_file(self, tmp_path, capsys):
+        config = tmp_path / "terminal.cfg"
+        config.write_text("ue_noise_figure_db = 3\n", encoding="utf-8")
+        file = ["--config", str(config)]
+        outputs = []
+        for extra in ([], ["--ue-noise-figure", "none"], file, [*file, "--ue-noise-figure", "None"]):
+            assert cli_main(["solve", "--ue", "15,5", "--json", *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        default, flag, from_file, overridden = outputs
+        assert flag == overridden == default != from_file
+        assert cli_main(["config-dump", "--config", str(config), "--ue-noise-figure", " none "]) == 0
+        assert "ue_noise_figure_db = none" in capsys.readouterr().out.splitlines()
+
     def test_dump_round_trips_through_the_loader(self, tmp_path, capsys):
         assert cli_main(["config-dump", "--freq", "26GHz", "--eta-pa", "0.8"]) == 0
         text = capsys.readouterr().out

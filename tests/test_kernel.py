@@ -421,8 +421,8 @@ def test_every_scheme_meets_the_snr_target_across_the_wide_box(cfg, seed):
             assert af_snr(sol.p1_w, sol.beta_sq, channel_gains(cfg, ue, sol.x_pin_m)) == pytest.approx(gamma0, rel=1e-9)
     feed = _STAGES["feed"].run(cfg, xs, ys)
     # the relay schemes' second-hop stage, then the split their power stage makes
-    for hop, (g2_sq, g2) in (("placement", _STAGES["placement"].run(cfg, xs, ys, feed)), ("feed", feed)):
-        p1, beta_sq, _ = split_power(cfg, g1_sq, sigma_r_sq_w, sigma_ue_sq_w, g2_sq, g2)
+    for hop, g2_sq in (("placement", _STAGES["placement"].run(cfg, xs, ys, feed)), ("feed", feed)):
+        p1, beta_sq, _ = split_power(cfg, g1_sq, sigma_r_sq_w, sigma_ue_sq_w, g2_sq, np.sqrt(g2_sq))
         for k in range(xs.size):
             gains = ChannelGains(g1_sq, float(g2_sq[k]), sigma_r_sq_w, sigma_ue_sq_w)
             assert af_snr(float(p1[k]), float(beta_sq[k]), gains) == pytest.approx(gamma0, rel=1e-9), hop

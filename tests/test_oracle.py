@@ -71,6 +71,24 @@ def verify_draws(seed, trials):
         yield scenario, UePosition(x_ue, rng.uniform(0.0, scenario.coverage_y_m))
 
 
+def domain_draws(seed, trials):
+    """``(config, user)`` pairs drawn over all of DOMAIN: log-uniform where a field spans more than two decades,
+    alpha log-uniform on [1e-6, 100] with 5% zeros, the terminal's noise figure reused half the time, and
+    the user uniform over the coverage."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        values = {}
+        for name, (lo, hi) in DOMAIN.items():
+            decades = lo > 0.0 and hi > 100.0 * lo
+            value = math.exp(rng.uniform(math.log(lo), math.log(hi))) if decades else rng.uniform(lo, hi)
+            values[name] = min(max(value, lo), hi)  # exp may round past an end
+        values["waveguide_attenuation_per_m"] = 0.0 if rng.random() < 0.05 else 10.0 ** rng.uniform(-6.0, 2.0)
+        if rng.random() < 0.5:
+            values["ue_noise_figure_db"] = None
+        scenario = SystemConfig(**values)
+        yield scenario, UePosition(rng.uniform(0.0, scenario.coverage_x_m), rng.uniform(0.0, scenario.coverage_y_m))
+
+
 def far_minima():
     """``(gains, config)`` pairs whose minimum lies far from the power search's start: on the
     feasibility floor (t = -46) and at the 64 corners of CHANNEL_DOMAIN x gamma0 x eta (up to t = 142)."""
@@ -610,6 +628,23 @@ class TestVerifyScenario:
         j_pair = cfg.pa_efficiency * p1 + beta_sq * (p1 * gains.g1_sq + gains.sigma_r_sq_w)
         gaps = (j_closed - j_search) / j_search, (j_pair - j_closed) / j_search, af_snr(p1, beta_sq, gains) / 100.0 - 1.0
         assert max(map(abs, gaps)) <= 1e-12 and caplog.records == []
+
+    def test_scenarios_drawn_over_the_whole_domain_pass(self):
+        # the corners verify's own draws never reach: huge or no attenuation, far users, extreme frequencies
+        for scenario, ue in domain_draws(13, 400):
+            position, power = verify_scenario(scenario, ue)
+            assert position.passed and power.passed, (scenario, ue, position.rel_gap, power.rel_gap)
+
+    def test_evaluates_the_objective_at_the_closed_form_once(self, cfg, ue_mid, monkeypatch):
+        def unavailable(*args):
+            raise AssertionError("verify_scenario called pin_objective")
+
+        calls, ln_objective = [], oracle.ln_pin_objective
+        monkeypatch.setattr(oracle, "pin_objective", unavailable)
+        monkeypatch.setattr(oracle, "ln_pin_objective", lambda *args: calls.append(args) or ln_objective(*args))
+        position, power = verify_scenario(cfg, ue_mid)
+        assert position.passed and power.passed
+        assert calls == [(cfg, ue_mid, optimal_pin_position(cfg, ue_mid))]
 
     def test_randomized_scenarios_pass(self, cfg):
         rng = np.random.default_rng(23)
