@@ -15,11 +15,11 @@ import math
 import random
 import re
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .model import SystemConfig, UePosition, db_to_linear
+from .model import DOMAIN, SystemConfig, UePosition, db_to_linear
 from .optimize import solve
 from .sweep import SCHEMES, VARIABLES, SweepSpec, export_csv, run_sweep, write_gnuplot_script
 
@@ -148,8 +148,8 @@ def _parse_ue(text: str) -> tuple[float, float]:
 # A range spec may expand to at most this many sweep values; the count is
 # checked before any value is built.
 MAX_RANGE_VALUES = 10_000
-# The most users a sweep draws: a 10**6-user sweep peaks near 270 MiB, so a
-# larger request is a usage error, not an allocation.
+# The most users a sweep draws: at 10**6 users a fig1 sweep peaked at 234 MiB
+# and a fig2 sweep at 249 MiB, so a larger request is a usage error, not an allocation.
 MAX_SAMPLES = 10**6
 
 _VALUES_RE = re.compile(r"^\s*(.*?(?:[\d.]|nan|inf(?:inity)?))\s*([a-z]*)\s*$", re.IGNORECASE)
@@ -295,11 +295,16 @@ def _cmd_sweep(args: argparse.Namespace, config: SystemConfig) -> int:
     return 0
 
 
-def verify_scenario(config: SystemConfig, ue: UePosition):
-    """The oracle's :func:`~.oracle.verify_scenario`, imported at the first call: only ``verify`` loads the oracle."""
+@functools.cache
+def _oracle():
     from . import oracle
 
-    return oracle.verify_scenario(config, ue)
+    return oracle
+
+
+def verify_scenario(config: SystemConfig, ue: UePosition):
+    """The oracle's :func:`~.oracle.verify_scenario`; the first call imports the oracle: only ``verify`` loads it."""
+    return _oracle().verify_scenario(config, ue)
 
 
 # verify draws these fields afresh in every trial, in this order: their flags are
@@ -321,7 +326,8 @@ def _cmd_verify(args: argparse.Namespace, config: SystemConfig) -> int:
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
     rng = random.Random(args.seed)
-    kwargs = asdict(config)  # one dict for all trials: each trial draws over its drawn fields
+    # one dict of the fields (DOMAIN's keys) for all trials: each trial draws over its drawn fields
+    kwargs = {name: getattr(config, name) for name in DOMAIN}
     failures = 0
     for k in range(args.trials):
         for name, draw in _VERIFY_DRAWN_FIELDS.items():

@@ -239,15 +239,22 @@ def verify_scenario(config: SystemConfig, ue: UePosition) -> tuple[OracleReport,
     The position report compares ``ln f`` at the closed form, evaluated once and
     finite where ``f`` underflows, with the certified upper bound of :func:`pin_bounds`:
     the closed form fails when the bound beats it by more than ``POSITION_REL_TOL``
-    (relative), and, with an infinite gap, when it lies off the waveguide.  Its values
-    are ``exp`` of ``ln f`` there and at the search's best point, and its resolution the
-    search's final bracket width; ``|g2|^2 = (c / (4 pi f_c))^2 f`` at the closed form.
+    (relative).  Its values are ``exp`` of ``ln f`` there and at the search's best
+    point, and its resolution the search's final bracket width;
+    ``|g2|^2 = (c / (4 pi f_c))^2 f`` at the closed form.
     The power report's gap is the largest of three, each within ``POWER_REL_TOL`` for a
     pass: the closed-form minimum cost against :func:`numeric_power_min`'s, two-sided;
     the cost at the closed form's ``(p1, beta_sq)`` against its reported cost; and the
     SNR at that pair against the target.
+    A closed form off the waveguide fails both, each with an infinite gap and a ``nan``
+    closed-form value: ``f`` there may exceed the bound or the float range, and it gives
+    no gains to split power over.  One on the waveguide whose ``|g2|^2`` leaves
+    ``CHANNEL_DOMAIN``, far below the maximum, fails its power check in the same way.
     """
     x_closed = optimal_pin_position(config, ue)
+    _, g_best, g_upper, width = pin_bounds(config, ue)
+    if not 0.0 <= x_closed <= config.waveguide_length_m:
+        return _report(math.nan, math.exp(g_best), math.inf, width, POSITION_REL_TOL), _NO_POWER_CHECK
     # the objective at the closed form, once: the pinch is off the user, so ln f has no 0 divisor
     ln_closed = ln_pin_objective(config, ue, x_closed)
     ratio = SPEED_OF_LIGHT_M_S / (4.0 * math.pi * config.carrier_frequency_hz)  # free space's amplitude at 1 m
@@ -255,12 +262,12 @@ def verify_scenario(config: SystemConfig, ue: UePosition) -> tuple[OracleReport,
     g1_sq, g2_sq = horn * (ratio / config.bs_relay_distance_m) ** 2, ratio * ratio * math.exp(ln_closed)
     sigma_r_sq = config.relay_noise_w
     sigma_ue_sq = sigma_r_sq if config.ue_noise_figure_db is None else config.ue_noise_w
-    gains = ChannelGains(g1_sq, g2_sq, sigma_r_sq, sigma_ue_sq)
-    _, g_best, g_upper, width = pin_bounds(config, ue)
     rel_gap = max(0.0, -math.expm1(ln_closed - g_upper))
-    if not 0.0 <= x_closed <= config.waveguide_length_m:  # off the waveguide, where f may exceed the bound
-        rel_gap = math.inf
     position = _report(math.exp(ln_closed), math.exp(g_best), rel_gap, width, POSITION_REL_TOL)
+    try:
+        gains = ChannelGains(g1_sq, g2_sq, sigma_r_sq, sigma_ue_sq)
+    except ValueError:  # |g2|^2 underflows past CHANNEL_DOMAIN where f is far below its maximum
+        return position, _NO_POWER_CHECK
 
     p1, beta_sq, j_closed = optimal_power_allocation(gains, config)
     gamma0 = config.snr_target_linear
@@ -277,3 +284,6 @@ def _report(closed: float, oracle: float, rel_gap: float, resolution: float, tol
     """One comparison's report: the absolute gap, and a pass when ``rel_gap`` is within ``tolerance``."""
     return _new_report((closed, oracle, abs(closed - oracle), rel_gap, resolution, rel_gap <= tolerance))
 
+
+# the failed power report of a closed form that gives no gains to split power over
+_NO_POWER_CHECK = _report(math.nan, math.nan, math.inf, POWER_SEARCH_WIDTH, POWER_REL_TOL)

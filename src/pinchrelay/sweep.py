@@ -21,7 +21,8 @@ and CSVs are handled without them.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass
+import os
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -104,7 +105,8 @@ def run_sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRecord]:
     ys = rng.uniform(0.0, config.coverage_y_m, spec.ue_samples)
     shadows = rng.normal(0.0, SHADOWING_STD_DB, spec.ue_samples)
     field, to_si, _, _ = VARIABLES[spec.variable]
-    base = asdict(config)  # once: each value's config is these fields with the swept one over them
+    # once: each value's config is these fields (DOMAIN's keys) with the swept one over them
+    base = {name: getattr(config, name) for name in DOMAIN}
     n = spec.ue_samples
     cache: dict[str, tuple[Any, Any]] = {}
     block = np.empty((2 * len(spec.schemes), n))  # one value's rows: total and BS power per scheme
@@ -121,11 +123,35 @@ def run_sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRecord]:
     return records
 
 
+def _write_file(path: Path, data: bytes) -> None:
+    """Make ``data`` the whole content of the file at ``path``, creating it if need be.
+
+    The file is rewritten in place: it is opened without ``O_TRUNC`` and cut to
+    0 only when it is longer than ``data``, so a sweep that rewrites a CSV of
+    the same length frees no blocks only to allocate them again, which is slow
+    where the file system discards freed blocks.  A completed write leaves the
+    bytes a truncating one leaves: a longer file is emptied first, and ``data``
+    covers all of an equal or shorter one.  A FIFO or a character device
+    reports size 0, so it is never truncated.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, 0)
+        view = memoryview(data)
+        while view:  # os.write may take only part of the bytes, as into a pipe when a signal arrives
+            view = view[os.write(fd, view) :]
+    finally:
+        os.close(fd)
+
+
 def export_csv(records: Iterable[SweepRecord], path: str | Path) -> None:
     """Write sweep records as UTF-8, LF-terminated CSV at full double precision, in one write.
 
     One row per (sweep value, scheme); floats are rendered with 17 significant
-    digits so parsing the file reproduces them bit for bit.
+    digits so parsing the file reproduces them bit for bit.  An existing file
+    is rewritten in place, not truncated first, and truncated only when it is
+    longer than the new CSV: the bytes left are those of a fresh write.
     """
     path = Path(path)
     rows = (
@@ -136,7 +162,7 @@ def export_csv(records: Iterable[SweepRecord], path: str | Path) -> None:
     )
     text = ",".join(CSV_HEADER) + "\n" + "".join(rows)
     try:
-        path.write_text(text, encoding="utf-8", newline="\n")
+        _write_file(path, text.encode("utf-8"))
     except OSError as exc:
         raise OSError(f"cannot write sweep CSV to {path}: {exc}") from exc
 
@@ -203,4 +229,4 @@ def write_gnuplot_script(
         for s in schemes
     ]
     lines.append(", \\\n".join(plots))
-    Path(script_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_file(Path(script_path), ("\n".join(lines) + "\n").encode("utf-8"))

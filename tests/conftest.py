@@ -25,11 +25,15 @@ def _clamped_candidate(config, ue):
     return min(max(ue.x_ue_m - (1.0 - math.sqrt(discriminant)) / alpha, 0.0), length)
 
 
-# The closed-form placement moved off the maximum: by 0.3 mm, or to the clamped
-# interior candidate where the feed radiates more.
+# The closed-form placement moved off the maximum: by 0.3 mm, to the clamped
+# interior candidate where the feed radiates more, 10 km before the feed, where
+# exp(-alpha x) at verify's largest attenuation draws leaves the float range, or
+# to the far end, where on a long waveguide |g2|^2 underflows past its domain.
 PIN_MUTANTS = {
     "x+0.3mm": lambda config, ue: optimal_pin_position(config, ue) + 3e-4,
     "clamped-candidate": _clamped_candidate,
+    "x=-10km": lambda config, ue: -1e4,
+    "x=L": lambda config, ue: config.waveguide_length_m,
 }
 
 

@@ -2,10 +2,12 @@
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import math
+import os
 import random
 import re
 from dataclasses import fields, replace
@@ -316,6 +318,18 @@ class TestSweepCommand:
         assert cli_main(base + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_out_to_the_null_device(self, capsys):
+        argv = ["sweep", "--var", "gamma0", "--values", "10:2:30dB", "--samples", "5", "--out", os.devnull]
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_out_that_is_a_directory_is_one_error_line(self, tmp_path, capsys):
+        argv = ["sweep", "--var", "gamma0", "--values", "20dB", "--samples", "2", "--out", str(tmp_path)]
+        assert cli_main(argv) == 1
+        reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path)!r}"
+        assert capsys.readouterr().err == f"error: cannot write sweep CSV to {tmp_path}: {reason}\n"
+
     def test_scheme_subset_and_gnuplot(self, tmp_path, capsys):
         out = tmp_path / "mini.csv"
         argv = [
@@ -566,15 +580,25 @@ class TestVerifyCommand:
     # each moves the closed-form pinch point off the maximum: see conftest.PIN_MUTANTS.  On verify's
     # default draws the clamped candidate always beats the feed.  For users up to 100 km past the end
     # of a 10 m waveguide the feed wins on all but one of the 20 draws; a trial fails where the mutant
-    # moves the pinch point, and passes where it does not.
+    # moves the pinch point, and passes where it does not.  A pinch point off the waveguide, or at
+    # the far end of a 1,000 km one, fails its trial on a FAIL line, even where f or |g2|^2 there
+    # leaves the float range or its domain.
     @pytest.mark.parametrize(
         "mutated_pin, flags",
-        [("x+0.3mm", {}), ("x+0.3mm", FAR_USERS), ("clamped-candidate", FAR_USERS)],
+        [
+            ("x+0.3mm", {}),
+            ("x+0.3mm", FAR_USERS),
+            ("clamped-candidate", FAR_USERS),
+            ("x=-10km", {}),
+            ("x=L", {"--length": "1e6"}),
+        ],
         indirect=["mutated_pin"],
     )
     def test_placement_mutants_fail_every_trial_they_move(self, capsys, mutated_pin, flags):
         assert cli_main(["verify", "--trials", "20", *(text for flag in flags.items() for text in flag)]) == 1
-        failed = [line.endswith("| FAIL") for line in capsys.readouterr().out.splitlines()[:-1]]
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        failed = [line.endswith("| FAIL") for line in captured.out.splitlines()[:-1]]
         base = SystemConfig(**{_FLAG_FIELDS[flag]: float(value) for flag, value in flags.items()})
         moved = [PIN_MUTANTS[mutated_pin](cfg, ue) != optimal_pin_position(cfg, ue) for cfg, ue in verify_draws(base, 20)]
         assert failed == moved and sum(moved) >= 19

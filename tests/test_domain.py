@@ -48,6 +48,11 @@ def just_past(bounds):
     return math.nextafter(bounds[0], -math.inf), math.nextafter(bounds[1], math.inf)
 
 
+# the sweep and verify build each config's field dict from DOMAIN's keys
+def test_domain_has_one_key_per_config_field_in_field_order():
+    assert list(DOMAIN) == [field.name for field in dataclasses.fields(SystemConfig)]
+
+
 class TestReadme:
     def test_domain_table_is_the_codes(self):
         text = README.read_text(encoding="utf-8")

@@ -535,11 +535,20 @@ class TestVerifyScenario:
         assert position.rel_gap <= 1e-10
         assert power.rel_gap <= POWER_REL_TOL
 
-    def test_pinch_point_off_the_waveguide_fails(self, cfg, ue_mid, monkeypatch):
-        past_the_end = lambda config, ue: config.waveguide_length_m + 1.0  # noqa: E731
-        monkeypatch.setattr("pinchrelay.oracle.optimal_pin_position", past_the_end)
-        position, _ = verify_scenario(cfg, UePosition(40.0, 5.0))
-        assert not position.passed and position.rel_gap == math.inf
+    # past the end, and 10 km before the feed of a lossy waveguide, where exp(-alpha x) leaves the float range
+    @pytest.mark.parametrize("alpha, x_closed", [(0.01, 31.0), (0.1, -1e4)])
+    def test_pinch_point_off_the_waveguide_fails(self, monkeypatch, alpha, x_closed):
+        monkeypatch.setattr("pinchrelay.oracle.optimal_pin_position", lambda config, ue: x_closed)
+        reports = verify_scenario(SystemConfig(waveguide_attenuation_per_m=alpha), UePosition(40.0, 5.0))
+        for report in reports:
+            assert not report.passed and report.rel_gap == math.inf and math.isnan(report.closed_form_value)
+
+    # at the far end of a 1,000 km waveguide f underflows to 0: |g2|^2 there leaves CHANNEL_DOMAIN
+    def test_a_second_hop_gain_past_its_domain_fails_the_power_check(self, monkeypatch):
+        monkeypatch.setattr("pinchrelay.oracle.optimal_pin_position", lambda config, ue: config.waveguide_length_m)
+        position, power = verify_scenario(SystemConfig(waveguide_length_m=1e6), UePosition(15.0, 5.0))
+        assert not position.passed and position.rel_gap == 1.0
+        assert not power.passed and power.rel_gap == math.inf and math.isnan(power.closed_form_value)
 
     def test_perturbed_position_fails(self, cfg, ue_mid, monkeypatch):
         shifted = lambda config, ue: optimal_pin_position(config, ue) + 1.0  # noqa: E731

@@ -89,3 +89,15 @@ class TestColdStart:
             "print(built, cli._build_parser.cache_info().currsize)"
         )
         assert fresh_interpreter(code, cwd=tmp_path) == "0 1"
+
+    def test_the_oracle_is_imported_by_the_first_verify_trial_only(self, tmp_path):
+        code = (
+            "import contextlib, io, sys\n"
+            "import pinchrelay.cli as cli\n"
+            "loaded = 'pinchrelay.oracle' in sys.modules\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.cli_main(['verify', '--trials', '3'])\n"
+            "info = cli._oracle.cache_info()\n"
+            "print(loaded, 'pinchrelay.oracle' in sys.modules, info.misses, info.hits)"
+        )
+        assert fresh_interpreter(code, cwd=tmp_path) == "False True 1 2"

@@ -3,7 +3,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import stat
+import threading
 from collections import Counter
 from dataclasses import fields, replace
 from functools import partial
@@ -306,7 +309,50 @@ def test_figure_csv_bytes_are_the_recorded_ones_with_no_fsum_fallback(tmp_path, 
     assert fallbacks == []  # exact_sum certified every mean without math.fsum
 
 
+# fig2's CSV is shorter than fig1's: each is written over the other, a longer and then a shorter file
+@pytest.mark.parametrize("first, second", [("fig1", "fig2"), ("fig2", "fig1")])
+def test_a_sweep_over_another_figures_csv_leaves_the_recorded_bytes(tmp_path, capsys, first, second):
+    out = tmp_path / "fig.csv"
+    for figure in (first, second):
+        assert cli_main(["sweep", *GOLDEN_SWEEPS[figure][0], "--samples", "1000", "--seed", "0", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SWEEPS[second][1]
+
+
 class TestCsv:
+    # what was at the path before: nothing, a shorter file, one as long with other bytes, a longer one
+    @pytest.mark.parametrize(
+        "before",
+        [None, lambda data: data[: len(data) // 2], lambda data: data[::-1], lambda data: data + b"stale,row\n" * 100],
+        ids=["none", "shorter", "as-long", "longer"],
+    )
+    def test_a_write_leaves_the_bytes_of_a_fresh_write(self, cfg, tmp_path, before):
+        records = run_sweep(cfg, small_spec(ue_samples=5))
+        fresh, path = tmp_path / "fresh.csv", tmp_path / "sweep.csv"
+        export_csv(records, fresh)
+        expected = fresh.read_bytes()
+        if before is not None:
+            path.write_bytes(before(expected))
+        export_csv(records, path)
+        assert path.read_bytes() == expected
+
+    def test_a_new_file_gets_the_mode_write_text_gives(self, tmp_path):
+        export_csv([], tmp_path / "a.csv")
+        (tmp_path / "b.csv").write_text("b\n", encoding="utf-8")
+        assert stat.S_IMODE((tmp_path / "a.csv").stat().st_mode) == stat.S_IMODE((tmp_path / "b.csv").stat().st_mode)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_a_fifo_receives_the_exact_bytes(self, cfg, tmp_path):
+        records = run_sweep(cfg, small_spec(ue_samples=5))
+        fresh, fifo = tmp_path / "fresh.csv", tmp_path / "pipe.csv"
+        export_csv(records, fresh)
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        export_csv(records, fifo)
+        reader.join(timeout=10.0)
+        assert not reader.is_alive() and received == [fresh.read_bytes()]
+
     def test_header_only_for_empty_records(self, tmp_path):
         path = tmp_path / "empty.csv"
         export_csv([], path)
@@ -413,6 +459,13 @@ class TestCsv:
         assert "fig.csv" in text
         for scheme in ("proposed", "benchmark1", "benchmark2"):
             assert scheme in text
+
+    def test_gnuplot_script_over_a_longer_file_is_the_fresh_script(self, tmp_path):
+        fresh, script = tmp_path / "fresh.gp", tmp_path / "fig.gp"
+        write_gnuplot_script(tmp_path / "fig.csv", fresh, "SNR target [dB]", ("proposed",))
+        write_gnuplot_script(tmp_path / "fig.csv", script, "SNR target [dB]")  # three schemes: a longer script
+        write_gnuplot_script(tmp_path / "fig.csv", script, "SNR target [dB]", ("proposed",))
+        assert script.read_bytes() == fresh.read_bytes()
 
     @pytest.mark.parametrize(
         "name, quoted",
