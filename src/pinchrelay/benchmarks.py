@@ -63,7 +63,9 @@ def _check_draws(*inputs: tuple) -> None:
     import numpy as np
 
     for name, values, (lo, hi) in inputs:
-        if not (lo <= np.min(values) and np.max(values) <= hi):  # a nan fails too
+        # the ufuncs' reductions, without np.min's and np.max's wrapper dispatch; a float reduces to
+        # itself, and a nan fails the comparisons
+        if not (lo <= np.minimum.reduce(values) and np.maximum.reduce(values) <= hi):
             first = np.flatnonzero(np.logical_not((values >= lo) & (values <= hi)))[0]
             raise ValueError(out_of_domain(name, float(np.ravel(values)[first]), (lo, hi)))
 

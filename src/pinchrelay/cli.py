@@ -148,8 +148,8 @@ def _parse_ue(text: str) -> tuple[float, float]:
 # A range spec may expand to at most this many sweep values; the count is
 # checked before any value is built.
 MAX_RANGE_VALUES = 10_000
-# The most users a sweep draws: at 10**6 users a fig1 sweep peaked at 234 MiB
-# and a fig2 sweep at 249 MiB, so a larger request is a usage error, not an allocation.
+# The most users a sweep draws: at 10**6 users a fig1 sweep peaked at 196 MiB
+# and a fig2 sweep at 211 MiB, so a larger request is a usage error, not an allocation.
 MAX_SAMPLES = 10**6
 
 _VALUES_RE = re.compile(r"^\s*(.*?(?:[\d.]|nan|inf(?:inity)?))\s*([a-z]*)\s*$", re.IGNORECASE)

@@ -15,25 +15,31 @@ numpy and this module when it is called.
 
 Each scheme is a chain of stages (``_EVALUATORS``), each stage a row of
 ``_STAGES``: the SystemConfig fields it reads, the draws and earlier stages it
-takes, and its function.  The relay schemes share the link stage (|g1|^2, both
-noise powers and the split's link factors) and the feed stage (each user's
-|g2|^2 at the feed, which the placement stage compares its candidates with);
-each has a terms stage, which computes the split's per-user terms from the root
-of its second hop's |g2|^2, once per second hop and link, so that its power
-stage at each sweep value is the split's target part and the power accounting
-alone.  The direct scheme's stages are geometry, shadowing, path loss and
-power.  :func:`evaluate`, the one way to run a scheme, runs its power stage at
-every call and reruns an earlier stage only when a field that it or a stage
-before it reads changes.  Over the inputs' domain (:data:`~.model.DOMAIN`)
-every element is finite, as on the scalar path.
+takes, and its function.  The relay schemes differ only in their second hop's
+|g2|^2: the placement stage's for the proposed scheme, the feed stage's for the
+fixed-antenna one.  They share the link stage (|g1|^2, both noise powers and the
+split's link factors), and the second-hop stage stacks the root of each
+requested scheme's |g2|^2 as one row of an (R, N) array, so that one terms stage
+(the split's per-user link part) and one power stage (its target part and the
+power accounting) serve both.  The direct scheme's stages are geometry,
+shadowing, path loss and power.  :func:`sweep_sums` splits the requested
+schemes' stages by the fields that each stage and the stages before it read
+(:func:`_upstream_fields`): the stages that the swept field does not reach run
+once, before the first value, and the rest at each value.  A result is kept
+only while a later stage still reads it, and a per-value result only until the
+value's rows are copied out.  :func:`evaluate` runs one scheme at one config on
+the same code.  Over the inputs' domain (:data:`~.model.DOMAIN`) every element
+is finite, as on the scalar path.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
-from typing import Any, Callable, NamedTuple
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -145,9 +151,13 @@ def _placement(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, feed: np.ndarr
     return optimal_pin_positions(cfg, xs, ys, feed)[1]
 
 
-def _terms(cfg: SystemConfig, budget: tuple, g2_sq: np.ndarray):
-    _, _, _, link = budget
-    return split_terms(link, np.sqrt(g2_sq))  # the split reads the second hop's amplitude
+def _second_hop(cfg: SystemConfig, *g2_sq_rows: np.ndarray) -> np.ndarray:
+    amplitudes = np.stack(g2_sq_rows)
+    return np.sqrt(amplitudes, out=amplitudes)  # the split reads the second hop's amplitude
+
+
+def _relay_terms(cfg: SystemConfig, budget: tuple, g2: np.ndarray):
+    return split_terms(budget[3], g2)
 
 
 def _relay_power(cfg: SystemConfig, budget: tuple, terms):
@@ -163,61 +173,119 @@ def _direct_power(cfg: SystemConfig, budget: tuple, gain: np.ndarray):
     return benchmark1_total_power_w(cfg, tx), tx
 
 
+# The stage whose |g2|^2 is each relay scheme's second hop: the scheme's row in the relay stages' arrays.
+_SECOND_HOPS = {"proposed": "placement", "benchmark2": "feed"}
 _RELAY_POWER_FIELDS = ("snr_target_linear", "pa_efficiency", "relay_circuit_power_w", "bs_rf_chain_power_w")
 _STAGES = {
     "link": _Stage((*LINK_FIELDS["BS-relay"], *NOISE_FIELDS), (), link_budget),
     "feed": _Stage(LINK_FIELDS["relay-UE"], ("xs", "ys"), _feed),
     "placement": _Stage((*LINK_FIELDS["relay-UE"], "waveguide_length_m"), ("xs", "ys", "feed"), _placement),
-    "proposed_terms": _Stage((), ("link", "placement"), _terms),
-    "proposed_power": _Stage(_RELAY_POWER_FIELDS, ("link", "proposed_terms"), _relay_power),
+    # takes the second hops of the relay schemes that run, in scheme order (_plan)
+    "second_hop": _Stage((), tuple(_SECOND_HOPS.values()), _second_hop),
+    "relay_terms": _Stage((), ("link", "second_hop"), _relay_terms),
+    "relay_power": _Stage(_RELAY_POWER_FIELDS, ("link", "relay_terms"), _relay_power),
     "geometry": _Stage((), ("xs", "ys"), lambda cfg, xs, ys: ground_distance_m(xs, ys)),
     "shadowing": _Stage((), ("shadows",), lambda cfg, shadows_db: shadowing_gain(shadows_db)),
     "path_loss": _Stage(LINK_FIELDS["direct"], ("geometry", "shadowing"), direct_path_gain),
     "benchmark1_power": _Stage(("snr_target_linear", "pa_efficiency"), ("link", "path_loss"), _direct_power),
-    "benchmark2_terms": _Stage((), ("link", "feed"), _terms),
-    "benchmark2_power": _Stage(_RELAY_POWER_FIELDS, ("link", "benchmark2_terms"), _relay_power),
 }
 # Each scheme's stages, each after the stages it takes; the last gives (total, BS power).
 _EVALUATORS = {
-    "proposed": ("link", "feed", "placement", "proposed_terms", "proposed_power"),
+    "proposed": ("link", "feed", "placement", "second_hop", "relay_terms", "relay_power"),
     "benchmark1": ("geometry", "shadowing", "path_loss", "link", "benchmark1_power"),
-    "benchmark2": ("link", "feed", "benchmark2_terms", "benchmark2_power"),
+    "benchmark2": ("link", "feed", "second_hop", "relay_terms", "relay_power"),
 }
 
 
-def _upstream_fields(name: str) -> tuple[str, ...]:
-    """The fields that a stage or any stage before it reads: its result depends on these and the draws alone."""
-    stage = _STAGES[name]
-    before = (field for i in stage.inputs if i in _STAGES for field in _upstream_fields(i))
-    return tuple(dict.fromkeys((*stage.fields, *before)))
+def _upstream_fields(name: str, inputs: dict[str, tuple[str, ...]]) -> set[str]:
+    """The fields that a stage or any stage before it reads, given what each stage takes (``inputs``):
+    its result depends on these and the draws alone."""
+    return set(_STAGES[name].fields).union(*(_upstream_fields(i, inputs) for i in inputs[name] if i in inputs))
 
 
-def _key(fields: tuple[str, ...]) -> Callable[[SystemConfig], Any]:
-    """A config's values of ``fields``, read in one C call; with no fields, ``()``."""
-    return operator.attrgetter(*fields) if fields else lambda cfg: ()
+class _Plan(NamedTuple):
+    inputs: MappingProxyType  # each stage the schemes run, after the ones it takes, with its inputs
+    once: tuple[tuple[str, tuple[str, ...]], ...]  # the stages the swept field does not reach, with what each releases
+    per_value: tuple[str, ...]  # the rest
+    outputs: tuple[tuple[str, Any], ...]  # per scheme, its power stage and its row there (``...``: the whole array)
 
 
-# Each stage's key: the values of its upstream fields at a config
-_KEYS = {name: _key(_upstream_fields(name)) for name in _STAGES}
+# Cached: a plan takes about 40 us to make, near a whole fig1 value's stages.  Every sweep over the
+# same schemes and field shares it, so its inputs are read-only.
+@functools.cache
+def _plan(schemes: tuple[str, ...], field: str | None) -> _Plan:
+    """The stages of ``schemes`` split by whether a sweep over ``field`` reaches them.
 
-
-def evaluate(scheme: str, cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray, cache: dict):
-    """One scheme's (total, BS power) arrays at ``cfg`` for the users ``(xs, ys)`` and shadowing draws.
-
-    The scheme's last stage, its power stage, runs at every call.  ``cache`` keeps the latest result
-    of each stage before it, for one set of draws (start with ``{}``), and such a stage reruns only
-    when a field that it or a stage before it reads differs from that result's.
+    A result or draw that no per-value stage or output reads is released after the last once-stage
+    that reads it, or after the first once-stage if none does.
     """
+    relay = [scheme for scheme in schemes if scheme in _SECOND_HOPS]
+    hops = tuple(_SECOND_HOPS[scheme] for scheme in relay)
+    # in _EVALUATORS' order, where the proposed chain holds the placement and the feed before second_hop
+    chains = [_EVALUATORS[scheme] for scheme in _EVALUATORS if scheme in schemes]
+    inputs = {name: hops if name == "second_hop" else _STAGES[name].inputs for chain in chains for name in chain}
+    per_value = tuple(name for name in inputs if field in _upstream_fields(name, inputs))
+    once = [name for name in inputs if name not in per_value]
+    outputs = tuple((_EVALUATORS[s][-1], relay.index(s) if s in relay else ...) for s in schemes)
+    kept = {i for name in per_value for i in inputs[name]}.union(stage for stage, _ in outputs)
+    last = dict.fromkeys(("xs", "ys", "shadows"), 0)  # each result's last once-stage reader; an unread draw: the first
+    last.update((i, k) for k, name in enumerate(once) for i in inputs[name])
+    released = [tuple(i for i, j in last.items() if j == k and i not in kept) for k in range(len(once))]
+    return _Plan(MappingProxyType(inputs), tuple(zip(once, released)), per_value, outputs)
+
+
+def _stage_results(plan: _Plan, configs: Iterable[SystemConfig], results: dict, read: Callable[[dict], Any]):
+    """Yield ``read(results)`` at each of ``configs``, which differ in the plan's field alone.
+
+    ``results`` holds the draws ("xs", "ys", "shadows") and takes each stage's result.  The stages
+    that the field does not reach run at the first config, each releasing the results that no
+    later stage or output reads; the rest run at every config, and release their results once
+    ``read`` has read them.
+    """
+    for k, cfg in enumerate(configs):
+        if k == 0:
+            for name, released in plan.once:
+                _run(name, plan, cfg, results)
+                for i in released:
+                    del results[i]
+        for name in plan.per_value:
+            _run(name, plan, cfg, results)
+        value = read(results)
+        for name in plan.per_value:
+            del results[name]
+        yield value
+
+
+def _run(name: str, plan: _Plan, cfg: SystemConfig, results: dict) -> None:
+    results[name] = _STAGES[name].run(cfg, *[results[i] for i in plan.inputs[name]])
+
+
+def evaluate(scheme: str, cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray):
+    """One scheme's (total, BS power) arrays at ``cfg`` for the users ``(xs, ys)`` and shadowing draws:
+    its stages run as in a one-value sweep of that scheme alone."""
+    plan = _plan((scheme,), None)
+    [(stage, index)] = plan.outputs
     draws = {"xs": xs, "ys": ys, "shadows": shadows_db}
-    *before, last = _EVALUATORS[scheme]
-    for name in before:
-        key = _KEYS[name](cfg)
-        held = cache.get(name)
-        if held is None or held[0] != key:
-            cache[name] = key, _run(name, cfg, draws, cache)
-    return _run(last, cfg, draws, cache)
+    total, bs_w = next(_stage_results(plan, (cfg,), draws, operator.itemgetter(stage)))
+    return total[index], bs_w[index]
 
 
-def _run(name: str, cfg: SystemConfig, draws: dict, cache: dict):
-    stage = _STAGES[name]
-    return stage.run(cfg, *[draws[i] if i in draws else cache[i][1] for i in stage.inputs])
+def sweep_sums(schemes: tuple[str, ...], field: str, configs: Iterable[SystemConfig], draws: dict) -> Iterator:
+    """An iterator over ``configs`` that gives, at each, the sums of each scheme's total and BS power
+    over the users, two per scheme in order, each ``math.fsum``'s bit for bit (:func:`exact_sum`).
+
+    The configs differ in ``field`` alone, and the stages it does not reach run once.  Both relay
+    schemes run as rows of the same arrays.  ``draws`` maps "xs", "ys" and "shadows" to the users'
+    draws and is taken over: a draw that no stage reads any longer leaves it.
+    """
+    plan = _plan(schemes, field)
+    block = np.empty((2 * len(schemes), draws["xs"].size))  # one value's rows: total and BS power per scheme
+
+    def fill(results: dict) -> np.ndarray:
+        for i, (stage, index) in enumerate(plan.outputs):
+            total, bs_w = results[stage]
+            block[2 * i], block[2 * i + 1] = total[index], bs_w[index]
+        return block
+
+    # each value's stages release their results before its block is summed
+    return map(exact_sum, _stage_results(plan, configs, draws, fill))

@@ -8,9 +8,10 @@ per-sample monotonicity of the underlying schemes, and aggregation uses exact
 summation so results do not depend on evaluation order.
 
 At each sweep value every scheme is evaluated over all users at once, as
-numpy arrays, by :mod:`.kernel`, whose schemes are chains of stages: each
-stage before the power stage reruns only when a SystemConfig field that it or
-a stage before it reads differs from the previous sweep value.  Each user's result equals the scalar
+numpy arrays, by :mod:`.kernel`, whose schemes are chains of stages: the
+stages that the swept field does not reach, directly or through a stage before
+them, run once per sweep, and the rest at each value, where one pass serves
+both relay schemes.  Each user's result equals the scalar
 ``solve``/``benchmark2_power``/``benchmark1_tx_power_w`` path bit for bit.  The
 value's rows, total and BS power per scheme, are summed by one
 :func:`.kernel.exact_sum` over them as a block, and each mean is ``math.fsum``
@@ -24,7 +25,7 @@ import csv
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .benchmarks import SHADOWING_STD_DB
 from .model import DOMAIN, SystemConfig, db_to_linear, out_of_domain
@@ -98,25 +99,22 @@ def run_sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRecord]:
     """
     import numpy as np
 
-    from .kernel import evaluate, exact_sum
+    from .kernel import sweep_sums
 
     rng = np.random.default_rng(spec.seed)
-    xs = rng.uniform(0.0, config.coverage_x_m, spec.ue_samples)
-    ys = rng.uniform(0.0, config.coverage_y_m, spec.ue_samples)
-    shadows = rng.normal(0.0, SHADOWING_STD_DB, spec.ue_samples)
+    # handed to the kernel, which drops each draw once no stage reads it
+    draws = {
+        "xs": rng.uniform(0.0, config.coverage_x_m, spec.ue_samples),
+        "ys": rng.uniform(0.0, config.coverage_y_m, spec.ue_samples),
+        "shadows": rng.normal(0.0, SHADOWING_STD_DB, spec.ue_samples),
+    }
     field, to_si, _, _ = VARIABLES[spec.variable]
     # once: each value's config is these fields (DOMAIN's keys) with the swept one over them
     base = {name: getattr(config, name) for name in DOMAIN}
+    configs = (SystemConfig(**{**base, field: to_si(value)}) for value in spec.values)
     n = spec.ue_samples
-    cache: dict[str, tuple[Any, Any]] = {}
-    block = np.empty((2 * len(spec.schemes), n))  # one value's rows: total and BS power per scheme
     records: list[SweepRecord] = []
-    for value in spec.values:
-        cfg = SystemConfig(**{**base, field: to_si(value)})
-        for i, scheme in enumerate(spec.schemes):
-            block[2 * i], block[2 * i + 1] = evaluate(scheme, cfg, xs, ys, shadows, cache)
-        # each row's sum is math.fsum's bit for bit: an error-free split where it can certify the rounding
-        sums = exact_sum(block)
+    for value, sums in zip(spec.values, sweep_sums(spec.schemes, field, configs, draws)):
         mean_total = {scheme: sums[2 * i] / n for i, scheme in enumerate(spec.schemes)}
         mean_bs = {scheme: sums[2 * i + 1] / n for i, scheme in enumerate(spec.schemes)}
         records.append(SweepRecord(float(value), mean_total, mean_bs, n))
@@ -154,13 +152,14 @@ def export_csv(records: Iterable[SweepRecord], path: str | Path) -> None:
     longer than the new CSV: the bytes left are those of a fresh write.
     """
     path = Path(path)
-    rows = (
-        f"{record.variable_value:.17g},{scheme},{mean_total:.17g},{record.mean_bs_power_w[scheme]:.17g},"
-        f"{record.n_samples}\n"
-        for record in records
-        for scheme, mean_total in record.mean_total_power_w.items()
-    )
-    text = ",".join(CSV_HEADER) + "\n" + "".join(rows)
+    rows = [",".join(CSV_HEADER) + "\n"]
+    for record in records:
+        value, mean_bs, n_samples = f"{record.variable_value:.17g}", record.mean_bs_power_w, record.n_samples
+        rows += [
+            f"{value},{scheme},{mean_total:.17g},{mean_bs[scheme]:.17g},{n_samples}\n"
+            for scheme, mean_total in record.mean_total_power_w.items()
+        ]
+    text = "".join(rows)
     try:
         _write_file(path, text.encode("utf-8"))
     except OSError as exc:

@@ -183,8 +183,8 @@ class TestBenchmark2:
         assert solve(cfg, ue).total_power_w <= benchmark2_power(cfg, ue).total_power_w
         rng = np.random.default_rng(seed)
         xs, ys = rng.uniform(0.0, 30.0, 200), rng.uniform(0.0, 10.0, 200)
-        adjustable, _ = evaluate("proposed", cfg, xs, ys, np.zeros(200), {})
-        fixed, _ = evaluate("benchmark2", cfg, xs, ys, np.zeros(200), {})
+        adjustable, _ = evaluate("proposed", cfg, xs, ys, np.zeros(200))
+        fixed, _ = evaluate("benchmark2", cfg, xs, ys, np.zeros(200))
         assert np.all(adjustable <= fixed)
 
     def test_monotone_in_snr_target(self, cfg):

@@ -310,5 +310,5 @@ def test_configs_drawn_from_the_domain_give_finite_positive_powers(values, x_ue,
     # the sweep kernel, which checks nothing either, raises no numpy warning (the suite makes one an error)
     xs, ys, shadows = (np.array([value, 0.0]) for value in (x_ue, y_ue, shadow_db))
     for scheme in SCHEMES:
-        total, bs_w = evaluate(scheme, config, xs, ys, shadows, {})
+        total, bs_w = evaluate(scheme, config, xs, ys, shadows)
         assert np.all((0.0 < total) & (total < math.inf) & (0.0 < bs_w) & (bs_w < math.inf))

@@ -344,8 +344,8 @@ def test_adjustable_antenna_never_loses_to_the_fixed_one_at_ties(waveguide, gamm
     cfg, rng = waveguide
     cfg = replace(cfg, snr_target_linear=db_to_linear(gamma0_db))
     xs, ys = near_tie_users(cfg, rng)
-    adjustable, _ = evaluate("proposed", cfg, xs, ys, np.zeros(xs.size), {})
-    fixed, _ = evaluate("benchmark2", cfg, xs, ys, np.zeros(xs.size), {})
+    adjustable, _ = evaluate("proposed", cfg, xs, ys, np.zeros(xs.size))
+    fixed, _ = evaluate("benchmark2", cfg, xs, ys, np.zeros(xs.size))
     assert np.all(adjustable <= fixed)
 
 
@@ -381,7 +381,7 @@ def test_evaluators_equal_the_scalar_path_bit_for_bit(name, variable):
     for value in SWEEP_VALUES[variable]:
         cfg = replace(CONFIGS[name], **{field: to_si(value)})
         for scheme, (totals, bs_powers) in scalar_results(cfg, users, shadows).items():
-            total, bs_w = evaluate(scheme, cfg, xs, ys, shadows, {})
+            total, bs_w = evaluate(scheme, cfg, xs, ys, shadows)
             assert total.tolist() == totals, (scheme, value)
             assert bs_w.tolist() == bs_powers, (scheme, value)
 
@@ -390,7 +390,7 @@ def both_paths(cfg: SystemConfig, xs, ys, shadows) -> dict[str, list[tuple[np.nd
     """Each scheme's (total, BS power) per user from the scalar path and from its evaluator."""
     scalar = scalar_results(cfg, positions(xs, ys), shadows)
     return {
-        scheme: [tuple(np.array(a) for a in scalar[scheme]), evaluate(scheme, cfg, xs, ys, shadows, {})]
+        scheme: [tuple(np.array(a) for a in scalar[scheme]), evaluate(scheme, cfg, xs, ys, shadows)]
         for scheme in _EVALUATORS
     }
 
@@ -426,9 +426,9 @@ def test_every_scheme_meets_the_snr_target_across_the_wide_box(cfg, seed):
         for k in range(xs.size):
             gains = ChannelGains(g1_sq, float(g2_sq[k]), sigma_r_sq_w, sigma_ue_sq_w)
             assert af_snr(float(p1[k]), float(beta_sq[k]), gains) == pytest.approx(gamma0, rel=1e-9), hop
-    stages: dict = {}
-    _, tx = evaluate("benchmark1", cfg, xs, ys, shadows, stages)
-    gain = stages["path_loss"][1]
+    _, tx = evaluate("benchmark1", cfg, xs, ys, shadows)
+    # the direct scheme's path-loss stage, on its geometry and shadowing stages
+    gain = _STAGES["path_loss"].run(cfg, _STAGES["geometry"].run(cfg, xs, ys), _STAGES["shadowing"].run(cfg, shadows))
     np.testing.assert_allclose(tx * gain / sigma_ue_sq_w, gamma0, rtol=1e-9, atol=0.0)
     for x, y, shadow in zip(xs.tolist(), ys.tolist(), shadows.tolist()):
         received = benchmark1_tx_power_w(cfg, x, y, shadow) * benchmark1_link_gain(cfg, x, y, shadow)

@@ -219,7 +219,7 @@ class TestOptimalPinPosition:
         x_pins, g2_sq = kernel_placement(cfg, np.array([10.0]), np.array([0.0]))
         assert x_pins.tolist() == [0.0] and g2_sq.tolist() == [relay_ue_gain(cfg, ue, 0.0)]
         for scheme in ("proposed", "benchmark2"):
-            total, bs_w = evaluate(scheme, cfg, np.array([10.0]), np.array([0.0]), np.zeros(1), {})
+            total, bs_w = evaluate(scheme, cfg, np.array([10.0]), np.array([0.0]), np.zeros(1))
             assert np.isfinite(total).all() and np.isfinite(bs_w).all()
         assert solve(cfg, ue).total_power_w == benchmark2_power(cfg, ue).total_power_w == total[0]
 

@@ -29,10 +29,10 @@ from pinchrelay import (
     solve,
     write_gnuplot_script,
 )
-from pinchrelay import optimize
+from pinchrelay import kernel, optimize
 from pinchrelay.benchmarks import SHADOWING_STD_DB
 from pinchrelay.cli import cli_main
-from pinchrelay.kernel import _EVALUATORS, _STAGES, evaluate
+from pinchrelay.kernel import _EVALUATORS, _STAGES, _plan, _stage_results, evaluate
 from pinchrelay.model import DOMAIN
 from pinchrelay.sweep import SCHEMES, VARIABLES
 
@@ -140,7 +140,7 @@ class TestRunSweep:
         for record in records:
             at = replace(cfg, snr_target_linear=db_to_linear(record.variable_value))
             for scheme in SCHEMES:
-                total, bs_w = evaluate(scheme, at, xs, ys, shadows, {})
+                total, bs_w = evaluate(scheme, at, xs, ys, shadows)
                 assert record.mean_total_power_w[scheme] == math.fsum(total.tolist()) / ue_samples
                 assert record.mean_bs_power_w[scheme] == math.fsum(bs_w.tolist()) / ue_samples
 
@@ -212,14 +212,13 @@ class TestStages:
         rng = np.random.default_rng(5)
         draws = {"xs": rng.uniform(0.0, 30.0, 20), "ys": rng.uniform(0.0, 10.0, 20)}
         draws["shadows"] = rng.normal(0.0, SHADOWING_STD_DB, 20)
-        cache: dict = {}
-        evaluate(scheme, SystemConfig(waveguide_attenuation_per_m=attenuation), *draws.values(), cache)
+        inputs, results = _plan((scheme,), None).inputs, dict(draws)  # what each stage takes when the scheme runs
         for name in _EVALUATORS[scheme]:
             stage = _STAGES[name]
             assert set(stage.fields) <= CONFIG_FIELDS
             cfg = ReadRecordingConfig(waveguide_attenuation_per_m=attenuation)
             object.__setattr__(cfg, "reads", set())
-            stage.run(cfg, *(draws[i] if i in draws else cache[i][1] for i in stage.inputs))
+            results[name] = stage.run(cfg, *(results[i] for i in inputs[name]))
             assert cfg.reads <= set(stage.fields), name
             assert cfg.reads or not stage.fields, name  # the recording sees a stage's reads
 
@@ -231,17 +230,46 @@ class TestStages:
             monkeypatch.setitem(_STAGES, name, stage._replace(run=counted))
         return runs
 
-    @pytest.mark.parametrize("variable", ["snr_target_db", "bs_relay_distance_m"])
+    @pytest.mark.parametrize("variable", ["snr_target_db", "bs_relay_distance_m", "waveguide_attenuation_per_m"])
     def test_a_sweep_reruns_only_the_stages_its_variable_reaches(self, cfg, monkeypatch, variable):
+        if variable not in VARIABLES:
+            monkeypatch.setitem(VARIABLES, variable, (variable, float, ("",), variable))
         runs, g1_configs, bs_relay_gain = self.count_stage_runs(monkeypatch), [], optimize.bs_relay_gain
         monkeypatch.setattr(optimize, "bs_relay_gain", lambda config: g1_configs.append(config) or bs_relay_gain(config))
         values = SWEEPS[variable]
         run_sweep(cfg, small_spec(variable=variable, values=values))
-        per_value = {"proposed_power", "benchmark1_power", "benchmark2_power"}
+        per_value = {"relay_power", "benchmark1_power"}
         if variable == "bs_relay_distance_m":  # |g1|^2, the split's terms and the direct path loss read d1
-            per_value |= {"link", "proposed_terms", "benchmark2_terms", "path_loss"}
+            per_value |= {"link", "relay_terms", "path_loss"}
+        if variable == "waveguide_attenuation_per_m":  # the second hop reads alpha, the direct scheme does not
+            per_value = {"feed", "placement", "second_hop", "relay_terms", "relay_power"}
         assert runs == {name: len(values) if name in per_value else 1 for name in _STAGES}
         assert len(g1_configs) == runs["link"]  # |g1|^2 once per link stage: once per sweep, or once per d1
+
+    def test_both_relay_schemes_split_their_powers_in_one_pass_per_value(self, cfg, monkeypatch):
+        shapes, split_powers = [], kernel.split_powers
+        counted = lambda target, cross, k: shapes.append(cross.shape) or split_powers(target, cross, k)  # noqa: E731
+        monkeypatch.setattr(kernel, "split_powers", counted)
+        spec = small_spec(schemes=("proposed", "benchmark2"))
+        run_sweep(cfg, spec)
+        assert shapes == [(2, spec.ue_samples)] * len(spec.values)
+
+    @pytest.mark.parametrize(
+        "variable, held",
+        [
+            ("snr_target_db", {"link", "relay_terms", "path_loss"}),
+            ("bs_relay_distance_m", {"second_hop", "geometry", "shadowing"}),
+        ],
+    )
+    def test_a_sweep_holds_a_result_only_while_a_later_stage_reads_it(self, cfg, variable, held):
+        field, to_si, _, _ = VARIABLES[variable]
+        plan, rng = _plan(SCHEMES, field), np.random.default_rng(5)
+        draws = {"xs": rng.uniform(0.0, 30.0, 20), "ys": rng.uniform(0.0, 10.0, 20)}
+        draws["shadows"] = rng.normal(0.0, SHADOWING_STD_DB, 20)
+        configs = [replace(cfg, **{field: to_si(value)}) for value in SWEEPS[variable]]
+        # at each value: the once-stages' results that a per-value stage reads, and that value's results
+        assert list(_stage_results(plan, configs, draws, set)) == [held | set(plan.per_value)] * len(configs)
+        assert set(draws) == held  # the draws are released too, and the last value's results once read
 
     def test_a_sweep_evaluates_the_feed_gain_once(self, cfg, monkeypatch):
         # one exp per user at the candidate the placement weighs, and one for all users at the
