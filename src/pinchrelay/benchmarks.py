@@ -31,6 +31,7 @@ if TYPE_CHECKING:
 # single-stream convention, not the fully coherent N**2); log-distance path
 # loss with exponent 4, anchored to free space at 1 m; zero-mean lognormal
 # shadowing with a variance of 11 dB^2; one 0.1 W RF chain per element.
+# :func:`distance_loss` writes the exponent out as two squarings and a reciprocal.
 NUM_ELEMENTS = 64
 ARRAY_ELEMENT_GAIN = NUM_ELEMENTS * 10.0 ** (2.15 / 10.0)
 PATH_LOSS_EXPONENT = 4.0
@@ -48,8 +49,9 @@ def benchmark1_link_gain(config: SystemConfig, x_ue_m: Floats, y_ue_m: Floats, s
     from the feed to the user at ``(x_ue_m, y_ue_m)``.  The gain is array
     gain x element gain x log-distance loss x lognormal shadowing, with
     ``shadow_db`` one shadowing draw in dB.  Floats give a float; arrays give
-    one gain per user, each equal to the float result (``hypot`` and ``pow``
-    run per element through :func:`~.kernel.libm_each`).  A coordinate outside
+    one gain per user, each equal to the float result: the ground distance and
+    the distance loss are IEEE operators and a square root, and the shadowing's
+    ``pow`` runs per element through :func:`~.kernel.libm_each`.  A coordinate outside
     ``UE_DOMAIN`` or a draw outside ``SHADOW_DB_DOMAIN`` raises ``ValueError``
     naming the first one.  It is three parts, which the sweep kernel runs as
     separate stages: :func:`ground_distance_m`, :func:`shadowing_gain` and
@@ -71,11 +73,21 @@ def _check_draws(*inputs: tuple) -> None:
 
 
 def ground_distance_m(x_ue_m: Floats, y_ue_m: Floats):
-    """Ground distance from the waveguide feed to each user, checked against ``UE_DOMAIN``."""
-    from .kernel import libm_each  # here, not at the top: the kernel imports this module
+    """Ground distance ``sqrt(x*x + y*y)`` from the waveguide feed to each user, checked against ``UE_DOMAIN``.
 
+    Operators and a correctly rounded square root (``math.sqrt`` for floats, ``np.sqrt`` for arrays),
+    so each element equals the float result on any CPU.  Where a square underflows (a coordinate
+    below about 1e-154 m) the distance loses relative accuracy, but not against the BS-relay
+    distance it is added to.
+    """
     _check_draws(("x_ue_m", x_ue_m, UE_DOMAIN), ("y_ue_m", y_ue_m, UE_DOMAIN))
-    return libm_each(math.hypot, x_ue_m, y_ue_m)
+    squares = x_ue_m * x_ue_m
+    squares += y_ue_m * y_ue_m  # in place on an array
+    if isinstance(squares, float):
+        return math.sqrt(squares)
+    import numpy as np
+
+    return np.sqrt(squares, out=squares)
 
 
 def shadowing_gain(shadow_db: Floats):
@@ -89,11 +101,26 @@ def shadowing_gain(shadow_db: Floats):
 def direct_path_gain(config: SystemConfig, ground_m: Floats, shadow: Floats):
     """The direct link's gain over ground distance ``ground_m`` with linear shadowing ``shadow``;
     it reads only ``LINK_FIELDS["direct"]``."""
-    from .kernel import libm_each
-
     anchor = free_space_gain(1.0, config.carrier_frequency_hz)
-    distance_loss = libm_each(math.pow, config.bs_relay_distance_m + ground_m, -PATH_LOSS_EXPONENT)
-    return ARRAY_ELEMENT_GAIN * anchor * distance_loss * shadow
+    gain = distance_loss(config.bs_relay_distance_m, ground_m)
+    # ARRAY_ELEMENT_GAIN * anchor * loss * shadow, in place on an array (IEEE products commute)
+    gain *= ARRAY_ELEMENT_GAIN * anchor
+    gain *= shadow
+    return gain
+
+
+def distance_loss(d1_m: float, ground_m: Floats):
+    """Log-distance loss d**-4 over the direct path ``d = d1_m + ground_m``, written ``1.0 / (d2*d2)``
+    with ``d2 = d*d``: operators only, so floats and arrays agree bit for bit on any CPU.  An array
+    ``ground_m`` is left as it is; the result is one new array, which each step overwrites."""
+    d4 = d1_m + ground_m  # d
+    d4 *= d4  # d2
+    d4 *= d4
+    if isinstance(d4, float):
+        return 1.0 / d4
+    import numpy as np
+
+    return np.divide(1.0, d4, out=d4)
 
 
 def benchmark1_tx_power_w(config: SystemConfig, x_ue_m: Floats, y_ue_m: Floats, shadow_db: Floats):

@@ -3,9 +3,11 @@
 Every function here evaluates many users at once as numpy arrays, and each
 element equals the scalar path (:mod:`.model`, :mod:`.optimize`,
 :mod:`.benchmarks`) bit for bit: squares are written as products, arithmetic
-runs in the scalar expressions' order, and ``exp``/``pow``/``hypot`` go
-through :mod:`math` per element (:func:`libm_each`), because numpy's
-vectorised versions round differently from libm on a few percent of inputs.
+runs in the scalar expressions' order, square roots are ``np.sqrt``, correctly
+rounded like ``math.sqrt``, and the two libm calls left, the placement's ``exp``
+and the shadowing's ``pow``, go through :mod:`math` per element
+(:func:`libm_each`), because numpy's vectorised versions round differently from
+libm on a few percent of inputs.
 The scalar modules import no numpy, so a single-point solve never loads it.
 :func:`exact_sum` gives the sweep's means: ``math.fsum`` of each row of a
 block, bit for bit, from one error-free split of the whole block where it can.
@@ -53,7 +55,8 @@ def libm_each(fn: Callable[..., float], *args: float | np.ndarray) -> float | np
 
     Float arguments repeat for every element; with no array argument this is
     plain ``fn(*args)``.  Calling libm keeps each element equal to the scalar
-    code's result, which numpy's vectorised ``exp``/``pow``/``hypot`` do not.
+    code's result, which numpy's vectorised ``exp`` and ``pow`` do not.  It has
+    two callers, the placement's ``exp`` (:func:`libm_exp`) and the shadowing's ``pow``.
     An array is read through its buffer (a ``memoryview``), not copied to a list.
     """
     size = next((a.size for a in args if isinstance(a, np.ndarray)), None)

@@ -1,8 +1,10 @@
 """Benchmark schemes: direct massive-array link and fixed-antenna relay link."""
 
 import math
+import random
 import re
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -18,11 +20,37 @@ from pinchrelay import (
     db_to_linear,
     solve,
 )
-from pinchrelay.benchmarks import NUM_ELEMENTS, PATH_LOSS_EXPONENT, SHADOWING_STD_DB
+from pinchrelay.benchmarks import (
+    NUM_ELEMENTS,
+    PATH_LOSS_EXPONENT,
+    SHADOW_DB_DOMAIN,
+    SHADOWING_STD_DB,
+    benchmark1_link_gain,
+    distance_loss,
+    ground_distance_m,
+)
 from pinchrelay.kernel import evaluate
-from pinchrelay.model import SPEED_OF_LIGHT_M_S, free_space_gain, relay_ue_gain
+from pinchrelay.model import DOMAIN, SPEED_OF_LIGHT_M_S, UE_DOMAIN, free_space_gain, relay_ue_gain
 
 NO_SHADOW = 0.0
+
+
+def log_uniform(rng: random.Random, lo: float, hi: float) -> float:
+    return min(max(math.exp(rng.uniform(math.log(lo), math.log(hi))), lo), hi)
+
+
+def coordinate(rng: random.Random, tiniest: float) -> float:
+    """A user coordinate in UE_DOMAIN: 0, uniform, or of log-uniform magnitude from ``tiniest`` up, either sign."""
+    r = rng.random()
+    if r < 0.05:
+        return 0.0
+    if r < 0.5:
+        return rng.uniform(*UE_DOMAIN)
+    return math.copysign(log_uniform(rng, tiniest, UE_DOMAIN[1]), rng.random() - 0.5)
+
+
+def ulps(value: float, exact: Decimal) -> float:
+    return float(abs(Decimal(value) - exact) / Decimal(math.ulp(value)))
 
 
 class TestBenchmark1:
@@ -135,6 +163,65 @@ class TestBenchmark1:
         tx = benchmark1_tx_power_w(base, xs, ys, shadows)
         assert benchmark1_tx_power_w(changed, xs, ys, shadows).tolist() == tx.tolist()
         assert benchmark1_total_power_w(changed, tx).tolist() == benchmark1_total_power_w(base, tx).tolist()
+
+
+class TestDirectLinkForms:
+    """The ground distance sqrt(x*x + y*y) and the distance loss 1/(d2*d2), d2 = d*d: IEEE operators and a
+    correctly rounded square root, so the float and array paths agree on any CPU."""
+
+    def test_each_form_is_within_its_ulp_bound_of_a_decimal_reference(self):
+        # the ground distance wherever both squares are normal or 0 (coordinates from 1e-153 m); the
+        # distance loss at its float input d = d1 + ground, over d1's domain and ground distances across
+        # UE_DOMAIN.  math.hypot and math.pow(d, -4) were within 0.5 ulp; these reach 1.10 and 3.21 here.
+        bounds = {"ground_distance_m": 1.5, "distance_loss": 4.0}
+        rng = random.Random(36)
+        failures = []
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for _ in range(20_000):
+                x, y = coordinate(rng, 1e-153), coordinate(rng, 1e-153)
+                d1 = log_uniform(rng, *DOMAIN["bs_relay_distance_m"])
+                ground = ground_distance_m(x, y)
+                loss = distance_loss(d1, ground)
+                d = d1 + ground
+                for field, inputs, value, exact in (
+                    ("ground_distance_m", f"x={x!r}, y={y!r}", ground, (Decimal(x) ** 2 + Decimal(y) ** 2).sqrt()),
+                    ("distance_loss", f"d1={d1!r}, ground={ground!r} (d={d!r})", loss, 1 / Decimal(d) ** 4),
+                ):
+                    error = ulps(value, exact)
+                    if error > bounds[field]:
+                        failures.append(f"{field} at {inputs}: {error:.2f} ulp, over {bounds[field]}")
+        assert not failures, "; ".join(failures[:5])
+
+    def test_coordinates_whose_squares_underflow_give_the_gain_at_the_feed(self, cfg):
+        # below about 1e-154 m the squares underflow and the ground distance loses its ulp bound, but it
+        # stays below 2e-154 m, which d1 >= 0.1 m absorbs: the gain is the one at ground distance 0, bit for bit
+        rng = random.Random(37)
+        for _ in range(2_000):
+            cfg = replace(
+                cfg,
+                bs_relay_distance_m=log_uniform(rng, *DOMAIN["bs_relay_distance_m"]),
+                carrier_frequency_hz=log_uniform(rng, *DOMAIN["carrier_frequency_hz"]),
+            )
+            x, y = (math.copysign(log_uniform(rng, 5e-324, 1e-154), rng.random() - 0.5) for _ in range(2))
+            shadow_db = rng.uniform(*SHADOW_DB_DOMAIN)
+            gain, at_feed = benchmark1_link_gain(cfg, x, y, shadow_db), benchmark1_link_gain(cfg, 0.0, 0.0, shadow_db)
+            assert gain.hex() == at_feed.hex(), f"x={x!r}, y={y!r}, d1={cfg.bs_relay_distance_m!r}"
+
+    @pytest.mark.parametrize("d1", [0.1, 50.0, 1e5])
+    @pytest.mark.parametrize("frequency", [1e8, 28e9, 1e13])
+    def test_floats_give_floats_equal_to_the_array_path(self, cfg, d1, frequency):
+        cfg = replace(cfg, bs_relay_distance_m=d1, carrier_frequency_hz=frequency)
+        rng = random.Random(38)
+        corners = [(1e5, 1e5, 100.0), (-1e5, 0.0, -100.0), (1e-160, -1e-200, 0.0), (5e-324, 0.0, 3.0), (0.0, 0.0, 0.0)]
+        users = corners + [
+            (coordinate(rng, 5e-324), coordinate(rng, 5e-324), rng.uniform(*SHADOW_DB_DOMAIN)) for _ in range(300)
+        ]
+        xs, ys, shadows = (np.array(column) for column in zip(*users))
+        for fn in (benchmark1_link_gain, benchmark1_tx_power_w):
+            floats = [fn(cfg, x, y, shadow_db) for x, y, shadow_db in users]
+            assert all(type(value) is float for value in floats), fn.__name__
+            assert fn(cfg, xs, ys, shadows).tolist() == floats, fn.__name__
 
 
 class TestBenchmark2:

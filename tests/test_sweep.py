@@ -280,6 +280,18 @@ class TestStages:
         run_sweep(cfg, spec)
         assert spec.schemes == SCHEMES and len(calls) == spec.ue_samples + 1
 
+    @pytest.mark.parametrize("variable", ["snr_target_db", "bs_relay_distance_m"])
+    def test_a_sweep_calls_no_hypot_and_one_pow_per_user(self, cfg, monkeypatch, variable):
+        # the direct link's ground distance and distance loss are operators and a square root; the one
+        # libm pow left is the shadowing's, once per user for the whole sweep
+        calls = {"hypot": [], "pow": []}
+        for name, log in calls.items():
+            monkeypatch.setattr(math, name, lambda *args, fn=getattr(math, name), log=log: log.append(args) or fn(*args))
+        spec = small_spec(variable=variable, values=SWEEPS[variable])
+        run_sweep(cfg, spec)
+        assert spec.schemes == SCHEMES
+        assert (len(calls["hypot"]), len(calls["pow"])) == (0, spec.ue_samples)
+
     @pytest.mark.parametrize("variable", sorted(SWEEPS))
     def test_each_record_equals_a_one_value_sweep(self, cfg, monkeypatch, variable):
         if variable not in VARIABLES:
@@ -309,19 +321,22 @@ class TestStages:
 # sha256 of the fig1 and fig2 CSVs at seed 0 with 1,000 users, recorded when every mean was a
 # plain math.fsum: any change to a mean's last bit, or to the CSV format, shows here.  fig1's was
 # re-recorded when the pinch root took its cancellation-free form: its 26 dB proposed mean moved by rounding.
+# All three were re-recorded when the direct link's ground distance and distance loss became IEEE operators
+# and a square root in place of math.hypot and math.pow(d, -4): two of fig1's benchmark1 means and one of
+# fig2's moved by rounding.
 GOLDEN_SWEEPS = {
     "fig1": (
         ["--var", "gamma0", "--values", "10:2:30dB"],
-        "5f3e02e822514186211089dea4263bc7eb02e7898e0fbe976908e91d44abe107",
+        "bba17e7100d5cfdb792ee53eb09864d1e8456e0de2f9326a989f0f181c9788c8",
     ),
     # recorded while a lossless waveguide had a placement branch of its own: the general rule gives its bytes
     "fig1-lossless": (
         ["--var", "gamma0", "--values", "10:2:30dB", "--alpha-d", "0"],
-        "74a7cb0661877dde8edfda0314530f27dd4d284d0243062d0a8e6fea0bd52b1f",
+        "7d50158b0c4d2479a5a70560c9f503a0700a8ef25a06a91e94d6654954890089",
     ),
     "fig2": (
         ["--var", "d1", "--values", "30:10:100"],
-        "893c1065c00e061c3e0b93c4f4a0b9fd84387b6803ec280ccac320fb79376c20",
+        "13b212938e09b064e7726b6e533618247507e86b392b7dea39a793e9f48cdcb5",
     ),
 }
 
