@@ -17,9 +17,7 @@ _MODULES = {
     "benchmarks": ("benchmark1_total_power_w", "benchmark1_tx_power_w", "benchmark2_power"),
     "model": ("ChannelGains", "SystemConfig", "UePosition", "af_snr", "channel_gains", "db_to_linear", "total_power_w"),
     "optimize": ("PowerSolution", "optimal_pin_position", "optimal_power_allocation", "solve"),
-    "oracle": (
-        "OracleReport", "grid_search_pin", "numeric_power_min", "pin_objective", "verify_scenario"
-    ),
+    "oracle": ("OracleReport", "grid_search_pin", "numeric_power_min", "verify_scenario"),
     "sweep": ("SCHEMES", "SweepRecord", "SweepSpec", "export_csv", "read_csv", "run_sweep", "write_gnuplot_script"),
 }
 _MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}

@@ -159,29 +159,38 @@ def parse_values_spec(text: str) -> tuple[tuple[float, ...], str]:
     """Sweep values: ``start:step:stop[unit]`` or ``v1,v2,...[unit]``.
 
     The unit is the run of letters after the last number, so ``nan`` and
-    ``inf`` read as values and reach the sweep's range check.  A range needs a
-    finite start, step and stop and at most ``MAX_RANGE_VALUES`` values.
+    ``inf`` read as values and reach the sweep's range check; it goes once, after
+    the last value.  A range needs a finite start, step and stop and at most
+    ``MAX_RANGE_VALUES`` values, ``start + i step`` for ``i = 0, 1, ...``: a last
+    value that rounds past ``stop`` is ``stop``, and a step too small to
+    separate two values at their magnitude is an error.
     """
     match = _VALUES_RE.match(text)
     body, unit = (match.group(1), match.group(2).lower()) if match else (text, "")
+    separator = ":" if ":" in body else ","
+    parts = body.split(separator)
     try:
-        if ":" in body:
-            parts = body.split(":")
-            if len(parts) != 3:
+        values = tuple(float(p) for p in parts)
+        if separator == ":":
+            if len(values) != 3:
                 raise ValueError("range spec must be start:step:stop")
-            start, step, stop = (float(p) for p in parts)
-            if not all(math.isfinite(v) for v in (start, step, stop)):
+            start, step, stop = values
+            if not all(math.isfinite(v) for v in values):
                 raise ValueError("range spec needs a finite start, step and stop")
             if step <= 0.0 or stop < start:
                 raise ValueError("range spec needs step > 0 and stop >= start")
             span = (stop - start) / step + 1e-9  # inf when the quotient overflows
             if not span < MAX_RANGE_VALUES:
                 raise ValueError(f"range spec needs (stop - start) / step below {MAX_RANGE_VALUES}")
-            count = int(math.floor(span)) + 1
-            values = tuple(start + i * step for i in range(count))
-        else:
-            values = tuple(float(p) for p in body.split(","))
+            values = tuple([min(start + i * step, stop) for i in range(int(math.floor(span)) + 1)])
+            if len(set(values)) < len(values):  # the values never decrease, so only a tie can break the order
+                raise ValueError("range spec needs a step that separates its values at their magnitude")
     except ValueError as exc:
+        heads = [_VALUES_RE.match(p) for p in parts]
+        # a valid number ends in a digit, '.', nan or inf: letters after a value before the last are a unit
+        if all(heads) and any(head[2] for head in heads):
+            fixed = separator.join(head[1].strip() for head in heads) + next(h[2] for h in reversed(heads) if h[2])
+            exc = f"a unit goes once, after the last value ({fixed!r})"
         raise ValueError(f"cannot parse sweep values {text!r}: {exc}") from None
     return values, unit
 

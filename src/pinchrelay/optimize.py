@@ -25,9 +25,9 @@ This module imports no numpy; the sweep's array forms are in :mod:`.kernel`.  Th
 :func:`stationary_root`, is written once for floats and arrays alike, and so is the split, in parts:
 :func:`link_factors` and :func:`target_factors` build its factors, and its per-user parts apply
 them, :func:`split_terms` (the link part), :func:`split_powers` (the target part) and
-:func:`split_cost` (``j``).  :func:`optimal_power_allocation` composes them through
-:func:`split_power`; :func:`solve_at`'s one pass over floats hands the placement's |g2|^2 to them
-and reads the rest from :func:`link_constants`.  Over the inputs' domain (:data:`~.model.DOMAIN`)
+:func:`split_cost` (``j``).  :func:`optimal_power_allocation` composes them on a
+:class:`~.model.ChannelGains`; :func:`solve_at`'s one pass over floats hands the placement's |g2|^2
+to them and reads the rest from :func:`link_constants`.  Over the inputs' domain (:data:`~.model.DOMAIN`)
 every value here is finite, so nothing is checked.
 """
 
@@ -129,8 +129,11 @@ def optimal_power_allocation(gains: ChannelGains, config: SystemConfig) -> tuple
     ``p1`` strictly exceeds the feasibility floor ``gamma0 sigma_r^2 / |g1|^2``
     below which no relay gain can reach the target.
     """
-    g2_sq = gains.g2_sq
-    return split_power(config, gains.g1_sq, gains.sigma_r_sq_w, gains.sigma_ue_sq_w, g2_sq, math.sqrt(g2_sq))
+    g1_sq, g2_sq, sigma_r_sq_w, sigma_ue_sq_w = gains.g1_sq, gains.g2_sq, gains.sigma_r_sq_w, gains.sigma_ue_sq_w
+    target = target_factors(config.snr_target_linear, config.pa_efficiency, g1_sq, sigma_r_sq_w, sigma_ue_sq_w)
+    cross, k = split_terms(link_factors(g1_sq, sigma_r_sq_w, sigma_ue_sq_w), math.sqrt(g2_sq))
+    p1, beta_sq = split_powers(target, cross, k)
+    return p1, beta_sq, split_cost(target, g2_sq, cross)
 
 
 # PowerSolution(*values) from a tuple of the values, without the Python frame of the named
@@ -177,17 +180,6 @@ def target_factors(gamma0: float, eta: float, g1_sq: float, sigma_r_sq_w: float,
     root_p1, root_beta = math.sqrt(gamma0 * (gamma0 + 1.0) / eta), math.sqrt(eta * gamma0 / (gamma0 + 1.0))
     root_j = math.sqrt(eta * gamma0 * (gamma0 + 1.0))
     return floor_w, root_p1, root_beta, root_j, eta * floor_w, gamma0 * sigma_ue_sq_w
-
-
-def split_power(config: SystemConfig, g1_sq: float, sigma_r_sq_w: float, sigma_ue_sq_w: float, g2_sq, g2):
-    """:func:`optimal_power_allocation` on any link budget, ``(p1, beta_sq, j)``, for the second
-    hop's power gain ``g2_sq`` and amplitude ``g2``, floats or arrays: the three per-user parts on
-    :func:`link_factors` and :func:`target_factors`."""
-    link = link_factors(g1_sq, sigma_r_sq_w, sigma_ue_sq_w)
-    target = target_factors(config.snr_target_linear, config.pa_efficiency, g1_sq, sigma_r_sq_w, sigma_ue_sq_w)
-    cross, k = split_terms(link, g2)
-    p1, beta_sq = split_powers(target, cross, k)
-    return p1, beta_sq, split_cost(target, g2_sq, cross)
 
 
 # The split's per-user parts.  Arithmetic operators only, so an array gives each element the scalar result.

@@ -10,8 +10,9 @@ optimum.
 The exhaustive placement grid :func:`grid_search_pin` remains as plain
 reference code for the acceptance gate and perfbench; only it imports numpy.
 All objective formulas here are written out inline, independently of the code
-paths under test; :func:`verify_scenario` evaluates the objective at the
-closed-form pinch once, as ``ln f``, and derives ``f`` and both hop gains there.
+paths under test.  The placement objective ``f`` is written only as its log,
+:func:`ln_pin_objective`: :func:`verify_scenario` evaluates it at the
+closed-form pinch once and derives ``f`` and both hop gains there.
 Over the inputs' domain (:data:`~.model.DOMAIN`) every value they take is a
 finite, normal float.
 """
@@ -62,26 +63,10 @@ class OracleReport(NamedTuple):
 _new_report = partial(tuple.__new__, OracleReport)
 
 
-def pin_objective(config: SystemConfig, ue: UePosition, x_m: float) -> float:
-    """Placement objective f(x) = exp(-alpha x) / ((x_ue - x)^2 + y_ue^2 + d^2) on all of R, proportional to |g2|^2.
-
-    Far before the feed of a lossy waveguide ``exp(-alpha x)`` leaves the
-    float range; such an ``x_m`` raises ``ValueError``.
-    """
-    dx = ue.x_ue_m - x_m
-    c_const = ue.y_ue_m * ue.y_ue_m + config.waveguide_height_m * config.waveguide_height_m
-    try:
-        attenuation = math.exp(-config.waveguide_attenuation_per_m * x_m)
-    except OverflowError:
-        raise ValueError(
-            f"x_m={x_m!r} puts exp(-alpha x) past the float range at "
-            f"waveguide_attenuation_per_m={config.waveguide_attenuation_per_m!r}"
-        ) from None
-    return attenuation / (dx * dx + c_const)
-
-
 def ln_pin_objective(config: SystemConfig, ue: UePosition, x_m: float) -> float:
-    """``g(x) = ln f(x) = -alpha x - ln((x_ue - x)^2 + y_ue^2 + d^2)``, finite where f underflows to 0."""
+    """``g(x) = ln f(x) = -alpha x - ln((x_ue - x)^2 + y_ue^2 + d^2)`` on all of R: the log of the placement
+    objective ``f(x) = exp(-alpha x) / ((x_ue - x)^2 + y_ue^2 + d^2)``, proportional to |g2|^2, and finite
+    where ``f`` underflows to 0 or overflows."""
     dx = ue.x_ue_m - x_m
     c_const = ue.y_ue_m * ue.y_ue_m + config.waveguide_height_m * config.waveguide_height_m
     return -config.waveguide_attenuation_per_m * x_m - math.log(dx * dx + c_const)

@@ -1,8 +1,17 @@
-"""Grid oracles that only the tests use: a 2-D power grid that does not assume the constraint reduction."""
+"""Reference forms that only the tests use: the placement objective ``f`` itself, and a 2-D power grid
+that does not assume the constraint reduction."""
 
+import math
 from typing import Sequence
 
-from pinchrelay.model import ChannelGains, SystemConfig
+from pinchrelay.model import ChannelGains, SystemConfig, UePosition
+
+
+def pin_objective(config: SystemConfig, ue: UePosition, x_m: float) -> float:
+    """Placement objective f(x) = exp(-alpha x) / ((x_ue - x)^2 + y_ue^2 + d^2), proportional to |g2|^2."""
+    dx = ue.x_ue_m - x_m
+    c_const = ue.y_ue_m * ue.y_ue_m + config.waveguide_height_m * config.waveguide_height_m
+    return math.exp(-config.waveguide_attenuation_per_m * x_m) / (dx * dx + c_const)
 
 
 def grid_power_min_2d(

@@ -23,13 +23,12 @@ from pinchrelay import (
     numeric_power_min,
     optimal_pin_position,
     optimal_power_allocation,
-    pin_objective,
     run_sweep,
     solve,
     total_power_w,
 )
 from pinchrelay.cli import cli_main
-from grid_oracles import grid_power_min_2d
+from grid_oracles import grid_power_min_2d, pin_objective
 
 BASE = SystemConfig()
 SCHEMES = ("proposed", "benchmark1", "benchmark2")

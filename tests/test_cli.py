@@ -15,7 +15,7 @@ from decimal import Decimal, InvalidOperation
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pinchrelay.cli
@@ -36,6 +36,23 @@ from pinchrelay.cli import (
     parse_values_spec,
 )
 from pinchrelay.sweep import VARIABLES
+
+
+@st.composite
+def range_specs(draw):
+    """A finite ``(start, step, stop)`` whose range has at most ``MAX_RANGE_VALUES`` values: decimal
+    steps as written on a command line, or any floats, with the step cut from the span."""
+    if draw(st.booleans()):
+        scale = 10.0 ** draw(st.integers(min_value=0, max_value=3))
+        first, step_units = draw(st.integers(-10**6, 10**6)), draw(st.integers(1, 10**4))
+        last = draw(st.integers(first, first + step_units * (MAX_RANGE_VALUES - 1)))
+        return first / scale, step_units / scale, last / scale
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    start, stop = sorted((draw(finite), draw(finite)))
+    pieces = draw(st.integers(1, MAX_RANGE_VALUES - 1)) + draw(st.floats(0.0, 1.0, exclude_max=True))
+    step = (stop - start) / pieces if stop > start else draw(st.floats(5e-324, 1e308))
+    assume(math.isfinite(step) and step > 0.0 and (stop - start) / step + 1e-9 < MAX_RANGE_VALUES)
+    return start, step, stop
 
 
 class TestQuantityParsing:
@@ -72,8 +89,11 @@ class TestQuantityParsing:
         with pytest.raises(ValueError):
             parse_values_spec("10:2")
 
-    # a non-finite start, step or stop; (stop - start) / step overflowing or over the cap
-    @pytest.mark.parametrize("spec", ["0:1e-320:1dB", "-inf:1:0", "0:inf:5", "nan:1:3", "0:1e-9:1", "0:1:1e4"])
+    # a non-finite start, step or stop; (stop - start) / step overflowing or over the cap; a step below the
+    # spacing of floats at 1e16, where start + step rounds back to start
+    @pytest.mark.parametrize(
+        "spec", ["0:1e-320:1dB", "-inf:1:0", "0:inf:5", "nan:1:3", "0:1e-9:1", "0:1:1e4", "1e16:1:1.0000000000000004e16"]
+    )
     def test_values_spec_rejects_unbounded_ranges(self, spec):
         with pytest.raises(ValueError, match=f"^cannot parse sweep values {re.escape(repr(spec))}: range spec needs"):
             parse_values_spec(spec)
@@ -81,6 +101,31 @@ class TestQuantityParsing:
     def test_values_spec_range_may_reach_the_cap(self):
         values, _ = parse_values_spec(f"1:1:{MAX_RANGE_VALUES}")
         assert len(values) == MAX_RANGE_VALUES and values[-1] == MAX_RANGE_VALUES
+
+    @given(range_specs())
+    @example((20.6, 0.2, 60.0))  # start + 197 step rounds to 60.00000000000001
+    @settings(max_examples=300, deadline=None)
+    def test_values_spec_range_starts_at_start_rises_and_never_passes_stop(self, spec):
+        start, step, stop = spec
+        try:
+            values, _ = parse_values_spec(f"{start!r}:{step!r}:{stop!r}")
+        except ValueError as exc:
+            # refused only where the step is a few float spacings at the range's magnitude
+            assert "needs a step that separates its values" in str(exc)
+            assert step <= 8.0 * math.ulp(max(abs(start), abs(stop)))
+            return
+        assert values[0] == start
+        assert all(a < b for a, b in zip(values, values[1:]))
+        assert values[-1] <= stop
+        assert len(values) == math.floor((stop - start) / step + 1e-9) + 1
+
+    @pytest.mark.parametrize(
+        "spec, fixed", [("20dB,21dB", "20,21dB"), ("20dB,21", "20,21dB"), ("10dB:2:30dB", "10:2:30dB")]
+    )
+    def test_a_unit_before_the_last_value_names_where_it_goes(self, spec, fixed):
+        message = f"cannot parse sweep values {spec!r}: a unit goes once, after the last value ({fixed!r})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_values_spec(spec)
 
 
 class TestSolveCommand:
@@ -310,6 +355,20 @@ class TestSweepCommand:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "variable,scheme,mean_total_power_w,mean_bs_power_w,n_samples"
         assert len(lines) == 1 + 11 * 3
+
+    def test_a_range_ending_at_the_snr_domain_bound_sweeps_up_to_it(self, tmp_path, capsys):
+        out = tmp_path / "fig1.csv"
+        argv = ["sweep", "--var", "gamma0", "--values", "20.6:0.2:60dB", "--samples", "1", "--out", str(out)]
+        assert cli_main(argv) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[-1].split(",")[0] == "60"
+
+    def test_a_unit_on_every_listed_value_is_one_usage_error_line(self, tmp_path, capsys):
+        argv = ["sweep", "--var", "gamma0", "--values", "20dB,21dB", "--samples", "1", "--out", str(tmp_path / "x.csv")]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot parse sweep values '20dB,21dB': a unit goes once, after the last value ('20,21dB')\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
 
     def test_repeat_runs_are_bitwise_identical(self, tmp_path, capsys):
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -23,7 +23,7 @@ from pinchrelay import (
     solve,
 )
 from pinchrelay.model import bs_relay_gain, relay_ue_gain, unchecked_relay_ue_gain
-from pinchrelay.optimize import split_power, stationary_points
+from pinchrelay.optimize import link_factors, split_powers, split_terms, stationary_points, target_factors
 from pinchrelay.benchmarks import SHADOWING_STD_DB, benchmark1_link_gain
 from pinchrelay.kernel import _EVALUATORS, _STAGES, evaluate, exact_sum, libm_each, libm_exp, optimal_pin_positions
 from pinchrelay import kernel
@@ -420,9 +420,11 @@ def test_every_scheme_meets_the_snr_target_across_the_wide_box(cfg, seed):
         for sol in (solve(cfg, ue), benchmark2_power(cfg, ue)):
             assert af_snr(sol.p1_w, sol.beta_sq, channel_gains(cfg, ue, sol.x_pin_m)) == pytest.approx(gamma0, rel=1e-9)
     feed = _STAGES["feed"].run(cfg, xs, ys)
+    link = link_factors(g1_sq, sigma_r_sq_w, sigma_ue_sq_w)
+    target = target_factors(gamma0, cfg.pa_efficiency, g1_sq, sigma_r_sq_w, sigma_ue_sq_w)
     # the relay schemes' second-hop stage, then the split their power stage makes
     for hop, g2_sq in (("placement", _STAGES["placement"].run(cfg, xs, ys, feed)), ("feed", feed)):
-        p1, beta_sq, _ = split_power(cfg, g1_sq, sigma_r_sq_w, sigma_ue_sq_w, g2_sq, np.sqrt(g2_sq))
+        p1, beta_sq = split_powers(target, *split_terms(link, np.sqrt(g2_sq)))
         for k in range(xs.size):
             gains = ChannelGains(g1_sq, float(g2_sq[k]), sigma_r_sq_w, sigma_ue_sq_w)
             assert af_snr(float(p1[k]), float(beta_sq[k]), gains) == pytest.approx(gamma0, rel=1e-9), hop

@@ -23,7 +23,6 @@ from pinchrelay import (
     grid_search_pin,
     optimal_pin_position,
     optimal_power_allocation,
-    pin_objective,
     solve,
 )
 from pinchrelay import model, optimize
@@ -31,6 +30,7 @@ from pinchrelay.kernel import evaluate, libm_exp, optimal_pin_positions
 from pinchrelay.model import DOMAIN, SPEED_OF_LIGHT_M_S, UE_DOMAIN, bs_relay_gain, consumed_power, relay_tx_power, relay_ue_gain
 from pinchrelay.model import unchecked_relay_ue_gain
 from pinchrelay.optimize import StationaryAnalysis, solve_at, stationary_points, stationary_root
+from grid_oracles import pin_objective
 
 C = SPEED_OF_LIGHT_M_S
 
@@ -47,15 +47,6 @@ def symmetric_toy():
 
 
 class TestPinObjective:
-    def test_peak_without_attenuation(self):
-        cfg = SystemConfig(waveguide_attenuation_per_m=0.0)
-        ue = UePosition(15.0, 5.0)
-        assert pin_objective(cfg, ue, 15.0) == pytest.approx(1.0 / 34.0, rel=1e-15)
-
-    def test_feed_point_value(self, cfg, ue_mid):
-        assert pin_objective(cfg, ue_mid, 0.0) == pytest.approx(1.0 / 259.0, rel=1e-15)
-        assert pin_objective(cfg, ue_mid, 0.0) == pytest.approx(3.861e-3, rel=1e-3)
-
     def test_proportional_to_link_gain(self, cfg, ue_mid):
         constant = 16.0 * math.pi**2 * cfg.carrier_frequency_hz**2 / C**2
         rng = np.random.default_rng(7)

@@ -17,9 +17,7 @@ EXPORTS = {
         "ChannelGains", "SystemConfig", "UePosition", "af_snr", "channel_gains", "db_to_linear", "total_power_w"
     },
     "pinchrelay.optimize": {"PowerSolution", "optimal_pin_position", "optimal_power_allocation", "solve"},
-    "pinchrelay.oracle": {
-        "OracleReport", "grid_search_pin", "numeric_power_min", "pin_objective", "verify_scenario"
-    },
+    "pinchrelay.oracle": {"OracleReport", "grid_search_pin", "numeric_power_min", "verify_scenario"},
     "pinchrelay.sweep": {
         "SCHEMES", "SweepRecord", "SweepSpec", "export_csv", "read_csv", "run_sweep", "write_gnuplot_script"
     },
@@ -40,7 +38,7 @@ def fresh_interpreter(code: str, *argv: str, cwd: Path) -> str:
 class TestLazyRoot:
     def test_each_name_is_the_object_its_module_defines(self):
         assert set(pinchrelay.__all__) == set().union(*EXPORTS.values())
-        assert len(pinchrelay.__all__) == 26
+        assert len(pinchrelay.__all__) == 25
         for module, names in EXPORTS.items():
             for name in names:
                 assert getattr(pinchrelay, name) is getattr(importlib.import_module(module), name)
