@@ -34,7 +34,6 @@ if TYPE_CHECKING:
 # :func:`distance_loss` writes the exponent out as two squarings and a reciprocal.
 NUM_ELEMENTS = 64
 ARRAY_ELEMENT_GAIN = NUM_ELEMENTS * 10.0 ** (2.15 / 10.0)
-PATH_LOSS_EXPONENT = 4.0
 SHADOWING_STD_DB = math.sqrt(11.0)
 RF_CHAIN_POWER_W = 0.1
 # A shadowing draw's domain in dB: 30 standard deviations each way.

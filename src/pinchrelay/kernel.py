@@ -15,23 +15,24 @@ The direct scheme's link gain also takes floats or arrays
 (:func:`.benchmarks.benchmark1_link_gain` and its three parts), and imports
 numpy and this module when it is called.
 
-Each scheme is a chain of stages (``_EVALUATORS``), each stage a row of
-``_STAGES``: the SystemConfig fields it reads, the draws and earlier stages it
+The sweep runs one fixed pipeline of stages, ``_STAGES`` in run order, each stage
+a row with the SystemConfig fields it reads, the draws and earlier stages it
 takes, and its function.  The relay schemes differ only in their second hop's
 |g2|^2: the placement stage's for the proposed scheme, the feed stage's for the
 fixed-antenna one.  They share the link stage (|g1|^2, both noise powers and the
-split's link factors), and the second-hop stage stacks the root of each
-requested scheme's |g2|^2 as one row of an (R, N) array, so that one terms stage
-(the split's per-user link part) and one power stage (its target part and the
-power accounting) serve both.  The direct scheme's stages are geometry,
-shadowing, path loss and power.  :func:`sweep_sums` splits the requested
-schemes' stages by the fields that each stage and the stages before it read
-(:func:`_upstream_fields`): the stages that the swept field does not reach run
-once, before the first value, and the rest at each value.  A result is kept
-only while a later stage still reads it, and a per-value result only until the
-value's rows are copied out.  :func:`evaluate` runs one scheme at one config on
-the same code.  Over the inputs' domain (:data:`~.model.DOMAIN`) every element
-is finite, as on the scalar path.
+split's link factors), and the second-hop stage stacks the root of both as the
+two rows of a (2, N) array, so that one terms stage (the split's per-user link
+part) and one power stage (its target part and the power accounting) serve
+both.  The direct scheme's stages are geometry, shadowing, path loss and power.
+``_OUTPUTS`` names each scheme's power stage and its row there.  Every stage
+runs, whichever schemes are asked for; the schemes pick only the rows that
+:func:`sweep_sums` sums.  It splits the stages, in one pass over them
+(:func:`_plan`), into those that read the swept field or take a stage that does,
+which run at each value, and the rest, which run once, before the first value.
+A result is kept only while a later stage still reads it, and a per-value result
+only until the value's rows are copied out.  :func:`evaluate` gives one scheme's
+arrays at one config from the same pipeline.  Over the inputs' domain (:data:`~.model.DOMAIN`)
+every element is finite, as on the scalar path.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import functools
 import itertools
 import math
 import operator
-from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -154,8 +154,8 @@ def _placement(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, feed: np.ndarr
     return optimal_pin_positions(cfg, xs, ys, feed)[1]
 
 
-def _second_hop(cfg: SystemConfig, *g2_sq_rows: np.ndarray) -> np.ndarray:
-    amplitudes = np.stack(g2_sq_rows)
+def _second_hop(cfg: SystemConfig, placement: np.ndarray, feed: np.ndarray) -> np.ndarray:
+    amplitudes = np.stack((placement, feed))
     return np.sqrt(amplitudes, out=amplitudes)  # the split reads the second hop's amplitude
 
 
@@ -176,15 +176,13 @@ def _direct_power(cfg: SystemConfig, budget: tuple, gain: np.ndarray):
     return benchmark1_total_power_w(cfg, tx), tx
 
 
-# The stage whose |g2|^2 is each relay scheme's second hop: the scheme's row in the relay stages' arrays.
-_SECOND_HOPS = {"proposed": "placement", "benchmark2": "feed"}
 _RELAY_POWER_FIELDS = ("snr_target_linear", "pa_efficiency", "relay_circuit_power_w", "bs_rf_chain_power_w")
+# In run order: each stage after the draws and stages it takes.
 _STAGES = {
     "link": _Stage((*LINK_FIELDS["BS-relay"], *NOISE_FIELDS), (), link_budget),
     "feed": _Stage(LINK_FIELDS["relay-UE"], ("xs", "ys"), _feed),
     "placement": _Stage((*LINK_FIELDS["relay-UE"], "waveguide_length_m"), ("xs", "ys", "feed"), _placement),
-    # takes the second hops of the relay schemes that run, in scheme order (_plan)
-    "second_hop": _Stage((), tuple(_SECOND_HOPS.values()), _second_hop),
+    "second_hop": _Stage((), ("placement", "feed"), _second_hop),
     "relay_terms": _Stage((), ("link", "second_hop"), _relay_terms),
     "relay_power": _Stage(_RELAY_POWER_FIELDS, ("link", "relay_terms"), _relay_power),
     "geometry": _Stage((), ("xs", "ys"), lambda cfg, xs, ys: ground_distance_m(xs, ys)),
@@ -192,49 +190,34 @@ _STAGES = {
     "path_loss": _Stage(LINK_FIELDS["direct"], ("geometry", "shadowing"), direct_path_gain),
     "benchmark1_power": _Stage(("snr_target_linear", "pa_efficiency"), ("link", "path_loss"), _direct_power),
 }
-# Each scheme's stages, each after the stages it takes; the last gives (total, BS power).
-_EVALUATORS = {
-    "proposed": ("link", "feed", "placement", "second_hop", "relay_terms", "relay_power"),
-    "benchmark1": ("geometry", "shadowing", "path_loss", "link", "benchmark1_power"),
-    "benchmark2": ("link", "feed", "second_hop", "relay_terms", "relay_power"),
-}
-
-
-def _upstream_fields(name: str, inputs: dict[str, tuple[str, ...]]) -> set[str]:
-    """The fields that a stage or any stage before it reads, given what each stage takes (``inputs``):
-    its result depends on these and the draws alone."""
-    return set(_STAGES[name].fields).union(*(_upstream_fields(i, inputs) for i in inputs[name] if i in inputs))
+# Each scheme's (total, BS power) stage and its row there (``...``: the whole array); a relay
+# scheme's row is that of its |g2|^2 in second_hop.
+_OUTPUTS = {"proposed": ("relay_power", 0), "benchmark1": ("benchmark1_power", ...), "benchmark2": ("relay_power", 1)}
 
 
 class _Plan(NamedTuple):
-    inputs: MappingProxyType  # each stage the schemes run, after the ones it takes, with its inputs
     once: tuple[tuple[str, tuple[str, ...]], ...]  # the stages the swept field does not reach, with what each releases
     per_value: tuple[str, ...]  # the rest
-    outputs: tuple[tuple[str, Any], ...]  # per scheme, its power stage and its row there (``...``: the whole array)
 
 
-# Cached: a plan takes about 40 us to make, near a whole fig1 value's stages.  Every sweep over the
-# same schemes and field shares it, so its inputs are read-only.
+# Cached: a plan takes 12-17 us to make (2-vCPU Xeon, CPython 3.11), a third of a whole fig1 value.
 @functools.cache
-def _plan(schemes: tuple[str, ...], field: str | None) -> _Plan:
-    """The stages of ``schemes`` split by whether a sweep over ``field`` reaches them.
+def _plan(field: str | None) -> _Plan:
+    """The stages split by whether a sweep over ``field`` reaches them: those that read it or take a
+    stage that does.
 
     A result or draw that no per-value stage or output reads is released after the last once-stage
-    that reads it, or after the first once-stage if none does.
+    that reads it.
     """
-    relay = [scheme for scheme in schemes if scheme in _SECOND_HOPS]
-    hops = tuple(_SECOND_HOPS[scheme] for scheme in relay)
-    # in _EVALUATORS' order, where the proposed chain holds the placement and the feed before second_hop
-    chains = [_EVALUATORS[scheme] for scheme in _EVALUATORS if scheme in schemes]
-    inputs = {name: hops if name == "second_hop" else _STAGES[name].inputs for chain in chains for name in chain}
-    per_value = tuple(name for name in inputs if field in _upstream_fields(name, inputs))
-    once = [name for name in inputs if name not in per_value]
-    outputs = tuple((_EVALUATORS[s][-1], relay.index(s) if s in relay else ...) for s in schemes)
-    kept = {i for name in per_value for i in inputs[name]}.union(stage for stage, _ in outputs)
-    last = dict.fromkeys(("xs", "ys", "shadows"), 0)  # each result's last once-stage reader; an unread draw: the first
-    last.update((i, k) for k, name in enumerate(once) for i in inputs[name])
+    per_value: list[str] = []
+    for name, stage in _STAGES.items():
+        if field in stage.fields or any(i in per_value for i in stage.inputs):
+            per_value.append(name)
+    once = [name for name in _STAGES if name not in per_value]
+    kept = {i for name in per_value for i in _STAGES[name].inputs}.union(stage for stage, _ in _OUTPUTS.values())
+    last = {i: k for k, name in enumerate(once) for i in _STAGES[name].inputs}  # each result's last once-stage reader
     released = [tuple(i for i, j in last.items() if j == k and i not in kept) for k in range(len(once))]
-    return _Plan(MappingProxyType(inputs), tuple(zip(once, released)), per_value, outputs)
+    return _Plan(tuple(zip(once, released)), tuple(per_value))
 
 
 def _stage_results(plan: _Plan, configs: Iterable[SystemConfig], results: dict, read: Callable[[dict], Any]):
@@ -248,28 +231,28 @@ def _stage_results(plan: _Plan, configs: Iterable[SystemConfig], results: dict, 
     for k, cfg in enumerate(configs):
         if k == 0:
             for name, released in plan.once:
-                _run(name, plan, cfg, results)
+                _run(name, cfg, results)
                 for i in released:
                     del results[i]
         for name in plan.per_value:
-            _run(name, plan, cfg, results)
+            _run(name, cfg, results)
         value = read(results)
         for name in plan.per_value:
             del results[name]
         yield value
 
 
-def _run(name: str, plan: _Plan, cfg: SystemConfig, results: dict) -> None:
-    results[name] = _STAGES[name].run(cfg, *[results[i] for i in plan.inputs[name]])
+def _run(name: str, cfg: SystemConfig, results: dict) -> None:
+    stage = _STAGES[name]
+    results[name] = stage.run(cfg, *[results[i] for i in stage.inputs])
 
 
 def evaluate(scheme: str, cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray):
     """One scheme's (total, BS power) arrays at ``cfg`` for the users ``(xs, ys)`` and shadowing draws:
-    its stages run as in a one-value sweep of that scheme alone."""
-    plan = _plan((scheme,), None)
-    [(stage, index)] = plan.outputs
+    every stage runs, as in a one-value sweep."""
+    stage, index = _OUTPUTS[scheme]
     draws = {"xs": xs, "ys": ys, "shadows": shadows_db}
-    total, bs_w = next(_stage_results(plan, (cfg,), draws, operator.itemgetter(stage)))
+    total, bs_w = next(_stage_results(_plan(None), (cfg,), draws, operator.itemgetter(stage)))
     return total[index], bs_w[index]
 
 
@@ -277,18 +260,19 @@ def sweep_sums(schemes: tuple[str, ...], field: str, configs: Iterable[SystemCon
     """An iterator over ``configs`` that gives, at each, the sums of each scheme's total and BS power
     over the users, two per scheme in order, each ``math.fsum``'s bit for bit (:func:`exact_sum`).
 
-    The configs differ in ``field`` alone, and the stages it does not reach run once.  Both relay
-    schemes run as rows of the same arrays.  ``draws`` maps "xs", "ys" and "shadows" to the users'
-    draws and is taken over: a draw that no stage reads any longer leaves it.
+    The configs differ in ``field`` alone, and the stages it does not reach run once.  Every stage
+    runs, whichever schemes are asked for, and both relay schemes run as rows of the same arrays.
+    ``draws`` maps "xs", "ys" and "shadows" to the users' draws and is taken over: a draw that no
+    stage reads any longer leaves it.
     """
-    plan = _plan(schemes, field)
+    outputs = [_OUTPUTS[scheme] for scheme in schemes]
     block = np.empty((2 * len(schemes), draws["xs"].size))  # one value's rows: total and BS power per scheme
 
     def fill(results: dict) -> np.ndarray:
-        for i, (stage, index) in enumerate(plan.outputs):
+        for i, (stage, index) in enumerate(outputs):
             total, bs_w = results[stage]
             block[2 * i], block[2 * i + 1] = total[index], bs_w[index]
         return block
 
     # each value's stages release their results before its block is summed
-    return map(exact_sum, _stage_results(plan, configs, draws, fill))
+    return map(exact_sum, _stage_results(_plan(field), configs, draws, fill))

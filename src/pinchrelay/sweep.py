@@ -8,10 +8,11 @@ per-sample monotonicity of the underlying schemes, and aggregation uses exact
 summation so results do not depend on evaluation order.
 
 At each sweep value every scheme is evaluated over all users at once, as
-numpy arrays, by :mod:`.kernel`, whose schemes are chains of stages: the
-stages that the swept field does not reach, directly or through a stage before
-them, run once per sweep, and the rest at each value, where one pass serves
-both relay schemes.  Each user's result equals the scalar
+numpy arrays, by :mod:`.kernel`, whose one pipeline of stages serves every
+scheme: the stages that the swept field does not reach, directly or through a
+stage before them, run once per sweep, and the rest at each value, where one
+pass serves both relay schemes.  The requested schemes pick only which rows
+are summed: every stage runs.  Each user's result equals the scalar
 ``solve``/``benchmark2_power``/``benchmark1_tx_power_w`` path bit for bit.  The
 value's rows, total and BS power per scheme, are summed by one
 :func:`.kernel.exact_sum` over them as a block, and each mean is ``math.fsum``
@@ -39,7 +40,7 @@ VARIABLES = {
 }
 
 
-# The kernel's schemes in the order of its ``_EVALUATORS`` table (a test holds the
+# The kernel's schemes in the order of its ``_OUTPUTS`` table (a test holds the
 # two equal), written out so that a spec or a CSV needs neither the kernel nor numpy.
 SCHEMES = ("proposed", "benchmark1", "benchmark2")
 

@@ -22,7 +22,6 @@ from pinchrelay import (
 )
 from pinchrelay.benchmarks import (
     NUM_ELEMENTS,
-    PATH_LOSS_EXPONENT,
     SHADOW_DB_DOMAIN,
     SHADOWING_STD_DB,
     benchmark1_link_gain,
@@ -59,7 +58,7 @@ class TestBenchmark1:
         # free space up to the 1 m anchor and exponent-4 decay beyond it
         assert cfg.bs_relay_distance_m == 50.0
         anchor = (SPEED_OF_LIGHT_M_S / (4.0 * math.pi * cfg.carrier_frequency_hz)) ** 2
-        gain = NUM_ELEMENTS * db_to_linear(2.15) * anchor * 80.0**-PATH_LOSS_EXPONENT
+        gain = NUM_ELEMENTS * db_to_linear(2.15) * anchor * 80.0**-4
         tx = benchmark1_tx_power_w(cfg, 30.0, 0.0, NO_SHADOW)
         assert tx == pytest.approx(cfg.snr_target_linear * cfg.ue_noise_w / gain, rel=1e-12)
 

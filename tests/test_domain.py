@@ -26,7 +26,7 @@ from pinchrelay import (
     solve,
     total_power_w,
 )
-from pinchrelay.benchmarks import ARRAY_ELEMENT_GAIN, NUM_ELEMENTS, PATH_LOSS_EXPONENT, RF_CHAIN_POWER_W
+from pinchrelay.benchmarks import ARRAY_ELEMENT_GAIN, NUM_ELEMENTS, RF_CHAIN_POWER_W
 from pinchrelay.benchmarks import SHADOW_DB_DOMAIN
 from pinchrelay.cli import _SCENARIO_FIELDS, cli_main
 from pinchrelay.kernel import evaluate
@@ -188,8 +188,8 @@ def derived_bounds():
     bounds["relay_total"] = bounds["p1"][0] + bounds["p2"][0], bounds["p1"][1] + bounds["p2"][1] / eta[0] + circuit
     path = d1_lo, d1_hi + math.hypot(ue_far, ue_far)
     direct_gain = (
-        ARRAY_ELEMENT_GAIN * free_space(1.0, f_hi) * path[1] ** -PATH_LOSS_EXPONENT * db(SHADOW_DB_DOMAIN[0]),
-        ARRAY_ELEMENT_GAIN * free_space(1.0, f_lo) * path[0] ** -PATH_LOSS_EXPONENT * db(SHADOW_DB_DOMAIN[1]),
+        ARRAY_ELEMENT_GAIN * free_space(1.0, f_hi) * path[1] ** -4 * db(SHADOW_DB_DOMAIN[0]),
+        ARRAY_ELEMENT_GAIN * free_space(1.0, f_lo) * path[0] ** -4 * db(SHADOW_DB_DOMAIN[1]),
     )
     tx = gamma0[0] * noise[0] / direct_gain[1], gamma0[1] * noise[1] / direct_gain[0]
     chains = NUM_ELEMENTS * RF_CHAIN_POWER_W

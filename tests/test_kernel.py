@@ -25,7 +25,7 @@ from pinchrelay import (
 from pinchrelay.model import bs_relay_gain, relay_ue_gain, unchecked_relay_ue_gain
 from pinchrelay.optimize import link_factors, split_powers, split_terms, stationary_points, target_factors
 from pinchrelay.benchmarks import SHADOWING_STD_DB, benchmark1_link_gain
-from pinchrelay.kernel import _EVALUATORS, _STAGES, evaluate, exact_sum, libm_each, libm_exp, optimal_pin_positions
+from pinchrelay.kernel import _OUTPUTS, _STAGES, evaluate, exact_sum, libm_each, libm_exp, optimal_pin_positions
 from pinchrelay import kernel
 from pinchrelay.sweep import VARIABLES
 
@@ -391,7 +391,7 @@ def both_paths(cfg: SystemConfig, xs, ys, shadows) -> dict[str, list[tuple[np.nd
     scalar = scalar_results(cfg, positions(xs, ys), shadows)
     return {
         scheme: [tuple(np.array(a) for a in scalar[scheme]), evaluate(scheme, cfg, xs, ys, shadows)]
-        for scheme in _EVALUATORS
+        for scheme in _OUTPUTS
     }
 
 
@@ -404,7 +404,7 @@ def test_bs_power_rises_strictly_and_total_never_falls(field, cfg, other, seed):
     xs, ys, shadows = draw(cfg, seed, 20)
     lower = both_paths(replace(cfg, **{field: low}), xs, ys, shadows)
     higher = both_paths(replace(cfg, **{field: high}), xs, ys, shadows)
-    for scheme in _EVALUATORS:
+    for scheme in _OUTPUTS:
         for (total_lo, bs_lo), (total_hi, bs_hi) in zip(lower[scheme], higher[scheme]):
             assert np.all(bs_hi > bs_lo), scheme
             assert np.all(total_hi >= total_lo), scheme

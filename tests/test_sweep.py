@@ -1,6 +1,7 @@
 """Sweep engine: Monte Carlo averaging, staged evaluation, CSV export/round-trip, determinism."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -32,7 +33,7 @@ from pinchrelay import (
 from pinchrelay import kernel, optimize
 from pinchrelay.benchmarks import SHADOWING_STD_DB
 from pinchrelay.cli import cli_main
-from pinchrelay.kernel import _EVALUATORS, _STAGES, _plan, _stage_results, evaluate
+from pinchrelay.kernel import _OUTPUTS, _STAGES, _plan, _stage_results, evaluate
 from pinchrelay.model import DOMAIN
 from pinchrelay.sweep import SCHEMES, VARIABLES
 
@@ -180,14 +181,17 @@ class TestRunSweep:
         "variable, values",
         [("snr_target_db", (10.0, 20.0, 30.0)), ("bs_relay_distance_m", (30.0, 60.0, 90.0))],
     )
-    def test_scheme_subsets_give_bitwise_equal_means(self, cfg, variable, values):
+    @pytest.mark.parametrize(
+        "schemes", [s for r in (1, 2, 3) for s in itertools.combinations(SCHEMES, r)], ids=",".join
+    )
+    def test_scheme_subsets_give_bitwise_equal_means(self, cfg, variable, values, schemes):
         full = run_sweep(cfg, small_spec(variable=variable, values=values))
-        for schemes in (("proposed",), ("benchmark1",)):
-            subset = run_sweep(cfg, small_spec(variable=variable, values=values, schemes=schemes))
-            for whole, part in zip(full, subset):
-                for scheme in schemes:
-                    assert part.mean_total_power_w[scheme] == whole.mean_total_power_w[scheme]
-                    assert part.mean_bs_power_w[scheme] == whole.mean_bs_power_w[scheme]
+        subset = run_sweep(cfg, small_spec(variable=variable, values=values, schemes=schemes))
+        for whole, part in zip(full, subset, strict=True):
+            assert tuple(part.mean_total_power_w) == tuple(part.mean_bs_power_w) == schemes
+            for scheme in schemes:
+                assert part.mean_total_power_w[scheme] == whole.mean_total_power_w[scheme]
+                assert part.mean_bs_power_w[scheme] == whole.mean_bs_power_w[scheme]
 
 
 class ReadRecordingConfig(SystemConfig):
@@ -201,24 +205,29 @@ class ReadRecordingConfig(SystemConfig):
 
 
 class TestStages:
-    def test_schemes_are_the_kernels_evaluators_in_order(self):
-        assert SCHEMES == tuple(_EVALUATORS)
+    def test_schemes_are_the_kernels_outputs_in_order(self):
+        assert SCHEMES == tuple(_OUTPUTS)
+
+    # The plan splits the stages in one pass, and the sweep runs them in _STAGES' order.
+    def test_each_stage_takes_only_draws_and_earlier_stages(self):
+        ready = {"xs", "ys", "shadows"}
+        for name, stage in _STAGES.items():
+            assert set(stage.inputs) <= ready, name
+            ready.add(name)
+        assert all(stage in _STAGES for stage, _ in _OUTPUTS.values())
 
     # A stage's result is reused while its fields and those of the stages before it hold, which is
     # only correct if it reads nothing it does not declare.
     @pytest.mark.parametrize("attenuation", [0.0, 0.01, 0.3])
-    @pytest.mark.parametrize("scheme", sorted(_EVALUATORS))
-    def test_every_stage_reads_only_its_declared_fields(self, scheme, attenuation):
+    def test_every_stage_reads_only_its_declared_fields(self, attenuation):
         rng = np.random.default_rng(5)
-        draws = {"xs": rng.uniform(0.0, 30.0, 20), "ys": rng.uniform(0.0, 10.0, 20)}
-        draws["shadows"] = rng.normal(0.0, SHADOWING_STD_DB, 20)
-        inputs, results = _plan((scheme,), None).inputs, dict(draws)  # what each stage takes when the scheme runs
-        for name in _EVALUATORS[scheme]:
-            stage = _STAGES[name]
+        results = {"xs": rng.uniform(0.0, 30.0, 20), "ys": rng.uniform(0.0, 10.0, 20)}
+        results["shadows"] = rng.normal(0.0, SHADOWING_STD_DB, 20)
+        for name, stage in _STAGES.items():
             assert set(stage.fields) <= CONFIG_FIELDS
             cfg = ReadRecordingConfig(waveguide_attenuation_per_m=attenuation)
             object.__setattr__(cfg, "reads", set())
-            results[name] = stage.run(cfg, *(results[i] for i in inputs[name]))
+            results[name] = stage.run(cfg, *(results[i] for i in stage.inputs))
             assert cfg.reads <= set(stage.fields), name
             assert cfg.reads or not stage.fields, name  # the recording sees a stage's reads
 
@@ -263,7 +272,7 @@ class TestStages:
     )
     def test_a_sweep_holds_a_result_only_while_a_later_stage_reads_it(self, cfg, variable, held):
         field, to_si, _, _ = VARIABLES[variable]
-        plan, rng = _plan(SCHEMES, field), np.random.default_rng(5)
+        plan, rng = _plan(field), np.random.default_rng(5)
         draws = {"xs": rng.uniform(0.0, 30.0, 20), "ys": rng.uniform(0.0, 10.0, 20)}
         draws["shadows"] = rng.normal(0.0, SHADOWING_STD_DB, 20)
         configs = [replace(cfg, **{field: to_si(value)}) for value in SWEEPS[variable]]
