@@ -98,7 +98,7 @@ def load_config_file(path: str | Path) -> dict[str, float | None]:
     """Parse a flat ``key = value`` scenario file (``#`` starts a comment)."""
     values: dict[str, float | None] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is no part of the first key
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -25,7 +25,7 @@ its caller's ``sqrt`` and ``exp``), so they serve floats and arrays alike.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
@@ -86,44 +86,75 @@ def db_to_linear(value_db: float) -> float:
         return math.inf
 
 
+def _frozen_setattr(self, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 def _value_type(domain: dict[str, tuple[float, float]] | tuple[float, float]) -> Callable[[type], type]:
-    """Decorator for a frozen dataclass declared with ``init=False``: the one construction path of
-    :class:`SystemConfig`, :class:`UePosition` and :class:`ChannelGains`.
+    """Decorator for a slotted frozen dataclass declared with ``init=False``: the one construction path
+    of :class:`SystemConfig`, :class:`UePosition` and :class:`ChannelGains`.
 
     ``domain`` maps each field to its finite bounds, or is one pair of bounds for all of them.  The
     generated ``__init__`` takes the dataclass's own signature.  It checks each field against its
     bounds, written into its code, in field order, so the first field at fault is the one named;
-    ``None`` is out of every domain except for a field whose default is ``None``.  It then sets
-    every field in one step, as a new instance ``__dict__``, where the frozen dataclass's own
-    ``__init__`` takes one ``object.__setattr__`` per field.  A config builds in about 0.37 of
-    the time (a check loop over the fields would give back about 1 us of the 3 saved); each
-    later attribute read is about 1 ns slower.
+    ``None`` is out of every domain except for a field whose default is ``None``.  It then sets each
+    field's slot through its member descriptor, and each slot that a base class adds, which is no
+    field, to ``None``.  No instance has a ``__dict__``.
+
+    Assignment and deletion raise ``FrozenInstanceError`` for every name.  The slotted dataclass's
+    own pair does only for fields on Python 3.10 and 3.11: for another name they call ``super()``
+    with the class from before the slots, a ``TypeError``.  A pickle holds the fields' values, and
+    loading one constructs again; a pickle made before the fields were slots holds them as a dict,
+    which loads too.
     """
 
     def build(cls: type) -> type:
         names = [field.name for field in fields(cls)]
         nullable = {field.name for field in fields(cls) if field.default is None}
+        kept = [name for base in cls.__mro__[1:] for name in base.__dict__.get("__slots__", ())]
         lines = [f"def __init__(self, {', '.join(names)}):"]
         for name in names:
             lo, hi = domain[name] if isinstance(domain, dict) else domain
             none = f"{name} is not None and" if name in nullable else f"{name} is None or"
-            lines.append(f"    if {none} not {lo!r} <= {name} <= {hi!r}:")  # nan fails too
+            # nan fails too; a chained comparison's stack shuffles cost about 4 ns more per field
+            lines.append(f"    if {none} not ({lo!r} <= {name} and {name} <= {hi!r}):")
             lines.append(f"        raise ValueError(out_of_domain({name!r}, {name}, ({lo!r}, {hi!r})))")
-        lines.append(f"    set_dict(self, '__dict__', {{{', '.join(f'{name!r}: {name}' for name in names)}}})")
-        namespace = {"out_of_domain": out_of_domain, "set_dict": object.__setattr__}
+        lines += [f"    set_{name}(self, {name})" for name in names]
+        lines += [f"    set_{name}(self, None)" for name in kept]
+        namespace = {"out_of_domain": out_of_domain}
+        namespace.update((f"set_{name}", getattr(cls, name).__set__) for name in names + kept)
         exec("\n".join(lines), namespace)
         init = namespace["__init__"]
         init.__defaults__ = tuple(field.default for field in fields(cls) if field.default is not MISSING)
-        init.__qualname__, init.__module__ = f"{cls.__qualname__}.__init__", cls.__module__
-        cls.__init__ = init
+
+        def __getstate__(self) -> tuple:
+            return tuple(getattr(self, name) for name in names)
+
+        def __setstate__(self, state: tuple | dict) -> None:
+            self.__init__(*([state[name] for name in names] if isinstance(state, dict) else state))
+
+        for method in (init, __getstate__, __setstate__):
+            method.__qualname__, method.__module__ = f"{cls.__qualname__}.{method.__name__}", cls.__module__
+        cls.__init__, cls.__getstate__, cls.__setstate__ = init, __getstate__, __setstate__
+        cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
         return cls
 
     return build
 
 
+class _Kept:
+    """Base of :class:`SystemConfig`: a slot, no field, for what the config's first solve keeps."""
+
+    __slots__ = ("_link_constants",)
+
+
 @_value_type(DOMAIN)
-@dataclass(frozen=True, init=False)
-class SystemConfig:
+@dataclass(frozen=True, init=False, slots=True)
+class SystemConfig(_Kept):
     """Scenario parameters, stored in SI units.
 
     ``snr_target_linear`` is a linear ratio (100 = 20 dB); antenna gains are
@@ -163,7 +194,7 @@ class SystemConfig:
 
 
 @_value_type(UE_DOMAIN)
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class UePosition:
     """User terminal coordinates on the ground plane (z = 0).
 
@@ -185,7 +216,7 @@ class UePosition:
 
 
 @_value_type(CHANNEL_DOMAIN)
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class ChannelGains:
     """Link power gains and noise powers for one scenario instance, each in ``CHANNEL_DOMAIN``."""
 

@@ -153,11 +153,11 @@ def link_constants(config: SystemConfig) -> tuple:
     """What every solve at one config shares, ``(g1_sq, sigma_r_sq_w, sigma_ue_sq_w, link, target)``:
     its :func:`link_budget`, then its :func:`target_factors`.  Computed on the config's first solve
     and kept on it."""
-    constants = getattr(config, "_link_constants", None)  # None before the config's first solve
+    constants = config._link_constants  # a slot, no field, that construction sets to None
     if constants is None:
         budget = link_budget(config)
         constants = (*budget, target_factors(config.snr_target_linear, config.pa_efficiency, *budget[:3]))
-        object.__setattr__(config, "_link_constants", constants)  # no field: ==, repr and replace() ignore it
+        object.__setattr__(config, "_link_constants", constants)  # ==, repr, pickles and replace() ignore it
     return constants
 
 

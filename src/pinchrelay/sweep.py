@@ -174,7 +174,7 @@ def read_csv(path: str | Path) -> list[SweepRecord]:
     """
     path = Path(path)
     try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
+        with path.open("r", encoding="utf-8-sig", newline="") as fh:  # a leading byte-order mark is no part of the header
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != list(CSV_HEADER):

@@ -1,6 +1,7 @@
 """CLI: units parsing, config files, subcommands, exit codes."""
 
 import argparse
+import codecs
 import contextlib
 import errno
 import hashlib
@@ -281,6 +282,12 @@ class TestConfigHandling:
         assert flag == overridden == default != from_file
         assert cli_main(["config-dump", "--config", str(config), "--ue-noise-figure", " none "]) == 0
         assert "ue_noise_figure_db = none" in capsys.readouterr().out.splitlines()
+
+    def test_a_leading_byte_order_mark_is_read_past(self, tmp_path, capsys):
+        config = tmp_path / "marked.cfg"
+        config.write_bytes(codecs.BOM_UTF8 + b"ue_noise_figure_db = 3\n")
+        assert cli_main(["config-dump", "--config", str(config)]) == 0
+        assert "ue_noise_figure_db = 3.0" in capsys.readouterr().out.splitlines()
 
     def test_dump_round_trips_through_the_loader(self, tmp_path, capsys):
         assert cli_main(["config-dump", "--freq", "26GHz", "--eta-pa", "0.8"]) == 0

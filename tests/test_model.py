@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError, asdict, astuple, fields, replace
 
 import numpy as np
@@ -403,6 +404,10 @@ class TestValueTypeContract:
         with pytest.raises(ValueError, match=rf"^{name} must lie in \[.*\], got nan$"):
             replace(value, **{name: math.nan})
 
+    def test_no_instance_dict(self, kind):
+        cls, value, _, _ = self.build(kind)
+        assert not hasattr(value, "__dict__") and "__dict__" not in dir(cls)
+
     def test_copy_deepcopy_and_pickle(self, kind):
         cls, value, name, other = self.build(kind)
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
@@ -423,3 +428,86 @@ def test_a_config_s_kept_link_constants_are_no_field():
     assert getattr(replace(config), "_link_constants", None) is None
     assert getattr(replace(config, snr_target_linear=50.0), "_link_constants", None) is None
     assert pickle.loads(pickle.dumps(config)) == fresh
+
+
+# Protocol-4 pickles of the value types written while each instance kept its fields in a __dict__, as the
+# dict state {field: value} (CPython 3.11), and the value each must load equal to.
+DICT_STATE_PICKLES = [
+    # a fresh config
+    (
+        SystemConfig(snr_target_linear=200.0, ue_noise_figure_db=7.0),
+        b'\x80\x04\x95\xfe\x01\x00\x00\x00\x00\x00\x00\x8c\x10pinchrelay.model\x94\x8c\x0cSystemConfig\x94'
+        b'\x93\x94)\x81\x94}\x94(\x8c\x14carrier_frequency_hz\x94GB\x1a\x13\xb8`\x00\x00\x00\x8c\x0cbandwid'
+        b'th_hz\x94GA\xb7\xd7\x84\x00\x00\x00\x00\x8c\x0fnoise_figure_db\x94G@$\x00\x00\x00\x00\x00\x00\x8c'
+        b'\x12ue_noise_figure_db\x94G@\x1c\x00\x00\x00\x00\x00\x00\x8c\x1bwaveguide_attenuation_per_m\x94G?'
+        b'\x84z\xe1G\xae\x14{\x8c\x10horn_gain_tx_dbi\x94G@4\x00\x00\x00\x00\x00\x00\x8c\x10horn_gain_rx_db'
+        b'i\x94G@4\x00\x00\x00\x00\x00\x00\x8c\rpa_efficiency\x94G?\xec\xcc\xcc\xcc\xcc\xcc\xcd\x8c\x15rela'
+        b'y_circuit_power_w\x94G?\xc9\x99\x99\x99\x99\x99\x9a\x8c\x13bs_rf_chain_power_w\x94G?\xb9\x99\x99'
+        b'\x99\x99\x99\x9a\x8c\x12waveguide_length_m\x94G@>\x00\x00\x00\x00\x00\x00\x8c\x12waveguide_height'
+        b'_m\x94G@\x08\x00\x00\x00\x00\x00\x00\x8c\x13bs_relay_distance_m\x94G@I\x00\x00\x00\x00\x00\x00'
+        b'\x8c\x11snr_target_linear\x94G@i\x00\x00\x00\x00\x00\x00\x8c\x0ccoverage_x_m\x94G@>\x00\x00\x00'
+        b'\x00\x00\x00\x8c\x0ccoverage_y_m\x94G@$\x00\x00\x00\x00\x00\x00ub.',
+    ),
+    # a config after one solve, its dict holding the kept link constants
+    (
+        SystemConfig(bandwidth_hz=1e6),
+        b'\x80\x04\x95\x86\x02\x00\x00\x00\x00\x00\x00\x8c\x10pinchrelay.model\x94\x8c\x0cSystemConfig\x94'
+        b'\x93\x94)\x81\x94}\x94(\x8c\x14carrier_frequency_hz\x94GB\x1a\x13\xb8`\x00\x00\x00\x8c\x0cbandwid'
+        b'th_hz\x94GA.\x84\x80\x00\x00\x00\x00\x8c\x0fnoise_figure_db\x94G@$\x00\x00\x00\x00\x00\x00\x8c'
+        b'\x12ue_noise_figure_db\x94N\x8c\x1bwaveguide_attenuation_per_m\x94G?\x84z\xe1G\xae\x14{\x8c\x10ho'
+        b'rn_gain_tx_dbi\x94G@4\x00\x00\x00\x00\x00\x00\x8c\x10horn_gain_rx_dbi\x94G@4\x00\x00\x00\x00\x00'
+        b'\x00\x8c\rpa_efficiency\x94G?\xec\xcc\xcc\xcc\xcc\xcc\xcd\x8c\x15relay_circuit_power_w\x94G?\xc9'
+        b'\x99\x99\x99\x99\x99\x9a\x8c\x13bs_rf_chain_power_w\x94G?\xb9\x99\x99\x99\x99\x99\x9a\x8c\x12wave'
+        b'guide_length_m\x94G@>\x00\x00\x00\x00\x00\x00\x8c\x12waveguide_height_m\x94G@\x08\x00\x00\x00\x00'
+        b'\x00\x00\x8c\x13bs_relay_distance_m\x94G@I\x00\x00\x00\x00\x00\x00\x8c\x11snr_target_linear\x94G@'
+        b'Y\x00\x00\x00\x00\x00\x00\x8c\x0ccoverage_x_m\x94G@>\x00\x00\x00\x00\x00\x00\x8c\x0ccoverage_y_m'
+        b'\x94G@$\x00\x00\x00\x00\x00\x00\x8c\x0f_link_constants\x94(G>\xc8[\xd8\xe8\xcc\xb7\x03G=&\x8a3'
+        b'\xc4\x9b\xa8(G=&\x8a3\xc4\x9b\xa8((G?[\xebO\xbb\xd0PsG?\x1e\xc85s\x11Q\xccG>\x8a\xdbH\x14\x89\xf3'
+        b'_G?\xf0\x00\x00\x00\x00\x00\x00t\x94(G>\xb7"\x18\xe5\xcb\xd3AG@Z{\xd6\xe2\x97\x81\xbaG?\xee5\x0bf'
+        b'\xd2R\x10G@W\xd5\xda\xff!\xf4\xc1G>\xb4\xd1\xe357qTG=\x91\x9b\xf8q\x99\x9b_t\x94t\x94ub.',
+    ),
+    # a user
+    (
+        UePosition(15.0, 5.0),
+        b'\x80\x04\x95O\x00\x00\x00\x00\x00\x00\x00\x8c\x10pinchrelay.model\x94\x8c\nUePosition\x94\x93\x94'
+        b')\x81\x94}\x94(\x8c\x06x_ue_m\x94G@.\x00\x00\x00\x00\x00\x00\x8c\x06y_ue_m\x94G@\x14\x00\x00\x00'
+        b'\x00\x00\x00ub.',
+    ),
+    # channel gains
+    (
+        ChannelGains(1e-6, 2e-7, 3e-12, 4e-12),
+        b'\x80\x04\x95\x80\x00\x00\x00\x00\x00\x00\x00\x8c\x10pinchrelay.model\x94\x8c\x0cChannelGains\x94'
+        b'\x93\x94)\x81\x94}\x94(\x8c\x05g1_sq\x94G>\xb0\xc6\xf7\xa0\xb5\xed\x8d\x8c\x05g2_sq\x94G>\x8a\xd7'
+        b'\xf2\x9a\xbc\xafH\x8c\x0csigma_r_sq_w\x94G=\x8acfA\xc4\xdf\x1a\x8c\rsigma_ue_sq_w\x94G=\x91\x97'
+        b'\x99\x81-\xea\x11ub.',
+    ),
+]
+
+
+@pytest.mark.parametrize("expected, data", DICT_STATE_PICKLES, ids=["config", "solved config", "user", "gains"])
+def test_pickles_with_a_dict_state_still_load(expected, data):
+    value = pickle.loads(data)
+    assert type(value) is type(expected) and value == expected and repr(value) == repr(expected)
+    assert not hasattr(value, "__dict__")
+    if isinstance(value, SystemConfig):
+        assert value._link_constants is None  # a cache, not state: the next solve computes it afresh
+        assert solve(value, UePosition(15.0, 5.0)) == solve(expected, UePosition(15.0, 5.0))
+
+
+def test_4096_config_user_pairs_take_at_most_450_bytes_each():
+    """4,096 (config, user) pairs, built as perfbench's solve_point builds them (about 890 B each when the
+    value types kept an instance dict, about 350 B as slotted ones)."""
+    count = 4096
+    rng = np.random.default_rng(11)
+    base = SystemConfig()
+    alphas, xs, ys = 10.0 ** rng.uniform(-4.0, 0.0, count), rng.uniform(0.0, 30.0, count), rng.uniform(0.0, 10.0, count)
+    tracemalloc.start()
+    try:
+        pairs = [
+            (replace(base, waveguide_attenuation_per_m=float(a)), UePosition(float(x), float(y)))
+            for a, x, y in zip(alphas, xs, ys)
+        ]
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == count and size / count <= 450.0

@@ -1,5 +1,6 @@
 """Sweep engine: Monte Carlo averaging, staged evaluation, CSV export/round-trip, determinism."""
 
+import codecs
 import hashlib
 import itertools
 import json
@@ -435,6 +436,15 @@ class TestCsv:
             assert back.n_samples == original.n_samples
             assert back.mean_total_power_w == original.mean_total_power_w
             assert back.mean_bs_power_w == original.mean_bs_power_w
+
+    def test_a_leading_byte_order_mark_is_read_past(self, cfg, tmp_path):
+        records = run_sweep(cfg, small_spec(ue_samples=10))
+        path = tmp_path / "sweep.csv"
+        export_csv(records, path)
+        assert not path.read_bytes().startswith(codecs.BOM_UTF8)  # the writer adds none
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert read_csv(marked) == read_csv(path)
 
     def test_wrong_header_names_the_file(self, tmp_path):
         path = tmp_path / "other.csv"
