@@ -198,6 +198,20 @@ def parse_values_spec(text: str) -> tuple[tuple[float, ...], str]:
 _SWEEP_VARIABLES = {"gamma0": "snr_target_db", "d1": "bs_relay_distance_m"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that reads a token starting with '-' and a digit, or '-.' and a digit, as a value.
+
+    argparse reads such a token as a value only if it is a bare negative number, so
+    ``--gamma0 -10dB`` or ``--values -10:2:30dB`` would name an unknown flag; no flag here
+    starts with a digit.  A subcommand's parser is of the same class (argparse's ``parser_class``).
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # the attribute argparse matches a token against (3.10-3.13) to tell a negative number from a flag
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def _scenario_parser() -> argparse.ArgumentParser:
     # a scenario flag's default is SUPPRESS: it is in args only when it is given
     parser = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
@@ -212,7 +226,7 @@ def _scenario_parser() -> argparse.ArgumentParser:
 # and the commands it dispatches to look their helpers up when they run.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pinchrelay",
         description="Power-minimizing design of a relay-fed pinching-antenna downlink.",
     )

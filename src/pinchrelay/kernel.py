@@ -17,12 +17,13 @@ numpy and this module when it is called.
 
 The sweep runs one fixed pipeline of stages, ``_STAGES`` in run order, each stage
 a row with the SystemConfig fields it reads, the draws and earlier stages it
-takes, and its function.  The relay schemes differ only in their second hop's
-|g2|^2: the placement stage's for the proposed scheme, the feed stage's for the
-fixed-antenna one.  They share the link stage (|g1|^2, both noise powers and the
-split's link factors), and the second-hop stage stacks the root of both as the
-two rows of a (2, N) array, so that one terms stage (the split's per-user link
-part) and one power stage (its target part and the power accounting) serve
+takes, and its function; there are eight.  The relay schemes differ only in
+their second hop's |g2|^2: at the chosen pinch point for the proposed scheme, at
+the feed for the fixed-antenna one.  They share the link stage (|g1|^2, both
+noise powers and the split's link factors), and the second-hop stage computes
+the feed's gain, places the pinch point against it and stacks the root of both
+as the two rows of a (2, N) array, so that one terms stage (the split's per-user
+link part) and one power stage (its target part and the power accounting) serve
 both.  The direct scheme's stages are geometry, shadowing, path loss and power.
 ``_OUTPUTS`` names each scheme's power stage and its row there.  Every stage
 runs, whichever schemes are asked for; the schemes pick only the rows that
@@ -146,16 +147,9 @@ class _Stage(NamedTuple):
     run: Callable[..., Any]
 
 
-def _feed(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    return unchecked_relay_ue_gain(cfg, xs, ys, 0.0, np.sqrt, libm_exp)
-
-
-def _placement(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, feed: np.ndarray) -> np.ndarray:
-    return optimal_pin_positions(cfg, xs, ys, feed)[1]
-
-
-def _second_hop(cfg: SystemConfig, placement: np.ndarray, feed: np.ndarray) -> np.ndarray:
-    amplitudes = np.stack((placement, feed))
+def _second_hop(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    feed = unchecked_relay_ue_gain(cfg, xs, ys, 0.0, np.sqrt, libm_exp)
+    amplitudes = np.stack((optimal_pin_positions(cfg, xs, ys, feed)[1], feed))
     return np.sqrt(amplitudes, out=amplitudes)  # the split reads the second hop's amplitude
 
 
@@ -180,9 +174,7 @@ _RELAY_POWER_FIELDS = ("snr_target_linear", "pa_efficiency", "relay_circuit_powe
 # In run order: each stage after the draws and stages it takes.
 _STAGES = {
     "link": _Stage((*LINK_FIELDS["BS-relay"], *NOISE_FIELDS), (), link_budget),
-    "feed": _Stage(LINK_FIELDS["relay-UE"], ("xs", "ys"), _feed),
-    "placement": _Stage((*LINK_FIELDS["relay-UE"], "waveguide_length_m"), ("xs", "ys", "feed"), _placement),
-    "second_hop": _Stage((), ("placement", "feed"), _second_hop),
+    "second_hop": _Stage((*LINK_FIELDS["relay-UE"], "waveguide_length_m"), ("xs", "ys"), _second_hop),
     "relay_terms": _Stage((), ("link", "second_hop"), _relay_terms),
     "relay_power": _Stage(_RELAY_POWER_FIELDS, ("link", "relay_terms"), _relay_power),
     "geometry": _Stage((), ("xs", "ys"), lambda cfg, xs, ys: ground_distance_m(xs, ys)),

@@ -170,7 +170,9 @@ def export_csv(records: Iterable[SweepRecord], path: str | Path) -> None:
 def read_csv(path: str | Path) -> list[SweepRecord]:
     """Parse a file written by :func:`export_csv` back into records.
 
-    A malformed row raises ``ValueError`` naming the file and its line.
+    A malformed row raises ``ValueError`` naming the file and its line, and so does a row that
+    :func:`export_csv` never writes: a value not above the previous one, a scheme repeated within
+    a value, or an ``n_samples`` that differs from its value's first row.
     """
     path = Path(path)
     try:
@@ -189,9 +191,17 @@ def read_csv(path: str | Path) -> list[SweepRecord]:
             if scheme not in SCHEMES:
                 raise ValueError(f"unknown scheme {scheme!r}")
             value_f, total_f, bs_f, n = float(value), float(mean_total), float(mean_bs), int(n_samples)
+            starts_record = not records or value_f > records[-1].variable_value
+            if not starts_record:
+                if value_f != records[-1].variable_value:
+                    raise ValueError(f"value {value_f!r} is not above the previous one, {records[-1].variable_value!r}")
+                if scheme in records[-1].mean_total_power_w:
+                    raise ValueError(f"scheme {scheme!r} repeats within its value")
+                if n != records[-1].n_samples:
+                    raise ValueError(f"n_samples {n} differs from its value's first row's {records[-1].n_samples}")
         except ValueError as exc:
             raise ValueError(f"{path}:{line}: malformed sweep CSV row {row!r}: {exc}") from None
-        if not records or records[-1].variable_value != value_f:
+        if starts_record:
             records.append(SweepRecord(value_f, {}, {}, n))
         records[-1].mean_total_power_w[scheme] = total_f
         records[-1].mean_bs_power_w[scheme] = bs_f

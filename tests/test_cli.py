@@ -701,6 +701,41 @@ class TestExitCodes:
         assert cli_main(["--help"]) == 0
 
 
+class TestNegativeValues:
+    """A token that starts with '-' and a digit, or '-.' and a digit, is the value of the flag before it."""
+
+    @pytest.mark.parametrize(
+        "argv, field, value",
+        [
+            (["solve", "--gamma0", "-10dB"], "snr_target_linear", 0.1),
+            (["solve", "--gamma0", "-.5dB"], "snr_target_linear", 10.0**-0.05),
+            (["solve", "--horn-tx-gain", "-5dBi"], "horn_gain_tx_dbi", -5.0),
+        ],
+    )
+    def test_a_negative_scenario_value_with_a_unit_is_parsed(self, capsys, argv, field, value):
+        assert getattr(_build_parser().parse_args(argv), field) == value
+        assert cli_main([*argv, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["total_power_w"] > 0.0
+
+    @pytest.mark.parametrize("values", ["-10:2:30dB", "-10,0dB"])
+    def test_a_negative_sweep_value_with_a_unit_is_swept(self, tmp_path, capsys, values):
+        out = tmp_path / "fig1.csv"
+        assert cli_main(["sweep", "--var", "gamma0", "--values", values, "--samples", "1", "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[1].startswith("-10,proposed,")
+
+    def test_a_unit_on_every_negative_listed_value_reaches_the_values_spec(self, tmp_path, capsys):
+        argv = ["sweep", "--var", "gamma0", "--values", "-10dB,0dB", "--samples", "1", "--out", str(tmp_path / "x.csv")]
+        assert _build_parser().parse_args(argv).values == "-10dB,0dB"
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot parse sweep values '-10dB,0dB': a unit goes once, after the last value ('-10,0dB')\n"
+        )
+
+    def test_a_negative_user_coordinate_reaches_the_coverage_check(self, capsys):
+        assert cli_main(["solve", "--ue", "-1,5"]) == 2
+        assert capsys.readouterr().err == "error: x_ue_m must lie in [0, 30], got -1.0 (the coverage rectangle)\n"
+
+
 class TestParser:
     @pytest.mark.parametrize("command", ["solve", "sweep", "verify", "config-dump"])
     def test_help_lists_each_scenario_flag_once_in_field_order(self, capsys, command):

@@ -419,14 +419,13 @@ def test_every_scheme_meets_the_snr_target_across_the_wide_box(cfg, seed):
     for ue in positions(xs, ys):
         for sol in (solve(cfg, ue), benchmark2_power(cfg, ue)):
             assert af_snr(sol.p1_w, sol.beta_sq, channel_gains(cfg, ue, sol.x_pin_m)) == pytest.approx(gamma0, rel=1e-9)
-    feed = _STAGES["feed"].run(cfg, xs, ys)
     link = link_factors(g1_sq, sigma_r_sq_w, sigma_ue_sq_w)
     target = target_factors(gamma0, cfg.pa_efficiency, g1_sq, sigma_r_sq_w, sigma_ue_sq_w)
-    # the relay schemes' second-hop stage, then the split their power stage makes
-    for hop, g2_sq in (("placement", _STAGES["placement"].run(cfg, xs, ys, feed)), ("feed", feed)):
-        p1, beta_sq = split_powers(target, *split_terms(link, np.sqrt(g2_sq)))
+    # the relay schemes' second-hop stage (the placement's row, then the feed's), then the split their power stage makes
+    for hop, g2 in zip(("placement", "feed"), _STAGES["second_hop"].run(cfg, xs, ys)):
+        p1, beta_sq = split_powers(target, *split_terms(link, g2))
         for k in range(xs.size):
-            gains = ChannelGains(g1_sq, float(g2_sq[k]), sigma_r_sq_w, sigma_ue_sq_w)
+            gains = ChannelGains(g1_sq, float(g2[k]) * float(g2[k]), sigma_r_sq_w, sigma_ue_sq_w)
             assert af_snr(float(p1[k]), float(beta_sq[k]), gains) == pytest.approx(gamma0, rel=1e-9), hop
     _, tx = evaluate("benchmark1", cfg, xs, ys, shadows)
     # the direct scheme's path-loss stage, on its geometry and shadowing stages

@@ -252,7 +252,8 @@ class TestStages:
         if variable == "bs_relay_distance_m":  # |g1|^2, the split's terms and the direct path loss read d1
             per_value |= {"link", "relay_terms", "path_loss"}
         if variable == "waveguide_attenuation_per_m":  # the second hop reads alpha, the direct scheme does not
-            per_value = {"feed", "placement", "second_hop", "relay_terms", "relay_power"}
+            per_value = {"second_hop", "relay_terms", "relay_power"}
+        assert per_value <= set(_STAGES)
         assert runs == {name: len(values) if name in per_value else 1 for name in _STAGES}
         assert len(g1_configs) == runs["link"]  # |g1|^2 once per link stage: once per sweep, or once per d1
 
@@ -466,6 +467,10 @@ class TestCsv:
             ("20,proposed,half,0.01,7", "could not convert"),
             ("20,proposed,0.5,0.01,7.5", "invalid literal for int"),
             ("20,warp,0.5,0.01,7", "unknown scheme 'warp'"),
+            # rows export_csv never writes: each would overwrite or split a record
+            ("20,benchmark2,0.5,0.01,7", "scheme 'benchmark2' repeats within its value"),
+            ("10,proposed,0.5,0.01,7", "value 10.0 is not above the previous one, 20.0"),
+            ("20,proposed,0.5,0.01,8", "n_samples 8 differs from its value's first row's 7"),
         ],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, row, detail):
