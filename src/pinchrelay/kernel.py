@@ -27,13 +27,15 @@ link part) and one power stage (its target part and the power accounting) serve
 both.  The direct scheme's stages are geometry, shadowing, path loss and power.
 ``_OUTPUTS`` names each scheme's power stage and its row there.  Every stage
 runs, whichever schemes are asked for; the schemes pick only the rows that
-:func:`sweep_sums` sums.  It splits the stages, in one pass over them
-(:func:`_plan`), into those that read the swept field or take a stage that does,
-which run at each value, and the rest, which run once, before the first value.
-A result is kept only while a later stage still reads it, and a per-value result
-only until the value's rows are copied out.  :func:`evaluate` gives one scheme's
-arrays at one config from the same pipeline.  Over the inputs' domain (:data:`~.model.DOMAIN`)
-every element is finite, as on the scalar path.
+:func:`sweep_sums` sums.  :func:`_plan` splits the stages, in one pass over them,
+into those that read the swept field or take a stage that does, which run at
+each value, and the rest, which run once.  :func:`sweep_sums` runs the whole
+sweep in one loop: at the first value it draws the users and runs the
+once-stages, and at each value the per-value stages, whose picked rows it copies
+into one block and sums.  A result or draw is kept only while a later stage
+still reads it, and a per-value result only until the value's rows are copied
+out.  Each stage runs through :func:`_run`.  Over the inputs' domain
+(:data:`~.model.DOMAIN`) every element is finite, as on the scalar path.
 """
 
 from __future__ import annotations
@@ -41,12 +43,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .benchmarks import benchmark1_total_power_w, direct_path_gain, direct_tx_power_w, ground_distance_m, shadowing_gain
+from .benchmarks import SHADOWING_STD_DB, benchmark1_total_power_w, direct_path_gain, direct_tx_power_w
+from .benchmarks import ground_distance_m, shadowing_gain
 from .model import LINK_FIELDS, NOISE_FIELDS, SystemConfig, consumed_power, relay_tx_power, unchecked_relay_ue_gain
 from .optimize import link_budget, split_powers, split_terms, stationary_root, target_factors
 
@@ -212,59 +214,43 @@ def _plan(field: str | None) -> _Plan:
     return _Plan(tuple(zip(once, released)), tuple(per_value))
 
 
-def _stage_results(plan: _Plan, configs: Iterable[SystemConfig], results: dict, read: Callable[[dict], Any]):
-    """Yield ``read(results)`` at each of ``configs``, which differ in the plan's field alone.
+def _run(name: str, cfg: SystemConfig, results: dict) -> None:
+    stage = _STAGES[name]
+    results[name] = stage.run(cfg, *[results[i] for i in stage.inputs])
 
-    ``results`` holds the draws ("xs", "ys", "shadows") and takes each stage's result.  The stages
-    that the field does not reach run at the first config, each releasing the results that no
-    later stage or output reads; the rest run at every config, and release their results once
-    ``read`` has read them.
+
+def sweep_sums(
+    schemes: tuple[str, ...], field: str, configs: Iterable[SystemConfig], n: int, seed: int
+) -> Iterator[list[float]]:
+    """An iterator over ``configs`` that gives, at each, the sums of each scheme's total and BS power
+    over ``n`` users, two per scheme in order, each ``math.fsum``'s bit for bit (:func:`exact_sum`).
+
+    The configs differ in ``field`` alone, which is no coverage field.  At the first config the users
+    are drawn from ``np.random.default_rng(seed)``: x, then y, then the shadowing, whichever schemes
+    run, and reused at every config.  The stages ``field`` does not reach run there too, once, each
+    releasing the results and draws that no later stage or output reads; the rest run at every
+    config and release their results once the value's rows are copied out, before the rows are
+    summed.  Every stage runs, whichever schemes are asked for, and both relay schemes run as rows
+    of the same arrays.
     """
+    plan, outputs = _plan(field), [_OUTPUTS[scheme] for scheme in schemes]
+    block = np.empty((2 * len(schemes), n))  # one value's rows: total and BS power per scheme
+    results: dict = {}
     for k, cfg in enumerate(configs):
         if k == 0:
+            rng = np.random.default_rng(seed)
+            results["xs"] = rng.uniform(0.0, cfg.coverage_x_m, n)
+            results["ys"] = rng.uniform(0.0, cfg.coverage_y_m, n)
+            results["shadows"] = rng.normal(0.0, SHADOWING_STD_DB, n)
             for name, released in plan.once:
                 _run(name, cfg, results)
                 for i in released:
                     del results[i]
         for name in plan.per_value:
             _run(name, cfg, results)
-        value = read(results)
+        for i, (stage, index) in enumerate(outputs):
+            # no name is bound to the stage's arrays, so none outlives the release below
+            block[2 * i], block[2 * i + 1] = (array[index] for array in results[stage])
         for name in plan.per_value:
             del results[name]
-        yield value
-
-
-def _run(name: str, cfg: SystemConfig, results: dict) -> None:
-    stage = _STAGES[name]
-    results[name] = stage.run(cfg, *[results[i] for i in stage.inputs])
-
-
-def evaluate(scheme: str, cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray, shadows_db: np.ndarray):
-    """One scheme's (total, BS power) arrays at ``cfg`` for the users ``(xs, ys)`` and shadowing draws:
-    every stage runs, as in a one-value sweep."""
-    stage, index = _OUTPUTS[scheme]
-    draws = {"xs": xs, "ys": ys, "shadows": shadows_db}
-    total, bs_w = next(_stage_results(_plan(None), (cfg,), draws, operator.itemgetter(stage)))
-    return total[index], bs_w[index]
-
-
-def sweep_sums(schemes: tuple[str, ...], field: str, configs: Iterable[SystemConfig], draws: dict) -> Iterator:
-    """An iterator over ``configs`` that gives, at each, the sums of each scheme's total and BS power
-    over the users, two per scheme in order, each ``math.fsum``'s bit for bit (:func:`exact_sum`).
-
-    The configs differ in ``field`` alone, and the stages it does not reach run once.  Every stage
-    runs, whichever schemes are asked for, and both relay schemes run as rows of the same arrays.
-    ``draws`` maps "xs", "ys" and "shadows" to the users' draws and is taken over: a draw that no
-    stage reads any longer leaves it.
-    """
-    outputs = [_OUTPUTS[scheme] for scheme in schemes]
-    block = np.empty((2 * len(schemes), draws["xs"].size))  # one value's rows: total and BS power per scheme
-
-    def fill(results: dict) -> np.ndarray:
-        for i, (stage, index) in enumerate(outputs):
-            total, bs_w = results[stage]
-            block[2 * i], block[2 * i + 1] = total[index], bs_w[index]
-        return block
-
-    # each value's stages release their results before its block is summed
-    return map(exact_sum, _stage_results(_plan(field), configs, draws, fill))
+        yield exact_sum(block)

@@ -7,17 +7,15 @@ sweep value (common random numbers), so per-scheme means inherit the
 per-sample monotonicity of the underlying schemes, and aggregation uses exact
 summation so results do not depend on evaluation order.
 
-At each sweep value every scheme is evaluated over all users at once, as
-numpy arrays, by :mod:`.kernel`, whose one pipeline of stages serves every
-scheme: the stages that the swept field does not reach, directly or through a
-stage before them, run once per sweep, and the rest at each value, where one
+:func:`.kernel.sweep_sums` draws the users and evaluates every scheme over all
+of them at once, as numpy arrays, at each sweep value: the stages that the swept
+field does not reach run once per sweep, and the rest at each value, where one
 pass serves both relay schemes.  The requested schemes pick only which rows
 are summed: every stage runs.  Each user's result equals the scalar
-``solve``/``benchmark2_power``/``benchmark1_tx_power_w`` path bit for bit.  The
-value's rows, total and BS power per scheme, are summed by one
-:func:`.kernel.exact_sum` over them as a block, and each mean is ``math.fsum``
-bit for bit.  ``run_sweep`` imports the kernel and numpy when it runs, so specs
-and CSVs are handled without them.
+``solve``/``benchmark2_power``/``benchmark1_tx_power_w`` path bit for bit, and
+each mean is ``math.fsum`` bit for bit.  ``run_sweep`` builds each value's
+config and turns the sums into means; it imports the kernel, and with it numpy
+and :mod:`.benchmarks`, when it runs, so specs and CSVs are handled without them.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .benchmarks import SHADOWING_STD_DB
 from .model import DOMAIN, SystemConfig, db_to_linear, out_of_domain
 
 # One entry per sweep variable: the SystemConfig field a sweep value sets, the
@@ -40,8 +37,8 @@ VARIABLES = {
 }
 
 
-# The kernel's schemes in the order of its ``_OUTPUTS`` table (a test holds the
-# two equal), written out so that a spec or a CSV needs neither the kernel nor numpy.
+# The kernel's schemes in the order of its ``_OUTPUTS`` table (a test holds the two equal),
+# written out so that a spec or a CSV loads none of the kernel, numpy and the benchmarks.
 SCHEMES = ("proposed", "benchmark1", "benchmark2")
 
 CSV_HEADER = ("variable", "scheme", "mean_total_power_w", "mean_bs_power_w", "n_samples")
@@ -93,29 +90,17 @@ class SweepRecord:
 
 
 def run_sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRecord]:
-    """Evaluate every requested scheme over the sweep values.
-
-    Draws x, then y, then one shadowing value per user, whichever schemes run,
-    once per call, and reuses them at every sweep value.
-    """
-    import numpy as np
-
+    """Evaluate every requested scheme over the sweep values, on one draw of users reused at each
+    (:func:`.kernel.sweep_sums`)."""
     from .kernel import sweep_sums
 
-    rng = np.random.default_rng(spec.seed)
-    # handed to the kernel, which drops each draw once no stage reads it
-    draws = {
-        "xs": rng.uniform(0.0, config.coverage_x_m, spec.ue_samples),
-        "ys": rng.uniform(0.0, config.coverage_y_m, spec.ue_samples),
-        "shadows": rng.normal(0.0, SHADOWING_STD_DB, spec.ue_samples),
-    }
     field, to_si, _, _ = VARIABLES[spec.variable]
     # once: each value's config is these fields (DOMAIN's keys) with the swept one over them
     base = {name: getattr(config, name) for name in DOMAIN}
     configs = (SystemConfig(**{**base, field: to_si(value)}) for value in spec.values)
     n = spec.ue_samples
     records: list[SweepRecord] = []
-    for value, sums in zip(spec.values, sweep_sums(spec.schemes, field, configs, draws)):
+    for value, sums in zip(spec.values, sweep_sums(spec.schemes, field, configs, n, spec.seed)):
         mean_total = {scheme: sums[2 * i] / n for i, scheme in enumerate(spec.schemes)}
         mean_bs = {scheme: sums[2 * i + 1] / n for i, scheme in enumerate(spec.schemes)}
         records.append(SweepRecord(float(value), mean_total, mean_bs, n))

@@ -28,8 +28,9 @@ from pinchrelay.benchmarks import (
     distance_loss,
     ground_distance_m,
 )
-from pinchrelay.kernel import evaluate
 from pinchrelay.model import DOMAIN, SPEED_OF_LIGHT_M_S, UE_DOMAIN, free_space_gain, relay_ue_gain
+
+from kernel_eval import evaluate
 
 NO_SHADOW = 0.0
 

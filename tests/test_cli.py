@@ -396,6 +396,11 @@ class TestSweepCommand:
         reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path)!r}"
         assert capsys.readouterr().err == f"error: cannot write sweep CSV to {tmp_path}: {reason}\n"
 
+    def test_an_empty_out_is_a_usage_error_before_the_sweep(self, capsys, monkeypatch):
+        monkeypatch.setattr(pinchrelay.cli, "run_sweep", lambda config, spec: pytest.fail("the sweep ran"))
+        assert cli_main(["sweep", "--var", "gamma0", "--values", "20dB", "--samples", "2", "--out", ""]) == 2
+        assert capsys.readouterr().err == "error: --out must name a file, got ''\n"
+
     def test_scheme_subset_and_gnuplot(self, tmp_path, capsys):
         out = tmp_path / "mini.csv"
         argv = [

@@ -29,10 +29,11 @@ from pinchrelay import (
 from pinchrelay.benchmarks import ARRAY_ELEMENT_GAIN, NUM_ELEMENTS, RF_CHAIN_POWER_W
 from pinchrelay.benchmarks import SHADOW_DB_DOMAIN
 from pinchrelay.cli import _SCENARIO_FIELDS, cli_main
-from pinchrelay.kernel import evaluate
 from pinchrelay.model import BOLTZMANN_J_PER_K, CHANNEL_DOMAIN, DOMAIN, NOISE_REFERENCE_TEMP_K, SPEED_OF_LIGHT_M_S
 from pinchrelay.model import OPERATING_DOMAIN, UE_DOMAIN
 from pinchrelay.sweep import SCHEMES
+
+from kernel_eval import evaluate
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # every derived bound lies at least 2^100 inside the normal float range

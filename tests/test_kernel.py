@@ -25,9 +25,11 @@ from pinchrelay import (
 from pinchrelay.model import bs_relay_gain, relay_ue_gain, unchecked_relay_ue_gain
 from pinchrelay.optimize import link_factors, split_powers, split_terms, stationary_points, target_factors
 from pinchrelay.benchmarks import SHADOWING_STD_DB, benchmark1_link_gain
-from pinchrelay.kernel import _OUTPUTS, _STAGES, evaluate, exact_sum, libm_each, libm_exp, optimal_pin_positions
+from pinchrelay.kernel import _OUTPUTS, _STAGES, exact_sum, libm_each, libm_exp, optimal_pin_positions
 from pinchrelay import kernel
 from pinchrelay.sweep import VARIABLES
+
+from kernel_eval import evaluate
 
 USERS = 1000
 PLACEMENT_USERS = 20_000  # placement and gains are cheap, and a last-bit slip is rare

@@ -26,11 +26,12 @@ from pinchrelay import (
     solve,
 )
 from pinchrelay import model, optimize
-from pinchrelay.kernel import evaluate, libm_exp, optimal_pin_positions
+from pinchrelay.kernel import libm_exp, optimal_pin_positions
 from pinchrelay.model import DOMAIN, SPEED_OF_LIGHT_M_S, UE_DOMAIN, bs_relay_gain, consumed_power, relay_tx_power, relay_ue_gain
 from pinchrelay.model import unchecked_relay_ue_gain
 from pinchrelay.optimize import StationaryAnalysis, solve_at, stationary_points, stationary_root
 from grid_oracles import pin_objective
+from kernel_eval import evaluate
 
 C = SPEED_OF_LIGHT_M_S
 

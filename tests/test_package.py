@@ -1,9 +1,12 @@
-"""Package root and cold start: lazily bound public names, numpy only where arrays are."""
+"""Package root and fresh interpreters: lazily bound public names, numpy only where arrays are, page
+faults per verify trial and per sweep, and README's commands."""
 
 import importlib
 import os
+import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -24,15 +27,18 @@ EXPORTS = {
 }
 
 
-def fresh_interpreter(code: str, *argv: str, cwd: Path) -> str:
-    """The last line ``code`` prints, run with ``argv`` in a new interpreter that imports this pinchrelay."""
+def run_fresh(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """A new interpreter run with ``args``, importing this pinchrelay; its return code must be 0."""
     src = str(Path(pinchrelay.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
-    )
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]
+    return proc
+
+
+def fresh_interpreter(code: str, *argv: str, cwd: Path) -> str:
+    """The last line ``code`` prints, run with ``argv`` in a new interpreter that imports this pinchrelay."""
+    return run_fresh(["-c", code, *argv], cwd).stdout.splitlines()[-1]
 
 
 class TestLazyRoot:
@@ -99,3 +105,88 @@ class TestColdStart:
             "print(loaded, 'pinchrelay.oracle' in sys.modules, info.misses, info.hits)"
         )
         assert fresh_interpreter(code, cwd=tmp_path) == "False True 1 2"
+
+    def test_the_cli_and_the_csv_helpers_load_no_numpy_kernel_or_benchmarks(self, tmp_path):
+        code = (
+            "import sys\n"
+            "import pinchrelay.cli\n"
+            "from pinchrelay.sweep import SweepRecord, SweepSpec, export_csv, read_csv, write_gnuplot_script\n"
+            "SweepSpec(variable='snr_target_db', values=(10.0, 20.0))\n"
+            "export_csv([SweepRecord(10.0, {'proposed': 1.0}, {'proposed': 0.5}, 3)], 's.csv')\n"
+            "read_csv('s.csv')\n"
+            "write_gnuplot_script('s.csv', 's.gp', 'SNR target [dB]')\n"
+            "print([m for m in ('numpy', 'pinchrelay.kernel', 'pinchrelay.benchmarks') if m in sys.modules])"
+        )
+        assert fresh_interpreter(code, cwd=tmp_path) == "[]"
+
+
+# The bounds were set on CPython 3.11, where CI ran these programs; another interpreter allocates otherwise.
+on_cpython_3_11 = pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="page-fault bounds set on CPython 3.11",
+)
+
+
+class TestPageFaults:
+    @on_cpython_3_11
+    def test_a_verify_trial_takes_at_most_50_minor_page_faults(self, tmp_path):
+        # verify trials allocate no grid: with numpy already imported, a trial may take at most 50 minor page faults
+        code = """import resource, sys, numpy, pinchrelay.oracle
+from pinchrelay.cli import cli_main
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+rc = cli_main(["verify", "--trials", "50"])
+per_trial = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50
+sys.exit(f"{per_trial:.1f} minor page faults per verify trial, over 50" if per_trial > 50 else rc)"""
+        run_fresh(["-c", code], tmp_path)
+
+    @on_cpython_3_11
+    @pytest.mark.parametrize("name, var, values", [("fig1", "gamma0", "10:2:30dB"), ("fig2", "d1", "30:10:100")])
+    def test_a_warm_sweep_takes_at_most_20_minor_page_faults(self, tmp_path, name, var, values):
+        # a sweep sums one value's rows at a time: after a warm-up, a fig1 or fig2 sweep
+        # may take at most 20 minor page faults (a whole-sweep fig1 block takes about 226)
+        code = """import resource, sys
+from pinchrelay.cli import cli_main
+name, var, values, out = sys.argv[1:]
+argv = ["sweep", "--var", var, "--values", values, "--samples", "1000", "--out", out]
+rc = max(cli_main(argv) for _ in range(5))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+rc = max(rc, *(cli_main(argv) for _ in range(20)))
+per_sweep = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20
+sys.exit(f"{per_sweep:.1f} minor page faults per {name} sweep, over 20" if per_sweep > 20 else rc)"""
+        run_fresh(["-c", code, name, var, values, str(tmp_path / f"{name}-pf.csv")], tmp_path)
+
+
+def readme_blocks() -> list[tuple[str, list[str]]]:
+    """README's fenced blocks: each one's info string and lines."""
+    blocks: list[tuple[str, list[str]]] = []
+    fence = None
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines():
+        if fence is None and line.startswith("```"):
+            fence = line[3:].strip()
+            blocks.append((fence, []))
+        elif fence is not None and line.startswith("```"):
+            fence = None
+        elif fence is not None:
+            blocks[-1][1].append(line)
+    return blocks
+
+
+# each `pinchrelay` line of README's sh blocks, as argv, comments dropped
+README_COMMANDS = [
+    shlex.split(line, comments=True) for info, lines in readme_blocks() if info == "sh" for line in lines
+    if line.startswith("pinchrelay ")
+]
+
+
+class TestReadmeCommands:
+    def test_the_readme_commands_are_found(self):
+        assert len(README_COMMANDS) >= 8
+
+    # each command, in a fresh interpreter where the README's config file is scenario.cfg
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+    def test_each_command_exits_0_within_3_s(self, tmp_path, argv):
+        [config] = [lines for info, lines in readme_blocks() if info == ""]
+        (tmp_path / "scenario.cfg").write_text("\n".join(config) + "\n", encoding="utf-8")
+        start = time.perf_counter()
+        run_fresh(["-m", "pinchrelay.cli", *argv[1:]], tmp_path)
+        assert time.perf_counter() - start < 3.0

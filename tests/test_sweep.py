@@ -34,9 +34,11 @@ from pinchrelay import (
 from pinchrelay import kernel, optimize
 from pinchrelay.benchmarks import SHADOWING_STD_DB
 from pinchrelay.cli import cli_main
-from pinchrelay.kernel import _OUTPUTS, _STAGES, _plan, _stage_results, evaluate
+from pinchrelay.kernel import _OUTPUTS, _STAGES, _plan
 from pinchrelay.model import DOMAIN
 from pinchrelay.sweep import SCHEMES, VARIABLES
+
+from kernel_eval import evaluate
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "fig1.json"
 CONFIG_FIELDS = frozenset(f.name for f in fields(SystemConfig))
@@ -272,15 +274,23 @@ class TestStages:
             ("bs_relay_distance_m", {"second_hop", "geometry", "shadowing"}),
         ],
     )
-    def test_a_sweep_holds_a_result_only_while_a_later_stage_reads_it(self, cfg, variable, held):
+    def test_a_sweep_holds_a_result_only_while_a_later_stage_reads_it(self, cfg, monkeypatch, variable, held):
         field, to_si, _, _ = VARIABLES[variable]
-        plan, rng = _plan(field), np.random.default_rng(5)
-        draws = {"xs": rng.uniform(0.0, 30.0, 20), "ys": rng.uniform(0.0, 10.0, 20)}
-        draws["shadows"] = rng.normal(0.0, SHADOWING_STD_DB, 20)
+        plan, run, shared, at_values = _plan(field), kernel._run, {}, []
+
+        def recording(name, at, results):
+            run(name, at, results)
+            shared["results"] = results  # the one dict the sweep's stages share
+            if name == plan.per_value[-1]:
+                at_values.append(set(results))
+
+        monkeypatch.setattr(kernel, "_run", recording)
         configs = [replace(cfg, **{field: to_si(value)}) for value in SWEEPS[variable]]
+        at_sums = [set(shared["results"]) for _ in kernel.sweep_sums(SCHEMES, field, configs, 20, 5)]
         # at each value: the once-stages' results that a per-value stage reads, and that value's results
-        assert list(_stage_results(plan, configs, draws, set)) == [held | set(plan.per_value)] * len(configs)
-        assert set(draws) == held  # the draws are released too, and the last value's results once read
+        assert at_values == [held | set(plan.per_value)] * len(configs)
+        # the draws are released too, and each value's results before its rows are summed
+        assert at_sums == [held] * len(configs)
 
     def test_a_sweep_evaluates_the_feed_gain_once(self, cfg, monkeypatch):
         # one exp per user at the candidate the placement weighs, and one for all users at the
