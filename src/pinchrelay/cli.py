@@ -285,8 +285,9 @@ def _cmd_sweep(args: argparse.Namespace, config: SystemConfig) -> int:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
     if args.samples > MAX_SAMPLES:
         raise UsageError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
-    if not args.out:  # Path('') is '.', a directory the CSV cannot be written to
-        raise UsageError("--out must name a file, got ''")
+    # a directory fails only at the write, after the whole sweep; Path('') is '.', a directory too
+    if Path(args.out).is_dir():
+        raise UsageError(f"--out must name a file, got {args.out!r}")
     variable = _SWEEP_VARIABLES.get(args.var, args.var)
     field, _, units, label = VARIABLES[variable]
     # as in verify, a config-file value for the swept field is ignored, so a config-dump file still loads

@@ -3,7 +3,6 @@
 import argparse
 import codecs
 import contextlib
-import errno
 import hashlib
 import io
 import json
@@ -176,6 +175,18 @@ class TestSolveCommand:
             (["--gamma0", "1e308"], "snr_target_linear must lie in [0.001, 1e+06], got 1e+308"),
             (["--eta-pa", "5e-324"], "pa_efficiency must lie in [0.001, 1], got 5e-324"),
             (["--height", "1e-200"], "waveguide_height_m must lie in [0.01, 1000], got 1e-200"),
+            # two or more faults at once: the first field in SystemConfig's order is named
+            (["--horn-tx-gain", "4000", "--horn-rx-gain", "-4000"], "horn_gain_tx_dbi must lie in [-10, 60], got 4000.0"),
+            (["--horn-tx-gain", "4000", "--ue-noise-figure", "4000"], "ue_noise_figure_db must lie in [0, 40], got 4000.0"),
+            (["--height", "1e200", "--noise-figure", "4000"], "noise_figure_db must lie in [0, 40], got 4000.0"),
+            (["--eta-pa", "5e-324", "--amp-circ-power", "1.7e308"], "pa_efficiency must lie in [0.001, 1], got 5e-324"),
+            (
+                [
+                    *("--horn-tx-gain", "-30", "--horn-rx-gain", "3000"),
+                    *("--noise-figure", "3000", "--ue-noise-figure", "3000"),
+                ],
+                "noise_figure_db must lie in [0, 40], got 3000.0",
+            ),
         ],
     )
     def test_values_outside_the_domain_are_one_usage_error_line(self, capsys, argv, message):
@@ -280,8 +291,9 @@ class TestConfigHandling:
             outputs.append(capsys.readouterr().out)
         default, flag, from_file, overridden = outputs
         assert flag == overridden == default != from_file
-        assert cli_main(["config-dump", "--config", str(config), "--ue-noise-figure", " none "]) == 0
-        assert "ue_noise_figure_db = none" in capsys.readouterr().out.splitlines()
+        for none in ("none", " none "):
+            assert cli_main(["config-dump", "--config", str(config), "--ue-noise-figure", none]) == 0
+            assert "ue_noise_figure_db = none" in capsys.readouterr().out.splitlines()
 
     def test_a_leading_byte_order_mark_is_read_past(self, tmp_path, capsys):
         config = tmp_path / "marked.cfg"
@@ -372,7 +384,8 @@ class TestSweepCommand:
     def test_a_unit_on_every_listed_value_is_one_usage_error_line(self, tmp_path, capsys):
         argv = ["sweep", "--var", "gamma0", "--values", "20dB,21dB", "--samples", "1", "--out", str(tmp_path / "x.csv")]
         assert cli_main(argv) == 2
-        assert capsys.readouterr().err == (
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
             "error: cannot parse sweep values '20dB,21dB': a unit goes once, after the last value ('20,21dB')\n"
         )
         assert not (tmp_path / "x.csv").exists()
@@ -390,11 +403,12 @@ class TestSweepCommand:
         assert cli_main(argv) == 0
         assert capsys.readouterr().err == ""
 
-    def test_out_that_is_a_directory_is_one_error_line(self, tmp_path, capsys):
+    # a usage error before the sweep, not a failed write after it: at MAX_SAMPLES that is a whole 10^6-user sweep
+    def test_out_that_is_a_directory_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pinchrelay.cli, "run_sweep", lambda config, spec: pytest.fail("the sweep ran"))
         argv = ["sweep", "--var", "gamma0", "--values", "20dB", "--samples", "2", "--out", str(tmp_path)]
-        assert cli_main(argv) == 1
-        reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path)!r}"
-        assert capsys.readouterr().err == f"error: cannot write sweep CSV to {tmp_path}: {reason}\n"
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == f"error: --out must name a file, got {str(tmp_path)!r}\n"
 
     def test_an_empty_out_is_a_usage_error_before_the_sweep(self, capsys, monkeypatch):
         monkeypatch.setattr(pinchrelay.cli, "run_sweep", lambda config, spec: pytest.fail("the sweep ran"))
@@ -535,12 +549,15 @@ class TestSweepCommand:
     # the script goes to the CSV's name with .gp: a CSV named *.gp would be overwritten by it
     def test_gnuplot_script_over_the_csv_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "fig.gp"
-        argv = ["sweep", "--var", "gamma0", "--values", "10,20dB", "--samples", "5", "--out", str(out)]
-        assert cli_main([*argv, "--gnuplot"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: --gnuplot would write its script over the CSV {str(out)!r}: give --out another suffix\n"
-        assert list(tmp_path.iterdir()) == []
+        for values in ("10,20dB", "20dB"):
+            argv = ["sweep", "--var", "gamma0", "--values", values, "--samples", "5", "--out", str(out)]
+            assert cli_main([*argv, "--gnuplot"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: --gnuplot would write its script over the CSV {str(out)!r}: give --out another suffix\n"
+            )
+            assert list(tmp_path.iterdir()) == []
         assert cli_main(argv) == 0  # without a script the name is only a file name
         assert out.read_text(encoding="utf-8").startswith("variable,scheme,")
 
@@ -628,6 +645,14 @@ class TestVerifyCommand:
             changed = {f.name for f in fields(SystemConfig) if getattr(cfg, f.name) != getattr(SystemConfig(), f.name)}
             assert changed == set(_VERIFY_DRAWN_FIELDS)
 
+    def test_a_drawn_field_s_flag_with_a_unit_is_a_usage_error_too(self, capsys):
+        assert cli_main(["verify", "--trials", "1", "--gamma0", "20dB"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: verify draws snr_target_linear at random in every trial, so --gamma0 cannot set it\n"
+        )
+
     def test_full_config_dump_file_still_loads(self, tmp_path, capsys):
         assert cli_main(["config-dump", "--gamma0", "1e5", "--d1", "70"]) == 0
         dumped = tmp_path / "dump.cfg"
@@ -641,6 +666,28 @@ class TestVerifyCommand:
         assert cli_main(["verify", "--trials", "1", "--length", length]) == 0
         captured = capsys.readouterr()
         assert captured.out.endswith("verify: 1/1 scenarios passed\n") and captured.err == ""
+
+    # passing trials write nothing to stderr: no warning, no numpy RuntimeWarning
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--trials", "20", "--seed", "2"],
+            ["--trials", "5", "--length", "7.3"],
+            # alpha^2 C on both sides of 1: the placement search's Newton steps meet g'' near 0 and bisect instead
+            ["--trials", "1000", "--seed", "1", "--coverage-y", "60", "--coverage-x", "100", "--length", "100"],
+            # a corner of the noise domain: the power search's minimum lies far from where it starts
+            ["--trials", "50", "--bandwidth", "1e3", "--noise-figure", "0", "--ue-noise-figure", "40"],
+            # the opposite corner: the minimum lies below the power search's start (t - t0 from -3.4 to -0.8,
+            # against 5.9 to 8.4 above), so its first step runs the other way
+            ["--trials", "200", "--bandwidth", "1e11", "--noise-figure", "40", "--ue-noise-figure", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_passing_trials_write_nothing_to_stderr(self, capsys, argv):
+        assert cli_main(["verify", *argv]) == 0
+        trials = argv[argv.index("--trials") + 1]
+        captured = capsys.readouterr()
+        assert captured.out.endswith(f"verify: {trials}/{trials} scenarios passed\n") and captured.err == ""
 
     # each moves the closed form's (p1, beta_sq) and keeps its cost: see conftest.SPLIT_MUTANTS
     def test_operating_point_mutants_fail_every_trial(self, capsys, mutated_split):
@@ -680,8 +727,10 @@ class TestVerifyCommand:
 
     def test_largest_power_gap_over_2000_trials(self, capsys):
         assert cli_main(["verify", "--trials", "2000", "--seed", "3"]) == 0
-        gaps = [float(gap) for gap in re.findall(r"power rel gap (\S+)", capsys.readouterr().out)]
+        captured = capsys.readouterr()
+        gaps = [float(gap) for gap in re.findall(r"power rel gap (\S+)", captured.out)]
         assert len(gaps) == 2000 and max(gaps) <= 1e-12
+        assert captured.err == ""
 
 
 class TestExitCodes:
@@ -705,6 +754,47 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
 
+    # a value outside its field's domain, on any command: exit 2 and one line that names the field and its bounds
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--noise-figure", "4000"], "noise_figure_db must lie in [0, 40], got 4000.0"),
+            (["solve", "--ue-noise-figure", "4000"], "ue_noise_figure_db must lie in [0, 40], got 4000.0"),
+            (["solve", "--horn-tx-gain", "4000"], "horn_gain_tx_dbi must lie in [-10, 60], got 4000.0"),
+            (["solve", "--horn-tx-gain", "-4000"], "horn_gain_tx_dbi must lie in [-10, 60], got -4000.0"),
+            (["verify", "--trials", "1", "--noise-figure", "4000"], "noise_figure_db must lie in [0, 40], got 4000.0"),
+            (
+                [
+                    *("sweep", "--var", "gamma0", "--values", "20dB", "--samples", "5"),
+                    *("--noise-figure", "-4000", "--schemes", "benchmark1", "--out", "n.csv"),
+                ],
+                "noise_figure_db must lie in [0, 40], got -4000.0",
+            ),
+            # two or more faults at once: the first field in SystemConfig's order is named
+            (
+                [
+                    *("config-dump", "--horn-tx-gain", "4000", "--horn-rx-gain", "-4000"),
+                    *("--noise-figure", "4000", "--freq", "1e-150", "--d1", "1e150"),
+                ],
+                "carrier_frequency_hz must lie in [1e+08, 1e+13], got 1e-150",
+            ),
+            (
+                ["verify", "--height", "1.7e308", "--horn-tx-gain", "-4000"],
+                "horn_gain_tx_dbi must lie in [-10, 60], got -4000.0",
+            ),
+            (
+                ["verify", "--coverage-x", "1.7e308", "--bs-rf-power", "1e-40"],
+                "coverage_x_m must lie in [0.01, 100000], got 1.7e+308",
+            ),
+        ],
+    )
+    def test_a_value_outside_the_domain_names_the_field(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: invalid scenario configuration: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestNegativeValues:
     """A token that starts with '-' and a digit, or '-.' and a digit, is the value of the flag before it."""
@@ -715,18 +805,21 @@ class TestNegativeValues:
             (["solve", "--gamma0", "-10dB"], "snr_target_linear", 0.1),
             (["solve", "--gamma0", "-.5dB"], "snr_target_linear", 10.0**-0.05),
             (["solve", "--horn-tx-gain", "-5dBi"], "horn_gain_tx_dbi", -5.0),
+            (["solve", "--ue", "15,5", "--gamma0", "-10dB"], "snr_target_linear", 0.1),
         ],
     )
     def test_a_negative_scenario_value_with_a_unit_is_parsed(self, capsys, argv, field, value):
         assert getattr(_build_parser().parse_args(argv), field) == value
         assert cli_main([*argv, "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["total_power_w"] > 0.0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["total_power_w"] > 0.0 and captured.err == ""
 
     @pytest.mark.parametrize("values", ["-10:2:30dB", "-10,0dB"])
     def test_a_negative_sweep_value_with_a_unit_is_swept(self, tmp_path, capsys, values):
         out = tmp_path / "fig1.csv"
         assert cli_main(["sweep", "--var", "gamma0", "--values", values, "--samples", "1", "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8").splitlines()[1].startswith("-10,proposed,")
+        assert capsys.readouterr().err == ""
 
     def test_a_unit_on_every_negative_listed_value_reaches_the_values_spec(self, tmp_path, capsys):
         argv = ["sweep", "--var", "gamma0", "--values", "-10dB,0dB", "--samples", "1", "--out", str(tmp_path / "x.csv")]
@@ -794,6 +887,8 @@ class TestParserReuse:
 _EXTREMES = (
     *("0", "5e-324", "-5e-324", "1e-150", "1e150", "-1e150", "1.7e308", "-1.7e308"),
     *("3000", "-3000", "4000", "-4000"),
+    # out of the float range once the unit is applied: 10**400 and 10**-400, or 1e308 times 1e9 or 1e3
+    *("4000dB", "-4000dB", "1e308GHz", "1e308km"),
 )
 _COMMANDS = st.one_of(
     st.just(["solve"]),
@@ -819,6 +914,8 @@ def sweep_csv(tmp_path_factory):
 class TestEveryArgv:
     """The whole CLI at extreme scenario values: a clean exit 0, or one ``error:`` line and exit 1 or 2."""
 
+    # 10**400 overflows in db_to_linear: the domain error names the field, no OverflowError escapes
+    @example(argv=["solve", "--gamma0", "4000dB"])
     # each example was a traceback or a silent inf before it became a named error
     @example(argv=["verify", "--trials", "1", "--height=1.7e308", "--horn-tx-gain=-4000"])
     @example(argv=["verify", "--trials", "1", "--coverage-x=1.7e308", "--bs-rf-power=1e-40"])

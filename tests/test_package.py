@@ -1,12 +1,15 @@
 """Package root and fresh interpreters: lazily bound public names, numpy only where arrays are, page
-faults per verify trial and per sweep, and README's commands."""
+faults per verify trial and per sweep, 10^6-user sweep peaks, README's commands, and a CI workflow whose
+checks all live here in tests/."""
 
 import importlib
 import os
+import re
 import shlex
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -68,22 +71,24 @@ class TestLazyRoot:
 
 
 class TestColdStart:
+    # verify's oracles run in plain Python: its trials leave numpy unloaded
     @pytest.mark.parametrize(
-        "argv, loads_numpy",
+        "argv, exit_code, loads_numpy",
         [
-            (["solve", "--ue", "15,5", "--json"], False),
-            (["config-dump"], False),
-            (["--help"], False),
-            (["sweep", "--var", "gamma0", "--values", "20dB", "--samples", "3", "--out", "x.csv"], True),
-            (["sweep", "--var", "gamma0", "--values", "20dB", "--samples", "1000001", "--out", "x.csv"], False),
-            (["verify", "--trials", "0"], False),
-            (["verify", "--trials", "1"], False),
+            (["solve", "--ue", "15,5", "--json"], 0, False),
+            (["config-dump"], 0, False),
+            (["--help"], 0, False),
+            (["sweep", "--var", "gamma0", "--values", "20dB", "--samples", "3", "--out", "x.csv"], 0, True),
+            (["sweep", "--var", "gamma0", "--values", "20dB", "--samples", "1000001", "--out", "x.csv"], 2, False),
+            (["verify", "--trials", "0"], 2, False),
+            (["verify", "--trials", "1"], 0, False),
+            (["verify", "--trials", "3"], 0, False),
         ],
-        ids=["solve", "config-dump", "help", "sweep", "sweep-over-cap", "verify-usage-error", "verify"],
+        ids=["solve", "config-dump", "help", "sweep", "sweep-over-cap", "verify-usage-error", "verify", "verify-3"],
     )
-    def test_numpy_is_loaded_only_by_commands_that_use_arrays(self, tmp_path, argv, loads_numpy):
-        code = "import sys\nfrom pinchrelay.cli import cli_main\ncli_main(sys.argv[1:])\nprint('numpy' in sys.modules)"
-        assert fresh_interpreter(code, *argv, cwd=tmp_path) == str(loads_numpy)
+    def test_numpy_is_loaded_only_by_commands_that_use_arrays(self, tmp_path, argv, exit_code, loads_numpy):
+        code = "import sys\nfrom pinchrelay.cli import cli_main\nprint(cli_main(sys.argv[1:]), 'numpy' in sys.modules)"
+        assert fresh_interpreter(code, *argv, cwd=tmp_path) == f"{exit_code} {loads_numpy}"
 
     def test_the_cli_parser_is_built_at_the_first_call_not_at_import(self, tmp_path):
         code = (
@@ -123,7 +128,7 @@ class TestColdStart:
 # The bounds were set on CPython 3.11, where CI ran these programs; another interpreter allocates otherwise.
 on_cpython_3_11 = pytest.mark.skipif(
     sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
-    reason="page-fault bounds set on CPython 3.11",
+    reason="page-fault, ru_maxrss and tracemalloc bounds set on CPython 3.11",
 )
 
 
@@ -154,6 +159,49 @@ rc = max(rc, *(cli_main(argv) for _ in range(20)))
 per_sweep = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20
 sys.exit(f"{per_sweep:.1f} minor page faults per {name} sweep, over 20" if per_sweep > 20 else rc)"""
         run_fresh(["-c", code, name, var, values, str(tmp_path / f"{name}-pf.csv")], tmp_path)
+
+
+# The 10^6-user sweep programs: each exits 1 with a message when its peak is over its bound.
+RESIDENT_PEAK = """import resource, sys
+from pinchrelay.cli import cli_main
+name, var, values, bound, out = sys.argv[1:]
+rc = cli_main(["sweep", "--var", var, "--values", values, "--samples", "1000000", "--out", out])
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+sys.exit(f"a 10^6-user {name} sweep peaked at {peak:.1f} MiB, over {bound}" if peak > float(bound) else rc)"""
+TRACED_PEAK = """import sys, tracemalloc, numpy, pinchrelay.kernel, pinchrelay.sweep
+from pinchrelay.cli import cli_main
+name, var, values, bound, out = sys.argv[1:]
+tracemalloc.start()
+rc = cli_main(["sweep", "--var", var, "--values", values, "--samples", "1000000", "--out", out])
+peak = tracemalloc.get_traced_memory()[1] / 2**20
+sys.exit(f"a 10^6-user {name} sweep traced a {peak:.1f} MiB peak, over {bound}" if peak > float(bound) else rc)"""
+MEMORY_PEAKS = {
+    # a sweep drops each array once no later stage reads it: a fig1 sweep peaked at about 196 MiB resident
+    # and a fig2 sweep at about 211 MiB (234 and 249-257 when every stage's arrays were kept for the whole sweep)
+    "fig1-resident": (RESIDENT_PEAK, "fig1", "gamma0", "10:2:30dB", "250"),
+    "fig2-resident": (RESIDENT_PEAK, "fig2", "d1", "30:10:100", "270"),
+    # the peak of traced allocations, which glibc's trim timing does not move as it moves ru_maxrss: with
+    # numpy and the sweep's modules imported first, 145.9 MiB for fig1 and 168.8 MiB for fig2, each bounded 10 MiB over
+    "fig1-traced": (TRACED_PEAK, "fig1", "gamma0", "10:2:30dB", "156"),
+    "fig2-traced": (TRACED_PEAK, "fig2", "d1", "30:10:100", "179"),
+}
+
+
+@on_cpython_3_11
+class TestMemoryPeaks:
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """Each program in a fresh interpreter, two at a time: one after another they take about 8 s."""
+        cwd = tmp_path_factory.mktemp("memory_peaks")
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            yield {
+                case: pool.submit(run_fresh, ["-c", code, *argv, str(cwd / f"{case}.csv")], cwd)
+                for case, (code, *argv) in MEMORY_PEAKS.items()
+            }
+
+    @pytest.mark.parametrize("case", MEMORY_PEAKS)
+    def test_a_10_6_user_sweep_peaks_within_its_bound(self, runs, case):
+        runs[case].result()
 
 
 def readme_blocks() -> list[tuple[str, list[str]]]:
@@ -190,3 +238,28 @@ class TestReadmeCommands:
         start = time.perf_counter()
         run_fresh(["-m", "pinchrelay.cli", *argv[1:]], tmp_path)
         assert time.perf_counter() - start < 3.0
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+# a Python program written into a run step: `python -c`, a program on stdin (`python -`, a heredoc), a line of Python
+INLINE_PYTHON = re.compile(r"\bpython\S*(?:\s+\S+)*?\s+-(?:[a-zA-Z]*c\b|\s|$)|<<|^\s*(?:import \w|from \S+ import )")
+
+
+class TestWorkflow:
+    """CI runs tier-1 and perfbench's smoke script: a check written into the YAML would run on CI alone,
+    never with the tests."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            *("python -c 'import sys'", "python3 -I -c pass", "python - <<'EOF'", "cat <<EOF"),
+            *("import resource, sys", "  from pinchrelay.cli import cli_main"),
+        ],
+    )
+    def test_the_pattern_finds_each_form_of_inline_program(self, line):
+        assert INLINE_PYTHON.search(line)
+
+    def test_the_workflow_holds_no_inline_python(self):
+        text = WORKFLOW.read_text(encoding="utf-8")
+        assert "python tests/perfbench_smoke.py" in text
+        assert [line.strip() for line in text.splitlines() if INLINE_PYTHON.search(line)] == []

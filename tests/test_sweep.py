@@ -373,13 +373,55 @@ def test_figure_csv_bytes_are_the_recorded_ones_with_no_fsum_fallback(tmp_path, 
     assert fallbacks == []  # exact_sum certified every mean without math.fsum
 
 
-# fig2's CSV is shorter than fig1's: each is written over the other, a longer and then a shorter file
+# fig2's CSV is shorter than fig1's: each is written over the other, a longer and then a shorter file, at
+# the default seed, 0; no numpy RuntimeWarning from the kernel or the exact sums reaches stderr
 @pytest.mark.parametrize("first, second", [("fig1", "fig2"), ("fig2", "fig1")])
 def test_a_sweep_over_another_figures_csv_leaves_the_recorded_bytes(tmp_path, capsys, first, second):
     out = tmp_path / "fig.csv"
     for figure in (first, second):
-        assert cli_main(["sweep", *GOLDEN_SWEEPS[figure][0], "--samples", "1000", "--seed", "0", "--out", str(out)]) == 0
+        assert cli_main(["sweep", *GOLDEN_SWEEPS[figure][0], "--samples", "1000", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SWEEPS[second][1]
+
+
+# a value's means are summed together, yet each is math.fsum's: leaving a scheme out changes no other row
+@pytest.mark.parametrize("figure, schemes", [("fig1", "proposed,benchmark2"), ("fig1", "benchmark1"), ("fig2", "proposed")])
+def test_a_scheme_subset_writes_exactly_its_rows_of_the_full_csv(tmp_path, capsys, figure, schemes):
+    full, subset = tmp_path / "full.csv", tmp_path / "subset.csv"
+    argv = ["sweep", *GOLDEN_SWEEPS[figure][0], "--samples", "1000"]
+    assert cli_main([*argv, "--out", str(full)]) == 0
+    assert cli_main([*argv, "--schemes", schemes, "--out", str(subset)]) == 0
+    assert capsys.readouterr().err == ""
+    header, *rows = full.read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [row for row in rows if row.split(",")[1] in schemes.split(",")]
+    assert subset.read_text(encoding="utf-8") == "".join([header, *kept])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--var", "gamma0", "--values", "10:2:30dB", "--samples", "1", "--out", "fig1-1.csv"],
+        # a lossless waveguide runs the general placement, whose root is x_ue there
+        ["--var", "gamma0", "--values", "10:2:30dB", "--samples", "1000", "--alpha-d", "0", "--out", "lossless.csv"],
+        # the direct link's operator forms at the domain's corners: d1 at both ends, with the widest coverage
+        # at the highest frequency and the narrowest at the lowest; no warning from the squares or the reciprocal
+        [
+            *("--var", "d1", "--values", "0.1,1e5", "--samples", "2000"),
+            *("--coverage-x", "1e5", "--coverage-y", "1e5", "--freq", "1e13", "--out", "far.csv"),
+        ],
+        [
+            *("--var", "d1", "--values", "0.1,1e5", "--samples", "2000"),
+            *("--coverage-x", "1e-2", "--coverage-y", "1e-2", "--freq", "1e8", "--out", "near.csv"),
+        ],
+        # a character device reports size 0, so it is written and never truncated
+        ["--var", "gamma0", "--values", "10:2:30dB", "--samples", "1000", "--out", os.devnull],
+    ],
+    ids=" ".join,
+)
+def test_a_sweep_writes_nothing_to_stderr(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["sweep", *argv]) == 0
+    assert capsys.readouterr().err == ""
 
 
 class TestCsv:
