@@ -73,22 +73,22 @@ def parse_db_or_none(text: str) -> float | None:
 
 
 # One entry per SystemConfig field: the config-file key, then its CLI flag,
-# value parser, metavar and help text.
+# value parser, metavar and help text, "quantity [unit]": a sweep's plot label.
 _SCENARIO_FIELDS: dict[str, tuple[str, Callable[[str], float | None], str, str]] = {
-    "carrier_frequency_hz": ("--freq", parse_frequency_hz, "F", "carrier frequency (e.g. 28GHz)"),
-    "bandwidth_hz": ("--bandwidth", parse_frequency_hz, "B", "bandwidth (e.g. 400MHz)"),
+    "carrier_frequency_hz": ("--freq", parse_frequency_hz, "F", "carrier frequency [Hz]"),
+    "bandwidth_hz": ("--bandwidth", parse_frequency_hz, "B", "bandwidth [Hz]"),
     "noise_figure_db": ("--noise-figure", parse_db_value, "NF", "receiver noise figure [dB]"),
-    "ue_noise_figure_db": ("--ue-noise-figure", parse_db_or_none, "NF", "terminal noise figure [dB], or none"),
+    "ue_noise_figure_db": ("--ue-noise-figure", parse_db_or_none, "NF|none", "terminal noise figure [dB]"),
     "waveguide_attenuation_per_m": ("--alpha-d", parse_plain, "A", "waveguide attenuation [1/m]"),
     "horn_gain_tx_dbi": ("--horn-tx-gain", parse_db_value, "G", "BS horn gain [dBi]"),
     "horn_gain_rx_dbi": ("--horn-rx-gain", parse_db_value, "G", "relay horn gain [dBi]"),
-    "pa_efficiency": ("--eta-pa", parse_plain, "E", "power-amplifier efficiency in (0, 1]"),
-    "relay_circuit_power_w": ("--amp-circ-power", parse_power_w, "P", "relay circuit power (e.g. 0.2 or 200mW)"),
-    "bs_rf_chain_power_w": ("--bs-rf-power", parse_power_w, "P", "BS RF-chain power"),
+    "pa_efficiency": ("--eta-pa", parse_plain, "E", "power-amplifier efficiency [ratio]"),
+    "relay_circuit_power_w": ("--amp-circ-power", parse_power_w, "P", "relay circuit power [W]"),
+    "bs_rf_chain_power_w": ("--bs-rf-power", parse_power_w, "P", "BS RF-chain power [W]"),
     "waveguide_length_m": ("--length", parse_length_m, "L", "waveguide length [m]"),
     "waveguide_height_m": ("--height", parse_length_m, "D", "waveguide height [m]"),
     "bs_relay_distance_m": ("--d1", parse_length_m, "D1", "BS-relay distance [m]"),
-    "snr_target_linear": ("--gamma0", parse_ratio_or_db, "G0", "SNR target, linear or '20dB'"),
+    "snr_target_linear": ("--gamma0", parse_ratio_or_db, "G0", "SNR target [ratio, or dB with a dB suffix]"),
     "coverage_x_m": ("--coverage-x", parse_length_m, "X", "coverage rectangle x extent [m]"),
     "coverage_y_m": ("--coverage-y", parse_length_m, "Y", "coverage rectangle y extent [m]"),
 }
@@ -148,8 +148,8 @@ def _parse_ue(text: str) -> tuple[float, float]:
 # A range spec may expand to at most this many sweep values; the count is
 # checked before any value is built.
 MAX_RANGE_VALUES = 10_000
-# The most users a sweep draws: at 10**6 users a fig1 sweep peaked at 196 MiB
-# and a fig2 sweep at 211 MiB, so a larger request is a usage error, not an allocation.
+# The most users a sweep draws; a larger request is a usage error, not an allocation.
+# tests/test_package.py::TestMemoryPeaks bounds the memory peak of sweeps at this cap.
 MAX_SAMPLES = 10**6
 
 _VALUES_RE = re.compile(r"^\s*(.*?(?:[\d.]|nan|inf(?:inity)?))\s*([a-z]*)\s*$", re.IGNORECASE)
@@ -195,7 +195,8 @@ def parse_values_spec(text: str) -> tuple[tuple[float, ...], str]:
     return values, unit
 
 
-_SWEEP_VARIABLES = {"gamma0": "snr_target_db", "d1": "bs_relay_distance_m"}
+# --var's choices, each a sweep variable or its field's flag without the dashes, with that variable and field
+_VAR_CHOICES = {k: (name, field) for name, (field, _) in VARIABLES.items() for k in (name, _SCENARIO_FIELDS[field][0][2:])}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -238,8 +239,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--json", action="store_true", help="emit the solution as JSON instead of a table")
     p_solve.set_defaults(func=_cmd_solve)
 
-    p_sweep = sub.add_parser("sweep", parents=[scenario], help="sweep gamma0 or d1, averaging over random user positions")
-    p_sweep.add_argument("--var", required=True, choices=sorted([*_SWEEP_VARIABLES, *VARIABLES]), help="sweep variable")
+    p_sweep = sub.add_parser("sweep", parents=[scenario], help="sweep one scenario field, averaging over random user positions")
+    var_help = "a scenario flag but --coverage-x/y, without its dashes (alpha-d, gamma0, ...), or a sweep variable"
+    p_sweep.add_argument("--var", required=True, choices=sorted(_VAR_CHOICES), metavar="NAME", help=var_help)
     p_sweep.add_argument("--values", required=True, metavar="SPEC", help="'start:step:stop[unit]' or 'v1,v2,...'")
     p_sweep.add_argument("--samples", type=int, default=1000, metavar="N", help="user positions per sweep value")
     p_sweep.add_argument("--seed", type=int, default=0, help="random seed for user placement and shadowing")
@@ -285,28 +287,28 @@ def _cmd_sweep(args: argparse.Namespace, config: SystemConfig) -> int:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
     if args.samples > MAX_SAMPLES:
         raise UsageError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
-    # a directory fails only at the write, after the whole sweep; Path('') is '.', a directory too
+    # a directory, or a file in a missing directory, fails only at the write, after the whole sweep; Path('') is '.'
     if Path(args.out).is_dir():
         raise UsageError(f"--out must name a file, got {args.out!r}")
-    variable = _SWEEP_VARIABLES.get(args.var, args.var)
-    field, _, units, label = VARIABLES[variable]
-    # as in verify, a config-file value for the swept field is ignored, so a config-dump file still loads
-    if field in vars(args):
-        raise UsageError(f"sweep sets {field} at every value, so {_SCENARIO_FIELDS[field][0]} cannot set it")
-    try:
-        values, unit = parse_values_spec(args.values)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if unit not in units:
-        raise UsageError(f"unit {unit!r} does not fit sweep variable {variable} (use {units[1] or 'no unit'})")
+    if not Path(args.out).parent.is_dir():
+        raise UsageError(f"--out must name a file in an existing directory, got {args.out!r}")
     if args.gnuplot and any(c in Path(args.out).name for c in "\r\n"):
         raise UsageError(f"--gnuplot cannot quote a line break in the CSV name {Path(args.out).name!r}")
     if args.gnuplot and Path(args.out).suffix == ".gp":  # the script's name is the CSV's with .gp
         raise UsageError(f"--gnuplot would write its script over the CSV {args.out!r}: give --out another suffix")
+    variable, field = _VAR_CHOICES[args.var]
+    flag, parse, _, label = _SCENARIO_FIELDS[field]
+    # as in verify, a config-file value for the swept field is ignored, so a config-dump file still loads
+    if field in vars(args):
+        raise UsageError(f"sweep sets {field} at every value, so {flag} cannot set it")
     try:
+        values, unit = parse_values_spec(args.values)
+        scale = parse("1" + unit)  # the flag's own unit; "1", not a value, so that nan and inf reach SweepSpec
+        if variable != field:  # snr_target_db, in dB as fig1 has it: its flag's parser checks only the unit
+            scale, label = 1.0, "SNR target [dB]"
         spec = SweepSpec(
             variable=variable,
-            values=values,
+            values=tuple(value * scale for value in values),
             ue_samples=args.samples,
             seed=args.seed,
             schemes=tuple(s.strip() for s in args.schemes.split(",") if s.strip()),

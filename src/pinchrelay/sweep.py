@@ -1,7 +1,7 @@
 """Parameter-sweep engine: Monte Carlo averages over user placements, CSV export.
 
-One sweep varies either the SNR target (in dB) or the BS-relay distance and
-averages each scheme's total power, in linear watts, over users drawn
+One sweep varies one scenario field (:data:`VARIABLES`) and averages each
+scheme's total power, in linear watts, over users drawn
 uniformly from the coverage rectangle.  The same draws are reused at every
 sweep value (common random numbers), so per-scheme means inherit the
 per-sample monotonicity of the underlying schemes, and aggregation uses exact
@@ -28,13 +28,11 @@ from typing import Iterable, Sequence
 
 from .model import DOMAIN, SystemConfig, db_to_linear, out_of_domain
 
-# One entry per sweep variable: the SystemConfig field a sweep value sets, the
-# conversion of a value to that field, the unit suffixes the CLI accepts on
-# values ("" for a bare number) and the plot axis label.
-VARIABLES = {
-    "snr_target_db": ("snr_target_linear", db_to_linear, ("", "db"), "SNR target [dB]"),
-    "bs_relay_distance_m": ("bs_relay_distance_m", float, ("", "m"), "BS-relay distance [m]"),
-}
+# Each sweep variable: the SystemConfig field a sweep value sets and the conversion of a value to it.
+# A variable is a field of DOMAIN, its values in its SI unit, but the coverage extents, from which the users
+# are drawn once per sweep, and the SNR target, swept as "snr_target_db", in dB as fig1's CSV has it.
+VARIABLES = {name: (name, float) for name in DOMAIN if name not in ("coverage_x_m", "coverage_y_m", "snr_target_linear")}
+VARIABLES["snr_target_db"] = ("snr_target_linear", db_to_linear)
 
 
 # The kernel's schemes in the order of its ``_OUTPUTS`` table (a test holds the two equal),
@@ -61,7 +59,7 @@ class SweepSpec:
             raise ValueError("sweep needs at least one value")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("sweep values must be strictly increasing")
-        field, to_si, _, _ = VARIABLES[self.variable]
+        field, to_si = VARIABLES[self.variable]
         lo, hi = DOMAIN[field]
         for value in self.values:
             si_value = to_si(value)
@@ -94,7 +92,7 @@ def run_sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRecord]:
     (:func:`.kernel.sweep_sums`)."""
     from .kernel import sweep_sums
 
-    field, to_si, _, _ = VARIABLES[spec.variable]
+    field, to_si = VARIABLES[spec.variable]
     # once: each value's config is these fields (DOMAIN's keys) with the swept one over them
     base = {name: getattr(config, name) for name in DOMAIN}
     configs = (SystemConfig(**{**base, field: to_si(value)}) for value in spec.values)

@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 
 import pinchrelay.cli
 from conftest import PIN_MUTANTS
-from pinchrelay import PowerSolution, SystemConfig, UePosition, optimal_pin_position
+from pinchrelay import SCHEMES, PowerSolution, SystemConfig, UePosition, optimal_pin_position
 from pinchrelay.cli import (
     _SCENARIO_FIELDS,
+    _VAR_CHOICES,
     _VERIFY_DRAWN_FIELDS,
     MAX_RANGE_VALUES,
     MAX_SAMPLES,
@@ -36,6 +37,23 @@ from pinchrelay.cli import (
     parse_values_spec,
 )
 from pinchrelay.sweep import VARIABLES
+
+# Two values for each flag that a sweep's --var can name but gamma0, as typed after it: the numbers and the unit
+SWEPT_FLAG_VALUES = {
+    "freq": (("3.5", "60"), "GHz"),
+    "bandwidth": (("100", "800"), "MHz"),
+    "noise-figure": (("5", "12"), "dB"),
+    "ue-noise-figure": (("3", "7"), "dB"),
+    "alpha-d": (("0.001", "0.1"), ""),
+    "horn-tx-gain": (("10", "25"), "dBi"),
+    "horn-rx-gain": (("10", "25"), "dBi"),
+    "eta-pa": (("0.5", "0.8"), ""),
+    "amp-circ-power": (("100", "300"), "mW"),
+    "bs-rf-power": (("50", "150"), "mW"),
+    "length": (("0.01", "0.04"), "km"),
+    "height": (("150", "500"), "cm"),
+    "d1": (("0.03", "0.08"), "km"),
+}
 
 
 @st.composite
@@ -410,6 +428,16 @@ class TestSweepCommand:
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == f"error: --out must name a file, got {str(tmp_path)!r}\n"
 
+    @pytest.mark.parametrize("parent", ["no_such_dir", "a_file"])
+    def test_out_in_no_directory_is_a_usage_error_before_the_sweep(self, tmp_path, capsys, monkeypatch, parent):
+        monkeypatch.setattr(pinchrelay.cli, "run_sweep", lambda config, spec: pytest.fail("the sweep ran"))
+        (tmp_path / "a_file").write_text("", encoding="utf-8")
+        out = str(tmp_path / parent / "x.csv")
+        argv = ["sweep", "--var", "gamma0", "--values", "20dB", "--samples", "2", "--out", out]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == f"error: --out must name a file in an existing directory, got {out!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file"]
+
     def test_an_empty_out_is_a_usage_error_before_the_sweep(self, capsys, monkeypatch):
         monkeypatch.setattr(pinchrelay.cli, "run_sweep", lambda config, spec: pytest.fail("the sweep ran"))
         assert cli_main(["sweep", "--var", "gamma0", "--values", "20dB", "--samples", "2", "--out", ""]) == 2
@@ -561,13 +589,52 @@ class TestSweepCommand:
         assert cli_main(argv) == 0  # without a script the name is only a file name
         assert out.read_text(encoding="utf-8").startswith("variable,scheme,")
 
-    @pytest.mark.parametrize("name", sorted(VARIABLES))
+    # each choice names a sweep variable, or its field's flag; the plot label is the flag's help text, or
+    # the SNR target's in dB
+    @pytest.mark.parametrize("name", sorted(_VAR_CHOICES))
     def test_every_variable_is_a_choice_with_its_axis_label(self, tmp_path, capsys, name):
+        variable, field = _VAR_CHOICES[name]
+        flag, _, _, label = _SCENARIO_FIELDS[field]
+        assert variable in VARIABLES and VARIABLES[variable][0] == field and name in (variable, flag[2:])
+        values, unit = SWEPT_FLAG_VALUES.get(flag[2:], (("20",), ""))
         out = tmp_path / "v.csv"
-        argv = ["sweep", "--var", name, "--values", "20", "--samples", "1", "--out", str(out), "--gnuplot"]
+        argv = ["sweep", "--var", name, "--values", values[0] + unit, "--samples", "1", "--out", str(out), "--gnuplot"]
         assert cli_main(argv) == 0
-        label = VARIABLES[name][3]
+        label = "SNR target [dB]" if variable == "snr_target_db" else label
         assert f'set xlabel "{label}"' in (tmp_path / "v.gp").read_text(encoding="utf-8").splitlines()
+
+    def test_every_sweep_variable_is_a_choice_under_its_flag_s_name_too(self):
+        flags = {name for name in _VAR_CHOICES if name not in VARIABLES}
+        assert flags == {*SWEPT_FLAG_VALUES, "gamma0"}
+        assert {_VAR_CHOICES[flag] for flag in flags} == {(name, field) for name, (field, _) in VARIABLES.items()}
+
+    # the users are drawn from the coverage rectangle once per sweep
+    @pytest.mark.parametrize("name", ["coverage-x", "coverage-y", "coverage_x_m", "coverage_y_m"])
+    def test_a_coverage_field_is_no_choice(self, tmp_path, capsys, monkeypatch, name):
+        monkeypatch.setattr(pinchrelay.cli, "run_sweep", lambda config, spec: pytest.fail("the sweep ran"))
+        argv = ["sweep", "--var", name, "--values", "10,20", "--samples", "2", "--out", str(tmp_path / "x.csv")]
+        assert cli_main(argv) == 2
+        assert f"argument --var: invalid choice: {name!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    # a stage whose fields miss one it reads would reuse a result from before the swept field moved
+    @pytest.mark.parametrize("flag", sorted(SWEPT_FLAG_VALUES))
+    def test_sweeping_a_field_equals_setting_its_flag(self, tmp_path, capsys, flag):
+        values, unit = SWEPT_FLAG_VALUES[flag]
+        common = ["--samples", "200", "--seed", "3"]
+        swept = tmp_path / "swept.csv"
+        assert cli_main(["sweep", "--var", flag, "--values", ",".join(values) + unit, *common, "--out", str(swept)]) == 0
+        rows = [line.split(",") for line in swept.read_text(encoding="utf-8").splitlines()[1:]]
+        assert len(rows) == len(values) * len(SCHEMES)
+        parse = _SCENARIO_FIELDS[_VAR_CHOICES[flag][1]][1]
+        for k, value in enumerate(values):
+            alone = tmp_path / f"{k}.csv"
+            argv = ["sweep", "--var", "gamma0", "--values", "20dB", f"--{flag}", value + unit, *common, "--out", str(alone)]
+            assert cli_main(argv) == 0
+            at_value = rows[k * len(SCHEMES) : (k + 1) * len(SCHEMES)]
+            assert [float(row[0]) for row in at_value] == [parse(value + unit)] * len(SCHEMES)
+            expected = [line.split(",")[1:] for line in alone.read_text(encoding="utf-8").splitlines()[1:]]
+            assert [row[1:] for row in at_value] == expected
 
 
 FAR_USERS = {"--coverage-x": "1e5", "--length": "10"}

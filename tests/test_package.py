@@ -2,6 +2,7 @@
 faults per verify trial and per sweep, 10^6-user sweep peaks, README's commands, and a CI workflow whose
 checks all live here in tests/."""
 
+import argparse
 import importlib
 import os
 import re
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import pinchrelay
+from pinchrelay.cli import _SCENARIO_FIELDS, _VAR_CHOICES, _build_parser
 
 # The public names, by the module that defines them.
 EXPORTS = {
@@ -184,6 +186,10 @@ MEMORY_PEAKS = {
     # numpy and the sweep's modules imported first, 145.9 MiB for fig1 and 168.8 MiB for fig2, each bounded 10 MiB over
     "fig1-traced": (TRACED_PEAK, "fig1", "gamma0", "10:2:30dB", "156"),
     "fig2-traced": (TRACED_PEAK, "fig2", "d1", "30:10:100", "179"),
+    # a carrier-frequency sweep reruns every relay stage at each value, and holds more arrays than fig1 or
+    # fig2 do: it peaked at 226.1 MiB resident and at 184.0 MiB traced, each bounded as fig2 is over its peak
+    "freq-resident": (RESIDENT_PEAK, "freq", "freq", "10,28,60GHz", "285"),
+    "freq-traced": (TRACED_PEAK, "freq", "freq", "10,28,60GHz", "194"),
 }
 
 
@@ -191,7 +197,7 @@ MEMORY_PEAKS = {
 class TestMemoryPeaks:
     @pytest.fixture(scope="class")
     def runs(self, tmp_path_factory):
-        """Each program in a fresh interpreter, two at a time: one after another they take about 8 s."""
+        """Each program in a fresh interpreter, two at a time: one after another they take about 10 s."""
         cwd = tmp_path_factory.mktemp("memory_peaks")
         with ThreadPoolExecutor(max_workers=2) as pool:
             yield {
@@ -204,11 +210,14 @@ class TestMemoryPeaks:
         runs[case].result()
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_blocks() -> list[tuple[str, list[str]]]:
     """README's fenced blocks: each one's info string and lines."""
     blocks: list[tuple[str, list[str]]] = []
     fence = None
-    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines():
+    for line in README.read_text(encoding="utf-8").splitlines():
         if fence is None and line.startswith("```"):
             fence = line[3:].strip()
             blocks.append((fence, []))
@@ -238,6 +247,17 @@ class TestReadmeCommands:
         start = time.perf_counter()
         run_fresh(["-m", "pinchrelay.cli", *argv[1:]], tmp_path)
         assert time.perf_counter() - start < 3.0
+
+    def test_the_readme_names_every_var_choice_and_each_plot_label_is_a_gnuplot_string(self):
+        (subparsers,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        (var,) = [a for a in subparsers.choices["sweep"]._actions if a.dest == "var"]
+        readme = README.read_text(encoding="utf-8")
+        assert sorted(var.choices) == sorted(_VAR_CHOICES)
+        assert [choice for choice in var.choices if f"`{choice}`" not in readme] == []
+        # the label is the swept flag's help text, written between double quotes, where gnuplot reads a
+        # backslash as an escape and a line break ends the command
+        labels = [_SCENARIO_FIELDS[field][3] for _, field in _VAR_CHOICES.values()]
+        assert [label for label in labels if any(c in label for c in '"\\\r\n')] == []
 
 
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"

@@ -43,8 +43,8 @@ from kernel_eval import evaluate
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "fig1.json"
 CONFIG_FIELDS = frozenset(f.name for f in fields(SystemConfig))
 
-# Values for both sweep variables and for four a sweep could add.  Each added
-# one moves a field that some user stage reads, where reusing its result is stale.
+# Values for fig1's and fig2's sweep variables and for four more.  Each of the four
+# moves a field that some user stage reads, where reusing its result is stale.
 SWEEPS = {
     "snr_target_db": (0.0, 20.0, 43.0),
     "bs_relay_distance_m": (1.0, 50.0, 250.0),
@@ -69,7 +69,7 @@ class TestSweepSpec:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"variable": "carrier_frequency_hz"},
+            {"variable": "snr_target_linear"},  # the SNR target is swept in dB, as snr_target_db
             {"values": ()},
             {"values": (10.0, 10.0)},
             {"values": (20.0, 10.0)},
@@ -115,11 +115,16 @@ class TestSweepSpec:
         ],
     )
     def test_rejects_values_out_of_range(self, variable, value):
-        field, to_si, _, _ = VARIABLES[variable]
+        field, to_si = VARIABLES[variable]
         lo, hi = DOMAIN[field]
         message = f"{field} must lie in [{lo:g}, {hi:g}], got {to_si(value)!r} at {variable} = {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             small_spec(variable=variable, values=(value,))
+
+    @pytest.mark.parametrize("field", ["coverage_x_m", "coverage_y_m"])
+    def test_the_fields_the_users_are_drawn_from_are_no_sweep_variable(self, field):
+        with pytest.raises(ValueError, match=f"^unknown sweep variable '{field}', expected one of "):
+            small_spec(variable=field, values=(10.0, 20.0))
 
 
 class TestRunSweep:
@@ -244,8 +249,6 @@ class TestStages:
 
     @pytest.mark.parametrize("variable", ["snr_target_db", "bs_relay_distance_m", "waveguide_attenuation_per_m"])
     def test_a_sweep_reruns_only_the_stages_its_variable_reaches(self, cfg, monkeypatch, variable):
-        if variable not in VARIABLES:
-            monkeypatch.setitem(VARIABLES, variable, (variable, float, ("",), variable))
         runs, g1_configs, bs_relay_gain = self.count_stage_runs(monkeypatch), [], optimize.bs_relay_gain
         monkeypatch.setattr(optimize, "bs_relay_gain", lambda config: g1_configs.append(config) or bs_relay_gain(config))
         values = SWEEPS[variable]
@@ -275,7 +278,7 @@ class TestStages:
         ],
     )
     def test_a_sweep_holds_a_result_only_while_a_later_stage_reads_it(self, cfg, monkeypatch, variable, held):
-        field, to_si, _, _ = VARIABLES[variable]
+        field, to_si = VARIABLES[variable]
         plan, run, shared, at_values = _plan(field), kernel._run, {}, []
 
         def recording(name, at, results):
@@ -314,9 +317,7 @@ class TestStages:
         assert (len(calls["hypot"]), len(calls["pow"])) == (0, spec.ue_samples)
 
     @pytest.mark.parametrize("variable", sorted(SWEEPS))
-    def test_each_record_equals_a_one_value_sweep(self, cfg, monkeypatch, variable):
-        if variable not in VARIABLES:
-            monkeypatch.setitem(VARIABLES, variable, (variable, float, ("",), variable))
+    def test_each_record_equals_a_one_value_sweep(self, cfg, variable):
         records = run_sweep(cfg, small_spec(variable=variable, values=SWEEPS[variable]))
         for record in records:
             [alone] = run_sweep(cfg, small_spec(variable=variable, values=(record.variable_value,)))
