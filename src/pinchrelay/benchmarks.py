@@ -10,7 +10,8 @@ The direct scheme has one implementation, for one user as floats or many as
 arrays: its link gain :func:`benchmark1_link_gain`, in three parts, and its one
 transmit-power quotient :func:`direct_tx_power_w`, which the sweep kernel calls
 too.  The link gain checks its per-user inputs against their domains; over
-those and the config's, every power here is finite.
+those and the config's, every power here is finite.  Each scheme is a
+function of the config and the user alone.
 """
 
 from __future__ import annotations

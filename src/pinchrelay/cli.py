@@ -47,6 +47,7 @@ def _unit_parser(units: dict[str, float], expected: str) -> Callable[[str], floa
             raise ValueError(f"{text!r}: expected {expected}")
         return value * units.get(unit, 1.0)
 
+    parse.__doc__ = f"Parse {expected}: a number, scaled by its unit suffix if it has one; another suffix is a ValueError."
     return parse
 
 
@@ -303,7 +304,12 @@ def _cmd_sweep(args: argparse.Namespace, config: SystemConfig) -> int:
         raise UsageError(f"sweep sets {field} at every value, so {flag} cannot set it")
     try:
         values, unit = parse_values_spec(args.values)
-        scale = parse("1" + unit)  # the flag's own unit; "1", not a value, so that nan and inf reach SweepSpec
+        probe = "1" + unit  # the flag's own unit; "1", not a value, so that nan and inf reach SweepSpec
+        try:
+            scale = parse(probe)
+        except ValueError as exc:  # the parser's message names the probe: name the spec as typed and the flag
+            expected = str(exc).removeprefix(f"{probe!r}: ")
+            raise UsageError(f"--values {args.values!r}: {flag} takes no unit {unit!r}: {expected}") from None
         if variable != field:  # snr_target_db, in dB as fig1 has it: its flag's parser checks only the unit
             scale, label = 1.0, "SNR target [dB]"
         spec = SweepSpec(
@@ -381,6 +387,9 @@ def _cmd_config_dump(args: argparse.Namespace, config: SystemConfig) -> int:
 
 
 def cli_main(argv: Sequence[str] | None = None) -> int:
+    """Run the command in ``argv`` (default ``sys.argv[1:]``) and return its exit code: 0, 1 for a failed
+    verification or a runtime error, 2 for a usage error.  Past argparse's own usage messages, an error
+    is one ``error:`` line on stderr."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -397,6 +406,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    """The ``pinchrelay`` entry point: exit with :func:`cli_main`'s code."""
     raise SystemExit(cli_main())
 
 

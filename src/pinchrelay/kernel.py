@@ -7,7 +7,8 @@ runs in the scalar expressions' order, square roots are ``np.sqrt``, correctly
 rounded like ``math.sqrt``, and the two libm calls left, the placement's ``exp``
 and the shadowing's ``pow``, go through :mod:`math` per element
 (:func:`libm_each`), because numpy's vectorised versions round differently from
-libm on a few percent of inputs.
+libm on a few percent of inputs.  No gain, placement root or power split is
+written here: each stage calls the scalar modules' operator-only forms on arrays.
 The scalar modules import no numpy, so a single-point solve never loads it.
 :func:`exact_sum` gives the sweep's means: ``math.fsum`` of each row of a
 block, bit for bit, from one error-free split of the whole block where it can.
@@ -230,8 +231,8 @@ def sweep_sums(
     run, and reused at every config.  The stages ``field`` does not reach run there too, once, each
     releasing the results and draws that no later stage or output reads; the rest run at every
     config and release their results once the value's rows are copied out, before the rows are
-    summed.  Every stage runs, whichever schemes are asked for, and both relay schemes run as rows
-    of the same arrays.
+    summed, so memory does not grow with the number of configs.  Every stage runs, whichever
+    schemes are asked for, and both relay schemes run as rows of the same arrays.
     """
     plan, outputs = _plan(field), [_OUTPUTS[scheme] for scheme in schemes]
     block = np.empty((2 * len(schemes), n))  # one value's rows: total and BS power per scheme

@@ -207,8 +207,8 @@ def solve_at(config: SystemConfig, ue: UePosition, x_pin_m: float) -> PowerSolut
     """Optimal power split with the pinching antenna held at ``x_pin_m``.
 
     One pass over floats through :func:`~.model.channel_gains`, :func:`optimal_power_allocation`,
-    ``relay_tx_power`` and ``consumed_power`` on :func:`link_constants`; at the point
-    :func:`optimal_pin_position` last chose, its |g2|^2 is reused.  Elsewhere
+    ``relay_tx_power`` and ``consumed_power`` on :func:`link_constants`, equal to them bit for bit.
+    At the point :func:`optimal_pin_position` last chose, its |g2|^2 is reused.  Elsewhere
     :func:`~.model.relay_ue_gain` evaluates it, with its check.
     """
     g1_sq, sigma_r_sq_w, _, link, target = link_constants(config)

@@ -87,8 +87,9 @@ def pin_bounds(config: SystemConfig, ue: UePosition) -> tuple[float, float, floa
     instead.  The search stops once the bound lies within
     ``PLACEMENT_SEARCH_GAP`` of ``g(lo)`` and the bracket is at most
     ``PLACEMENT_SEARCH_WIDTH`` times ``sqrt(C)`` wide, or once the bracket
-    splits no further: after 5 steps on most of verify's draws, against 26
-    halvings for a bisection.  Nothing here reads the closed-form placement.
+    splits no further: after 5 steps on most of verify's draws.  The bracket
+    starts at most ``2 sqrt(C)`` wide, so the steps do not grow in number with
+    ``L``.  Nothing here reads the closed-form placement.
 
     Returns ``(x_best, g_lower, g_upper, width)``: the best point evaluated,
     its ``g``, the upper bound, and the final bracket's width (0 where the
@@ -179,11 +180,9 @@ def numeric_power_min(gains: ChannelGains, config: SystemConfig) -> tuple[float,
     bisects it.  The search stops once the bracket is at most
     ``POWER_SEARCH_WIDTH`` wide in ``t``, and returns the end with the lower
     ``J``.  It does not read the closed form.  Verify's draws take 3
-    evaluations, against 9 in the median for a Newton search, 15 for Brent's
-    derivative-free method and 46 for golden sections; the corners of
-    ``CHANNEL_DOMAIN`` x gamma0 x eta take 7 in the median and 11 at most.  It
-    evaluates ``J`` at most ``DEFAULT_P1_POINTS`` times; a search that needs
-    more raises ``ValueError``.
+    evaluations, and the corners of ``CHANNEL_DOMAIN`` x gamma0 x eta 7 in the
+    median and 11 at most.  It evaluates ``J`` at most ``DEFAULT_P1_POINTS``
+    times; a search that needs more raises ``ValueError``.
 
     Returns ``(p1_best, beta_sq_best, j_best)``.
     """

@@ -44,7 +44,11 @@ CSV_HEADER = ("variable", "scheme", "mean_total_power_w", "mean_bs_power_w", "n_
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """What to sweep, over which values, and how to average."""
+    """What to sweep, over which values, and how to average.
+
+    The values rise strictly, and each, converted to SI, lies in its field's ``DOMAIN`` row; ``ue_samples``
+    and ``seed`` are integers of at least 1 and 0.  Each ``ValueError`` names what is at fault.
+    """
 
     variable: str
     values: tuple[float, ...]

@@ -455,8 +455,18 @@ class TestSweepCommand:
         assert (tmp_path / "mini.gp").exists()
 
     def test_unit_variable_mismatch(self, tmp_path, capsys):
-        argv = ["sweep", "--var", "d1", "--values", "10:2:30dB", "--out", str(tmp_path / "x.csv")]
-        assert cli_main(argv) == 2
+        # one usage error that names --values, the spec as typed and the flag, with the flag parser's text
+        cases = {
+            ("d1", "10:2:30dB"): "--d1 takes no unit 'db': expected a length in m/cm/mm/km",
+            ("freq", "1,2km"): "--freq takes no unit 'km': expected a frequency in Hz/kHz/MHz/GHz",
+            ("gamma0", "10,20W"): "--gamma0 takes no unit 'w': expected a linear ratio or a value with a dB suffix",
+            ("d1", "30,40GHz"): "--d1 takes no unit 'ghz': expected a length in m/cm/mm/km",
+        }
+        for (var, values), message in cases.items():
+            argv = ["sweep", "--var", var, "--values", values, "--out", str(tmp_path / "x.csv")]
+            assert cli_main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: --values {values!r}: {message}\n")
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
         "var, values",

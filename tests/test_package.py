@@ -1,9 +1,10 @@
-"""Package root and fresh interpreters: lazily bound public names, numpy only where arrays are, page
-faults per verify trial and per sweep, 10^6-user sweep peaks, README's commands, and a CI workflow whose
-checks all live here in tests/."""
+"""Package root and fresh interpreters: lazily bound public names, each with a docstring, numpy only where
+arrays are, page faults per verify trial and per sweep, 10^6-user sweep peaks, README's commands and the
+names it must hold, and a CI workflow whose checks all live here in tests/."""
 
 import argparse
 import importlib
+import inspect
 import os
 import re
 import shlex
@@ -30,6 +31,9 @@ EXPORTS = {
         "SCHEMES", "SweepRecord", "SweepSpec", "export_csv", "read_csv", "run_sweep", "write_gnuplot_script"
     },
 }
+
+# the package's source directory, one .py file per module
+PACKAGE = Path(pinchrelay.__file__).resolve().parent
 
 
 def run_fresh(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
@@ -70,6 +74,21 @@ class TestLazyRoot:
     def test_unknown_attribute_is_an_attribute_error_naming_it(self):
         with pytest.raises(AttributeError, match="'pinchrelay' has no attribute 'no_such_name'"):
             pinchrelay.no_such_name  # noqa: B018
+
+
+class TestDocstrings:
+    def test_every_public_function_and_class_has_a_docstring(self):
+        missing = []
+        for path in sorted(PACKAGE.glob("*.py")):
+            module = importlib.import_module("pinchrelay" if path.stem == "__init__" else f"pinchrelay.{path.stem}")
+            for name, value in vars(module).items():
+                defined_here = (inspect.isfunction(value) or inspect.isclass(value)) and value.__module__ == module.__name__
+                if defined_here and not name.startswith("_"):
+                    doc = (value.__doc__ or "").strip()
+                    # a dataclass or a named tuple declared without one gets "Name(fields)"
+                    if not doc or doc.startswith(f"{value.__name__}("):
+                        missing.append(f"{module.__name__}.{name}")
+        assert missing == []
 
 
 class TestColdStart:
@@ -258,6 +277,58 @@ class TestReadmeCommands:
         # backslash as an escape and a line break ends the command
         labels = [_SCENARIO_FIELDS[field][3] for _, field in _VAR_CHOICES.values()]
         assert [label for label in labels if any(c in label for c in '"\\\r\n')] == []
+
+
+def readme_prose() -> list[str]:
+    """README's lines outside its fenced blocks."""
+    lines, fenced = [], False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif not fenced:
+            lines.append(line)
+    return lines
+
+
+# a timing or a memory figure: a number, then a unit of time or of bytes
+FIGURE = re.compile(r"\d\s?(?:ns|µs|us|ms|KiB|MiB|MB|GiB)\b")
+
+
+class TestReadmeNames:
+    """README says what the package holds: each module file and public name, no measured figure, and
+    links that resolve."""
+
+    def test_the_readme_names_each_module_file(self):
+        readme, files = README.read_text(encoding="utf-8"), sorted(path.name for path in PACKAGE.glob("*.py"))
+        assert "__init__.py" in files
+        assert [name for name in files if f"`{name}`" not in readme] == []
+
+    def test_the_readme_names_each_public_name(self):
+        readme = README.read_text(encoding="utf-8")
+        assert [name for name in pinchrelay.__all__ if not re.search(rf"`{name}\b", readme)] == []
+
+    @pytest.mark.parametrize("line", ["5 ns", "took 138 µs", "22 us", "1,104 ms", "3 KiB", "41.5 MiB", "12MB", "1 GiB"])
+    def test_the_pattern_finds_each_figure(self, line):
+        assert FIGURE.search(line)
+
+    @pytest.mark.parametrize("line", ["1000 users", "0.1 W", "28 GHz", "a 1 mm grid", "10 dBi", "2 mW"])
+    def test_the_pattern_passes_other_numbers(self, line):
+        assert not FIGURE.search(line)
+
+    def test_no_line_holds_a_timing_or_memory_figure(self):
+        assert [line for line in README.read_text(encoding="utf-8").splitlines() if FIGURE.search(line)] == []
+
+    def test_each_anchor_link_names_a_heading(self):
+        prose = readme_prose()
+        # GitHub's anchor for a heading: lower case, punctuation dropped, spaces as hyphens
+        anchors = {
+            re.sub(r"[^\w\- ]", "", line.lstrip("#").strip().lower()).replace(" ", "-")
+            for line in prose
+            if re.match(r"#+ ", line)
+        }
+        links = [link for line in prose for link in re.findall(r"\]\(#([^)]*)\)", line)]
+        assert links
+        assert [link for link in links if link not in anchors] == []
 
 
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
