@@ -299,6 +299,8 @@ def _cmd_sweep(args: argparse.Namespace, config: SystemConfig) -> int:
         raise UsageError(f"--gnuplot would write its script over the CSV {args.out!r}: give --out another suffix")
     variable, field = _VAR_CHOICES[args.var]
     flag, parse, _, label = _SCENARIO_FIELDS[field]
+    if variable != field:  # snr_target_db: every value is in dB, as fig1 has it, not its flag's linear ratio
+        parse, label = _unit_parser({"db": 1.0}, "values in dB, with an optional dB suffix"), "SNR target [dB]"
     # as in verify, a config-file value for the swept field is ignored, so a config-dump file still loads
     if field in vars(args):
         raise UsageError(f"sweep sets {field} at every value, so {flag} cannot set it")
@@ -310,8 +312,6 @@ def _cmd_sweep(args: argparse.Namespace, config: SystemConfig) -> int:
         except ValueError as exc:  # the parser's message names the probe: name the spec as typed and the flag
             expected = str(exc).removeprefix(f"{probe!r}: ")
             raise UsageError(f"--values {args.values!r}: {flag} takes no unit {unit!r}: {expected}") from None
-        if variable != field:  # snr_target_db, in dB as fig1 has it: its flag's parser checks only the unit
-            scale, label = 1.0, "SNR target [dB]"
         spec = SweepSpec(
             variable=variable,
             values=tuple(value * scale for value in values),

@@ -28,20 +28,19 @@ link part) and one power stage (its target part and the power accounting) serve
 both.  The direct scheme's stages are geometry, shadowing, path loss and power.
 ``_OUTPUTS`` names each scheme's power stage and its row there.  Every stage
 runs, whichever schemes are asked for; the schemes pick only the rows that
-:func:`sweep_sums` sums.  :func:`_plan` splits the stages, in one pass over them,
-into those that read the swept field or take a stage that does, which run at
-each value, and the rest, which run once.  :func:`sweep_sums` runs the whole
-sweep in one loop: at the first value it draws the users and runs the
-once-stages, and at each value the per-value stages, whose picked rows it copies
-into one block and sums.  A result or draw is kept only while a later stage
-still reads it, and a per-value result only until the value's rows are copied
-out.  Each stage runs through :func:`_run`.  Over the inputs' domain
+:func:`sweep_sums` sums.  A stage runs at each value when it reads the swept
+field or takes a stage that does (:func:`_per_value`), and once otherwise.
+:func:`sweep_sums` runs the whole sweep in one loop: at the first value it draws
+the users and runs the once-stages, and at each value the per-value stages,
+whose picked rows it copies into one block and sums.  One rule bounds memory:
+after the once-stages only what a per-value stage or an output reads is kept,
+and each value's results are dropped once its rows are copied out.  Each stage
+runs through :func:`_run`.  Over the inputs' domain
 (:data:`~.model.DOMAIN`) every element is finite, as on the scalar path.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
@@ -190,29 +189,13 @@ _STAGES = {
 _OUTPUTS = {"proposed": ("relay_power", 0), "benchmark1": ("benchmark1_power", ...), "benchmark2": ("relay_power", 1)}
 
 
-class _Plan(NamedTuple):
-    once: tuple[tuple[str, tuple[str, ...]], ...]  # the stages the swept field does not reach, with what each releases
-    per_value: tuple[str, ...]  # the rest
-
-
-# Cached: a plan takes 12-17 us to make (2-vCPU Xeon, CPython 3.11), a third of a whole fig1 value.
-@functools.cache
-def _plan(field: str | None) -> _Plan:
-    """The stages split by whether a sweep over ``field`` reaches them: those that read it or take a
-    stage that does.
-
-    A result or draw that no per-value stage or output reads is released after the last once-stage
-    that reads it.
-    """
+def _per_value(field: str) -> list[str]:
+    """The stages, in run order, that a sweep over ``field`` reaches: those that read it or take one that does."""
     per_value: list[str] = []
     for name, stage in _STAGES.items():
         if field in stage.fields or any(i in per_value for i in stage.inputs):
             per_value.append(name)
-    once = [name for name in _STAGES if name not in per_value]
-    kept = {i for name in per_value for i in _STAGES[name].inputs}.union(stage for stage, _ in _OUTPUTS.values())
-    last = {i: k for k, name in enumerate(once) for i in _STAGES[name].inputs}  # each result's last once-stage reader
-    released = [tuple(i for i, j in last.items() if j == k and i not in kept) for k in range(len(once))]
-    return _Plan(tuple(zip(once, released)), tuple(per_value))
+    return per_value
 
 
 def _run(name: str, cfg: SystemConfig, results: dict) -> None:
@@ -228,13 +211,13 @@ def sweep_sums(
 
     The configs differ in ``field`` alone, which is no coverage field.  At the first config the users
     are drawn from ``np.random.default_rng(seed)``: x, then y, then the shadowing, whichever schemes
-    run, and reused at every config.  The stages ``field`` does not reach run there too, once, each
-    releasing the results and draws that no later stage or output reads; the rest run at every
-    config and release their results once the value's rows are copied out, before the rows are
-    summed, so memory does not grow with the number of configs.  Every stage runs, whichever
-    schemes are asked for, and both relay schemes run as rows of the same arrays.
+    run, and reused at every config.  The stages ``field`` does not reach run there too, once, and
+    only the draws and results that a per-value stage or an asked-for output reads are kept; the
+    rest run at every config and release their results once the value's rows are copied out, before
+    the rows are summed, so memory does not grow with the number of configs.  Every stage runs,
+    whichever schemes are asked for, and both relay schemes run as rows of the same arrays.
     """
-    plan, outputs = _plan(field), [_OUTPUTS[scheme] for scheme in schemes]
+    per_value, outputs = _per_value(field), [_OUTPUTS[scheme] for scheme in schemes]
     block = np.empty((2 * len(schemes), n))  # one value's rows: total and BS power per scheme
     results: dict = {}
     for k, cfg in enumerate(configs):
@@ -243,15 +226,16 @@ def sweep_sums(
             results["xs"] = rng.uniform(0.0, cfg.coverage_x_m, n)
             results["ys"] = rng.uniform(0.0, cfg.coverage_y_m, n)
             results["shadows"] = rng.normal(0.0, SHADOWING_STD_DB, n)
-            for name, released in plan.once:
-                _run(name, cfg, results)
-                for i in released:
-                    del results[i]
-        for name in plan.per_value:
+            for name in _STAGES:
+                if name not in per_value:
+                    _run(name, cfg, results)
+            read = {i for name in per_value for i in _STAGES[name].inputs}.union(stage for stage, _ in outputs)
+            results = {i: result for i, result in results.items() if i in read}
+        for name in per_value:
             _run(name, cfg, results)
         for i, (stage, index) in enumerate(outputs):
             # no name is bound to the stage's arrays, so none outlives the release below
             block[2 * i], block[2 * i + 1] = (array[index] for array in results[stage])
-        for name in plan.per_value:
+        for name in per_value:
             del results[name]
         yield exact_sum(block)

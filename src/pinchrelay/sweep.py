@@ -10,12 +10,14 @@ summation so results do not depend on evaluation order.
 :func:`.kernel.sweep_sums` draws the users and evaluates every scheme over all
 of them at once, as numpy arrays, at each sweep value: the stages that the swept
 field does not reach run once per sweep, and the rest at each value, where one
-pass serves both relay schemes.  The requested schemes pick only which rows
-are summed: every stage runs.  Each user's result equals the scalar
-``solve``/``benchmark2_power``/``benchmark1_tx_power_w`` path bit for bit, and
-each mean is ``math.fsum`` bit for bit.  ``run_sweep`` builds each value's
-config and turns the sums into means; it imports the kernel, and with it numpy
-and :mod:`.benchmarks`, when it runs, so specs and CSVs are handled without them.
+pass serves both relay schemes.  It keeps of the once-stages' results only those
+a per-value stage or an output reads, and of each value's only the rows it sums;
+the requested schemes pick those rows, and every stage runs.  Each user's result
+equals the scalar ``solve``/``benchmark2_power``/``benchmark1_tx_power_w`` path
+bit for bit, and each mean is ``math.fsum`` bit for bit.  ``run_sweep`` builds
+each value's config and turns the sums into means; it imports the kernel, and
+with it numpy and :mod:`.benchmarks`, when it runs, so specs and CSVs are
+handled without them.
 """
 
 from __future__ import annotations

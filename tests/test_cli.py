@@ -459,7 +459,8 @@ class TestSweepCommand:
         cases = {
             ("d1", "10:2:30dB"): "--d1 takes no unit 'db': expected a length in m/cm/mm/km",
             ("freq", "1,2km"): "--freq takes no unit 'km': expected a frequency in Hz/kHz/MHz/GHz",
-            ("gamma0", "10,20W"): "--gamma0 takes no unit 'w': expected a linear ratio or a value with a dB suffix",
+            ("gamma0", "10,20W"): "--gamma0 takes no unit 'w': expected values in dB, with an optional dB suffix",
+            ("snr_target_db", "10,20W"): "--gamma0 takes no unit 'w': expected values in dB, with an optional dB suffix",
             ("d1", "30,40GHz"): "--d1 takes no unit 'ghz': expected a length in m/cm/mm/km",
         }
         for (var, values), message in cases.items():

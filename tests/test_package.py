@@ -197,8 +197,8 @@ rc = cli_main(["sweep", "--var", var, "--values", values, "--samples", "1000000"
 peak = tracemalloc.get_traced_memory()[1] / 2**20
 sys.exit(f"a 10^6-user {name} sweep traced a {peak:.1f} MiB peak, over {bound}" if peak > float(bound) else rc)"""
 MEMORY_PEAKS = {
-    # a sweep drops each array once no later stage reads it: a fig1 sweep peaked at about 196 MiB resident
-    # and a fig2 sweep at about 211 MiB (234 and 249-257 when every stage's arrays were kept for the whole sweep)
+    # a sweep keeps only what a per-value stage or an output reads, and each value's results until its rows are
+    # copied out: a fig1 sweep peaked at 203.5 MiB resident and a fig2 sweep at 211.0 MiB (2-vCPU Xeon, CPython 3.11.7)
     "fig1-resident": (RESIDENT_PEAK, "fig1", "gamma0", "10:2:30dB", "250"),
     "fig2-resident": (RESIDENT_PEAK, "fig2", "d1", "30:10:100", "270"),
     # the peak of traced allocations, which glibc's trim timing does not move as it moves ru_maxrss: with

@@ -31,10 +31,10 @@ from pinchrelay import (
     solve,
     write_gnuplot_script,
 )
-from pinchrelay import kernel, optimize
+from pinchrelay import kernel, optimize, sweep
 from pinchrelay.benchmarks import SHADOWING_STD_DB
 from pinchrelay.cli import cli_main
-from pinchrelay.kernel import _OUTPUTS, _STAGES, _plan
+from pinchrelay.kernel import _OUTPUTS, _STAGES, _per_value
 from pinchrelay.model import DOMAIN
 from pinchrelay.sweep import SCHEMES, VARIABLES
 
@@ -216,7 +216,7 @@ class TestStages:
     def test_schemes_are_the_kernels_outputs_in_order(self):
         assert SCHEMES == tuple(_OUTPUTS)
 
-    # The plan splits the stages in one pass, and the sweep runs them in _STAGES' order.
+    # _per_value splits the stages in one pass, and the sweep runs them in _STAGES' order.
     def test_each_stage_takes_only_draws_and_earlier_stages(self):
         ready = {"xs", "ys", "shadows"}
         for name, stage in _STAGES.items():
@@ -275,25 +275,38 @@ class TestStages:
         [
             ("snr_target_db", {"link", "relay_terms", "path_loss"}),
             ("bs_relay_distance_m", {"second_hop", "geometry", "shadowing"}),
+            ("waveguide_attenuation_per_m", {"xs", "ys", "link", "benchmark1_power"}),  # second_hop reads the draws
         ],
     )
     def test_a_sweep_holds_a_result_only_while_a_later_stage_reads_it(self, cfg, monkeypatch, variable, held):
         field, to_si = VARIABLES[variable]
-        plan, run, shared, at_values = _plan(field), kernel._run, {}, []
+        per_value, run, shared, at_values = _per_value(field), kernel._run, {}, []
 
         def recording(name, at, results):
             run(name, at, results)
             shared["results"] = results  # the one dict the sweep's stages share
-            if name == plan.per_value[-1]:
+            if name == per_value[-1]:
                 at_values.append(set(results))
 
         monkeypatch.setattr(kernel, "_run", recording)
         configs = [replace(cfg, **{field: to_si(value)}) for value in SWEEPS[variable]]
         at_sums = [set(shared["results"]) for _ in kernel.sweep_sums(SCHEMES, field, configs, 20, 5)]
-        # at each value: the once-stages' results that a per-value stage reads, and that value's results
-        assert at_values == [held | set(plan.per_value)] * len(configs)
-        # the draws are released too, and each value's results before its rows are summed
+        # at each value: the once-stages' results that a per-value stage or an output reads, and the value's own
+        assert at_values == [held | set(per_value)] * len(configs)
+        # the draws no per-value stage reads are released too, and each value's results before its rows are summed
         assert at_sums == [held] * len(configs)
+
+    def test_a_sweep_writes_no_module_level_state(self, cfg):
+        # the same objects, with the same contents, and no functools cache that holds an entry
+        modules = (kernel, sweep)
+        before = [dict(vars(module)) for module in modules]
+        contents = [{k: repr(v) for k, v in names.items() if isinstance(v, (dict, list, set))} for names in before]
+        run_sweep(cfg, small_spec(variable="horn_gain_rx_dbi", values=(10.0, 20.0)))
+        for module, names, held in zip(modules, before, contents):
+            assert vars(module).keys() == names.keys(), module.__name__
+            assert all(vars(module)[k] is v for k, v in names.items()), module.__name__
+            assert {k: repr(vars(module)[k]) for k in held} == held, module.__name__
+            assert not [k for k, v in names.items() if getattr(v, "cache_info", None) and v.cache_info().currsize]
 
     def test_a_sweep_evaluates_the_feed_gain_once(self, cfg, monkeypatch):
         # one exp per user at the candidate the placement weighs, and one for all users at the
