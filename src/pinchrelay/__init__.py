@@ -15,7 +15,7 @@ import importlib
 # submodule and no numpy.
 _MODULES = {
     "benchmarks": ("benchmark1_total_power_w", "benchmark1_tx_power_w", "benchmark2_power"),
-    "model": ("ChannelGains", "SystemConfig", "UePosition", "af_snr", "channel_gains", "db_to_linear", "total_power_w"),
+    "model": ("ChannelGains", "SystemConfig", "UePosition", "af_snr", "channel_gains", "db_to_linear"),
     "optimize": ("PowerSolution", "optimal_pin_position", "optimal_power_allocation", "solve"),
     "oracle": ("OracleReport", "grid_search_pin", "numeric_power_min", "verify_scenario"),
     "sweep": ("SCHEMES", "SweepRecord", "SweepSpec", "export_csv", "read_csv", "run_sweep", "write_gnuplot_script"),

@@ -7,11 +7,13 @@ antenna to the waveguide feed point, so the relay-to-user hop is plain free
 space with no placement freedom.
 
 The direct scheme has one implementation, for one user as floats or many as
-arrays: its link gain :func:`benchmark1_link_gain`, in three parts, and its one
-transmit-power quotient :func:`direct_tx_power_w`, which the sweep kernel calls
-too.  The link gain checks its per-user inputs against their domains; over
-those and the config's, every power here is finite.  Each scheme is a
-function of the config and the user alone.
+arrays: its link gain in three parts, :func:`ground_distance_m`,
+:func:`shadowing_gain` and :func:`direct_path_gain`, and its one transmit-power
+quotient :func:`direct_tx_power_w`.  The sweep kernel runs each part as a
+stage; :func:`benchmark1_tx_power_w` composes them for one user or many.  The
+first two parts check their per-user inputs against their domains; over those
+and the config's, every power here is finite.  Each scheme is a function of the
+config and the user alone.
 """
 
 from __future__ import annotations
@@ -39,25 +41,6 @@ SHADOWING_STD_DB = math.sqrt(11.0)
 RF_CHAIN_POWER_W = 0.1
 # A shadowing draw's domain in dB: 30 standard deviations each way.
 SHADOW_DB_DOMAIN = (-100.0, 100.0)
-
-
-def benchmark1_link_gain(config: SystemConfig, x_ue_m: Floats, y_ue_m: Floats, shadow_db: Floats):
-    """Power gain of the direct link to one user or many.
-
-    BS, relay and coverage area are taken collinear along the waveguide axis,
-    so the direct path spans the BS-relay distance plus the ground distance
-    from the feed to the user at ``(x_ue_m, y_ue_m)``.  The gain is array
-    gain x element gain x log-distance loss x lognormal shadowing, with
-    ``shadow_db`` one shadowing draw in dB.  Floats give a float; arrays give
-    one gain per user, each equal to the float result: the ground distance and
-    the distance loss are IEEE operators and a square root, and the shadowing's
-    ``pow`` runs per element through :func:`~.kernel.libm_each`.  A coordinate outside
-    ``UE_DOMAIN`` or a draw outside ``SHADOW_DB_DOMAIN`` raises ``ValueError``
-    naming the first one.  It is three parts, which the sweep kernel runs as
-    separate stages: :func:`ground_distance_m`, :func:`shadowing_gain` and
-    :func:`direct_path_gain`.
-    """
-    return direct_path_gain(config, ground_distance_m(x_ue_m, y_ue_m), shadowing_gain(shadow_db))
 
 
 def _check_draws(*inputs: tuple) -> None:
@@ -124,8 +107,17 @@ def distance_loss(d1_m: float, ground_m: Floats):
 
 
 def benchmark1_tx_power_w(config: SystemConfig, x_ue_m: Floats, y_ue_m: Floats, shadow_db: Floats):
-    """Radiated power the direct link needs to hit the SNR target, for one user or many."""
-    gain = benchmark1_link_gain(config, x_ue_m, y_ue_m, shadow_db)
+    """Radiated power the direct link needs to hit the SNR target, for one user or many.
+
+    BS, relay and coverage area are collinear along the waveguide axis, so the
+    direct path spans the BS-relay distance plus the user's ground distance from
+    the feed.  The link gain is array gain x element gain x log-distance loss x
+    lognormal shadowing, ``shadow_db`` being one draw in dB.  Arrays give one
+    power per user, each equal to the float result.  A coordinate outside
+    ``UE_DOMAIN`` or a draw outside ``SHADOW_DB_DOMAIN`` raises ``ValueError``
+    naming the first one.
+    """
+    gain = direct_path_gain(config, ground_distance_m(x_ue_m, y_ue_m), shadowing_gain(shadow_db))
     return direct_tx_power_w(config.snr_target_linear, config.ue_noise_w, gain)
 
 

@@ -12,9 +12,9 @@ written here: each stage calls the scalar modules' operator-only forms on arrays
 The scalar modules import no numpy, so a single-point solve never loads it.
 :func:`exact_sum` gives the sweep's means: ``math.fsum`` of each row of a
 block, bit for bit, from one error-free split of the whole block where it can.
-The direct scheme's link gain also takes floats or arrays
-(:func:`.benchmarks.benchmark1_link_gain` and its three parts), and imports
-numpy and this module when it is called.
+The direct scheme's link gain also takes floats or arrays (its three parts
+in :mod:`.benchmarks`, which :func:`.benchmarks.benchmark1_tx_power_w`
+composes), and imports numpy and this module when it is called.
 
 The sweep runs one fixed pipeline of stages, ``_STAGES`` in run order, each stage
 a row with the SystemConfig fields it reads, the draws and earlier stages it

@@ -12,14 +12,14 @@ power gains).  dB quantities are converted once, explicitly, at the boundary
 Every input lies in a physical domain, checked when it is built: ``DOMAIN``
 for each :class:`SystemConfig` field, ``UE_DOMAIN`` for each user coordinate
 and ``CHANNEL_DOMAIN`` for each :class:`ChannelGains` value; an operating
-point that :func:`af_snr` or :func:`total_power_w` takes is checked against
-``OPERATING_DOMAIN``.  Over that box every derived quantity stays far inside
-the float range.
+point that :func:`af_snr` takes is checked against ``OPERATING_DOMAIN``.  Over
+that box every derived quantity stays far inside the float range.
 
 This module imports no numpy; the array forms are in :mod:`.kernel`.
-:func:`relay_tx_power`, :func:`consumed_power`, the free-space factor and
+:func:`relay_tx_power`, :func:`consumed_power`, :func:`free_space_gain` and
 :func:`unchecked_relay_ue_gain` use arithmetic operators only (the last also
 its caller's ``sqrt`` and ``exp``), so they serve floats and arrays alike.
+The total consumed power is ``consumed_power(p1, relay_tx_power(...), config)``.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ UE_DOMAIN = (-1e5, 1e5)
 # Each ChannelGains value: wide enough for unit gains and noise, narrow enough that the
 # closed-form split and the oracle's power search stay finite over it.
 CHANNEL_DOMAIN = (1e-30, 1e30)
-# Each operating-point value that total_power_w and af_snr take, p1_w in W and beta_sq: it holds
+# Each operating-point value that af_snr takes, p1_w in W and beta_sq: it holds
 # every solve's p1 (at most 3.8e24 W over DOMAIN) and beta^2 (at most 2.5e28).
 OPERATING_DOMAIN = (0.0, 1e30)
 
@@ -231,20 +231,9 @@ def noise_power_w(bandwidth_hz: float, noise_figure_db: float) -> float:
     return BOLTZMANN_J_PER_K * NOISE_REFERENCE_TEMP_K * bandwidth_hz * 10.0 ** (noise_figure_db / 10.0)
 
 
-def free_space_gain(distance_m: float, frequency_hz: float) -> float:
-    """Free-space power gain (lambda / 4 pi d)^2 = c^2 / (16 pi^2 f^2 d^2).
-
-    Singular at zero distance, so nonpositive arguments are rejected.
-    """
-    if not distance_m > 0.0:
-        raise ValueError(f"distance must be positive, got {distance_m!r}")
-    if not frequency_hz > 0.0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz!r}")
-    return _free_space(distance_m, frequency_hz)
-
-
-def _free_space(distance_m: float | np.ndarray, frequency_hz: float) -> float | np.ndarray:
-    """(c / 4 pi f d)^2, for one distance or an array of them."""
+def free_space_gain(distance_m: float | np.ndarray, frequency_hz: float) -> float | np.ndarray:
+    """Free-space power gain (lambda / 4 pi d)^2 = (c / 4 pi f d)^2, unchecked, for one distance or an
+    array of them; every caller's distance and frequency are positive by their domains."""
     ratio = SPEED_OF_LIGHT_M_S / (4.0 * math.pi * frequency_hz * distance_m)
     return ratio * ratio
 
@@ -258,7 +247,7 @@ def link_out_of_range(config: SystemConfig, link: str, gain: float) -> str:
 def bs_relay_gain(config: SystemConfig) -> float:
     """BS-to-relay power gain |g1|^2: both horn gains times free-space loss."""
     horn = 10.0 ** (config.horn_gain_tx_dbi / 10.0) * 10.0 ** (config.horn_gain_rx_dbi / 10.0)
-    return horn * _free_space(config.bs_relay_distance_m, config.carrier_frequency_hz)
+    return horn * free_space_gain(config.bs_relay_distance_m, config.carrier_frequency_hz)
 
 
 def relay_ue_gain(config: SystemConfig, ue: UePosition, x_pin_m: float) -> float:
@@ -286,7 +275,7 @@ def unchecked_relay_ue_gain(config: SystemConfig, x_ue_m, y_ue_m, x_pin_m, sqrt:
     dx = x_ue_m - x_pin_m
     height = config.waveguide_height_m
     distance = sqrt(dx * dx + y_ue_m * y_ue_m + height * height)
-    return exp(-config.waveguide_attenuation_per_m * x_pin_m) * _free_space(distance, config.carrier_frequency_hz)
+    return exp(-config.waveguide_attenuation_per_m * x_pin_m) * free_space_gain(distance, config.carrier_frequency_hz)
 
 
 def channel_gains(config: SystemConfig, ue: UePosition, x_pin_m: float) -> ChannelGains:
@@ -316,21 +305,13 @@ def af_snr(p1_w: float, beta_sq: float, gains: ChannelGains) -> float:
     P1 |g1|^2 / sigma_r^2 as beta^2 grows.  ``p1_w`` and ``beta_sq`` must lie
     in ``OPERATING_DOMAIN``.
     """
-    _require_operating_point(p1_w, beta_sq)
+    lo, hi = OPERATING_DOMAIN
+    for name, value in (("p1_w", p1_w), ("beta_sq", beta_sq)):
+        if not lo <= value <= hi:  # nan fails too
+            raise ValueError(out_of_domain(name, value, OPERATING_DOMAIN))
     signal = p1_w * beta_sq * gains.g1_sq * gains.g2_sq
     noise = gains.sigma_ue_sq_w + beta_sq * gains.g2_sq * gains.sigma_r_sq_w
     return signal / noise
-
-
-def total_power_w(p1_w: float, beta_sq: float, gains: ChannelGains, config: SystemConfig) -> float:
-    """Total consumed power: BS transmit + relay PA draw + constant circuit terms.
-
-    P1 + P2 / eta_pa + P_amp_circ + P_bs_rf.  Equivalently
-    (eta_pa P1 + P2) / eta_pa + constants, which is what the closed-form cost
-    minimizes.  ``p1_w`` and ``beta_sq`` must lie in ``OPERATING_DOMAIN``.
-    """
-    _require_operating_point(p1_w, beta_sq)
-    return consumed_power(p1_w, relay_tx_power(p1_w, beta_sq, gains.g1_sq, gains.sigma_r_sq_w), config)
 
 
 def relay_tx_power(p1_w: float | np.ndarray, beta_sq: float | np.ndarray, g1_sq: float, sigma_r_sq_w: float):
@@ -339,12 +320,7 @@ def relay_tx_power(p1_w: float | np.ndarray, beta_sq: float | np.ndarray, g1_sq:
 
 
 def consumed_power(p1_w: float | np.ndarray, p2_w: float | np.ndarray, config: SystemConfig):
-    """Unchecked total consumed power from P1 and P2 in operators only, for floats or arrays."""
+    """Total consumed power P1 + P2 / eta_pa + P_amp_circ + P_bs_rf: BS transmit, relay PA draw and both
+    circuit powers; unchecked, in operators only, for floats or arrays."""
     return p1_w + p2_w / config.pa_efficiency + config.relay_circuit_power_w + config.bs_rf_chain_power_w
 
-
-def _require_operating_point(p1_w: float, beta_sq: float) -> None:
-    lo, hi = OPERATING_DOMAIN
-    for name, value in (("p1_w", p1_w), ("beta_sq", beta_sq)):
-        if not lo <= value <= hi:  # nan fails too
-            raise ValueError(out_of_domain(name, value, OPERATING_DOMAIN))

@@ -99,7 +99,7 @@ def optimal_pin_position(config: SystemConfig, ue: UePosition) -> float:
     length = config.waveguide_length_m
     x_ue, y_ue, height = ue.x_ue_m, ue.y_ue_m, config.waveguide_height_m
     discriminant, x2 = stationary_root(config, x_ue, y_ue, math.sqrt)
-    four_pi_f = 4.0 * math.pi * config.carrier_frequency_hz  # model._free_space's factors, shared
+    four_pi_f = 4.0 * math.pi * config.carrier_frequency_hz  # model.free_space_gain's factors, shared
     # model.unchecked_relay_ue_gain at the feed (exp(-0.0) = 1), inline: a call adds ~0.2 us to a ~2 us solve
     ratio = SPEED_OF_LIGHT_M_S / (four_pi_f * math.sqrt(x_ue * x_ue + y_ue * y_ue + height * height))
     x_pin, g2_sq = 0.0, ratio * ratio

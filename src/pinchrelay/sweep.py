@@ -22,6 +22,7 @@ handled without them.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 from dataclasses import dataclass
@@ -120,7 +121,8 @@ def _write_file(path: Path, data: bytes) -> None:
     where the file system discards freed blocks.  A completed write leaves the
     bytes a truncating one leaves: a longer file is emptied first, and ``data``
     covers all of an equal or shorter one.  A FIFO or a character device
-    reports size 0, so it is never truncated.
+    reports size 0, so it is never truncated.  A write that fails part way
+    empties the file before the error propagates: no file mixes two writes.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
@@ -129,6 +131,10 @@ def _write_file(path: Path, data: bytes) -> None:
         view = memoryview(data)
         while view:  # os.write may take only part of the bytes, as into a pipe when a signal arrives
             view = view[os.write(fd, view) :]
+    except OSError:
+        with contextlib.suppress(OSError):  # a FIFO cannot be truncated: the first error stands
+            os.ftruncate(fd, 0)
+        raise
     finally:
         os.close(fd)
 
@@ -139,7 +145,8 @@ def export_csv(records: Iterable[SweepRecord], path: str | Path) -> None:
     One row per (sweep value, scheme); floats are rendered with 17 significant
     digits so parsing the file reproduces them bit for bit.  An existing file
     is rewritten in place, not truncated first, and truncated only when it is
-    longer than the new CSV: the bytes left are those of a fresh write.
+    longer than the new CSV, or when the write fails: the bytes left are those
+    of a fresh write, or none.
     """
     path = Path(path)
     rows = [",".join(CSV_HEADER) + "\n"]

@@ -25,9 +25,9 @@ from pinchrelay import (
     optimal_power_allocation,
     run_sweep,
     solve,
-    total_power_w,
 )
 from pinchrelay.cli import cli_main
+from pinchrelay.model import consumed_power, relay_tx_power
 from grid_oracles import grid_power_min_2d, pin_objective
 
 BASE = SystemConfig()
@@ -207,7 +207,9 @@ def test_criterion_8_total_power_identity():
     betas = 10.0 ** rng.uniform(-3.0, 12.0, 10_000)
     worst = 0.0
     for p1, beta_sq in zip(p1s, betas):
-        total = total_power_w(float(p1), float(beta_sq), gains, BASE)
+        total = consumed_power(
+            float(p1), relay_tx_power(float(p1), float(beta_sq), gains.g1_sq, gains.sigma_r_sq_w), BASE
+        )
         p2 = beta_sq * (p1 * gains.g1_sq + gains.sigma_r_sq_w)
         direct = p1 + p2 / eta + constants
         cost = eta * p1 + beta_sq * (p1 * gains.g1_sq + gains.sigma_r_sq_w)

@@ -24,15 +24,21 @@ from pinchrelay.benchmarks import (
     NUM_ELEMENTS,
     SHADOW_DB_DOMAIN,
     SHADOWING_STD_DB,
-    benchmark1_link_gain,
+    direct_path_gain,
     distance_loss,
     ground_distance_m,
+    shadowing_gain,
 )
 from pinchrelay.model import DOMAIN, SPEED_OF_LIGHT_M_S, UE_DOMAIN, free_space_gain, relay_ue_gain
 
 from kernel_eval import evaluate
 
 NO_SHADOW = 0.0
+
+
+def link_gain(config, x_ue_m, y_ue_m, shadow_db):
+    """The direct link's gain: the three parts that benchmark1_tx_power_w and the sweep kernel compose."""
+    return direct_path_gain(config, ground_distance_m(x_ue_m, y_ue_m), shadowing_gain(shadow_db))
 
 
 def log_uniform(rng: random.Random, lo: float, hi: float) -> float:
@@ -205,7 +211,7 @@ class TestDirectLinkForms:
             )
             x, y = (math.copysign(log_uniform(rng, 5e-324, 1e-154), rng.random() - 0.5) for _ in range(2))
             shadow_db = rng.uniform(*SHADOW_DB_DOMAIN)
-            gain, at_feed = benchmark1_link_gain(cfg, x, y, shadow_db), benchmark1_link_gain(cfg, 0.0, 0.0, shadow_db)
+            gain, at_feed = link_gain(cfg, x, y, shadow_db), link_gain(cfg, 0.0, 0.0, shadow_db)
             assert gain.hex() == at_feed.hex(), f"x={x!r}, y={y!r}, d1={cfg.bs_relay_distance_m!r}"
 
     @pytest.mark.parametrize("d1", [0.1, 50.0, 1e5])
@@ -218,7 +224,7 @@ class TestDirectLinkForms:
             (coordinate(rng, 5e-324), coordinate(rng, 5e-324), rng.uniform(*SHADOW_DB_DOMAIN)) for _ in range(300)
         ]
         xs, ys, shadows = (np.array(column) for column in zip(*users))
-        for fn in (benchmark1_link_gain, benchmark1_tx_power_w):
+        for fn in (link_gain, benchmark1_tx_power_w):
             floats = [fn(cfg, x, y, shadow_db) for x, y, shadow_db in users]
             assert all(type(value) is float for value in floats), fn.__name__
             assert fn(cfg, xs, ys, shadows).tolist() == floats, fn.__name__

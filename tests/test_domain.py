@@ -24,13 +24,12 @@ from pinchrelay import (
     numeric_power_min,
     optimal_power_allocation,
     solve,
-    total_power_w,
 )
 from pinchrelay.benchmarks import ARRAY_ELEMENT_GAIN, NUM_ELEMENTS, RF_CHAIN_POWER_W
 from pinchrelay.benchmarks import SHADOW_DB_DOMAIN
 from pinchrelay.cli import _SCENARIO_FIELDS, cli_main
 from pinchrelay.model import BOLTZMANN_J_PER_K, CHANNEL_DOMAIN, DOMAIN, NOISE_REFERENCE_TEMP_K, SPEED_OF_LIGHT_M_S
-from pinchrelay.model import OPERATING_DOMAIN, UE_DOMAIN
+from pinchrelay.model import OPERATING_DOMAIN, UE_DOMAIN, consumed_power, relay_tx_power
 from pinchrelay.sweep import SCHEMES
 
 from kernel_eval import evaluate
@@ -243,10 +242,11 @@ class TestDerivedRange:
             for scheme in (sol, benchmark2_power(config, ue)):
                 for name, value in (("p1", scheme.p1_w), ("beta_sq", scheme.beta_sq), ("p2", scheme.p2_w)):
                     within(BOUNDS, name, value)
-                # the operating point lies in OPERATING_DOMAIN: both functions take it
+                # the operating point lies in OPERATING_DOMAIN: af_snr takes it
                 gains_at = channel_gains(config, ue, scheme.x_pin_m)
                 assert af_snr(scheme.p1_w, scheme.beta_sq, gains_at) > 0.0
-                within(BOUNDS, "relay_total", total_power_w(scheme.p1_w, scheme.beta_sq, gains_at, config))
+                p2 = relay_tx_power(scheme.p1_w, scheme.beta_sq, gains_at.g1_sq, gains_at.sigma_r_sq_w)
+                within(BOUNDS, "relay_total", consumed_power(scheme.p1_w, p2, config))
                 within(BOUNDS, "j", scheme.j_star_w)
                 within(BOUNDS, "relay_total", scheme.total_power_w)
             tx = benchmark1_tx_power_w(config, ue.x_ue_m, ue.y_ue_m, rng.choice(SHADOW_DB_DOMAIN))

@@ -24,7 +24,7 @@ from pinchrelay import (
 )
 from pinchrelay.model import bs_relay_gain, relay_ue_gain, unchecked_relay_ue_gain
 from pinchrelay.optimize import link_factors, split_powers, split_terms, stationary_points, target_factors
-from pinchrelay.benchmarks import SHADOWING_STD_DB, benchmark1_link_gain
+from pinchrelay.benchmarks import SHADOWING_STD_DB, direct_path_gain, ground_distance_m, shadowing_gain
 from pinchrelay.kernel import _OUTPUTS, _STAGES, exact_sum, libm_each, libm_exp, optimal_pin_positions
 from pinchrelay import kernel
 from pinchrelay.sweep import VARIABLES
@@ -434,5 +434,5 @@ def test_every_scheme_meets_the_snr_target_across_the_wide_box(cfg, seed):
     gain = _STAGES["path_loss"].run(cfg, _STAGES["geometry"].run(cfg, xs, ys), _STAGES["shadowing"].run(cfg, shadows))
     np.testing.assert_allclose(tx * gain / sigma_ue_sq_w, gamma0, rtol=1e-9, atol=0.0)
     for x, y, shadow in zip(xs.tolist(), ys.tolist(), shadows.tolist()):
-        received = benchmark1_tx_power_w(cfg, x, y, shadow) * benchmark1_link_gain(cfg, x, y, shadow)
+        received = benchmark1_tx_power_w(cfg, x, y, shadow) * direct_path_gain(cfg, ground_distance_m(x, y), shadowing_gain(shadow))
         assert received / sigma_ue_sq_w == pytest.approx(gamma0, rel=1e-9)

@@ -23,7 +23,7 @@ from pinchrelay.cli import _SCENARIO_FIELDS, _VAR_CHOICES, _build_parser
 EXPORTS = {
     "pinchrelay.benchmarks": {"benchmark1_total_power_w", "benchmark1_tx_power_w", "benchmark2_power"},
     "pinchrelay.model": {
-        "ChannelGains", "SystemConfig", "UePosition", "af_snr", "channel_gains", "db_to_linear", "total_power_w"
+        "ChannelGains", "SystemConfig", "UePosition", "af_snr", "channel_gains", "db_to_linear"
     },
     "pinchrelay.optimize": {"PowerSolution", "optimal_pin_position", "optimal_power_allocation", "solve"},
     "pinchrelay.oracle": {"OracleReport", "grid_search_pin", "numeric_power_min", "verify_scenario"},
@@ -53,7 +53,7 @@ def fresh_interpreter(code: str, *argv: str, cwd: Path) -> str:
 class TestLazyRoot:
     def test_each_name_is_the_object_its_module_defines(self):
         assert set(pinchrelay.__all__) == set().union(*EXPORTS.values())
-        assert len(pinchrelay.__all__) == 25
+        assert len(pinchrelay.__all__) == 24
         for module, names in EXPORTS.items():
             for name in names:
                 assert getattr(pinchrelay, name) is getattr(importlib.import_module(module), name)

@@ -8,6 +8,8 @@ import math
 import os
 import re
 import stat
+import subprocess
+import sys
 import threading
 from collections import Counter
 from dataclasses import fields, replace
@@ -577,6 +579,30 @@ class TestCsv:
         export_csv(run_sweep(cfg, spec), first)
         export_csv(run_sweep(cfg, spec), second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_a_write_that_fails_part_way_leaves_the_old_bytes_or_none(self, tmp_path):
+        # the seed-1 sweep runs in a child whose file-size limit stops its CSV half way over the seed-0 one
+        pytest.importorskip("resource")
+        out = tmp_path / "fig1.csv"
+        argv = ["sweep", *GOLDEN_SWEEPS["fig1"][0], "--samples", "1000", "--out", str(out)]
+        assert cli_main([*argv, "--seed", "1"]) == 0
+        new = out.read_bytes()
+        assert cli_main([*argv, "--seed", "0"]) == 0
+        old = out.read_bytes()
+        limit = len(old) // 2
+        assert new != old and len(new) > limit
+        code = (
+            "import resource, sys, pinchrelay.cli, pinchrelay.kernel\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[1]), resource.getrlimit(resource.RLIMIT_FSIZE)[1]))\n"
+            "sys.exit(pinchrelay.cli.cli_main(sys.argv[2:]))"
+        )
+        src = str(Path(sweep.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run(
+            [sys.executable, "-c", code, str(limit), *argv, "--seed", "1"], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert child.returncode == 1 and "cannot write sweep CSV" in child.stderr, child.stderr
+        assert out.read_bytes() in (b"", old)
 
     def test_write_error_carries_the_path(self, tmp_path):
         missing_dir = tmp_path / "nope" / "out.csv"
