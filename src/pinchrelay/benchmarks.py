@@ -6,20 +6,20 @@ keeps the relay and the closed-form power split but bolts the radiating
 antenna to the waveguide feed point, so the relay-to-user hop is plain free
 space with no placement freedom.
 
-The direct scheme has one implementation, for one user as floats or many as
-arrays: its link gain in three parts, :func:`ground_distance_m`,
-:func:`shadowing_gain` and :func:`direct_path_gain`, and its one transmit-power
-quotient :func:`direct_tx_power_w`.  The sweep kernel runs each part as a
-stage; :func:`benchmark1_tx_power_w` composes them for one user or many.  The
-first two parts check their per-user inputs against their domains; over those
-and the config's, every power here is finite.  Each scheme is a function of the
-config and the user alone.
+The direct scheme has one set of parts, unchecked, for floats or arrays: its
+link gain in three, :func:`ground_distance_m`, :func:`shadowing_gain` and
+:func:`direct_path_gain`, and its transmit-power quotient :func:`direct_tx_power_w`,
+each written with operators and the caller's ``sqrt`` and ``pow``.  The sweep
+kernel runs each part as a stage; :func:`benchmark1_tx_power_w`, the checked
+one-user form, composes them with :mod:`math` and loads no numpy.  Over the
+inputs' domains and the config's, every power here is finite.  Each scheme is a
+function of the config and the user alone.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .model import UE_DOMAIN, SystemConfig, UePosition, free_space_gain, out_of_domain
 from .optimize import PowerSolution, solve_at
@@ -43,42 +43,18 @@ RF_CHAIN_POWER_W = 0.1
 SHADOW_DB_DOMAIN = (-100.0, 100.0)
 
 
-def _check_draws(*inputs: tuple) -> None:
-    """Raise ``ValueError`` naming the first value outside its domain, given ``(name, values, (lo, hi))`` triples."""
-    import numpy as np
-
-    for name, values, (lo, hi) in inputs:
-        # the ufuncs' reductions, without np.min's and np.max's wrapper dispatch; a float reduces to
-        # itself, and a nan fails the comparisons
-        if not (lo <= np.minimum.reduce(values) and np.maximum.reduce(values) <= hi):
-            first = np.flatnonzero(np.logical_not((values >= lo) & (values <= hi)))[0]
-            raise ValueError(out_of_domain(name, float(np.ravel(values)[first]), (lo, hi)))
+def ground_distance_m(x_ue_m: Floats, y_ue_m: Floats, sqrt: Callable):
+    """Ground distance ``sqrt(x*x + y*y)`` from the waveguide feed to each user, with the caller's
+    correctly rounded ``sqrt`` (``math.sqrt``, or ``np.sqrt`` for arrays), so each element equals the
+    float result on any CPU.  Where a square underflows (a coordinate below about 1e-154 m) the distance
+    loses relative accuracy, but not against the BS-relay distance it is added to."""
+    return sqrt(x_ue_m * x_ue_m + y_ue_m * y_ue_m)
 
 
-def ground_distance_m(x_ue_m: Floats, y_ue_m: Floats):
-    """Ground distance ``sqrt(x*x + y*y)`` from the waveguide feed to each user, checked against ``UE_DOMAIN``.
-
-    Operators and a correctly rounded square root (``math.sqrt`` for floats, ``np.sqrt`` for arrays),
-    so each element equals the float result on any CPU.  Where a square underflows (a coordinate
-    below about 1e-154 m) the distance loses relative accuracy, but not against the BS-relay
-    distance it is added to.
-    """
-    _check_draws(("x_ue_m", x_ue_m, UE_DOMAIN), ("y_ue_m", y_ue_m, UE_DOMAIN))
-    squares = x_ue_m * x_ue_m
-    squares += y_ue_m * y_ue_m  # in place on an array
-    if isinstance(squares, float):
-        return math.sqrt(squares)
-    import numpy as np
-
-    return np.sqrt(squares, out=squares)
-
-
-def shadowing_gain(shadow_db: Floats):
-    """Linear lognormal shadowing factor of each draw in dB, checked against ``SHADOW_DB_DOMAIN``."""
-    from .kernel import libm_each
-
-    _check_draws(("shadow_db", shadow_db, SHADOW_DB_DOMAIN))
-    return libm_each(math.pow, 10.0, shadow_db / 10.0)
+def shadowing_gain(shadow_db: Floats, power: Callable):
+    """Linear lognormal shadowing factor of each draw in dB, with the caller's ``power``: ``math.pow``,
+    or for arrays one equal to it per element."""
+    return power(10.0, shadow_db / 10.0)
 
 
 def direct_path_gain(config: SystemConfig, ground_m: Floats, shadow: Floats):
@@ -106,18 +82,21 @@ def distance_loss(d1_m: float, ground_m: Floats):
     return np.divide(1.0, d4, out=d4)
 
 
-def benchmark1_tx_power_w(config: SystemConfig, x_ue_m: Floats, y_ue_m: Floats, shadow_db: Floats):
-    """Radiated power the direct link needs to hit the SNR target, for one user or many.
+def benchmark1_tx_power_w(config: SystemConfig, x_ue_m: float, y_ue_m: float, shadow_db: float) -> float:
+    """Radiated power the direct link needs to hit the SNR target at one user.
 
     BS, relay and coverage area are collinear along the waveguide axis, so the
     direct path spans the BS-relay distance plus the user's ground distance from
     the feed.  The link gain is array gain x element gain x log-distance loss x
-    lognormal shadowing, ``shadow_db`` being one draw in dB.  Arrays give one
-    power per user, each equal to the float result.  A coordinate outside
-    ``UE_DOMAIN`` or a draw outside ``SHADOW_DB_DOMAIN`` raises ``ValueError``
-    naming the first one.
+    lognormal shadowing, ``shadow_db`` being one draw in dB.  A coordinate
+    outside ``UE_DOMAIN`` or a draw outside ``SHADOW_DB_DOMAIN`` (a nan too)
+    raises ``ValueError`` naming the first one.
     """
-    gain = direct_path_gain(config, ground_distance_m(x_ue_m, y_ue_m), shadowing_gain(shadow_db))
+    inputs = ("x_ue_m", x_ue_m, UE_DOMAIN), ("y_ue_m", y_ue_m, UE_DOMAIN), ("shadow_db", shadow_db, SHADOW_DB_DOMAIN)
+    for name, value, (lo, hi) in inputs:
+        if not lo <= value <= hi:
+            raise ValueError(out_of_domain(name, value, (lo, hi)))
+    gain = direct_path_gain(config, ground_distance_m(x_ue_m, y_ue_m, math.sqrt), shadowing_gain(shadow_db, math.pow))
     return direct_tx_power_w(config.snr_target_linear, config.ue_noise_w, gain)
 
 

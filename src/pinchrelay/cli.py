@@ -201,17 +201,18 @@ _VAR_CHOICES = {k: (name, field) for name, (field, _) in VARIABLES.items() for k
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser that reads a token starting with '-' and a digit, or '-.' and a digit, as a value.
+    """A parser that reads a token starting with '-' and a digit, '-.' and a digit, '-inf' or '-nan' as a value.
 
     argparse reads such a token as a value only if it is a bare negative number, so
-    ``--gamma0 -10dB`` or ``--values -10:2:30dB`` would name an unknown flag; no flag here
-    starts with a digit.  A subcommand's parser is of the same class (argparse's ``parser_class``).
+    ``--gamma0 -10dB``, ``--values -10:2:30dB`` or ``--ue -inf,5`` would name an unknown flag
+    or miss its argument; no flag here starts with a digit, 'inf' or 'nan'.  A subcommand's
+    parser is of the same class (argparse's ``parser_class``).
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # the attribute argparse matches a token against (3.10-3.13) to tell a negative number from a flag
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(?:\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _scenario_parser() -> argparse.ArgumentParser:

@@ -12,9 +12,10 @@ written here: each stage calls the scalar modules' operator-only forms on arrays
 The scalar modules import no numpy, so a single-point solve never loads it.
 :func:`exact_sum` gives the sweep's means: ``math.fsum`` of each row of a
 block, bit for bit, from one error-free split of the whole block where it can.
-The direct scheme's link gain also takes floats or arrays (its three parts
-in :mod:`.benchmarks`, which :func:`.benchmarks.benchmark1_tx_power_w`
-composes), and imports numpy and this module when it is called.
+The direct scheme's stages pass its parts an in-place ``np.sqrt`` and
+``math.pow`` per element, and check no draw: ``DOMAIN`` keeps the coverage
+rectangle inside ``UE_DOMAIN``, and a shadow past ``SHADOW_DB_DOMAIN`` would be
+a 30-standard-deviation draw.
 
 The sweep runs one fixed pipeline of stages, ``_STAGES`` in run order, each stage
 a row with the SystemConfig fields it reads, the draws and earlier stages it
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import partial
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -179,8 +181,8 @@ _STAGES = {
     "second_hop": _Stage((*LINK_FIELDS["relay-UE"], "waveguide_length_m"), ("xs", "ys"), _second_hop),
     "relay_terms": _Stage((), ("link", "second_hop"), _relay_terms),
     "relay_power": _Stage(_RELAY_POWER_FIELDS, ("link", "relay_terms"), _relay_power),
-    "geometry": _Stage((), ("xs", "ys"), lambda cfg, xs, ys: ground_distance_m(xs, ys)),
-    "shadowing": _Stage((), ("shadows",), lambda cfg, shadows_db: shadowing_gain(shadows_db)),
+    "geometry": _Stage((), ("xs", "ys"), lambda cfg, xs, ys: ground_distance_m(xs, ys, lambda a: np.sqrt(a, out=a))),
+    "shadowing": _Stage((), ("shadows",), lambda cfg, db: shadowing_gain(db, partial(libm_each, math.pow))),
     "path_loss": _Stage(LINK_FIELDS["direct"], ("geometry", "shadowing"), direct_path_gain),
     "benchmark1_power": _Stage(("snr_target_linear", "pa_efficiency"), ("link", "path_loss"), _direct_power),
 }

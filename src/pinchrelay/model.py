@@ -238,12 +238,6 @@ def free_space_gain(distance_m: float | np.ndarray, frequency_hz: float) -> floa
     return ratio * ratio
 
 
-def link_out_of_range(config: SystemConfig, link: str, gain: float) -> str:
-    """Error message for a ``link`` gain outside ``CHANNEL_DOMAIN``, naming the config fields that link reads."""
-    at = ", ".join(f"{name}={getattr(config, name)!r}" for name in LINK_FIELDS[link])
-    return f"link budget out of range on the {link} link: gain {gain!r} at {at}"
-
-
 def bs_relay_gain(config: SystemConfig) -> float:
     """BS-to-relay power gain |g1|^2: both horn gains times free-space loss."""
     horn = 10.0 ** (config.horn_gain_tx_dbi / 10.0) * 10.0 ** (config.horn_gain_rx_dbi / 10.0)
@@ -265,7 +259,8 @@ def relay_ue_gain(config: SystemConfig, ue: UePosition, x_pin_m: float) -> float
         raise ValueError(f"x_pin={x_pin_m!r} outside the waveguide [0, {config.waveguide_length_m}]")
     g2_sq = unchecked_relay_ue_gain(config, ue.x_ue_m, ue.y_ue_m, x_pin_m, math.sqrt, math.exp)
     if g2_sq < CHANNEL_DOMAIN[0]:
-        raise ValueError(link_out_of_range(config, "relay-UE", g2_sq))
+        at = ", ".join(f"{name}={getattr(config, name)!r}" for name in LINK_FIELDS["relay-UE"])
+        raise ValueError(f"link budget out of range on the relay-UE link: gain {g2_sq!r} at {at}")
     return g2_sq
 
 

@@ -49,7 +49,10 @@ _SATURATED_STEP = 18.0
 
 
 class OracleReport(NamedTuple):
-    """Outcome of one closed-form-vs-brute-force comparison."""
+    """One check of :func:`verify_scenario`: ``closed_form_value`` and the search's ``oracle_value``,
+    ``abs_gap`` between them, the ``rel_gap`` the check judges, and ``passed``, whether it is within
+    the check's tolerance.  ``grid_resolution`` holds the placement search's final bracket width (m),
+    or ``POWER_SEARCH_WIDTH``; no grid is built, and the field keeps its name."""
 
     closed_form_value: float
     oracle_value: float

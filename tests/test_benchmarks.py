@@ -29,6 +29,7 @@ from pinchrelay.benchmarks import (
     ground_distance_m,
     shadowing_gain,
 )
+from pinchrelay.kernel import _STAGES
 from pinchrelay.model import DOMAIN, SPEED_OF_LIGHT_M_S, UE_DOMAIN, free_space_gain, relay_ue_gain
 
 from kernel_eval import evaluate
@@ -37,8 +38,8 @@ NO_SHADOW = 0.0
 
 
 def link_gain(config, x_ue_m, y_ue_m, shadow_db):
-    """The direct link's gain: the three parts that benchmark1_tx_power_w and the sweep kernel compose."""
-    return direct_path_gain(config, ground_distance_m(x_ue_m, y_ue_m), shadowing_gain(shadow_db))
+    """The direct link's gain at one user: the three parts that benchmark1_tx_power_w composes."""
+    return direct_path_gain(config, ground_distance_m(x_ue_m, y_ue_m, math.sqrt), shadowing_gain(shadow_db, math.pow))
 
 
 def log_uniform(rng: random.Random, lo: float, hi: float) -> float:
@@ -91,8 +92,9 @@ class TestBenchmark1:
 
     def test_mean_power_reproducible(self, cfg):
         def mean_total(seed: int) -> float:
+            # the sweep kernel's stages, for one user position under 100,000 shadowing draws
             draws = np.random.default_rng(seed).normal(0.0, SHADOWING_STD_DB, 100_000)
-            totals = benchmark1_total_power_w(cfg, benchmark1_tx_power_w(cfg, 15.0, 5.0, draws))
+            totals, _ = evaluate("benchmark1", cfg, np.full(draws.size, 15.0), np.full(draws.size, 5.0), draws)
             return math.fsum(totals.tolist()) / totals.size
 
         assert mean_total(5) == mean_total(5)
@@ -111,11 +113,6 @@ class TestBenchmark1:
         floats[arg] = value
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             benchmark1_tx_power_w(cfg, *floats)
-        # in arrays the bad input sits at the second user, whose value the error names
-        arrays = [np.array([x, x, x]) for x in (15.0, 5.0, NO_SHADOW)]
-        arrays[arg][1:] = value, -1e9
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            benchmark1_tx_power_w(cfg, *arrays)
 
     @pytest.mark.parametrize(
         "frequency, d1, x_ue, y_ue, shadow_db",
@@ -142,8 +139,9 @@ class TestBenchmark1:
         cfg = replace(cfg, pa_efficiency=pa_efficiency)
         tx = benchmark1_tx_power_w(cfg, 15.0, 5.0, NO_SHADOW)
         assert benchmark1_total_power_w(cfg, tx) == tx / pa_efficiency + 64 * 0.1
-        txs = benchmark1_tx_power_w(cfg, np.array([0.0, 15.0, 30.0]), np.array([0.0, 5.0, 10.0]), np.zeros(3))
-        assert benchmark1_total_power_w(cfg, txs).tolist() == [t / pa_efficiency + 64 * 0.1 for t in txs.tolist()]
+        # the sweep kernel's power stage, user by user
+        totals, txs = evaluate("benchmark1", cfg, np.array([0.0, 15.0, 30.0]), np.array([0.0, 5.0, 10.0]), np.zeros(3))
+        assert totals.tolist() == [t / pa_efficiency + 64 * 0.1 for t in txs.tolist()]
 
     @pytest.mark.parametrize(
         "field, value",
@@ -166,14 +164,15 @@ class TestBenchmark1:
         assert getattr(changed, field) != getattr(base, field)
         rng = np.random.default_rng(11)
         xs, ys, shadows = rng.uniform(0.0, 30.0, 50), rng.uniform(0.0, 10.0, 50), rng.normal(0.0, SHADOWING_STD_DB, 50)
-        tx = benchmark1_tx_power_w(base, xs, ys, shadows)
-        assert benchmark1_tx_power_w(changed, xs, ys, shadows).tolist() == tx.tolist()
-        assert benchmark1_total_power_w(changed, tx).tolist() == benchmark1_total_power_w(base, tx).tolist()
+        users = list(zip(xs.tolist(), ys.tolist(), shadows.tolist()))
+        tx = [benchmark1_tx_power_w(base, *user) for user in users]
+        assert [benchmark1_tx_power_w(changed, *user) for user in users] == tx
+        assert [benchmark1_total_power_w(changed, t) for t in tx] == [benchmark1_total_power_w(base, t) for t in tx]
 
 
 class TestDirectLinkForms:
     """The ground distance sqrt(x*x + y*y) and the distance loss 1/(d2*d2), d2 = d*d: IEEE operators and a
-    correctly rounded square root, so the float and array paths agree on any CPU."""
+    correctly rounded square root, so the one-user form and the sweep kernel's stages agree on any CPU."""
 
     def test_each_form_is_within_its_ulp_bound_of_a_decimal_reference(self):
         # the ground distance wherever both squares are normal or 0 (coordinates from 1e-153 m); the
@@ -187,7 +186,7 @@ class TestDirectLinkForms:
             for _ in range(20_000):
                 x, y = coordinate(rng, 1e-153), coordinate(rng, 1e-153)
                 d1 = log_uniform(rng, *DOMAIN["bs_relay_distance_m"])
-                ground = ground_distance_m(x, y)
+                ground = ground_distance_m(x, y, math.sqrt)
                 loss = distance_loss(d1, ground)
                 d = d1 + ground
                 for field, inputs, value, exact in (
@@ -216,7 +215,7 @@ class TestDirectLinkForms:
 
     @pytest.mark.parametrize("d1", [0.1, 50.0, 1e5])
     @pytest.mark.parametrize("frequency", [1e8, 28e9, 1e13])
-    def test_floats_give_floats_equal_to_the_array_path(self, cfg, d1, frequency):
+    def test_floats_give_floats_equal_to_the_kernel_stages(self, cfg, d1, frequency):
         cfg = replace(cfg, bs_relay_distance_m=d1, carrier_frequency_hz=frequency)
         rng = random.Random(38)
         corners = [(1e5, 1e5, 100.0), (-1e5, 0.0, -100.0), (1e-160, -1e-200, 0.0), (5e-324, 0.0, 3.0), (0.0, 0.0, 0.0)]
@@ -224,10 +223,12 @@ class TestDirectLinkForms:
             (coordinate(rng, 5e-324), coordinate(rng, 5e-324), rng.uniform(*SHADOW_DB_DOMAIN)) for _ in range(300)
         ]
         xs, ys, shadows = (np.array(column) for column in zip(*users))
-        for fn in (link_gain, benchmark1_tx_power_w):
+        gains = _STAGES["path_loss"].run(cfg, _STAGES["geometry"].run(cfg, xs, ys), _STAGES["shadowing"].run(cfg, shadows))
+        _, txs = evaluate("benchmark1", cfg, xs, ys, shadows)
+        for fn, arrays in ((link_gain, gains), (benchmark1_tx_power_w, txs)):
             floats = [fn(cfg, x, y, shadow_db) for x, y, shadow_db in users]
             assert all(type(value) is float for value in floats), fn.__name__
-            assert fn(cfg, xs, ys, shadows).tolist() == floats, fn.__name__
+            assert arrays.tolist() == floats, fn.__name__
 
 
 class TestBenchmark2:

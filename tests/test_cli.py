@@ -489,8 +489,10 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("var", ["gamma0", "d1"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_values_are_named(self, tmp_path, capsys, var, value):
-        argv = ["sweep", "--var", var, f"--values={value}", "--out", str(tmp_path / "x.csv")]
+    @pytest.mark.parametrize("form", ["joined", "separate"])
+    def test_non_finite_values_are_named(self, tmp_path, capsys, var, value, form):
+        values = [f"--values={value}"] if form == "joined" else ["--values", value]
+        argv = ["sweep", "--var", var, *values, "--out", str(tmp_path / "x.csv")]
         assert cli_main(argv) == 2
         field = {"gamma0": "snr_target_linear", "d1": "bs_relay_distance_m"}[var]
         assert re.fullmatch(rf"error: {field} must lie in \[.*\], got \S+ at \w+ = {value}\n", capsys.readouterr().err)

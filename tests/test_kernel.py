@@ -434,5 +434,6 @@ def test_every_scheme_meets_the_snr_target_across_the_wide_box(cfg, seed):
     gain = _STAGES["path_loss"].run(cfg, _STAGES["geometry"].run(cfg, xs, ys), _STAGES["shadowing"].run(cfg, shadows))
     np.testing.assert_allclose(tx * gain / sigma_ue_sq_w, gamma0, rtol=1e-9, atol=0.0)
     for x, y, shadow in zip(xs.tolist(), ys.tolist(), shadows.tolist()):
-        received = benchmark1_tx_power_w(cfg, x, y, shadow) * direct_path_gain(cfg, ground_distance_m(x, y), shadowing_gain(shadow))
+        gain = direct_path_gain(cfg, ground_distance_m(x, y, math.sqrt), shadowing_gain(shadow, math.pow))
+        received = benchmark1_tx_power_w(cfg, x, y, shadow) * gain
         assert received / sigma_ue_sq_w == pytest.approx(gamma0, rel=1e-9)

@@ -145,6 +145,15 @@ class TestColdStart:
         )
         assert fresh_interpreter(code, cwd=tmp_path) == "[]"
 
+    def test_the_direct_scheme_at_one_user_loads_no_numpy_or_kernel(self, tmp_path):
+        code = (
+            "import sys\n"
+            "import pinchrelay\n"
+            "tx = pinchrelay.benchmark1_tx_power_w(pinchrelay.SystemConfig(), 15.0, 5.0, 0.0)\n"
+            "print(type(tx).__name__, [m for m in ('numpy', 'pinchrelay.kernel') if m in sys.modules])"
+        )
+        assert fresh_interpreter(code, cwd=tmp_path) == "float []"
+
 
 # The bounds were set on CPython 3.11, where CI ran these programs; another interpreter allocates otherwise.
 on_cpython_3_11 = pytest.mark.skipif(
