@@ -98,9 +98,10 @@ _SCENARIO_FIELDS: dict[str, tuple[str, Callable[[str], float | None], str, str]]
 def load_config_file(path: str | Path) -> dict[str, float | None]:
     """Parse a flat ``key = value`` scenario file (``#`` starts a comment)."""
     values: dict[str, float | None] = {}
+    first_line: dict[str, int] = {}
     try:
         text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is no part of the first key
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -112,6 +113,9 @@ def load_config_file(path: str | Path) -> dict[str, float | None]:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         if key not in _SCENARIO_FIELDS:
             raise UsageError(f"{path}:{lineno}: unknown configuration key {key!r}")
+        if key in first_line:
+            raise UsageError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         try:
             values[key] = _SCENARIO_FIELDS[key][1](value.strip())
         except ValueError as exc:
@@ -298,6 +302,8 @@ def _cmd_sweep(args: argparse.Namespace, config: SystemConfig) -> int:
         raise UsageError(f"--gnuplot cannot quote a line break in the CSV name {Path(args.out).name!r}")
     if args.gnuplot and Path(args.out).suffix == ".gp":  # the script's name is the CSV's with .gp
         raise UsageError(f"--gnuplot would write its script over the CSV {args.out!r}: give --out another suffix")
+    if args.gnuplot and Path(args.out).with_suffix(".gp").is_dir():
+        raise UsageError(f"--gnuplot must write its script to a file, got {str(Path(args.out).with_suffix('.gp'))!r}")
     variable, field = _VAR_CHOICES[args.var]
     flag, parse, _, label = _SCENARIO_FIELDS[field]
     if variable != field:  # snr_target_db: every value is in dB, as fig1 has it, not its flag's linear ratio

@@ -5,10 +5,11 @@ element equals the scalar path (:mod:`.model`, :mod:`.optimize`,
 :mod:`.benchmarks`) bit for bit: squares are written as products, arithmetic
 runs in the scalar expressions' order, square roots are ``np.sqrt``, correctly
 rounded like ``math.sqrt``, and the two libm calls left, the placement's ``exp``
-and the shadowing's ``pow``, go through :mod:`math` per element
-(:func:`libm_each`), because numpy's vectorised versions round differently from
-libm on a few percent of inputs.  No gain, placement root or power split is
-written here: each stage calls the scalar modules' operator-only forms on arrays.
+at each user's candidate pinch point and the shadowing's ``pow``, go through
+:mod:`math` per element (:func:`libm_each`), because numpy's vectorised versions
+round differently from libm on a few percent of inputs; the feed's ``exp(-0.0)``
+is one ``math.exp``.  No gain, placement root or power split is written here:
+each stage calls the scalar modules' operator-only forms on arrays.
 The scalar modules import no numpy, so a single-point solve never loads it.
 :func:`exact_sum` gives the sweep's means: ``math.fsum`` of each row of a
 block, bit for bit, from one error-free split of the whole block where it can.
@@ -22,11 +23,13 @@ a row with the SystemConfig fields it reads, the draws and earlier stages it
 takes, and its function; there are eight.  The relay schemes differ only in
 their second hop's |g2|^2: at the chosen pinch point for the proposed scheme, at
 the feed for the fixed-antenna one.  They share the link stage (|g1|^2, both
-noise powers and the split's link factors), and the second-hop stage computes
-the feed's gain, places the pinch point against it and stacks the root of both
-as the two rows of a (2, N) array, so that one terms stage (the split's per-user
-link part) and one power stage (its target part and the power accounting) serve
-both.  The direct scheme's stages are geometry, shadowing, path loss and power.
+noise powers and the split's link factors).  The second-hop stage places the
+pinch point itself, as the array form of :func:`~.optimize.optimal_pin_position`:
+it computes the feed's gain, weighs each user's candidate against it, and stacks
+the root of the chosen gain and of the feed's as the two rows of a (2, N) array,
+keeping no pinch position, so that one terms stage (the split's per-user link
+part) and one power stage (its target part and the power accounting) serve both.
+The direct scheme's stages are geometry, shadowing, path loss and power.
 ``_OUTPUTS`` names each scheme's power stage and its row there.  Every stage
 runs, whichever schemes are asked for; the schemes pick only the rows that
 :func:`sweep_sums` sums.  A stage runs at each value when it reads the swept
@@ -55,18 +58,16 @@ from .model import LINK_FIELDS, NOISE_FIELDS, SystemConfig, consumed_power, rela
 from .optimize import link_budget, split_powers, split_terms, stationary_root, target_factors
 
 
-def libm_each(fn: Callable[..., float], *args: float | np.ndarray) -> float | np.ndarray:
+def libm_each(fn: Callable[..., float], *args: float | np.ndarray) -> np.ndarray:
     """``fn``, a :mod:`math` function, applied to each element of the array arguments.
 
-    Float arguments repeat for every element; with no array argument this is
-    plain ``fn(*args)``.  Calling libm keeps each element equal to the scalar
-    code's result, which numpy's vectorised ``exp`` and ``pow`` do not.  It has
-    two callers, the placement's ``exp`` (:func:`libm_exp`) and the shadowing's ``pow``.
-    An array is read through its buffer (a ``memoryview``), not copied to a list.
+    Float arguments repeat for every element; at least one argument is an array.  Calling libm
+    keeps each element equal to the scalar code's result, which numpy's vectorised ``exp`` and
+    ``pow`` do not.  It has two callers, the second-hop stage's ``exp`` at each user's candidate
+    pinch point and the shadowing stage's ``pow``.  An array is read through its buffer (a
+    ``memoryview``), not copied to a list.
     """
-    size = next((a.size for a in args if isinstance(a, np.ndarray)), None)
-    if size is None:
-        return fn(*args)
+    size = next(a.size for a in args if isinstance(a, np.ndarray))
     columns = [memoryview(a) if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args]
     return np.fromiter(map(fn, *columns), float, size)
 
@@ -126,25 +127,6 @@ def exact_sum(a: np.ndarray) -> list[float] | float:
     return sums if a.ndim > 1 else sums[0]
 
 
-def libm_exp(x: float | np.ndarray) -> float | np.ndarray:
-    """``math.exp`` of each element (:func:`libm_each`): the ``exp`` the model's array gains take."""
-    return libm_each(math.exp, x)
-
-
-def optimal_pin_positions(config: SystemConfig, xs: np.ndarray, ys: np.ndarray, at_feed: np.ndarray) -> tuple:
-    """Array form of :func:`~.optimize.optimal_pin_position` for users ``(xs, ys)``, equal to it per element.
-
-    ``at_feed`` is each user's |g2|^2 at the feed.  Returns ``(x_pins, g2_sq)``: each user's pinch point
-    and the unchecked |g2|^2 it was chosen by.  At alpha = 0 too, the candidate ``x2`` clamped to the
-    waveguide wins only where it radiates more than the feed.
-    """
-    discriminant, x2 = stationary_root(config, xs, ys, np.sqrt)
-    candidate = np.minimum(np.maximum(x2, 0.0), config.waveguide_length_m)
-    at_candidate = unchecked_relay_ue_gain(config, xs, ys, candidate, np.sqrt, libm_exp)
-    wins = (discriminant >= 0.0) & (at_candidate > at_feed)
-    return np.where(wins, candidate, 0.0), np.where(wins, at_candidate, at_feed)
-
-
 class _Stage(NamedTuple):
     fields: tuple[str, ...]  # the SystemConfig fields ``run`` reads
     inputs: tuple[str, ...]  # what ``run`` takes after the config: draws ("xs", "ys", "shadows") or stages
@@ -152,8 +134,14 @@ class _Stage(NamedTuple):
 
 
 def _second_hop(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    feed = unchecked_relay_ue_gain(cfg, xs, ys, 0.0, np.sqrt, libm_exp)
-    amplitudes = np.stack((optimal_pin_positions(cfg, xs, ys, feed)[1], feed))
+    # optimize.optimal_pin_position over arrays, keeping the chosen |g2|^2 and not the pinch point:
+    # at alpha = 0 too, the clamped candidate wins only where it radiates more than the feed
+    feed = unchecked_relay_ue_gain(cfg, xs, ys, 0.0, np.sqrt, math.exp)
+    discriminant, x2 = stationary_root(cfg, xs, ys, np.sqrt)
+    candidate = np.minimum(np.maximum(x2, 0.0), cfg.waveguide_length_m)
+    at_candidate = unchecked_relay_ue_gain(cfg, xs, ys, candidate, np.sqrt, partial(libm_each, math.exp))
+    wins = (discriminant >= 0.0) & (at_candidate > feed)
+    amplitudes = np.stack((np.where(wins, at_candidate, feed), feed))
     return np.sqrt(amplitudes, out=amplitudes)  # the split reads the second hop's amplitude
 
 

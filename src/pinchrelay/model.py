@@ -161,8 +161,8 @@ class SystemConfig(_Kept):
     kept in dBi because that is how they are quoted, and converted exactly
     once inside :func:`bs_relay_gain`.  ``ue_noise_figure_db = None`` means
     the terminal reuses the relay noise figure.  Each field must lie in its
-    ``DOMAIN`` bounds.  A config's first solve (or :func:`channel_gains` call)
-    keeps on it what every solve there shares: :func:`~.optimize.link_constants`.
+    ``DOMAIN`` bounds.  A config's first solve keeps on it what every solve
+    there shares: :func:`~.optimize.link_constants`.
     """
 
     carrier_frequency_hz: float = 28e9
@@ -274,15 +274,9 @@ def unchecked_relay_ue_gain(config: SystemConfig, x_ue_m, y_ue_m, x_pin_m, sqrt:
 
 
 def channel_gains(config: SystemConfig, ue: UePosition, x_pin_m: float) -> ChannelGains:
-    """Assemble both hop gains and both noise powers for one scenario.
-
-    |g1|^2 and the noise powers are the config's :func:`~.optimize.link_constants`, computed
-    once per config; a terminal that reuses the relay noise figure reuses its noise power too.
-    """
-    from .optimize import link_constants  # here, not at the top: optimize imports this module
-
-    g1_sq, sigma_r_sq_w, sigma_ue_sq_w, _, _ = link_constants(config)
-    return ChannelGains(g1_sq, relay_ue_gain(config, ue, x_pin_m), sigma_r_sq_w, sigma_ue_sq_w)
+    """Assemble both hop gains and both noise powers for one scenario, each computed afresh
+    (:func:`bs_relay_gain`, :func:`relay_ue_gain` and the config's noise powers); nothing is kept."""
+    return ChannelGains(bs_relay_gain(config), relay_ue_gain(config, ue, x_pin_m), config.relay_noise_w, config.ue_noise_w)
 
 
 def _ue_noise_w(config: SystemConfig, relay_noise_w: float | None = None) -> float:

@@ -112,7 +112,7 @@ def run_sweep(config: SystemConfig, spec: SweepSpec) -> list[SweepRecord]:
     return records
 
 
-def _write_file(path: Path, data: bytes) -> None:
+def _write_file(path: Path, data: bytes, what: str) -> None:
     """Make ``data`` the whole content of the file at ``path``, creating it if need be.
 
     The file is rewritten in place: it is opened without ``O_TRUNC`` and cut to
@@ -123,20 +123,24 @@ def _write_file(path: Path, data: bytes) -> None:
     covers all of an equal or shorter one.  A FIFO or a character device
     reports size 0, so it is never truncated.  A write that fails part way
     empties the file before the error propagates: no file mixes two writes.
+    An error is an ``OSError`` that names ``what`` the file holds and ``path``.
     """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        if os.fstat(fd).st_size > len(data):
-            os.ftruncate(fd, 0)
-        view = memoryview(data)
-        while view:  # os.write may take only part of the bytes, as into a pipe when a signal arrives
-            view = view[os.write(fd, view) :]
-    except OSError:
-        with contextlib.suppress(OSError):  # a FIFO cannot be truncated: the first error stands
-            os.ftruncate(fd, 0)
-        raise
-    finally:
-        os.close(fd)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            if os.fstat(fd).st_size > len(data):
+                os.ftruncate(fd, 0)
+            view = memoryview(data)
+            while view:  # os.write may take only part of the bytes, as into a pipe when a signal arrives
+                view = view[os.write(fd, view) :]
+        except OSError:
+            with contextlib.suppress(OSError):  # a FIFO cannot be truncated: the first error stands
+                os.ftruncate(fd, 0)
+            raise
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
 
 
 def export_csv(records: Iterable[SweepRecord], path: str | Path) -> None:
@@ -156,11 +160,7 @@ def export_csv(records: Iterable[SweepRecord], path: str | Path) -> None:
             f"{value},{scheme},{mean_total:.17g},{mean_bs[scheme]:.17g},{n_samples}\n"
             for scheme, mean_total in record.mean_total_power_w.items()
         ]
-    text = "".join(rows)
-    try:
-        _write_file(path, text.encode("utf-8"))
-    except OSError as exc:
-        raise OSError(f"cannot write sweep CSV to {path}: {exc}") from exc
+    _write_file(path, "".join(rows).encode("utf-8"), "sweep CSV")
 
 
 def read_csv(path: str | Path) -> list[SweepRecord]:
@@ -180,6 +180,8 @@ def read_csv(path: str | Path) -> list[SweepRecord]:
             rows = [(reader.line_num, row) for row in reader if row]
     except OSError as exc:
         raise OSError(f"cannot read sweep CSV from {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # a ValueError that names no file
+        raise ValueError(f"cannot read sweep CSV from {path}: {exc}") from exc
     records: list[SweepRecord] = []
     for line, row in rows:
         try:
@@ -235,4 +237,4 @@ def write_gnuplot_script(
         for s in schemes
     ]
     lines.append(", \\\n".join(plots))
-    _write_file(Path(script_path), ("\n".join(lines) + "\n").encode("utf-8"))
+    _write_file(Path(script_path), ("\n".join(lines) + "\n").encode("utf-8"), "gnuplot script")

@@ -13,6 +13,7 @@ A reference from ``src/``, outside the name's own definition, is one of:
 
 import ast
 import importlib
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pinchrelay
@@ -120,6 +121,46 @@ def stale(where: dict[str, str], referenced: set[str], uncalled: dict[str, str],
         elif reason.startswith("perfbench") and key not in reads:
             found.append(f"{where[key]} {key}: perfbench/*.py no longer reads it")
     return found
+
+
+def relative_imports(package: Path) -> dict[str, set[str]]:
+    """Each module of ``package`` with the modules it imports relatively, at module level or in a function.
+
+    ``from .x import name`` and ``from . import x`` import ``x``; ``__init__.py``'s ``importlib`` loader
+    is no import statement, so nothing it loads is an edge.
+    """
+    graph: dict[str, set[str]] = {}
+    for path in sorted(package.glob("*.py")):
+        graph[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                graph[path.stem].update([node.module] if node.module else [alias.name for alias in node.names])
+    return graph
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of the import graph, as the modules along it with the first repeated at the end; [] if none."""
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        return exc.args[1]
+    return []
+
+
+class TestImportGraph:
+    def test_the_package_imports_form_an_acyclic_graph(self):
+        assert import_cycle(relative_imports(PACKAGE)) == []
+
+    def test_model_imports_no_package_module(self):
+        assert relative_imports(PACKAGE)["model"] == set()
+
+    def test_a_function_level_back_import_is_a_cycle(self, tmp_path):
+        (tmp_path / "a.py").write_text("def f():\n    from .b import g\n    return g()\n")
+        (tmp_path / "b.py").write_text("from . import a\n\ndef g():\n    return a\n")
+        (tmp_path / "c.py").write_text("from .a import f\nimport importlib\n")
+        graph = relative_imports(tmp_path)
+        assert graph == {"a": {"b"}, "b": {"a"}, "c": {"a"}}
+        assert sorted(import_cycle(graph)[:-1]) == ["a", "b"]
 
 
 class TestCallers:

@@ -357,11 +357,23 @@ class TestConfigHandling:
         assert cli_main(["config-dump", "--config", str(config)]) == 2
         assert "warp_factor" in capsys.readouterr().err
 
-    def test_unreadable_file_is_a_usage_error(self, tmp_path, capsys):
-        missing = tmp_path / "missing.cfg"
-        assert cli_main(["config-dump", "--config", str(missing)]) == 2
+    # a missing file, and one that is not UTF-8 text
+    @pytest.mark.parametrize(
+        "content", [None, b"bandwidth_hz = 400MHz\ncarrier_frequency_hz = 28\xffGHz\n"], ids=["missing", "not_utf8"]
+    )
+    def test_unreadable_file_is_a_usage_error(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.cfg"
+        if content is not None:
+            path.write_bytes(content)
+        assert cli_main(["config-dump", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot read config file {missing}: ") and err.count("\n") == 1
+        assert err.startswith(f"error: cannot read config file {path}: ") and err.count("\n") == 1
+
+    def test_a_repeated_key_is_a_usage_error_naming_both_lines(self, tmp_path, capsys):
+        config = tmp_path / "twice.cfg"
+        config.write_text("bandwidth_hz = 400MHz\n# comment\nbandwidth_hz = 100MHz\n", encoding="utf-8")
+        assert cli_main(["config-dump", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {config}:3: key 'bandwidth_hz' repeats line 1\n"
 
     @pytest.mark.parametrize(
         "line, detail",
@@ -600,6 +612,19 @@ class TestSweepCommand:
             )
             assert list(tmp_path.iterdir()) == []
         assert cli_main(argv) == 0  # without a script the name is only a file name
+        assert out.read_text(encoding="utf-8").startswith("variable,scheme,")
+
+    # the script's write would fail only after the whole sweep, as would an --out that names a directory
+    def test_gnuplot_script_path_that_is_a_directory_is_a_usage_error(self, tmp_path, capsys):
+        out, script = tmp_path / "fig.csv", tmp_path / "fig.gp"
+        script.mkdir()
+        argv = ["sweep", "--var", "gamma0", "--values", "20dB", "--samples", "5", "--out", str(out)]
+        assert cli_main([*argv, "--gnuplot"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --gnuplot must write its script to a file, got {str(script)!r}\n"
+        assert list(tmp_path.iterdir()) == [script]
+        assert cli_main(argv) == 0  # without a script the directory is only a neighbour
         assert out.read_text(encoding="utf-8").startswith("variable,scheme,")
 
     # each choice names a sweep variable, or its field's flag; the plot label is the flag's help text, or

@@ -22,10 +22,10 @@ from pinchrelay import (
     optimal_pin_position,
     solve,
 )
-from pinchrelay.model import bs_relay_gain, relay_ue_gain, unchecked_relay_ue_gain
+from pinchrelay.model import bs_relay_gain, relay_ue_gain
 from pinchrelay.optimize import link_factors, split_powers, split_terms, stationary_points, target_factors
 from pinchrelay.benchmarks import SHADOWING_STD_DB, direct_path_gain, ground_distance_m, shadowing_gain
-from pinchrelay.kernel import _OUTPUTS, _STAGES, exact_sum, libm_each, libm_exp, optimal_pin_positions
+from pinchrelay.kernel import _OUTPUTS, _STAGES, exact_sum, libm_each
 from pinchrelay import kernel
 from pinchrelay.sweep import VARIABLES
 
@@ -132,13 +132,11 @@ def near_tie_users(cfg: SystemConfig, rng: np.random.Generator, n: int = 50, spr
 
 
 def assert_placement_and_gain_match(cfg: SystemConfig, xs: np.ndarray, ys: np.ndarray) -> None:
+    """The second-hop stage's rows are the |g2| of the scalar placement and of the feed, bit for bit."""
     users = positions(xs, ys)
-    at_feed = unchecked_relay_ue_gain(cfg, xs, ys, 0.0, np.sqrt, libm_exp)
-    x_pins, chosen = optimal_pin_positions(cfg, xs, ys, at_feed)
-    assert x_pins.tolist() == [optimal_pin_position(cfg, ue) for ue in users]
-    gains = unchecked_relay_ue_gain(cfg, xs, ys, x_pins, np.sqrt, libm_exp)
-    assert gains.tolist() == [relay_ue_gain(cfg, ue, x) for ue, x in zip(users, x_pins.tolist())]
-    assert chosen.tolist() == gains.tolist()
+    placed, feed = _STAGES["second_hop"].run(cfg, xs, ys)
+    assert placed.tolist() == [math.sqrt(relay_ue_gain(cfg, ue, optimal_pin_position(cfg, ue))) for ue in users]
+    assert feed.tolist() == [math.sqrt(relay_ue_gain(cfg, ue, 0.0)) for ue in users]
 
 
 def scalar_results(cfg: SystemConfig, users, shadows) -> dict[str, tuple[list[float], list[float]]]:

@@ -26,9 +26,8 @@ from pinchrelay import (
     solve,
 )
 from pinchrelay import model, optimize
-from pinchrelay.kernel import libm_exp, optimal_pin_positions
+from pinchrelay.kernel import _STAGES
 from pinchrelay.model import DOMAIN, SPEED_OF_LIGHT_M_S, UE_DOMAIN, bs_relay_gain, consumed_power, relay_tx_power, relay_ue_gain
-from pinchrelay.model import unchecked_relay_ue_gain
 from pinchrelay.optimize import StationaryAnalysis, solve_at, stationary_points, stationary_root
 from grid_oracles import pin_objective
 from kernel_eval import evaluate
@@ -36,9 +35,10 @@ from kernel_eval import evaluate
 C = SPEED_OF_LIGHT_M_S
 
 
-def kernel_placement(cfg, xs, ys):
-    """The sweep kernel's ``(x_pins, g2_sq)``, compared with the feed's gains as the sweep compares them."""
-    return optimal_pin_positions(cfg, xs, ys, unchecked_relay_ue_gain(cfg, xs, ys, 0.0, np.sqrt, libm_exp))
+def second_hop(cfg, xs, ys):
+    """The sweep kernel's second-hop rows as lists: each user's |g2| at the placement, then at the feed."""
+    placed, feed = _STAGES["second_hop"].run(cfg, np.array(xs), np.array(ys))
+    return placed.tolist(), feed.tolist()
 
 
 def symmetric_toy():
@@ -118,9 +118,8 @@ class TestStationaryPoints:
         ue = UePosition(20.0, 0.0)
         assert stationary_points(cfg, ue).x2_m == 16.0
         # both paths test the same discriminant, so the array form matches bit for bit
-        x_pins, g2_sq = kernel_placement(cfg, np.array([20.0]), np.array([0.0]))
-        x_pin = optimal_pin_position(cfg, ue)
-        assert x_pins.tolist() == [x_pin] and g2_sq.tolist() == [relay_ue_gain(cfg, ue, x_pin)]
+        placed, _ = second_hop(cfg, [20.0], [0.0])
+        assert placed == [math.sqrt(relay_ue_gain(cfg, ue, optimal_pin_position(cfg, ue)))]
 
     def test_zero_attenuation_puts_the_pinch_under_the_user(self):
         # alpha = 0 is the root's lossless limit, x2 = x_ue, and the general placement then clamps it
@@ -208,8 +207,7 @@ class TestOptimalPinPosition:
         ue = UePosition(10.0, 0.0)
         assert stationary_points(cfg, ue).x2_m == pytest.approx(9.991, abs=1e-3)
         assert optimal_pin_position(cfg, ue) == 0.0
-        x_pins, g2_sq = kernel_placement(cfg, np.array([10.0]), np.array([0.0]))
-        assert x_pins.tolist() == [0.0] and g2_sq.tolist() == [relay_ue_gain(cfg, ue, 0.0)]
+        assert second_hop(cfg, [10.0], [0.0]) == ([math.sqrt(relay_ue_gain(cfg, ue, 0.0))],) * 2
         for scheme in ("proposed", "benchmark2"):
             total, bs_w = evaluate(scheme, cfg, np.array([10.0]), np.array([0.0]), np.zeros(1))
             assert np.isfinite(total).all() and np.isfinite(bs_w).all()
@@ -257,12 +255,7 @@ class TestOptimalPinPosition:
         assert relay_ue_gain(changed, ue, x_pin) == relay_ue_gain(base, ue, x_pin)
         rng = np.random.default_rng(seed)
         xs, ys = rng.uniform(0.0, 30.0, 200), rng.uniform(0.0, 10.0, 200)
-        x_pins, g2_sq = kernel_placement(changed, xs, ys)
-        base_pins, base_g2_sq = kernel_placement(base, xs, ys)
-        assert x_pins.tolist() == base_pins.tolist()
-        assert g2_sq.tolist() == base_g2_sq.tolist()
-        gains = [unchecked_relay_ue_gain(c, xs, ys, x_pins, np.sqrt, libm_exp).tolist() for c in (changed, base)]
-        assert gains[0] == gains[1]
+        assert second_hop(changed, xs, ys) == second_hop(base, xs, ys)
 
 
 class TestOptimalPowerAllocation:
@@ -508,15 +501,13 @@ class TestConfigConstants:
         assert calls == first
 
     @pytest.mark.parametrize("ue_noise_figure_db", [None, 7.0])
-    def test_channel_gains_reads_the_configs_constants(self, monkeypatch, ue_noise_figure_db):
+    def test_channel_gains_keeps_nothing_and_equals_the_solves_constants(self, ue_noise_figure_db):
         cfg, ue = SystemConfig(ue_noise_figure_db=ue_noise_figure_db), UePosition(15.0, 5.0)
-        expected = ChannelGains(bs_relay_gain(cfg), relay_ue_gain(cfg, ue, 7.5), cfg.relay_noise_w, cfg.ue_noise_w)
-        calls = self.count_link_constants(monkeypatch)
-        gains = [channel_gains(cfg, ue, x_pin) for x_pin in (0.0, 7.5, 14.83)]
+        gains = channel_gains(cfg, ue, 7.5)
+        assert cfg._link_constants is None  # only a solve keeps the link constants on the config
         solve(cfg, ue)
-        assert [name for name, _ in calls].count("bs_relay_gain") == 1  # |g1|^2 once per config, not per call
-        assert len(calls) == (2 if ue_noise_figure_db is None else 3)  # and each noise power once
-        assert gains[1] == expected
+        g1_sq, sigma_r_sq_w, sigma_ue_sq_w, _, _ = optimize.link_constants(cfg)
+        assert gains == ChannelGains(g1_sq, relay_ue_gain(cfg, ue, 7.5), sigma_r_sq_w, sigma_ue_sq_w)
 
     def test_a_d1_sweep_computes_the_first_hop_gain_once_per_value(self, monkeypatch):
         from pinchrelay.sweep import SweepSpec, run_sweep

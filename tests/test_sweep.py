@@ -527,6 +527,13 @@ class TestCsv:
         with pytest.raises(OSError, match=f"^{re.escape(f'cannot read sweep CSV from {path}: ')}"):
             read_csv(path)
 
+    def test_a_file_that_is_not_utf8_names_the_path(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"variable,scheme,mean_total_power_w,mean_bs_power_w,n_samples\n20,propos\xe9d,0.5,0.01,7\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'cannot read sweep CSV from {path}: ')}") as info:
+            read_csv(path)
+        assert type(info.value) is ValueError
+
     @pytest.mark.parametrize(
         "row, detail",
         [
@@ -608,6 +615,11 @@ class TestCsv:
         missing_dir = tmp_path / "nope" / "out.csv"
         with pytest.raises(OSError, match="nope"):
             export_csv([], missing_dir)
+
+    def test_a_failed_script_write_names_the_script(self, tmp_path):
+        script = tmp_path / "nope" / "fig.gp"
+        with pytest.raises(OSError, match=f"^{re.escape(f'cannot write gnuplot script to {script}: ')}"):
+            write_gnuplot_script(tmp_path / "fig.csv", script, "SNR target [dB]")
 
     def test_gnuplot_companion_script(self, cfg, tmp_path):
         csv_path = tmp_path / "fig.csv"
